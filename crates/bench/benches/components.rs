@@ -68,12 +68,15 @@ fn bench_bloom(c: &mut Criterion) {
 }
 
 fn bench_crc(c: &mut Criterion) {
+    // A manifest-sized input, a 4 KiB one, and one 32 KiB data block.
     let data = vec![0xA5u8; 32 * 1024];
     let mut group = c.benchmark_group("crc32c");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("block_32k", |b| {
-        b.iter(|| black_box(nkv::util::crc32c(black_box(&data))));
-    });
+    for (name, len) in [("header_64", 64), ("page_4k", 4 * 1024), ("block_32k", 32 * 1024)] {
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(nkv::util::crc32c(black_box(&data[..len]))));
+        });
+    }
     group.finish();
 }
 

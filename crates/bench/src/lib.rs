@@ -20,6 +20,8 @@
 //! Simulated times come from the calibrated `cosmos-sim` platform; see
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod explain;
 pub mod figures;

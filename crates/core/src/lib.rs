@@ -17,6 +17,8 @@
 //! design and the interface development is removed" — maps to this crate
 //! producing both sides from one source, in one call.
 
+#![forbid(unsafe_code)]
+
 use ndp_hdl::verilog::emit_design;
 use ndp_ir::{IrError, PeConfig};
 use ndp_pe::regs::RegisterMap;

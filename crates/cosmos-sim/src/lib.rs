@@ -38,6 +38,8 @@
 //! Simulated time is in **nanoseconds** ([`SimNs`]); both PL clock
 //! domains are exact in ns (10 ns at 100 MHz, 4 ns at 250 MHz).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod dram;

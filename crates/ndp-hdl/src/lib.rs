@@ -20,6 +20,8 @@
 //! anchors (see `resources`); Figures 8 and 9 are then predictions of the
 //! same model. See DESIGN.md for the substitution argument.
 
+#![forbid(unsafe_code)]
+
 pub mod design;
 pub mod resources;
 pub mod verilog;

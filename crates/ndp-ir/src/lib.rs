@@ -19,6 +19,8 @@
 //! (`ndp-pe`), the HDL backend (`ndp-hdl` via `ndp-pe`) and the software
 //! interface generator (`ndp-swgen`) need.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod layout;

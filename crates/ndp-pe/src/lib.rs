@@ -27,6 +27,8 @@
 //! [`template`] elaborates a PE configuration into an `ndp-hdl` design for
 //! Verilog emission and resource estimation (Table I, Figs. 8/9).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod membus;
 pub mod oracle;

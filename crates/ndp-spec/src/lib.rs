@@ -32,6 +32,8 @@
 //!   `stages` (number of chained filtering units, default 1) and
 //!   `operators` (comparator operator set, default the paper's standard set).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -17,6 +17,8 @@
 //!   simulation is the one the generated C code would perform on the
 //!   device.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod header;
 

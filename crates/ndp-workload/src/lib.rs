@@ -18,6 +18,8 @@
 //! on `(seed, i)`, so multi-gigabyte datasets are produced without
 //! materialization and any sub-range can be regenerated for verification.
 
+#![forbid(unsafe_code)]
+
 pub mod pubgraph;
 pub mod rng;
 pub mod spec;

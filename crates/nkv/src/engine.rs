@@ -42,7 +42,7 @@ use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
 use ndp_pe::oracle::FilterRule;
 use ndp_pe::pipeline::estimate_block_cycles;
 use ndp_swgen::{DriverProfile, FilterJob};
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 
 /// Per-driver DRAM staging layout: input buffer then output buffer.
 const STAGE_STRIDE: u64 = 256 * 1024;
@@ -586,7 +586,7 @@ fn run_parallel_scan_blocks(
     exec: &mut TableExec,
     plan: &PhysicalPlan,
     all_rules: &[FilterRule],
-    ssts: &[SstMeta],
+    ssts: &[&SstMeta],
     start: SimNs,
     results: &mut Vec<u8>,
     matched_keys: &mut Vec<(u64, usize, usize)>,
@@ -644,7 +644,7 @@ fn parallel_scan_streams(
     exec: &mut TableExec,
     plan: &PhysicalPlan,
     all_rules: &[FilterRule],
-    ssts: &[SstMeta],
+    ssts: &[&SstMeta],
     start: SimNs,
     jobs: &[(usize, usize, usize)],
     streams: &[Vec<usize>],
@@ -662,7 +662,7 @@ fn parallel_scan_streams(
         let mut t_next = start;
         for &j in stream {
             let (_, si, bi) = jobs[j];
-            let sst = &ssts[si];
+            let sst = ssts[si];
             let issue = t_next;
             let (staged, data) = staged_block_read(platform, exec, sst, bi, issue)?;
             report.blocks += 1;
@@ -733,7 +733,7 @@ pub(crate) fn run_scan(
     op_end = op_end.max(memtable_pass_done(platform, lsm, start));
 
     // --- Persistent components: filter every data block.
-    let ssts: Vec<SstMeta> = lsm.all_ssts().into_iter().cloned().collect();
+    let ssts = lsm.all_ssts();
     if plan.backend != Backend::Software && plan.parallel_pes >= 1 {
         let t = run_parallel_scan_blocks(
             platform,
@@ -876,10 +876,10 @@ pub(crate) fn run_scan_aggregate(
     }
     op_end = op_end.max(memtable_pass_done(platform, lsm, start));
 
-    let ssts: Vec<SstMeta> = lsm.all_ssts().into_iter().cloned().collect();
+    let ssts = lsm.all_ssts();
     let mut driver_rr = 0usize;
     let mut configured = vec![false; exec.pe_servers.len().max(1)];
-    for sst in &ssts {
+    for sst in ssts {
         for bi in 0..sst.blocks.len() {
             let (staged, data) = staged_block_read(platform, exec, sst, bi, start)?;
             report.blocks += 1;
@@ -992,8 +992,7 @@ pub(crate) fn run_get(
 
     // Persistent components: index walk is sequential (the next lookup
     // target depends on the previous miss).
-    let candidates: Vec<SstMeta> = lsm.candidate_ssts(key).into_iter().cloned().collect();
-    for sst in &candidates {
+    for sst in lsm.candidate_ssts(key) {
         // Index block read + parse on the ARM (same retry policy as data
         // blocks; the page content is already cached in `sst`).
         if let Some(&page) = sst.index_pages.first() {
@@ -1130,8 +1129,7 @@ fn batched_key_walk(
         Some(Entry::Tombstone) => return Ok((None, t)),
         None => {}
     }
-    let candidates: Vec<SstMeta> = lsm.candidate_ssts(key).into_iter().cloned().collect();
-    for sst in &candidates {
+    for sst in lsm.candidate_ssts(key) {
         if let Some(&page) = sst.index_pages.first() {
             t = match shared.index_parsed.get(&sst.id) {
                 // A batch-mate already read + parsed this index page:
@@ -1152,19 +1150,21 @@ fn batched_key_walk(
             continue;
         }
         let Some(bi) = sst.block_for(key) else { continue };
-        let (staged, data) = match shared.blocks.get(&(sst.id, bi)) {
-            Some((s, d)) => ((*s).max(t), d.clone()),
-            None => {
+        let (staged, data) = match shared.blocks.entry((sst.id, bi)) {
+            hash_map::Entry::Occupied(e) => e.into_mut(),
+            hash_map::Entry::Vacant(v) => {
                 let (s, d) = staged_block_read(platform, exec, sst, bi, t)?;
                 report.blocks += 1;
                 report.bytes_scanned += d.len() as u64;
-                shared.blocks.insert((sst.id, bi), (s, d.clone()));
-                (s, d)
+                v.insert((s, d))
             }
         };
+        // A batch-mate's block may still be in flight when this key
+        // gets there; a block this key read itself is staged after `t`.
+        let (staged, data) = ((*staged).max(t), data.as_slice());
 
         let (found, done) = if backend == Backend::Software {
-            let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
+            let rec = search_block(data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
             let (_, done) = platform.arm.schedule(staged, timing::ARM_BLOCK_SEARCH_NS);
             (rec, done)
         } else {
@@ -1172,7 +1172,7 @@ fn batched_key_walk(
             let candidate = if pe_down { None } else { Some(0) };
             match claim_pe(platform, exec, candidate, true)? {
                 PeGrant::Sw { hung } => {
-                    let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
+                    let rec = search_block(data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
                     let (_, done) = platform
                         .arm
                         .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
@@ -1185,7 +1185,7 @@ fn batched_key_walk(
                     let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
                         exec,
                         &mut platform.dram,
-                        &data,
+                        data,
                         &rules,
                         d,
                         invoke,

@@ -59,6 +59,9 @@
 // `NkvError`s instead of unwrapping (test modules are exempt — they are
 // compiled out of the non-test build this lint runs on).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// One `unsafe` call exists in the crate: the detection-guarded SSE4.2
+// CRC-32C kernel in `util`, which carries the only `allow`.
+#![deny(unsafe_code)]
 
 pub mod cluster;
 pub mod cost;

@@ -592,6 +592,33 @@ mod tests {
     }
 
     #[test]
+    fn index_decodes_identically_under_trailing_page_padding() {
+        // Recovery hands the decoder whole flash pages: the walk must
+        // stop at its own CRC trailer whatever follows it.
+        let (flash, meta) = build(5000, 20);
+        let bytes = serialize_index(&meta);
+        let bare = deserialize_index(&bytes).unwrap();
+        for pad in [0, 1, 3, 4, flash.config().page_bytes as usize - 1] {
+            let mut padded = bytes.clone();
+            padded.resize(bytes.len() + pad, 0);
+            assert_eq!(deserialize_index(&padded).unwrap(), bare, "{pad} bytes of padding");
+        }
+    }
+
+    #[test]
+    fn serialized_index_checksum_is_pinned() {
+        // The on-flash format and the CRC kernel must not drift: this
+        // constant was computed with the byte-at-a-time CRC loop. (The
+        // CRC of body + trailer is the same residue for any body, so
+        // the body's checksum is what gets pinned.)
+        let (_, meta) = build(100, 20);
+        let bytes = serialize_index(&meta);
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(crc32c(body), 0x5CB6_4B3D);
+        assert_eq!(trailer, 0x5CB6_4B3Du32.to_le_bytes());
+    }
+
+    #[test]
     fn index_deserialization_rejects_corruption() {
         let (_, meta) = build(100, 20);
         let mut bytes = serialize_index(&meta);
@@ -607,14 +634,27 @@ mod tests {
         // Fuzz corpus for the decode path: every proper prefix of a
         // valid index must come back as a typed error — never a panic,
         // never Ok (the CRC trailer is inside the truncated tail).
-        let (_, meta) = build(5000, 20);
+        // Recovery sees the same tear as a flash page: the prefix that
+        // reached the cells, then zeros to the page boundary.
+        let (flash, meta) = build(5000, 20);
         let bytes = serialize_index(&meta);
+        let page_bytes = flash.config().page_bytes as usize;
+        let mut torn_page = vec![0u8; bytes.len().next_multiple_of(page_bytes)];
         for cut in 0..bytes.len() {
             match deserialize_index(&bytes[..cut]) {
                 Err(NkvError::Corrupt { .. } | NkvError::CorruptBlock { .. }) => {}
                 other => panic!("prefix of {cut} bytes decoded as {other:?}"),
             }
+            // Losing only zero bytes of the trailer is no tear at all.
+            if bytes[cut..].iter().any(|&b| b != 0) {
+                match deserialize_index(&torn_page) {
+                    Err(NkvError::Corrupt { .. } | NkvError::CorruptBlock { .. }) => {}
+                    other => panic!("page torn after {cut} bytes decoded as {other:?}"),
+                }
+            }
+            torn_page[cut] = bytes[cut];
         }
+        assert!(deserialize_index(&torn_page).is_ok(), "the intact page decodes");
     }
 
     #[test]

@@ -31,26 +31,98 @@ pub(crate) fn le_u64(bytes: &[u8], offset: usize, what: &'static str) -> NkvResu
     le_bytes::<8>(bytes, offset, what).map(u64::from_le_bytes)
 }
 
-/// CRC-32C (Castagnoli), table-driven, as used by RocksDB block footers.
-pub fn crc32c(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x82F6_3B78; // reflected 0x1EDC6F41
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            }
-            *e = crc;
+const CRC32C_POLY: u32 = 0x82F6_3B78; // reflected 0x1EDC6F41
+
+/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table,
+/// `[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+static CRC32C_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32C_POLY } else { crc >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32C (Castagnoli), as used by RocksDB block footers: the SSE4.2
+/// `crc32` instruction where the CPU has it, slicing-by-8 otherwise.
+pub fn crc32c(data: &[u8]) -> u32 {
+    crc32c_hw(data).unwrap_or_else(|| crc32c_portable(data))
+}
+
+/// Portable kernel: eight table lookups per 8-byte word, byte-wise tail.
+fn crc32c_portable(data: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Hardware kernel: `None` when the CPU (or the target) has no CRC-32C
+/// instruction, so the caller falls back to [`crc32c_portable`].
+#[allow(unsafe_code)]
+fn crc32c_hw(data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+
+        #[target_feature(enable = "sse4.2")]
+        fn sse42(data: &[u8]) -> u32 {
+            let mut crc = u64::from(!0u32);
+            let mut words = data.chunks_exact(8);
+            for w in &mut words {
+                let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+                crc = _mm_crc32_u64(crc, w);
+            }
+            // The instruction zero-extends its 32-bit result.
+            let mut crc = crc as u32;
+            for &b in words.remainder() {
+                crc = _mm_crc32_u8(crc, b);
+            }
+            !crc
+        }
+
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `sse42` is a safe fn whose only requirement is its
+            // `#[target_feature(enable = "sse4.2")]`; the runtime
+            // detection on the line above just confirmed this CPU
+            // executes SSE4.2 instructions.
+            return Some(unsafe { sse42(data) });
+        }
+    }
+    None
 }
 
 /// A fixed-size bloom filter over `u64` keys (double hashing, k probes).
@@ -124,12 +196,63 @@ impl Bloom {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop `crc32c` used to be: the reference both
+    /// kernels are checked against.
+    fn crc32c_reference(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC32C_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Standard CRC-32C test vectors.
+    const KNOWN_VECTORS: [(&[u8], u32); 3] =
+        [(b"", 0x0000_0000), (b"123456789", 0xE306_9283), (&[0u8; 32], 0x8A91_36AA)];
+
+    /// Every length 0..=300 at every start alignment 0..8, then seeded
+    /// random buffers up to 64 KiB at random offsets.
+    fn check_kernel_against_reference(kernel: impl Fn(&[u8]) -> u32) {
+        for (data, crc) in KNOWN_VECTORS {
+            assert_eq!(kernel(data), crc);
+        }
+        let mut rng = ndp_workload::SplitMix64::new(0x00C4_C32C);
+        let buf: Vec<u8> = (0..64 * 1024 + 8).map(|_| rng.next_u64() as u8).collect();
+        for align in 0..8 {
+            for len in 0..=300 {
+                let data = &buf[align..align + len];
+                assert_eq!(kernel(data), crc32c_reference(data), "align {align}, len {len}");
+            }
+        }
+        for _ in 0..64 {
+            let align = rng.next_u64() as usize % 8;
+            let len = rng.next_u64() as usize % (64 * 1024 + 1);
+            let data = &buf[align..align + len];
+            assert_eq!(kernel(data), crc32c_reference(data), "align {align}, len {len}");
+        }
+        assert_eq!(kernel(&buf[..64 * 1024]), crc32c_reference(&buf[..64 * 1024]));
+    }
+
     #[test]
     fn crc32c_known_vectors() {
-        // Standard CRC-32C test vectors.
-        assert_eq!(crc32c(b""), 0x0000_0000);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
+        for (data, crc) in KNOWN_VECTORS {
+            assert_eq!(crc32c(data), crc);
+            assert_eq!(crc32c_reference(data), crc);
+        }
+    }
+
+    #[test]
+    fn portable_kernel_matches_the_bytewise_reference() {
+        check_kernel_against_reference(crc32c_portable);
+    }
+
+    #[test]
+    fn hardware_kernel_matches_the_bytewise_reference() {
+        if crc32c_hw(b"").is_none() {
+            println!("note: no SSE4.2 on this CPU, hardware CRC-32C kernel not exercised");
+            return;
+        }
+        check_kernel_against_reference(|d| crc32c_hw(d).expect("detected above"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 # matrix (which also emits the machine-readable BENCH_loadgen.json and
 # the merged multi-device Chrome trace), the fleet profile
 # (BENCH_profile.json), the perf-regression gate against the committed
-# reference artifacts, the explain subcommand, and the repro CLI's
-# error paths.
+# reference artifacts, the standalone benchmark package (unit tests +
+# smoke run), the explain subcommand, and the repro CLI's error paths.
 # Run from anywhere; operates on the repo this script lives in.
 # CHECK_SLOW=1 additionally runs the #[ignore]d long campaigns
 # (queue-engine determinism sweep) via --include-ignored.
@@ -307,6 +307,12 @@ else
     diff -u BENCH_loadgen.json target/BENCH_loadgen.json
     diff -u BENCH_profile.json target/BENCH_profile.json
 fi
+
+echo "==> benchmark package: unit tests + smoke run correct on all five workloads"
+# benchmark/ is its own workspace, so the runs above never see it. The
+# smoke run prints one result line per workload, untraced then traced.
+cargo test -q --manifest-path benchmark/Cargo.toml --offline
+test "$(benchmark/run.sh --quick | grep -c '"correct":true')" -eq 10
 
 echo "==> repro CLI rejects bad --devices values"
 if ./target/release/repro loadgen --devices zero > /dev/null 2>&1; then

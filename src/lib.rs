@@ -3,6 +3,8 @@
 //! This crate exists to host the repository-level `examples/` and `tests/`
 //! directories; all functionality lives in the workspace crates it re-exports.
 
+#![forbid(unsafe_code)]
+
 pub use cosmos_sim;
 pub use ndp_core;
 pub use ndp_hdl;
