@@ -8,7 +8,7 @@ use bench::harness::Criterion;
 use bench::{build_db, DbKind};
 use bench::{criterion_group, criterion_main};
 use ndp_workload::PaperGen;
-use nkv::ExecMode;
+use nkv::Backend;
 use std::hint::black_box;
 
 const SCALE: f64 = 1.0 / 512.0;
@@ -18,7 +18,7 @@ fn bench_get(c: &mut Criterion) {
     group.sample_size(20);
     for (kind, kname) in [(DbKind::Baseline, "base"), (DbKind::Ours, "ours")] {
         let mut ds = build_db(SCALE, kind);
-        for (mode, mname) in [(ExecMode::Software, "sw"), (ExecMode::Hardware, "hw")] {
+        for (mode, mname) in [(Backend::Software, "sw"), (Backend::Hardware, "hw")] {
             // Report the simulated device time once (the figure's value).
             let p = PaperGen::paper_at(&ds.cfg, ds.cfg.papers / 2);
             let (_, rep) = ds.db.get("papers", p.id, mode).unwrap();

@@ -8,7 +8,7 @@ use bench::{build_db, DbKind};
 use bench::{criterion_group, criterion_main};
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes};
-use nkv::ExecMode;
+use nkv::Backend;
 use std::hint::black_box;
 
 const SCALE: f64 = 1.0 / 512.0;
@@ -18,7 +18,7 @@ fn bench_scan(c: &mut Criterion) {
     group.sample_size(10);
     for (kind, kname) in [(DbKind::Baseline, "base"), (DbKind::Ours, "ours")] {
         let mut ds = build_db(SCALE, kind);
-        for (mode, mname) in [(ExecMode::Software, "sw"), (ExecMode::Hardware, "hw")] {
+        for (mode, mname) in [(Backend::Software, "sw"), (Backend::Hardware, "hw")] {
             let paper_rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2019 }];
             let ref_rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 2, value: 1980 }];
             let p = ds.db.scan("papers", &paper_rules, mode).unwrap();

@@ -22,7 +22,7 @@ use ndp_pe::template::PeVariant;
 use ndp_workload::spec::{paper_lanes, ref_lanes};
 use ndp_workload::{PaperGen, PubGraphConfig, SplitMix64};
 use nkv::queue::{ClientScript, Priority, QueueRunConfig, QueuedOp};
-use nkv::{ClusterConfig, ExecMode, LatencyHistogram, NkvCluster};
+use nkv::{Backend, ClusterConfig, LatencyHistogram, NkvCluster};
 
 /// Parameters of one loadgen sweep. `PartialEq` backs the `repro`
 /// binary's overwrite guard: a non-default configuration refuses to
@@ -484,7 +484,7 @@ pub fn parallel_sweep(scale: f64, streams: &[usize]) -> Vec<ParallelSweepPoint> 
     let mut baseline: Option<Vec<u8>> = None;
     for &s in streams {
         ds.db.set_parallel_pes("refs", s).expect("refs has enough PEs");
-        let summary = ds.db.scan("refs", &rules, ExecMode::Hardware).expect("scan succeeds");
+        let summary = ds.db.scan("refs", &rules, Backend::Hardware).expect("scan succeeds");
         match &baseline {
             None => baseline = Some(summary.records.clone()),
             Some(b) => assert_eq!(
@@ -531,7 +531,7 @@ pub fn cache_sweep(scale: f64, cache_mb: usize) -> Vec<CacheSweepPoint> {
         }
         let mut hist = LatencyHistogram::new();
         for _ in 0..CACHE_SWEEP_SCANS {
-            let summary = ds.db.scan("refs", &rules, ExecMode::Hardware).expect("scan succeeds");
+            let summary = ds.db.scan("refs", &rules, Backend::Hardware).expect("scan succeeds");
             hist.record(summary.report.sim_ns);
             match &baseline {
                 None => baseline = Some(summary.records.clone()),

@@ -36,11 +36,11 @@
 //! Nothing here consults a clock or RNG of its own, so a seeded chaos
 //! campaign replays exactly.
 
-use crate::db::{NkvDb, TableConfig};
+use crate::db::{NkvDb, ScanSummary, TableConfig};
 use crate::error::{NkvError, NkvResult};
 use crate::exec::ResilienceConfig;
 use crate::metrics::{fmt_ns, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind};
-use crate::plan::{Backend, LogicalOp, PlanOutcome};
+use crate::plan::{Backend, LogicalOp};
 use crate::queue::{ClientScript, QueueRunConfig, QueuedOp};
 use cosmos_sim::{
     ns_to_secs, CacheStats, CosmosConfig, CosmosPlatform, DeviceAdmission, DeviceFaultKind,
@@ -661,15 +661,13 @@ fn shard_call<T>(
         attempt += 1;
         let outcome = match shard.db.platform_mut().device_op_admit() {
             DeviceAdmission::Rejected(kind) => Err(admission_reason(kind).to_string()),
-            DeviceAdmission::Slow { factor_x10 } => match op(&mut shard.db) {
-                Ok((v, ns)) => Ok((v, ns.saturating_mul(factor_x10 as u64) / 10)),
-                Err(e) if is_shard_fault(&e) => Err(e.to_string()),
-                Err(e) => return Err(ShardCallError::Logic(e)),
-            },
-            DeviceAdmission::Ok => match op(&mut shard.db) {
-                Ok(out) => Ok(out),
-                Err(e) if is_shard_fault(&e) => Err(e.to_string()),
-                Err(e) => return Err(ShardCallError::Logic(e)),
+            admitted => match (op(&mut shard.db), admitted) {
+                (Ok((v, ns)), DeviceAdmission::Slow { factor_x10 }) => {
+                    Ok((v, ns.saturating_mul(factor_x10 as u64) / 10))
+                }
+                (Ok(out), _) => Ok(out),
+                (Err(e), _) if is_shard_fault(&e) => Err(e.to_string()),
+                (Err(e), _) => return Err(ShardCallError::Logic(e)),
             },
         };
         match outcome {
@@ -797,6 +795,16 @@ impl NkvCluster {
         match &self.cfg.strategy {
             ShardStrategy::Hash => (mix64(key) % self.shards.len() as u64) as usize,
             ShardStrategy::Range { boundaries } => boundaries.partition_point(|&b| b <= key),
+        }
+    }
+
+    /// Which shard owns `record`'s embedded key (its first 8 bytes). A
+    /// record too short to carry one draws the same typed
+    /// `RecordSizeMismatch` from any shard, so it routes to shard 0.
+    fn shard_for_record(&self, record: &[u8]) -> usize {
+        match record.get(..8).and_then(|k| <[u8; 8]>::try_from(k).ok()) {
+            Some(k) => self.shard_for_key(u64::from_le_bytes(k)),
+            None => 0,
         }
     }
 
@@ -994,13 +1002,7 @@ impl NkvCluster {
     /// [`NkvError::ShardUnavailable`], under either read policy.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
         self.probe_quarantined();
-        let shard = if record.len() >= 8 {
-            self.shard_for_key(u64::from_le_bytes(record[..8].try_into().unwrap_or([0; 8])))
-        } else {
-            // Too short to carry a key; any shard will return the same
-            // typed RecordSizeMismatch, so route deterministically.
-            0
-        };
+        let shard = self.shard_for_record(&record);
         self.write_on(shard, |db| db.put(table, record.clone()).map(|()| ((), 0)))
     }
 
@@ -1038,12 +1040,7 @@ impl NkvCluster {
         self.probe_quarantined();
         let mut parts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.shards.len()];
         for rec in records {
-            let shard = if rec.len() >= 8 {
-                self.shard_for_key(u64::from_le_bytes(rec[..8].try_into().unwrap_or([0; 8])))
-            } else {
-                0
-            };
-            parts[shard].push(rec);
+            parts[self.shard_for_record(&rec)].push(rec);
         }
         let mut total = 0;
         for (shard, part) in parts.into_iter().enumerate() {
@@ -1066,43 +1063,14 @@ impl NkvCluster {
 
     /// Cluster point lookup: routes to the key's shard.
     pub fn get(&mut self, table: &str, key: u64, backend: Backend) -> NkvResult<ClusterGet> {
-        self.probe_quarantined();
-        let shard = self.shard_for_key(key);
-        if !self.shards[shard].fsm.state.serving() {
-            return match self.unavailable(shard) {
-                Err(e) => Err(e),
-                Ok(()) => Ok(ClusterGet { record: None, missing_shards: vec![shard], sim_ns: 0 }),
-            };
-        }
         let op = LogicalOp::Get { key };
-        let router = self.cfg.router;
-        let res = shard_call(
-            &mut self.shards[shard],
-            &router,
-            &mut self.router_retries,
-            &mut self.router_backoff_ns,
-            |db| match db.execute(table, &op, backend)? {
-                PlanOutcome::Point { record, report } => Ok((record, report.sim_ns)),
-                _ => Err(NkvError::Config("GET lowered to a non-point plan".into())),
-            },
-        );
-        match res {
-            Ok((record, sim_ns)) => {
-                self.shards[shard].fsm.on_success();
-                self.record_router_fanout(&[(shard, sim_ns)]);
-                Ok(ClusterGet { record, missing_shards: Vec::new(), sim_ns })
-            }
-            Err(ShardCallError::Logic(e)) => Err(e),
-            Err(ShardCallError::Fault(reason)) => {
-                self.shards[shard].fsm.on_error();
-                match self.cfg.read_policy {
-                    ReadPolicy::Strict => Err(NkvError::ShardUnavailable { shard, reason }),
-                    ReadPolicy::Available => {
-                        Ok(ClusterGet { record: None, missing_shards: vec![shard], sim_ns: 0 })
-                    }
-                }
-            }
-        }
+        let mut record = None;
+        let (missing_shards, sim_ns) = self.fanout(
+            [self.shard_for_key(key)],
+            |_, db| db.execute(table, &op, backend)?.into_point().map(|(r, rep)| (r, rep.sim_ns)),
+            |_, r| record = r,
+        )?;
+        Ok(ClusterGet { record, missing_shards, sim_ns })
     }
 
     /// Cluster batched GET: validates the whole key list against the
@@ -1121,60 +1089,31 @@ impl NkvCluster {
         // errors on the full input list, before any shard is touched.
         cosmos_sim::KeyListDescriptor::new(keys)
             .map_err(|e| NkvError::Config(format!("cluster batched GET on `{table}`: {e}")))?;
-        self.probe_quarantined();
-        let router = self.cfg.router;
-        let mut per_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
+        // Per shard: the input slots it answers and its slice of keys.
+        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut shard_keys: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
         for (i, &k) in keys.iter().enumerate() {
-            per_shard[self.shard_for_key(k)].push((i, k));
+            let shard = self.shard_for_key(k);
+            slots[shard].push(i);
+            shard_keys[shard].push(k);
         }
+        let ops: Vec<LogicalOp> =
+            shard_keys.into_iter().map(|keys| LogicalOp::MultiGet { keys }).collect();
         let mut results: Vec<NkvResult<Option<Vec<u8>>>> = keys.iter().map(|_| Ok(None)).collect();
-        let mut missing = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for (shard, slots) in per_shard.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let shard_keys: Vec<u64> = slots.iter().map(|&(_, k)| k).collect();
-            let op = LogicalOp::MultiGet { keys: shard_keys };
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute(table, &op, backend)? {
-                    PlanOutcome::Batch { results, report } => Ok((results, report.sim_ns)),
-                    // A single-key slice folds to the legacy point plan.
-                    PlanOutcome::Point { record, report } => Ok((vec![Ok(record)], report.sim_ns)),
-                    _ => Err(NkvError::Config("batched GET lowered to a non-batch plan".into())),
-                },
-            );
-            match res {
-                Ok((shard_results, ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    for (slot, r) in slots.iter().zip(shard_results) {
-                        results[slot.0] = r;
-                    }
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
+        let (missing_shards, sim_ns) = self.fanout(
+            (0..slots.len()).filter(|&s| !slots[s].is_empty()),
+            |shard, db| {
+                db.execute(table, &ops[shard], backend)?
+                    .into_batch()
+                    .map(|(r, rep)| (r, rep.sim_ns))
+            },
+            |shard, shard_results: Vec<_>| {
+                for (&slot, r) in slots[shard].iter().zip(shard_results) {
+                    results[slot] = r;
                 }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
-            }
-        }
-        self.record_router_fanout(&waits);
-        Ok(ClusterMultiGet { results, missing_shards: missing, sim_ns })
+            },
+        )?;
+        Ok(ClusterMultiGet { results, missing_shards, sim_ns })
     }
 
     /// Cluster SCAN: fan out to every shard, concatenate surviving
@@ -1186,7 +1125,7 @@ impl NkvCluster {
         backend: Backend,
     ) -> NkvResult<ClusterScan> {
         let op = LogicalOp::Scan { rules: rules.to_vec() };
-        self.fanout_scan(table, &op, backend, None)
+        self.fanout_scan(None, |_, db| db.execute(table, &op, backend)?.into_scan())
     }
 
     /// Cluster SCAN with cost-based tier selection: every serving shard
@@ -1200,54 +1139,17 @@ impl NkvCluster {
         table: &str,
         rules: &[FilterRule],
     ) -> NkvResult<(ClusterScan, Vec<(usize, Backend)>)> {
-        self.probe_quarantined();
         let op = LogicalOp::Scan { rules: rules.to_vec() };
-        let router = self.cfg.router;
-        let mut records = Vec::new();
-        let mut count = 0;
-        let mut missing = Vec::new();
         let mut tiers: Vec<(usize, Backend)> = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for shard in self.participants(None) {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute_adaptive(table, &op)? {
-                    (PlanOutcome::Records { records, count, report }, cost) => {
-                        Ok(((records, count, cost.chosen), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("scan lowered to a non-scan plan".into())),
-                },
-            );
-            match res {
-                Ok(((shard_records, shard_count, chosen), ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    records.extend_from_slice(&shard_records);
-                    count += shard_count;
-                    tiers.push((shard, chosen));
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
-            }
-        }
-        self.record_router_fanout(&waits);
-        Ok((ClusterScan { records, count, missing_shards: missing, sim_ns }, tiers))
+        let scan = self.fanout_scan(None, |shard, db| {
+            let (outcome, cost) = db.execute_adaptive(table, &op)?;
+            let scan = outcome.into_scan()?;
+            // An `Ok` is final (the router only retries faults), so each
+            // answering shard reports its tier exactly once.
+            tiers.push((shard, cost.chosen));
+            Ok(scan)
+        })?;
+        Ok((scan, tiers))
     }
 
     /// Cluster RANGE_SCAN (`lo <= key < hi`). Under range sharding,
@@ -1261,7 +1163,7 @@ impl NkvCluster {
         backend: Backend,
     ) -> NkvResult<ClusterScan> {
         let op = LogicalOp::RangeScan { lo, hi };
-        self.fanout_scan(table, &op, backend, Some((lo, hi)))
+        self.fanout_scan(Some((lo, hi)), |_, db| db.execute(table, &op, backend)?.into_scan())
     }
 
     /// Cluster aggregate SCAN: fan out, merge accumulators (COUNT/SUM
@@ -1275,54 +1177,23 @@ impl NkvCluster {
         lane: u32,
         backend: Backend,
     ) -> NkvResult<ClusterAggregate> {
-        self.probe_quarantined();
         let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        let router = self.cfg.router;
         let mut merged: Option<(u64, bool)> = None;
-        let mut missing = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for shard in 0..self.shards.len() {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute(table, &op, backend)? {
-                    PlanOutcome::Aggregate { value, any, report } => {
-                        Ok(((value, any), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("aggregate lowered to a non-aggregate plan".into())),
-                },
-            );
-            match res {
-                Ok(((value, any), ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                    merged = Some(match merged {
-                        None => (value, any),
-                        Some(acc) => merge_agg(agg, acc, (value, any)),
-                    });
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
-            }
-        }
+        let (missing_shards, sim_ns) = self.fanout(
+            self.participants(None),
+            |_, db| {
+                let (value, any, report) = db.execute(table, &op, backend)?.into_aggregate()?;
+                Ok(((value, any), report.sim_ns))
+            },
+            |_, part| {
+                merged = Some(match merged {
+                    None => part,
+                    Some(acc) => merge_agg(agg, acc, part),
+                });
+            },
+        )?;
         let (value, any) = merged.unwrap_or((0, false));
-        self.record_router_fanout(&waits);
-        Ok(ClusterAggregate { value, any, missing_shards: missing, sim_ns })
+        Ok(ClusterAggregate { value, any, missing_shards, sim_ns })
     }
 
     /// Run every client's script through the cluster: each op is routed
@@ -1364,14 +1235,7 @@ impl NkvCluster {
                         parts[self.shard_for_key(*key)][client].ops.push(qop.clone());
                     }
                     QueuedOp::Put { record } => {
-                        let shard = if record.len() >= 8 {
-                            self.shard_for_key(u64::from_le_bytes(
-                                record[..8].try_into().unwrap_or([0; 8]),
-                            ))
-                        } else {
-                            0
-                        };
-                        parts[shard][client].ops.push(qop.clone());
+                        parts[self.shard_for_record(record)][client].ops.push(qop.clone());
                     }
                     QueuedOp::Scan { .. } => {
                         for part in parts.iter_mut() {
@@ -1415,23 +1279,54 @@ impl NkvCluster {
         Ok(ClusterRunReport { logical_ops, completions, span_ns: span, latency, shard_spans })
     }
 
-    /// SCAN/RANGE_SCAN fan-out shared core. `range` enables shard
-    /// pruning under range sharding.
+    /// SCAN/RANGE_SCAN: run `call` on every participant and concatenate
+    /// the records in shard-index order. `range` enables shard pruning
+    /// under range sharding.
     fn fanout_scan(
         &mut self,
-        table: &str,
-        op: &LogicalOp,
-        backend: Backend,
         range: Option<(u64, u64)>,
+        mut call: impl FnMut(usize, &mut NkvDb) -> NkvResult<ScanSummary>,
     ) -> NkvResult<ClusterScan> {
+        let (mut records, mut count) = (Vec::new(), 0);
+        let (missing_shards, sim_ns) = self.fanout(
+            self.participants(range),
+            |shard, db| {
+                call(shard, db).map(|scan| {
+                    let ns = scan.report.sim_ns;
+                    (scan, ns)
+                })
+            },
+            |_, scan: ScanSummary| {
+                records.extend_from_slice(&scan.records);
+                count += scan.count;
+            },
+        )?;
+        Ok(ClusterScan { records, count, missing_shards, sim_ns })
+    }
+
+    /// The one read fan-out every cluster read runs through: give
+    /// quarantined shards their probe tick, then visit `participants` in
+    /// the given (shard-index) order. Each `call` runs under the
+    /// router's retry/backoff and is scored by the shard's health FSM; a
+    /// shard that is not serving, or still faults after the retry
+    /// budget, either fails the operation with
+    /// [`NkvError::ShardUnavailable`] or is listed as missing, per the
+    /// read policy. A logic error propagates verbatim, unscored. Every
+    /// answering shard's value goes to `fold`. Returns the missing
+    /// shards and the operation's time: the *maximum* participant time,
+    /// since the devices run in parallel.
+    fn fanout<T>(
+        &mut self,
+        participants: impl IntoIterator<Item = usize>,
+        mut call: impl FnMut(usize, &mut NkvDb) -> NkvResult<(T, SimNs)>,
+        mut fold: impl FnMut(usize, T),
+    ) -> NkvResult<(Vec<usize>, SimNs)> {
         self.probe_quarantined();
         let router = self.cfg.router;
-        let mut records = Vec::new();
-        let mut count = 0;
         let mut missing = Vec::new();
         let mut waits: Vec<(usize, SimNs)> = Vec::new();
         let mut sim_ns: SimNs = 0;
-        for shard in self.participants(range) {
+        for shard in participants {
             if !self.shards[shard].fsm.state.serving() {
                 self.unavailable(shard)?;
                 missing.push(shard);
@@ -1442,18 +1337,12 @@ impl NkvCluster {
                 &router,
                 &mut self.router_retries,
                 &mut self.router_backoff_ns,
-                |db| match db.execute(table, op, backend)? {
-                    PlanOutcome::Records { records, count, report } => {
-                        Ok(((records, count), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("scan lowered to a non-scan plan".into())),
-                },
+                |db| call(shard, db),
             );
             match res {
-                Ok(((shard_records, shard_count), ns)) => {
+                Ok((value, ns)) => {
                     self.shards[shard].fsm.on_success();
-                    records.extend_from_slice(&shard_records);
-                    count += shard_count;
+                    fold(shard, value);
                     waits.push((shard, ns));
                     sim_ns = sim_ns.max(ns);
                 }
@@ -1468,7 +1357,7 @@ impl NkvCluster {
             }
         }
         self.record_router_fanout(&waits);
-        Ok(ClusterScan { records, count, missing_shards: missing, sim_ns })
+        Ok((missing, sim_ns))
     }
 
     /// Which shards a fan-out visits. `range` (from RANGE_SCAN) prunes

@@ -9,7 +9,7 @@
 use crate::cost::{AdaptState, CostInputs, CostReport};
 use crate::engine::ParallelScanStats;
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{ExecMode, HealthCounters, ResilienceConfig, SimReport, TableExec};
+use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
@@ -27,7 +27,7 @@ use std::fmt;
 
 /// Per-key outcomes of a batched GET, in key order: slot *i* answers
 /// `keys[i]`, independently attributed (see [`NkvDb::multi_get`] and
-/// DESIGN.md §15).
+/// DESIGN.md §11).
 pub type MultiGetResults = Vec<NkvResult<Option<Vec<u8>>>>;
 
 /// Per-table configuration.
@@ -228,11 +228,6 @@ impl NkvDb {
     pub fn enable_observability(&mut self, trace_capacity: usize) {
         self.enable_metrics();
         self.platform.enable_tracing(trace_capacity);
-    }
-
-    /// Whether op-level metrics are being collected.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
     }
 
     /// Turn on the device-DRAM block cache with a budget of
@@ -446,6 +441,9 @@ impl NkvDb {
             exec: TableExec {
                 processor,
                 ops,
+                eq_code: cfg.pe.op_code("eq"),
+                ge_code: cfg.pe.op_code("ge"),
+                lt_code: cfg.pe.op_code("lt"),
                 drivers,
                 pe_servers: vec![Server::new(); n],
                 profile,
@@ -472,6 +470,20 @@ impl NkvDb {
     /// Insert or update a record (key = first 8 bytes, little endian).
     /// Flushes and compacts as thresholds are crossed.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
+        let t0 = self.clock;
+        let bytes = record.len() as u64;
+        let done = self.put_at(table, record, t0)?;
+        self.clock = self.clock.max(done);
+        self.observe(OpKind::Put, self.clock - t0, bytes);
+        Ok(())
+    }
+
+    /// PUT as of simulated time `now`, returning when the maintenance it
+    /// triggered finishes (no clock/metrics side effects; shared by the
+    /// serial path and the queued scheduler). The memtable insert itself
+    /// is free in simulated time: a PUT costs whatever flush/compaction
+    /// it triggers.
+    pub(crate) fn put_at(&mut self, table: &str, record: Vec<u8>, now: SimNs) -> NkvResult<SimNs> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let expected = t.lsm.record_bytes();
         if record.len() != expected {
@@ -482,13 +494,8 @@ impl NkvDb {
             });
         }
         let key = record_key(table, &record)?;
-        let t0 = self.clock;
         t.lsm.put(key, record);
-        self.maintain(table)?;
-        // The memtable insert itself is free in simulated time; a PUT's
-        // latency is whatever flush/compaction it triggered.
-        self.observe(OpKind::Put, self.clock - t0, expected as u64);
-        Ok(())
+        self.maintain_at(table, now)
     }
 
     /// Delete a key (tombstone).
@@ -616,89 +623,30 @@ impl NkvDb {
         Ok(loaded)
     }
 
-    /// Point lookup.
+    /// Point lookup: [`execute`](Self::execute) of a [`LogicalOp::Get`].
     pub fn get(
         &mut self,
         table: &str,
         key: u64,
-        mode: ExecMode,
+        backend: Backend,
     ) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
-        let now = self.clock;
-        let (rec, report) = self.get_at(table, key, mode, now)?;
-        self.clock += report.sim_ns;
-        self.observe(OpKind::Get, report.sim_ns, rec.as_ref().map_or(0, |r| r.len() as u64));
-        Ok((rec, report))
-    }
-
-    /// Point lookup as of simulated time `now` (no clock/metrics side
-    /// effects; shared by the serial path and the queued scheduler).
-    pub(crate) fn get_at(
-        &mut self,
-        table: &str,
-        key: u64,
-        mode: ExecMode,
-        now: SimNs,
-    ) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let plan = PhysicalPlan::lower(
-            &LogicalOp::Get { key },
-            Backend::from(mode),
-            &t.exec.caps(),
-            table,
-        )?;
-        crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)
+        self.execute(table, &LogicalOp::Get { key }, backend)?.into_point()
     }
 
     /// Batched point lookup: N keys served through one key-list DMA
-    /// descriptor and one PE configuration (see `cosmos_sim::batch` and
-    /// DESIGN.md §15). Returns per-key outcomes in key order — each
-    /// slot independently attributed, so a fault on one key's walk is
-    /// that slot's typed error while the rest of the batch completes —
-    /// plus the whole batch's [`SimReport`]. A batch of one lowers to
-    /// the legacy point lookup, bit for bit.
+    /// descriptor and one PE configuration (see `cosmos_sim::batch`).
+    /// Returns per-key outcomes in key order — each slot independently
+    /// attributed, so a fault on one key's walk is that slot's typed
+    /// error while the rest of the batch completes — plus the whole
+    /// batch's [`SimReport`]. A batch of one lowers to the plain point
+    /// lookup, bit for bit.
     pub fn multi_get(
         &mut self,
         table: &str,
         keys: &[u64],
-        mode: ExecMode,
+        backend: Backend,
     ) -> NkvResult<(MultiGetResults, SimReport)> {
-        let now = self.clock;
-        let (results, _, report) = self.multi_get_at(table, keys, mode, now)?;
-        self.clock += report.sim_ns;
-        self.observe(OpKind::Get, report.sim_ns, report.result_bytes);
-        Ok((results, report))
-    }
-
-    /// Batched lookup as of simulated time `now` (no clock/metrics side
-    /// effects; shared by the serial path and the queued scheduler).
-    /// Also returns each key's absolute completion time, monotone in
-    /// key order — the queue engine turns those into per-command CQEs.
-    pub(crate) fn multi_get_at(
-        &mut self,
-        table: &str,
-        keys: &[u64],
-        mode: ExecMode,
-        now: SimNs,
-    ) -> NkvResult<(MultiGetResults, Vec<SimNs>, SimReport)> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let plan = PhysicalPlan::lower(
-            &LogicalOp::MultiGet { keys: keys.to_vec() },
-            Backend::from(mode),
-            &t.exec.caps(),
-            table,
-        )?;
-        match plan.op {
-            // Singleton batches fold to the legacy point lookup.
-            PhysOp::PointLookup { .. } => {
-                let (rec, report) =
-                    crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                let done = now + report.sim_ns;
-                Ok((vec![Ok(rec)], vec![done], report))
-            }
-            _ => {
-                crate::engine::run_batched_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)
-            }
-        }
+        self.execute(table, &LogicalOp::MultiGet { keys: keys.to_vec() }, backend)?.into_batch()
     }
 
     /// Full SCAN with a chain of value predicates.
@@ -706,56 +654,46 @@ impl NkvDb {
         &mut self,
         table: &str,
         rules: &[FilterRule],
-        mode: ExecMode,
+        backend: Backend,
     ) -> NkvResult<ScanSummary> {
-        let now = self.clock;
-        let summary = self.scan_at(table, rules, mode, now)?;
-        self.clock += summary.report.sim_ns;
-        self.observe(OpKind::Scan, summary.report.sim_ns, summary.report.result_bytes);
-        Ok(summary)
+        self.execute(table, &LogicalOp::Scan { rules: rules.to_vec() }, backend)?.into_scan()
     }
 
-    /// SCAN as of simulated time `now` (no clock/metrics side effects;
-    /// shared by the serial path and the queued scheduler). Lowers the
-    /// rules through the planner, so validation errors are identical on
-    /// every path.
-    pub(crate) fn scan_at(
+    /// RANGE_SCAN on the key: `lo <= key < hi`, lowered to a 2-stage
+    /// predicate chain (the paper: "especially the 2-staged ones are
+    /// interesting, since they could be used to implement RANGE_SCANs").
+    pub fn range_scan(
         &mut self,
         table: &str,
-        rules: &[FilterRule],
-        mode: ExecMode,
-        now: SimNs,
+        lo: u64,
+        hi: u64,
+        backend: Backend,
     ) -> NkvResult<ScanSummary> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        let plan = PhysicalPlan::lower(&op, Backend::from(mode), &t.exec.caps(), table)?;
-        let (records, report) =
-            crate::engine::run_scan(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-        let count = records.len() as u64 / t.exec.processor.out_tuple_bytes().max(1) as u64;
-        Ok(ScanSummary { records, count, report })
+        self.execute(table, &LogicalOp::RangeScan { lo, hi }, backend)?.into_scan()
     }
 
     /// Aggregate SCAN pushdown: compute `agg` over `lane` of every record
     /// matching `rules`; only the 64-bit result leaves the device.
-    /// Returns `(value, any_rows, report)`. In hardware mode the table's
-    /// PEs must have been generated with `aggregate = {...}`.
+    /// Returns `(value, any_rows, report)`. On a hardware backend the
+    /// table's PEs must have been generated with `aggregate = {...}`.
+    ///
+    /// Assumes single-version data (bulk-loaded/compacted tables): a
+    /// running reduction cannot be reconciled against shadowed versions
+    /// after the fact, so compact first.
     pub fn scan_aggregate(
         &mut self,
         table: &str,
         rules: &[FilterRule],
         agg: ndp_ir::AggOp,
         lane: u32,
-        mode: ExecMode,
+        backend: Backend,
     ) -> NkvResult<(u64, bool, SimReport)> {
-        let now = self.clock;
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        let plan = PhysicalPlan::lower(&op, Backend::from(mode), &t.exec.caps(), table)?;
-        let out =
-            crate::engine::run_scan_aggregate(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-        self.clock += out.2.sim_ns;
-        self.observe(OpKind::Scan, out.2.sim_ns, out.2.result_bytes);
-        Ok(out)
+        self.execute(
+            table,
+            &LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane },
+            backend,
+        )?
+        .into_aggregate()
     }
 
     /// Lower a logical operation against a table into its physical plan
@@ -783,62 +721,70 @@ impl NkvDb {
     }
 
     /// Plan and execute a logical operation on the chosen backend,
-    /// advancing the device clock. This is the planner-first face of
-    /// [`get`](Self::get)/[`scan`](Self::scan)/
-    /// [`scan_aggregate`](Self::scan_aggregate) and the only entry point
-    /// for the [`Backend::Hybrid`] pushdown split.
+    /// advancing the device clock and recording the op. Every query —
+    /// the typed wrappers above, the adaptive planner, the cluster
+    /// router — enters here; the queue engine enters one level down, at
+    /// [`execute_at`](Self::execute_at), with its own clock.
     pub fn execute(
         &mut self,
         table: &str,
         op: &LogicalOp,
         backend: Backend,
     ) -> NkvResult<PlanOutcome> {
-        let now = self.clock;
+        let (outcome, _) = self.execute_at(table, op, backend, self.clock)?;
+        let report = *outcome.report();
+        let (kind, bytes) = match &outcome {
+            // A lookup's report carries no result size: the payload is
+            // the record itself.
+            PlanOutcome::Point { record, .. } => {
+                (OpKind::Get, record.as_ref().map_or(0, |r| r.len() as u64))
+            }
+            PlanOutcome::Batch { .. } => (OpKind::Get, report.result_bytes),
+            PlanOutcome::Records { .. } | PlanOutcome::Aggregate { .. } => {
+                (OpKind::Scan, report.result_bytes)
+            }
+        };
+        self.clock += report.sim_ns;
+        self.observe(kind, report.sim_ns, bytes);
+        Ok(outcome)
+    }
+
+    /// The one query core: lower `op` against the table once, dispatch
+    /// on the physical operator once, and run it on the engine as of
+    /// simulated time `now` — no clock or metrics side effects, so the
+    /// serial path and the queued scheduler share it. The second value
+    /// is a batched GET's per-key absolute completion times, monotone in
+    /// key order (the queue engine turns them into per-command CQEs);
+    /// it is empty for every other operator.
+    pub(crate) fn execute_at(
+        &mut self,
+        table: &str,
+        op: &LogicalOp,
+        backend: Backend,
+        now: SimNs,
+    ) -> NkvResult<(PlanOutcome, Vec<SimNs>)> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let plan = PhysicalPlan::lower(op, backend, &t.exec.caps(), table)?;
+        let (platform, lsm, exec) = (&mut self.platform, &t.lsm, &mut t.exec);
         match plan.op {
             PhysOp::PointLookup { .. } => {
-                let (record, report) =
-                    crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                self.clock += report.sim_ns;
-                self.observe(
-                    OpKind::Get,
-                    report.sim_ns,
-                    record.as_ref().map_or(0, |r| r.len() as u64),
-                );
-                Ok(PlanOutcome::Point { record, report })
+                let (record, report) = crate::engine::run_get(platform, lsm, exec, &plan, now)?;
+                Ok((PlanOutcome::Point { record, report }, Vec::new()))
             }
             PhysOp::BatchedGet { .. } => {
-                let (results, _, report) = crate::engine::run_batched_get(
-                    &mut self.platform,
-                    &t.lsm,
-                    &mut t.exec,
-                    &plan,
-                    now,
-                )?;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Get, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Batch { results, report })
+                let (results, dones, report) =
+                    crate::engine::run_batched_get(platform, lsm, exec, &plan, now)?;
+                Ok((PlanOutcome::Batch { results, report }, dones))
             }
             PhysOp::FilterScan => {
-                let (records, report) =
-                    crate::engine::run_scan(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                let count = records.len() as u64 / t.exec.processor.out_tuple_bytes().max(1) as u64;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Scan, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Records { records, count, report })
+                let (records, report) = crate::engine::run_scan(platform, lsm, exec, &plan, now)?;
+                let count = records.len() as u64 / exec.processor.out_tuple_bytes().max(1) as u64;
+                Ok((PlanOutcome::Records { records, count, report }, Vec::new()))
             }
             PhysOp::AggregateScan { .. } => {
-                let (value, any, report) = crate::engine::run_scan_aggregate(
-                    &mut self.platform,
-                    &t.lsm,
-                    &mut t.exec,
-                    &plan,
-                    now,
-                )?;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Scan, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Aggregate { value, any, report })
+                let (value, any, report) =
+                    crate::engine::run_scan_aggregate(platform, lsm, exec, &plan, now)?;
+                Ok((PlanOutcome::Aggregate { value, any, report }, Vec::new()))
             }
         }
     }
@@ -907,42 +853,6 @@ impl NkvDb {
         Ok((outcome, report))
     }
 
-    /// Adaptive SCAN: [`scan`](Self::scan) with the tier chosen by the
-    /// cost model. Returns the summary plus the decision record.
-    pub fn scan_adaptive(
-        &mut self,
-        table: &str,
-        rules: &[FilterRule],
-    ) -> NkvResult<(ScanSummary, CostReport)> {
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        match self.execute_adaptive(table, &op)? {
-            (PlanOutcome::Records { records, count, report }, cost) => {
-                Ok((ScanSummary { records, count, report }, cost))
-            }
-            _ => Err(NkvError::Config(format!(
-                "adaptive scan of `{table}` lowered to a non-scan outcome"
-            ))),
-        }
-    }
-
-    /// Adaptive point lookup: [`get`](Self::get) with the tier chosen by
-    /// the cost model. The walk dominates either tier (Fig. 7(a): the
-    /// config tax eats the PE's advantage), so the pick follows the
-    /// record width — narrow records stream too slowly through the PE to
-    /// beat the ARM's fixed binary search.
-    pub fn get_adaptive(
-        &mut self,
-        table: &str,
-        key: u64,
-    ) -> NkvResult<(Option<Vec<u8>>, SimReport, CostReport)> {
-        match self.execute_adaptive(table, &LogicalOp::Get { key })? {
-            (PlanOutcome::Point { record, report }, cost) => Ok((record, report, cost)),
-            _ => Err(NkvError::Config(format!(
-                "adaptive get on `{table}` lowered to a non-point outcome"
-            ))),
-        }
-    }
-
     /// `EXPLAIN` for the adaptive planner: the chosen tier's plan plus
     /// the per-tier cost estimates and the promotion state that drove
     /// the decision.
@@ -973,23 +883,6 @@ impl NkvDb {
     pub fn parallel_scan_stats(&self, table: &str) -> NkvResult<Option<ParallelScanStats>> {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         Ok(t.exec.last_parallel_scan.clone())
-    }
-
-    /// RANGE_SCAN on the key: `lo <= key < hi`, expressed as a 2-stage
-    /// predicate chain (the paper: "especially the 2-staged ones are
-    /// interesting, since they could be used to implement RANGE_SCANs").
-    pub fn range_scan(
-        &mut self,
-        table: &str,
-        lo: u64,
-        hi: u64,
-        mode: ExecMode,
-    ) -> NkvResult<ScanSummary> {
-        let rules = [
-            FilterRule { lane: 0, op_code: 4 /* ge */, value: lo },
-            FilterRule { lane: 0, op_code: 5 /* lt */, value: hi },
-        ];
-        self.scan(table, &rules, mode)
     }
 
     /// Persist the device manifest so [`NkvDb::recover`] can rebuild the
@@ -1137,11 +1030,11 @@ mod tests {
         let cfg = PubGraphConfig { papers: 10, refs: 10, seed: 1 };
         let p = PaperGen::paper_at(&cfg, 3);
         db.put("papers", encode(&p)).unwrap();
-        let (got, rep) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (got, rep) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(got, Some(encode(&p)));
         assert!(rep.sim_ns > 0);
         db.delete("papers", p.id).unwrap();
-        let (gone, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (gone, _) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(gone, None);
         assert!(db.clock() > 0);
     }
@@ -1153,8 +1046,8 @@ mod tests {
         let n = db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         assert_eq!(n, 3000);
         let p = PaperGen::paper_at(&cfg, 1234);
-        let (sw, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
-        let (hw, _) = db.get("papers", p.id, ExecMode::Hardware).unwrap();
+        let (sw, _) = db.get("papers", p.id, Backend::Software).unwrap();
+        let (hw, _) = db.get("papers", p.id, Backend::Hardware).unwrap();
         assert_eq!(sw, Some(encode(&p)));
         assert_eq!(sw, hw);
     }
@@ -1165,8 +1058,8 @@ mod tests {
         let cfg = PubGraphConfig { papers: 5000, refs: 5000, seed: 5 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2015 }];
-        let sw = db.scan("papers", &rules, ExecMode::Software).unwrap();
-        let hw = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let sw = db.scan("papers", &rules, Backend::Software).unwrap();
+        let hw = db.scan("papers", &rules, Backend::Hardware).unwrap();
         assert_eq!(sw.records, hw.records);
         assert!(sw.count > 0);
         // Oracle cross-check against the generator.
@@ -1184,7 +1077,7 @@ mod tests {
         p.year = 1900;
         db.put("papers", encode(&p)).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5 /* lt */, value: 1950 }];
-        let s = db.scan("papers", &rules, ExecMode::Software).unwrap();
+        let s = db.scan("papers", &rules, Backend::Software).unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(Paper::decode(&s.records).year, 1900);
         assert_eq!(Paper::decode(&s.records).id, p.id);
@@ -1199,7 +1092,7 @@ mod tests {
         db.create_table("papers", TableConfig::new(pe)).unwrap();
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 3 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-        let s = db.range_scan("papers", 100, 200, ExecMode::Hardware).unwrap();
+        let s = db.range_scan("papers", 100, 200, Backend::Hardware).unwrap();
         assert_eq!(s.count, 100);
         for rec in s.records.chunks_exact(80) {
             let p = Paper::decode(rec);
@@ -1214,11 +1107,11 @@ mod tests {
         let cfg = PubGraphConfig { papers: 100, refs: 100, seed: 3 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         assert!(matches!(
-            db.range_scan("papers", 10, 20, ExecMode::Hardware),
+            db.range_scan("papers", 10, 20, Backend::Hardware),
             Err(NkvError::Config(_))
         ));
         // ... but software NDP has no stage limit.
-        let s = db.range_scan("papers", 10, 20, ExecMode::Software).unwrap();
+        let s = db.range_scan("papers", 10, 20, Backend::Software).unwrap();
         assert_eq!(s.count, 10);
     }
 
@@ -1231,8 +1124,8 @@ mod tests {
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         }
         let rules = [FilterRule { lane: paper_lanes::VENUE, op_code: 5, value: 100 }];
-        let a = ours.scan("papers", &rules, ExecMode::Hardware).unwrap();
-        let b = base.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let a = ours.scan("papers", &rules, Backend::Hardware).unwrap();
+        let b = base.scan("papers", &rules, Backend::Hardware).unwrap();
         assert_eq!(a.records, b.records);
         assert!(a.count > 0);
     }
@@ -1240,7 +1133,7 @@ mod tests {
     #[test]
     fn unknown_table_and_bad_record_are_errors() {
         let mut db = paper_db(1, PeVariant::Generated);
-        assert!(matches!(db.get("nope", 1, ExecMode::Software), Err(NkvError::UnknownTable(_))));
+        assert!(matches!(db.get("nope", 1, Backend::Software), Err(NkvError::UnknownTable(_))));
         assert!(matches!(
             db.put("papers", vec![0u8; 10]),
             Err(NkvError::RecordSizeMismatch { expected: 80, got: 10, .. })
@@ -1283,8 +1176,8 @@ typedef struct {
                 db.enable_cache(8 << 20);
             }
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-            let cold = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
-            let warm = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+            let cold = db.scan("papers", &rules, Backend::Hardware).unwrap();
+            let warm = db.scan("papers", &rules, Backend::Hardware).unwrap();
             assert_eq!(cold.records, warm.records);
             (cold.records, warm.report.sim_ns, db.cache_stats())
         };
@@ -1320,7 +1213,7 @@ typedef struct {
             if i % 300 == 299 {
                 // Scans interleaved with the PUT churn populate the
                 // cache while compactions retire SSTs under it.
-                let s = db.scan("papers", &rules, ExecMode::Software).unwrap();
+                let s = db.scan("papers", &rules, Backend::Software).unwrap();
                 assert_eq!(s.count as usize, model.len(), "cache must never serve stale blocks");
             }
         }
@@ -1333,7 +1226,7 @@ typedef struct {
         let mut db = paper_db(1, PeVariant::Generated);
         let rules = [FilterRule { lane: 99, op_code: 2, value: 0 }];
         assert!(matches!(
-            db.scan("papers", &rules, ExecMode::Software),
+            db.scan("papers", &rules, Backend::Software),
             Err(NkvError::InvalidLane { lane: 99, .. })
         ));
     }
@@ -1355,7 +1248,7 @@ typedef struct {
         assert!(sizes[1] > 0, "compaction should have populated C2: {sizes:?}");
         // All records remain reachable.
         let p = PaperGen::paper_at(&gen_cfg, 999);
-        let (got, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (got, _) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(got, Some(encode(&p)));
     }
 
@@ -1366,9 +1259,9 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 6 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let p = PaperGen::paper_at(&cfg, 10);
-        db.get("papers", p.id, ExecMode::Hardware).unwrap();
+        db.get("papers", p.id, Backend::Hardware).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2010 }];
-        db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
 
         let stats = db.device_stats();
         let get = stats.metrics.op(crate::metrics::OpKind::Get);
@@ -1409,7 +1302,7 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 6 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2010 }];
-        db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
         let stats = db.device_stats();
         assert!(stats.dropped_spans > 0, "tiny ring must report drops");
         let text = format!("{stats}");
@@ -1422,7 +1315,7 @@ typedef struct {
         let mut roomy = paper_db(1, PeVariant::Generated);
         roomy.enable_observability(1 << 20);
         roomy.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-        roomy.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        roomy.scan("papers", &rules, Backend::Hardware).unwrap();
         let clean = roomy.device_stats();
         assert_eq!(clean.dropped_spans, 0);
         assert!(!format!("{clean}").contains("dropped_spans"));
@@ -1441,7 +1334,7 @@ typedef struct {
                 db.enable_observability(4096);
             }
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-            let s = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+            let s = db.scan("papers", &rules, Backend::Hardware).unwrap();
             (s.records, s.report.sim_ns, db.clock())
         };
         assert_eq!(run(false), run(true));
@@ -1476,12 +1369,12 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 500, refs: 500, seed: 8 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let t0 = db.clock();
-        db.get("papers", 5, ExecMode::Software).unwrap();
+        db.get("papers", 5, Backend::Software).unwrap();
         let t1 = db.clock();
         db.scan(
             "papers",
             &[FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 1990 }],
-            ExecMode::Hardware,
+            Backend::Hardware,
         )
         .unwrap();
         let t2 = db.clock();

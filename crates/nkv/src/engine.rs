@@ -1,9 +1,10 @@
 //! The plan-driven execution engine.
 //!
 //! Every backend of a [`crate::plan::PhysicalPlan`] — software,
-//! hardware, hybrid, and the parallel-PE scan — runs through the three
-//! entry points here ([`run_scan`], [`run_scan_aggregate`],
-//! [`run_get`]); `exec.rs` keeps only the legacy-compatible wrappers.
+//! hardware, hybrid, and the parallel-PE scan — runs through the four
+//! entry points here ([`run_scan`], [`run_scan_aggregate`], [`run_get`],
+//! [`run_batched_get`]), one per [`PhysOp`]; `exec.rs` holds only the
+//! per-table state they work on.
 //!
 //! The shared plumbing all of them need — retrying flash reads with
 //! backoff, claiming a healthy PE under the watchdog/degradation
@@ -336,11 +337,15 @@ pub(crate) fn schedule_hw_job(
     }
 }
 
-/// The `eq` operator code of a table's op set (always present in the
-/// standard set; panics if a custom-only set removed it).
-fn eq_code(_ops: &ndp_pe::oracle::OpTable) -> u32 {
-    // The standard encoding from ndp-ir: nop=0, ne=1, eq=2.
-    2
+/// The `lane0 == key` rule a hardware GET programs into the PE, in the
+/// table's own `eq` encoding. Lowering already rejects hardware GETs on
+/// a table whose operator set omits `eq`, so the error needs a plan that
+/// bypassed [`PhysicalPlan::lower`].
+fn key_eq_rule(exec: &TableExec, key: u64) -> NkvResult<[FilterRule; 1]> {
+    let op_code = exec.eq_code.ok_or_else(|| {
+        NkvError::Config("hardware GET on a table generated without the `eq` operator".into())
+    })?;
+    Ok([FilterRule { lane: 0, op_code, value: key }])
 }
 
 /// How a hardware block job configures the PE.
@@ -884,34 +889,24 @@ pub(crate) fn run_scan_aggregate(
             let (staged, data) = staged_block_read(platform, exec, sst, bi, start)?;
             report.blocks += 1;
             report.bytes_scanned += data.len() as u64;
-            let done = if plan.backend == Backend::Software {
-                for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
-                    report.tuples_in += 1;
-                    if exec.processor.tuple_passes(tuple, rules, &exec.ops) {
-                        report.tuples_out += 1;
-                        if let Some(v) = exec.processor.lane_value(tuple, lane) {
-                            acc.update(v);
-                        }
+            // The reduction is functional, through the shared
+            // accumulator, whichever backend is charged for it.
+            let mut tin = 0u64;
+            for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
+                tin += 1;
+                if exec.processor.tuple_passes(tuple, rules, &exec.ops) {
+                    report.tuples_out += 1;
+                    if let Some(v) = exec.processor.lane_value(tuple, lane) {
+                        acc.update(v);
                     }
                 }
+            }
+            report.tuples_in += tin;
+            let done = if plan.backend == Backend::Software {
                 arm_filter(platform, staged, data.len() as u64)
             } else {
-                // Functional result via the shared accumulator; counts
-                // and timing like the filtering path, but with zero
-                // result write-back (the aggregate stays in a register).
-                let mut tin = 0u64;
-                let mut tout = 0u64;
-                for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
-                    tin += 1;
-                    if exec.processor.tuple_passes(tuple, rules, &exec.ops) {
-                        tout += 1;
-                        if let Some(v) = exec.processor.lane_value(tuple, lane) {
-                            acc.update(v);
-                        }
-                    }
-                }
-                report.tuples_in += tin;
-                report.tuples_out += tout;
+                // Timed like the filtering path, but with zero result
+                // write-back (the aggregate stays in a register).
                 let healthy =
                     next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), &mut driver_rr);
                 match claim_pe(platform, exec, healthy, true)? {
@@ -958,6 +953,72 @@ pub(crate) fn run_scan_aggregate(
     report.result_bytes = 8;
     report.sim_ns = host_done - now;
     Ok((acc.value(), acc.any(), report))
+}
+
+/// Search one staged block for `key` on the plan's backend: the ARM's
+/// binary search, or a `lane0 == key` filter job on PE 0 — GET always
+/// targets PE 0 (one block, no parallelism to exploit), and a retired
+/// or freshly hung PE 0 degrades the search to the ARM, like the SCAN
+/// path. Returns the record, if the block holds it, and the search's
+/// completion time. `configured` is whether an earlier key of the same
+/// batch already programmed the PE: a serial GET passes `false` (every
+/// GET reconfigures the reference value, so no rule caching applies), a
+/// batch's later keys pay only the [`PeInvoke::Keyed`] strobe.
+#[allow(clippy::too_many_arguments)]
+fn key_search_job(
+    platform: &mut CosmosPlatform,
+    exec: &mut TableExec,
+    backend: Backend,
+    record_bytes: usize,
+    key: u64,
+    data: &[u8],
+    staged: SimNs,
+    configured: &mut bool,
+    report: &mut SimReport,
+) -> NkvResult<(Option<Vec<u8>>, SimNs)> {
+    let grant = if backend == Backend::Software {
+        PeGrant::Sw { hung: false }
+    } else {
+        let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
+        claim_pe(platform, exec, if pe_down { None } else { Some(0) }, true)?
+    };
+    match grant {
+        PeGrant::Sw { hung } => {
+            let rec = search_block(data, record_bytes, key)?.map(<[u8]>::to_vec);
+            let (_, done) = platform
+                .arm
+                .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
+            Ok((rec, done))
+        }
+        PeGrant::Hw(d) => {
+            let invoke = if *configured { PeInvoke::Keyed } else { PeInvoke::Cold };
+            *configured = true;
+            let rules = key_eq_rule(exec, key)?;
+            let mut out = Vec::new();
+            let (tin, tout, cycles, w, r, bytes_written) =
+                hw_filter_block(exec, &mut platform.dram, data, &rules, d, invoke, &mut out);
+            report.tuples_in += tin;
+            report.tuples_out += tout;
+            report.reg_writes += w;
+            report.reg_reads += r;
+            // GET has no PE load phase in the model (the block is already
+            // staged for the search); only the one-record store rides the
+            // DRAM port.
+            let done =
+                schedule_hw_job(platform, exec, d, staged, cycles, w, r, None, Some(bytes_written));
+            let rec = if out.is_empty() {
+                None
+            } else {
+                let found = out.get(..record_bytes).ok_or(NkvError::ResultDecode {
+                    offset: 0,
+                    need: record_bytes,
+                    len: out.len(),
+                })?;
+                Some(found.to_vec())
+            };
+            Ok((rec, done))
+        }
+    }
 }
 
 /// Execute a lowered point-lookup plan: memtable probe, then the
@@ -1012,74 +1073,17 @@ pub(crate) fn run_get(
         report.blocks += 1;
         report.bytes_scanned += data.len() as u64;
 
-        let (found, done) = if plan.backend == Backend::Software {
-            let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-            let (_, done) = platform.arm.schedule(staged, timing::ARM_BLOCK_SEARCH_NS);
-            (rec, done)
-        } else {
-            // GET always targets PE 0 (one block, no parallelism to
-            // exploit); a retired or freshly hung PE 0 degrades the
-            // search to the ARM, like the SCAN path.
-            let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
-            let candidate = if pe_down { None } else { Some(0) };
-            match claim_pe(platform, exec, candidate, true)? {
-                PeGrant::Sw { hung } => {
-                    let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-                    let (_, done) = platform
-                        .arm
-                        .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-                    (rec, done)
-                }
-                PeGrant::Hw(d) => {
-                    // Key-equality filter on the PE; every GET reconfigures
-                    // the reference value, so no rule caching applies.
-                    let rules = [FilterRule { lane: 0, op_code: eq_code(&exec.ops), value: key }];
-                    let mut out = Vec::new();
-                    let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
-                        exec,
-                        &mut platform.dram,
-                        &data,
-                        &rules,
-                        d,
-                        PeInvoke::Cold,
-                        &mut out,
-                    );
-                    report.tuples_in += tin;
-                    report.tuples_out += tout;
-                    report.reg_writes += w;
-                    report.reg_reads += r;
-                    // GET has no PE load phase in the model (the block is
-                    // already staged for the search); only the one-record
-                    // store rides the DRAM port.
-                    let done = schedule_hw_job(
-                        platform,
-                        exec,
-                        d,
-                        staged,
-                        cycles,
-                        w,
-                        r,
-                        None,
-                        Some(bytes_written),
-                    );
-                    let rec = if out.is_empty() {
-                        None
-                    } else {
-                        let n = lsm.record_bytes();
-                        Some(
-                            out.get(..n)
-                                .ok_or(NkvError::ResultDecode {
-                                    offset: 0,
-                                    need: n,
-                                    len: out.len(),
-                                })?
-                                .to_vec(),
-                        )
-                    };
-                    (rec, done)
-                }
-            }
-        };
+        let (found, done) = key_search_job(
+            platform,
+            exec,
+            plan.backend,
+            lsm.record_bytes(),
+            key,
+            &data,
+            staged,
+            &mut false,
+            &mut report,
+        )?;
         t = done;
         if let Some(rec) = found {
             let (nv_start, host) = platform.nvme.transfer(t, rec.len() as u64);
@@ -1163,68 +1167,17 @@ fn batched_key_walk(
         // gets there; a block this key read itself is staged after `t`.
         let (staged, data) = ((*staged).max(t), data.as_slice());
 
-        let (found, done) = if backend == Backend::Software {
-            let rec = search_block(data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-            let (_, done) = platform.arm.schedule(staged, timing::ARM_BLOCK_SEARCH_NS);
-            (rec, done)
-        } else {
-            let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
-            let candidate = if pe_down { None } else { Some(0) };
-            match claim_pe(platform, exec, candidate, true)? {
-                PeGrant::Sw { hung } => {
-                    let rec = search_block(data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-                    let (_, done) = platform
-                        .arm
-                        .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-                    (rec, done)
-                }
-                PeGrant::Hw(d) => {
-                    let invoke = if *batch_configured { PeInvoke::Keyed } else { PeInvoke::Cold };
-                    let rules = [FilterRule { lane: 0, op_code: eq_code(&exec.ops), value: key }];
-                    let mut out = Vec::new();
-                    let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
-                        exec,
-                        &mut platform.dram,
-                        data,
-                        &rules,
-                        d,
-                        invoke,
-                        &mut out,
-                    );
-                    *batch_configured = true;
-                    report.tuples_in += tin;
-                    report.tuples_out += tout;
-                    report.reg_writes += w;
-                    report.reg_reads += r;
-                    let done = schedule_hw_job(
-                        platform,
-                        exec,
-                        d,
-                        staged,
-                        cycles,
-                        w,
-                        r,
-                        None,
-                        Some(bytes_written),
-                    );
-                    let rec = if out.is_empty() {
-                        None
-                    } else {
-                        let n = lsm.record_bytes();
-                        Some(
-                            out.get(..n)
-                                .ok_or(NkvError::ResultDecode {
-                                    offset: 0,
-                                    need: n,
-                                    len: out.len(),
-                                })?
-                                .to_vec(),
-                        )
-                    };
-                    (rec, done)
-                }
-            }
-        };
+        let (found, done) = key_search_job(
+            platform,
+            exec,
+            backend,
+            lsm.record_bytes(),
+            key,
+            data,
+            staged,
+            batch_configured,
+            report,
+        )?;
         t = done;
         if let Some(rec) = found {
             return Ok((Some(rec), t));

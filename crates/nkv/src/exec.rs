@@ -5,15 +5,13 @@
 //! hardware whenever datablocks have to be filtered or transformed"
 //! (paper, Sec. V). This module holds the *state* of that firmware
 //! algorithm — [`TableExec`], the per-table executor with its PEs,
-//! drivers, fault policy and health counters — plus the legacy
-//! free-function entry points ([`scan`], [`scan_aggregate`], [`get`]).
+//! drivers, fault policy and health counters — and nothing else.
 //!
 //! The execution loops themselves live in [`crate::engine`], driven by
-//! an explicit [`crate::plan::PhysicalPlan`]; the functions here lower
-//! the legacy `(rules, mode)` calling convention into a plan and
-//! delegate. `ExecMode::Software` runs the shared byte-level oracle on
-//! the ARM core; `ExecMode::Hardware` stages blocks in DRAM and
-//! dispatches them to the PEs through the *generated driver*
+//! an explicit [`crate::plan::PhysicalPlan`] lowered from the table's
+//! [`TableExec::caps`]. `Backend::Software` runs the shared byte-level
+//! oracle on the ARM core; `Backend::Hardware` stages blocks in DRAM
+//! and dispatches them to the PEs through the *generated driver*
 //! (`ndp-swgen`), in either fidelity (`cycle_accurate` tick-level model
 //! or the validated analytic fast path).
 //!
@@ -37,22 +35,11 @@
 //!   `NkvDb::health_report`.
 
 use crate::engine::ParallelScanStats;
-use crate::error::NkvResult;
-use crate::lsm::LsmTree;
-use crate::plan::{PhysicalPlan, PlanCaps};
-use cosmos_sim::{timing, CosmosPlatform, Server, SimNs};
-use ndp_pe::oracle::{BlockProcessor, FilterRule, OpTable};
+use crate::plan::PlanCaps;
+use cosmos_sim::{timing, Server, SimNs};
+use ndp_pe::oracle::{BlockProcessor, OpTable};
 use ndp_pe::{MemBus, PeDevice};
 use ndp_swgen::{DriverProfile, PeDriver};
-
-/// Where filtering runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// ARM software NDP (the paper's "SW" bars).
-    Software,
-    /// FPGA PEs through the generated interface (the "HW" bars).
-    Hardware,
-}
 
 /// Simulated-time and traffic report of one operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -140,6 +127,14 @@ pub struct TableExec {
     pub processor: BlockProcessor,
     /// Operator dispatch table.
     pub ops: OpTable,
+    /// Register encodings of the operators the store itself issues
+    /// (GET's key equality, RANGE_SCAN's `ge`/`lt` chain), resolved
+    /// from the table's own `PeConfig` at creation: encodings follow the
+    /// specification's declaration order, so they are per-PE, and an
+    /// operator the set omits is `None`.
+    pub eq_code: Option<u32>,
+    pub ge_code: Option<u32>,
+    pub lt_code: Option<u32>,
     /// PE drivers (one per attached PE; blocks round-robin over them).
     pub drivers: Vec<PeDriver<Box<dyn PeDevice>>>,
     /// Per-PE timing servers (a PE can only process one block at a time).
@@ -196,6 +191,9 @@ impl TableExec {
             parallel_pes: self.parallel_pes,
             aggregates: self.aggregates.clone(),
             identity_transform: self.processor.identity_transform(),
+            eq_code: self.eq_code,
+            ge_code: self.ge_code,
+            lt_code: self.lt_code,
         }
     }
 
@@ -219,72 +217,22 @@ impl TableExec {
     }
 }
 
-/// Full-table SCAN with a filter-rule chain.
-///
-/// Lowers the legacy `(rules, mode)` convention into a physical plan
-/// (all predicates pushed, `TableExec::parallel_pes` job streams) and
-/// runs it on the engine. Returns the matched (and reconciled) records
-/// plus the report. `now` is the operation start time on the platform
-/// clock.
-pub fn scan(
-    platform: &mut CosmosPlatform,
-    lsm: &LsmTree,
-    exec: &mut TableExec,
-    rules: &[FilterRule],
-    mode: ExecMode,
-    now: SimNs,
-) -> NkvResult<(Vec<u8>, SimReport)> {
-    let plan = PhysicalPlan::legacy_scan(rules, mode, exec.parallel_pes);
-    crate::engine::run_scan(platform, lsm, exec, &plan, now)
-}
-
-/// Aggregate SCAN: compute one reduction over every record matching the
-/// predicate chain, entirely on the device — only the 64-bit accumulator
-/// crosses the NVMe link (the paper's outlook on compute-intensive NDP
-/// realized: results "much smaller in size than the input data").
-///
-/// Assumes single-version data (bulk-loaded/compacted tables): a running
-/// reduction cannot be reconciled against shadowed versions after the
-/// fact, so the caller is responsible for compacting first (checked only
-/// by convention; the unit tests cover the supported shape).
-#[allow(clippy::too_many_arguments)] // the legacy signature, kept verbatim
-pub fn scan_aggregate(
-    platform: &mut CosmosPlatform,
-    lsm: &LsmTree,
-    exec: &mut TableExec,
-    rules: &[FilterRule],
-    agg: ndp_ir::AggOp,
-    lane: u32,
-    mode: ExecMode,
-    now: SimNs,
-) -> NkvResult<(u64, bool, SimReport)> {
-    let plan = PhysicalPlan::legacy_scan_aggregate(rules, agg, lane, mode);
-    crate::engine::run_scan_aggregate(platform, lsm, exec, &plan, now)
-}
-
-/// Point lookup (GET).
-pub fn get(
-    platform: &mut CosmosPlatform,
-    lsm: &LsmTree,
-    exec: &mut TableExec,
-    key: u64,
-    mode: ExecMode,
-    now: SimNs,
-) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
-    let plan = PhysicalPlan::legacy_get(key, mode);
-    crate::engine::run_get(platform, lsm, exec, &plan, now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsm::LsmConfig;
+    use crate::engine::{run_get, run_scan};
+    use crate::error::NkvResult;
+    use crate::lsm::{LsmConfig, LsmTree};
     use crate::placement::PageAllocator;
+    use crate::plan::{Backend, LogicalOp, PhysicalPlan};
     use cosmos_sim::dram::DramClient;
-    use cosmos_sim::CosmosConfig;
+    use cosmos_sim::{CosmosConfig, CosmosPlatform};
     use ndp_ir::elaborate;
+    use ndp_pe::oracle::FilterRule;
+    use ndp_pe::PeDevice;
     use ndp_pe::{BaselinePe, PeSim};
     use ndp_spec::parse;
+    use ndp_swgen::PeDriver;
     use ndp_workload::spec::{ref_lanes, PAPER_REF_SPEC, REF_PE};
     use ndp_workload::{PubGraphConfig, Ref, RefGen};
 
@@ -309,6 +257,9 @@ mod tests {
         TableExec {
             processor,
             ops,
+            eq_code: cfg.op_code("eq"),
+            ge_code: cfg.op_code("ge"),
+            lt_code: cfg.op_code("lt"),
             drivers,
             pe_servers: vec![Server::new(); n_pes],
             profile: if baseline { DriverProfile::Baseline } else { DriverProfile::Generated },
@@ -350,9 +301,38 @@ mod tests {
         (lsm, done)
     }
 
+    /// `year >= year`, with `ge` resolved from the executor's own set.
     fn scan_year_rules(exec: &TableExec, year: u64) -> Vec<FilterRule> {
-        let _ = exec;
-        vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4 /* ge */, value: year }]
+        let ge = exec.ge_code.expect("the reference PE carries the standard set");
+        vec![FilterRule { lane: ref_lanes::YEAR, op_code: ge, value: year }]
+    }
+
+    /// Lower a SCAN against the executor's own capabilities and run it —
+    /// the production path (`NkvDb::execute_at`) minus the table lookup.
+    fn scan(
+        platform: &mut CosmosPlatform,
+        lsm: &LsmTree,
+        exec: &mut TableExec,
+        rules: &[FilterRule],
+        backend: Backend,
+        now: SimNs,
+    ) -> NkvResult<(Vec<u8>, SimReport)> {
+        let op = LogicalOp::Scan { rules: rules.to_vec() };
+        let plan = PhysicalPlan::lower(&op, backend, &exec.caps(), "refs")?;
+        run_scan(platform, lsm, exec, &plan, now)
+    }
+
+    /// Lower a GET the same way and run it.
+    fn get(
+        platform: &mut CosmosPlatform,
+        lsm: &LsmTree,
+        exec: &mut TableExec,
+        key: u64,
+        backend: Backend,
+        now: SimNs,
+    ) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
+        let plan = PhysicalPlan::lower(&LogicalOp::Get { key }, backend, &exec.caps(), "refs")?;
+        run_get(platform, lsm, exec, &plan, now)
     }
 
     #[test]
@@ -364,9 +344,9 @@ mod tests {
         let rules = scan_year_rules(&exec, 2000);
 
         let (sw, rep_sw) =
-            scan(&mut platform, &lsm, &mut exec, &rules, ExecMode::Software, t0).unwrap();
+            scan(&mut platform, &lsm, &mut exec, &rules, Backend::Software, t0).unwrap();
         let (hw, rep_hw) =
-            scan(&mut platform, &lsm, &mut exec, &rules, ExecMode::Hardware, t0 + rep_sw.sim_ns)
+            scan(&mut platform, &lsm, &mut exec, &rules, Backend::Hardware, t0 + rep_sw.sim_ns)
                 .unwrap();
         assert_eq!(sw, hw);
         assert!(!sw.is_empty());
@@ -387,10 +367,10 @@ mod tests {
 
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
-        let (_, sw) = scan(&mut p1, &lsm, &mut exec, &rules, ExecMode::Software, t0).unwrap();
+        let (_, sw) = scan(&mut p1, &lsm, &mut exec, &rules, Backend::Software, t0).unwrap();
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
-        let (_, hw) = scan(&mut p2, &lsm, &mut exec, &rules, ExecMode::Hardware, t0).unwrap();
+        let (_, hw) = scan(&mut p2, &lsm, &mut exec, &rules, Backend::Hardware, t0).unwrap();
         assert!(hw.sim_ns < sw.sim_ns, "HW {} ns should beat SW {} ns", hw.sim_ns, sw.sim_ns);
     }
 
@@ -406,11 +386,11 @@ mod tests {
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (r_fast, rep_fast) =
-            scan(&mut p1, &lsm, &mut fast, &rules, ExecMode::Hardware, t0).unwrap();
+            scan(&mut p1, &lsm, &mut fast, &rules, Backend::Hardware, t0).unwrap();
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
         let (r_acc, rep_acc) =
-            scan(&mut p2, &lsm, &mut acc, &rules, ExecMode::Hardware, t0).unwrap();
+            scan(&mut p2, &lsm, &mut acc, &rules, Backend::Hardware, t0).unwrap();
 
         assert_eq!(r_fast, r_acc, "functional results must be identical");
         assert_eq!(rep_fast.tuples_in, rep_acc.tuples_in);
@@ -437,11 +417,11 @@ mod tests {
         let mut base = make_exec(2, true, false);
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
-        let (r1, _) = scan(&mut p1, &lsm, &mut ours, &rules, ExecMode::Hardware, t0).unwrap();
+        let (r1, _) = scan(&mut p1, &lsm, &mut ours, &rules, Backend::Hardware, t0).unwrap();
         let pe_store_ours = p1.dram.traffic_of(DramClient::PeStore);
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
-        let (r2, _) = scan(&mut p2, &lsm, &mut base, &rules, ExecMode::Hardware, t0).unwrap();
+        let (r2, _) = scan(&mut p2, &lsm, &mut base, &rules, Backend::Hardware, t0).unwrap();
         let pe_store_base = p2.dram.traffic_of(DramClient::PeStore);
 
         assert_eq!(r1, r2);
@@ -480,7 +460,7 @@ mod tests {
         let mut exec = make_exec(1, false, false);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
         let (res, rep) =
-            scan(&mut platform, &lsm, &mut exec, &rules, ExecMode::Software, 0).unwrap();
+            scan(&mut platform, &lsm, &mut exec, &rules, Backend::Software, 0).unwrap();
         // Only key 200's record: key 100's matching version is shadowed.
         assert_eq!(res.len(), 20);
         assert_eq!(Ref::decode(&res).year, 2015);
@@ -506,7 +486,7 @@ mod tests {
 
         let mut exec = make_exec(1, false, false);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
-        let (res, _) = scan(&mut platform, &lsm, &mut exec, &rules, ExecMode::Software, 0).unwrap();
+        let (res, _) = scan(&mut platform, &lsm, &mut exec, &rules, Backend::Software, 0).unwrap();
         assert_eq!(res.len(), 20);
         assert_eq!(Ref::decode(&res).year, 2012);
     }
@@ -520,17 +500,16 @@ mod tests {
         // Pick an existing key from the data.
         let sst = &lsm.all_ssts()[0];
         let key = sst.blocks[0].first_key;
-        let (sw, rep_sw) =
-            get(&mut platform, &lsm, &mut exec, key, ExecMode::Software, t0).unwrap();
+        let (sw, rep_sw) = get(&mut platform, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
         let (hw, rep_hw) =
-            get(&mut platform, &lsm, &mut exec, key, ExecMode::Hardware, t0 + rep_sw.sim_ns)
+            get(&mut platform, &lsm, &mut exec, key, Backend::Hardware, t0 + rep_sw.sim_ns)
                 .unwrap();
         assert!(sw.is_some());
         assert_eq!(sw, hw);
         assert!(rep_sw.sim_ns > 0 && rep_hw.sim_ns > 0);
 
         let (miss, _) =
-            get(&mut platform, &lsm, &mut exec, u64::MAX - 1, ExecMode::Software, t0).unwrap();
+            get(&mut platform, &lsm, &mut exec, u64::MAX - 1, Backend::Software, t0).unwrap();
         assert_eq!(miss, None);
     }
 
@@ -546,10 +525,10 @@ mod tests {
         let mut exec = make_exec(1, false, false);
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
-        let (_, sw) = get(&mut p1, &lsm, &mut exec, key, ExecMode::Software, t0).unwrap();
+        let (_, sw) = get(&mut p1, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
-        let (_, hw) = get(&mut p2, &lsm, &mut exec, key, ExecMode::Hardware, t0).unwrap();
+        let (_, hw) = get(&mut p2, &lsm, &mut exec, key, Backend::Hardware, t0).unwrap();
         let ratio = hw.sim_ns as f64 / sw.sim_ns as f64;
         assert!(
             (0.8..1.5).contains(&ratio),
@@ -573,8 +552,8 @@ mod tests {
         let key = sst.blocks[0].first_key;
         let mut exec = make_exec(1, false, false);
         let (_, rep_orig) =
-            get(&mut original, &lsm, &mut exec, key, ExecMode::Software, t0).unwrap();
-        let (_, rep_upd) = get(&mut updated, &lsm, &mut exec, key, ExecMode::Software, t0).unwrap();
+            get(&mut original, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
+        let (_, rep_upd) = get(&mut updated, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
         assert_eq!(
             rep_upd.sim_ns - rep_orig.sim_ns,
             timing::FIRMWARE_OP_OVERHEAD_NS,
@@ -593,7 +572,7 @@ mod tests {
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (r_serial, rep_serial) =
-            scan(&mut p1, &lsm, &mut serial, &rules, ExecMode::Hardware, t0).unwrap();
+            scan(&mut p1, &lsm, &mut serial, &rules, Backend::Hardware, t0).unwrap();
         assert!(serial.last_parallel_scan.is_none());
 
         let mut par = make_exec(4, false, false);
@@ -601,7 +580,7 @@ mod tests {
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
         let (r_par, rep_par) =
-            scan(&mut p2, &lsm, &mut par, &rules, ExecMode::Hardware, t0).unwrap();
+            scan(&mut p2, &lsm, &mut par, &rules, Backend::Hardware, t0).unwrap();
 
         assert_eq!(r_serial, r_par, "merge order must reproduce the serial result bytes");
         assert_eq!(rep_serial.tuples_out, rep_par.tuples_out);
@@ -623,13 +602,13 @@ mod tests {
         one.parallel_pes = 1;
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
-        let (r1, rep1) = scan(&mut p1, &lsm, &mut one, &rules, ExecMode::Hardware, t0).unwrap();
+        let (r1, rep1) = scan(&mut p1, &lsm, &mut one, &rules, Backend::Hardware, t0).unwrap();
 
         let mut four = make_exec(4, false, false);
         four.parallel_pes = 4;
         let mut p4 = CosmosPlatform::new(CosmosConfig::default());
         p4.flash = platform.flash.clone();
-        let (r4, rep4) = scan(&mut p4, &lsm, &mut four, &rules, ExecMode::Hardware, t0).unwrap();
+        let (r4, rep4) = scan(&mut p4, &lsm, &mut four, &rules, Backend::Hardware, t0).unwrap();
 
         assert_eq!(r1, r4);
         assert!(

@@ -25,9 +25,8 @@
 //!   aggregate ops are *lowered* into explicit physical plans (predicate
 //!   pushdown into PE registers, software residual filters, parallel PE
 //!   job streams) with an `EXPLAIN` rendering;
-//! * [`exec`] — per-table executor state ([`exec::TableExec`]) and the
-//!   legacy `(rules, mode)` entry points, now thin wrappers that lower
-//!   into plans;
+//! * [`exec`] — per-table executor state ([`exec::TableExec`]): PEs,
+//!   drivers, operator encodings, fault policy and health counters;
 //! * [`engine`] — the plan-driven execution loops: block-parallel
 //!   SCAN/GET over flash channels with software (ARM) or hardware (PE)
 //!   filtering — serial or over N parallel per-channel-group job
@@ -88,7 +87,7 @@ pub use cost::{AdaptState, CostInputs, CostReport, OpClass, TierCost, PROMOTE_AF
 pub use db::{HealthReport, MultiGetResults, NkvDb, ScanSummary, TableConfig};
 pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};
-pub use exec::{ExecMode, HealthCounters, ResilienceConfig, SimReport};
+pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
 pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};

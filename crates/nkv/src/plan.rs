@@ -12,10 +12,14 @@
 //! Lowering rules (see DESIGN.md §11):
 //!
 //! * every predicate lane must exist in the table's input layout;
+//! * operator encodings are per-PE (declaration order of the table's
+//!   specification), so the rules the store builds itself — GET's key
+//!   equality, RANGE_SCAN's `ge`/`lt` chain — take their codes from
+//!   [`PlanCaps`]; an operator the table's set omits is a typed
+//!   [`NkvError::Config`], never a silently wrong comparison;
 //! * **software** plans evaluate the whole chain on the ARM;
 //! * **hardware** plans push the whole chain into the PE's filtering
-//!   stages and reject chains longer than the stage count (the legacy
-//!   contract, unchanged);
+//!   stages and reject chains longer than the stage count;
 //! * **hybrid** plans push the first `stages` predicates and keep the
 //!   rest as a residual ARM post-filter over the PE's output — only
 //!   legal when the PE's transformation is the identity (otherwise the
@@ -28,7 +32,7 @@
 //!   serial dispatch).
 
 use crate::error::{NkvError, NkvResult};
-use crate::exec::ExecMode;
+use crate::exec::SimReport;
 use ndp_pe::oracle::{FilterRule, OpTable};
 
 /// What the host asked for, before any execution decision.
@@ -59,15 +63,6 @@ pub enum Backend {
     Hybrid,
 }
 
-impl From<ExecMode> for Backend {
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Software => Backend::Software,
-            ExecMode::Hardware => Backend::Hardware,
-        }
-    }
-}
-
 impl Backend {
     /// Stable display name (EXPLAIN renderings and cost reports).
     pub fn name(self) -> &'static str {
@@ -95,6 +90,11 @@ pub struct PlanCaps {
     /// Whether the PE's transformation is the identity (output tuples
     /// are byte-for-byte the input tuples). Gates hybrid residuals.
     pub identity_transform: bool,
+    /// The table's own encodings of `eq`/`ge`/`lt` (`None` when its
+    /// operator set omits the operator; see `TableExec::eq_code`).
+    pub eq_code: Option<u32>,
+    pub ge_code: Option<u32>,
+    pub lt_code: Option<u32>,
 }
 
 /// The physical operator at the root of a plan.
@@ -127,47 +127,52 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Lower `op` for a table with capabilities `caps`. Validation
-    /// errors are exactly the legacy `NkvDb::scan`/`scan_aggregate`
-    /// errors so the plan path is a drop-in replacement.
+    /// Lower `op` for a table with capabilities `caps` — the one place
+    /// a query is validated, whichever entry point it came through.
     pub fn lower(
         op: &LogicalOp,
         backend: Backend,
         caps: &PlanCaps,
         table: &str,
     ) -> NkvResult<PhysicalPlan> {
-        match op {
-            LogicalOp::Get { key } => Ok(PhysicalPlan {
-                op: PhysOp::PointLookup { key: *key },
+        // The PE finds a key with a `lane0 == key` filter; the ARM's
+        // block search needs no operator at all.
+        let key_lookup = |op: PhysOp| -> NkvResult<PhysicalPlan> {
+            if backend != Backend::Software {
+                required_op(caps.eq_code, "eq", "a hardware GET", table)?;
+            }
+            Ok(PhysicalPlan {
+                op,
                 backend,
                 pushed: Vec::new(),
                 residual: Vec::new(),
                 parallel_pes: 0,
-            }),
+            })
+        };
+        match op {
+            LogicalOp::Get { key } => key_lookup(PhysOp::PointLookup { key: *key }),
             LogicalOp::MultiGet { keys } => {
-                // A batch of one folds to the legacy point lookup, so
+                // A batch of one folds to the plain point lookup, so
                 // every serial timing/result stays byte-identical.
                 if let [key] = keys[..] {
-                    return Self::lower(&LogicalOp::Get { key }, backend, caps, table);
+                    return key_lookup(PhysOp::PointLookup { key });
                 }
                 // Validate batch shape through the descriptor itself:
                 // the planner rejects exactly what the device would.
                 cosmos_sim::KeyListDescriptor::new(keys)
                     .map_err(|e| NkvError::Config(format!("batched GET on `{table}`: {e}")))?;
-                Ok(PhysicalPlan {
-                    op: PhysOp::BatchedGet { keys: keys.clone() },
-                    backend,
-                    pushed: Vec::new(),
-                    residual: Vec::new(),
-                    parallel_pes: 0,
-                })
+                key_lookup(PhysOp::BatchedGet { keys: keys.clone() })
             }
             LogicalOp::Scan { rules } => Self::lower_scan(rules, backend, caps, table),
             LogicalOp::RangeScan { lo, hi } => {
-                // The paper's 2-stage showcase: `lo <= key < hi` on lane 0.
-                let rules = vec![
-                    FilterRule { lane: 0, op_code: 4 /* ge */, value: *lo },
-                    FilterRule { lane: 0, op_code: 5 /* lt */, value: *hi },
+                // The paper's 2-stage showcase: `lo <= key < hi` on lane
+                // 0. The ARM oracle evaluates the same encodings, so a
+                // missing operator fails every backend alike.
+                let ge = required_op(caps.ge_code, "ge", "RANGE_SCAN", table)?;
+                let lt = required_op(caps.lt_code, "lt", "RANGE_SCAN", table)?;
+                let rules = [
+                    FilterRule { lane: 0, op_code: ge, value: *lo },
+                    FilterRule { lane: 0, op_code: lt, value: *hi },
                 ];
                 Self::lower_scan(&rules, backend, caps, table)
             }
@@ -253,6 +258,20 @@ impl PhysicalPlan {
     pub fn explain(&self, table: &str, ops: &OpTable) -> String {
         let mut s = String::new();
         let rule = |r: &FilterRule| format!("lane{} {} {}", r.lane, ops.symbol(r.op_code), r.value);
+        // The primary path's chain, shared by both scan renderings.
+        let pushed_chain = |s: &mut String| {
+            if self.backend == Backend::Software {
+                s.push_str("  ARM filter pass:\n");
+            } else {
+                s.push_str("  pushed -> PE filtering stages:\n");
+            }
+            for (i, r) in self.pushed.iter().enumerate() {
+                s.push_str(&format!("    [{i}] {}\n", rule(r)));
+            }
+            if self.pushed.is_empty() {
+                s.push_str("    (none: every tuple passes)\n");
+            }
+        };
         match &self.op {
             PhysOp::PointLookup { key } => {
                 s.push_str(&format!("PLAN GET ON {table} (backend: {})\n", self.backend.name()));
@@ -290,17 +309,7 @@ impl PhysicalPlan {
             }
             PhysOp::FilterScan => {
                 s.push_str(&format!("PLAN SCAN ON {table} (backend: {})\n", self.backend.name()));
-                if self.backend == Backend::Software {
-                    s.push_str("  ARM filter pass:\n");
-                } else {
-                    s.push_str("  pushed -> PE filtering stages:\n");
-                }
-                for (i, r) in self.pushed.iter().enumerate() {
-                    s.push_str(&format!("    [{i}] {}\n", rule(r)));
-                }
-                if self.pushed.is_empty() {
-                    s.push_str("    (none: every tuple passes)\n");
-                }
+                pushed_chain(&mut s);
                 if !self.residual.is_empty() {
                     s.push_str("  residual -> ARM post-filter over PE output:\n");
                     for (i, r) in self.residual.iter().enumerate() {
@@ -322,90 +331,98 @@ impl PhysicalPlan {
                     self.backend.name()
                 ));
                 s.push_str(&format!("  reduce: {}(lane{lane})\n", agg.name()));
-                if self.backend == Backend::Software {
-                    s.push_str("  ARM filter pass:\n");
-                } else {
-                    s.push_str("  pushed -> PE filtering stages:\n");
-                }
-                for (i, r) in self.pushed.iter().enumerate() {
-                    s.push_str(&format!("    [{i}] {}\n", rule(r)));
-                }
-                if self.pushed.is_empty() {
-                    s.push_str("    (none: every tuple passes)\n");
-                }
+                pushed_chain(&mut s);
                 s.push_str("  then: 8-byte accumulator over NVMe\n");
             }
         }
         s
     }
+}
 
-    /// Legacy-compatibility constructor used by the `exec` wrappers:
-    /// the whole chain goes to the primary path unvalidated, exactly
-    /// like the pre-plan `exec::scan` contract (callers that bypassed
-    /// `NkvDb` never got lane/stage validation there either).
-    pub(crate) fn legacy_scan(rules: &[FilterRule], mode: ExecMode, parallel_pes: usize) -> Self {
-        let backend = Backend::from(mode);
-        PhysicalPlan {
-            op: PhysOp::FilterScan,
-            backend,
-            pushed: rules.to_vec(),
-            residual: Vec::new(),
-            parallel_pes: if backend == Backend::Software { 0 } else { parallel_pes },
-        }
-    }
-
-    pub(crate) fn legacy_scan_aggregate(
-        rules: &[FilterRule],
-        agg: ndp_ir::AggOp,
-        lane: u32,
-        mode: ExecMode,
-    ) -> Self {
-        PhysicalPlan {
-            op: PhysOp::AggregateScan { agg, lane },
-            backend: Backend::from(mode),
-            pushed: rules.to_vec(),
-            residual: Vec::new(),
-            parallel_pes: 0,
-        }
-    }
-
-    pub(crate) fn legacy_get(key: u64, mode: ExecMode) -> Self {
-        PhysicalPlan {
-            op: PhysOp::PointLookup { key },
-            backend: Backend::from(mode),
-            pushed: Vec::new(),
-            residual: Vec::new(),
-            parallel_pes: 0,
-        }
-    }
+/// The table's encoding of operator `name`, or the typed error for a
+/// `what` that cannot run without it.
+fn required_op(code: Option<u32>, name: &str, what: &str, table: &str) -> NkvResult<u32> {
+    code.ok_or_else(|| {
+        NkvError::Config(format!(
+            "{what} on `{table}` needs the `{name}` operator, which the table's PEs \
+             were not generated with"
+        ))
+    })
 }
 
 /// What executing a plan produced (see `NkvDb::execute`).
 #[derive(Debug, Clone)]
 pub enum PlanOutcome {
     /// A filter scan's reconciled records.
-    Records { records: Vec<u8>, count: u64, report: crate::exec::SimReport },
+    Records { records: Vec<u8>, count: u64, report: SimReport },
     /// An aggregate scan's accumulator (`any` = matched at least once).
-    Aggregate { value: u64, any: bool, report: crate::exec::SimReport },
+    Aggregate { value: u64, any: bool, report: SimReport },
     /// A point lookup's record, if found.
-    Point { record: Option<Vec<u8>>, report: crate::exec::SimReport },
+    Point { record: Option<Vec<u8>>, report: SimReport },
     /// A batched lookup's per-key outcomes, in key-list order. Each
     /// slot is independently attributed: a fault on one key's walk
     /// surfaces as that slot's typed error while the rest of the batch
     /// completes.
-    Batch { results: Vec<NkvResult<Option<Vec<u8>>>>, report: crate::exec::SimReport },
+    Batch { results: Vec<NkvResult<Option<Vec<u8>>>>, report: SimReport },
 }
 
 impl PlanOutcome {
     /// The simulation report, whatever shape the outcome took (the
     /// adaptive planner reads `sim_ns` off it for latency feedback).
-    pub fn report(&self) -> &crate::exec::SimReport {
+    pub fn report(&self) -> &SimReport {
         match self {
             PlanOutcome::Records { report, .. }
             | PlanOutcome::Aggregate { report, .. }
             | PlanOutcome::Point { report, .. }
             | PlanOutcome::Batch { report, .. } => report,
         }
+    }
+
+    // The typed views the `NkvDb` wrappers and the cluster router take
+    // of an outcome. A lowered op's outcome always has the shape of its
+    // `LogicalOp`, so the error arm means the dispatch itself is broken.
+
+    pub(crate) fn into_point(self) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
+        match self {
+            PlanOutcome::Point { record, report } => Ok((record, report)),
+            other => Err(other.wrong_shape("point lookup")),
+        }
+    }
+
+    /// A single-key batch lowers to the plain point lookup; it reads
+    /// back as a batch of one.
+    pub(crate) fn into_batch(self) -> NkvResult<(crate::db::MultiGetResults, SimReport)> {
+        match self {
+            PlanOutcome::Batch { results, report } => Ok((results, report)),
+            PlanOutcome::Point { record, report } => Ok((vec![Ok(record)], report)),
+            other => Err(other.wrong_shape("batched lookup")),
+        }
+    }
+
+    pub(crate) fn into_scan(self) -> NkvResult<crate::db::ScanSummary> {
+        match self {
+            PlanOutcome::Records { records, count, report } => {
+                Ok(crate::db::ScanSummary { records, count, report })
+            }
+            other => Err(other.wrong_shape("filter scan")),
+        }
+    }
+
+    pub(crate) fn into_aggregate(self) -> NkvResult<(u64, bool, SimReport)> {
+        match self {
+            PlanOutcome::Aggregate { value, any, report } => Ok((value, any, report)),
+            other => Err(other.wrong_shape("aggregate scan")),
+        }
+    }
+
+    fn wrong_shape(&self, wanted: &str) -> NkvError {
+        let got = match self {
+            PlanOutcome::Records { .. } => "records",
+            PlanOutcome::Aggregate { .. } => "an aggregate",
+            PlanOutcome::Point { .. } => "a point",
+            PlanOutcome::Batch { .. } => "a batch",
+        };
+        NkvError::Config(format!("{wanted} produced {got} outcome"))
     }
 }
 
@@ -421,6 +438,10 @@ mod tests {
             parallel_pes: parallel,
             aggregates: vec![ndp_ir::AggOp::Sum],
             identity_transform: identity,
+            // The standard set's encodings.
+            eq_code: Some(2),
+            ge_code: Some(4),
+            lt_code: Some(5),
         }
     }
 
@@ -512,7 +533,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.op, PhysOp::BatchedGet { keys: vec![5, 9, 1] });
-        // Batch of one is the legacy point lookup, bit for bit.
+        // Batch of one is the plain point lookup, bit for bit.
         let one =
             PhysicalPlan::lower(&LogicalOp::MultiGet { keys: vec![5] }, Backend::Hardware, &c, "t")
                 .unwrap();
@@ -542,8 +563,18 @@ mod tests {
             "t",
         )
         .unwrap();
-        assert_eq!(p.pushed.len(), 2);
-        assert_eq!(p.pushed[0], rule(0, 4, 100));
-        assert_eq!(p.pushed[1], rule(0, 5, 200));
+        assert_eq!(p.pushed, [rule(0, 4, 100), rule(0, 5, 200)]);
+        // Encodings are the table's own: `operators = { lt, ge, eq }`
+        // numbers them 1, 2, 3.
+        let reordered =
+            PlanCaps { lt_code: Some(1), ge_code: Some(2), eq_code: Some(3), ..caps(2, true, 0) };
+        let p = PhysicalPlan::lower(
+            &LogicalOp::RangeScan { lo: 100, hi: 200 },
+            Backend::Software,
+            &reordered,
+            "t",
+        )
+        .unwrap();
+        assert_eq!(p.pushed, [rule(0, 2, 100), rule(0, 1, 200)]);
     }
 }

@@ -27,8 +27,8 @@
 
 use crate::db::NkvDb;
 use crate::error::{NkvError, NkvResult};
-use crate::exec::ExecMode;
 use crate::metrics::{LatencyHistogram, OpKind};
+use crate::plan::{Backend, LogicalOp};
 use cosmos_sim::queue::{NvmeQueueConfig, QueueStats};
 use cosmos_sim::{ns_to_secs, SimNs};
 use ndp_pe::oracle::FilterRule;
@@ -98,8 +98,8 @@ pub struct ClientScript {
 pub struct QueueRunConfig {
     /// Per-client window: commands kept in flight by each client.
     pub depth: u32,
-    /// Execution mode for GET/SCAN (hardware PEs or ARM software).
-    pub mode: ExecMode,
+    /// Backend every GET/SCAN of the run is lowered for.
+    pub mode: Backend,
     /// NVMe queue geometry exposed by the controller for the run.
     pub queues: NvmeQueueConfig,
     /// Auto-batching limit: up to this many *adjacent* queued GETs of
@@ -112,7 +112,7 @@ pub struct QueueRunConfig {
 
 impl Default for QueueRunConfig {
     fn default() -> Self {
-        Self { depth: 8, mode: ExecMode::Hardware, queues: NvmeQueueConfig::default(), batch: 1 }
+        Self { depth: 8, mode: Backend::Hardware, queues: NvmeQueueConfig::default(), batch: 1 }
     }
 }
 
@@ -292,12 +292,13 @@ impl NkvDb {
                         let (qid, submit, fetch) =
                             self.platform.queue_submit_batch(client, first_cid, n as u16, at);
                         cid = cid.wrapping_add(n as u16);
-                        let (results, dones, _) =
-                            self.multi_get_at(table, &keys, cfg.mode, fetch)?;
+                        let (outcome, dones) =
+                            self.execute_at(table, &LogicalOp::MultiGet { keys }, cfg.mode, fetch)?;
+                        let (results, _) = outcome.into_batch()?;
                         let mut batch_complete = fetch;
                         for (i, (res, exec_done)) in results.into_iter().zip(dones).enumerate() {
                             // A typed per-key error aborts the run, like
-                            // the unbatched path's `?` on execute_at.
+                            // the unbatched path's `?` on run_command.
                             let rec = res?;
                             let payload = rec.unwrap_or_default();
                             let complete = self.platform.queue_complete_batched(
@@ -347,7 +348,7 @@ impl NkvDb {
             let op = &scripts[client as usize].ops[seq as usize];
             let (qid, submit, fetch) = self.platform.queue_submit(client, cid, at);
             cid = cid.wrapping_add(1);
-            let (kind, exec_done, payload) = self.execute_at(table, op, cfg.mode, fetch)?;
+            let (kind, exec_done, payload) = self.run_command(table, op, cfg.mode, fetch)?;
             let result_bytes = match op {
                 QueuedOp::Put { record } => record.len() as u64,
                 _ => payload.len() as u64,
@@ -389,51 +390,30 @@ impl NkvDb {
 
     /// Execute one command on the device starting at `now`, returning
     /// `(op kind, device-side end time, result payload)`.
-    fn execute_at(
+    fn run_command(
         &mut self,
         table: &str,
         op: &QueuedOp,
-        mode: ExecMode,
+        backend: Backend,
         now: SimNs,
     ) -> NkvResult<(OpKind, SimNs, Vec<u8>)> {
         match op {
+            // Reads go through the same core as the serial API, so
+            // lowering and its validation errors are identical.
             QueuedOp::Get { key } => {
-                let (rec, report) = self.get_at(table, *key, mode, now)?;
+                let (outcome, _) =
+                    self.execute_at(table, &LogicalOp::Get { key: *key }, backend, now)?;
+                let (rec, report) = outcome.into_point()?;
                 Ok((OpKind::Get, now + report.sim_ns, rec.unwrap_or_default()))
             }
             QueuedOp::Scan { rules } => {
-                // Lowered through the planner, so validation errors are
-                // identical to the serial `NkvDb::scan` path.
-                let summary = self.scan_at(table, rules, mode, now)?;
-                Ok((OpKind::Scan, now + summary.report.sim_ns, summary.records))
+                let op = LogicalOp::Scan { rules: rules.clone() };
+                let (outcome, _) = self.execute_at(table, &op, backend, now)?;
+                let scan = outcome.into_scan()?;
+                Ok((OpKind::Scan, now + scan.report.sim_ns, scan.records))
             }
             QueuedOp::Put { record } => {
-                let t = self.tables.get_mut(table).expect("validated by run_queued");
-                let expected = t.lsm.record_bytes();
-                if record.len() != expected {
-                    return Err(NkvError::RecordSizeMismatch {
-                        table: table.to_string(),
-                        expected,
-                        got: record.len(),
-                    });
-                }
-                // Table creation rejects records narrower than the key,
-                // but a slice panic here would abort the whole queued
-                // run — decode defensively and surface a typed error.
-                let key = record
-                    .get(..8)
-                    .and_then(|s| <[u8; 8]>::try_from(s).ok())
-                    .map(u64::from_le_bytes)
-                    .ok_or_else(|| {
-                        NkvError::Config(format!(
-                            "table `{table}`: {expected}-byte record cannot hold the 8-byte key"
-                        ))
-                    })?;
-                t.lsm.put(key, record.clone());
-                // Like the serial path: the memtable insert is free in
-                // simulated time, a PUT costs whatever flush/compaction
-                // it triggers.
-                let done = self.maintain_at(table, now)?;
+                let done = self.put_at(table, record.clone(), now)?;
                 Ok((OpKind::Put, done, Vec::new()))
             }
         }

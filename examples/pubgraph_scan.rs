@@ -13,7 +13,7 @@ use cosmos_sim::ns_to_secs;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes};
 use ndp_workload::PaperGen;
-use nkv::ExecMode;
+use nkv::Backend;
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0 / 128.0);
@@ -62,13 +62,13 @@ fn main() {
 
     // --- GET: a point lookup on the papers table.
     let sample = PaperGen::paper_at(&cfg, cfg.papers / 3);
-    for mode in [ExecMode::Software, ExecMode::Hardware] {
-        let (rec, rep) = db.get("papers", sample.id, mode).unwrap();
+    for (backend, tag) in [(Backend::Software, "sw"), (Backend::Hardware, "hw")] {
+        let (rec, rep) = db.get("papers", sample.id, backend).unwrap();
         assert!(rec.is_some());
         println!(
             "GET  paper {:7} [{}]: {:8.3} ms simulated ({} blocks read)",
             sample.id,
-            mode_name(mode),
+            tag,
             rep.sim_ns as f64 / 1e6,
             rep.blocks
         );
@@ -78,12 +78,12 @@ fn main() {
     // where near-data processing pays off.
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2015 }];
     let mut times = Vec::new();
-    for mode in [ExecMode::Software, ExecMode::Hardware] {
-        let s = db.scan("papers", &rules, mode).unwrap();
+    for (backend, tag) in [(Backend::Software, "sw"), (Backend::Hardware, "hw")] {
+        let s = db.scan("papers", &rules, backend).unwrap();
         println!(
             "SCAN papers year>=2015 [{}]: {:8.3} ms simulated, {} matches \
              ({} MB scanned)",
-            mode_name(mode),
+            tag,
             s.report.sim_ns as f64 / 1e6,
             s.count,
             s.report.bytes_scanned / 1_000_000
@@ -94,18 +94,11 @@ fn main() {
 
     // --- SCAN on the edge table with 7 ref-PEs in parallel.
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 2, value: 1980 }];
-    let s = db.scan("refs", &rules, ExecMode::Hardware).unwrap();
+    let s = db.scan("refs", &rules, Backend::Hardware).unwrap();
     println!(
         "SCAN refs year==1980 [hw, 7 PEs]: {:8.3} ms simulated, {} matches",
         s.report.sim_ns as f64 / 1e6,
         s.count
     );
     println!("total simulated device time: {:.3} s", ns_to_secs(db.clock()));
-}
-
-fn mode_name(m: ExecMode) -> &'static str {
-    match m {
-        ExecMode::Software => "sw",
-        ExecMode::Hardware => "hw",
-    }
 }

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints (deny warnings), the test suite
-# (including the golden-artifact snapshots and the plan-,
-# cache-equivalence, cluster-chaos, batched-GET and adaptive-planner
-# differential suites), the observability example (+ trace-JSON
+# Full local gate: formatting, lints (deny warnings), the workspace test
+# suite (which carries the golden-artifact snapshots and every
+# differential suite), the observability example (+ trace-JSON
 # validity), a fast-mode repro run
 # diffed against the committed reference output, a fixed-seed loadgen
 # smoke run (latency tail + parallel-PE sweep) diffed the same way, the
@@ -31,42 +30,6 @@ else
     echo "==> cargo test"
     cargo test --workspace -q
 fi
-
-echo "==> golden artifact snapshots are in sync"
-# Redundant with the workspace test run above, but kept as an explicit,
-# named gate: a drifted generator fails here even if someone filters
-# the main test invocation.
-cargo test -q -p ndp-core --test golden
-
-echo "==> plan equivalence: every backend and stream count returns identical results"
-# Also explicit and named: the planner/engine refactor is only safe
-# while software, hardware, hybrid and parallel-PE plans agree with the
-# BTreeMap model byte for byte.
-cargo test -q -p nkv --test plan_equivalence
-
-echo "==> cache equivalence: the block cache never changes results, only timing"
-# Named for the same reason: the device-DRAM cache must stay invisible
-# to every backend's bytes across clean and fault-injected runs.
-cargo test -q -p nkv --test cache_equivalence
-
-echo "==> cluster chaos: sharded reads survive device-level fault campaigns"
-# Named gate for the fleet layer: hash/range-sharded clusters must stay
-# byte-identical to a single device at N=1, serve survivors under
-# hang/power-cut/link-loss, and walk the health FSM monotonically.
-cargo test -q --test cluster_chaos
-
-echo "==> batched-GET equivalence: key-list batches match the unbatched bytes"
-# Named gate for the batched PE invocation layer: every backend x batch
-# size x fault weather (ECC storms, PE hangs mid-batch, power-cut
-# shards) must return the unbatched bytes with per-key typed errors,
-# and a batch of one must be the legacy path.
-cargo test -q --test batched_get_equivalence
-
-echo "==> adaptive planner equivalence: the cost-based tier choice never changes bytes"
-# Named gate for the adaptive planner: whatever tier the cost model
-# picks (cold or promoted, clean or under fault weather, single device
-# or sharded cluster), the returned bytes must match every forced tier.
-cargo test -q --test adaptive_equivalence
 
 echo "==> nkv hot paths carry typed errors, not unwraps"
 # The crate-level lint is the enforcement (the workspace clippy run

@@ -25,8 +25,8 @@ use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig};
 use nkv::{
-    Backend, ClusterConfig, LogicalOp, NkvCluster, NkvDb, PlanOutcome, ReadPolicy, TableConfig,
-    PROMOTE_AFTER,
+    Backend, ClusterConfig, CostReport, LogicalOp, NkvCluster, NkvDb, NkvResult, PlanOutcome,
+    ReadPolicy, TableConfig, PROMOTE_AFTER,
 };
 use std::collections::BTreeMap;
 
@@ -51,6 +51,23 @@ fn record_for(key: u64) -> Vec<u8> {
     let mut p = PaperGen::paper_at(&gen_cfg, key % 200);
     p.id = key;
     encode(&p)
+}
+
+/// Adaptive SCAN of `papers`: `(count, records)` plus the decision.
+fn adaptive_scan(db: &mut NkvDb, rules: &[FilterRule]) -> NkvResult<((u64, Vec<u8>), CostReport)> {
+    let op = LogicalOp::Scan { rules: rules.to_vec() };
+    match db.execute_adaptive("papers", &op)? {
+        (PlanOutcome::Records { records, count, .. }, cost) => Ok(((count, records), cost)),
+        (other, _) => panic!("a SCAN produced {other:?}"),
+    }
+}
+
+/// Adaptive GET on `papers`.
+fn adaptive_get(db: &mut NkvDb, key: u64) -> NkvResult<Option<Vec<u8>>> {
+    match db.execute_adaptive("papers", &LogicalOp::Get { key })? {
+        (PlanOutcome::Point { record, .. }, _) => Ok(record),
+        (other, _) => panic!("a GET produced {other:?}"),
+    }
 }
 
 fn build_db(n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
@@ -167,9 +184,8 @@ fn repeated_hot_scans_promote_from_software_to_hardware() {
     let mut choices = Vec::new();
     let mut first_bytes: Option<Vec<u8>> = None;
     for i in 0..8u64 {
-        let (summary, cost) =
-            db.scan_adaptive("papers", &rules).unwrap_or_else(|e| panic!("scan {i}: {e}"));
-        let bytes = (summary.count, summary.records);
+        let (bytes, cost) =
+            adaptive_scan(&mut db, &rules).unwrap_or_else(|e| panic!("scan {i}: {e}"));
         let flat = format!("{bytes:?}").into_bytes();
         match &first_bytes {
             None => first_bytes = Some(flat),
@@ -201,11 +217,11 @@ fn adaptive_gets_match_the_model_under_fault_weather() {
     });
     let rules = vec![FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 0 }];
     // Fault-free reference bytes for the repeated scan.
-    let (reference, _) = build_db(400).0.scan_adaptive("papers", &rules).unwrap();
+    let (reference, _) = adaptive_scan(&mut build_db(400).0, &rules).unwrap();
     for i in 0..40u64 {
         let key = 1 + (i * 11) % 400;
-        match db.get_adaptive("papers", key) {
-            Ok((rec, _, _)) => {
+        match adaptive_get(&mut db, key) {
+            Ok(rec) => {
                 assert_eq!(rec, model.get(&key).cloned(), "get({key}) diverged under fault weather")
             }
             Err(
@@ -216,11 +232,8 @@ fn adaptive_gets_match_the_model_under_fault_weather() {
             Err(e) => panic!("get({key}) -> unexpected {e}"),
         }
         if i % 8 == 0 {
-            match db.scan_adaptive("papers", &rules) {
-                Ok((summary, _)) => {
-                    assert_eq!(summary.count, reference.count, "scan {i} count drifted");
-                    assert_eq!(summary.records, reference.records, "scan {i} bytes drifted");
-                }
+            match adaptive_scan(&mut db, &rules) {
+                Ok((got, _)) => assert_eq!(got, reference, "scan {i} drifted"),
                 Err(
                     nkv::NkvError::RetriesExhausted { .. }
                     | nkv::NkvError::Flash(_)

@@ -30,7 +30,7 @@ use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
 use ndp_ir::elaborate;
 use ndp_workload::spec::{PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
-use nkv::{Backend, ClusterConfig, ExecMode, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
+use nkv::{Backend, ClusterConfig, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
 use std::collections::BTreeMap;
 
 const BATCHES: [usize; 4] = [1, 2, 16, 64];
@@ -98,7 +98,7 @@ fn key_schedule(seed: u64, n_keys: u64, len: usize) -> Vec<u64> {
 #[test]
 fn every_backend_and_batch_size_matches_the_model() {
     let schedule = key_schedule(0xBA7C, 400, 128);
-    for mode in [ExecMode::Hardware, ExecMode::Software] {
+    for mode in [Backend::Hardware, Backend::Software] {
         for batch in BATCHES {
             let (mut db, model) = build_db(400);
             for chunk in schedule.chunks(batch) {
@@ -126,7 +126,7 @@ fn every_backend_and_batch_size_matches_the_model() {
 fn batch_of_one_is_the_legacy_path_to_the_nanosecond() {
     let (mut legacy, _) = build_db(300);
     let (mut batched, _) = build_db(300);
-    for mode in [ExecMode::Hardware, ExecMode::Software] {
+    for mode in [Backend::Hardware, Backend::Software] {
         for key in [1u64, 77, 150, 299, 300, 9_999] {
             let (want, want_rep) = legacy.get("papers", key, mode).unwrap();
             let (results, got_rep) = batched.multi_get("papers", &[key], mode).unwrap();
@@ -146,7 +146,7 @@ fn descriptor_shape_violations_are_typed_config_errors() {
     let cases: [(&str, Vec<u64>); 3] =
         [("empty", vec![]), ("duplicate", vec![1, 2, 3, 2]), ("over-capacity", (0..600).collect())];
     for (name, keys) in cases {
-        match db.multi_get("papers", &keys, ExecMode::Hardware) {
+        match db.multi_get("papers", &keys, Backend::Hardware) {
             Err(NkvError::Config(msg)) => {
                 assert!(msg.contains("papers"), "{name}: Config error should name the table: {msg}")
             }
@@ -155,7 +155,7 @@ fn descriptor_shape_violations_are_typed_config_errors() {
     }
     // Shape checks happen before any device work: a valid follow-up
     // batch still runs on the same handle.
-    let (results, _) = db.multi_get("papers", &[1, 2, 3], ExecMode::Hardware).unwrap();
+    let (results, _) = db.multi_get("papers", &[1, 2, 3], Backend::Hardware).unwrap();
     assert_eq!(results.len(), 3);
 }
 
@@ -177,7 +177,7 @@ fn transient_ecc_weather_never_changes_bytes() {
         });
         let schedule = key_schedule(0x5EED + batch as u64, 400, 128);
         for chunk in schedule.chunks(batch) {
-            match db.multi_get("papers", chunk, ExecMode::Hardware) {
+            match db.multi_get("papers", chunk, Backend::Hardware) {
                 Ok((results, _)) => {
                     for (key, res) in chunk.iter().zip(results) {
                         match res {
@@ -222,7 +222,7 @@ fn pe_hang_mid_batch_falls_back_without_corruption() {
         let schedule = key_schedule(0xF00D, 400, 96);
         for chunk in schedule.chunks(batch) {
             let (results, _) = db
-                .multi_get("papers", chunk, ExecMode::Hardware)
+                .multi_get("papers", chunk, Backend::Hardware)
                 .unwrap_or_else(|e| panic!("batch={batch}: multi_get -> {e}"));
             for (key, res) in chunk.iter().zip(results) {
                 let got = res.unwrap_or_else(|e| panic!("batch={batch}: get({key}) -> {e}"));

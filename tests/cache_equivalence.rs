@@ -15,7 +15,7 @@ use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
-use nkv::{Backend, ExecMode, LogicalOp, NkvDb, PlanOutcome, TableConfig};
+use nkv::{Backend, LogicalOp, NkvDb, PlanOutcome, TableConfig};
 
 const TABLE: &str = "papers";
 /// The default device budget the acceptance gate measures at.
@@ -77,11 +77,11 @@ fn read_mix(db: &mut NkvDb, wl: &PubGraphConfig) -> Vec<u8> {
     let mut out = Vec::new();
     let rules = [year_rule(2005)];
     for _round in 0..2 {
-        let sw = db.scan(TABLE, &rules, ExecMode::Software).expect("sw scan");
+        let sw = db.scan(TABLE, &rules, Backend::Software).expect("sw scan");
         out.extend_from_slice(&sw.records);
         for streams in [0usize, 2] {
             db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-            let hw = db.scan(TABLE, &rules, ExecMode::Hardware).expect("hw scan");
+            let hw = db.scan(TABLE, &rules, Backend::Hardware).expect("hw scan");
             out.extend_from_slice(&hw.records);
         }
         db.set_parallel_pes(TABLE, 0).expect("reset");
@@ -98,7 +98,7 @@ fn read_mix(db: &mut NkvDb, wl: &PubGraphConfig) -> Vec<u8> {
         }
         for i in [0, wl.papers / 3, wl.papers - 1] {
             let key = PaperGen::paper_at(wl, i).id;
-            for mode in [ExecMode::Software, ExecMode::Hardware] {
+            for mode in [Backend::Software, Backend::Hardware] {
                 let (rec, _) = db.get(TABLE, key, mode).expect("get");
                 out.extend_from_slice(&rec.expect("loaded key must be found"));
             }
@@ -133,7 +133,7 @@ fn warm_repeated_scans_reach_the_acceptance_hit_rate() {
     let rules = [year_rule(2000)];
     let mut first = None;
     for _ in 0..4 {
-        let s = db.scan(TABLE, &rules, ExecMode::Hardware).expect("hw scan");
+        let s = db.scan(TABLE, &rules, Backend::Hardware).expect("hw scan");
         let first = first.get_or_insert_with(|| s.records.clone());
         assert_eq!(&s.records, first, "every repetition returns the same bytes");
     }
@@ -172,7 +172,7 @@ fn interleaved_puts_compactions_and_scans_stay_coherent() {
         cached.put(TABLE, rec).expect("cached put");
         written += 1;
         if i % 250 == 249 {
-            let mode = if i % 500 == 499 { ExecMode::Hardware } else { ExecMode::Software };
+            let mode = if i % 500 == 499 { Backend::Hardware } else { Backend::Software };
             let a = plain.scan(TABLE, &rules, mode).expect("plain scan");
             let b = cached.scan(TABLE, &rules, mode).expect("cached scan");
             assert_eq!(a.records, b.records, "scan after {written} puts");
@@ -219,7 +219,7 @@ fn aggregates_are_identical_with_and_without_cache() {
     let mut cached = build(true);
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
     for agg in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
-        for mode in [ExecMode::Software, ExecMode::Hardware] {
+        for mode in [Backend::Software, Backend::Hardware] {
             for _round in 0..2 {
                 let a = plain.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
                 let b = cached.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
@@ -247,16 +247,16 @@ fn hostile_pe_hang_storm_degrades_gracefully_on_every_path() {
             pe_hang_p: 1.0,
             ..FaultPlan::default()
         });
-        let want = db.scan(TABLE, &[year_rule(1900)], ExecMode::Software).expect("sw scan");
+        let want = db.scan(TABLE, &[year_rule(1900)], Backend::Software).expect("sw scan");
         // Serial and parallel hardware dispatch: every PE hangs on its
         // first claim, is retired, and the scans finish on the ARM.
         for streams in [0usize, 2, 4] {
             db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-            let hw = db.scan(TABLE, &[year_rule(1900)], ExecMode::Hardware).expect("degraded scan");
+            let hw = db.scan(TABLE, &[year_rule(1900)], Backend::Hardware).expect("degraded scan");
             assert_eq!(hw.records, want.records, "{streams} streams, cache={cache}");
         }
         let key = PaperGen::paper_at(&wl, wl.papers / 2).id;
-        let (rec, _) = db.get(TABLE, key, ExecMode::Hardware).expect("degraded get");
+        let (rec, _) = db.get(TABLE, key, Backend::Hardware).expect("degraded get");
         assert!(rec.is_some(), "degraded GET still finds the key");
         let health = db.table_health(TABLE).expect("table exists");
         assert!(health.watchdog_trips > 0, "the storm must trip the watchdog");

@@ -22,7 +22,7 @@ use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
-use nkv::{ExecMode, NkvDb, NkvError, TableConfig};
+use nkv::{Backend, NkvDb, NkvError, TableConfig};
 use std::collections::BTreeMap;
 
 fn encode(p: &Paper) -> Vec<u8> {
@@ -83,7 +83,7 @@ fn chaos_round(seed: u64) -> nkv::HealthReport {
     for step in 0..400u32 {
         let key = rng.gen_range_u64(1, 250);
         let roll = rng.gen_range_u64(0, 100);
-        let mode = if rng.gen_bool(0.5) { ExecMode::Hardware } else { ExecMode::Software };
+        let mode = if rng.gen_bool(0.5) { Backend::Hardware } else { Backend::Software };
         if roll < 55 {
             let r = record(&gen_cfg, key, step);
             match db.put("papers", r.clone()) {
@@ -146,12 +146,12 @@ fn chaos_round(seed: u64) -> nkv::HealthReport {
     db.reset_pes("papers").unwrap();
     for key in 1..250u64 {
         let (got, _) = db
-            .get("papers", key, ExecMode::Software)
+            .get("papers", key, Backend::Software)
             .unwrap_or_else(|e| panic!("seed {seed}: final get({key}) -> {e}"));
         assert_eq!(got, model.get(&key).cloned(), "seed {seed}: final state, key {key}");
     }
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }];
-    let s = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let s = db.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(s.count, model.len() as u64, "seed {seed}: final scan count");
     health
 }
@@ -215,11 +215,11 @@ fn every_injected_fault_is_visible_in_device_stats() {
     db.flush("papers").unwrap();
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }];
     for _ in 0..10 {
-        let _ = db.scan("papers", &rules, ExecMode::Hardware);
+        let _ = db.scan("papers", &rules, Backend::Hardware);
         db.reset_pes("papers").unwrap();
     }
     for key in 1..40u64 {
-        let _ = db.get("papers", key, ExecMode::Software);
+        let _ = db.get("papers", key, Backend::Software);
     }
     db.read_repair(2).unwrap();
 
@@ -261,7 +261,7 @@ fn retry_backoff_costs_simulated_time() {
     db.bulk_load("papers", PaperGen::new(gen_cfg).map(|p| encode(&p))).unwrap();
     db.platform_mut().install_faults(&plan);
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }];
-    db.scan("papers", &rules, ExecMode::Software).unwrap();
+    db.scan("papers", &rules, Backend::Software).unwrap();
     let h = db.table_health("papers").unwrap();
     assert!(h.read_retries > 0);
     assert!(
@@ -280,7 +280,7 @@ fn pe_hang_mid_scan_degrades_to_software_with_identical_results() {
     let mut clean = NkvDb::default_db();
     clean.create_table("papers", table_cfg()).unwrap();
     clean.bulk_load("papers", PaperGen::new(gen_cfg).map(|p| encode(&p))).unwrap();
-    let reference = clean.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let reference = clean.scan("papers", &rules, Backend::Hardware).unwrap();
 
     // Faulty: every PE block job hangs, so the watchdog retires the PE
     // on its first block and the rest of the scan runs on the ARM core.
@@ -292,7 +292,7 @@ fn pe_hang_mid_scan_degrades_to_software_with_identical_results() {
         pe_hang_p: 1.0,
         ..FaultPlan::default()
     });
-    let degraded = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let degraded = db.scan("papers", &rules, Backend::Hardware).unwrap();
 
     assert_eq!(degraded.records, reference.records, "degradation changed results");
     assert_eq!(degraded.count, reference.count);
@@ -322,7 +322,7 @@ fn pe_hang_without_fallback_is_a_typed_timeout() {
         ..FaultPlan::default()
     });
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }];
-    match db.scan("papers", &rules, ExecMode::Hardware) {
+    match db.scan("papers", &rules, Backend::Hardware) {
         Err(NkvError::PeTimeout { watchdog_ns, .. }) => {
             assert_eq!(watchdog_ns, 1_000_000, "default watchdog budget");
         }
@@ -345,7 +345,7 @@ fn read_repair_relocates_degrading_pages_and_survives_recovery() {
     });
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }];
     for _ in 0..3 {
-        db.scan("papers", &rules, ExecMode::Software).unwrap();
+        db.scan("papers", &rules, Backend::Software).unwrap();
     }
     let moved = db.read_repair(3).unwrap();
     assert!(moved > 0, "three full scans must push data pages past the threshold");
@@ -357,12 +357,12 @@ fn read_repair_relocates_degrading_pages_and_survives_recovery() {
     // Contents are unchanged and the rewired metadata survives a power
     // cycle (read-repair re-persisted the manifest).
     db.platform_mut().clear_faults();
-    let count = db.scan("papers", &rules, ExecMode::Hardware).unwrap().count;
+    let count = db.scan("papers", &rules, Backend::Hardware).unwrap().count;
     assert_eq!(count, gen_cfg.papers);
     let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
     fresh.flash = db.platform_mut().flash.clone();
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
-    assert_eq!(rec.scan("papers", &rules, ExecMode::Hardware).unwrap().count, count);
+    assert_eq!(rec.scan("papers", &rules, Backend::Hardware).unwrap().count, count);
 }
 
 #[test]
@@ -428,7 +428,7 @@ fn power_cut_recovery_yields_a_consistent_prefix_of_acknowledged_flushes() {
         };
         let mut state: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for key in 1..=300u64 {
-            let (got, _) = rec.get("papers", key, ExecMode::Software).unwrap();
+            let (got, _) = rec.get("papers", key, Backend::Software).unwrap();
             if let Some(r) = got {
                 state.insert(key, r);
             }

@@ -19,7 +19,7 @@ use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
-use nkv::{Backend, ExecMode, LogicalOp, NkvDb, PlanOutcome, TableConfig};
+use nkv::{Backend, LogicalOp, NkvDb, PlanOutcome, TableConfig};
 
 const TABLE: &str = "papers";
 
@@ -120,7 +120,7 @@ fn key_sorted(records: &[u8]) -> Vec<u8> {
 fn check_scan_plans(db: &mut NkvDb, model: &Model, rules: &[FilterRule], hw_legal: bool) {
     let (want, want_count) = model_scan(model, rules);
 
-    let sw = db.scan(TABLE, rules, ExecMode::Software).expect("software scan");
+    let sw = db.scan(TABLE, rules, Backend::Software).expect("software scan");
     assert_eq!(key_sorted(&sw.records), want, "software scan vs model");
     assert_eq!(sw.count, want_count);
 
@@ -134,13 +134,13 @@ fn check_scan_plans(db: &mut NkvDb, model: &Model, rules: &[FilterRule], hw_lega
     }
 
     if !hw_legal {
-        assert!(db.scan(TABLE, rules, ExecMode::Hardware).is_err(), "hardware must reject");
+        assert!(db.scan(TABLE, rules, Backend::Hardware).is_err(), "hardware must reject");
         return;
     }
     // Legacy serial dispatch first, then every parallel stream count.
     for streams in [0usize, 1, 2, 3, 4] {
         db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-        let hw = db.scan(TABLE, rules, ExecMode::Hardware).expect("hardware scan");
+        let hw = db.scan(TABLE, rules, Backend::Hardware).expect("hardware scan");
         assert_eq!(hw.records, sw.records, "hardware ({streams} streams) vs software, raw order");
         assert_eq!(hw.count, want_count, "{streams} streams");
         let stats = db.parallel_scan_stats(TABLE).expect("table exists");
@@ -215,8 +215,8 @@ fn gets_match_the_model_on_every_backend() {
     keys.push(u64::MAX); // guaranteed miss
     for key in keys {
         let want = model.get(&key).cloned();
-        let (sw, _) = db.get(TABLE, key, ExecMode::Software).expect("sw get");
-        let (hw, _) = db.get(TABLE, key, ExecMode::Hardware).expect("hw get");
+        let (sw, _) = db.get(TABLE, key, Backend::Software).expect("sw get");
+        let (hw, _) = db.get(TABLE, key, Backend::Hardware).expect("hw get");
         assert_eq!(sw, want, "software GET {key} vs model");
         assert_eq!(hw, want, "hardware GET {key} vs model");
         for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
@@ -292,9 +292,9 @@ fn aggregate_plans_match_the_model_and_each_other() {
         (AggOp::Max, ref_lanes::YEAR, *matched.iter().max().unwrap()),
     ] {
         let (sw, sw_any, _) =
-            db.scan_aggregate("refs", &rules, agg, lane, ExecMode::Software).expect("sw agg");
+            db.scan_aggregate("refs", &rules, agg, lane, Backend::Software).expect("sw agg");
         let (hw, hw_any, _) =
-            db.scan_aggregate("refs", &rules, agg, lane, ExecMode::Hardware).expect("hw agg");
+            db.scan_aggregate("refs", &rules, agg, lane, Backend::Hardware).expect("hw agg");
         assert_eq!(sw, want, "software {agg:?} vs model");
         assert_eq!(hw, want, "hardware {agg:?} vs model");
         assert!(sw_any && hw_any);

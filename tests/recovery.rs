@@ -5,7 +5,7 @@ use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig};
-use nkv::{ExecMode, NkvDb, NkvError, TableConfig};
+use nkv::{Backend, NkvDb, NkvError, TableConfig};
 
 fn encode(p: &Paper) -> Vec<u8> {
     let mut v = Vec::with_capacity(80);
@@ -33,24 +33,24 @@ fn recovery_preserves_reads_scans_and_tombstones() {
     db.persist().unwrap();
 
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 1950 }];
-    let before = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
-    let (g_before, _) = db.get("papers", 500, ExecMode::Software).unwrap();
+    let before = db.scan("papers", &rules, Backend::Hardware).unwrap();
+    let (g_before, _) = db.get("papers", 500, Backend::Software).unwrap();
 
     // Power cycle: only the flash array survives.
     let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
     fresh.flash = db.platform_mut().flash.clone();
     let mut recovered = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
 
-    let after = recovered.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let after = recovered.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(after.records, before.records);
     assert_eq!(after.count, before.count);
-    let (g_after, _) = recovered.get("papers", 500, ExecMode::Software).unwrap();
+    let (g_after, _) = recovered.get("papers", 500, Backend::Software).unwrap();
     assert_eq!(g_after, g_before);
     // The tombstone survived recovery.
-    let (gone, _) = recovered.get("papers", 200, ExecMode::Software).unwrap();
+    let (gone, _) = recovered.get("papers", 200, Backend::Software).unwrap();
     assert_eq!(gone, None);
     // The updated version still shadows the bulk one.
-    let (u, _) = recovered.get("papers", upd.id, ExecMode::Software).unwrap();
+    let (u, _) = recovered.get("papers", upd.id, Backend::Software).unwrap();
     assert_eq!(Paper::decode(&u.unwrap()).year, 1900);
 }
 
@@ -76,10 +76,10 @@ fn recovery_then_write_path_does_not_clobber_recovered_data() {
     rec.flush("papers").unwrap();
     // Untouched keys still read their original values.
     let p = PaperGen::paper_at(&cfg, 700);
-    let (got, _) = rec.get("papers", p.id, ExecMode::Software).unwrap();
+    let (got, _) = rec.get("papers", p.id, Backend::Software).unwrap();
     assert_eq!(got, Some(encode(&p)));
     // Updated keys read the new version.
-    let (got, _) = rec.get("papers", 5, ExecMode::Software).unwrap();
+    let (got, _) = rec.get("papers", 5, Backend::Software).unwrap();
     assert_eq!(Paper::decode(&got.unwrap()).venue, 9999);
 }
 
@@ -154,9 +154,9 @@ fn torn_manifest_slot_recovers_the_previous_epoch() {
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
     // Epoch 1 state: the bulk data is there, the later put is not.
     let p = PaperGen::paper_at(&cfg, 123);
-    let (got, _) = rec.get("papers", p.id, ExecMode::Software).unwrap();
+    let (got, _) = rec.get("papers", p.id, Backend::Software).unwrap();
     assert_eq!(got, Some(encode(&p)));
-    let (gone, _) = rec.get("papers", 90_000, ExecMode::Software).unwrap();
+    let (gone, _) = rec.get("papers", 90_000, Backend::Software).unwrap();
     assert_eq!(gone, None, "the torn epoch's writes must not surface");
 }
 
@@ -206,6 +206,6 @@ fn unflushed_memtable_data_is_volatile() {
     let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
     fresh.flash = db.platform_mut().flash.clone();
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
-    let (gone, _) = rec.get("papers", 90_000, ExecMode::Software).unwrap();
+    let (gone, _) = rec.get("papers", 90_000, Backend::Software).unwrap();
     assert_eq!(gone, None, "memtable contents do not survive a power cycle");
 }
