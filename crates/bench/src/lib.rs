@@ -2,7 +2,7 @@
 //! evaluation (Sec. V).
 //!
 //! Each experiment has a pure function here (consumed by the `repro`
-//! binary, the Criterion benches and the integration tests):
+//! binary and the integration tests):
 //!
 //! * [`figures::fig7a`] — GET runtimes, SW/HW × \[1\]/ours;
 //! * [`figures::fig7b`] — SCAN runtimes, SW/HW × \[1\]/ours;
@@ -25,7 +25,6 @@
 pub mod dataset;
 pub mod explain;
 pub mod figures;
-pub mod harness;
 pub mod json;
 pub mod loadgen;
 

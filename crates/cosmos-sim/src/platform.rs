@@ -299,14 +299,16 @@ impl CosmosPlatform {
     /// per-PE job chains that overlap in simulated time but are walked
     /// sequentially in host order, so every shared timeline must accept
     /// out-of-order arrivals while the chains are expanded — the same
-    /// gap-aware backfill the queue engine uses. The off-switch is a
-    /// no-op while queues are enabled (the queue run owns the mode and
-    /// restores it when it ends).
-    pub fn set_parallel_dispatch(&mut self, on: bool) {
+    /// gap-aware backfill the queue engine uses. The off-switch is
+    /// refused while queues are enabled (the queue run owns the mode and
+    /// restores it when it ends). Returns whether the mode was applied,
+    /// so per-table timelines can follow the same owner.
+    pub fn set_parallel_dispatch(&mut self, on: bool) -> bool {
         if !on && self.queues.is_some() {
-            return;
+            return false;
         }
         self.set_backfill(on);
+        true
     }
 
     /// The queue pairs, when enabled.
@@ -368,62 +370,32 @@ impl CosmosPlatform {
         }
     }
 
-    /// Admit command `cid` from `client` at `now`: pick the client's
-    /// queue pair, stall if it is full, ring the SQ doorbell (one MMIO
-    /// write) and fetch the 64 B SQE over the NVMe link. Returns
-    /// `(qid, submit_ns, fetch_done_ns)`; the command's execution should
-    /// be scheduled at `fetch_done_ns`.
+    /// Admit the single command `cid`: a
+    /// [`queue_submit_batch`](Self::queue_submit_batch) of one.
+    pub fn queue_submit(&mut self, client: u32, cid: u16, now: SimNs) -> (u16, SimNs, SimNs) {
+        self.queue_submit_batch(client, cid, 1, now)
+    }
+
+    /// Post the completion of a command submitted alone: the last (and
+    /// only) completion of its batch, see
+    /// [`queue_complete_batched`](Self::queue_complete_batched).
+    pub fn queue_complete(&mut self, qid: u16, cid: u16, exec_done: SimNs) -> SimNs {
+        self.queue_complete_batched(qid, cid, exec_done, true)
+    }
+
+    /// Admit `n >= 1` commands (consecutive cids from `first_cid`) from
+    /// `client` at `now`: pick the client's queue pair and claim `n`
+    /// slots — stalling through the full-queue window exactly as `n`
+    /// serial admissions would — then the host rings **one** SQ doorbell
+    /// (one MMIO write) and the controller fetches all `n` 64 B SQEs in a
+    /// single link burst. The `n - 1` saved doorbell writes are counted
+    /// in [`QueueStats::coalesced_doorbells`].
+    ///
+    /// Returns `(qid, submit_ns, fetch_done_ns)`; the commands' execution
+    /// should be scheduled at `fetch_done_ns`.
     ///
     /// Panics when queues are not enabled — the caller owns the choice
     /// of serial vs. queued path.
-    pub fn queue_submit(&mut self, client: u32, cid: u16, now: SimNs) -> (u16, SimNs, SimNs) {
-        let (qid, submit) = {
-            let q = self.queues.as_mut().expect("NVMe queues not enabled");
-            let qid = q.pair_for_client(client);
-            (qid, q.pair_mut(qid).admit(now))
-        };
-        let (_, fetch_done) = self.nvme.transfer(submit + timing::MMIO_WRITE_NS, SQE_BYTES);
-        if let Some(t) = &mut self.trace {
-            t.record(TraceEvent {
-                kind: TraceKind::QueueSubmit { qid, cid },
-                start: submit,
-                dur: fetch_done - submit,
-            });
-        }
-        (qid, submit, fetch_done)
-    }
-
-    /// Post the completion of command `cid` on pair `qid`: DMA the 16 B
-    /// CQE over the NVMe link after the command's execution finishes at
-    /// `exec_done`, then the host acknowledges with a CQ-head doorbell
-    /// write. Returns the completion time the host observes, and frees
-    /// the command's queue slot as of that time.
-    pub fn queue_complete(&mut self, qid: u16, cid: u16, exec_done: SimNs) -> SimNs {
-        let (_, cqe_done) = self.nvme.transfer(exec_done, CQE_BYTES);
-        let complete = cqe_done + timing::MMIO_WRITE_NS;
-        if let Some(t) = &mut self.trace {
-            t.record(TraceEvent {
-                kind: TraceKind::QueueComplete { qid, cid },
-                start: exec_done,
-                dur: complete - exec_done,
-            });
-        }
-        let q = self.queues.as_mut().expect("NVMe queues not enabled");
-        q.pair_mut(qid).commit(complete);
-        complete
-    }
-
-    /// Admit a coalesced batch of `n` commands (consecutive cids from
-    /// `first_cid`) from `client` at `now`: all `n` slots are claimed —
-    /// stalling through the full-queue window exactly as `n` serial
-    /// admissions would — but the host rings **one** SQ doorbell and the
-    /// controller fetches all `n` SQEs in a single link burst. The
-    /// `n - 1` saved doorbell writes are counted in
-    /// [`QueueStats::coalesced_doorbells`].
-    ///
-    /// Returns `(qid, submit_ns, fetch_done_ns)` like
-    /// [`queue_submit`](Self::queue_submit); with `n == 1` the timings
-    /// are identical to the unbatched call.
     pub fn queue_submit_batch(
         &mut self,
         client: u32,
@@ -454,13 +426,14 @@ impl CosmosPlatform {
         (qid, submit, fetch_done)
     }
 
-    /// Post one completion belonging to a coalesced batch: the 16 B CQE
-    /// still travels per command, but the CQ-head doorbell write-back is
-    /// deferred to the batch's **last** completion — earlier commands
+    /// Post the completion of command `cid` on pair `qid`: DMA the 16 B
+    /// CQE over the NVMe link after the command's execution finishes at
+    /// `exec_done`; the host acknowledges with one CQ-head doorbell write
+    /// per submitted batch, at its **last** completion — earlier members
     /// complete at their CQE post itself (`last == false`), saving one
     /// MMIO write each (also counted in
-    /// [`QueueStats::coalesced_doorbells`]). With `last == true` the
-    /// timing matches [`queue_complete`](Self::queue_complete) exactly.
+    /// [`QueueStats::coalesced_doorbells`]). Returns the completion time
+    /// the host observes, and frees the command's queue slot as of then.
     pub fn queue_complete_batched(
         &mut self,
         qid: u16,

@@ -60,13 +60,40 @@ pub struct IoStats {
     pub reg_reads: u64,
 }
 
-/// An in-flight job started with [`PeDriver::launch`]. Consumed by
-/// [`PeDriver::complete`]; carries the launch-time register-access cost
-/// so the completed [`JobResult`] accounts for the whole job.
+/// How a launch configures the PE: the three register protocols the
+/// platform timing model prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeInvoke {
+    /// First block of an op: the rule cache is forgotten (as after a
+    /// device reset), so everything is rewritten.
+    Cold,
+    /// Steady state: rules identical to the last configuration are
+    /// skipped; addresses, lengths and START are rewritten.
+    Warm,
+    /// A later key of a batched invocation. The datapath was configured
+    /// by the batch's first key; the PL-side key-list walker re-points
+    /// the descriptor registers itself — stage-0 reference value plus the
+    /// source/destination window — and reads the result registers back,
+    /// at fabric speed, charged to [`PeDriver::walker_io`]. Per-key
+    /// result sizes ride the result stream, so the ARM's job-path cost
+    /// collapses to the START strobe
+    /// (`timing::BATCH_KEY_CFG_WRITES == 1`, `BATCH_KEY_CFG_READS == 0`).
+    Keyed,
+}
+
+/// An in-flight job started with [`PeDriver::filter_async`]. Consumed by
+/// [`PeDriver::wait_until_done`]; carries the launch-time register-access
+/// cost, so the completed [`JobResult`] accounts for the whole job, and
+/// what the readback needs to know about the launch, so overlapping jobs
+/// cannot mix it up.
 #[derive(Debug)]
 #[must_use = "a launched job must be completed"]
 pub struct JobHandle {
     launch_io: IoStats,
+    /// The walker, not the ARM, reads the result registers back.
+    keyed: bool,
+    /// The job requested an aggregate.
+    aggregated: bool,
 }
 
 /// Result of a completed job.
@@ -120,8 +147,6 @@ pub struct PeDriver<P: PeDevice> {
     /// reconfiguring identical filter rules is skipped, like firmware
     /// that caches its last configuration).
     last_rules: Option<Vec<FilterRule>>,
-    /// Whether the last launched job requested an aggregate.
-    last_job_aggregated: bool,
 }
 
 impl<P: PeDevice> PeDriver<P> {
@@ -134,7 +159,6 @@ impl<P: PeDevice> PeDriver<P> {
             perf_io: IoStats::default(),
             walker_io: IoStats::default(),
             last_rules: None,
-            last_job_aggregated: false,
         }
     }
 
@@ -158,6 +182,17 @@ impl<P: PeDevice> PeDriver<P> {
         self.pe.mmio_read(off)
     }
 
+    /// Program one filter stage's field/operator/reference registers.
+    fn write_rule(&mut self, io: &mut IoStats, stage: u32, r: &FilterRule) {
+        let group = offsets::STAGE_BASE + stage * offsets::STAGE_STRIDE;
+        self.write(io, group + offsets::STAGE_FIELD, r.lane);
+        self.write(io, group + offsets::STAGE_OP, r.op_code);
+        self.write(io, group + offsets::STAGE_VAL_LO, r.value as u32);
+        if self.profile == DriverProfile::Generated {
+            self.write(io, group + offsets::STAGE_VAL_HI, (r.value >> 32) as u32);
+        }
+    }
+
     /// Configure the filter stages (like the header's `set_filter`).
     fn configure_rules(&mut self, io: &mut IoStats, rules: &[FilterRule]) {
         assert!(
@@ -170,13 +205,7 @@ impl<P: PeDevice> PeDriver<P> {
             return; // unchanged configuration is not rewritten
         }
         for (s, r) in rules.iter().enumerate() {
-            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
-            self.write(io, group + offsets::STAGE_FIELD, r.lane);
-            self.write(io, group + offsets::STAGE_OP, r.op_code);
-            self.write(io, group + offsets::STAGE_VAL_LO, r.value as u32);
-            if self.profile == DriverProfile::Generated {
-                self.write(io, group + offsets::STAGE_VAL_HI, (r.value >> 32) as u32);
-            }
+            self.write_rule(io, s as u32, r);
         }
         // Unused stages pass everything (nop).
         for s in rules.len()..self.pe.stages() as usize {
@@ -187,160 +216,85 @@ impl<P: PeDevice> PeDriver<P> {
     }
 
     /// Launch a job asynchronously (the header's `filter_async`):
-    /// configure everything and write START. Returns the register
-    /// accesses spent so far.
-    pub fn filter_async(&mut self, job: &FilterJob) -> IoStats {
-        self.last_job_aggregated = job.aggregate.is_some();
-        let mut io = IoStats::default();
-        self.configure_rules(&mut io, &job.rules);
-        self.write(&mut io, offsets::SRC_ADDR_LO, job.src as u32);
-        self.write(&mut io, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
-        self.write(&mut io, offsets::DST_ADDR_LO, job.dst as u32);
-        self.write(&mut io, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
+    /// configure the PE the way `invoke` says and write START.
+    pub fn filter_async(&mut self, job: &FilterJob, invoke: PeInvoke) -> JobHandle {
+        let keyed = invoke == PeInvoke::Keyed;
+        // ARM job path, and the walker's PL→PL traffic (keyed only).
+        let (mut io, mut wio) = (IoStats::default(), IoStats::default());
+        if keyed {
+            if let Some(r0) = job.rules.first() {
+                self.write_rule(&mut wio, 0, r0);
+                // Keep the rule cache coherent with what is now in the
+                // registers, so a later launch dirty-tracks correctly.
+                if let Some(cached) = self.last_rules.as_mut().and_then(|c| c.first_mut()) {
+                    *cached = *r0;
+                }
+            }
+        } else {
+            if invoke == PeInvoke::Cold {
+                self.last_rules = None;
+            }
+            self.configure_rules(&mut io, &job.rules);
+        }
+        let desc = if keyed { &mut wio } else { &mut io };
+        self.write(desc, offsets::SRC_ADDR_LO, job.src as u32);
+        self.write(desc, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
+        self.write(desc, offsets::DST_ADDR_LO, job.dst as u32);
+        self.write(desc, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
         if self.profile == DriverProfile::Generated {
-            self.write(&mut io, offsets::SRC_LEN, job.len);
-            self.write(&mut io, offsets::DST_CAPACITY, job.capacity);
+            self.write(desc, offsets::SRC_LEN, job.len);
+            self.write(desc, offsets::DST_CAPACITY, job.capacity);
         }
         if let Some((op, lane)) = job.aggregate {
             let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-            self.write(&mut io, fc + agg_offsets::AGG_FIELD, lane);
-            self.write(&mut io, fc + agg_offsets::AGG_OP, op.code());
+            self.write(desc, fc + agg_offsets::AGG_FIELD, lane);
+            self.write(desc, fc + agg_offsets::AGG_OP, op.code());
         }
         self.write(&mut io, offsets::START, 1);
-        io
+        self.walker_io.reg_writes += wio.reg_writes;
+        JobHandle { launch_io: io, keyed, aggregated: job.aggregate.is_some() }
     }
 
     /// Complete a previously launched job (the header's
     /// `wait_until_done` plus result readback). In simulation the PE
-    /// executes here; on the device this would poll STATUS.
-    pub fn wait_until_done(&mut self, mem: &mut dyn MemBus, launch_io: IoStats) -> JobResult {
-        let mut io = launch_io;
+    /// executes here; on the device this would poll STATUS. The readback
+    /// is billed to whoever performs it: the ARM job path, or the walker
+    /// for a [`PeInvoke::Keyed`] launch.
+    pub fn wait_until_done(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
+        let (mut io, mut wio) = (handle.launch_io, IoStats::default());
+        let rb = if handle.keyed { &mut wio } else { &mut io };
         let block = self.pe.execute(mem);
         let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let aggregate = if self.last_job_aggregated {
-            let lo = u64::from(self.read(&mut io, fc + agg_offsets::AGG_RESULT_LO));
-            let hi = u64::from(self.read(&mut io, fc + agg_offsets::AGG_RESULT_HI));
+        let aggregate = if handle.aggregated {
+            let lo = u64::from(self.read(rb, fc + agg_offsets::AGG_RESULT_LO));
+            let hi = u64::from(self.read(rb, fc + agg_offsets::AGG_RESULT_HI));
             Some(lo | (hi << 32))
         } else {
             None
         };
         let (result_bytes, tuples_out) = match self.profile {
             DriverProfile::Generated => {
-                let rb = self.read(&mut io, offsets::RESULT_BYTES);
-                let to = self.read(&mut io, offsets::TUPLES_OUT);
-                (rb, to)
+                let bytes = self.read(rb, offsets::RESULT_BYTES);
+                (bytes, self.read(rb, offsets::TUPLES_OUT))
             }
             DriverProfile::Baseline => {
                 // [1] derives the result size from the pass counter
                 // (fixed-size tuples): one register read.
-                let map_counter = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-                let count = self.read(&mut io, map_counter);
+                let count = self.read(rb, fc);
                 (block.result_bytes, count)
             }
         };
+        self.walker_io.reg_reads += wio.reg_reads;
         self.total_io.reg_writes += io.reg_writes;
         self.total_io.reg_reads += io.reg_reads;
         JobResult { block, result_bytes, tuples_out, aggregate, io }
     }
 
-    /// Synchronous filtering (the header's `filter_sync`).
+    /// Synchronous filtering (the header's `filter_sync`): a warm launch
+    /// and its completion in sequence.
     pub fn filter_sync(&mut self, mem: &mut dyn MemBus, job: &FilterJob) -> JobResult {
-        let io = self.filter_async(job);
-        self.wait_until_done(mem, io)
-    }
-
-    /// Launch a job and hand back an opaque in-flight handle (typed
-    /// wrapper over [`filter_async`](Self::filter_async)'s launch-cost
-    /// accounting, so callers cannot mix up the launch IoStats of two
-    /// overlapping jobs).
-    pub fn launch(&mut self, job: &FilterJob) -> JobHandle {
-        JobHandle { launch_io: self.filter_async(job) }
-    }
-
-    /// Complete a job previously started with [`launch`](Self::launch).
-    pub fn complete(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
-        self.wait_until_done(mem, handle.launch_io)
-    }
-
-    /// Forget the cached filter configuration (e.g. after device reset).
-    pub fn invalidate_config_cache(&mut self) {
-        self.last_rules = None;
-    }
-
-    /// Launch one key of a batched invocation. The datapath was fully
-    /// configured by the batch's first (cold) key; for every subsequent
-    /// key the PL-side key-list walker re-points the descriptor
-    /// registers itself — stage-0 reference value plus the source/
-    /// destination window — at fabric speed, charged to
-    /// [`walker_io`](Self::walker_io). The ARM's job-path cost collapses
-    /// to a single START strobe (`timing::BATCH_KEY_CFG_WRITES == 1`).
-    pub fn launch_keyed(&mut self, job: &FilterJob) -> JobHandle {
-        self.last_job_aggregated = job.aggregate.is_some();
-        let mut wio = IoStats::default();
-        if let Some(r0) = job.rules.first() {
-            let group = offsets::STAGE_BASE;
-            self.write(&mut wio, group + offsets::STAGE_FIELD, r0.lane);
-            self.write(&mut wio, group + offsets::STAGE_OP, r0.op_code);
-            self.write(&mut wio, group + offsets::STAGE_VAL_LO, r0.value as u32);
-            if self.profile == DriverProfile::Generated {
-                self.write(&mut wio, group + offsets::STAGE_VAL_HI, (r0.value >> 32) as u32);
-            }
-            // Keep the rule cache coherent with what is now in the
-            // registers, so a later cold launch dirty-tracks correctly.
-            if let Some(cached) = self.last_rules.as_mut().and_then(|c| c.first_mut()) {
-                *cached = *r0;
-            }
-        }
-        self.write(&mut wio, offsets::SRC_ADDR_LO, job.src as u32);
-        self.write(&mut wio, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
-        self.write(&mut wio, offsets::DST_ADDR_LO, job.dst as u32);
-        self.write(&mut wio, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
-        if self.profile == DriverProfile::Generated {
-            self.write(&mut wio, offsets::SRC_LEN, job.len);
-            self.write(&mut wio, offsets::DST_CAPACITY, job.capacity);
-        }
-        self.walker_io.reg_writes += wio.reg_writes;
-        self.walker_io.reg_reads += wio.reg_reads;
-        // ARM side: one START strobe, nothing else.
-        let mut io = IoStats::default();
-        self.write(&mut io, offsets::START, 1);
-        JobHandle { launch_io: io }
-    }
-
-    /// Complete a keyed launch. Per-key result sizes ride the result
-    /// stream itself (the walker prefixes each record with its length),
-    /// so the ARM reads nothing back (`timing::BATCH_KEY_CFG_READS ==
-    /// 0`); the walker's own readback is charged to
-    /// [`walker_io`](Self::walker_io).
-    pub fn complete_keyed(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
-        let io = handle.launch_io;
-        let block = self.pe.execute(mem);
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut wio = IoStats::default();
-        let aggregate = if self.last_job_aggregated {
-            let lo = u64::from(self.read(&mut wio, fc + agg_offsets::AGG_RESULT_LO));
-            let hi = u64::from(self.read(&mut wio, fc + agg_offsets::AGG_RESULT_HI));
-            Some(lo | (hi << 32))
-        } else {
-            None
-        };
-        let (result_bytes, tuples_out) = match self.profile {
-            DriverProfile::Generated => {
-                let rb = self.read(&mut wio, offsets::RESULT_BYTES);
-                let to = self.read(&mut wio, offsets::TUPLES_OUT);
-                (rb, to)
-            }
-            DriverProfile::Baseline => {
-                let map_counter = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-                let count = self.read(&mut wio, map_counter);
-                (block.result_bytes, count)
-            }
-        };
-        self.walker_io.reg_writes += wio.reg_writes;
-        self.walker_io.reg_reads += wio.reg_reads;
-        self.total_io.reg_writes += io.reg_writes;
-        self.total_io.reg_reads += io.reg_reads;
-        JobResult { block, result_bytes, tuples_out, aggregate, io }
+        let handle = self.filter_async(job, PeInvoke::Warm);
+        self.wait_until_done(mem, handle)
     }
 
     /// Read the hardware performance counters (the header's
@@ -478,23 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn async_then_wait_equals_sync() {
-        let (mut drv, mut mem, ge) = setup();
-        let job = FilterJob {
-            src: 0,
-            len: 200 * 20,
-            dst: 0x40000,
-            capacity: 1 << 18,
-            rules: vec![FilterRule { lane: 2, op_code: ge, value: 10 }],
-            aggregate: None,
-        };
-        let io = drv.filter_async(&job);
-        let res = drv.wait_until_done(&mut mem, io);
-        assert_eq!(res.block.tuples_in, 200);
-        assert_eq!(res.tuples_out, 180);
-    }
-
-    #[test]
     fn keyed_invocation_costs_one_strobe_and_matches_cold_results() {
         let (mut drv, mut mem, ge) = setup();
         let cold = FilterJob {
@@ -514,12 +451,18 @@ mod tests {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 90 }],
             ..cold.clone()
         };
-        let walker_before = drv.walker_io;
-        let handle = drv.launch_keyed(&keyed);
-        let res = drv.complete_keyed(&mut mem, handle);
-        assert_eq!((res.io.reg_writes, res.io.reg_reads), (1, 0));
-        assert!(drv.walker_io.reg_writes > walker_before.reg_writes);
-        assert!(drv.walker_io.reg_reads > walker_before.reg_reads);
+        let (walker_before, total_before) = (drv.walker_io, drv.total_io);
+        let handle = drv.filter_async(&keyed, PeInvoke::Keyed);
+        let res = drv.wait_until_done(&mut mem, handle);
+        assert_eq!(res.io, IoStats { reg_writes: 1, reg_reads: 0 });
+        // Register for register: the ARM job path grows by the strobe
+        // alone; the walker wrote the stage-0 rule (4), the src/dst
+        // window (4) and len/capacity (2), and read RESULT_BYTES +
+        // TUPLES_OUT back.
+        assert_eq!(drv.total_io.reg_writes - total_before.reg_writes, 1);
+        assert_eq!(drv.total_io.reg_reads, total_before.reg_reads);
+        assert_eq!(drv.walker_io.reg_writes - walker_before.reg_writes, 10);
+        assert_eq!(drv.walker_io.reg_reads - walker_before.reg_reads, 2);
         // Results are byte-for-byte what a cold launch would compute.
         let mut check = PeDriver::new(
             PeSim::new(elaborate(&parse(REFS).unwrap(), "RefPe").unwrap()),
@@ -529,7 +472,7 @@ mod tests {
         assert_eq!(res.tuples_out, reference.tuples_out);
         assert_eq!(res.result_bytes, reference.result_bytes);
         // The rule cache stayed coherent: relaunching the keyed rules
-        // cold skips reconfiguration (steady-state 7 writes).
+        // warm skips reconfiguration (steady-state 7 writes).
         let steady = drv.filter_sync(&mut mem, &keyed);
         assert_eq!(steady.io.reg_writes, 7, "keyed launch kept last_rules in sync");
     }
@@ -546,8 +489,8 @@ mod tests {
             aggregate: None,
         };
         let _ = drv.filter_sync(&mut mem, &job);
-        drv.invalidate_config_cache();
-        let res = drv.filter_sync(&mut mem, &job);
+        let handle = drv.filter_async(&job, PeInvoke::Cold);
+        let res = drv.wait_until_done(&mut mem, handle);
         assert_eq!(res.io.reg_writes, 11, "invalidation forces full reconfiguration");
     }
 
@@ -666,11 +609,10 @@ mod tests {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 50 }],
             aggregate: None,
         };
-        let handle = drv.launch(&job);
-        let res = drv.complete(&mut mem, handle);
-        drv.invalidate_config_cache();
-        let sync = drv.filter_sync(&mut mem, &job);
-        assert_eq!(res, sync);
+        let handle = drv.filter_async(&job, PeInvoke::Warm);
+        let res = drv.wait_until_done(&mut mem, handle);
+        let (mut fresh, mut mem, _) = setup();
+        assert_eq!(res, fresh.filter_sync(&mut mem, &job));
     }
 
     #[test]

@@ -22,5 +22,7 @@
 pub mod driver;
 pub mod header;
 
-pub use driver::{DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PerfReadout};
+pub use driver::{
+    DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PeInvoke, PerfReadout,
+};
 pub use header::generate_header;

@@ -42,7 +42,7 @@ use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
 use ndp_pe::oracle::FilterRule;
 use ndp_pe::pipeline::estimate_block_cycles;
-use ndp_swgen::{DriverProfile, FilterJob};
+use ndp_swgen::{DriverProfile, FilterJob, PeInvoke};
 use std::collections::{hash_map, HashMap};
 
 /// Per-driver DRAM staging layout: input buffer then output buffer.
@@ -122,28 +122,30 @@ pub(crate) fn read_index_page_resilient(
     })
 }
 
-/// Cache-aware staged read of one SST data block. On a device-DRAM
-/// block-cache hit the block bursts from DRAM into the staging buffer
-/// over the shared port — no flash traffic, no flash-DMA transfer — and
-/// a `cache_hit` span is traced. On a miss the resilient flash read
-/// runs exactly as before, the flash DMA stages the block, and the
-/// block is admitted to the cache. With the cache disabled (the
-/// default) this is the legacy read + stage path bit for bit. Returns
-/// the staging-complete time and the block bytes.
-pub(crate) fn staged_block_read(
+/// Cache-aware read of one SST data block. On a device-DRAM
+/// block-cache hit the block bursts from DRAM over the shared port — no
+/// flash traffic — and a `cache_hit` span is traced. On a miss the
+/// resilient flash read runs and the block is admitted to the cache;
+/// with `stage` the flash DMA then moves it into the PE's staging
+/// buffer, without it (the reconciliation shadow check) the ARM consumes
+/// the block in place and the read alone is charged. With the cache
+/// disabled (the default) this is the legacy read (+ stage) path bit for
+/// bit. Returns the time the block is ready and its bytes.
+pub(crate) fn block_read(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     sst: &SstMeta,
     block_idx: usize,
     now: SimNs,
+    stage: bool,
 ) -> NkvResult<(SimNs, Vec<u8>)> {
     let hit = platform.cache_mut().and_then(|c| c.lookup(sst.id, block_idx)).map(|d| d.to_vec());
     if let Some(data) = hit {
-        let staged = platform.dram.timed_transfer(DramClient::CacheHit, data.len() as u64, now);
-        platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, staged - now);
-        return Ok((staged, data));
+        let ready = platform.dram.timed_transfer(DramClient::CacheHit, data.len() as u64, now);
+        platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, ready - now);
+        return Ok((ready, data));
     }
-    let (flash_done, data) = read_block_resilient(
+    let (mut ready, data) = read_block_resilient(
         &mut platform.flash,
         &exec.resilience,
         &mut exec.health,
@@ -151,43 +153,13 @@ pub(crate) fn staged_block_read(
         block_idx,
         now,
     )?;
-    let staged = platform.dram.timed_transfer(DramClient::FlashDma, data.len() as u64, flash_done);
+    if stage {
+        ready = platform.dram.timed_transfer(DramClient::FlashDma, data.len() as u64, ready);
+    }
     if let Some(c) = platform.cache_mut() {
         c.insert(sst.id, block_idx, data.clone());
     }
-    Ok((staged, data))
-}
-
-/// Cache-aware read of one SST block for the reconciliation shadow
-/// check. The ARM consumes the block in place, so — unlike
-/// [`staged_block_read`] — a miss keeps the legacy timing exactly (the
-/// resilient flash read alone, no staging transfer); a hit is one
-/// DRAM-port burst. Misses still admit the block.
-pub(crate) fn confirm_block_read(
-    platform: &mut CosmosPlatform,
-    exec: &mut TableExec,
-    sst: &SstMeta,
-    block_idx: usize,
-    now: SimNs,
-) -> NkvResult<(SimNs, Vec<u8>)> {
-    let hit = platform.cache_mut().and_then(|c| c.lookup(sst.id, block_idx)).map(|d| d.to_vec());
-    if let Some(data) = hit {
-        let done = platform.dram.timed_transfer(DramClient::CacheHit, data.len() as u64, now);
-        platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, done - now);
-        return Ok((done, data));
-    }
-    let (done, data) = read_block_resilient(
-        &mut platform.flash,
-        &exec.resilience,
-        &mut exec.health,
-        sst,
-        block_idx,
-        now,
-    )?;
-    if let Some(c) = platform.cache_mut() {
-        c.insert(sst.id, block_idx, data.clone());
-    }
-    Ok((done, data))
+    Ok((ready, data))
 }
 
 /// Cache-aware read of an SST's index page, keyed
@@ -348,21 +320,6 @@ fn key_eq_rule(exec: &TableExec, key: u64) -> NkvResult<[FilterRule; 1]> {
     Ok([FilterRule { lane: 0, op_code, value: key }])
 }
 
-/// How a hardware block job configures the PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PeInvoke {
-    /// First block of an op: full reconfiguration, rule cache
-    /// invalidated first (the legacy `first_block = true`).
-    Cold,
-    /// Steady-state scan block: rules are cached, addresses/lengths are
-    /// rewritten (the legacy `first_block = false`).
-    Warm,
-    /// Batched-GET steady state: the PL key-list walker re-points the
-    /// descriptor registers itself; the ARM pays a single START strobe
-    /// (`timing::BATCH_KEY_CFG_WRITES`/`READS`).
-    Keyed,
-}
-
 /// One block's worth of hardware filtering (shared by GET and SCAN).
 /// Returns `(tuples_in, tuples_out, pe_cycles, io_writes, io_reads,
 /// bytes_written)`.
@@ -381,9 +338,6 @@ fn hw_filter_block(
         let out_addr = in_addr + STAGE_OUT_OFF;
         dram.write(in_addr, data);
         let drv = &mut exec.drivers[driver_idx];
-        if invoke == PeInvoke::Cold {
-            drv.invalidate_config_cache();
-        }
         let job = FilterJob {
             src: in_addr,
             len: data.len() as u32,
@@ -392,13 +346,8 @@ fn hw_filter_block(
             rules: rules.to_vec(),
             aggregate: None,
         };
-        let res = if invoke == PeInvoke::Keyed {
-            let handle = drv.launch_keyed(&job);
-            drv.complete_keyed(&mut DramBus(dram), handle)
-        } else {
-            let handle = drv.launch(&job);
-            drv.complete(&mut DramBus(dram), handle)
-        };
+        let handle = drv.filter_async(&job, invoke);
+        let res = drv.wait_until_done(&mut DramBus(dram), handle);
         let start = out.len();
         out.resize(start + res.result_bytes as usize, 0);
         dram.read(out_addr, &mut out[start..]);
@@ -457,32 +406,53 @@ fn apply_residual(
     dropped
 }
 
-/// Run one staged scan block on the plan's backend, appending passing
-/// (transformed) tuples to `out` and returning the block's completion
-/// time. `candidate`/`count_fallback` carry the caller's PE choice
-/// (round-robin for the serial path, pinned for a parallel worker);
-/// `configured[pe]` tracks whether the PE's rule registers are warm.
+/// Which PE a scan block is offered to.
+enum PeChoice<'a> {
+    /// Serial dispatch: the next healthy PE after this cursor.
+    RoundRobin(&'a mut usize),
+    /// A parallel worker's own PE.
+    Pinned(usize),
+}
+
+/// Read, stage and filter one scan block on the plan's backend,
+/// appending passing (transformed) tuples to `out` and returning the
+/// block's completion time. The read issues at `issue`; `configured[pe]`
+/// tracks whether the PE's rule registers are warm.
 #[allow(clippy::too_many_arguments)]
 fn scan_block_job(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
     all_rules: &[FilterRule],
-    data: &[u8],
-    staged: SimNs,
-    candidate: Option<usize>,
-    count_fallback: bool,
+    sst: &SstMeta,
+    block_idx: usize,
+    issue: SimNs,
+    choice: PeChoice<'_>,
     configured: &mut [bool],
     out: &mut Vec<u8>,
     report: &mut SimReport,
 ) -> NkvResult<SimNs> {
+    let (staged, data) = block_read(platform, exec, sst, block_idx, issue, true)?;
+    let data = data.as_slice();
+    report.blocks += 1;
+    report.bytes_scanned += data.len() as u64;
     if plan.backend == Backend::Software {
         let stats = exec.processor.process_block(data, all_rules, &exec.ops, out);
         report.tuples_in += u64::from(stats.tuples_in);
         report.tuples_out += u64::from(stats.tuples_out);
         return Ok(arm_filter(platform, staged, data.len() as u64));
     }
-    match claim_pe(platform, exec, candidate, count_fallback)? {
+    // The fixed-block baseline cannot express partial blocks; its
+    // firmware handles the tail block in software (see DESIGN.md), which
+    // is not a fallback: the block was never HW-eligible.
+    let baseline_tail =
+        exec.profile == DriverProfile::Baseline && (data.len() as u32) < exec.full_block_payload;
+    let candidate = match choice {
+        _ if baseline_tail => None,
+        PeChoice::RoundRobin(rr) => next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), rr),
+        PeChoice::Pinned(pe) => (!exec.pe_failed.get(pe).copied().unwrap_or(false)).then_some(pe),
+    };
+    match claim_pe(platform, exec, candidate, !baseline_tail)? {
         PeGrant::Hw(d) => {
             let before = out.len();
             let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
@@ -569,6 +539,25 @@ fn memtable_pass_done(platform: &mut CosmosPlatform, lsm: &LsmTree, start: SimNs
     t
 }
 
+/// Put the platform's shared timelines and this table's PE pool into
+/// (or back out of) gap-aware backfill, for code that expands several
+/// job chains sequentially in host order that overlap in simulated
+/// time — parallel scan workers, a batched GET's per-key walks, a queue
+/// run's commands — so every timeline must accept out-of-order arrivals.
+/// A queue run owns the mode while its queues are enabled: the platform
+/// refuses the off-switch until then, and the PE pool follows it.
+pub(crate) fn set_overlapped_dispatch(
+    platform: &mut CosmosPlatform,
+    exec: &mut TableExec,
+    on: bool,
+) {
+    if platform.set_parallel_dispatch(on) {
+        for s in &mut exec.pe_servers {
+            s.set_backfill(on);
+        }
+    }
+}
+
 /// Per-scan statistics of the parallel block phase (see
 /// `NkvDb::parallel_scan_stats`).
 #[derive(Debug, Clone)]
@@ -614,23 +603,12 @@ fn run_parallel_scan_blocks(
         streams[worker_for_channel(ch, channels, workers)].push(j);
     }
     // The worker chains are expanded sequentially in host order but
-    // overlap in simulated time, so shared timelines (and the per-PE
-    // servers) must accept out-of-order arrivals. A queue run already
-    // owns backfill mode; restore only when we turned it on.
-    let in_queue_run = platform.queues().is_some();
-    platform.set_parallel_dispatch(true);
-    for s in &mut exec.pe_servers {
-        s.set_backfill(true);
-    }
+    // overlap in simulated time.
+    set_overlapped_dispatch(platform, exec, true);
     let res = parallel_scan_streams(
         platform, exec, plan, all_rules, ssts, start, &jobs, &streams, report,
     );
-    if !in_queue_run {
-        platform.set_parallel_dispatch(false);
-        for s in &mut exec.pe_servers {
-            s.set_backfill(false);
-        }
-    }
+    set_overlapped_dispatch(platform, exec, false);
     let (outs, op_end) = res?;
     for (j, out) in outs.iter().enumerate() {
         let (rank, _, _) = jobs[j];
@@ -667,24 +645,16 @@ fn parallel_scan_streams(
         let mut t_next = start;
         for &j in stream {
             let (_, si, bi) = jobs[j];
-            let sst = ssts[si];
             let issue = t_next;
-            let (staged, data) = staged_block_read(platform, exec, sst, bi, issue)?;
-            report.blocks += 1;
-            report.bytes_scanned += data.len() as u64;
-            let partial = (data.len() as u32) < exec.full_block_payload;
-            let baseline_tail = exec.profile == DriverProfile::Baseline && partial;
-            let down = exec.pe_failed.get(pe).copied().unwrap_or(false);
-            let candidate = if baseline_tail || down { None } else { Some(pe) };
             let done = scan_block_job(
                 platform,
                 exec,
                 plan,
                 all_rules,
-                &data,
-                staged,
-                candidate,
-                !baseline_tail,
+                ssts[si],
+                bi,
+                issue,
+                PeChoice::Pinned(pe),
                 &mut configured,
                 &mut outs[j],
                 report,
@@ -761,34 +731,16 @@ pub(crate) fn run_scan(
         for (rank, sst) in ssts.iter().enumerate() {
             let rank = rank + 1; // memtable is rank 0
             for bi in 0..sst.blocks.len() {
-                let (staged, data) = staged_block_read(platform, exec, sst, bi, start)?;
-                report.blocks += 1;
-                report.bytes_scanned += data.len() as u64;
                 let before = results.len();
-                // The fixed-block baseline cannot express partial
-                // blocks; its firmware handles the tail block in
-                // software (see DESIGN.md).
-                let (candidate, count_fallback) = if plan.backend == Backend::Software {
-                    (None, false)
-                } else {
-                    let partial = (data.len() as u32) < exec.full_block_payload;
-                    let baseline_tail = exec.profile == DriverProfile::Baseline && partial;
-                    let healthy = if baseline_tail {
-                        None
-                    } else {
-                        next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), &mut driver_rr)
-                    };
-                    (healthy, !baseline_tail)
-                };
                 let done = scan_block_job(
                     platform,
                     exec,
                     plan,
                     &all_rules,
-                    &data,
-                    staged,
-                    candidate,
-                    count_fallback,
+                    sst,
+                    bi,
+                    start,
+                    PeChoice::RoundRobin(&mut driver_rr),
                     &mut configured,
                     &mut results,
                     &mut report,
@@ -817,7 +769,7 @@ pub(crate) fn run_scan(
             if newer.may_contain(key) {
                 // Bloom hit: confirm with a block read.
                 if let Some(bi) = newer.block_for(key) {
-                    let (t, data) = confirm_block_read(platform, exec, newer, bi, op_end)?;
+                    let (t, data) = block_read(platform, exec, newer, bi, op_end, false)?;
                     report.shadow_confirm_reads += 1;
                     op_end = op_end.max(t);
                     if search_block(&data, record_bytes, key)?.is_some() {
@@ -886,7 +838,7 @@ pub(crate) fn run_scan_aggregate(
     let mut configured = vec![false; exec.pe_servers.len().max(1)];
     for sst in ssts {
         for bi in 0..sst.blocks.len() {
-            let (staged, data) = staged_block_read(platform, exec, sst, bi, start)?;
+            let (staged, data) = block_read(platform, exec, sst, bi, start, true)?;
             report.blocks += 1;
             report.bytes_scanned += data.len() as u64;
             // The reduction is functional, through the shared
@@ -1021,8 +973,9 @@ fn key_search_job(
     }
 }
 
-/// Execute a lowered point-lookup plan: memtable probe, then the
-/// bloom-pruned index walk with one block search per candidate.
+/// Execute a lowered point-lookup plan: a [`key_walk`] with nothing to
+/// share, the firmware's op overhead in front and the record's NVMe
+/// transfer behind.
 pub(crate) fn run_get(
     platform: &mut CosmosPlatform,
     lsm: &LsmTree,
@@ -1034,70 +987,22 @@ pub(crate) fn run_get(
         unreachable!("run_get requires a PointLookup plan");
     };
     let mut report = SimReport::default();
-    let mut t = now + platform.firmware.op_overhead_ns();
-
-    // C0 probe.
-    let (_, tt) = platform.arm.schedule(t, timing::ARM_MEMTABLE_PROBE_NS);
-    t = tt;
-    match lsm.memtable_get(key) {
-        Some(Entry::Value(v)) => {
-            report.sim_ns = t - now;
-            return Ok((Some(v.clone()), report));
-        }
-        Some(Entry::Tombstone) => {
-            report.sim_ns = t - now;
-            return Ok((None, report));
-        }
-        None => {}
+    let start = now + platform.firmware.op_overhead_ns();
+    let (rec, mut end) =
+        key_walk(platform, lsm, exec, plan.backend, key, start, None, &mut report)?;
+    // Modelled as the firmware does it: a serial GET answered from the
+    // memtable completes at the probe and does not ride the NVMe link.
+    if let Some(r) = rec.as_ref().filter(|_| lsm.memtable_get(key).is_none()) {
+        let (nv_start, host) = platform.nvme.transfer(end, r.len() as u64);
+        platform.trace_nvme(nv_start, host - nv_start, r.len() as u64);
+        end = host;
     }
-
-    // Persistent components: index walk is sequential (the next lookup
-    // target depends on the previous miss).
-    for sst in lsm.candidate_ssts(key) {
-        // Index block read + parse on the ARM (same retry policy as data
-        // blocks; the page content is already cached in `sst`).
-        if let Some(&page) = sst.index_pages.first() {
-            let idx_done = index_page_read(platform, exec, sst.id, page, t)?;
-            let (_, parsed) = platform.arm.schedule(idx_done, 2_000);
-            t = parsed;
-        }
-        if sst.is_tombstoned(key) {
-            report.sim_ns = t - now;
-            return Ok((None, report));
-        }
-        if !sst.may_contain(key) {
-            continue;
-        }
-        let Some(bi) = sst.block_for(key) else { continue };
-        let (staged, data) = staged_block_read(platform, exec, sst, bi, t)?;
-        report.blocks += 1;
-        report.bytes_scanned += data.len() as u64;
-
-        let (found, done) = key_search_job(
-            platform,
-            exec,
-            plan.backend,
-            lsm.record_bytes(),
-            key,
-            &data,
-            staged,
-            &mut false,
-            &mut report,
-        )?;
-        t = done;
-        if let Some(rec) = found {
-            let (nv_start, host) = platform.nvme.transfer(t, rec.len() as u64);
-            platform.trace_nvme(nv_start, host - nv_start, rec.len() as u64);
-            report.sim_ns = host - now;
-            return Ok((Some(rec), report));
-        }
-    }
-    report.sim_ns = t - now;
-    Ok((None, report))
+    report.sim_ns = end - now;
+    Ok((rec, report))
 }
 
-/// Per-batch shared state: the first key of a batch to touch an index
-/// page or a data block pays its flash read; later keys reuse the
+/// What the keys of one batched GET share: the first key to touch an
+/// index page or a data block pays its flash read; later keys reuse the
 /// in-DRAM copy (waiting until it is ready when they get there first).
 /// This is what makes batching beat N serial GETs on the flash-bound
 /// walk — every key of a batch probes the same L0/L1 index pages.
@@ -1107,42 +1012,52 @@ struct BatchShared {
     index_parsed: HashMap<u64, SimNs>,
     /// `(sst.id, block)` → (staged-complete time, block bytes).
     blocks: HashMap<(u64, usize), (SimNs, Vec<u8>)>,
+    /// Whether an earlier hardware block of the batch programmed the PE
+    /// cold; every later one is a [`PeInvoke::Keyed`] strobe.
+    configured: bool,
 }
 
-/// One key's lookup inside a batched GET: [`run_get`]'s walk with three
-/// batch twists — index pages and staged blocks are shared through
-/// `shared`, the PE is configured cold only by the batch's first
-/// hardware block (`batch_configured`; every later key is a
-/// [`PeInvoke::Keyed`] strobe), and the per-key NVMe result transfer is
-/// left to the caller so results stream back in key order.
+/// One key's lookup, starting at `start`: memtable probe, then the
+/// bloom-pruned index walk with one block search per candidate. Returns
+/// the record, if any, and when the walk ended; the NVMe result transfer
+/// is the caller's. A serial GET is a batch of one with nothing to share
+/// (`batch` is `None`): it reads every index page and block itself and
+/// — the firmware keeps no rule cache across GET block jobs —
+/// re-programs the PE cold for **every** block it searches.
 #[allow(clippy::too_many_arguments)]
-fn batched_key_walk(
+fn key_walk(
     platform: &mut CosmosPlatform,
     lsm: &LsmTree,
     exec: &mut TableExec,
     backend: Backend,
     key: u64,
     start: SimNs,
-    shared: &mut BatchShared,
-    batch_configured: &mut bool,
+    mut batch: Option<&mut BatchShared>,
     report: &mut SimReport,
 ) -> NkvResult<(Option<Vec<u8>>, SimNs)> {
+    // C0 probe.
     let (_, mut t) = platform.arm.schedule(start, timing::ARM_MEMTABLE_PROBE_NS);
     match lsm.memtable_get(key) {
         Some(Entry::Value(v)) => return Ok((Some(v.clone()), t)),
         Some(Entry::Tombstone) => return Ok((None, t)),
         None => {}
     }
+    // Persistent components: the index walk is sequential (the next
+    // lookup target depends on the previous miss).
     for sst in lsm.candidate_ssts(key) {
         if let Some(&page) = sst.index_pages.first() {
-            t = match shared.index_parsed.get(&sst.id) {
+            t = match batch.as_ref().and_then(|b| b.index_parsed.get(&sst.id)) {
                 // A batch-mate already read + parsed this index page:
                 // reuse the in-DRAM parse, waiting for it if needed.
                 Some(&parsed) => t.max(parsed),
+                // Index block read + parse on the ARM (same retry policy
+                // as data blocks; the content is already cached in `sst`).
                 None => {
                     let idx_done = index_page_read(platform, exec, sst.id, page, t)?;
                     let (_, parsed) = platform.arm.schedule(idx_done, 2_000);
-                    shared.index_parsed.insert(sst.id, parsed);
+                    if let Some(b) = batch.as_deref_mut() {
+                        b.index_parsed.insert(sst.id, parsed);
+                    }
                     parsed
                 }
             };
@@ -1154,19 +1069,30 @@ fn batched_key_walk(
             continue;
         }
         let Some(bi) = sst.block_for(key) else { continue };
-        let (staged, data) = match shared.blocks.entry((sst.id, bi)) {
-            hash_map::Entry::Occupied(e) => e.into_mut(),
-            hash_map::Entry::Vacant(v) => {
-                let (s, d) = staged_block_read(platform, exec, sst, bi, t)?;
-                report.blocks += 1;
-                report.bytes_scanned += d.len() as u64;
-                v.insert((s, d))
+        let mut fetch = || -> NkvResult<(SimNs, Vec<u8>)> {
+            let read = block_read(platform, exec, sst, bi, t, true)?;
+            report.blocks += 1;
+            report.bytes_scanned += read.1.len() as u64;
+            Ok(read)
+        };
+        let (own, mut cold);
+        let ((staged, data), configured) = match batch.as_deref_mut() {
+            Some(BatchShared { blocks, configured, .. }) => {
+                let shared = match blocks.entry((sst.id, bi)) {
+                    hash_map::Entry::Occupied(e) => e.into_mut(),
+                    hash_map::Entry::Vacant(v) => v.insert(fetch()?),
+                };
+                (&*shared, configured)
+            }
+            None => {
+                // Serial GET: a private block, and a fresh flag per
+                // block — every searched block is configured cold.
+                (own, cold) = (fetch()?, false);
+                (&own, &mut cold)
             }
         };
         // A batch-mate's block may still be in flight when this key
         // gets there; a block this key read itself is staged after `t`.
-        let (staged, data) = ((*staged).max(t), data.as_slice());
-
         let (found, done) = key_search_job(
             platform,
             exec,
@@ -1174,13 +1100,13 @@ fn batched_key_walk(
             lsm.record_bytes(),
             key,
             data,
-            staged,
-            batch_configured,
+            (*staged).max(t),
+            configured,
             report,
         )?;
         t = done;
-        if let Some(rec) = found {
-            return Ok((Some(rec), t));
+        if found.is_some() {
+            return Ok((found, t));
         }
     }
     Ok((None, t))
@@ -1216,29 +1142,21 @@ pub(crate) fn run_batched_get(
     platform.trace_nvme(nv_start, dma_done - nv_start, desc.dma_bytes() as u64);
     let (_, t_start) = platform.arm.schedule(dma_done, timing::ARM_BATCH_HEADER_PARSE_NS);
 
-    // Per-key chains overlap on the shared timelines; a queue run
-    // already owns backfill mode, so restore only when we turned it on.
-    let in_queue_run = platform.queues().is_some();
-    platform.set_parallel_dispatch(true);
-    for s in &mut exec.pe_servers {
-        s.set_backfill(true);
-    }
-
+    // Per-key chains overlap on the shared timelines.
+    set_overlapped_dispatch(platform, exec, true);
     let mut shared = BatchShared::default();
-    let mut batch_configured = false;
     let mut results = Vec::with_capacity(keys.len());
     let mut dones = Vec::with_capacity(keys.len());
     let mut last_done = t_start;
     for &key in keys {
-        match batched_key_walk(
+        match key_walk(
             platform,
             lsm,
             exec,
             plan.backend,
             key,
             t_start,
-            &mut shared,
-            &mut batch_configured,
+            Some(&mut shared),
             &mut report,
         ) {
             Ok((rec, t_key)) => {
@@ -1266,12 +1184,7 @@ pub(crate) fn run_batched_get(
         }
     }
 
-    if !in_queue_run {
-        platform.set_parallel_dispatch(false);
-        for s in &mut exec.pe_servers {
-            s.set_backfill(false);
-        }
-    }
+    set_overlapped_dispatch(platform, exec, false);
     report.sim_ns = last_done.saturating_sub(now);
     Ok((results, dones, report))
 }

@@ -105,8 +105,8 @@ pub struct QueueRunConfig {
     /// Auto-batching limit: up to this many *adjacent* queued GETs of
     /// one client are folded into a single batched-GET physical op (one
     /// key-list descriptor, one PE configuration, coalesced doorbells).
-    /// `1` (the default) disables folding — the run takes the legacy
-    /// per-command code path, bit for bit.
+    /// `1` (the default) disables folding: every command is submitted,
+    /// executed and completed alone.
     pub batch: u32,
 }
 
@@ -209,21 +209,19 @@ impl NkvDb {
             return Err(NkvError::UnknownTable(table.into()));
         }
         self.platform.enable_queues(cfg.queues);
-        self.set_pe_backfill(table, true);
+        self.set_overlapped_dispatch(table, true);
         let out = self.run_queued_inner(table, scripts, cfg);
-        self.set_pe_backfill(table, false);
         self.platform.disable_queues();
+        self.set_overlapped_dispatch(table, false);
         out
     }
 
-    /// Match the table's PE pool to the platform's scheduling mode for
-    /// the duration of a queued run (see
-    /// `cosmos_sim::Server::set_backfill`).
-    fn set_pe_backfill(&mut self, table: &str, on: bool) {
+    /// The run's commands overlap in simulated time: see
+    /// [`crate::engine::set_overlapped_dispatch`]. Enabled queues own the
+    /// mode, so the off-switch comes after `disable_queues`.
+    fn set_overlapped_dispatch(&mut self, table: &str, on: bool) {
         let t = self.tables.get_mut(table).expect("validated by run_queued");
-        for pe in &mut t.exec.pe_servers {
-            pe.set_backfill(on);
-        }
+        crate::engine::set_overlapped_dispatch(&mut self.platform, &mut t.exec, on);
     }
 
     fn run_queued_inner(
@@ -252,127 +250,91 @@ impl NkvDb {
         let mut latency = LatencyHistogram::new();
         let mut cid: u16 = 0;
         while let Some(Reverse((at, prio, client, seq))) = ready.pop() {
-            // Auto-batching: fold the client's *adjacent* ready GETs —
-            // consecutive seqs, same submit time, distinct keys — into
-            // one batched-GET physical op. With `batch == 1` this whole
-            // branch is skipped and the run is the legacy path, bit for
-            // bit. Adjacency in the heap preserves per-client order: a
-            // non-GET, a duplicate key, or a later submit time ends the
-            // fold rather than being skipped over.
-            if cfg.batch > 1 {
-                if let QueuedOp::Get { key } = scripts[client as usize].ops[seq as usize] {
-                    let mut seqs = vec![seq];
-                    let mut keys = vec![key];
-                    // One descriptor never exceeds its DMA page; a
-                    // larger `cfg.batch` splits into several folds.
-                    let fold_cap =
-                        (cfg.batch as usize).min(cosmos_sim::KeyListDescriptor::MAX_KEYS);
-                    while keys.len() < fold_cap {
-                        let Some(&last_seq) = seqs.last() else { break };
-                        let expect = (at, prio, client, last_seq + 1);
-                        match ready.peek() {
-                            Some(Reverse(e)) if *e == expect => {}
-                            _ => break,
-                        }
-                        let QueuedOp::Get { key: k } =
-                            scripts[client as usize].ops[expect.3 as usize]
-                        else {
-                            break;
-                        };
-                        if keys.contains(&k) {
-                            break;
-                        }
-                        ready.pop();
-                        seqs.push(expect.3);
-                        keys.push(k);
+            // Every pop is a group of `n >= 1` commands with consecutive
+            // seqs. Auto-batching folds the client's *adjacent* ready
+            // GETs — same submit time, distinct keys, up to `cfg.batch` —
+            // into one batched-GET physical op; any other command is a
+            // group of one. Adjacency in the heap preserves per-client
+            // order: a non-GET, a duplicate key, or a later submit time
+            // ends the fold rather than being skipped over.
+            let c = client as usize;
+            let ops = &scripts[c].ops;
+            let mut keys = Vec::new();
+            if let QueuedOp::Get { key } = ops[seq as usize] {
+                keys.push(key);
+                // One descriptor never exceeds its DMA page; a larger
+                // `cfg.batch` splits into several folds.
+                let fold_cap = (cfg.batch as usize).min(cosmos_sim::KeyListDescriptor::MAX_KEYS);
+                while keys.len() < fold_cap {
+                    let next = seq + keys.len() as u32;
+                    if ready.peek() != Some(&Reverse((at, prio, client, next))) {
+                        break;
                     }
-                    if keys.len() > 1 {
-                        let n = keys.len();
-                        let first_cid = cid;
-                        let (qid, submit, fetch) =
-                            self.platform.queue_submit_batch(client, first_cid, n as u16, at);
-                        cid = cid.wrapping_add(n as u16);
-                        let (outcome, dones) =
-                            self.execute_at(table, &LogicalOp::MultiGet { keys }, cfg.mode, fetch)?;
-                        let (results, _) = outcome.into_batch()?;
-                        let mut batch_complete = fetch;
-                        for (i, (res, exec_done)) in results.into_iter().zip(dones).enumerate() {
-                            // A typed per-key error aborts the run, like
-                            // the unbatched path's `?` on run_command.
-                            let rec = res?;
-                            let payload = rec.unwrap_or_default();
-                            let complete = self.platform.queue_complete_batched(
-                                qid,
-                                first_cid.wrapping_add(i as u16),
-                                exec_done,
-                                i + 1 == n,
-                            );
-                            self.observe(OpKind::Get, complete - submit, payload.len() as u64);
-                            latency.record(complete - submit);
-                            completions.push(CommandRecord {
-                                client,
-                                seq: seqs[i],
-                                qid,
-                                kind: OpKind::Get,
-                                submit_ns: submit,
-                                fetch_ns: fetch,
-                                exec_done_ns: exec_done,
-                                complete_ns: complete,
-                                exec_ns: exec_done - fetch,
-                                result_bytes: payload.len() as u64,
-                                payload,
-                            });
-                            batch_complete = complete;
-                        }
-                        // Refill the whole window the batch consumed, at
-                        // the batch's last completion — the host drains
-                        // the CQ burst at the coalesced doorbell, so the
-                        // refills share one submit time and can fold
-                        // again next round.
-                        let c = client as usize;
-                        for _ in 0..n {
-                            if next_seq[c] < scripts[c].ops.len() {
-                                ready.push(Reverse((
-                                    batch_complete,
-                                    prio,
-                                    client,
-                                    next_seq[c] as u32,
-                                )));
-                                next_seq[c] += 1;
-                            }
-                        }
-                        continue;
+                    match ops[next as usize] {
+                        QueuedOp::Get { key } if !keys.contains(&key) => keys.push(key),
+                        _ => break,
                     }
+                    ready.pop();
                 }
             }
-            let op = &scripts[client as usize].ops[seq as usize];
-            let (qid, submit, fetch) = self.platform.queue_submit(client, cid, at);
-            cid = cid.wrapping_add(1);
-            let (kind, exec_done, payload) = self.run_command(table, op, cfg.mode, fetch)?;
-            let result_bytes = match op {
-                QueuedOp::Put { record } => record.len() as u64,
-                _ => payload.len() as u64,
+            let n = keys.len().max(1);
+            let first_cid = cid;
+            let (qid, submit, fetch) =
+                self.platform.queue_submit_batch(client, first_cid, n as u16, at);
+            cid = cid.wrapping_add(n as u16);
+            // One execution yields `(kind, exec_done, payload)` per member.
+            let members = if n > 1 {
+                let (outcome, dones) =
+                    self.execute_at(table, &LogicalOp::MultiGet { keys }, cfg.mode, fetch)?;
+                let (results, _) = outcome.into_batch()?;
+                // A typed per-key error aborts the run, like a single
+                // command's `?` on run_command.
+                results
+                    .into_iter()
+                    .zip(dones)
+                    .map(|(res, done)| Ok((OpKind::Get, done, res?.unwrap_or_default())))
+                    .collect::<NkvResult<Vec<_>>>()?
+            } else {
+                vec![self.run_command(table, &ops[seq as usize], cfg.mode, fetch)?]
             };
-            let complete = self.platform.queue_complete(qid, cid.wrapping_sub(1), exec_done);
-            self.observe(kind, complete - submit, result_bytes);
-            latency.record(complete - submit);
-            completions.push(CommandRecord {
-                client,
-                seq,
-                qid,
-                kind,
-                submit_ns: submit,
-                fetch_ns: fetch,
-                exec_done_ns: exec_done,
-                complete_ns: complete,
-                exec_ns: exec_done - fetch,
-                result_bytes,
-                payload,
-            });
-            let c = client as usize;
-            if next_seq[c] < scripts[c].ops.len() {
-                ready.push(Reverse((complete, prio, client, next_seq[c] as u32)));
-                next_seq[c] += 1;
+            let mut complete = fetch;
+            for (i, (kind, exec_done, payload)) in members.into_iter().enumerate() {
+                let seq = seq + i as u32;
+                let result_bytes = match &ops[seq as usize] {
+                    QueuedOp::Put { record } => record.len() as u64,
+                    _ => payload.len() as u64,
+                };
+                complete = self.platform.queue_complete_batched(
+                    qid,
+                    first_cid.wrapping_add(i as u16),
+                    exec_done,
+                    i + 1 == n,
+                );
+                self.observe(kind, complete - submit, result_bytes);
+                latency.record(complete - submit);
+                completions.push(CommandRecord {
+                    client,
+                    seq,
+                    qid,
+                    kind,
+                    submit_ns: submit,
+                    fetch_ns: fetch,
+                    exec_done_ns: exec_done,
+                    complete_ns: complete,
+                    exec_ns: exec_done - fetch,
+                    result_bytes,
+                    payload,
+                });
+            }
+            // Refill the whole window the group consumed, at its last
+            // completion — the host drains the CQ burst at the coalesced
+            // doorbell, so the refills share one submit time and can
+            // fold again next round.
+            for _ in 0..n {
+                if next_seq[c] < ops.len() {
+                    ready.push(Reverse((complete, prio, client, next_seq[c] as u32)));
+                    next_seq[c] += 1;
+                }
             }
         }
         completions.sort_by_key(|r| (r.complete_ns, r.client, r.seq));

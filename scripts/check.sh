@@ -10,7 +10,8 @@
 # the merged multi-device Chrome trace), the fleet profile
 # (BENCH_profile.json), the perf-regression gate against the committed
 # reference artifacts, the standalone benchmark package (unit tests +
-# smoke run), the explain subcommand, and the repro CLI's error paths.
+# smoke run + pinned sim_digests), the explain subcommand, and the
+# repro CLI's error paths.
 # Run from anywhere; operates on the repo this script lives in.
 # CHECK_SLOW=1 additionally runs the #[ignore]d long campaigns
 # (queue-engine determinism sweep) via --include-ignored.
@@ -271,11 +272,18 @@ else
     diff -u BENCH_profile.json target/BENCH_profile.json
 fi
 
-echo "==> benchmark package: unit tests + smoke run correct on all five workloads"
+echo "==> benchmark package: unit tests + smoke run correct, simulated clock pinned"
 # benchmark/ is its own workspace, so the runs above never see it. The
 # smoke run prints one result line per workload, untraced then traced.
 cargo test -q --manifest-path benchmark/Cargo.toml --offline
-test "$(benchmark/run.sh --quick | grep -c '"correct":true')" -eq 10
+benchmark/run.sh --quick > target/benchmark_quick.txt
+test "$(grep -c '"correct":true' target/benchmark_quick.txt)" -eq 10
+# Each workload's sim_digest folds every simulated time it produced; it
+# sees timing-model drift that no test and no repro figure exercises
+# (e.g. how many register writes a multi-block serial GET pays).
+awk '/^== /{run = $2 " " substr($5, 2)} / sim_digest /{for (i = 1; i < NF; i++) if ($i == "sim_digest") print run, $(i + 1)}' \
+    target/benchmark_quick.txt > target/sim_digests_quick.txt
+diff -u sim_digests_quick.txt target/sim_digests_quick.txt
 
 echo "==> repro CLI rejects bad --devices values"
 if ./target/release/repro loadgen --devices zero > /dev/null 2>&1; then

@@ -19,38 +19,19 @@
 //! 5. **explain**: `explain_adaptive` renders the chosen tier and the
 //!    per-tier cost estimates the decision was made from.
 
+mod common;
+
+use common::{build_db, record_for};
 use cosmos_sim::faults::FaultPlan;
-use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
-use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
-use ndp_workload::{Paper, PaperGen, PubGraphConfig};
+use ndp_workload::spec::paper_lanes;
 use nkv::{
     Backend, ClusterConfig, CostReport, LogicalOp, NkvCluster, NkvDb, NkvResult, PlanOutcome,
     ReadPolicy, TableConfig, PROMOTE_AFTER,
 };
-use std::collections::BTreeMap;
 
-fn encode(p: &Paper) -> Vec<u8> {
-    let mut v = Vec::with_capacity(80);
-    p.encode_into(&mut v);
-    v
-}
-
-/// Tiny LSM thresholds so a few hundred records yield the multi-SST,
-/// flash-resident shape whose tier choice is actually contested.
 fn table_cfg() -> TableConfig {
-    let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-    let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
-    cfg.lsm.memtable_bytes = 8 * 1024;
-    cfg.lsm.c1_sst_limit = 4;
-    cfg
-}
-
-fn record_for(key: u64) -> Vec<u8> {
-    let gen_cfg = PubGraphConfig { papers: 200, refs: 0, seed: 1 };
-    let mut p = PaperGen::paper_at(&gen_cfg, key % 200);
-    p.id = key;
-    encode(&p)
+    common::table_cfg(1, 4)
 }
 
 /// Adaptive SCAN of `papers`: `(count, records)` plus the decision.
@@ -68,21 +49,6 @@ fn adaptive_get(db: &mut NkvDb, key: u64) -> NkvResult<Option<Vec<u8>>> {
         (PlanOutcome::Point { record, .. }, _) => Ok(record),
         (other, _) => panic!("a GET produced {other:?}"),
     }
-}
-
-fn build_db(n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
-    let mut db = NkvDb::default_db();
-    db.create_table("papers", table_cfg()).unwrap();
-    let mut model = BTreeMap::new();
-    for key in 1..=n {
-        let r = record_for(key);
-        db.put("papers", r.clone()).unwrap();
-        model.insert(key, r);
-        if key % 64 == 0 {
-            db.flush("papers").unwrap();
-        }
-    }
-    (db, model)
 }
 
 /// The op shapes the suite sweeps: point/absent GETs, batched GETs,

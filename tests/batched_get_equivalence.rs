@@ -25,54 +25,19 @@
 //!    (`Available`) or fails typed (`Strict`) without disturbing the
 //!    other shards' keys.
 
+mod common;
+
+use common::{build_db, record_for};
 use cosmos_sim::faults::FaultPlan;
 use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
-use ndp_ir::elaborate;
-use ndp_workload::spec::{PAPER_PE, PAPER_REF_SPEC};
-use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
+use ndp_workload::SplitMix64;
 use nkv::{Backend, ClusterConfig, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
 use std::collections::BTreeMap;
 
 const BATCHES: [usize; 4] = [1, 2, 16, 64];
 
-fn encode(p: &Paper) -> Vec<u8> {
-    let mut v = Vec::with_capacity(80);
-    p.encode_into(&mut v);
-    v
-}
-
-/// Tiny LSM thresholds so a few hundred records produce the multi-SST
-/// shape whose index walks batching actually shares.
 fn table_cfg() -> TableConfig {
-    let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-    let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
-    cfg.lsm.memtable_bytes = 8 * 1024;
-    cfg.lsm.c1_sst_limit = 4;
-    cfg
-}
-
-fn record_for(key: u64) -> Vec<u8> {
-    let gen_cfg = PubGraphConfig { papers: 200, refs: 0, seed: 1 };
-    let mut p = PaperGen::paper_at(&gen_cfg, key % 200);
-    p.id = key;
-    encode(&p)
-}
-
-/// A store with `n` records spread across the memtable and several
-/// overlapping SSTs, plus its model.
-fn build_db(n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
-    let mut db = NkvDb::default_db();
-    db.create_table("papers", table_cfg()).unwrap();
-    let mut model = BTreeMap::new();
-    for key in 1..=n {
-        let r = record_for(key);
-        db.put("papers", r.clone()).unwrap();
-        model.insert(key, r);
-        if key % 64 == 0 {
-            db.flush("papers").unwrap();
-        }
-    }
-    (db, model)
+    common::table_cfg(1, 4)
 }
 
 /// The seeded key schedule: mostly present keys, a sprinkle of absent
@@ -138,6 +103,44 @@ fn batch_of_one_is_the_legacy_path_to_the_nanosecond() {
             );
         }
     }
+}
+
+/// What batching saves is modelled, not incidental: the firmware keeps
+/// no rule cache across a serial GET's block jobs, so it re-programs the
+/// PE cold for *every* block the walk searches; only a key list carries
+/// one configuration across blocks and keys. No committed artifact pins
+/// this — a walk that shared the configured flag across a serial GET's
+/// blocks would only move the benchmark's `sim_digest`.
+#[test]
+fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
+    // Churn: keys arrive scattered, so every L0 SST spans the whole key
+    // range and a GET for an older key has to get past each newer SST's
+    // bloom filter — a false positive costs a searched block.
+    let n = 1_500u64;
+    let mut db = NkvDb::default_db();
+    db.create_table("papers", table_cfg()).unwrap();
+    for i in 0..n {
+        db.put("papers", record_for(1 + (i * 7_919) % n)).unwrap();
+    }
+    let reports: Vec<_> =
+        (1..=n).map(|key| (key, db.get("papers", key, Backend::Hardware).unwrap().1)).collect();
+    // The cold cost of a one-rule job, read off a one-block GET.
+    let (easy_key, cold) =
+        reports.iter().find(|(_, r)| r.blocks == 1).expect("some GET searches one block");
+    assert!(cold.reg_writes > cosmos_sim::timing::OURS_CFG_WRITES, "cold writes rules too");
+    let (key, serial) = reports
+        .iter()
+        .find(|(_, r)| r.blocks >= 2)
+        .expect("some bloom false positive makes a GET search two blocks");
+    assert_eq!(serial.reg_writes, serial.blocks * cold.reg_writes, "key {key}: cold per block");
+    assert_eq!(serial.reg_reads, serial.blocks * cold.reg_reads, "key {key}: cold per block");
+    // The same key in a list of two: one cold configuration, then one
+    // START strobe per further block — cheaper than the serial key alone.
+    let (results, batched) = db.multi_get("papers", &[*key, *easy_key], Backend::Hardware).unwrap();
+    assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))));
+    let strobes = serial.blocks * cosmos_sim::timing::BATCH_KEY_CFG_WRITES;
+    assert_eq!(batched.reg_writes, cold.reg_writes + strobes);
+    assert!(batched.reg_writes < serial.reg_writes, "{batched:?} vs {serial:?}");
 }
 
 #[test]

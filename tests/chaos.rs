@@ -16,29 +16,21 @@
 //!
 //! Plans are seeded, so any failure replays from the printed seed.
 
+mod common;
+
+use common::encode;
 use cosmos_sim::faults::{FaultPlan, FlashFaultKind, ScheduledFault};
 use cosmos_sim::PhysAddr;
-use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
-use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
+use ndp_workload::spec::paper_lanes;
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
 use nkv::{Backend, NkvDb, NkvError, TableConfig};
 use std::collections::BTreeMap;
 
-fn encode(p: &Paper) -> Vec<u8> {
-    let mut v = Vec::with_capacity(80);
-    p.encode_into(&mut v);
-    v
-}
-
-/// Table with a tiny memtable and an aggressive compaction trigger so a
-/// few hundred operations exercise flush + compaction under faults.
+/// Aggressive compaction trigger, so a few hundred operations exercise
+/// flush + compaction under faults.
 fn table_cfg() -> TableConfig {
-    let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-    let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
-    cfg.lsm.memtable_bytes = 8 * 1024;
-    cfg.lsm.c1_sst_limit = 2;
-    cfg
+    common::table_cfg(1, 2)
 }
 
 fn record(cfg: &PubGraphConfig, key: u64, step: u32) -> Vec<u8> {

@@ -22,39 +22,23 @@
 //! 5. **gray failure**: a slow-but-alive device changes *when*, never
 //!    *what* — identical bytes, stretched simulated time.
 
+mod common;
+
+use common::record_for;
 use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
-use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
-use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
-use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
+use ndp_workload::spec::paper_lanes;
+use ndp_workload::SplitMix64;
 use nkv::{
     Backend, ClientScript, ClusterConfig, LogicalOp, NkvCluster, NkvDb, NkvError, PlanOutcome,
     QueueRunConfig, QueuedOp, ReadPolicy, ShardState, TableConfig,
 };
 use std::collections::BTreeMap;
 
-fn encode(p: &Paper) -> Vec<u8> {
-    let mut v = Vec::with_capacity(80);
-    p.encode_into(&mut v);
-    v
-}
-
 /// The papers table with `n_pes` PEs and the chaos suite's tiny LSM
 /// thresholds.
 fn table_cfg(n_pes: usize) -> TableConfig {
-    let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-    let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
-    cfg.n_pes = n_pes;
-    cfg.lsm.memtable_bytes = 8 * 1024;
-    cfg.lsm.c1_sst_limit = 2;
-    cfg
-}
-
-fn record_for(key: u64) -> Vec<u8> {
-    let gen_cfg = PubGraphConfig { papers: 200, refs: 0, seed: 1 };
-    let mut p = PaperGen::paper_at(&gen_cfg, key % 200);
-    p.id = key;
-    encode(&p)
+    common::table_cfg(n_pes, 2)
 }
 
 /// Keys 1..=n with deterministic payloads, in bulk-load order.
