@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin repro -- loadgen [--clients 1,4,16] \
 //!     [--depth D] [--ops N] [--seed S] [--scale F] [--cache-mb M] \
 //!     [--devices 1,2,4] [--batch B] [--qos] [--json out.json] \
-//!     [--json-force] [--trace t.json]
+//!     [--trace t.json]
 //! cargo run --release -p bench --bin repro -- profile [--devices 4] \
 //!     [--json BENCH_profile.json] [--trace t.json]
 //! cargo run --release -p bench --bin repro -- explain refs year>=2010 --backend adaptive
@@ -30,181 +30,179 @@ use std::env;
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("explain") {
-        return explain(&args[1..]);
+    if let Err(e) = parse_args(&args).and_then(run) {
+        die(&e);
     }
-    let mut cmds: Vec<&str> = Vec::new();
+}
+
+/// What one command line asks for. Every argument error `repro` can
+/// detect before running anything is an `Err` of [`parse_args`].
+#[derive(Debug)]
+enum Invocation {
+    /// `repro explain <table> <query...> [--backend sw|hw|hybrid|adaptive]
+    /// [--cache-mb M]` — no dataset, no simulation: lower the query and
+    /// print the plan (against a cache-equipped device when M > 0).
+    Explain { table: String, query: Vec<String>, backend: String, cache_mb: usize },
+    /// Experiments in command-line order.
+    Experiments {
+        cmds: Vec<String>,
+        scale: f64,
+        lg: bench::LoadgenConfig,
+        json_path: Option<String>,
+        trace_path: Option<String>,
+    },
+}
+
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    if args.first().map(String::as_str) == Some("explain") {
+        return parse_explain(&args[1..]);
+    }
+    let mut cmds: Vec<String> = Vec::new();
     let mut scale = 1.0 / 8.0;
     let mut scale_set = false;
     let mut lg = bench::LoadgenConfig::default();
     let mut json_path: Option<String> = None;
-    let mut json_force = false;
     let mut trace_path: Option<String> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         if !a.starts_with("--") {
-            cmds.push(a.as_str());
+            cmds.push(a.clone());
             continue;
         }
-        let mut value = |flag: &str| {
-            iter.next().map(String::as_str).unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
+        let mut value = || iter.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
             "--full" => {
                 scale = 1.0;
                 scale_set = true;
             }
             "--scale" => {
-                scale = value("--scale").parse().unwrap_or_else(|_| die("--scale needs a number"));
+                scale = value()?.parse().map_err(|_| "--scale needs a number")?;
                 scale_set = true;
             }
             "--clients" => {
-                lg.clients = value("--clients")
+                lg.clients = value()?
                     .split(',')
-                    .map(|c| c.parse().unwrap_or_else(|_| die("--clients needs n[,n...]")))
-                    .collect();
+                    .map(|c| c.parse().map_err(|_| "--clients needs n[,n...]"))
+                    .collect::<Result<_, _>>()?;
             }
-            "--depth" => {
-                lg.depth =
-                    value("--depth").parse().unwrap_or_else(|_| die("--depth needs an integer"));
-            }
+            "--depth" => lg.depth = value()?.parse().map_err(|_| "--depth needs an integer")?,
             "--ops" => {
-                lg.ops_per_client =
-                    value("--ops").parse().unwrap_or_else(|_| die("--ops needs an integer"));
+                lg.ops_per_client = value()?.parse().map_err(|_| "--ops needs an integer")?;
             }
-            "--seed" => {
-                lg.seed =
-                    value("--seed").parse().unwrap_or_else(|_| die("--seed needs an integer"));
-            }
+            "--seed" => lg.seed = value()?.parse().map_err(|_| "--seed needs an integer")?,
             "--cache-mb" => {
-                lg.cache_mb = value("--cache-mb")
-                    .parse()
-                    .unwrap_or_else(|_| die("--cache-mb needs an integer (MiB)"));
+                lg.cache_mb = value()?.parse().map_err(|_| "--cache-mb needs an integer (MiB)")?;
             }
             "--devices" => {
-                lg.devices = value("--devices")
+                lg.devices = value()?
                     .split(',')
                     .map(|d| match d.parse() {
-                        Ok(n) if n >= 1 => n,
-                        _ => die("--devices needs n[,n...] with every n >= 1"),
+                        Ok(n) if n >= 1 => Ok(n),
+                        _ => Err("--devices needs n[,n...] with every n >= 1"),
                     })
-                    .collect();
+                    .collect::<Result<_, _>>()?;
             }
             "--batch" => {
                 // No upper bound: folds beyond one key-list DMA page
                 // (510 keys) split into multiple descriptors.
-                lg.batch = match value("--batch").parse::<u32>() {
+                lg.batch = match value()?.parse::<u32>() {
                     Ok(n) if n >= 1 => n,
-                    _ => die("--batch needs an integer >= 1"),
+                    _ => return Err("--batch needs an integer >= 1".into()),
                 };
             }
-            "--qos" => {
-                lg.qos = true;
-            }
-            "--json" => {
-                json_path = Some(value("--json").to_string());
-            }
-            "--json-force" => {
-                json_force = true;
-            }
-            "--trace" => {
-                trace_path = Some(value("--trace").to_string());
-            }
-            other => die(&format!("unknown flag `{other}`")),
+            "--qos" => lg.qos = true,
+            "--json" => json_path = Some(value()?.clone()),
+            "--trace" => trace_path = Some(value()?.clone()),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if scale_set {
         lg.scale = scale;
     }
     if cmds.is_empty() {
-        cmds.push("all");
+        cmds.push("all".into());
     }
     // Validate every subcommand up front so a typo in the third one
     // doesn't waste the first two's simulation time.
     const KNOWN: [&str; 9] =
         ["all", "fig7a", "fig7b", "table1", "fig8", "fig9", "ablations", "profile", "loadgen"];
-    if let Some(bad) = cmds.iter().find(|c| !KNOWN.contains(c)) {
-        die(&format!("unknown experiment `{bad}`"));
+    if let Some(bad) = cmds.iter().find(|c| !KNOWN.contains(&c.as_str())) {
+        return Err(format!("unknown experiment `{bad}`"));
     }
-    // A non-default configuration refuses to clobber an existing --json
-    // artifact (the committed references are fixed-seed smoke runs);
-    // --json-force overrides for intentional regeneration.
-    let non_default = scale_set || lg != bench::LoadgenConfig::default();
     if let Some(path) = &trace_path {
-        if !cmds.iter().any(|c| matches!(*c, "loadgen" | "profile")) {
-            die("--trace only applies to the loadgen and profile experiments");
+        if !cmds.iter().any(|c| c == "loadgen" || c == "profile") {
+            return Err("--trace only applies to the loadgen and profile experiments".into());
         }
-        if cmds.contains(&"loadgen") && lg.devices.is_empty() {
-            die("loadgen --trace needs --devices (the merged trace comes from the cluster run)");
+        if cmds.iter().any(|c| c == "loadgen") && lg.devices.is_empty() {
+            return Err(
+                "loadgen --trace needs --devices (the merged trace comes from the cluster run)"
+                    .into(),
+            );
         }
         // Probe writability up front so a bad path fails before the
         // simulation time is spent, not after.
         std::fs::File::create(path)
-            .unwrap_or_else(|e| die(&format!("cannot write --trace file {path}: {e}")));
+            .map_err(|e| format!("cannot write --trace file {path}: {e}"))?;
     }
-
-    for cmd in cmds {
-        match cmd {
-            "all" => {
-                table1();
-                fig8();
-                fig9();
-                fig7a(scale);
-                fig7b(scale);
-                ablations(scale);
-            }
-            "fig7a" => fig7a(scale),
-            "fig7b" => fig7b(scale),
-            "table1" => table1(),
-            "fig8" => fig8(),
-            "fig9" => fig9(),
-            "ablations" => ablations(scale),
-            "profile" => profile(
-                scale,
-                &lg,
-                json_path.as_deref(),
-                trace_path.as_deref(),
-                non_default,
-                json_force,
-            ),
-            "loadgen" => {
-                loadgen(&lg, json_path.as_deref(), trace_path.as_deref(), non_default, json_force)
-            }
-            _ => unreachable!(),
-        }
-    }
+    Ok(Invocation::Experiments { cmds, scale, lg, json_path, trace_path })
 }
 
-/// `repro explain <table> <query...> [--backend sw|hw|hybrid]
-/// [--cache-mb M]` — no dataset, no simulation: lower the query and
-/// print the plan (against a cache-equipped device when M > 0).
-fn explain(args: &[String]) {
+fn parse_explain(args: &[String]) -> Result<Invocation, String> {
     let mut backend = "hw".to_string();
     let mut cache_mb = 0usize;
     let mut pos: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         if a == "--backend" {
-            backend = iter.next().cloned().unwrap_or_else(|| die("--backend needs a value"));
+            backend = iter.next().ok_or("--backend needs a value")?.clone();
         } else if a == "--cache-mb" {
             cache_mb = iter
                 .next()
                 .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die("--cache-mb needs an integer (MiB)"));
+                .ok_or("--cache-mb needs an integer (MiB)")?;
         } else if a.starts_with("--") {
-            die(&format!("unknown flag `{a}`"));
+            return Err(format!("unknown flag `{a}`"));
         } else {
             pos.push(a.clone());
         }
     }
     if pos.is_empty() {
-        die("explain needs a table: explain <table> <query...>");
+        return Err("explain needs a table: explain <table> <query...>".into());
     }
     let table = pos.remove(0);
-    match bench::explain::explain(&table, &pos, &backend, cache_mb) {
-        Ok(text) => print!("{text}"),
-        Err(e) => die(&e),
+    Ok(Invocation::Explain { table, query: pos, backend, cache_mb })
+}
+
+fn run(inv: Invocation) -> Result<(), String> {
+    match inv {
+        Invocation::Explain { table, query, backend, cache_mb } => {
+            print!("{}", bench::explain::explain(&table, &query, &backend, cache_mb)?);
+        }
+        Invocation::Experiments { cmds, scale, lg, json_path, trace_path } => {
+            for cmd in &cmds {
+                match cmd.as_str() {
+                    "all" => {
+                        table1();
+                        fig8();
+                        fig9();
+                        fig7a(scale);
+                        fig7b(scale);
+                        ablations(scale);
+                    }
+                    "fig7a" => fig7a(scale),
+                    "fig7b" => fig7b(scale),
+                    "table1" => table1(),
+                    "fig8" => fig8(),
+                    "fig9" => fig9(),
+                    "ablations" => ablations(scale),
+                    "profile" => profile(scale, &lg, json_path.as_deref(), trace_path.as_deref())?,
+                    "loadgen" => loadgen(&lg, json_path.as_deref(), trace_path.as_deref())?,
+                    _ => unreachable!("parse_args admits only KNOWN experiments"),
+                }
+            }
+        }
     }
+    Ok(())
 }
 
 fn die(msg: &str) -> ! {
@@ -214,7 +212,7 @@ fn die(msg: &str) -> ! {
          \x20            [--scale F | --full]\n\
          \x20            [--clients n[,n...]] [--depth D] [--ops N] [--seed S]\n\
          \x20            [--cache-mb M] [--devices n[,n...]] [--batch B] [--qos]\n\
-         \x20            [--json PATH] [--json-force] [--trace PATH]  (loadgen, profile)\n\
+         \x20            [--json PATH] [--trace PATH]  (loadgen, profile)\n\
          \x20            loadgen --devices ... --trace t.json writes the merged cluster\n\
          \x20            trace; profile --devices N adds the fleet ClusterStats fold;\n\
          \x20            loadgen --qos adds the mixed-priority FIFO-vs-QoS sweep\n\
@@ -345,9 +343,7 @@ fn profile(
     lg: &bench::LoadgenConfig,
     json_path: Option<&str>,
     trace_path: Option<&str>,
-    non_default: bool,
-    json_force: bool,
-) {
+) -> Result<(), String> {
     header("Profile — where the device time goes (observability stack)");
     println!("building the database with metrics + tracing enabled ...");
     let p = figures::profile(scale, 16);
@@ -436,50 +432,39 @@ fn profile(
         // With --devices the merged cluster flame graph wins; without,
         // the single-device trace is exported directly.
         let json = fleet_trace.as_deref().unwrap_or(&p.trace_json);
-        std::fs::write(path, json)
-            .unwrap_or_else(|e| die(&format!("cannot write --trace file {path}: {e}")));
+        write_file(path, json)?;
         eprintln!("wrote Chrome trace to {path}");
     }
     if let Some(path) = json_path {
         let b = figures::profile_bench(scale, lg.seed, fleet_devices.unwrap_or(4));
-        write_artifact(path, &bench::json::profile_bench_json(&b), non_default, json_force);
+        write_file(path, &bench::json::profile_bench_json(&b))?;
+        eprintln!("wrote machine-readable results to {path}");
     }
+    Ok(())
 }
 
 fn loadgen(
     cfg: &bench::LoadgenConfig,
     json_path: Option<&str>,
     trace_path: Option<&str>,
-    non_default: bool,
-    json_force: bool,
-) {
+) -> Result<(), String> {
     header("Loadgen — closed-loop multi-client throughput (beyond-paper)");
     println!("building one database per client count ...");
     let (fig, trace) = bench::loadgen::loadgen_traced(cfg, trace_path.is_some());
     print!("{}", bench::loadgen::render(&fig));
     if let Some(path) = json_path {
-        write_artifact(path, &bench::loadgen::bench_json(&fig), non_default, json_force);
+        write_file(path, &bench::loadgen::bench_json(&fig))?;
+        eprintln!("wrote machine-readable results to {path}");
     }
     if let (Some(path), Some(json)) = (trace_path, trace) {
-        std::fs::write(path, json)
-            .unwrap_or_else(|e| die(&format!("cannot write --trace file {path}: {e}")));
+        write_file(path, &json)?;
         eprintln!("wrote merged cluster trace to {path}");
     }
+    Ok(())
 }
 
-/// Write a `BENCH_*.json` artifact, refusing to clobber an existing file
-/// from a non-default configuration unless `--json-force` was given —
-/// the committed references must not silently pick up numbers from a
-/// non-smoke run.
-fn write_artifact(path: &str, json: &str, non_default: bool, force: bool) {
-    if non_default && !force && std::path::Path::new(path).exists() {
-        die(&format!(
-            "refusing to overwrite existing {path} with a non-default configuration's \
-             results; pass --json-force to replace it"
-        ));
-    }
-    std::fs::write(path, json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    eprintln!("wrote machine-readable results to {path}");
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn ablations(scale: f64) {
@@ -503,4 +488,100 @@ fn ablations(scale: f64) {
         "    filtering SCAN moves {scan_b} result bytes in {scan_s:.4} s; \
          on-device COUNT moves {agg_b} bytes in {agg_s:.4} s"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Invocation, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn every_rejected_command_line_is_an_error_naming_the_cause() {
+        for (line, cause) in [
+            ("loadgen --devices zero", "--devices needs n[,n...] with every n >= 1"),
+            ("loadgen --devices 0", "--devices needs n[,n...] with every n >= 1"),
+            ("loadgen --devices 1,0", "--devices needs n[,n...] with every n >= 1"),
+            ("loadgen --batch 0", "--batch needs an integer >= 1"),
+            ("loadgen --batch banana", "--batch needs an integer >= 1"),
+            // No cluster run, no merged trace — refused before the
+            // writability probe would create the file.
+            ("loadgen --trace repro-test-never-created.json", "loadgen --trace needs --devices"),
+            ("fig7b --trace t.json", "--trace only applies"),
+            (
+                "loadgen --devices 1,2 --trace /nonexistent-dir/trace.json",
+                "cannot write --trace file /nonexistent-dir/trace.json",
+            ),
+            ("definitely-not-an-experiment", "unknown experiment `definitely-not-an-experiment`"),
+            ("fig7a fig7b tabel1", "unknown experiment `tabel1`"),
+            ("all --definitely-not-a-flag", "unknown flag `--definitely-not-a-flag`"),
+            ("all --json-force", "unknown flag `--json-force`"),
+            ("all --scale", "--scale needs a value"),
+            ("all --scale big", "--scale needs a number"),
+            ("loadgen --clients 1,x", "--clients needs n[,n...]"),
+            ("explain", "explain needs a table"),
+            ("explain refs year>=2010 --backend", "--backend needs a value"),
+            ("explain refs year>=2010 --cache-mb lots", "--cache-mb needs an integer (MiB)"),
+            ("explain refs --definitely-not-a-flag", "unknown flag `--definitely-not-a-flag`"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(cause), "`{line}`: {err}");
+        }
+        assert!(!std::path::Path::new("repro-test-never-created.json").exists());
+    }
+
+    #[test]
+    fn accepted_command_lines_carry_their_values() {
+        let Ok(Invocation::Experiments { cmds, scale, lg, json_path, trace_path }) = parse("")
+        else {
+            panic!("no arguments means `all`");
+        };
+        assert_eq!(cmds, ["all"]);
+        assert_eq!(scale, 1.0 / 8.0);
+        assert_eq!(lg.scale, bench::LoadgenConfig::default().scale, "loadgen keeps its own scale");
+        assert_eq!((json_path, trace_path), (None, None));
+
+        // Beyond one key-list DMA page (510 keys) is legal: the queue
+        // engine splits the fold into capacity-sized descriptors.
+        let Ok(Invocation::Experiments { cmds, scale, lg, json_path, .. }) = parse(
+            "fig7a loadgen --scale 0.5 --clients 1,4 --depth 2 --ops 3 --seed 9 --cache-mb 8 \
+             --devices 1,2,4 --batch 511 --qos --json out.json",
+        ) else {
+            panic!("every flag parses");
+        };
+        assert_eq!(cmds, ["fig7a", "loadgen"]);
+        assert_eq!((scale, lg.scale), (0.5, 0.5), "--scale feeds the figures and loadgen");
+        assert_eq!((lg.clients, lg.depth, lg.ops_per_client, lg.seed), (vec![1, 4], 2, 3, 9));
+        assert_eq!((lg.cache_mb, lg.devices, lg.batch, lg.qos), (8, vec![1, 2, 4], 511, true));
+        assert_eq!(json_path.as_deref(), Some("out.json"));
+
+        let Ok(Invocation::Explain { table, query, backend, cache_mb }) =
+            parse("explain refs year>=2010 venue==3 --backend hybrid --cache-mb 8")
+        else {
+            panic!("explain parses");
+        };
+        assert_eq!((table.as_str(), backend.as_str(), cache_mb), ("refs", "hybrid", 8));
+        assert_eq!(query, ["year>=2010", "venue==3"]);
+    }
+
+    #[test]
+    fn a_writable_trace_path_is_probed_and_accepted() {
+        let path = std::env::temp_dir().join(format!("repro-trace-{}.json", std::process::id()));
+        let line = format!("profile --devices 4 --trace {}", path.display());
+        let Ok(Invocation::Experiments { trace_path, .. }) = parse(&line) else {
+            panic!("`{line}` parses");
+        };
+        assert_eq!(trace_path.as_deref(), path.to_str());
+        assert!(path.exists(), "the probe creates the file before any simulation runs");
+        std::fs::remove_file(&path).expect("probe file is removable");
+    }
+
+    #[test]
+    fn explain_errors_reach_the_caller_as_text() {
+        let err = parse("explain refs definitely_not_a_lane>=1").and_then(run).unwrap_err();
+        assert!(err.contains("unknown lane"), "{err}");
+    }
 }

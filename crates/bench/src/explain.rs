@@ -155,6 +155,12 @@ mod tests {
              merged in (component, block) order\n\
              \x20 then: version reconciliation + NVMe result transfer\n"
         );
+        // One pushable predicate leaves hybrid nothing to keep on the
+        // ARM: the same plan under the other backend's name.
+        assert_eq!(
+            run("refs", &["year>=2010"], "hybrid"),
+            run("refs", &["year>=2010"], "hw").replace("hardware", "hybrid")
+        );
     }
 
     #[test]

@@ -740,7 +740,7 @@ mod tests {
         assert!(b.batched_get_speedup >= 5.0, "{b:?}");
         // The profiling SCAN stays flash-bound.
         assert!((0.90..=1.01).contains(&b.flash_occupancy), "{b:?}");
-        // Full-budget cache row clears the check.sh acceptance rate.
+        // Full-budget cache row clears the acceptance rate.
         assert!(b.cache_hit_rate >= 0.5, "{b:?}");
         // 4 hash shards must clearly out-run 1 device.
         assert!(b.cluster_scaling >= 2.5, "{b:?}");

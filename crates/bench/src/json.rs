@@ -4,8 +4,8 @@
 //! (`BENCH_loadgen.json`, `BENCH_profile.json`) is emitted through the
 //! two primitives here: [`json_str`] (escaping) and [`json_num`]
 //! (finite-only floats). Emitters are stable by construction — same
-//! inputs, same bytes — because `scripts/check.sh` diffs and
-//! regression-compares the artifacts across runs. Every artifact
+//! inputs, same bytes — because `scripts/check.sh` diffs the artifacts
+//! against their committed copies. Every artifact
 //! carries a top-level `schema` (versioned name) and `seed` field so a
 //! reader can tell what produced it.
 
@@ -82,8 +82,8 @@ pub fn cluster_stats_json(stats: &nkv::ClusterStats) -> String {
 /// Render `BENCH_profile.json`, the perf journal's machine-readable
 /// snapshot (schema `nkv-bench-profile/2`; v2 added the batched-GET
 /// config-tax measurement). Fixed-seed inputs make the document
-/// byte-stable, so `scripts/check.sh` can regression-compare it
-/// against the committed reference with tolerance thresholds.
+/// byte-stable, so `scripts/check.sh` diffs it against the committed
+/// reference.
 pub fn profile_bench_json(p: &crate::figures::ProfileBench) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");

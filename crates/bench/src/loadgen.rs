@@ -24,10 +24,8 @@ use ndp_workload::{PaperGen, PubGraphConfig, SplitMix64};
 use nkv::queue::{ClientScript, Priority, QueueRunConfig, QueuedOp};
 use nkv::{Backend, ClusterConfig, LatencyHistogram, NkvCluster};
 
-/// Parameters of one loadgen sweep. `PartialEq` backs the `repro`
-/// binary's overwrite guard: a non-default configuration refuses to
-/// clobber an existing `--json` artifact without `--json-force`.
-#[derive(Debug, Clone, PartialEq)]
+/// Parameters of one loadgen sweep.
+#[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     /// Dataset scale (1.0 = the paper's full volume).
     pub scale: f64,
@@ -437,7 +435,7 @@ fn qos_scripts(cfg: &PubGraphConfig, seed: u64, prioritized: bool) -> Vec<Client
 /// and once with priority classes. Priorities must never change *what*
 /// a command returns — the rows are asserted record-identical — only
 /// *when* the latency-sensitive GETs get dispatched, which the GET-p99
-/// column makes visible (and `scripts/check.sh` gates on).
+/// column makes visible.
 pub fn qos_sweep(cfg: &LoadgenConfig) -> Vec<QosSweepPoint> {
     let mut rows = Vec::with_capacity(2);
     let mut baseline: Option<Vec<(u32, u32, Vec<u8>)>> = None;
@@ -931,6 +929,28 @@ mod tests {
             qos_sweep(&LoadgenConfig { scale: SCALE, seed: 42, ..LoadgenConfig::default() });
         assert_eq!(rows[1].get_p99_ms, again[1].get_p99_ms);
         assert_eq!(rows[1].latency, again[1].latency);
+    }
+
+    #[test]
+    fn batched_get_sweep_holds_the_queued_speedup_floor() {
+        let rows = batched_get_sweep(&LoadgenConfig {
+            scale: SCALE,
+            ops_per_client: 32,
+            seed: 42,
+            batch: 16,
+            ..LoadgenConfig::default()
+        });
+        assert_eq!(rows.iter().map(|r| r.batch).collect::<Vec<_>>(), [1, 2, 4, 8, 16]);
+        let (one, sixteen) = (&rows[0], &rows[4]);
+        // Record equality across rows is asserted inside the sweep.
+        assert_eq!(one.ops, sixteen.ops, "every row completes the same commands");
+        // The queued baseline already overlaps ops at depth 16, so its
+        // honest win is smaller than the serial >= 5x that
+        // `profile_bench_collects_the_journal_numbers` holds.
+        assert!(
+            sixteen.speedup >= 4.0,
+            "batch-16 key lists must keep 4x the batch-1 GET throughput: {rows:?}"
+        );
     }
 
     #[test]

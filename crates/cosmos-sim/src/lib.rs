@@ -39,6 +39,7 @@
 //! domains are exact in ns (10 ns at 100 MHz, 4 ns at 250 MHz).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod batch;
 pub mod cache;

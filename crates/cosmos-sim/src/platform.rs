@@ -271,9 +271,10 @@ impl CosmosPlatform {
     /// called the platform has no queue state at all and every
     /// operation takes the serial path. While queues are enabled, every
     /// resource timeline runs in gap-aware backfill mode so commands of
-    /// different clients overlap the way pipelined hardware would (the
-    /// serial path's strictly monotone arrivals make the two modes
-    /// coincide, so enabling queues never perturbs serial results).
+    /// different clients overlap the way pipelined hardware would
+    /// (where a serial path's arrivals are monotone the two modes
+    /// coincide; the serial hardware SCAN's are not on the DRAM port —
+    /// see the [`crate::server`] module doc).
     pub fn enable_queues(&mut self, cfg: NvmeQueueConfig) {
         self.queues = Some(NvmeQueues::new(cfg));
         self.set_backfill(true);

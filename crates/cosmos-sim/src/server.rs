@@ -22,10 +22,29 @@
 //! the strict conveyor each command's first ARM job would queue behind
 //! its predecessor's last one even though the core sits idle in
 //! between, serializing the whole device. Backfill restores the
-//! overlap a real pipelined device has. Note that for monotonically
-//! non-decreasing arrivals the two modes provably coincide: a usable
-//! gap at or after a new arrival would require an earlier job to have
-//! started later than the new arrival, contradicting monotonicity.
+//! overlap a real pipelined device has. For monotonically
+//! non-decreasing arrivals and positive service times the two modes
+//! coincide (a usable gap at or after a new arrival would require an
+//! earlier job to have started later than the new arrival; held by the
+//! seeded test `monotone_arrivals_make_strict_and_backfill_coincide`,
+//! which also pins the one exception: a zero-length job tied with the
+//! start of a reservation is placed in front of it by backfill and
+//! behind it by the conveyor).
+//!
+//! Both modes stay, because one serial path is *not* monotone: the
+//! serial hardware SCAN issues every flash read at scan start and then
+//! walks the blocks in host order, so on the shared DRAM port block
+//! `i + 1`'s flash-DMA staging write arrives before block `i`'s PE
+//! store, which the walk has already reserved. Under the conveyor the
+//! staging write queues behind that store; backfill would drop it into
+//! the gap in front. Measured with backfill forced on and nothing else
+//! changed: 2400 such placements in `repro fig7b --scale 0.0625`,
+//! 7 lines of `repro_output.txt` move (Fig. 7b HW 5.516 -> 5.510 s
+//! for \[1\] and 5.515 -> 5.512 s for ours, A1 4.0421 -> 4.0285 s, A3
+//! 0.0632/0.0630 -> 0.0629/0.0628 s) and so do the `scan_bulk` and
+//! `ingest_churn` digests in `sim_digests_quick.txt`. The flash
+//! controllers see arrivals go backwards too (reads striped across
+//! channels), but their timelines are dense and no gap is ever usable.
 
 use crate::SimNs;
 use std::collections::VecDeque;
@@ -231,6 +250,37 @@ mod tests {
         // behind it.
         assert_eq!(s.schedule(20, 90), (105, 195), "oversized job skips the gap");
         assert_eq!(s.busy_total(), 15 + 5 + 2 + 90);
+    }
+
+    #[test]
+    fn monotone_arrivals_make_strict_and_backfill_coincide() {
+        for seed in 0..32 {
+            let mut rng = crate::faults::FaultRng::new(seed);
+            let (mut strict, mut backfill) = (Server::new(), Server::new());
+            backfill.set_backfill(true);
+            let mut arrival = 0;
+            // Steps of 0..16 against durations of 1..=8 mix repeated
+            // arrivals, queued bursts and idle gaps that never abut, so
+            // the timelines grow past the pruning cap.
+            for _ in 0..4 * MAX_TRACKED_INTERVALS {
+                arrival += rng.gen_u64(16);
+                let duration = 1 + rng.gen_u64(8);
+                assert_eq!(
+                    strict.schedule(arrival, duration),
+                    backfill.schedule(arrival, duration),
+                    "seed {seed}, arrival {arrival}, duration {duration}"
+                );
+            }
+            assert!(backfill.floor > 0, "seed {seed} never reached the pruning cap");
+        }
+        // Positive durations are needed: a zero-length job reserves
+        // nothing, so it "fits" in front of a reservation that starts
+        // at its own arrival time.
+        let (mut strict, mut backfill) = (Server::new(), Server::new());
+        backfill.set_backfill(true);
+        assert_eq!(strict.schedule(5, 3), backfill.schedule(5, 3));
+        assert_eq!(strict.schedule(5, 0), (8, 8));
+        assert_eq!(backfill.schedule(5, 0), (5, 5));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! same model. See DESIGN.md for the substitution argument.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod design;
 pub mod resources;

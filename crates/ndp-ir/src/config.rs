@@ -43,7 +43,15 @@ impl CmpOp {
 
     /// Canonical textual name (as used in `operators = {...}` sets).
     pub fn name(self) -> &'static str {
-        Self::STANDARD.iter().find(|(op, _)| *op == self).map(|(_, n)| n).unwrap()
+        match self {
+            CmpOp::Nop => "nop",
+            CmpOp::Ne => "ne",
+            CmpOp::Eq => "eq",
+            CmpOp::Gt => "gt",
+            CmpOp::Ge => "ge",
+            CmpOp::Lt => "lt",
+            CmpOp::Le => "le",
+        }
     }
 
     /// Parse a canonical name.

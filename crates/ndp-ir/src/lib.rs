@@ -20,6 +20,7 @@
 //! interface generator (`ndp-swgen`) need.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod config;
 pub mod error;

@@ -18,6 +18,7 @@
 //!   device.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod driver;
 pub mod header;
