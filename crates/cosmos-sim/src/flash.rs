@@ -11,8 +11,12 @@
 //!    rate (~200 MB/s over both controllers) is the paper's stated
 //!    bottleneck.
 //!
-//! Pages are stored sparsely (`HashMap`), so full-volume datasets
-//! (~1.1 GB) are held without preallocating the whole array.
+//! Page contents live in one page table per LUN: a directory of
+//! [`CHUNK_PAGES`]-page chunks, each allocated when its first page is
+//! programmed. A read finds its page by indexing — no hashing — and
+//! memory follows what was programmed wherever it sits: full-volume
+//! datasets (~1.1 GB) cost 16 bytes of table per page, and a lone
+//! manifest page at the top of an otherwise empty LUN costs one chunk.
 //!
 //! # Fault semantics
 //!
@@ -127,11 +131,30 @@ impl std::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
+/// Pages per page-table chunk: 64 slots of 16 bytes, one 1 KiB
+/// allocation — small enough that a device holding a few pages in each
+/// LUN pays almost nothing for its tables.
+const CHUNK_PAGES: usize = 64;
+
+/// One LUN's page table: `table[page / CHUNK_PAGES]` is the chunk
+/// holding the page's slot, absent until a page in it is programmed
+/// (the directory itself grows to the highest chunk touched).
+type LunPages = Vec<Option<Box<[Option<Box<[u8]>>]>>>;
+
+/// Content of page `page` of one LUN, if it was ever programmed.
+fn stored_page(table: &LunPages, page: u32) -> Option<&[u8]> {
+    let page = page as usize;
+    table.get(page / CHUNK_PAGES)?.as_ref()?[page % CHUNK_PAGES].as_deref()
+}
+
 /// The simulated flash array: storage plus timing state.
 #[derive(Clone)]
 pub struct FlashArray {
     cfg: FlashConfig,
-    pages: HashMap<PhysAddr, Box<[u8]>>,
+    /// Per-LUN page tables, indexed like `luns`.
+    pages: Vec<LunPages>,
+    /// Distinct addresses programmed so far.
+    programmed: u64,
     /// Per-LUN array-read occupancy.
     luns: Vec<Server>,
     /// Per-channel bus occupancy.
@@ -159,14 +182,13 @@ impl FlashArray {
         // ~400 MB/s); model them at 2x the controller rate so the
         // controller is the bottleneck, as the paper states.
         let per_channel = per_controller * 2.0;
+        let n_luns = usize::from(cfg.channels) * usize::from(cfg.luns_per_channel);
         Self {
-            luns: vec![
-                Server::new();
-                usize::from(cfg.channels) * usize::from(cfg.luns_per_channel)
-            ],
+            luns: vec![Server::new(); n_luns],
             channels: vec![BandwidthLink::new(per_channel); usize::from(cfg.channels)],
             controllers: vec![BandwidthLink::new(per_controller); usize::from(cfg.controllers)],
-            pages: HashMap::new(),
+            pages: vec![Vec::new(); n_luns],
+            programmed: 0,
             bad_pages: HashMap::new(),
             faults: None,
             trace: None,
@@ -200,6 +222,23 @@ impl FlashArray {
         usize::from(addr.channel) * usize::from(self.cfg.luns_per_channel) + usize::from(addr.lun)
     }
 
+    /// Store `data`, zero-padded to a page, as the content of `addr`
+    /// (already range-checked).
+    fn store_page(&mut self, addr: PhysAddr, data: &[u8]) {
+        let mut page = vec![0u8; self.cfg.page_bytes as usize].into_boxed_slice();
+        page[..data.len()].copy_from_slice(data);
+        let li = self.lun_index(addr);
+        let table = &mut self.pages[li];
+        let (chunk, slot) = (addr.page as usize / CHUNK_PAGES, addr.page as usize % CHUNK_PAGES);
+        if chunk >= table.len() {
+            table.resize_with(chunk + 1, || None);
+        }
+        let chunk = table[chunk].get_or_insert_with(|| vec![None; CHUNK_PAGES].into_boxed_slice());
+        if chunk[slot].replace(page).is_none() {
+            self.programmed += 1;
+        }
+    }
+
     /// Program one page at `addr` (data shorter than a page is
     /// zero-padded). Returns the completion time.
     pub fn program_page(
@@ -224,18 +263,13 @@ impl FlashArray {
                     f.writes_until_cut = None;
                     f.stats.torn_writes += 1;
                     let keep = f.rng.gen_u64(data.len() as u64 + 1) as usize;
-                    let mut page = vec![0u8; self.cfg.page_bytes as usize].into_boxed_slice();
-                    page[..keep].copy_from_slice(&data[..keep]);
-                    self.pages.insert(addr, page);
+                    self.store_page(addr, &data[..keep]);
                     self.writes += 1;
                     return Err(FlashError::PowerCut);
                 }
                 *left -= 1;
             }
         }
-        let mut page = vec![0u8; self.cfg.page_bytes as usize].into_boxed_slice();
-        page[..data.len()].copy_from_slice(data);
-
         // Transfer to the chip over channel + controller, then program.
         let ctrl = usize::from(self.controller_of(addr.channel));
         let (dma_grant, dma_done) =
@@ -245,7 +279,7 @@ impl FlashArray {
         let li = self.lun_index(addr);
         let (prog_grant, prog_done) = self.luns[li].schedule(bus_done, self.cfg.page_program_ns);
 
-        self.pages.insert(addr, page);
+        self.store_page(addr, data);
         self.writes += 1;
         if let Some(t) = &mut self.trace {
             // The span starts at the first resource grant and its
@@ -273,12 +307,13 @@ impl FlashArray {
                 return Err(FlashError::PowerCut);
             }
         }
-        if self.bad_pages.contains_key(&addr) {
+        if !self.bad_pages.is_empty() && self.bad_pages.contains_key(&addr) {
             return Err(FlashError::Uncorrectable(addr));
         }
-        if !self.pages.contains_key(&addr) {
+        let li = self.lun_index(addr);
+        let Some(page) = stored_page(&self.pages[li], addr.page) else {
             return Err(FlashError::Unwritten(addr));
-        }
+        };
         // Injected-fault processing (transient, grown-bad, correctable).
         let mut ecc_penalty_ns: SimNs = 0;
         if let Some(f) = &mut self.faults {
@@ -314,7 +349,6 @@ impl FlashArray {
         }
         // tR (+ any ECC correction) on the LUN, then channel bus, then
         // controller DMA.
-        let li = self.lun_index(addr);
         let (tr_grant, array_done) =
             self.luns[li].schedule(now, self.cfg.page_read_ns + ecc_penalty_ns);
         let (bus_grant, bus_done) = self.channels[usize::from(addr.channel)]
@@ -332,7 +366,7 @@ impl FlashArray {
                 dur: (array_done - tr_grant) + (bus_done - bus_grant) + (dma_done - dma_grant),
             });
         }
-        Ok((dma_done, &self.pages[&addr]))
+        Ok((dma_done, page))
     }
 
     /// Install a fault plan: seeds the per-array RNG streams, arms the
@@ -505,7 +539,7 @@ impl FlashArray {
 
     /// Bytes of live page data currently stored.
     pub fn stored_bytes(&self) -> u64 {
-        self.pages.len() as u64 * u64::from(self.cfg.page_bytes)
+        self.programmed * u64::from(self.cfg.page_bytes)
     }
 }
 
@@ -715,5 +749,68 @@ mod tests {
         f.program_page(addr(0, 0, 1), b"b", 0).unwrap();
         f.program_page(addr(0, 0, 0), b"rewrite", 0).unwrap();
         assert_eq!(f.stored_bytes(), 2 * 8192);
+        // A page far up an otherwise empty LUN is one page, and its
+        // neighbours in the same chunk and the chunks below it stay
+        // unwritten.
+        f.program_page(addr(7, 3, 40_000), b"sparse", 0).unwrap();
+        assert_eq!(f.stored_bytes(), 3 * 8192);
+        assert_eq!(
+            f.read_page(addr(7, 3, 39_999), 0),
+            Err(FlashError::Unwritten(addr(7, 3, 39_999)))
+        );
+        assert_eq!(f.read_page(addr(7, 3, 0), 0), Err(FlashError::Unwritten(addr(7, 3, 0))));
+        assert_eq!(&f.read_page(addr(7, 3, 40_000), 0).unwrap().1[..6], b"sparse");
+        let (_, rewritten) = f.read_page(addr(0, 0, 0), 0).unwrap();
+        assert_eq!(&rewritten[..8], b"rewrite\0");
+    }
+
+    /// Cut the power with a torn program of `victim`.
+    fn cut_power(f: &mut FlashArray, victim: PhysAddr) {
+        f.install_faults(&FaultPlan { power_cut_at_write: Some(0), ..FaultPlan::default() });
+        assert_eq!(f.program_page(victim, &[0xCC; 64], 0), Err(FlashError::PowerCut));
+    }
+
+    #[test]
+    fn read_errors_keep_their_precedence() {
+        // One address that is out of range, cut off, bad and unwritten at
+        // once reports them in that order as each cause is removed.
+        let a = addr(0, 0, 5);
+        let mut small = FlashArray::new(FlashConfig { pages_per_lun: 4, ..FlashConfig::default() });
+        let mut f = FlashArray::new(FlashConfig::default());
+        for array in [&mut small, &mut f] {
+            array.inject_bad_page(a);
+            cut_power(array, addr(0, 0, 0));
+        }
+        assert_eq!(small.read_page(a, 0), Err(FlashError::OutOfRange(a)));
+        assert_eq!(f.read_page(a, 0), Err(FlashError::PowerCut));
+        f.reboot();
+        assert_eq!(f.read_page(a, 0), Err(FlashError::Uncorrectable(a)));
+        f.heal_page(a);
+        assert_eq!(f.read_page(a, 0), Err(FlashError::Unwritten(a)));
+        // Injected faults are rolled only for a page that exists.
+        f.inject_fault(a, FlashFaultKind::Transient { failures: 1 });
+        assert_eq!(f.read_page(a, 0), Err(FlashError::Unwritten(a)));
+        f.program_page(a, b"now written", 0).unwrap();
+        assert_eq!(f.read_page(a, 0), Err(FlashError::TransientRead(a)));
+        assert_eq!(&f.read_page(a, 0).unwrap().1[..11], b"now written");
+        assert_eq!(f.op_counts().0, 1, "only the successful read is counted");
+    }
+
+    #[test]
+    fn a_cloned_array_is_independent() {
+        let mut f = FlashArray::new(FlashConfig::default());
+        let (a, b) = (addr(2, 1, 3), addr(2, 1, 4));
+        f.program_page(a, b"original", 0).unwrap();
+        let mut copy = f.clone();
+        copy.program_page(a, b"diverged", 0).unwrap();
+        copy.program_page(b, b"only in the copy", 0).unwrap();
+        cut_power(&mut copy, addr(2, 1, 5));
+        assert_eq!(&f.read_page(a, 0).unwrap().1[..8], b"original");
+        assert_eq!(f.read_page(b, 0), Err(FlashError::Unwritten(b)));
+        assert_eq!(f.stored_bytes(), 8192);
+        copy.reboot();
+        assert_eq!(&copy.read_page(a, 0).unwrap().1[..8], b"diverged");
+        // The torn page counts: a prefix of it is on the cells.
+        assert_eq!(copy.stored_bytes(), 3 * 8192);
     }
 }

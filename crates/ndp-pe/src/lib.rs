@@ -28,6 +28,7 @@
 //! Verilog emission and resource estimation (Table I, Figs. 8/9).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod baseline;
 pub mod membus;

@@ -14,7 +14,7 @@
 //! flash.
 
 use crate::membus::MemBus;
-use crate::oracle::{BlockProcessor, FilterRule, OpTable};
+use crate::oracle::{BlockProcessor, FilterProgram, FilterRule, OpTable};
 use crate::regs::{offsets, Mmio, RegState, RegisterMap};
 use crate::PeDevice;
 use ndp_ir::PeConfig;
@@ -125,12 +125,15 @@ impl PeSim {
         self.ops.bind_custom(&cfg, name, f)
     }
 
-    /// Current filter rules as configured through the register file.
-    fn rules(&self) -> Vec<FilterRule> {
+    /// The configured rule registers, compiled one program per Filtering
+    /// Unit (a stage sees only its own rule).
+    fn stage_programs(&self) -> Vec<FilterProgram> {
         self.regs
             .filters
             .iter()
-            .map(|&(lane, op_code, value)| FilterRule { lane, op_code, value })
+            .map(|&(lane, op_code, value)| {
+                self.processor.compile(&[FilterRule { lane, op_code, value }], &self.ops)
+            })
             .collect()
     }
 
@@ -138,7 +141,7 @@ impl PeSim {
     fn run_block(&mut self, mem: &mut dyn MemBus) -> BlockResult {
         let in_tuple = self.processor.in_tuple_bytes();
         let out_tuple = self.processor.out_tuple_bytes();
-        let rules = self.rules();
+        let stage_programs = self.stage_programs();
         let stages = self.cfg.stages as usize;
         // Aggregation Unit configuration: active only if the op is valid,
         // the hardware supports it, and the lane exists.
@@ -203,8 +206,8 @@ impl PeSim {
             if out_bytes.len() >= 8 || (flushing && !out_bytes.is_empty()) {
                 let n = out_bytes.len().min(8).min(capacity_left as usize);
                 if n > 0 {
-                    for b in tmp.iter_mut().take(n) {
-                        *b = out_bytes.pop_front().unwrap();
+                    for (b, o) in tmp.iter_mut().zip(out_bytes.drain(..n)) {
+                        *b = o;
                     }
                     mem.write_bytes(store_addr, &tmp[..n]);
                     store_addr += n as u64;
@@ -223,20 +226,19 @@ impl PeSim {
             }
 
             // --- Tuple Output Buffer: serialize one tuple per cycle.
-            if transformed.front().is_some() {
-                if out_bytes.len() + out_tuple <= BYTE_BUF.max(out_tuple + 8) {
-                    let t = transformed.pop_front().unwrap();
+            if out_bytes.len() + out_tuple <= BYTE_BUF.max(out_tuple + 8) {
+                if let Some(t) = transformed.pop_front() {
                     out_bytes.extend(t.iter());
                     did_work = true;
-                } else {
-                    out_stall += 1;
                 }
+            } else if !transformed.is_empty() {
+                out_stall += 1;
             }
 
             // --- Data Transformation Unit: one tuple per cycle.
             let last_q_has_room = transformed.len() < FIFO_TUPLES;
             if last_q_has_room {
-                let src = if stages == 0 { &mut parsed } else { stage_q.last_mut().unwrap() };
+                let src = stage_q.last_mut().unwrap_or(&mut parsed);
                 if let Some(tuple) = src.pop_front() {
                     let mut out = Vec::with_capacity(out_tuple);
                     self.processor.transform_into(&tuple, &mut out);
@@ -260,8 +262,7 @@ impl PeSim {
                 };
                 if let Some(tuple) = tuple {
                     did_work = true;
-                    let rule = rules[s];
-                    if self.processor.tuple_passes(&tuple, std::slice::from_ref(&rule), &self.ops) {
+                    if stage_programs[s].passes(&tuple) {
                         if s == stages - 1 {
                             res.tuples_out += 1;
                             if let Some(acc) = agg.as_mut() {
@@ -280,12 +281,8 @@ impl PeSim {
 
             // --- Tuple Input Buffer: assemble one tuple per cycle.
             if in_bytes.len() >= in_tuple && parsed.len() < FIFO_TUPLES {
-                let mut tuple = Vec::with_capacity(in_tuple);
-                for _ in 0..in_tuple {
-                    tuple.push(in_bytes.pop_front().unwrap());
-                }
                 res.tuples_in += 1;
-                parsed.push_back(tuple);
+                parsed.push_back(in_bytes.drain(..in_tuple).collect());
                 did_work = true;
             }
 
@@ -520,22 +517,8 @@ mod tests {
     #[test]
     fn cycle_model_matches_oracle_semantics() {
         // Cross-validate the tick-based pipeline against the byte-level
-        // oracle on a randomized block (local SplitMix64; the workspace
-        // builds offline with no external rand crate).
-        struct Rng(u64);
-        impl Rng {
-            fn next_u64(&mut self) -> u64 {
-                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = self.0;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            }
-            fn gen_u32(&mut self, bound: u32) -> u32 {
-                ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u32
-            }
-        }
-        let mut rng = Rng(0xC0FFEE);
+        // oracle on a randomized block.
+        let mut rng = ndp_workload::SplitMix64::new(0xC0FFEE);
         let cfg = elaborate(&parse(POINTS).unwrap(), "P").unwrap();
         let mut pe = PeSim::new(cfg.clone());
         let bp = crate::oracle::BlockProcessor::new(&cfg);

@@ -40,7 +40,7 @@ use crate::plan::{Backend, PhysOp, PhysicalPlan};
 use crate::sst::{read_block, search_block, SstMeta};
 use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
-use ndp_pe::oracle::FilterRule;
+use ndp_pe::oracle::{FilterProgram, FilterRule};
 use ndp_pe::pipeline::estimate_block_cycles;
 use ndp_swgen::{DriverProfile, FilterJob, PeInvoke};
 use std::collections::{hash_map, HashMap};
@@ -320,15 +320,29 @@ fn key_eq_rule(exec: &TableExec, key: u64) -> NkvResult<[FilterRule; 1]> {
     Ok([FilterRule { lane: 0, op_code, value: key }])
 }
 
+/// A rule chain in the two forms a hardware block job needs: the
+/// register values (what a cycle-accurate job writes, and what prices
+/// the configuration) and the program compiled from them once per job,
+/// which every functional pass runs.
+struct Chain<'a> {
+    rules: &'a [FilterRule],
+    program: FilterProgram,
+}
+
+impl<'a> Chain<'a> {
+    fn new(exec: &TableExec, rules: &'a [FilterRule]) -> Self {
+        Self { rules, program: exec.processor.compile(rules, &exec.ops) }
+    }
+}
+
 /// One block's worth of hardware filtering (shared by GET and SCAN).
 /// Returns `(tuples_in, tuples_out, pe_cycles, io_writes, io_reads,
 /// bytes_written)`.
-#[allow(clippy::too_many_arguments)]
 fn hw_filter_block(
     exec: &mut TableExec,
     dram: &mut cosmos_sim::Dram,
     data: &[u8],
-    rules: &[FilterRule],
+    chain: &Chain<'_>,
     driver_idx: usize,
     invoke: PeInvoke,
     out: &mut Vec<u8>,
@@ -343,7 +357,7 @@ fn hw_filter_block(
             len: data.len() as u32,
             dst: out_addr,
             capacity: (STAGE_STRIDE - STAGE_OUT_OFF) as u32,
-            rules: rules.to_vec(),
+            rules: chain.rules.to_vec(),
             aggregate: None,
         };
         let handle = drv.filter_async(&job, invoke);
@@ -360,7 +374,7 @@ fn hw_filter_block(
             u64::from(res.block.bytes_written),
         )
     } else {
-        let stats = exec.processor.process_block(data, rules, &exec.ops, out);
+        let stats = exec.processor.run_block(&chain.program, data, out);
         let bytes_written = match exec.profile {
             // The fixed-block baseline always writes whole blocks back.
             DriverProfile::Baseline => u64::from(exec.chunk_bytes),
@@ -374,8 +388,8 @@ fn hw_filter_block(
         );
         let (w, r) = match invoke {
             PeInvoke::Keyed => (timing::BATCH_KEY_CFG_WRITES, timing::BATCH_KEY_CFG_READS),
-            PeInvoke::Cold => exec.cfg_io(true, rules.len()),
-            PeInvoke::Warm => exec.cfg_io(false, rules.len()),
+            PeInvoke::Cold => exec.cfg_io(true, chain.rules.len()),
+            PeInvoke::Warm => exec.cfg_io(false, chain.rules.len()),
         };
         (u64::from(stats.tuples_in), u64::from(stats.tuples_out), cycles, w, r, bytes_written)
     }
@@ -387,7 +401,7 @@ fn hw_filter_block(
 /// Returns the number of tuples dropped.
 fn apply_residual(
     exec: &TableExec,
-    residual: &[FilterRule],
+    residual: &FilterProgram,
     out: &mut Vec<u8>,
     before: usize,
 ) -> u64 {
@@ -395,7 +409,7 @@ fn apply_residual(
     let mut kept = Vec::with_capacity(out.len() - before);
     let mut dropped = 0u64;
     for tup in out[before..].chunks_exact(ts) {
-        if exec.processor.tuple_passes(tup, residual, &exec.ops) {
+        if residual.passes(tup) {
             kept.extend_from_slice(tup);
         } else {
             dropped += 1;
@@ -404,6 +418,19 @@ fn apply_residual(
     out.truncate(before);
     out.extend_from_slice(&kept);
     dropped
+}
+
+/// One scan's rule chains, compiled once when the scan starts. The
+/// functional filter is always the whole conjunction; the plan's split
+/// into pushed/residual only decides where each predicate runs.
+struct ScanFilters<'a> {
+    /// Pushed + residual: the memtable pass, the software backend and
+    /// blocks degraded to the ARM.
+    all: FilterProgram,
+    /// What a PE is configured with.
+    pushed: Chain<'a>,
+    /// What the ARM re-checks on a PE's output (hybrid plans).
+    residual: FilterProgram,
 }
 
 /// Which PE a scan block is offered to.
@@ -423,7 +450,7 @@ fn scan_block_job(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    all_rules: &[FilterRule],
+    filters: &ScanFilters<'_>,
     sst: &SstMeta,
     block_idx: usize,
     issue: SimNs,
@@ -437,7 +464,7 @@ fn scan_block_job(
     report.blocks += 1;
     report.bytes_scanned += data.len() as u64;
     if plan.backend == Backend::Software {
-        let stats = exec.processor.process_block(data, all_rules, &exec.ops, out);
+        let stats = exec.processor.run_block(&filters.all, data, out);
         report.tuples_in += u64::from(stats.tuples_in);
         report.tuples_out += u64::from(stats.tuples_out);
         return Ok(arm_filter(platform, staged, data.len() as u64));
@@ -459,7 +486,7 @@ fn scan_block_job(
                 exec,
                 &mut platform.dram,
                 data,
-                &plan.pushed,
+                &filters.pushed,
                 d,
                 if configured[d] { PeInvoke::Warm } else { PeInvoke::Cold },
                 out,
@@ -487,7 +514,7 @@ fn scan_block_job(
                 // stream (it is in DRAM already) before reconciliation.
                 let produced = (out.len() - before) as u64;
                 done = arm_filter(platform, done, produced);
-                report.tuples_out -= apply_residual(exec, &plan.residual, out, before);
+                report.tuples_out -= apply_residual(exec, &filters.residual, out, before);
             }
             Ok(done)
         }
@@ -495,7 +522,7 @@ fn scan_block_job(
             // Baseline tail block, a just-hung PE, or no healthy PE
             // left: one ARM pass over the *combined* chain (pushed +
             // residual), so the degraded block needs no residual pass.
-            let stats = exec.processor.process_block(data, all_rules, &exec.ops, out);
+            let stats = exec.processor.run_block(&filters.all, data, out);
             report.tuples_in += u64::from(stats.tuples_in);
             report.tuples_out += u64::from(stats.tuples_out);
             Ok(arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64))
@@ -579,7 +606,7 @@ fn run_parallel_scan_blocks(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    all_rules: &[FilterRule],
+    filters: &ScanFilters<'_>,
     ssts: &[&SstMeta],
     start: SimNs,
     results: &mut Vec<u8>,
@@ -605,9 +632,8 @@ fn run_parallel_scan_blocks(
     // The worker chains are expanded sequentially in host order but
     // overlap in simulated time.
     set_overlapped_dispatch(platform, exec, true);
-    let res = parallel_scan_streams(
-        platform, exec, plan, all_rules, ssts, start, &jobs, &streams, report,
-    );
+    let res =
+        parallel_scan_streams(platform, exec, plan, filters, ssts, start, &jobs, &streams, report);
     set_overlapped_dispatch(platform, exec, false);
     let (outs, op_end) = res?;
     for (j, out) in outs.iter().enumerate() {
@@ -626,7 +652,7 @@ fn parallel_scan_streams(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    all_rules: &[FilterRule],
+    filters: &ScanFilters<'_>,
     ssts: &[&SstMeta],
     start: SimNs,
     jobs: &[(usize, usize, usize)],
@@ -650,7 +676,7 @@ fn parallel_scan_streams(
                 platform,
                 exec,
                 plan,
-                all_rules,
+                filters,
                 ssts[si],
                 bi,
                 issue,
@@ -688,17 +714,20 @@ pub(crate) fn run_scan(
     let start = now + platform.firmware.op_overhead_ns();
     let mut op_end = start;
     exec.last_parallel_scan = None;
-    // The functional filter is always the whole conjunction; the split
-    // into pushed/residual only decides where each predicate runs.
     let all_rules: Vec<FilterRule> =
         plan.pushed.iter().chain(plan.residual.iter()).copied().collect();
+    let filters = ScanFilters {
+        all: exec.processor.compile(&all_rules, &exec.ops),
+        pushed: Chain::new(exec, &plan.pushed),
+        residual: exec.processor.compile(&plan.residual, &exec.ops),
+    };
 
     // --- C0: the memtable participates in every scan (ARM-side); its
     // matches go through the same transformation as the PE path.
     for (key, entry) in lsm.memtable().iter() {
         if let Entry::Value(rec) = entry {
             report.tuples_in += 1;
-            if exec.processor.tuple_passes(rec, &all_rules, &exec.ops) {
+            if filters.all.passes(rec) {
                 matched_keys.push((key, 0, results.len()));
                 exec.processor.transform_into(rec, &mut results);
                 report.tuples_out += 1;
@@ -714,7 +743,7 @@ pub(crate) fn run_scan(
             platform,
             exec,
             plan,
-            &all_rules,
+            &filters,
             &ssts,
             start,
             &mut results,
@@ -736,7 +765,7 @@ pub(crate) fn run_scan(
                     platform,
                     exec,
                     plan,
-                    &all_rules,
+                    &filters,
                     sst,
                     bi,
                     start,
@@ -813,6 +842,7 @@ pub(crate) fn run_scan_aggregate(
         unreachable!("run_scan_aggregate requires an AggregateScan plan");
     };
     let rules: &[FilterRule] = &plan.pushed;
+    let program = exec.processor.compile(rules, &exec.ops);
     let mut report = SimReport::default();
     let start = now + platform.firmware.op_overhead_ns();
     let mut op_end = start;
@@ -823,7 +853,7 @@ pub(crate) fn run_scan_aggregate(
     for (_, entry) in lsm.memtable().iter() {
         if let Entry::Value(rec) = entry {
             report.tuples_in += 1;
-            if exec.processor.tuple_passes(rec, rules, &exec.ops) {
+            if program.passes(rec) {
                 report.tuples_out += 1;
                 if let Some(v) = exec.processor.lane_value(rec, lane) {
                     acc.update(v);
@@ -846,7 +876,7 @@ pub(crate) fn run_scan_aggregate(
             let mut tin = 0u64;
             for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
                 tin += 1;
-                if exec.processor.tuple_passes(tuple, rules, &exec.ops) {
+                if program.passes(tuple) {
                     report.tuples_out += 1;
                     if let Some(v) = exec.processor.lane_value(tuple, lane) {
                         acc.update(v);
@@ -946,9 +976,10 @@ fn key_search_job(
             let invoke = if *configured { PeInvoke::Keyed } else { PeInvoke::Cold };
             *configured = true;
             let rules = key_eq_rule(exec, key)?;
+            let chain = Chain::new(exec, &rules);
             let mut out = Vec::new();
             let (tin, tout, cycles, w, r, bytes_written) =
-                hw_filter_block(exec, &mut platform.dram, data, &rules, d, invoke, &mut out);
+                hw_filter_block(exec, &mut platform.dram, data, &chain, d, invoke, &mut out);
             report.tuples_in += tin;
             report.tuples_out += tout;
             report.reg_writes += w;

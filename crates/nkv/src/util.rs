@@ -61,6 +61,73 @@ static CRC32C_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// Segment lengths (bytes, as powers of two) of the hardware kernel's
+/// three-chain rounds: long rounds cover the bulk of a 32 KiB block,
+/// short ones most of what is left.
+#[cfg(target_arch = "x86_64")]
+const FOLD_LOG2_BYTES: [u32; 2] = [13, 8];
+
+/// Fold tables, one per segment length (Adler's scheme): "feed `2^n`
+/// zero bytes" is a linear map on the raw CRC register, stored like
+/// [`CRC32C_TABLES`] as `[k][b]` = the image of byte `b` at register
+/// byte `k`. It turns the CRC of a segment computed from register 0
+/// into its contribution behind whatever preceded it.
+#[cfg(target_arch = "x86_64")]
+static CRC32C_FOLD: [[[u32; 256]; 4]; 2] = {
+    /// `m · v` over GF(2); `m[i]` is the image of register bit `i`.
+    const fn times(m: &[u32; 32], mut v: u32) -> u32 {
+        let mut sum = 0;
+        let mut i = 0;
+        while v != 0 {
+            if v & 1 != 0 {
+                sum ^= m[i];
+            }
+            v >>= 1;
+            i += 1;
+        }
+        sum
+    }
+    let mut folds = [[[0u32; 256]; 4]; 2];
+    let mut f = 0;
+    while f < folds.len() {
+        // One zero byte, then squared once per doubling of the length.
+        let mut m = [0u32; 32];
+        let mut i = 0;
+        while i < 32 {
+            let mut crc = 1u32 << i;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32C_POLY } else { crc >> 1 };
+                bit += 1;
+            }
+            m[i] = crc;
+            i += 1;
+        }
+        let mut doubling = 0;
+        while doubling < FOLD_LOG2_BYTES[f] {
+            let mut square = [0u32; 32];
+            let mut i = 0;
+            while i < 32 {
+                square[i] = times(&m, m[i]);
+                i += 1;
+            }
+            m = square;
+            doubling += 1;
+        }
+        let mut k = 0;
+        while k < 4 {
+            let mut b = 0;
+            while b < 256 {
+                folds[f][k][b] = times(&m, (b as u32) << (8 * k));
+                b += 1;
+            }
+            k += 1;
+        }
+        f += 1;
+    }
+    folds
+};
+
 /// CRC-32C (Castagnoli), as used by RocksDB block footers: the SSE4.2
 /// `crc32` instruction where the CPU has it, slicing-by-8 otherwise.
 pub fn crc32c(data: &[u8]) -> u32 {
@@ -98,15 +165,49 @@ fn crc32c_hw(data: &[u8]) -> Option<u32> {
     {
         use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
+        fn word(w: &[u8]) -> u64 {
+            u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
+        }
+
         #[target_feature(enable = "sse4.2")]
         fn sse42(data: &[u8]) -> u32 {
-            let mut crc = u64::from(!0u32);
-            let mut words = data.chunks_exact(8);
-            for w in &mut words {
-                let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-                crc = _mm_crc32_u64(crc, w);
-            }
             // The instruction zero-extends its 32-bit result.
+            let mut crc = u64::from(!0u32);
+            let mut rest = data;
+            // One chain of `crc32` instructions is bound by the
+            // instruction's 3-cycle latency, not its 1-per-cycle
+            // throughput: run three chains over three adjacent segments
+            // and fold them into one register with the zero-feed tables.
+            for (fold, log2) in CRC32C_FOLD.iter().zip(FOLD_LOG2_BYTES) {
+                let seg = 1usize << log2;
+                let feed_zeros = |crc: u64| {
+                    let crc = crc as u32;
+                    fold[0][(crc & 0xFF) as usize]
+                        ^ fold[1][((crc >> 8) & 0xFF) as usize]
+                        ^ fold[2][((crc >> 16) & 0xFF) as usize]
+                        ^ fold[3][(crc >> 24) as usize]
+                };
+                while rest.len() >= 3 * seg {
+                    let (a, tail) = rest.split_at(seg);
+                    let (b, tail) = tail.split_at(seg);
+                    let (c, tail) = tail.split_at(seg);
+                    let (mut crc_b, mut crc_c) = (0, 0);
+                    for ((a, b), c) in
+                        a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8))
+                    {
+                        crc = _mm_crc32_u64(crc, word(a));
+                        crc_b = _mm_crc32_u64(crc_b, word(b));
+                        crc_c = _mm_crc32_u64(crc_c, word(c));
+                    }
+                    crc = u64::from(feed_zeros(crc)) ^ crc_b;
+                    crc = u64::from(feed_zeros(crc)) ^ crc_c;
+                    rest = tail;
+                }
+            }
+            let mut words = rest.chunks_exact(8);
+            for w in &mut words {
+                crc = _mm_crc32_u64(crc, word(w));
+            }
             let mut crc = crc as u32;
             for &b in words.remainder() {
                 crc = _mm_crc32_u8(crc, b);
@@ -210,16 +311,21 @@ mod tests {
     const KNOWN_VECTORS: [(&[u8], u32); 3] =
         [(b"", 0x0000_0000), (b"123456789", 0xE306_9283), (&[0u8; 32], 0x8A91_36AA)];
 
-    /// Every length 0..=300 at every start alignment 0..8, then seeded
-    /// random buffers up to 64 KiB at random offsets.
+    /// Every length 0..=300 and the lengths around every boundary of the
+    /// hardware kernel's three-chain rounds (one and two rounds of each
+    /// segment length, a long round followed by short ones, a whole
+    /// 32 KiB block) at every start alignment 0..8, then seeded random
+    /// buffers up to 64 KiB at random offsets.
     fn check_kernel_against_reference(kernel: impl Fn(&[u8]) -> u32) {
         for (data, crc) in KNOWN_VECTORS {
             assert_eq!(kernel(data), crc);
         }
         let mut rng = ndp_workload::SplitMix64::new(0x00C4_C32C);
         let buf: Vec<u8> = (0..64 * 1024 + 8).map(|_| rng.next_u64() as u8).collect();
-        for align in 0..8 {
-            for len in 0..=300 {
+        let rounds = [3 * 256, 6 * 256, 3 * 8192, 3 * 8192 + 3 * 256, 6 * 8192];
+        let edges = rounds.iter().flat_map(|&r| [r - 1, r, r + 1]).chain([32_768, 32_768 + 7]);
+        for len in (0..=300).chain(edges) {
+            for align in 0..8 {
                 let data = &buf[align..align + len];
                 assert_eq!(kernel(data), crc32c_reference(data), "align {align}, len {len}");
             }

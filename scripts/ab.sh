@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# Parent/change comparison of one benchmark workload, the way PERF.md's
+# ground rules ask for it: each side built once into its own
+# CARGO_TARGET_DIR, then run as alternating pairs (odd pairs parent
+# first) with identical arguments. Prints, per end-to-end metric and
+# side, the sorted values, median and quartiles, the pairs the change
+# won (ties count for neither), and whether every sim_us_per_op agreed.
+# It reports; it is not a gate.
+#
+#   scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=42]
+#
+# Build products and the raw result lines go to $AB_DIR (default
+# target/ab in the repo this script lives in).
+set -euo pipefail
+
+if [ $# -lt 3 ]; then
+    sed -n '2,14p' "$0" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+workload=$3
+pairs=${4:-10}
+seed=${5:-42}
+out=${AB_DIR:-$(cd "$(dirname "$0")/.." && pwd)/target/ab}
+mkdir -p "$out"
+
+# run <side> <checkout>: one benchmark run, its final JSON line appended
+# to the side's result file.
+run() {
+    (cd "$2" && CARGO_TARGET_DIR="$out/$1" bash benchmark/run.sh \
+        --workload "$workload" --seed "$seed" --seconds 8 --trace 0) |
+        tail -n 1 >> "$out/$workload.$1.jsonl"
+}
+
+for side in parent change; do
+    echo "==> building $side" >&2
+    CARGO_TARGET_DIR="$out/$side" cargo build --quiet --release --offline --locked \
+        --manifest-path "${!side}/benchmark/Cargo.toml"
+    : > "$out/$workload.$side.jsonl"
+done
+
+for ((i = 1; i <= pairs; i++)); do
+    echo "==> pair $i/$pairs" >&2
+    if ((i % 2)); then
+        run parent "$parent" && run change "$change"
+    else
+        run change "$change" && run parent "$parent"
+    fi
+done
+
+# values <side> <metric>: the metric's value in every run, in run order.
+values() {
+    sed -E "s/.*\"$2\":\\{\"value\":([^,}]+).*/\\1/" "$out/$workload.$1.jsonl"
+}
+
+# summary: sorted values, then median and quartiles (linear interpolation).
+summary() {
+    sort -g | awk '
+        { v[NR] = $1; printf " %.6g", $1 }
+        function q(p,    h, lo) { h = 1 + (NR - 1) * p; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+        END { printf "\n      median %.6g  quartiles %.6g .. %.6g\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+echo "$workload, seed $seed, $pairs pairs (parent $parent, change $change)"
+for spec in host_ops_per_s:higher setup_s:lower peak_rss_mb:lower sim_us_per_op:lower; do
+    metric=${spec%:*}
+    echo "$metric (${spec#*:} is better)"
+    for side in parent change; do
+        printf '  %-6s' "$side"
+        values "$side" "$metric" | summary
+    done
+    paste <(values parent "$metric") <(values change "$metric") | awk -v better="${spec#*:}" '
+        $1 != $2 { if ((better == "higher") == ($2 > $1)) won++; else lost++ }
+        END { printf "  change won %d, lost %d of %d pairs\n", won, lost, NR }'
+done
+if [ "$(cat "$out/$workload".{parent,change}.jsonl | grep -c '"correct":true')" -ne $((2 * pairs)) ]; then
+    echo "NOT every run ended in \"correct\":true"
+fi
+if [ "$(cat <(values parent sim_us_per_op) <(values change sim_us_per_op) | sort -u | wc -l)" -eq 1 ]; then
+    echo "every sim_us_per_op agreed"
+else
+    echo "sim_us_per_op DIFFERS between runs"
+fi
