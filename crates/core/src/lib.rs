@@ -18,6 +18,7 @@
 //! producing both sides from one source, in one call.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use ndp_hdl::verilog::emit_design;
 use ndp_ir::{IrError, PeConfig};

@@ -33,6 +33,7 @@
 //!   `operators` (comparator operator set, default the paper's standard set).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod ast;
 pub mod error;

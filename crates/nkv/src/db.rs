@@ -14,7 +14,6 @@ use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
 use crate::plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome};
-use crate::sst::SstBuilder;
 use cosmos_sim::faults::{DramFaultStats, FlashFaultStats};
 use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
@@ -170,19 +169,6 @@ pub struct NkvDb {
     /// Spans drained from the platform after each observed operation,
     /// kept for [`NkvDb::take_trace`] (empty while tracing is off).
     trace_log: Vec<TraceEvent>,
-}
-
-/// Decode a record's embedded key (its first 8 bytes, little endian),
-/// surfacing a typed error instead of panicking when the record is too
-/// short to carry one. Callers size-check records first, but the write
-/// and bulk-load paths are reachable from the cluster router's shard
-/// calls, where a panic would take down the whole fleet simulation
-/// instead of failing one shard.
-fn record_key(table: &str, record: &[u8]) -> NkvResult<u64> {
-    let bytes: [u8; 8] = record.get(..8).and_then(|s| s.try_into().ok()).ok_or_else(|| {
-        NkvError::RecordSizeMismatch { table: table.to_string(), expected: 8, got: record.len() }
-    })?;
-    Ok(u64::from_le_bytes(bytes))
 }
 
 impl NkvDb {
@@ -343,7 +329,7 @@ impl NkvDb {
         let t0 = self.clock;
         let mut moved = 0u64;
         let mut repaired_bytes = 0u64;
-        let mut stale_indexes: Vec<(String, u64)> = Vec::new();
+        let mut stale_indexes: Vec<u64> = Vec::new();
         for addr in degrading {
             let referenced = self.tables.values().any(|t| t.lsm.references_page(addr));
             if !referenced {
@@ -360,10 +346,8 @@ impl NkvDb {
             let new = self.alloc.alloc_block(0, 1).ok_or(NkvError::OutOfSpace)?[0];
             let t_prog = self.platform.flash.program_page(new, &data, t_read)?;
             self.clock = self.clock.max(t_prog);
-            for (name, table) in self.tables.iter_mut() {
-                for id in table.lsm.relocate_page(addr, new) {
-                    stale_indexes.push((name.clone(), id));
-                }
+            for table in self.tables.values_mut() {
+                stale_indexes.extend(table.lsm.relocate_page(addr, new));
             }
             self.platform.flash.mark_repaired(addr);
             self.pages_repaired += 1;
@@ -375,15 +359,14 @@ impl NkvDb {
         if !stale_indexes.is_empty() {
             stale_indexes.sort();
             stale_indexes.dedup();
-            for (name, id) in stale_indexes {
-                let now = self.clock;
-                let t = self
-                    .tables
-                    .get_mut(&name)
-                    .ok_or_else(|| NkvError::UnknownTable(name.clone()))?;
-                let done =
-                    t.lsm.rewrite_index(&mut self.platform.flash, &mut self.alloc, id, now)?;
-                self.clock = self.clock.max(done);
+            for id in stale_indexes {
+                // Ids are device-unique: exactly one table knows `id`,
+                // the others answer with a no-op.
+                for t in self.tables.values_mut() {
+                    let (flash, now) = (&mut self.platform.flash, self.clock);
+                    let done = t.lsm.rewrite_index(flash, &mut self.alloc, id, now)?;
+                    self.clock = self.clock.max(done);
+                }
                 // Conservative: the relocated SST's cached blocks are
                 // dropped even though the copied payload is identical.
                 self.platform.cache_evict_sst(id);
@@ -485,15 +468,7 @@ impl NkvDb {
     /// it triggers.
     pub(crate) fn put_at(&mut self, table: &str, record: Vec<u8>, now: SimNs) -> NkvResult<SimNs> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let expected = t.lsm.record_bytes();
-        if record.len() != expected {
-            return Err(NkvError::RecordSizeMismatch {
-                table: table.to_string(),
-                expected,
-                got: record.len(),
-            });
-        }
-        let key = record_key(table, &record)?;
+        let key = t.lsm.record_key(&record)?;
         t.lsm.put(key, record);
         self.maintain_at(table, now)
     }
@@ -568,57 +543,9 @@ impl NkvDb {
     where
         I: IntoIterator<Item = Vec<u8>>,
     {
-        let now = self.clock;
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let record_bytes = t.lsm.record_bytes();
-        let block_bytes = t.lsm.block_bytes();
-        let max_per_sst = (block_bytes / record_bytes).max(1) * 2048;
-        let mut loaded = 0u64;
-        let mut done = now;
-        let mut builder: Option<SstBuilder> = None;
-        let mut in_current = 0usize;
-        let mut next_id = 1_000_000u64;
-        for record in records {
-            if record.len() != record_bytes {
-                return Err(NkvError::RecordSizeMismatch {
-                    table: table.to_string(),
-                    expected: record_bytes,
-                    got: record.len(),
-                });
-            }
-            let key = record_key(table, &record)?;
-            let allow_dups = !t.unique_keys;
-            let b = builder.get_or_insert_with(|| {
-                next_id += 1;
-                let b = SstBuilder::new(next_id, 2, record_bytes, block_bytes, table);
-                if allow_dups {
-                    b.allow_duplicate_keys()
-                } else {
-                    b
-                }
-            });
-            b.add_record(key, &record)?;
-            loaded += 1;
-            in_current += 1;
-            if in_current >= max_per_sst {
-                let (meta, t_done) = builder
-                    .take()
-                    .ok_or_else(|| {
-                        NkvError::Config(format!(
-                            "bulk load into `{table}` lost its SST builder mid-stream"
-                        ))
-                    })?
-                    .finish(&mut self.platform.flash, &mut self.alloc, now)?;
-                done = done.max(t_done);
-                t.lsm.install_bulk_sst(meta);
-                in_current = 0;
-            }
-        }
-        if let Some(b) = builder {
-            let (meta, t_done) = b.finish(&mut self.platform.flash, &mut self.alloc, now)?;
-            done = done.max(t_done);
-            t.lsm.install_bulk_sst(meta);
-        }
+        let (flash, dups) = (&mut self.platform.flash, !t.unique_keys);
+        let (loaded, done) = t.lsm.bulk_load(flash, &mut self.alloc, records, dups, self.clock)?;
         self.clock = self.clock.max(done);
         Ok(loaded)
     }
@@ -960,14 +887,7 @@ impl NkvDb {
                 crate::recovery::recover_table_ssts(&mut db.platform.flash, entry, db.clock)?;
             db.clock = db.clock.max(t);
             for (_, meta) in &recovered {
-                for block in &meta.blocks {
-                    for &p in &block.pages {
-                        db.alloc.mark_used(p);
-                    }
-                }
-                for &p in &meta.index_pages {
-                    db.alloc.mark_used(p);
-                }
+                db.alloc.mark_sst(meta);
             }
             let t = db.tables.get_mut(&entry.name).ok_or_else(|| {
                 NkvError::Config(format!(

@@ -15,8 +15,10 @@
 use crate::error::{NkvError, NkvResult};
 use crate::memtable::{Entry, MemTable};
 use crate::placement::PageAllocator;
-use crate::sst::{read_block, serialize_index, SstBuilder, SstMeta};
+use crate::sst::{read_block, write_index, RunShape, RunWriter, SstMeta};
 use cosmos_sim::{FlashArray, PhysAddr, SimNs};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Tuning knobs of one LSM tree.
 #[derive(Debug, Clone)]
@@ -54,7 +56,6 @@ pub struct LsmTree {
     /// `levels[0]` = `C1` (newest SST first); deeper levels hold
     /// non-overlapping runs sorted by key range.
     levels: Vec<Vec<SstMeta>>,
-    next_sst_id: u64,
     seed: u64,
     /// SST ids retired since the last [`Self::take_retired`] drain:
     /// compaction inputs whose pages may still sit in the device block
@@ -73,7 +74,6 @@ impl LsmTree {
             cfg,
             memtable: MemTable::new(seed),
             levels: vec![Vec::new(); max_levels],
-            next_sst_id: 1,
             seed,
             retired: Vec::new(),
         }
@@ -84,18 +84,28 @@ impl LsmTree {
         self.record_bytes
     }
 
-    /// Data block size.
-    pub fn block_bytes(&self) -> usize {
-        self.cfg.block_bytes
-    }
-
     /// The in-memory component.
     pub fn memtable(&self) -> &MemTable {
         &self.memtable
     }
 
-    /// Insert or update a record (key = first 8 bytes, validated by the
-    /// caller-facing layer).
+    /// Size-check `record` and decode its embedded key (its first 8
+    /// bytes, little endian) — a typed error, never a panic: the write
+    /// and bulk-load paths are reachable from the cluster router's shard
+    /// calls, where a panic would take down the whole fleet simulation
+    /// instead of failing one shard.
+    pub fn record_key(&self, record: &[u8]) -> NkvResult<u64> {
+        let key = record.get(..8).and_then(|k| <[u8; 8]>::try_from(k).ok());
+        key.filter(|_| record.len() == self.record_bytes).map(u64::from_le_bytes).ok_or_else(|| {
+            NkvError::RecordSizeMismatch {
+                table: self.table.clone(),
+                expected: self.record_bytes,
+                got: record.len(),
+            }
+        })
+    }
+
+    /// Insert or update a record (`key` = [`Self::record_key`]).
     pub fn put(&mut self, key: u64, record: Vec<u8>) {
         self.memtable.put(key, record);
     }
@@ -122,35 +132,85 @@ impl LsmTree {
         }
     }
 
-    /// Flush `C0` into a fresh `C1` SST (no compaction, per the paper).
-    /// Returns the completion time; no-op on an empty memtable.
+    /// Start a run of SSTs placed at `level` (1-based), each at most
+    /// `blocks_per_sst` full blocks of entries long — the one roll-over
+    /// rule of the write path.
+    fn run<'a>(
+        &'a self,
+        flash: &'a mut FlashArray,
+        alloc: &'a mut PageAllocator,
+        now: SimNs,
+        level: usize,
+        blocks_per_sst: usize,
+        allow_duplicates: bool,
+    ) -> RunWriter<'a> {
+        let per_block = (self.cfg.block_bytes / self.record_bytes).max(1);
+        let shape = RunShape {
+            table: &self.table,
+            level,
+            record_bytes: self.record_bytes,
+            block_bytes: self.cfg.block_bytes,
+            entries_per_sst: per_block.saturating_mul(blocks_per_sst),
+            allow_duplicates,
+        };
+        RunWriter::new(flash, alloc, now, shape)
+    }
+
+    /// Flush `C0` into a fresh `C1` SST (no compaction, per the paper):
+    /// a run that never rolls over. Returns the completion time; no-op
+    /// on an empty memtable.
     pub fn flush(
         &mut self,
         flash: &mut FlashArray,
         alloc: &mut PageAllocator,
         now: SimNs,
     ) -> NkvResult<SimNs> {
-        if self.memtable.is_empty() {
-            return Ok(now);
-        }
-        let id = self.next_sst_id;
-        self.next_sst_id += 1;
-        let mut b = SstBuilder::new(id, 1, self.record_bytes, self.cfg.block_bytes, &self.table);
+        let mut run = self.run(flash, alloc, now, 1, usize::MAX, false);
         for (key, entry) in self.memtable.iter() {
-            match entry {
-                Entry::Value(rec) => b.add_record(key, rec)?,
-                Entry::Tombstone => b.add_tombstone(key),
-            }
+            let record = match entry {
+                Entry::Value(rec) => Some(rec.as_slice()),
+                Entry::Tombstone => None,
+            };
+            run.add(key, record)?;
         }
-        let (meta, done) = b.finish(flash, alloc, now)?;
-        self.levels[0].insert(0, meta); // newest first
-        self.memtable = MemTable::new(self.seed ^ id);
+        let (ssts, done) = run.finish()?;
+        for meta in ssts {
+            self.memtable = MemTable::new(self.seed ^ meta.id);
+            self.levels[0].insert(0, meta); // newest first
+        }
         Ok(done)
     }
 
-    /// Compact `level` into `level + 1`: k-way merge with newest-wins
-    /// semantics; tombstones are purged when the output is the bottom
-    /// populated level. Returns the completion time.
+    /// Bulk-load ascending records straight into fresh `C2` SSTs (the
+    /// sorted ingest path: bypasses the memtable; the caller guarantees
+    /// the keys do not overlap earlier loads). The SSTs are installed
+    /// once the whole run is on flash, so a rejected record leaves the
+    /// tree as it was. Returns the record count and the completion time.
+    pub fn bulk_load(
+        &mut self,
+        flash: &mut FlashArray,
+        alloc: &mut PageAllocator,
+        records: impl IntoIterator<Item = Vec<u8>>,
+        allow_duplicates: bool,
+        now: SimNs,
+    ) -> NkvResult<(u64, SimNs)> {
+        let mut run = self.run(flash, alloc, now, 2, 2048, allow_duplicates);
+        let mut loaded = 0;
+        for record in records {
+            run.add(self.record_key(&record)?, Some(&record))?;
+            loaded += 1;
+        }
+        let (ssts, done) = run.finish()?;
+        self.levels[1].extend(ssts);
+        Ok((loaded, done))
+    }
+
+    /// Compact `level` into `level + 1`: every input block is read, then
+    /// a newest-wins merge streams into a run of bounded SSTs; tombstones
+    /// are purged when the output is the bottom populated level. The tree
+    /// changes only once the output run is complete — a failed compaction
+    /// returns its error and leaves every level as it was. Returns the
+    /// completion time.
     pub fn compact(
         &mut self,
         flash: &mut FlashArray,
@@ -162,117 +222,58 @@ impl LsmTree {
         if self.levels[level].is_empty() {
             return Ok(now);
         }
-        // Inputs: all SSTs of `level` (priority = recency order) plus all
-        // SSTs of `level + 1` (older than anything above).
-        let upper: Vec<SstMeta> = std::mem::take(&mut self.levels[level]);
-        let lower: Vec<SstMeta> = std::mem::take(&mut self.levels[level + 1]);
-        self.retired.extend(upper.iter().chain(lower.iter()).map(|s| s.id));
+        // Inputs in recency order: all SSTs of `level`, then all SSTs of
+        // `level + 1` (older than anything above).
+        let inputs: Vec<&SstMeta> =
+            self.levels[level].iter().chain(&self.levels[level + 1]).collect();
         let bottom = self.levels[level + 2..].iter().all(Vec::is_empty);
 
-        // Materialize per-source entry streams (records + tombstones).
-        let mut sources: Vec<Vec<(u64, Option<Vec<u8>>)>> = Vec::new();
         let mut read_done = now;
-        for sst in upper.iter().chain(lower.iter()) {
-            let (t, entries) = load_entries(flash, sst, now)?;
-            read_done = read_done.max(t);
-            sources.push(entries);
+        let mut blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(inputs.len());
+        for sst in &inputs {
+            let mut data = Vec::with_capacity(sst.blocks.len());
+            for i in 0..sst.blocks.len() {
+                // A transient read fault must not abort the merge: retry
+                // a few times; anything persistent still propagates.
+                let mut attempt = 0u32;
+                let (t, block) = loop {
+                    match read_block(flash, sst, i, now) {
+                        Err(NkvError::Flash(e)) if e.is_retryable() && attempt < 4 => attempt += 1,
+                        other => break other?,
+                    }
+                };
+                read_done = read_done.max(t);
+                data.push(block);
+            }
+            blocks.push(data);
         }
 
-        // K-way merge, lower source index = newer version wins.
-        let mut cursors = vec![0usize; sources.len()];
-        let merged_cap: usize = sources.iter().map(Vec::len).sum();
-        let mut merged: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(merged_cap);
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, src) in sources.iter().enumerate() {
-                if let Some(&(k, _)) = src.get(cursors[i]) {
-                    best = match best {
-                        None => Some((k, i)),
-                        Some((bk, _)) if k < bk => Some((k, i)),
-                        // Equal keys: keep the earlier (newer) source.
-                        Some((bk, bi)) if k == bk && i < bi => Some((k, bi.min(i))),
-                        keep => keep,
-                    };
-                }
-            }
-            let Some((key, winner)) = best else { break };
-            for (i, src) in sources.iter().enumerate() {
-                if src.get(cursors[i]).is_some_and(|&(k, _)| k == key) {
-                    if i == winner {
-                        let (_, entry) = &src[cursors[i]];
-                        merged.push((key, entry.clone()));
-                    }
-                    cursors[i] += 1;
-                }
+        // Two sorted sources per SST, records and tombstones (an SST
+        // never holds both for one key — the memtable collapses them
+        // before flush), ranked by the SST's recency.
+        let mut sources: Vec<MergeSource<'_>> = Vec::with_capacity(2 * inputs.len());
+        for (sst, data) in inputs.iter().zip(&blocks) {
+            let records = data.iter().flat_map(|b| b.chunks_exact(sst.record_bytes)).map(|rec| {
+                Ok((crate::util::le_u64(rec, 0, "SST record key during merge")?, Some(rec)))
+            });
+            sources.push(Box::new(records));
+            sources.push(Box::new(sst.tombstones.iter().map(|&key| Ok((key, None)))));
+        }
+        let mut merge = Merge::new(sources)?;
+        // LSM level `level + 1` is placement level `level + 2` (1-based).
+        let mut run = self.run(flash, alloc, read_done, level + 2, 64, false);
+        while let Some((key, record)) = merge.next_entry()? {
+            if record.is_some() || !bottom {
+                run.add(key, record)?;
             }
         }
+        let (out, done) = run.finish()?;
+        drop(merge); // the last borrow of the input blocks and tombstones
 
-        // Emit the merged run, splitting into bounded SSTs.
-        let out_level = level + 1;
-        let max_records_per_sst = (self.cfg.block_bytes / self.record_bytes).max(1) * 64;
-        let mut out_ssts = Vec::new();
-        let mut builder: Option<SstBuilder> = None;
-        let mut in_current = 0usize;
-        let mut done = read_done;
-        for (key, entry) in merged {
-            match entry {
-                Some(rec) => {
-                    let b = builder.get_or_insert_with(|| {
-                        let id = self.next_sst_id;
-                        self.next_sst_id += 1;
-                        SstBuilder::new(
-                            id,
-                            out_level + 1, // placement level (1-based)
-                            self.record_bytes,
-                            self.cfg.block_bytes,
-                            &self.table,
-                        )
-                    });
-                    b.add_record(key, &rec)?;
-                    in_current += 1;
-                }
-                None => {
-                    if !bottom {
-                        let b = builder.get_or_insert_with(|| {
-                            let id = self.next_sst_id;
-                            self.next_sst_id += 1;
-                            SstBuilder::new(
-                                id,
-                                out_level + 1,
-                                self.record_bytes,
-                                self.cfg.block_bytes,
-                                &self.table,
-                            )
-                        });
-                        b.add_tombstone(key);
-                        in_current += 1;
-                    }
-                    // At the bottom level tombstones are purged.
-                }
-            }
-            if in_current >= max_records_per_sst {
-                // `in_current > 0` implies a builder was just inserted
-                // above; losing it here is an internal invariant break,
-                // surfaced as a typed error rather than a panic mid-
-                // compaction.
-                let b = builder.take().ok_or_else(|| {
-                    NkvError::Config(format!(
-                        "compaction of `{}` L{level} lost its SST builder mid-merge",
-                        self.table
-                    ))
-                })?;
-                let (meta, t) = b.finish(flash, alloc, read_done)?;
-                done = done.max(t);
-                out_ssts.push(meta);
-                in_current = 0;
-            }
-        }
-        if let Some(b) = builder {
-            let (meta, t) = b.finish(flash, alloc, read_done)?;
-            done = done.max(t);
-            out_ssts.push(meta);
-        }
-        self.levels[out_level] = out_ssts;
+        // Commit: the output run is on flash, swap it in for its inputs.
+        self.retired.extend(inputs.iter().map(|s| s.id));
+        self.levels[level].clear();
+        self.levels[level + 1] = out;
         Ok(done)
     }
 
@@ -299,22 +300,11 @@ impl LsmTree {
         recovered: Vec<(u32, SstMeta)>,
     ) -> Self {
         let mut tree = Self::new(table, record_bytes, cfg, seed);
-        let mut max_id = 0;
         for (level, meta) in recovered {
-            max_id = max_id.max(meta.id);
             let level = (level as usize).min(tree.levels.len() - 1);
             tree.levels[level].push(meta);
         }
-        tree.next_sst_id = max_id + 1;
         tree
-    }
-
-    /// Install a bulk-loaded SST directly into `C2` (sorted ingest path;
-    /// the caller guarantees keys do not overlap previously installed
-    /// bulk SSTs, which the strictly-ascending builder enforces within
-    /// one load).
-    pub fn install_bulk_sst(&mut self, meta: SstMeta) {
-        self.levels[1].push(meta);
     }
 
     /// Memtable lookup.
@@ -415,74 +405,73 @@ impl LsmTree {
         sst_id: u64,
         now: SimNs,
     ) -> NkvResult<SimNs> {
-        let page_bytes = flash.config().page_bytes as usize;
-        let Some(sst) = self.levels.iter_mut().flatten().find(|s| s.id == sst_id) else {
-            return Ok(now);
-        };
-        let bytes = serialize_index(sst);
-        let n_pages = bytes.len().div_ceil(page_bytes).max(1);
-        let pages = alloc.alloc_block(sst.level, n_pages).ok_or(NkvError::OutOfSpace)?;
-        let mut done = now;
-        for (i, &p) in pages.iter().enumerate() {
-            let start = i * page_bytes;
-            let end = (start + page_bytes).min(bytes.len());
-            let slice = if start < bytes.len() { &bytes[start..end] } else { &[][..] };
-            done = done.max(flash.program_page(p, slice, now)?);
+        match self.levels.iter_mut().flatten().find(|s| s.id == sst_id) {
+            Some(sst) => write_index(flash, alloc, sst, now),
+            None => Ok(now),
         }
-        sst.index_pages = pages;
-        Ok(done)
     }
 }
 
-/// Entry stream of one SST: `(key, record-or-tombstone)` in key order.
-type EntryStream = Vec<(u64, Option<Vec<u8>>)>;
+/// One merged entry: a key and its record, or `None` for a tombstone.
+type MergeEntry<'a> = (u64, Option<&'a [u8]>);
 
-/// Load all entries of an SST in key order (records + tombstones merged).
-fn load_entries(
-    flash: &mut FlashArray,
-    sst: &SstMeta,
-    now: SimNs,
-) -> NkvResult<(SimNs, EntryStream)> {
-    let mut recs: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(sst.n_records as usize);
-    let mut done = now;
-    for i in 0..sst.blocks.len() {
-        // Transient read faults must not abort a flush/compaction merge
-        // (which has already detached its input levels) — retry a few
-        // times; anything persistent still propagates.
-        let mut attempt = 0u32;
-        let (t, data) = loop {
-            match read_block(flash, sst, i, now) {
-                Ok(x) => break x,
-                Err(NkvError::Flash(e)) if e.is_retryable() && attempt < 4 => attempt += 1,
-                Err(e) => return Err(e),
+/// One sorted input of a [`Merge`].
+type MergeSource<'a> = Box<dyn Iterator<Item = NkvResult<MergeEntry<'a>>> + 'a>;
+
+/// Newest-wins k-way merge over sorted sources ranked by recency (lower
+/// index = newer): yields each key once, with the newest source's entry.
+struct Merge<'a> {
+    sources: Vec<MergeSource<'a>>,
+    /// Each source's current record (its key sits in `heap`).
+    heads: Vec<Option<&'a [u8]>>,
+    /// `(key, source)` of every unexhausted source, smallest first.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Sources whose head was consumed by the entry being yielded.
+    consumed: Vec<usize>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(sources: Vec<MergeSource<'a>>) -> NkvResult<Self> {
+        let n = sources.len();
+        let mut merge = Self {
+            sources,
+            heads: vec![None; n],
+            heap: BinaryHeap::with_capacity(n),
+            consumed: (0..n).collect(),
+        };
+        merge.refill()?;
+        Ok(merge)
+    }
+
+    /// Advance every consumed source by one entry.
+    fn refill(&mut self) -> NkvResult<()> {
+        while let Some(i) = self.consumed.pop() {
+            if let Some(entry) = self.sources[i].next() {
+                let (key, record) = entry?;
+                self.heads[i] = record;
+                self.heap.push(Reverse((key, i)));
             }
-        };
-        done = done.max(t);
-        for chunk in data.chunks_exact(sst.record_bytes) {
-            let key = crate::util::le_u64(chunk, 0, "SST record key during merge")?;
-            recs.push((key, Some(chunk.to_vec())));
         }
+        Ok(())
     }
-    // Merge tombstones (both lists are sorted; an SST never holds both a
-    // record and a tombstone for the same key — the memtable collapses
-    // them before flush).
-    let mut out = Vec::with_capacity(recs.len() + sst.tombstones.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < recs.len() || j < sst.tombstones.len() {
-        let take_rec = match (recs.get(i), sst.tombstones.get(j)) {
-            (Some((rk, _)), Some(tk)) => rk < tk,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_rec {
-            out.push(recs[i].clone());
-            i += 1;
-        } else {
-            out.push((sst.tombstones[j], None));
-            j += 1;
+
+    /// The smallest remaining key with its newest entry. Every source
+    /// holding that key moves on by exactly one entry, so older versions
+    /// are dropped while a source repeating a key yields it again.
+    fn next_entry(&mut self) -> NkvResult<Option<MergeEntry<'a>>> {
+        let Some(Reverse((key, newest))) = self.heap.pop() else { return Ok(None) };
+        self.consumed.push(newest);
+        while let Some(&Reverse((k, i))) = self.heap.peek() {
+            if k != key {
+                break;
+            }
+            self.heap.pop();
+            self.consumed.push(i);
         }
+        let record = self.heads[newest];
+        self.refill()?;
+        Ok(Some((key, record)))
     }
-    Ok((done, out))
 }
 
 #[cfg(test)]
@@ -641,12 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn compaction_splits_oversized_merges_without_losing_the_builder() {
-        // Regression for the split point in `compact`: it used to
-        // `unwrap()` the SST builder when an output run crossed the
-        // per-SST record cap (now a typed invariant error). Drive a
-        // merge across several split boundaries and verify the
-        // multi-SST output serves every record.
+    fn compaction_splits_oversized_merges_into_several_ssts() {
+        // Drive a merge across several roll-over boundaries of the
+        // output run and verify the multi-SST output serves every
+        // record.
         let mut fx = fixture();
         // 64-byte blocks -> 3 records per block -> 192 records per
         // output SST, so 500 records split into three SSTs.
@@ -664,6 +651,67 @@ mod tests {
         );
         for k in [1u64, 192, 193, 384, 385, 500] {
             assert_eq!(get(&mut fx, k), Some(rec(k, 1)), "key {k}");
+        }
+    }
+
+    #[test]
+    fn merge_yields_each_key_once_with_the_newest_entry() {
+        let recs: Vec<Vec<u8>> = (0..6u8).map(|tag| rec(u64::from(tag), tag)).collect();
+        let source = |entries: Vec<(u64, Option<usize>)>| -> MergeSource<'_> {
+            Box::new(entries.into_iter().map(|(k, r)| Ok((k, r.map(|i| recs[i].as_slice())))))
+        };
+        let mut merge = Merge::new(vec![
+            source(vec![(2, Some(0)), (5, None)]),               // newest
+            source(vec![(1, Some(1)), (2, None), (9, Some(2))]), // its tombstones ...
+            source(vec![(2, Some(3)), (5, Some(4)), (9, Some(5))]), // oldest
+            source(vec![]),
+        ])
+        .unwrap();
+        let mut out = Vec::new();
+        while let Some((key, record)) = merge.next_entry().unwrap() {
+            out.push((key, record.map(|r| r[REC - 1])));
+        }
+        assert_eq!(out, vec![(1, Some(1)), (2, Some(0)), (5, None), (9, Some(2))]);
+
+        // A source repeating a key keeps every copy (each round moves a
+        // source on by one entry): nothing is dropped silently, the run
+        // writer is the one to reject it.
+        let mut merge =
+            Merge::new(vec![source(vec![(4, Some(0)), (4, Some(1))]), source(vec![(4, Some(2))])])
+                .unwrap();
+        let mut out = Vec::new();
+        while let Some((key, record)) = merge.next_entry().unwrap() {
+            out.push((key, record.map(|r| r[REC - 1])));
+        }
+        assert_eq!(out, vec![(4, Some(0)), (4, Some(1))]);
+    }
+
+    #[test]
+    fn a_rejected_bulk_load_leaves_the_levels_unchanged() {
+        // Four blocks per SST: the run has rolled over (and programmed
+        // pages) before the bad record arrives, yet nothing is installed.
+        let cfg = LsmConfig { block_bytes: 64, ..LsmConfig::default() };
+        for bad in [rec(5, 9), vec![0u8; REC + 4]] {
+            let mut fx = fixture();
+            fx.lsm = LsmTree::new("t", REC, cfg.clone(), 7);
+            let load = |keys: std::ops::RangeInclusive<u64>| keys.map(|k| rec(k, 1));
+            fx.lsm.bulk_load(&mut fx.flash, &mut fx.alloc, load(1..=10), false, 0).unwrap();
+            let before = fx.lsm.level_sizes();
+            let programmed = fx.flash.op_counts().1;
+            let records = load(20_000..=27_000).chain([bad]);
+            let err =
+                fx.lsm.bulk_load(&mut fx.flash, &mut fx.alloc, records, false, 0).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    NkvError::UnsortedBulkLoad { .. } | NkvError::RecordSizeMismatch { .. }
+                ),
+                "{err:?}"
+            );
+            assert_eq!(fx.lsm.level_sizes(), before);
+            assert!(fx.flash.op_counts().1 > programmed, "the aborted run is a torn SST");
+            assert_eq!(get(&mut fx, 7), Some(rec(7, 1)));
+            assert_eq!(get(&mut fx, 20_000), None);
         }
     }
 

@@ -10,6 +10,7 @@
 //! one channel (overlapping tR), stripes consecutive *blocks* across
 //! channels (parallel scans), and partitions LUNs between LSM levels.
 
+use crate::sst::SstMeta;
 use cosmos_sim::{FlashConfig, PhysAddr};
 
 /// Allocates physical pages for SST blocks.
@@ -21,6 +22,10 @@ pub struct PageAllocator {
     next_page: Vec<u32>,
     /// Round-robin channel cursor per level class.
     cursor: Vec<u16>,
+    /// Last SST id handed out. Every SST of every table passes through
+    /// this allocator, so ids are unique per device — which the block
+    /// cache, batched GETs and retirement rely on: they key on the id.
+    last_sst_id: u64,
 }
 
 /// How many level classes get separated LUN groups (level 0/1 hot vs
@@ -36,7 +41,14 @@ impl PageAllocator {
             pages_per_lun: cfg.pages_per_lun,
             next_page: vec![0; usize::from(cfg.channels) * usize::from(cfg.luns_per_channel)],
             cursor: vec![0; LEVEL_CLASSES],
+            last_sst_id: 0,
         }
+    }
+
+    /// Hand out the next device-unique SST id.
+    pub fn alloc_sst_id(&mut self) -> u64 {
+        self.last_sst_id += 1;
+        self.last_sst_id
     }
 
     fn class_of(level: usize) -> usize {
@@ -98,11 +110,19 @@ impl PageAllocator {
 
     /// Mark a page as in use (recovery: advance the watermark past every
     /// page referenced by recovered metadata).
-    pub fn mark_used(&mut self, addr: cosmos_sim::PhysAddr) {
+    pub fn mark_used(&mut self, addr: PhysAddr) {
         let slot = self.slot(addr.channel, addr.lun);
         if addr.page >= self.next_page[slot] {
             self.next_page[slot] = addr.page + 1;
         }
+    }
+
+    /// Recovery: advance the page watermarks and the id source past
+    /// everything a recovered SST occupies.
+    pub fn mark_sst(&mut self, sst: &SstMeta) {
+        self.last_sst_id = self.last_sst_id.max(sst.id);
+        let data = sst.blocks.iter().flat_map(|b| &b.pages);
+        data.chain(&sst.index_pages).for_each(|&p| self.mark_used(p));
     }
 
     fn slot(&self, channel: u16, lun: u16) -> usize {

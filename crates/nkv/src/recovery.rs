@@ -30,7 +30,7 @@
 //! always lands on a consistent (if slightly stale) state.
 
 use crate::error::{NkvError, NkvResult};
-use crate::sst::{deserialize_index, SstMeta};
+use crate::sst::{deserialize_index, program_pages, SstMeta};
 use crate::util::crc32c;
 use cosmos_sim::{FlashArray, PhysAddr, SimNs};
 
@@ -179,14 +179,8 @@ pub fn write_manifest(flash: &mut FlashArray, m: &Manifest, now: SimNs) -> NkvRe
     }
     let slot = (m.epoch % 2) as u32;
     let pages_per_lun = flash.config().pages_per_lun;
-    let mut done = now;
-    for i in 0..needed {
-        let start = i as usize * page_bytes;
-        let end = (start + page_bytes).min(bytes.len());
-        let addr = manifest_page(slot, i, pages_per_lun);
-        done = done.max(flash.program_page(addr, &bytes[start..end], now)?);
-    }
-    Ok(done)
+    let pages = (0..needed).map(|i| manifest_page(slot, i, pages_per_lun));
+    program_pages(flash, pages, &bytes, now)
 }
 
 /// Read one slot's manifest, or `None` if the slot holds nothing valid.

@@ -73,181 +73,232 @@ impl SstMeta {
     }
 }
 
-/// Builds one SST from strictly ascending records.
-pub struct SstBuilder {
-    id: u64,
-    level: usize,
-    record_bytes: usize,
-    block_bytes: usize,
-    table: String,
-    current: Vec<u8>,
-    current_first: u64,
-    current_last: u64,
-    blocks_data: Vec<(Vec<u8>, u64, u64)>,
-    last_key: Option<u64>,
-    n_records: u64,
-    keys: Vec<u64>,
-    tombstones: Vec<u64>,
-    allow_duplicates: bool,
-}
-
-impl SstBuilder {
-    /// Start building SST `id` at `level` for `record_bytes`-sized
-    /// records in `block_bytes` blocks (32 KiB in the paper).
-    pub fn new(
-        id: u64,
-        level: usize,
-        record_bytes: usize,
-        block_bytes: usize,
-        table: &str,
-    ) -> Self {
-        assert!(record_bytes >= 8, "records start with a u64 key");
-        assert!(block_bytes >= record_bytes);
-        Self {
-            id,
-            level,
-            record_bytes,
-            block_bytes,
-            table: table.to_string(),
-            current: Vec::with_capacity(block_bytes),
-            current_first: 0,
-            current_last: 0,
-            blocks_data: Vec::new(),
-            last_key: None,
-            n_records: 0,
-            keys: Vec::new(),
-            tombstones: Vec::new(),
-            allow_duplicates: false,
-        }
-    }
-
+/// Shape of one run of SSTs: where it is placed and when it rolls over.
+#[derive(Debug, Clone, Copy)]
+pub struct RunShape<'a> {
+    pub table: &'a str,
+    /// Placement level of every SST of the run (1-based: `C1` = 1).
+    pub level: usize,
+    pub record_bytes: usize,
+    /// Data block size (32 KiB in the paper).
+    pub block_bytes: usize,
+    /// Entries (records + tombstones) after which the run rolls over
+    /// into a fresh SST.
+    pub entries_per_sst: usize,
     /// Allow non-decreasing (rather than strictly ascending) keys:
     /// multi-record tables such as edge lists store several records per
     /// key (lookups then return the first match; see `nkv::db` docs).
-    pub fn allow_duplicate_keys(mut self) -> Self {
-        self.allow_duplicates = true;
-        self
+    pub allow_duplicates: bool,
+}
+
+/// The one way an SST reaches flash: streams ascending entries into a
+/// run of SSTs, programming each data block the moment it seals and each
+/// index block when its SST rolls over or the run finishes. Everything is
+/// issued at `now`; only the open block (plus the open SST's keys, for
+/// its bloom filter) is buffered. The caller installs the SSTs returned
+/// by [`Self::finish`]; a run dropped earlier leaves programmed but
+/// unreferenced pages behind, like a torn SST.
+pub struct RunWriter<'a> {
+    flash: &'a mut FlashArray,
+    alloc: &'a mut PageAllocator,
+    now: SimNs,
+    shape: RunShape<'a>,
+    done: SimNs,
+    ssts: Vec<SstMeta>,
+    last_key: Option<u64>,
+    /// The open block and its key range.
+    block: Vec<u8>,
+    block_first: u64,
+    block_last: u64,
+    /// The open SST: sealed blocks, records so far, every key (records
+    /// and tombstones, for the bloom filter and the roll-over count).
+    blocks: Vec<BlockMeta>,
+    n_records: u64,
+    keys: Vec<u64>,
+    tombstones: Vec<u64>,
+}
+
+impl<'a> RunWriter<'a> {
+    /// Start a run issued at `now`.
+    pub fn new(
+        flash: &'a mut FlashArray,
+        alloc: &'a mut PageAllocator,
+        now: SimNs,
+        shape: RunShape<'a>,
+    ) -> Self {
+        assert!(shape.record_bytes >= 8, "records start with a u64 key");
+        assert!(shape.block_bytes >= shape.record_bytes);
+        Self {
+            flash,
+            alloc,
+            now,
+            shape,
+            done: now,
+            ssts: Vec::new(),
+            last_key: None,
+            block: Vec::with_capacity(shape.block_bytes),
+            block_first: 0,
+            block_last: 0,
+            blocks: Vec::new(),
+            n_records: 0,
+            keys: Vec::new(),
+            tombstones: Vec::new(),
+        }
     }
 
-    /// Records that fit one block (whole records only).
-    pub fn records_per_block(&self) -> usize {
-        self.block_bytes / self.record_bytes
-    }
-
-    /// Append one record; keys must be strictly ascending.
-    pub fn add_record(&mut self, key: u64, record: &[u8]) -> NkvResult<()> {
-        if record.len() != self.record_bytes {
+    /// Append a record (`Some`, keys ascending over the whole run) or a
+    /// deletion the open SST shadows (`None`, in any order).
+    pub fn add(&mut self, key: u64, record: Option<&[u8]>) -> NkvResult<()> {
+        let RunShape { table, record_bytes, block_bytes, allow_duplicates, .. } = self.shape;
+        let Some(record) = record else {
+            self.tombstones.push(key);
+            return self.count(key);
+        };
+        if record.len() != record_bytes {
             return Err(NkvError::RecordSizeMismatch {
-                table: self.table.clone(),
-                expected: self.record_bytes,
+                table: table.to_string(),
+                expected: record_bytes,
                 got: record.len(),
             });
         }
         if let Some(prev) = self.last_key {
-            let unsorted = if self.allow_duplicates { key < prev } else { key <= prev };
-            if unsorted {
+            if key < prev || (key == prev && !allow_duplicates) {
                 return Err(NkvError::UnsortedBulkLoad {
-                    table: self.table.clone(),
+                    table: table.to_string(),
                     prev,
                     next: key,
                 });
             }
         }
         self.last_key = Some(key);
-        if self.current.is_empty() {
-            self.current_first = key;
+        if self.block.is_empty() {
+            self.block_first = key;
         }
-        self.current.extend_from_slice(record);
-        self.current_last = key;
+        self.block.extend_from_slice(record);
+        self.block_last = key;
         self.n_records += 1;
+        if self.block.len() + record_bytes > block_bytes {
+            self.seal_block()?;
+        }
+        self.count(key)
+    }
+
+    /// Count `key` into the open SST; roll over when it is full.
+    fn count(&mut self, key: u64) -> NkvResult<()> {
         self.keys.push(key);
-        if self.current.len() + self.record_bytes > self.block_bytes {
-            self.seal_block();
+        if self.keys.len() >= self.shape.entries_per_sst {
+            self.finish_sst()?;
         }
         Ok(())
     }
 
-    /// Record a deletion this SST shadows.
-    pub fn add_tombstone(&mut self, key: u64) {
-        self.tombstones.push(key);
-        self.keys.push(key);
+    /// Program the open block.
+    fn seal_block(&mut self) -> NkvResult<()> {
+        let (level, span) = (self.shape.level, self.shape.block_bytes);
+        let (pages, t) = place(self.flash, self.alloc, level, span, &self.block, self.now)?;
+        self.done = self.done.max(t);
+        self.blocks.push(BlockMeta {
+            first_key: self.block_first,
+            last_key: self.block_last,
+            pages,
+            bytes: self.block.len() as u32,
+            crc: crc32c(&self.block),
+        });
+        self.block.clear();
+        Ok(())
     }
 
-    fn seal_block(&mut self) {
-        let data = std::mem::take(&mut self.current);
-        self.blocks_data.push((data, self.current_first, self.current_last));
-    }
-
-    /// Write all blocks and the index to flash; returns the metadata and
-    /// the simulated completion time.
-    pub fn finish(
-        mut self,
-        flash: &mut FlashArray,
-        alloc: &mut PageAllocator,
-        now: SimNs,
-    ) -> NkvResult<(SstMeta, SimNs)> {
-        if !self.current.is_empty() {
-            self.seal_block();
+    /// Seal the open SST: its last block, then its index block.
+    fn finish_sst(&mut self) -> NkvResult<()> {
+        if !self.block.is_empty() {
+            self.seal_block()?;
         }
-        self.tombstones.sort_unstable();
-        self.tombstones.dedup();
-
-        let page_bytes = flash.config().page_bytes as usize;
-        let mut done = now;
-        let mut blocks = Vec::with_capacity(self.blocks_data.len());
-        let mut bloom = Bloom::new(self.keys.len().max(1), 10);
+        let mut tombstones = std::mem::take(&mut self.tombstones);
+        tombstones.sort_unstable();
+        tombstones.dedup();
+        let mut bloom = Bloom::new(self.keys.len(), 10);
+        let (mut min_key, mut max_key) = (u64::MAX, 0);
         for &k in &self.keys {
             bloom.insert(k);
+            min_key = min_key.min(k);
+            max_key = max_key.max(k);
         }
-
-        for (data, first, last) in &self.blocks_data {
-            let n_pages = self.block_bytes.div_ceil(page_bytes);
-            let pages = alloc.alloc_block(self.level, n_pages).ok_or(NkvError::OutOfSpace)?;
-            for (i, &p) in pages.iter().enumerate() {
-                let start = i * page_bytes;
-                let end = (start + page_bytes).min(data.len());
-                let slice = if start < data.len() { &data[start..end] } else { &[][..] };
-                done = done.max(flash.program_page(p, slice, now)?);
-            }
-            blocks.push(BlockMeta {
-                first_key: *first,
-                last_key: *last,
-                pages,
-                bytes: data.len() as u32,
-                crc: crc32c(data),
-            });
-        }
-
-        let (min_key, max_key) = match (self.keys.iter().min(), self.keys.iter().max()) {
-            (Some(&a), Some(&b)) => (a, b),
-            _ => (1, 0), // empty SST: inverted range matches nothing
-        };
+        self.keys.clear();
         let mut meta = SstMeta {
-            id: self.id,
-            level: self.level,
-            record_bytes: self.record_bytes,
-            n_records: self.n_records,
+            id: self.alloc.alloc_sst_id(),
+            level: self.shape.level,
+            record_bytes: self.shape.record_bytes,
+            n_records: std::mem::take(&mut self.n_records),
             min_key,
             max_key,
-            blocks,
+            blocks: std::mem::take(&mut self.blocks),
             index_pages: Vec::new(),
             bloom,
-            tombstones: self.tombstones,
+            tombstones,
         };
-
-        // Serialize and store the index block.
-        let index = serialize_index(&meta);
-        let n_pages = index.len().div_ceil(page_bytes).max(1);
-        let pages = alloc.alloc_block(self.level, n_pages).ok_or(NkvError::OutOfSpace)?;
-        for (i, &p) in pages.iter().enumerate() {
-            let start = i * page_bytes;
-            let end = (start + page_bytes).min(index.len());
-            let slice = if start < index.len() { &index[start..end] } else { &[][..] };
-            done = done.max(flash.program_page(p, slice, now)?);
-        }
-        meta.index_pages = pages;
-        Ok((meta, done))
+        let t = write_index(self.flash, self.alloc, &mut meta, self.now)?;
+        self.done = self.done.max(t);
+        self.ssts.push(meta);
+        Ok(())
     }
+
+    /// Finish the run: the SSTs written, oldest first, and the simulated
+    /// time the last page completes. An empty run writes nothing.
+    pub fn finish(mut self) -> NkvResult<(Vec<SstMeta>, SimNs)> {
+        if !self.keys.is_empty() {
+            self.finish_sst()?;
+        }
+        Ok((self.ssts, self.done))
+    }
+}
+
+/// Program `bytes` onto `pages` in page-sized slices, every page issued
+/// at `now` (pages past the payload are programmed empty); returns the
+/// last completion.
+pub(crate) fn program_pages(
+    flash: &mut FlashArray,
+    pages: impl IntoIterator<Item = PhysAddr>,
+    bytes: &[u8],
+    now: SimNs,
+) -> NkvResult<SimNs> {
+    let page_bytes = flash.config().page_bytes as usize;
+    let mut done = now;
+    for (i, page) in pages.into_iter().enumerate() {
+        let start = (i * page_bytes).min(bytes.len());
+        let end = (start + page_bytes).min(bytes.len());
+        done = done.max(flash.program_page(page, &bytes[start..end], now)?);
+    }
+    Ok(done)
+}
+
+/// Allocate one block of `span` bytes at `level` and program `bytes`
+/// into it.
+fn place(
+    flash: &mut FlashArray,
+    alloc: &mut PageAllocator,
+    level: usize,
+    span: usize,
+    bytes: &[u8],
+    now: SimNs,
+) -> NkvResult<(Vec<PhysAddr>, SimNs)> {
+    let n_pages = span.div_ceil(flash.config().page_bytes as usize);
+    let pages = alloc.alloc_block(level, n_pages).ok_or(NkvError::OutOfSpace)?;
+    let done = program_pages(flash, pages.iter().copied(), bytes, now)?;
+    Ok((pages, done))
+}
+
+/// Serialize `meta`'s index block onto freshly allocated pages and point
+/// `meta` at them; returns the completion time.
+pub(crate) fn write_index(
+    flash: &mut FlashArray,
+    alloc: &mut PageAllocator,
+    meta: &mut SstMeta,
+    now: SimNs,
+) -> NkvResult<SimNs> {
+    let index = serialize_index(meta);
+    let (pages, done) = place(flash, alloc, meta.level, index.len(), &index, now)?;
+    meta.index_pages = pages;
+    Ok(done)
 }
 
 /// Read one data block's payload; verifies the CRC.
@@ -468,19 +519,118 @@ mod tests {
         v
     }
 
+    /// A run in 32 KiB blocks at placement level `level`, rolling over
+    /// every `entries_per_sst` entries.
+    fn shape(level: usize, record_bytes: usize, entries_per_sst: usize) -> RunShape<'static> {
+        RunShape {
+            table: "t",
+            level,
+            record_bytes,
+            block_bytes: 32 * 1024,
+            entries_per_sst,
+            allow_duplicates: false,
+        }
+    }
+
     fn build(n: u64, record_bytes: usize) -> (FlashArray, SstMeta) {
         let mut flash = FlashArray::new(FlashConfig::default());
         let mut alloc = PageAllocator::new(flash.config());
-        let mut b = SstBuilder::new(1, 1, record_bytes, 32 * 1024, "t");
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape(1, record_bytes, usize::MAX));
         for k in 1..=n {
-            b.add_record(k * 2, &record(k * 2, record_bytes)).unwrap();
+            run.add(k * 2, Some(&record(k * 2, record_bytes))).unwrap();
         }
-        let (meta, _) = b.finish(&mut flash, &mut alloc, 0).unwrap();
-        (flash, meta)
+        let (mut ssts, _) = run.finish().unwrap();
+        assert_eq!(ssts.len(), 1, "a run that never rolls over is one SST");
+        (flash, ssts.remove(0))
+    }
+
+    /// The pinned input: 5 000 records with three tombstones dropped in
+    /// out of key order.
+    fn pinned_input() -> Vec<(u64, Option<Vec<u8>>)> {
+        let mut entries = Vec::new();
+        for k in 1..=5000u64 {
+            match k {
+                11 => entries.push((50_001, None)),
+                3001 => entries.push((7, None)),
+                4001 => entries.push((20_001, None)),
+                _ => {}
+            }
+            entries.push((k * 2, Some(record(k * 2, 20))));
+        }
+        entries
+    }
+
+    /// Everything of a finished run that reaches flash or the clock,
+    /// except the SST ids.
+    fn render(ssts: &[SstMeta], done: SimNs, flash: &FlashArray) -> String {
+        use std::fmt::Write;
+        let mut s = String::new();
+        for sst in ssts {
+            writeln!(
+                s,
+                "sst n={} min={} max={} tomb={:?}",
+                sst.n_records, sst.min_key, sst.max_key, sst.tombstones
+            )
+            .unwrap();
+            for b in &sst.blocks {
+                writeln!(
+                    s,
+                    " block {}..{} bytes={} crc={:08x} pages={:?}",
+                    b.first_key, b.last_key, b.bytes, b.crc, b.pages
+                )
+                .unwrap();
+            }
+            writeln!(s, " index pages={:?}", sst.index_pages).unwrap();
+        }
+        writeln!(s, "done={done} ops={:?}", flash.op_counts()).unwrap();
+        s
     }
 
     #[test]
-    fn builder_packs_whole_records_per_block() {
+    fn flash_image_of_a_run_is_pinned() {
+        // Recorded from the whole-SST builder this writer replaced (one
+        // builder per SST, finished in turn): every block's key range,
+        // payload size, CRC and page list, every index page list, the
+        // completion time and the flash op counts — once as a single SST
+        // and once rolling over into three.
+        for (entries_per_sst, n_ssts, crc, done, ops) in [
+            (usize::MAX, 1, 0xC35F_AF79u32, 2_378_360, (0, 17)),
+            (2000, 3, 0xEFA5_F204, 2_134_565, (0, 23)),
+        ] {
+            let mut flash = FlashArray::new(FlashConfig::default());
+            let mut alloc = PageAllocator::new(flash.config());
+            let mut run = RunWriter::new(&mut flash, &mut alloc, 17, shape(3, 20, entries_per_sst));
+            for (key, rec) in pinned_input() {
+                run.add(key, rec.as_deref()).unwrap();
+            }
+            let (ssts, t) = run.finish().unwrap();
+            assert_eq!((ssts.len(), t, flash.op_counts()), (n_ssts, done, ops));
+            let image = render(&ssts, t, &flash);
+            assert_eq!(crc32c(image.as_bytes()), crc, "flash image drifted:\n{image}");
+            let ids: Vec<u64> = ssts.iter().map(|s| s.id).collect();
+            assert_eq!(ids, (1..=n_ssts as u64).collect::<Vec<_>>(), "ids in write order");
+        }
+    }
+
+    #[test]
+    fn a_block_is_programmed_the_moment_it_seals() {
+        // Only the open block is buffered: once a block's worth of
+        // records plus one is added, that block's pages are on flash —
+        // with the run neither finished nor rolled over.
+        let mut flash = FlashArray::new(FlashConfig::default());
+        let mut alloc = PageAllocator::new(flash.config());
+        let per_block = 32 * 1024 / 20;
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape(1, 20, usize::MAX));
+        for k in 1..=per_block as u64 + 1 {
+            run.add(k, Some(&record(k, 20))).unwrap();
+        }
+        drop(run);
+        let pages_per_block = (32 * 1024usize).div_ceil(flash.config().page_bytes as usize);
+        assert_eq!(flash.op_counts(), (0, pages_per_block as u64));
+    }
+
+    #[test]
+    fn writer_packs_whole_records_per_block() {
         let (_, meta) = build(5000, 20);
         // 32768 / 20 = 1638 records per block.
         assert_eq!(meta.blocks[0].bytes, 1638 * 20);
@@ -534,20 +684,33 @@ mod tests {
 
     #[test]
     fn unsorted_and_duplicate_records_rejected() {
-        let mut b = SstBuilder::new(1, 1, 20, 32 * 1024, "t");
-        b.add_record(10, &record(10, 20)).unwrap();
+        let mut flash = FlashArray::new(FlashConfig::default());
+        let mut alloc = PageAllocator::new(flash.config());
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape(1, 20, usize::MAX));
+        run.add(10, Some(&record(10, 20))).unwrap();
         assert!(matches!(
-            b.add_record(10, &record(10, 20)),
+            run.add(10, Some(&record(10, 20))),
             Err(NkvError::UnsortedBulkLoad { .. })
         ));
-        assert!(matches!(b.add_record(5, &record(5, 20)), Err(NkvError::UnsortedBulkLoad { .. })));
+        assert!(matches!(run.add(5, Some(&record(5, 20))), Err(NkvError::UnsortedBulkLoad { .. })));
+        // Multi-record tables take equal keys, still nothing descending.
+        let dups = RunShape { allow_duplicates: true, ..shape(1, 20, usize::MAX) };
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, dups);
+        run.add(10, Some(&record(10, 20))).unwrap();
+        run.add(10, Some(&record(10, 20))).unwrap();
+        assert!(matches!(
+            run.add(9, Some(&record(9, 20))),
+            Err(NkvError::UnsortedBulkLoad { prev: 10, next: 9, .. })
+        ));
     }
 
     #[test]
     fn wrong_record_size_rejected() {
-        let mut b = SstBuilder::new(1, 1, 20, 32 * 1024, "t");
+        let mut flash = FlashArray::new(FlashConfig::default());
+        let mut alloc = PageAllocator::new(flash.config());
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape(1, 20, usize::MAX));
         assert!(matches!(
-            b.add_record(1, &record(1, 24)),
+            run.add(1, Some(&record(1, 24))),
             Err(NkvError::RecordSizeMismatch { expected: 20, got: 24, .. })
         ));
     }
@@ -567,11 +730,11 @@ mod tests {
     fn tombstones_are_sorted_and_searchable() {
         let mut flash = FlashArray::new(FlashConfig::default());
         let mut alloc = PageAllocator::new(flash.config());
-        let mut b = SstBuilder::new(9, 1, 20, 32 * 1024, "t");
-        b.add_tombstone(50);
-        b.add_record(10, &record(10, 20)).unwrap();
-        b.add_tombstone(7);
-        let (meta, _) = b.finish(&mut flash, &mut alloc, 0).unwrap();
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape(1, 20, usize::MAX));
+        run.add(50, None).unwrap();
+        run.add(10, Some(&record(10, 20))).unwrap();
+        run.add(7, None).unwrap();
+        let meta = run.finish().unwrap().0.remove(0);
         assert!(meta.is_tombstoned(7));
         assert!(meta.is_tombstoned(50));
         assert!(!meta.is_tombstoned(10));
@@ -684,12 +847,17 @@ mod tests {
 
     #[test]
     fn empty_sst_matches_nothing() {
+        // An empty run writes no SST at all ...
         let mut flash = FlashArray::new(FlashConfig::default());
         let mut alloc = PageAllocator::new(flash.config());
-        let b = SstBuilder::new(1, 1, 20, 32 * 1024, "t");
-        let (meta, _) = b.finish(&mut flash, &mut alloc, 0).unwrap();
+        let run = RunWriter::new(&mut flash, &mut alloc, 5, shape(1, 20, usize::MAX));
+        assert_eq!(run.finish().unwrap(), (Vec::new(), 5));
+        assert_eq!(flash.op_counts(), (0, 0));
+        // ... and an empty SST decoded from an index block matches no key.
+        let (_, mut meta) = build(1, 20);
+        meta.n_records = 0;
+        meta.blocks.clear();
         assert!(!meta.may_contain(0));
-        assert!(!meta.may_contain(1));
-        assert_eq!(meta.blocks.len(), 0);
+        assert!(!meta.may_contain(2), "not even the key its bloom and range still hold");
     }
 }

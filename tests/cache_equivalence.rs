@@ -10,6 +10,9 @@
 //! skips the flash read that would have rolled the fault), so the suite
 //! compares result *bytes*, never health counters or timings.
 
+mod common;
+
+use common::{record_for, table_cfg};
 use cosmos_sim::faults::FaultPlan;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
@@ -262,4 +265,63 @@ fn hostile_pe_hang_storm_degrades_gracefully_on_every_path() {
         assert!(health.watchdog_trips > 0, "the storm must trip the watchdog");
         assert!(health.sw_fallback_blocks > 0, "blocks must degrade to software");
     }
+}
+
+/// Every key of `keys` reads back its record from `table` on both tiers.
+fn assert_all_present(db: &mut NkvDb, table: &str, keys: std::ops::RangeInclusive<u64>) {
+    for key in keys {
+        for backend in [Backend::Software, Backend::Hardware] {
+            let (got, _) = db.get(table, key, backend).expect("get");
+            assert_eq!(got, Some(record_for(key)), "`{table}` key {key} on {backend:?}");
+        }
+    }
+}
+
+/// A cached device with two papers tables, `a` and `b`.
+fn two_table_db() -> NkvDb {
+    let mut db = NkvDb::default_db();
+    db.enable_cache(CACHE_BUDGET);
+    for table in ["a", "b"] {
+        db.create_table(table, table_cfg(1, 4)).expect("table");
+    }
+    db
+}
+
+// The block cache, batched GETs and retirement key on the bare SST id,
+// so two live SSTs sharing one id made a GET search the other SST's
+// cached block and answer `None` for a present key. Ids are unique per
+// device now; these are the three ways they used to collide.
+
+#[test]
+fn two_bulk_loads_into_one_table_do_not_share_cached_blocks() {
+    let mut db = two_table_db();
+    db.bulk_load("a", (1..=300).map(record_for)).expect("first load");
+    assert_all_present(&mut db, "a", 1..=300); // warms the first SST's blocks
+    db.bulk_load("a", (1_001..=1_300).map(record_for)).expect("second load");
+    assert_all_present(&mut db, "a", 1_001..=1_300);
+    assert_all_present(&mut db, "a", 1..=300);
+}
+
+#[test]
+fn bulk_loads_into_two_tables_do_not_share_cached_blocks() {
+    let mut db = two_table_db();
+    db.bulk_load("a", (1..=300).map(record_for)).expect("load a");
+    db.bulk_load("b", (1_001..=1_300).map(record_for)).expect("load b");
+    assert_all_present(&mut db, "a", 1..=300);
+    assert_all_present(&mut db, "b", 1_001..=1_300);
+    assert_all_present(&mut db, "a", 1..=300);
+}
+
+#[test]
+fn flushes_into_two_tables_do_not_share_cached_blocks() {
+    let mut db = two_table_db();
+    for (table, keys) in [("a", 1..=60u64), ("b", 1_001..=1_060)] {
+        for key in keys {
+            db.put(table, record_for(key)).expect("put");
+        }
+        db.flush(table).expect("flush");
+    }
+    assert_all_present(&mut db, "a", 1..=60);
+    assert_all_present(&mut db, "b", 1_001..=1_060);
+    assert_all_present(&mut db, "a", 1..=60);
 }

@@ -358,6 +358,53 @@ fn read_repair_relocates_degrading_pages_and_survives_recovery() {
 }
 
 #[test]
+fn a_failed_compaction_leaves_the_tree_as_it_was() {
+    // Three flushed SSTs of 20 records over a C1 limit of 2: the next
+    // PUT triggers a compaction, whose first input page has meanwhile
+    // become a grown bad page. The compaction must fail typed and leave
+    // its inputs installed — the readable 40 records stay readable, the
+    // 20 behind the bad page answer with the flash error, and nothing
+    // acknowledged turns into `None`.
+    let mut db = NkvDb::default_db();
+    db.create_table("papers", table_cfg()).unwrap();
+    for key in 1..=60u64 {
+        db.put("papers", common::record_for(key)).unwrap();
+        if key % 20 == 0 {
+            db.flush("papers").unwrap();
+        }
+    }
+    let levels = db.level_sizes("papers").unwrap();
+    assert_eq!(levels[..2], [3, 0], "three C1 SSTs, compaction due");
+    db.platform_mut().install_faults(&FaultPlan {
+        seed: 19,
+        schedule: vec![ScheduledFault {
+            addr: PhysAddr { channel: 0, lun: 0, page: 0 },
+            kind: FlashFaultKind::Persistent,
+        }],
+        ..FaultPlan::default()
+    });
+
+    let err = db.put("papers", common::record_for(61)).unwrap_err();
+    assert!(
+        matches!(err, NkvError::Flash(cosmos_sim::FlashError::Uncorrectable(_))),
+        "the triggering PUT reports the bad input page: {err:?}"
+    );
+    assert_eq!(db.level_sizes("papers").unwrap(), levels, "no level was touched");
+    for backend in [Backend::Software, Backend::Hardware] {
+        for key in 21..=61u64 {
+            let (got, _) = db.get("papers", key, backend).unwrap();
+            assert_eq!(got, Some(common::record_for(key)), "key {key} on {backend:?}");
+        }
+        for key in 1..=20u64 {
+            match db.get("papers", key, backend) {
+                Err(NkvError::Flash(_)) => {}
+                other => panic!("key {key} on {backend:?} sits behind the bad page: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn power_cut_recovery_yields_a_consistent_prefix_of_acknowledged_flushes() {
     // Acknowledged state = model snapshot taken after each successful
     // flush + persist. A power cut strikes during some later batch; the

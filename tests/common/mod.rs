@@ -1,6 +1,7 @@
 //! Fixtures shared by the differential suites (`batched_get_equivalence`,
-//! `adaptive_equivalence`, `chaos`, `cluster_chaos`): one papers table,
-//! one record generator, one store-plus-model builder.
+//! `adaptive_equivalence`, `cache_equivalence`, `chaos`, `cluster_chaos`,
+//! `recovery`): one papers table, one record generator, one
+//! store-plus-model builder.
 #![allow(dead_code)] // each suite uses its own subset
 
 use ndp_ir::elaborate;

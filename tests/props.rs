@@ -460,7 +460,7 @@ fn lsm_matches_btreemap_model() {
 fn sst_index_round_trips() {
     use cosmos_sim::{FlashArray, FlashConfig};
     use nkv::placement::PageAllocator;
-    use nkv::sst::{deserialize_index, serialize_index, SstBuilder};
+    use nkv::sst::{deserialize_index, serialize_index, RunShape, RunWriter};
 
     for case in 0..12u64 {
         let mut rng = SplitMix64::new(0x9C90 + case);
@@ -470,13 +470,21 @@ fn sst_index_round_trips() {
 
         let mut flash = FlashArray::new(FlashConfig::default());
         let mut alloc = PageAllocator::new(flash.config());
-        let mut b = SstBuilder::new(3, 1, record_bytes, 32 * 1024, "t");
+        let shape = RunShape {
+            table: "t",
+            level: 1,
+            record_bytes,
+            block_bytes: 32 * 1024,
+            entries_per_sst: usize::MAX,
+            allow_duplicates: false,
+        };
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape);
         for &k in &keys {
             let mut rec = k.to_le_bytes().to_vec();
             rec.resize(record_bytes, 0x5A);
-            b.add_record(k, &rec).unwrap();
+            run.add(k, Some(&rec)).unwrap();
         }
-        let (meta, _) = b.finish(&mut flash, &mut alloc, 0).unwrap();
+        let meta = run.finish().unwrap().0.remove(0);
         let back = deserialize_index(&serialize_index(&meta)).unwrap();
         assert_eq!(back.blocks, meta.blocks, "case {case}");
         assert_eq!(back.n_records, meta.n_records, "case {case}");

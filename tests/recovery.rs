@@ -1,6 +1,8 @@
 //! Power-cycle recovery: persist, drop the in-memory state, rebuild from
 //! the flash image, and verify reads and scans are unchanged.
 
+mod common;
+
 use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
@@ -81,6 +83,52 @@ fn recovery_then_write_path_does_not_clobber_recovered_data() {
     // Updated keys read the new version.
     let (got, _) = rec.get("papers", 5, Backend::Software).unwrap();
     assert_eq!(Paper::decode(&got.unwrap()).venue, 9999);
+}
+
+#[test]
+fn recovered_ids_stay_unique_across_tables_and_later_flushes() {
+    // The block cache keys on the bare SST id, so ids must stay unique
+    // per device through a power cycle: `recover` has to advance the id
+    // source past every recovered SST of every table, or the first
+    // flush after it reuses a live id and a GET searches the wrong
+    // SST's cached block.
+    use common::{record_for, table_cfg as small_table};
+    let tables = [("a", 0u64), ("b", 10_000)];
+    let mut db = NkvDb::default_db();
+    db.enable_cache(8 << 20);
+    let put_flush = |db: &mut NkvDb, table: &str, keys: std::ops::RangeInclusive<u64>| {
+        for key in keys {
+            db.put(table, record_for(key)).unwrap();
+        }
+        db.flush(table).unwrap();
+    };
+    for (table, base) in tables {
+        db.create_table(table, small_table(1, 4)).unwrap();
+        db.bulk_load(table, (base + 1..=base + 300).map(record_for)).unwrap();
+        put_flush(&mut db, table, base + 1_001..=base + 1_040);
+        put_flush(&mut db, table, base + 2_001..=base + 2_040);
+    }
+    db.persist().unwrap();
+
+    let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
+    fresh.flash = db.platform_mut().flash.clone();
+    let configs = tables.iter().map(|(t, _)| (t.to_string(), small_table(1, 4))).collect();
+    let mut rec = NkvDb::recover(fresh, configs).unwrap();
+    rec.enable_cache(8 << 20);
+    for (table, base) in tables {
+        put_flush(&mut rec, table, base + 3_001..=base + 3_040);
+    }
+    for _warm in 0..2 {
+        for (table, base) in tables {
+            let old = (1..=300).chain(1_001..=1_040).chain(2_001..=2_040);
+            for key in old.chain(3_001..=3_040).map(|k| base + k) {
+                for backend in [Backend::Software, Backend::Hardware] {
+                    let (got, _) = rec.get(table, key, backend).unwrap();
+                    assert_eq!(got, Some(record_for(key)), "`{table}` key {key} on {backend:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
