@@ -56,6 +56,14 @@ pub trait PeDevice: Mmio {
     /// Execute the operation configured in the control registers
     /// (equivalent to the hardware running after `START` until `BUSY`
     /// deasserts), returning per-block statistics.
+    ///
+    /// Source and result regions should not overlap. The one overlap with
+    /// a defined result is in place — `DST_ADDR == SRC_ADDR` with output
+    /// tuples no wider than input tuples, where the store pointer trails
+    /// the load pointer. A result region that covers source bytes the
+    /// Load Unit has not read yet is unspecified: the streaming hardware
+    /// would read its own output there, a model that reads the source
+    /// first would not.
     fn execute(&mut self, mem: &mut dyn MemBus) -> BlockResult;
 
     /// Number of filtering stages this device provides.

@@ -29,7 +29,9 @@ pub enum DriverProfile {
 }
 
 /// One filtering job: a source block, a destination buffer, and the
-/// predicate chain.
+/// predicate chain. `[dst, dst + capacity)` must not cover source bytes
+/// the PE has yet to read (see [`PeDevice::execute`]); `dst == src` is
+/// fine when output tuples are no wider than input tuples.
 #[derive(Debug, Clone)]
 pub struct FilterJob {
     pub src: u64,

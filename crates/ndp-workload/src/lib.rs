@@ -19,6 +19,7 @@
 //! materialization and any sub-range can be regenerated for verification.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod pubgraph;
 pub mod rng;

@@ -12,6 +12,14 @@ pub const PAPER_BYTES: usize = 80;
 /// Packed size of a [`Ref`] record.
 pub const REF_BYTES: usize = 20;
 
+/// The `N` bytes of a packed record at `off` (the decoders assert the
+/// record's length first).
+fn array_at<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    let mut field = [0u8; N];
+    field.copy_from_slice(&bytes[off..off + N]);
+    field
+}
+
 /// A publication-graph node (matches the `Paper` struct of
 /// [`crate::spec::PAPER_REF_SPEC`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,15 +47,13 @@ impl Paper {
     /// Decode from packed bytes.
     pub fn decode(bytes: &[u8]) -> Self {
         assert!(bytes.len() >= PAPER_BYTES);
-        let mut title = [0u8; 56];
-        title.copy_from_slice(&bytes[24..80]);
         Self {
-            id: u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
-            year: u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            venue: u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
-            n_cits: u32::from_le_bytes(bytes[16..20].try_into().unwrap()),
-            n_refs: u32::from_le_bytes(bytes[20..24].try_into().unwrap()),
-            title,
+            id: u64::from_le_bytes(array_at(bytes, 0)),
+            year: u32::from_le_bytes(array_at(bytes, 8)),
+            venue: u32::from_le_bytes(array_at(bytes, 12)),
+            n_cits: u32::from_le_bytes(array_at(bytes, 16)),
+            n_refs: u32::from_le_bytes(array_at(bytes, 20)),
+            title: array_at(bytes, 24),
         }
     }
 }
@@ -72,9 +78,9 @@ impl Ref {
     pub fn decode(bytes: &[u8]) -> Self {
         assert!(bytes.len() >= REF_BYTES);
         Self {
-            src: u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
-            dst: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            year: u32::from_le_bytes(bytes[16..20].try_into().unwrap()),
+            src: u64::from_le_bytes(array_at(bytes, 0)),
+            dst: u64::from_le_bytes(array_at(bytes, 8)),
+            year: u32::from_le_bytes(array_at(bytes, 16)),
         }
     }
 }

@@ -281,55 +281,75 @@ fn cycle_model_equals_oracle() {
 }
 
 /// Hardware performance-counter conservation on arbitrary blocks and
-/// rules: every tuple that enters the pipeline either leaves it or is
-/// dropped by exactly one filtering stage, and every cycle is either
-/// active or idle. The counters are cumulative across blocks until the
-/// `CNT_CTRL` reset.
+/// rule chains, on PEs of one to four filtering stages, over a short
+/// block and a full 32 KiB one: every tuple that enters the pipeline
+/// either leaves it or is dropped by exactly one filtering stage, every
+/// cycle is either active or idle, the Load and Store Units move whole
+/// 64-bit beats but for a block's last one, and an identity PE whose
+/// tuples are at least a beat wide never stalls its Load Unit (it cannot
+/// receive more than one tuple per cycle). The counters are cumulative
+/// across blocks until the `CNT_CTRL` reset.
 #[test]
 fn perf_counters_conserve_tuples_and_cycles() {
     use ndp_pe::regs::offsets;
     use ndp_pe::{MemBus, Mmio, PeDevice, PeSim, VecMem};
     for case in 0..32u64 {
         let mut rng = SplitMix64::new(0xCF20 + case);
-        let cfg = gen_config(&mut rng);
+        let stages = 1 + case as u32 % 4;
+        let src = spec_source(&gen_fields(&mut rng))
+            .replace("parser P with", &format!("parser P with stages = {stages},"));
+        let cfg = elaborate(&ndp_spec::parse(&src).expect("generated source parses"), "P")
+            .expect("generated source elaborates");
         let ts = cfg.input.tuple_bytes() as usize;
         let mut pe = PeSim::new(cfg.clone());
         let mut mem = VecMem::new(1 << 20);
-        let mut total_cycles = 0u64;
-        let mut total_in = 0u64;
-        for _block in 0..2 {
-            let n_tuples = 1 + rng.gen_usize(39);
+        let (mut cycles, mut tuples_in, mut load_beats, mut store_beats) = (0u64, 0u64, 0u64, 0u64);
+        for n_tuples in [1 + rng.gen_usize(39), cfg.tuples_per_chunk() as usize] {
             let input = random_bytes(&mut rng, n_tuples * ts);
             mem.write_bytes(0, &input);
-            let rule = FilterRule {
-                lane: rng.gen_u32(cfg.input.lanes),
-                op_code: rng.gen_u32(7),
-                value: rng.next_u64(),
-            };
             pe.mmio_write(offsets::SRC_LEN, input.len() as u32);
             pe.mmio_write(offsets::DST_ADDR_LO, 0x8_0000);
             pe.mmio_write(offsets::DST_CAPACITY, 1 << 18);
-            pe.mmio_write(offsets::STAGE_BASE + offsets::STAGE_FIELD, rule.lane);
-            pe.mmio_write(offsets::STAGE_BASE + offsets::STAGE_OP, rule.op_code);
-            pe.mmio_write(offsets::STAGE_BASE + offsets::STAGE_VAL_LO, rule.value as u32);
-            pe.mmio_write(offsets::STAGE_BASE + offsets::STAGE_VAL_HI, (rule.value >> 32) as u32);
+            let n_rules = 1 + rng.gen_u32(stages.min(3));
+            for stage in 0..stages {
+                // Stages past the chain go back to `nop`.
+                let rule = if stage < n_rules {
+                    FilterRule {
+                        lane: rng.gen_u32(cfg.input.lanes),
+                        op_code: rng.gen_u32(7),
+                        value: rng.next_u64(),
+                    }
+                } else {
+                    FilterRule::pass()
+                };
+                let base = offsets::STAGE_BASE + stage * offsets::STAGE_STRIDE;
+                pe.mmio_write(base + offsets::STAGE_FIELD, rule.lane);
+                pe.mmio_write(base + offsets::STAGE_OP, rule.op_code);
+                pe.mmio_write(base + offsets::STAGE_VAL_LO, rule.value as u32);
+                pe.mmio_write(base + offsets::STAGE_VAL_HI, (rule.value >> 32) as u32);
+            }
             pe.mmio_write(offsets::START, 1);
             let res = pe.execute(&mut mem);
-            total_cycles += res.cycles;
-            total_in += u64::from(res.tuples_in);
+            assert_eq!(res.bytes_read as usize, input.len(), "case {case}");
+            assert_eq!(res.result_bytes, res.bytes_written, "case {case}: nothing overflowed");
+            cycles += res.cycles;
+            tuples_in += u64::from(res.tuples_in);
+            load_beats += u64::from(res.bytes_read).div_ceil(8);
+            store_beats += u64::from(res.result_bytes).div_ceil(8);
         }
         let perf = pe.perf();
-        assert_eq!(perf.tuples_in, total_in, "case {case}: counters accumulate across blocks");
+        assert_eq!(perf.tuples_in, tuples_in, "case {case}: counters accumulate across blocks");
         assert_eq!(
             perf.tuples_in,
             perf.tuples_out + perf.dropped_total(),
             "case {case}: tuples_in = tuples_out + stage drops"
         );
-        assert_eq!(
-            perf.active + perf.idle,
-            total_cycles,
-            "case {case}: every cycle is active or idle"
-        );
+        assert_eq!(perf.active + perf.idle, cycles, "case {case}: every cycle is active or idle");
+        assert_eq!(perf.load_beats, load_beats, "case {case}: one load beat per 8 bytes read");
+        assert_eq!(perf.store_beats, store_beats, "case {case}: one store beat per 8 result bytes");
+        if ts >= 8 {
+            assert_eq!(perf.in_stall, 0, "case {case}: {ts}-byte identity tuples stalled the load");
+        }
         pe.reset_perf();
         assert_eq!(pe.perf().tuples_in, 0, "case {case}: CNT_CTRL clears the bank");
     }
