@@ -151,9 +151,9 @@ pub struct Table1 {
 /// Compute Table I: the complete Cosmos+ design with 1 paper-PE and
 /// 7 ref-PEs, hand-crafted vs generated.
 pub fn table1() -> Table1 {
-    let module = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-    let paper = elaborate(&module, PAPER_PE).unwrap();
-    let r#ref = elaborate(&module, REF_PE).unwrap();
+    let module = ndp_spec::parse(PAPER_REF_SPEC).expect("bundled spec parses");
+    let paper = elaborate(&module, PAPER_PE).expect("bundled spec elaborates");
+    let r#ref = elaborate(&module, REF_PE).expect("bundled spec elaborates");
     let mk = |variant| {
         system_report(&[
             PePopulation { cfg: paper.clone(), variant, count: 1 },
@@ -217,8 +217,8 @@ pub fn fig8() -> Vec<Fig8Row> {
     [64u32, 128, 256, 512, 1024]
         .iter()
         .map(|&bits| {
-            let full = elaborate(&ndp_spec::parse(&fig8_full_spec(bits)).unwrap(), "F").unwrap();
-            let half = elaborate(&ndp_spec::parse(&fig8_half_spec(bits)).unwrap(), "F").unwrap();
+            let full = figure_pe(&fig8_full_spec(bits));
+            let half = figure_pe(&fig8_half_spec(bits));
             Fig8Row {
                 tuple_bits: bits,
                 full_slices: pe_report(&full, PeVariant::Generated).slices_out_of_context,
@@ -226,6 +226,12 @@ pub fn fig8() -> Vec<Fig8Row> {
             }
         })
         .collect()
+}
+
+/// The `F` parser of a Fig. 8/9 specification.
+fn figure_pe(spec: &str) -> ndp_ir::PeConfig {
+    elaborate(&ndp_spec::parse(spec).expect("figure spec parses"), "F")
+        .expect("figure spec elaborates")
 }
 
 // ---------------------------------------------------------------- Fig. 9
@@ -249,8 +255,8 @@ pub fn fig9() -> Vec<Fig9Row> {
                     "define parser F with",
                     &format!("define parser F with stages = {stages},"),
                 );
-                let cfg = elaborate(&ndp_spec::parse(&spec).unwrap(), "F").unwrap();
-                f64::from(pe_report(&cfg, PeVariant::Generated).slices_out_of_context) / available
+                f64::from(pe_report(&figure_pe(&spec), PeVariant::Generated).slices_out_of_context)
+                    / available
                     * 100.0
             };
             Fig9Row {
@@ -543,13 +549,13 @@ pub fn ablation_pe_count(scale: f64, counts: &[usize]) -> Vec<(usize, f64)> {
     counts
         .iter()
         .map(|&n| {
-            let module = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
-            let ref_pe = elaborate(&module, REF_PE).unwrap();
+            let module = ndp_spec::parse(PAPER_REF_SPEC).expect("bundled spec parses");
+            let ref_pe = elaborate(&module, REF_PE).expect("bundled spec elaborates");
             let mut db = nkv::NkvDb::default_db();
             let mut cfg = nkv::TableConfig::new(ref_pe);
             cfg.n_pes = n;
             cfg.unique_keys = false;
-            db.create_table("refs", cfg).unwrap();
+            db.create_table("refs", cfg).expect("table config is valid");
             let gen_cfg = ndp_workload::PubGraphConfig::scaled(scale);
             let mut buf = Vec::new();
             db.bulk_load(
@@ -560,14 +566,14 @@ pub fn ablation_pe_count(scale: f64, counts: &[usize]) -> Vec<(usize, f64)> {
                     buf.clone()
                 }),
             )
-            .unwrap();
+            .expect("bulk load succeeds");
             let s = db
                 .scan(
                     "refs",
                     &[FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }],
                     Backend::Hardware,
                 )
-                .unwrap();
+                .expect("hardware scan succeeds");
             (n, ns_to_secs(s.report.sim_ns) / scale)
         })
         .collect()
@@ -585,7 +591,7 @@ pub fn ablation_store_traffic(scale: f64) -> (u64, u64) {
                 &[FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }],
                 Backend::Hardware,
             )
-            .unwrap();
+            .expect("hardware scan succeeds");
         ds.db.platform_mut().dram.traffic_of(cosmos_sim::dram::DramClient::PeStore)
     };
     (run(DbKind::Ours), run(DbKind::Baseline))
@@ -603,13 +609,13 @@ pub fn ablation_aggregate_pushdown(scale: f64) -> (u64, u64, f64, f64) {
             input = Ref, output = Ref, aggregate = { count, sum, min, max } */
          typedef struct { uint64_t src; uint64_t dst; uint32_t year; } Ref;",
     )
-    .unwrap();
-    let pe = elaborate(&module, "RefAgg").unwrap();
+    .expect("bundled spec parses");
+    let pe = elaborate(&module, "RefAgg").expect("bundled spec elaborates");
     let mut db = nkv::NkvDb::default_db();
     let mut cfg = nkv::TableConfig::new(pe);
     cfg.n_pes = 7;
     cfg.unique_keys = false;
-    db.create_table("refs", cfg).unwrap();
+    db.create_table("refs", cfg).expect("table config is valid");
     let gen_cfg = ndp_workload::PubGraphConfig::scaled(scale);
     let mut buf = Vec::new();
     db.bulk_load(
@@ -620,11 +626,12 @@ pub fn ablation_aggregate_pushdown(scale: f64) -> (u64, u64, f64, f64) {
             buf.clone()
         }),
     )
-    .unwrap();
+    .expect("bulk load succeeds");
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }];
-    let full = db.scan("refs", &rules, Backend::Hardware).unwrap();
-    let (count, _, agg_rep) =
-        db.scan_aggregate("refs", &rules, AggOp::Count, 0, Backend::Hardware).unwrap();
+    let full = db.scan("refs", &rules, Backend::Hardware).expect("hardware scan succeeds");
+    let (count, _, agg_rep) = db
+        .scan_aggregate("refs", &rules, AggOp::Count, 0, Backend::Hardware)
+        .expect("the PEs carry count");
     assert_eq!(count, full.count, "both answers must agree");
     (
         full.report.result_bytes,

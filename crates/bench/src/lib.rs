@@ -20,6 +20,7 @@
 //! Simulated times come from the calibrated `cosmos-sim` platform; see
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
 pub mod dataset;

@@ -28,11 +28,17 @@ pub struct BaselinePe {
 }
 
 impl BaselinePe {
-    /// Build the baseline equivalent of `cfg`.
-    ///
-    /// Fails if `cfg` requests capabilities the \[1\] architecture does
-    /// not have (multiple stages or custom operators).
+    /// Build the baseline equivalent of `cfg`; fails where
+    /// [`BaselinePe::check`] does.
     pub fn new(mut cfg: PeConfig) -> IrResult<Self> {
+        Self::check(&cfg)?;
+        cfg.name = format!("{}_baseline", cfg.name);
+        Ok(Self { inner: PeSim::with_flexibility(cfg, false) })
+    }
+
+    /// Whether the \[1\] architecture can build `cfg`: a typed error for
+    /// multiple stages, an aggregation unit or a custom operator.
+    pub fn check(cfg: &PeConfig) -> IrResult<()> {
         if cfg.stages != 1 {
             return Err(IrError::UnsupportedByBaseline {
                 parser: cfg.name.clone(),
@@ -51,8 +57,7 @@ impl BaselinePe {
                 reason: format!("the custom operator `{}`", custom.name),
             });
         }
-        cfg.name = format!("{}_baseline", cfg.name);
-        Ok(Self { inner: PeSim::with_flexibility(cfg, false) })
+        Ok(())
     }
 
     /// The underlying configuration.

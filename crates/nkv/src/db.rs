@@ -19,8 +19,8 @@ use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
 use ndp_pe::oracle::{BlockProcessor, FilterRule, OpTable};
 use ndp_pe::template::PeVariant;
-use ndp_pe::{BaselinePe, PeDevice, PeSim};
-use ndp_swgen::{DriverProfile, PeDriver};
+use ndp_pe::BaselinePe;
+use ndp_swgen::DriverProfile;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -39,9 +39,6 @@ pub struct TableConfig {
     pub n_pes: usize,
     /// Generated PEs (this work) or hand-crafted baseline PEs \[1\].
     pub variant: PeVariant,
-    /// Drive the tick-level PE model (slow, exact) instead of the
-    /// validated fast path.
-    pub cycle_accurate: bool,
     /// Whether keys are unique (one record per key). Multi-record
     /// tables (e.g. edge lists keyed by source) set this to false:
     /// bulk loads may then contain duplicate keys, GET returns the
@@ -61,13 +58,12 @@ pub struct TableConfig {
 }
 
 impl TableConfig {
-    /// Sensible defaults: one generated PE, fast fidelity.
+    /// Sensible defaults: one generated PE.
     pub fn new(pe: PeConfig) -> Self {
         Self {
             pe,
             n_pes: 1,
             variant: PeVariant::Generated,
-            cycle_accurate: false,
             unique_keys: true,
             lsm: LsmConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -396,21 +392,18 @@ impl NkvDb {
                  occupies the first 8 — widen the PE input tuple"
             )));
         }
+        let (profile, stages) = match cfg.variant {
+            PeVariant::Generated => (DriverProfile::Generated, cfg.pe.stages),
+            PeVariant::HandCrafted => {
+                // [1]'s PEs have one stage, the standard operators and no
+                // aggregation unit: refuse what they cannot run.
+                BaselinePe::check(&cfg.pe)?;
+                (DriverProfile::Baseline, 1)
+            }
+        };
         let processor = BlockProcessor::new(&cfg.pe);
         let ops = OpTable::from_config(&cfg.pe);
-        let profile = match cfg.variant {
-            PeVariant::Generated => DriverProfile::Generated,
-            PeVariant::HandCrafted => DriverProfile::Baseline,
-        };
-        let mut drivers: Vec<PeDriver<Box<dyn PeDevice>>> = Vec::with_capacity(cfg.n_pes);
-        for _ in 0..cfg.n_pes.max(1) {
-            let dev: Box<dyn PeDevice> = match cfg.variant {
-                PeVariant::Generated => Box::new(PeSim::new(cfg.pe.clone())),
-                PeVariant::HandCrafted => Box::new(BaselinePe::new(cfg.pe.clone())?),
-            };
-            drivers.push(PeDriver::new(dev, profile));
-        }
-        let n = drivers.len();
+        let n = cfg.n_pes.max(1);
         let full_block_payload = (cfg.pe.chunk_bytes / record_bytes as u32) * record_bytes as u32;
         let table = Table {
             unique_keys: cfg.unique_keys,
@@ -427,14 +420,9 @@ impl NkvDb {
                 eq_code: cfg.pe.op_code("eq"),
                 ge_code: cfg.pe.op_code("ge"),
                 lt_code: cfg.pe.op_code("lt"),
-                drivers,
                 pe_servers: vec![Server::new(); n],
                 profile,
-                stages: match cfg.variant {
-                    PeVariant::Generated => cfg.pe.stages,
-                    PeVariant::HandCrafted => 1,
-                },
-                cycle_accurate: cfg.cycle_accurate,
+                stages,
                 full_block_payload,
                 chunk_bytes: cfg.pe.chunk_bytes,
                 reconcile: cfg.unique_keys,
@@ -604,9 +592,11 @@ impl NkvDb {
     /// Returns `(value, any_rows, report)`. On a hardware backend the
     /// table's PEs must have been generated with `aggregate = {...}`.
     ///
-    /// Assumes single-version data (bulk-loaded/compacted tables): a
-    /// running reduction cannot be reconciled against shadowed versions
-    /// after the fact, so compact first.
+    /// An aggregate is a SCAN that folds: the same walk and the same
+    /// version reconciliation (newest wins, tombstones drop), so COUNT
+    /// equals [`scan`](Self::scan)'s count on any table. A PE reduces a
+    /// block in its register only when no newer component can shadow one
+    /// of its keys; the ARM reduces the others after reconciliation.
     pub fn scan_aggregate(
         &mut self,
         table: &str,
@@ -703,15 +693,8 @@ impl NkvDb {
                     crate::engine::run_batched_get(platform, lsm, exec, &plan, now)?;
                 Ok((PlanOutcome::Batch { results, report }, dones))
             }
-            PhysOp::FilterScan => {
-                let (records, report) = crate::engine::run_scan(platform, lsm, exec, &plan, now)?;
-                let count = records.len() as u64 / exec.processor.out_tuple_bytes().max(1) as u64;
-                Ok((PlanOutcome::Records { records, count, report }, Vec::new()))
-            }
-            PhysOp::AggregateScan { .. } => {
-                let (value, any, report) =
-                    crate::engine::run_scan_aggregate(platform, lsm, exec, &plan, now)?;
-                Ok((PlanOutcome::Aggregate { value, any, report }, Vec::new()))
+            PhysOp::FilterScan | PhysOp::AggregateScan { .. } => {
+                Ok((crate::engine::run_scan(platform, lsm, exec, &plan, now)?, Vec::new()))
             }
         }
     }
@@ -1048,6 +1031,41 @@ mod tests {
         let b = base.scan("papers", &rules, Backend::Hardware).unwrap();
         assert_eq!(a.records, b.records);
         assert!(a.count > 0);
+    }
+
+    /// A hand-crafted table refuses what the PEs of [1] cannot run: a
+    /// typed error at creation, never a panic later.
+    #[test]
+    fn baseline_tables_refuse_what_the_baseline_pes_lack() {
+        let mut two_stage = elaborate(&parse(PAPER_REF_SPEC).unwrap(), PAPER_PE).unwrap();
+        two_stage.stages = 2;
+        let spec = |extra: &str| {
+            parse(&format!(
+                "/* @autogen define parser R with input = T, output = T, {extra} */
+                 typedef struct {{ uint64_t k; uint32_t v; }} T;"
+            ))
+            .unwrap()
+        };
+        let custom =
+            ndp_ir::elaborate_with_custom_ops(&spec("operators = { eq, magic }"), "R", &["magic"])
+                .unwrap();
+        let aggregate = elaborate(&spec("aggregate = { sum }"), "R").unwrap();
+        for (pe, what) in [
+            (two_stage, "2 filtering stages"),
+            (custom, "custom operator `magic`"),
+            (aggregate, "aggregation unit"),
+        ] {
+            let mut cfg = TableConfig::new(pe);
+            cfg.variant = PeVariant::HandCrafted;
+            let mut db = NkvDb::default_db();
+            match db.create_table("t", cfg) {
+                Err(NkvError::UnsupportedByBaseline { reason, .. }) => {
+                    assert!(reason.contains(what), "{what}: {reason}")
+                }
+                other => panic!("{what}: expected UnsupportedByBaseline, got {other:?}"),
+            }
+            assert!(db.tables.is_empty(), "{what}: rejected table must not be installed");
+        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The plan-driven execution engine.
 //!
 //! Every backend of a [`crate::plan::PhysicalPlan`] — software,
-//! hardware, hybrid, and the parallel-PE scan — runs through the four
-//! entry points here ([`run_scan`], [`run_scan_aggregate`], [`run_get`],
-//! [`run_batched_get`]), one per [`PhysOp`]; `exec.rs` holds only the
-//! per-table state they work on.
+//! hardware, hybrid, and the parallel-PE scan — runs through the three
+//! entry points here: [`run_scan`] (filter scans and aggregates, which
+//! are scans that fold), [`run_get`] and [`run_batched_get`]; `exec.rs`
+//! holds only the per-table state they work on.
 //!
 //! The shared plumbing all of them need — retrying flash reads with
 //! backoff, claiming a healthy PE under the watchdog/degradation
 //! policy, dispatching one block job to a PE (ARM register
 //! configuration + PE streaming + DRAM traffic), and falling back to
-//! the ARM oracle when no PE is available — lives here exactly once;
-//! `exec.rs` used to carry three hand-rolled copies.
+//! the ARM oracle when no PE is available — lives here exactly once.
 //!
 //! # Parallel scan
 //!
@@ -31,23 +30,19 @@
 //! the serial plan's bytes.
 
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{DramBus, HealthCounters, ResilienceConfig, SimReport, TableExec};
+use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
 use crate::lsm::LsmTree;
 use crate::memtable::Entry;
 use crate::metrics::LatencyHistogram;
 use crate::placement::worker_for_channel;
-use crate::plan::{Backend, PhysOp, PhysicalPlan};
-use crate::sst::{read_block, search_block, SstMeta};
+use crate::plan::{Backend, PhysOp, PhysicalPlan, PlanOutcome};
+use crate::sst::{read_block, search_block, BlockMeta, SstMeta};
 use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
-use ndp_pe::oracle::{FilterProgram, FilterRule};
+use ndp_pe::oracle::{AggAccumulator, FilterProgram, FilterRule};
 use ndp_pe::pipeline::estimate_block_cycles;
-use ndp_swgen::{DriverProfile, FilterJob, PeInvoke};
+use ndp_swgen::{DriverProfile, PeInvoke};
 use std::collections::{hash_map, HashMap};
-
-/// Per-driver DRAM staging layout: input buffer then output buffer.
-const STAGE_STRIDE: u64 = 256 * 1024;
-const STAGE_OUT_OFF: u64 = 128 * 1024;
 
 /// Backoff charged before retry `attempt` (1-based):
 /// `backoff_base_ns << (attempt - 1)`, shift capped so a hostile retry
@@ -320,79 +315,83 @@ fn key_eq_rule(exec: &TableExec, key: u64) -> NkvResult<[FilterRule; 1]> {
     Ok([FilterRule { lane: 0, op_code, value: key }])
 }
 
-/// A rule chain in the two forms a hardware block job needs: the
-/// register values (what a cycle-accurate job writes, and what prices
-/// the configuration) and the program compiled from them once per job,
-/// which every functional pass runs.
-struct Chain<'a> {
-    rules: &'a [FilterRule],
-    program: FilterProgram,
+/// What a scan keeps of each passing tuple, fixed by the plan's
+/// [`PhysOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Collect {
+    /// The transformed tuple, returned over NVMe (a filter scan, and the
+    /// PE output a GET searches).
+    Records,
+    /// The raw tuple (key = its first 8 bytes), folded into the
+    /// aggregate's accumulator once reconciliation has dropped shadowed
+    /// versions; only the 8-byte result crosses NVMe.
+    Fold,
 }
 
-impl<'a> Chain<'a> {
-    fn new(exec: &TableExec, rules: &'a [FilterRule]) -> Self {
-        Self { rules, program: exec.processor.compile(rules, &exec.ops) }
+impl Collect {
+    /// Run `program` over one block on the ARM oracle, appending what is
+    /// collected of every passing tuple to `out`. Returns `(tuples_in,
+    /// tuples_out)`.
+    fn block(
+        self,
+        exec: &TableExec,
+        program: &FilterProgram,
+        data: &[u8],
+        out: &mut Vec<u8>,
+    ) -> (u64, u64) {
+        match self {
+            Collect::Records => {
+                let stats = exec.processor.run_block(program, data, out);
+                (u64::from(stats.tuples_in), u64::from(stats.tuples_out))
+            }
+            Collect::Fold => {
+                let mut n = (0, 0);
+                for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
+                    n.0 += 1;
+                    if program.passes(tuple) {
+                        n.1 += 1;
+                        out.extend_from_slice(tuple);
+                    }
+                }
+                n
+            }
+        }
     }
 }
 
-/// One block's worth of hardware filtering (shared by GET and SCAN).
-/// Returns `(tuples_in, tuples_out, pe_cycles, io_writes, io_reads,
-/// bytes_written)`.
+/// One block's worth of hardware work (shared by GET and SCAN): the
+/// functional pass, the PE's cycles and the register I/O of configuring
+/// a chain of `rules` the way `invoke` says. Returns `(tuples_in,
+/// tuples_out, pe_cycles, io_writes, io_reads, store_bytes)`;
+/// `store_bytes` is `None` for a fold, whose result stays in the PE's
+/// accumulator register.
 fn hw_filter_block(
-    exec: &mut TableExec,
-    dram: &mut cosmos_sim::Dram,
+    exec: &TableExec,
     data: &[u8],
-    chain: &Chain<'_>,
-    driver_idx: usize,
+    program: &FilterProgram,
+    rules: usize,
     invoke: PeInvoke,
+    collect: Collect,
     out: &mut Vec<u8>,
-) -> (u64, u64, u64, u64, u64, u64) {
-    if exec.cycle_accurate {
-        let in_addr = driver_idx as u64 * STAGE_STRIDE;
-        let out_addr = in_addr + STAGE_OUT_OFF;
-        dram.write(in_addr, data);
-        let drv = &mut exec.drivers[driver_idx];
-        let job = FilterJob {
-            src: in_addr,
-            len: data.len() as u32,
-            dst: out_addr,
-            capacity: (STAGE_STRIDE - STAGE_OUT_OFF) as u32,
-            rules: chain.rules.to_vec(),
-            aggregate: None,
-        };
-        let handle = drv.filter_async(&job, invoke);
-        let res = drv.wait_until_done(&mut DramBus(dram), handle);
-        let start = out.len();
-        out.resize(start + res.result_bytes as usize, 0);
-        dram.read(out_addr, &mut out[start..]);
-        (
-            u64::from(res.block.tuples_in),
-            u64::from(res.tuples_out),
-            res.block.cycles,
-            res.io.reg_writes,
-            res.io.reg_reads,
-            u64::from(res.block.bytes_written),
-        )
-    } else {
-        let stats = exec.processor.run_block(&chain.program, data, out);
-        let bytes_written = match exec.profile {
-            // The fixed-block baseline always writes whole blocks back.
-            DriverProfile::Baseline => u64::from(exec.chunk_bytes),
-            DriverProfile::Generated => u64::from(stats.bytes_out),
-        };
-        let cycles = estimate_block_cycles(
-            data.len() as u64,
-            u64::from(stats.tuples_in),
-            bytes_written,
-            exec.stages,
-        );
-        let (w, r) = match invoke {
-            PeInvoke::Keyed => (timing::BATCH_KEY_CFG_WRITES, timing::BATCH_KEY_CFG_READS),
-            PeInvoke::Cold => exec.cfg_io(true, chain.rules.len()),
-            PeInvoke::Warm => exec.cfg_io(false, chain.rules.len()),
-        };
-        (u64::from(stats.tuples_in), u64::from(stats.tuples_out), cycles, w, r, bytes_written)
-    }
+) -> (u64, u64, u64, u64, u64, Option<u64>) {
+    let (tin, tout) = collect.block(exec, program, data, out);
+    let (w, r) = match invoke {
+        PeInvoke::Keyed => (timing::BATCH_KEY_CFG_WRITES, timing::BATCH_KEY_CFG_READS),
+        PeInvoke::Cold => exec.cfg_io(true, rules),
+        PeInvoke::Warm => exec.cfg_io(false, rules),
+    };
+    let (w, r, stored) = match (collect, exec.profile) {
+        // AGG_FIELD + AGG_OP join a cold configuration; the accumulator's
+        // two halves are read back; nothing is stored.
+        (Collect::Fold, _) => (w + if invoke == PeInvoke::Cold { 2 } else { 0 }, r + 2, None),
+        // The fixed-block baseline always writes whole blocks back.
+        (Collect::Records, DriverProfile::Baseline) => (w, r, Some(u64::from(exec.chunk_bytes))),
+        (Collect::Records, DriverProfile::Generated) => {
+            (w, r, Some(tout * exec.processor.out_tuple_bytes() as u64))
+        }
+    };
+    let cycles = estimate_block_cycles(data.len() as u64, tin, stored.unwrap_or(0), exec.stages);
+    (tin, tout, cycles, w, r, stored)
 }
 
 /// ARM post-filter over the PE's output tuples in `out[before..]` (the
@@ -420,17 +419,41 @@ fn apply_residual(
     dropped
 }
 
-/// One scan's rule chains, compiled once when the scan starts. The
-/// functional filter is always the whole conjunction; the plan's split
-/// into pushed/residual only decides where each predicate runs.
-struct ScanFilters<'a> {
+/// One scan's rule chains, compiled once when the scan starts, and what
+/// it collects. The functional filter is always the whole conjunction;
+/// the plan's split into pushed/residual only decides where each
+/// predicate runs.
+struct ScanFilters {
     /// Pushed + residual: the memtable pass, the software backend and
     /// blocks degraded to the ARM.
     all: FilterProgram,
-    /// What a PE is configured with.
-    pushed: Chain<'a>,
+    /// What a PE is configured with (`rules` predicates).
+    pushed: FilterProgram,
+    rules: usize,
     /// What the ARM re-checks on a PE's output (hybrid plans).
     residual: FilterProgram,
+    collect: Collect,
+    /// Bytes one collected tuple occupies.
+    width: usize,
+    /// Key range of the memtable's entries, tombstones included (`None`
+    /// when it is empty); set by the memtable pass.
+    c0_keys: Option<(u64, u64)>,
+}
+
+impl ScanFilters {
+    /// Whether `block`, of an SST whose newer components are `newer`, may
+    /// run on a PE. Always for a filter scan: the PE's output is
+    /// reconciled like any other. A fold's block is reduced in the PE's
+    /// register, so only when no newer component — the memtable or an SST
+    /// of lower rank — can hold a version of one of its keys: a
+    /// conservative key-range test that walks no memtable.
+    fn on_pe(&self, reconcile: bool, newer: &[&SstMeta], block: &BlockMeta) -> bool {
+        let meets = |(lo, hi): (u64, u64)| lo <= block.last_key && block.first_key <= hi;
+        self.collect == Collect::Records
+            || !reconcile
+            || !(self.c0_keys.is_some_and(meets)
+                || newer.iter().any(|s| meets((s.min_key, s.max_key))))
+    }
 }
 
 /// Which PE a scan block is offered to.
@@ -439,18 +462,21 @@ enum PeChoice<'a> {
     RoundRobin(&'a mut usize),
     /// A parallel worker's own PE.
     Pinned(usize),
+    /// None: the block is never HW-eligible (see [`ScanFilters::on_pe`])
+    /// and runs on the ARM, which is not a fallback.
+    Arm,
 }
 
 /// Read, stage and filter one scan block on the plan's backend,
-/// appending passing (transformed) tuples to `out` and returning the
-/// block's completion time. The read issues at `issue`; `configured[pe]`
-/// tracks whether the PE's rule registers are warm.
+/// appending what the scan collects of each passing tuple to `out` and
+/// returning the block's completion time. The read issues at `issue`;
+/// `configured[pe]` tracks whether the PE's rule registers are warm.
 #[allow(clippy::too_many_arguments)]
 fn scan_block_job(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters<'_>,
+    filters: &ScanFilters,
     sst: &SstMeta,
     block_idx: usize,
     issue: SimNs,
@@ -463,32 +489,32 @@ fn scan_block_job(
     let data = data.as_slice();
     report.blocks += 1;
     report.bytes_scanned += data.len() as u64;
-    if plan.backend == Backend::Software {
-        let stats = exec.processor.run_block(&filters.all, data, out);
-        report.tuples_in += u64::from(stats.tuples_in);
-        report.tuples_out += u64::from(stats.tuples_out);
-        return Ok(arm_filter(platform, staged, data.len() as u64));
-    }
-    // The fixed-block baseline cannot express partial blocks; its
-    // firmware handles the tail block in software (see DESIGN.md), which
-    // is not a fallback: the block was never HW-eligible.
-    let baseline_tail =
-        exec.profile == DriverProfile::Baseline && (data.len() as u32) < exec.full_block_payload;
+    // A block that was never HW-eligible runs on the ARM, which is not a
+    // fallback: the software backend, a fold's shadowable block, and the
+    // fixed-block baseline's tail block (it cannot express partial
+    // blocks; its firmware handles the tail in software, see DESIGN.md).
+    let never_hw = plan.backend == Backend::Software
+        || matches!(choice, PeChoice::Arm)
+        || exec.profile == DriverProfile::Baseline && (data.len() as u32) < exec.full_block_payload;
     let candidate = match choice {
-        _ if baseline_tail => None,
-        PeChoice::RoundRobin(rr) => next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), rr),
-        PeChoice::Pinned(pe) => (!exec.pe_failed.get(pe).copied().unwrap_or(false)).then_some(pe),
+        PeChoice::RoundRobin(rr) if !never_hw => {
+            next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), rr)
+        }
+        PeChoice::Pinned(pe) if !never_hw => {
+            (!exec.pe_failed.get(pe).copied().unwrap_or(false)).then_some(pe)
+        }
+        _ => None,
     };
-    match claim_pe(platform, exec, candidate, !baseline_tail)? {
+    match claim_pe(platform, exec, candidate, !never_hw)? {
         PeGrant::Hw(d) => {
             let before = out.len();
-            let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
+            let (tin, tout, cycles, w, r, stored) = hw_filter_block(
                 exec,
-                &mut platform.dram,
                 data,
                 &filters.pushed,
-                d,
+                filters.rules,
                 if configured[d] { PeInvoke::Warm } else { PeInvoke::Cold },
+                filters.collect,
                 out,
             );
             configured[d] = true;
@@ -496,8 +522,8 @@ fn scan_block_job(
             report.tuples_out += tout;
             report.reg_writes += w;
             report.reg_reads += r;
-            // ARM configures the PE, then the PE streams the block;
-            // load + store both ride the DRAM port.
+            // ARM configures the PE, then the PE streams the block; its
+            // load and any store ride the DRAM port.
             let mut done = schedule_hw_job(
                 platform,
                 exec,
@@ -507,7 +533,7 @@ fn scan_block_job(
                 w,
                 r,
                 Some(data.len() as u64),
-                Some(bytes_written),
+                stored,
             );
             if !plan.residual.is_empty() {
                 // Hybrid residual: the ARM re-filters the PE's output
@@ -519,22 +545,23 @@ fn scan_block_job(
             Ok(done)
         }
         PeGrant::Sw { hung } => {
-            // Baseline tail block, a just-hung PE, or no healthy PE
-            // left: one ARM pass over the *combined* chain (pushed +
-            // residual), so the degraded block needs no residual pass.
-            let stats = exec.processor.run_block(&filters.all, data, out);
-            report.tuples_in += u64::from(stats.tuples_in);
-            report.tuples_out += u64::from(stats.tuples_out);
+            // Never HW-eligible, a just-hung PE, or no healthy PE left:
+            // one ARM pass over the *combined* chain (pushed + residual),
+            // so the degraded block needs no residual pass.
+            let (tin, tout) = filters.collect.block(exec, &filters.all, data, out);
+            report.tuples_in += tin;
+            report.tuples_out += tout;
             Ok(arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64))
         }
     }
 }
 
-/// Decode the keys of the tuples appended at `results[from..]` into the
-/// reconciliation worklist. A result buffer too short for a whole key
-/// means a PE wrote garbage — surfaced as a typed error, not a panic.
+/// Decode the keys of the `width`-byte tuples appended at
+/// `results[from..]` into the reconciliation worklist. A result buffer
+/// too short for a whole key means a PE wrote garbage — surfaced as a
+/// typed error, not a panic.
 fn decode_matched_keys(
-    exec: &TableExec,
+    width: usize,
     results: &[u8],
     from: usize,
     rank: usize,
@@ -548,7 +575,7 @@ fn decode_matched_keys(
             .map(u64::from_le_bytes)
             .ok_or(NkvError::ResultDecode { offset: off, need: 8, len: results.len() })?;
         matched_keys.push((key, rank, off));
-        off += exec.processor.out_tuple_bytes();
+        off += width;
     }
     Ok(())
 }
@@ -606,7 +633,7 @@ fn run_parallel_scan_blocks(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters<'_>,
+    filters: &ScanFilters,
     ssts: &[&SstMeta],
     start: SimNs,
     results: &mut Vec<u8>,
@@ -640,7 +667,7 @@ fn run_parallel_scan_blocks(
         let (rank, _, _) = jobs[j];
         let before = results.len();
         results.extend_from_slice(out);
-        decode_matched_keys(exec, results, before, rank, matched_keys)?;
+        decode_matched_keys(filters.width, results, before, rank, matched_keys)?;
     }
     Ok(op_end)
 }
@@ -652,7 +679,7 @@ fn parallel_scan_streams(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters<'_>,
+    filters: &ScanFilters,
     ssts: &[&SstMeta],
     start: SimNs,
     jobs: &[(usize, usize, usize)],
@@ -672,6 +699,7 @@ fn parallel_scan_streams(
         for &j in stream {
             let (_, si, bi) = jobs[j];
             let issue = t_next;
+            let on_pe = filters.on_pe(exec.reconcile, &ssts[..si], &ssts[si].blocks[bi]);
             let done = scan_block_job(
                 platform,
                 exec,
@@ -680,7 +708,7 @@ fn parallel_scan_streams(
                 ssts[si],
                 bi,
                 issue,
-                PeChoice::Pinned(pe),
+                if on_pe { PeChoice::Pinned(pe) } else { PeChoice::Arm },
                 &mut configured,
                 &mut outs[j],
                 report,
@@ -697,16 +725,27 @@ fn parallel_scan_streams(
     Ok((outs, op_end))
 }
 
-/// Execute a lowered filter-scan plan: memtable pass, per-block
-/// filtering on the plan's backend (serial or parallel), version
-/// reconciliation, NVMe result transfer.
+/// Execute a lowered filter-scan or aggregate-scan plan: memtable pass,
+/// per-block filtering on the plan's backend (serial or parallel),
+/// version reconciliation, then the NVMe transfer of the surviving
+/// records — or, for an aggregate, of the 8-byte accumulator they fold
+/// into.
 pub(crate) fn run_scan(
     platform: &mut CosmosPlatform,
     lsm: &LsmTree,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
     now: SimNs,
-) -> NkvResult<(Vec<u8>, SimReport)> {
+) -> NkvResult<PlanOutcome> {
+    // Built before any simulated work so a bad lane fails first; folded
+    // once, after reconciliation.
+    let mut fold = match plan.op {
+        PhysOp::AggregateScan { agg, lane } => Some(
+            AggAccumulator::new(&exec.processor, agg, lane)
+                .ok_or_else(|| NkvError::InvalidLane { table: "<aggregate>".into(), lane })?,
+        ),
+        _ => None,
+    };
     let mut report = SimReport::default();
     let mut results: Vec<u8> = Vec::new();
     let mut matched_keys: Vec<(u64, usize, usize)> = Vec::new(); // (key, rank, result offset)
@@ -716,20 +755,31 @@ pub(crate) fn run_scan(
     exec.last_parallel_scan = None;
     let all_rules: Vec<FilterRule> =
         plan.pushed.iter().chain(plan.residual.iter()).copied().collect();
-    let filters = ScanFilters {
+    let mut filters = ScanFilters {
         all: exec.processor.compile(&all_rules, &exec.ops),
-        pushed: Chain::new(exec, &plan.pushed),
+        pushed: exec.processor.compile(&plan.pushed, &exec.ops),
+        rules: plan.pushed.len(),
         residual: exec.processor.compile(&plan.residual, &exec.ops),
+        collect: if fold.is_some() { Collect::Fold } else { Collect::Records },
+        width: match fold {
+            Some(_) => exec.processor.in_tuple_bytes(),
+            None => exec.processor.out_tuple_bytes(),
+        },
+        c0_keys: None,
     };
 
     // --- C0: the memtable participates in every scan (ARM-side); its
-    // matches go through the same transformation as the PE path.
+    // matches are collected like the PE path's.
     for (key, entry) in lsm.memtable().iter() {
+        filters.c0_keys = Some((filters.c0_keys.map_or(key, |(lo, _)| lo), key));
         if let Entry::Value(rec) = entry {
             report.tuples_in += 1;
             if filters.all.passes(rec) {
                 matched_keys.push((key, 0, results.len()));
-                exec.processor.transform_into(rec, &mut results);
+                match filters.collect {
+                    Collect::Records => exec.processor.transform_into(rec, &mut results),
+                    Collect::Fold => results.extend_from_slice(rec),
+                }
                 report.tuples_out += 1;
             }
         }
@@ -761,6 +811,11 @@ pub(crate) fn run_scan(
             let rank = rank + 1; // memtable is rank 0
             for bi in 0..sst.blocks.len() {
                 let before = results.len();
+                let choice = if filters.on_pe(exec.reconcile, &ssts[..rank - 1], &sst.blocks[bi]) {
+                    PeChoice::RoundRobin(&mut driver_rr)
+                } else {
+                    PeChoice::Arm
+                };
                 let done = scan_block_job(
                     platform,
                     exec,
@@ -769,13 +824,13 @@ pub(crate) fn run_scan(
                     sst,
                     bi,
                     start,
-                    PeChoice::RoundRobin(&mut driver_rr),
+                    choice,
                     &mut configured,
                     &mut results,
                     &mut report,
                 )?;
                 op_end = op_end.max(done);
-                decode_matched_keys(exec, &results, before, rank, &mut matched_keys)?;
+                decode_matched_keys(filters.width, &results, before, rank, &mut matched_keys)?;
             }
         }
     }
@@ -809,132 +864,36 @@ pub(crate) fn run_scan(
             }
         }
     }
-    let out_bytes = exec.processor.out_tuple_bytes();
-    let mut reconciled = Vec::with_capacity(results.len());
-    for (i, &(_, _rank, off)) in matched_keys.iter().enumerate() {
-        if keep[i] {
-            reconciled.extend_from_slice(&results[off..off + out_bytes]);
-        }
-    }
     report.tuples_out = keep.iter().filter(|&&k| k).count() as u64;
-
-    // --- Host transfer of the result set over NVMe.
-    let (nv_start, host_done) = platform.nvme.transfer(op_end, reconciled.len() as u64);
-    platform.trace_nvme(nv_start, host_done - nv_start, reconciled.len() as u64);
-    op_end = host_done;
-
-    report.result_bytes = reconciled.len() as u64;
-    report.sim_ns = op_end - now;
-    Ok((reconciled, report))
-}
-
-/// Execute a lowered aggregate-scan plan: one register-resident
-/// reduction over every matching record; only the 8-byte accumulator
-/// crosses the NVMe link.
-pub(crate) fn run_scan_aggregate(
-    platform: &mut CosmosPlatform,
-    lsm: &LsmTree,
-    exec: &mut TableExec,
-    plan: &PhysicalPlan,
-    now: SimNs,
-) -> NkvResult<(u64, bool, SimReport)> {
-    let PhysOp::AggregateScan { agg, lane } = plan.op else {
-        unreachable!("run_scan_aggregate requires an AggregateScan plan");
-    };
-    let rules: &[FilterRule] = &plan.pushed;
-    let program = exec.processor.compile(rules, &exec.ops);
-    let mut report = SimReport::default();
-    let start = now + platform.firmware.op_overhead_ns();
-    let mut op_end = start;
-    let mut acc = crate::oracle_acc(&exec.processor, agg, lane)
-        .ok_or_else(|| NkvError::InvalidLane { table: "<aggregate>".into(), lane })?;
-
-    // Memtable contribution (ARM-side, like run_scan()).
-    for (_, entry) in lsm.memtable().iter() {
-        if let Entry::Value(rec) = entry {
-            report.tuples_in += 1;
-            if program.passes(rec) {
-                report.tuples_out += 1;
-                if let Some(v) = exec.processor.lane_value(rec, lane) {
-                    acc.update(v);
-                }
-            }
+    let survivors = matched_keys
+        .iter()
+        .zip(&keep)
+        .filter(|&(_, &k)| k)
+        .map(|(&(_, _, off), _)| &results[off..off + filters.width]);
+    let mut records = Vec::new();
+    match &mut fold {
+        None => {
+            records.reserve(results.len());
+            survivors.for_each(|t| records.extend_from_slice(t));
         }
-    }
-    op_end = op_end.max(memtable_pass_done(platform, lsm, start));
-
-    let ssts = lsm.all_ssts();
-    let mut driver_rr = 0usize;
-    let mut configured = vec![false; exec.pe_servers.len().max(1)];
-    for sst in ssts {
-        for bi in 0..sst.blocks.len() {
-            let (staged, data) = block_read(platform, exec, sst, bi, start, true)?;
-            report.blocks += 1;
-            report.bytes_scanned += data.len() as u64;
-            // The reduction is functional, through the shared
-            // accumulator, whichever backend is charged for it.
-            let mut tin = 0u64;
-            for tuple in data.chunks_exact(exec.processor.in_tuple_bytes()) {
-                tin += 1;
-                if program.passes(tuple) {
-                    report.tuples_out += 1;
-                    if let Some(v) = exec.processor.lane_value(tuple, lane) {
-                        acc.update(v);
-                    }
-                }
-            }
-            report.tuples_in += tin;
-            let done = if plan.backend == Backend::Software {
-                arm_filter(platform, staged, data.len() as u64)
-            } else {
-                // Timed like the filtering path, but with zero result
-                // write-back (the aggregate stays in a register).
-                let healthy =
-                    next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), &mut driver_rr);
-                match claim_pe(platform, exec, healthy, true)? {
-                    PeGrant::Hw(d) => {
-                        let (mut w, r) = exec.cfg_io(!configured[d], rules.len());
-                        if !configured[d] {
-                            w += 2; // AGG_FIELD + AGG_OP
-                        }
-                        configured[d] = true;
-                        // +2 reads: the 64-bit accumulator halves.
-                        let r = r + 2;
-                        report.reg_writes += w;
-                        report.reg_reads += r;
-                        let cycles = estimate_block_cycles(data.len() as u64, tin, 0, exec.stages);
-                        // Aggregates never store: the result stays in a
-                        // register, so the job ends at PE-done.
-                        schedule_hw_job(
-                            platform,
-                            exec,
-                            d,
-                            staged,
-                            cycles,
-                            w,
-                            r,
-                            Some(data.len() as u64),
-                            None,
-                        )
-                    }
-                    PeGrant::Sw { hung } => {
-                        // Hung or exhausted PEs: the ARM re-reduces the
-                        // staged block (the accumulator above is already
-                        // correct — only time differs).
-                        arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64)
-                    }
-                }
-            };
-            op_end = op_end.max(done);
+        Some(acc) => {
+            let lane = acc.lane;
+            survivors
+                .filter_map(|t| exec.processor.lane_value(t, lane))
+                .for_each(|v| acc.update(v));
         }
     }
 
-    // Only the accumulator travels to the host.
-    let (nv_start, host_done) = platform.nvme.transfer(op_end, 8);
-    platform.trace_nvme(nv_start, host_done - nv_start, 8);
-    report.result_bytes = 8;
+    // --- Host transfer of the result set (or the accumulator) over NVMe.
+    let nvme_bytes = if fold.is_some() { 8 } else { records.len() as u64 };
+    let (nv_start, host_done) = platform.nvme.transfer(op_end, nvme_bytes);
+    platform.trace_nvme(nv_start, host_done - nv_start, nvme_bytes);
+    report.result_bytes = nvme_bytes;
     report.sim_ns = host_done - now;
-    Ok((acc.value(), acc.any(), report))
+    Ok(match fold {
+        None => PlanOutcome::Records { records, count: report.tuples_out, report },
+        Some(acc) => PlanOutcome::Aggregate { value: acc.value(), any: acc.any(), report },
+    })
 }
 
 /// Search one staged block for `key` on the plan's backend: the ARM's
@@ -976,10 +935,10 @@ fn key_search_job(
             let invoke = if *configured { PeInvoke::Keyed } else { PeInvoke::Cold };
             *configured = true;
             let rules = key_eq_rule(exec, key)?;
-            let chain = Chain::new(exec, &rules);
+            let program = exec.processor.compile(&rules, &exec.ops);
             let mut out = Vec::new();
-            let (tin, tout, cycles, w, r, bytes_written) =
-                hw_filter_block(exec, &mut platform.dram, data, &chain, d, invoke, &mut out);
+            let (tin, tout, cycles, w, r, stored) =
+                hw_filter_block(exec, data, &program, 1, invoke, Collect::Records, &mut out);
             report.tuples_in += tin;
             report.tuples_out += tout;
             report.reg_writes += w;
@@ -987,8 +946,7 @@ fn key_search_job(
             // GET has no PE load phase in the model (the block is already
             // staged for the search); only the one-record store rides the
             // DRAM port.
-            let done =
-                schedule_hw_job(platform, exec, d, staged, cycles, w, r, None, Some(bytes_written));
+            let done = schedule_hw_job(platform, exec, d, staged, cycles, w, r, None, stored);
             let rec = if out.is_empty() {
                 None
             } else {

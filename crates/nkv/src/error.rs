@@ -24,9 +24,12 @@ pub enum NkvError {
     InvalidLane { table: String, lane: u32 },
     /// The device ran out of flash pages.
     OutOfSpace,
-    /// Invalid PE/table configuration (e.g. baseline PE asked for
-    /// capabilities [1] does not have).
+    /// Invalid PE/table configuration.
     Config(String),
+    /// A hand-crafted table asked for a capability the PEs of \[1\] do
+    /// not have (more than one stage, a custom operator, an aggregation
+    /// unit).
+    UnsupportedByBaseline { parser: String, reason: String },
     /// A PE result buffer was too short or misaligned to decode
     /// (`offset..offset+need` out of a `len`-byte buffer).
     ResultDecode { offset: usize, need: usize, len: usize },
@@ -66,6 +69,10 @@ impl fmt::Display for NkvError {
             }
             NkvError::OutOfSpace => write!(f, "flash capacity exhausted"),
             NkvError::Config(msg) => write!(f, "configuration error: {msg}"),
+            NkvError::UnsupportedByBaseline { parser, reason } => write!(
+                f,
+                "configuration error: parser `{parser}`: {reason} is not supported by the [1] baseline"
+            ),
             NkvError::ResultDecode { offset, need, len } => write!(
                 f,
                 "PE result buffer too short: need {need} bytes at offset {offset}, have {len}"
@@ -97,6 +104,11 @@ impl From<FlashError> for NkvError {
 
 impl From<ndp_ir::IrError> for NkvError {
     fn from(e: ndp_ir::IrError) -> Self {
-        NkvError::Config(e.to_string())
+        match e {
+            ndp_ir::IrError::UnsupportedByBaseline { parser, reason } => {
+                NkvError::UnsupportedByBaseline { parser, reason }
+            }
+            e => NkvError::Config(e.to_string()),
+        }
     }
 }

@@ -4,16 +4,15 @@
 //! where the software executes a very general algorithm and exploits the
 //! hardware whenever datablocks have to be filtered or transformed"
 //! (paper, Sec. V). This module holds the *state* of that firmware
-//! algorithm — [`TableExec`], the per-table executor with its PEs,
-//! drivers, fault policy and health counters — and nothing else.
+//! algorithm — [`TableExec`], the per-table executor with its PE
+//! timing servers, fault policy and health counters — and nothing else.
 //!
 //! The execution loops themselves live in [`crate::engine`], driven by
 //! an explicit [`crate::plan::PhysicalPlan`] lowered from the table's
 //! [`TableExec::caps`]. `Backend::Software` runs the shared byte-level
 //! oracle on the ARM core; `Backend::Hardware` stages blocks in DRAM
-//! and dispatches them to the PEs through the *generated driver*
-//! (`ndp-swgen`), in either fidelity (`cycle_accurate` tick-level model
-//! or the validated analytic fast path).
+//! and dispatches them to the PEs, priced by the register protocol of
+//! the *generated driver* (`ndp-swgen`).
 //!
 //! # Resilience
 //!
@@ -38,8 +37,7 @@ use crate::engine::ParallelScanStats;
 use crate::plan::PlanCaps;
 use cosmos_sim::{timing, Server, SimNs};
 use ndp_pe::oracle::{BlockProcessor, OpTable};
-use ndp_pe::{MemBus, PeDevice};
-use ndp_swgen::{DriverProfile, PeDriver};
+use ndp_swgen::DriverProfile;
 
 /// Simulated-time and traffic report of one operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,19 +59,6 @@ pub struct SimReport {
     /// Extra block reads spent confirming bloom-filter hits during the
     /// scan shadow check.
     pub shadow_confirm_reads: u64,
-}
-
-/// Memory-bus adapter exposing the platform DRAM to PE devices.
-pub struct DramBus<'a>(pub &'a mut cosmos_sim::Dram);
-
-impl MemBus for DramBus<'_> {
-    fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        self.0.read(addr, buf);
-    }
-
-    fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        self.0.write(addr, data);
-    }
 }
 
 /// Device-side fault policy of one table's executor.
@@ -135,16 +120,13 @@ pub struct TableExec {
     pub eq_code: Option<u32>,
     pub ge_code: Option<u32>,
     pub lt_code: Option<u32>,
-    /// PE drivers (one per attached PE; blocks round-robin over them).
-    pub drivers: Vec<PeDriver<Box<dyn PeDevice>>>,
-    /// Per-PE timing servers (a PE can only process one block at a time).
+    /// Per-PE timing servers, one per attached PE (a PE can only process
+    /// one block at a time; blocks round-robin over them).
     pub pe_servers: Vec<Server>,
     /// Register protocol in use.
     pub profile: DriverProfile,
     /// Filtering stages the PEs provide.
     pub stages: u32,
-    /// Drive the tick-level PE model instead of the fast path.
-    pub cycle_accurate: bool,
     /// Full-block payload size (whole records per 32 KiB block).
     pub full_block_payload: u32,
     /// Chunk (block) size in bytes.
@@ -227,44 +209,32 @@ mod tests {
     use crate::plan::{Backend, LogicalOp, PhysicalPlan};
     use cosmos_sim::dram::DramClient;
     use cosmos_sim::{CosmosConfig, CosmosPlatform};
-    use ndp_ir::elaborate;
+    use ndp_ir::{elaborate, PeConfig};
     use ndp_pe::oracle::FilterRule;
-    use ndp_pe::PeDevice;
-    use ndp_pe::{BaselinePe, PeSim};
+    use ndp_pe::{BaselinePe, PeDevice, PeSim, VecMem};
     use ndp_spec::parse;
-    use ndp_swgen::PeDriver;
+    use ndp_swgen::{FilterJob, PeDriver, PeInvoke};
     use ndp_workload::spec::{ref_lanes, PAPER_REF_SPEC, REF_PE};
     use ndp_workload::{PubGraphConfig, Ref, RefGen};
 
-    fn make_exec(n_pes: usize, baseline: bool, cycle_accurate: bool) -> TableExec {
-        let m = parse(PAPER_REF_SPEC).unwrap();
-        let cfg = elaborate(&m, REF_PE).unwrap();
+    fn ref_pe() -> PeConfig {
+        elaborate(&parse(PAPER_REF_SPEC).unwrap(), REF_PE).unwrap()
+    }
+
+    fn make_exec(n_pes: usize, baseline: bool) -> TableExec {
+        let cfg = ref_pe();
         let processor = BlockProcessor::new(&cfg);
         let ops = OpTable::from_config(&cfg);
         let full_block_payload = (cfg.chunk_bytes / 20) * 20;
-        let mut drivers: Vec<PeDriver<Box<dyn PeDevice>>> = Vec::new();
-        for _ in 0..n_pes {
-            let dev: Box<dyn PeDevice> = if baseline {
-                Box::new(BaselinePe::new(cfg.clone()).unwrap())
-            } else {
-                Box::new(PeSim::new(cfg.clone()))
-            };
-            drivers.push(PeDriver::new(
-                dev,
-                if baseline { DriverProfile::Baseline } else { DriverProfile::Generated },
-            ));
-        }
         TableExec {
             processor,
             ops,
             eq_code: cfg.op_code("eq"),
             ge_code: cfg.op_code("ge"),
             lt_code: cfg.op_code("lt"),
-            drivers,
             pe_servers: vec![Server::new(); n_pes],
             profile: if baseline { DriverProfile::Baseline } else { DriverProfile::Generated },
             stages: cfg.stages,
-            cycle_accurate,
             full_block_payload,
             chunk_bytes: cfg.chunk_bytes,
             reconcile: true,
@@ -319,7 +289,8 @@ mod tests {
     ) -> NkvResult<(Vec<u8>, SimReport)> {
         let op = LogicalOp::Scan { rules: rules.to_vec() };
         let plan = PhysicalPlan::lower(&op, backend, &exec.caps(), "refs")?;
-        run_scan(platform, lsm, exec, &plan, now)
+        let s = run_scan(platform, lsm, exec, &plan, now)?.into_scan()?;
+        Ok((s.records, s.report))
     }
 
     /// Lower a GET the same way and run it.
@@ -340,7 +311,7 @@ mod tests {
         let mut platform = CosmosPlatform::new(CosmosConfig::default());
         let mut alloc = PageAllocator::new(platform.flash.config());
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 5_000);
-        let mut exec = make_exec(2, false, false);
+        let mut exec = make_exec(2, false);
         let rules = scan_year_rules(&exec, 2000);
 
         let (sw, rep_sw) =
@@ -362,7 +333,7 @@ mod tests {
         let mut platform = CosmosPlatform::new(CosmosConfig::default());
         let mut alloc = PageAllocator::new(platform.flash.config());
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 20_000);
-        let mut exec = make_exec(4, false, false);
+        let mut exec = make_exec(4, false);
         let rules = scan_year_rules(&exec, 1990);
 
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
@@ -374,36 +345,49 @@ mod tests {
         assert!(hw.sim_ns < sw.sim_ns, "HW {} ns should beat SW {} ns", hw.sim_ns, sw.sim_ns);
     }
 
+    /// `cfg_io` prices the register I/O of every hardware block job; it
+    /// must be what `PeDriver` counts on the register interface, cold and
+    /// warm, for every chain a PE can hold. (Functional and cycle
+    /// agreement of the PE models themselves are pinned in `ndp-pe`.)
     #[test]
-    fn cycle_accurate_and_fast_hw_agree() {
-        let mut platform = CosmosPlatform::new(CosmosConfig::default());
-        let mut alloc = PageAllocator::new(platform.flash.config());
-        let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 3_000);
-        let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 1995 }];
-
-        let mut fast = make_exec(2, false, false);
-        let mut acc = make_exec(2, false, true);
-        let mut p1 = CosmosPlatform::new(CosmosConfig::default());
-        p1.flash = platform.flash.clone();
-        let (r_fast, rep_fast) =
-            scan(&mut p1, &lsm, &mut fast, &rules, Backend::Hardware, t0).unwrap();
-        let mut p2 = CosmosPlatform::new(CosmosConfig::default());
-        p2.flash = platform.flash.clone();
-        let (r_acc, rep_acc) =
-            scan(&mut p2, &lsm, &mut acc, &rules, Backend::Hardware, t0).unwrap();
-
-        assert_eq!(r_fast, r_acc, "functional results must be identical");
-        assert_eq!(rep_fast.tuples_in, rep_acc.tuples_in);
-        assert_eq!(rep_fast.tuples_out, rep_acc.tuples_out);
-        assert_eq!(rep_fast.reg_writes, rep_acc.reg_writes);
-        assert_eq!(rep_fast.reg_reads, rep_acc.reg_reads);
-        let dt = rep_fast.sim_ns.abs_diff(rep_acc.sim_ns) as f64;
-        assert!(
-            dt / (rep_acc.sim_ns as f64) < 0.05,
-            "fast {} vs accurate {}",
-            rep_fast.sim_ns,
-            rep_acc.sim_ns
-        );
+    fn cfg_io_matches_the_drivers_counted_register_io() {
+        let mut mem = VecMem::new(1 << 16);
+        let ge = ref_pe().op_code("ge").unwrap();
+        for (baseline, max_stages) in [(false, 4), (true, 1)] {
+            for stages in 1..=max_stages {
+                let mut cfg = ref_pe();
+                cfg.stages = stages;
+                let mut exec = make_exec(1, baseline);
+                exec.stages = stages;
+                let dev: Box<dyn PeDevice> = if baseline {
+                    Box::new(BaselinePe::new(cfg).unwrap())
+                } else {
+                    Box::new(PeSim::new(cfg))
+                };
+                let mut drv = PeDriver::new(dev, exec.profile);
+                for rules in 1..=stages as usize {
+                    let job = FilterJob {
+                        src: 0,
+                        len: 200,
+                        dst: 0x8000,
+                        capacity: 0x4000,
+                        rules: (0..rules as u64)
+                            .map(|i| FilterRule { lane: ref_lanes::YEAR, op_code: ge, value: i })
+                            .collect(),
+                        aggregate: None,
+                    };
+                    for (invoke, first) in [(PeInvoke::Cold, true), (PeInvoke::Warm, false)] {
+                        let handle = drv.filter_async(&job, invoke);
+                        let io = drv.wait_until_done(&mut mem, handle).io;
+                        assert_eq!(
+                            (io.reg_writes, io.reg_reads),
+                            exec.cfg_io(first, rules),
+                            "baseline={baseline} stages={stages} rules={rules} {invoke:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -413,8 +397,8 @@ mod tests {
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 8_000);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
 
-        let mut ours = make_exec(2, false, false);
-        let mut base = make_exec(2, true, false);
+        let mut ours = make_exec(2, false);
+        let mut base = make_exec(2, true);
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (r1, _) = scan(&mut p1, &lsm, &mut ours, &rules, Backend::Hardware, t0).unwrap();
@@ -457,7 +441,7 @@ mod tests {
         lsm.put(live.src, buf.clone());
         lsm.flush(&mut platform.flash, &mut alloc, 0).unwrap();
 
-        let mut exec = make_exec(1, false, false);
+        let mut exec = make_exec(1, false);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
         let (res, rep) =
             scan(&mut platform, &lsm, &mut exec, &rules, Backend::Software, 0).unwrap();
@@ -484,7 +468,7 @@ mod tests {
         // ... and delete the flushed one.
         lsm.delete(1);
 
-        let mut exec = make_exec(1, false, false);
+        let mut exec = make_exec(1, false);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
         let (res, _) = scan(&mut platform, &lsm, &mut exec, &rules, Backend::Software, 0).unwrap();
         assert_eq!(res.len(), 20);
@@ -496,7 +480,7 @@ mod tests {
         let mut platform = CosmosPlatform::new(CosmosConfig::default());
         let mut alloc = PageAllocator::new(platform.flash.config());
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 5_000);
-        let mut exec = make_exec(1, false, false);
+        let mut exec = make_exec(1, false);
         // Pick an existing key from the data.
         let sst = &lsm.all_ssts()[0];
         let key = sst.blocks[0].first_key;
@@ -522,7 +506,7 @@ mod tests {
         let sst = &lsm.all_ssts()[0];
         let key = sst.blocks[1].first_key;
 
-        let mut exec = make_exec(1, false, false);
+        let mut exec = make_exec(1, false);
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (_, sw) = get(&mut p1, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
@@ -550,7 +534,7 @@ mod tests {
         updated.flash = loaded.flash.clone();
         let sst = &lsm.all_ssts()[0];
         let key = sst.blocks[0].first_key;
-        let mut exec = make_exec(1, false, false);
+        let mut exec = make_exec(1, false);
         let (_, rep_orig) =
             get(&mut original, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
         let (_, rep_upd) = get(&mut updated, &lsm, &mut exec, key, Backend::Software, t0).unwrap();
@@ -568,14 +552,14 @@ mod tests {
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 20_000);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 1990 }];
 
-        let mut serial = make_exec(4, false, false);
+        let mut serial = make_exec(4, false);
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (r_serial, rep_serial) =
             scan(&mut p1, &lsm, &mut serial, &rules, Backend::Hardware, t0).unwrap();
         assert!(serial.last_parallel_scan.is_none());
 
-        let mut par = make_exec(4, false, false);
+        let mut par = make_exec(4, false);
         par.parallel_pes = 4;
         let mut p2 = CosmosPlatform::new(CosmosConfig::default());
         p2.flash = platform.flash.clone();
@@ -598,13 +582,13 @@ mod tests {
         let (lsm, t0) = loaded_lsm(&mut platform, &mut alloc, 20_000);
         let rules = vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 1990 }];
 
-        let mut one = make_exec(4, false, false);
+        let mut one = make_exec(4, false);
         one.parallel_pes = 1;
         let mut p1 = CosmosPlatform::new(CosmosConfig::default());
         p1.flash = platform.flash.clone();
         let (r1, rep1) = scan(&mut p1, &lsm, &mut one, &rules, Backend::Hardware, t0).unwrap();
 
-        let mut four = make_exec(4, false, false);
+        let mut four = make_exec(4, false);
         four.parallel_pes = 4;
         let mut p4 = CosmosPlatform::new(CosmosConfig::default());
         p4.flash = platform.flash.clone();

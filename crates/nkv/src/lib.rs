@@ -25,12 +25,14 @@
 //!   aggregate ops are *lowered* into explicit physical plans (predicate
 //!   pushdown into PE registers, software residual filters, parallel PE
 //!   job streams) with an `EXPLAIN` rendering;
-//! * [`exec`] — per-table executor state ([`exec::TableExec`]): PEs,
-//!   drivers, operator encodings, fault policy and health counters;
+//! * [`exec`] — per-table executor state ([`exec::TableExec`]): PE
+//!   timing servers, operator encodings, fault policy and health
+//!   counters;
 //! * [`engine`] — the plan-driven execution loops: block-parallel
 //!   SCAN/GET over flash channels with software (ARM) or hardware (PE)
 //!   filtering — serial or over N parallel per-channel-group job
-//!   streams — returning both results and simulated device time;
+//!   streams — returning both results and simulated device time; an
+//!   aggregate is a SCAN that folds;
 //! * [`metrics`] — op-level observability: log-bucket latency
 //!   histograms, throughput counters and per-op time breakdowns
 //!   attributed from the platform's trace spans;
@@ -91,13 +93,3 @@ pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
 pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};
-
-/// Build an aggregation accumulator for a table's processor (thin
-/// re-export so `exec` and `db` share one constructor).
-pub(crate) fn oracle_acc(
-    bp: &ndp_pe::oracle::BlockProcessor,
-    op: ndp_ir::AggOp,
-    lane: u32,
-) -> Option<ndp_pe::oracle::AggAccumulator> {
-    ndp_pe::oracle::AggAccumulator::new(bp, op, lane)
-}

@@ -108,7 +108,9 @@ pub enum PhysOp {
     BatchedGet { keys: Vec<u64> },
     /// Filter every data block, reconcile versions, return records.
     FilterScan,
-    /// Filter every data block into a register-resident reduction.
+    /// A `FilterScan` whose reconciled survivors fold into one
+    /// accumulator (register-resident on the PE for blocks no newer
+    /// component can shadow).
     AggregateScan { agg: ndp_ir::AggOp, lane: u32 },
 }
 
@@ -332,7 +334,7 @@ impl PhysicalPlan {
                 ));
                 s.push_str(&format!("  reduce: {}(lane{lane})\n", agg.name()));
                 pushed_chain(&mut s);
-                s.push_str("  then: 8-byte accumulator over NVMe\n");
+                s.push_str("  then: version reconciliation + 8-byte accumulator over NVMe\n");
             }
         }
         s

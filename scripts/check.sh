@@ -25,7 +25,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> non-test unwraps stay denied"
 # The clippy run above is the enforcement; this pins the attribute
 # itself so it cannot be silently dropped.
-for crate in nkv cosmos-sim ndp-ir ndp-hdl ndp-swgen ndp-pe ndp-spec core ndp-workload; do
+for crate in nkv cosmos-sim ndp-ir ndp-hdl ndp-swgen ndp-pe ndp-spec core ndp-workload bench; do
     grep -q 'cfg_attr(not(test), deny(clippy::unwrap_used))' "crates/$crate/src/lib.rs"
 done
 

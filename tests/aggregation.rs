@@ -3,6 +3,9 @@
 //! → generated hardware + header → driver protocol → device-level
 //! aggregate SCAN pushdown.
 
+mod common;
+
+use common::report_fields;
 use ndp_core::generate;
 use ndp_ir::{elaborate, AggOp};
 use ndp_pe::oracle::FilterRule;
@@ -134,10 +137,15 @@ fn db_level_aggregate_pushdown_matches_software() {
     let rules = [FilterRule { lane: 1, op_code: 4 /* ge */, value: 2000 }];
     let (hw_sum, hw_any, hw_rep) =
         db.scan_aggregate("t", &rules, AggOp::Sum, 2, Backend::Hardware).unwrap();
-    let (sw_sum, sw_any, _) =
+    let (sw_sum, sw_any, sw_rep) =
         db.scan_aggregate("t", &rules, AggOp::Sum, 2, Backend::Software).unwrap();
     assert!(hw_any && sw_any);
     assert_eq!(hw_sum, sw_sum);
+    // Recorded at the parent of the change that made aggregates
+    // reconcile: a bulk-loaded unique-key table has no shadowed version,
+    // so every block stays on a PE and not a nanosecond moves.
+    assert_eq!(report_fields(&hw_rep), [1_158_110, 3, 80_000, 8, 5_000, 1_420, 27, 12, 0]);
+    assert_eq!(report_fields(&sw_rep), [1_378_870, 3, 80_000, 8, 5_000, 1_420, 0, 0, 0]);
     // Independent expectation from the raw records.
     let expected: u64 =
         (1..=5000u64).filter(|k| 1950 + (k % 70) >= 2000).map(|k| k * 3 % 997).sum();

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{record_for, table_cfg};
+use common::{apply, churn, fold_years, record_for, ref_agg_cfg, table_cfg};
 use cosmos_sim::faults::FaultPlan;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
@@ -189,52 +189,55 @@ fn interleaved_puts_compactions_and_scans_stay_coherent() {
 
 #[test]
 fn aggregates_are_identical_with_and_without_cache() {
-    let module = ndp_spec::parse(
-        "/* @autogen define parser RefAgg with chunksize = 32,
-            input = Ref, output = Ref, aggregate = { count, sum, min, max } */
-         typedef struct { uint64_t src; uint64_t dst; uint32_t year; } Ref;",
-    )
-    .expect("aggregate spec parses");
-    let pe = ndp_ir::elaborate(&module, "RefAgg").expect("RefAgg elaborates");
-    let build = |cache: bool| {
-        let mut db = NkvDb::default_db();
-        if cache {
-            db.enable_cache(CACHE_BUDGET);
-        }
-        let mut cfg = TableConfig::new(pe.clone());
-        cfg.n_pes = 2;
-        cfg.unique_keys = false;
-        db.create_table("refs", cfg).expect("refs table");
-        let mut wl = PubGraphConfig::scaled(1.0 / 4096.0);
-        wl.refs = 12_000;
-        db.bulk_load(
-            "refs",
-            RefGen::new(wl).take(wl.refs as usize).map(|r| {
-                let mut rec = Vec::with_capacity(20);
-                r.encode_into(&mut rec);
-                rec
-            }),
-        )
-        .expect("bulk load");
-        db
-    };
-    let mut plain = build(false);
-    let mut cached = build(true);
-    let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
-    for agg in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
-        for mode in [Backend::Software, Backend::Hardware] {
-            for _round in 0..2 {
-                let a = plain.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
-                let b = cached.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
-                let (av, aa, _) = a.expect("plain aggregate");
-                let (bv, ba, _) = b.expect("cached aggregate");
-                assert_eq!((av, aa), (bv, ba), "{agg:?} on {mode:?}");
+    // A bulk-loaded multi-record table, then the churned unique-key table
+    // (`churn`) with its shadowing versions flushed or in the memtable.
+    for churned in [None, Some(false), Some(true)] {
+        let build = |cache: bool| {
+            let mut db = NkvDb::default_db();
+            if cache {
+                db.enable_cache(CACHE_BUDGET);
+            }
+            let mut cfg = ref_agg_cfg(churned.is_some());
+            cfg.n_pes = 2;
+            db.create_table("refs", cfg).expect("refs table");
+            match churned {
+                Some(tail_in_memtable) => apply(&mut db, "refs", &churn(tail_in_memtable).0),
+                None => {
+                    let mut wl = PubGraphConfig::scaled(1.0 / 4096.0);
+                    wl.refs = 12_000;
+                    let rows = RefGen::new(wl).take(wl.refs as usize).map(|r| {
+                        let mut rec = Vec::with_capacity(20);
+                        r.encode_into(&mut rec);
+                        rec
+                    });
+                    db.bulk_load("refs", rows).expect("bulk load");
+                }
+            }
+            db
+        };
+        let model = churned.map(|tail_in_memtable| churn(tail_in_memtable).1);
+        let mut plain = build(false);
+        let mut cached = build(true);
+        let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
+        for agg in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
+            for mode in [Backend::Software, Backend::Hardware] {
+                for _round in 0..2 {
+                    let a = plain.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
+                    let b = cached.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
+                    let (av, aa, _) = a.expect("plain aggregate");
+                    let (bv, ba, _) = b.expect("cached aggregate");
+                    let what = format!("{agg:?} on {mode:?}, churned: {churned:?}");
+                    assert_eq!((av, aa), (bv, ba), "{what}");
+                    if let Some(m) = &model {
+                        assert_eq!((bv, ba), fold_years(m.values(), 2000, agg), "{what} vs model");
+                    }
+                }
             }
         }
+        let s = cached.cache_stats().expect("cache enabled");
+        assert!(s.hits > 0, "repeated aggregate scans must hit: {s:?}");
+        assert_eq!(s.hits + s.misses, s.lookups, "counter conservation: {s:?}");
     }
-    let s = cached.cache_stats().expect("cache enabled");
-    assert!(s.hits > 0, "repeated aggregate scans must hit: {s:?}");
-    assert_eq!(s.hits + s.misses, s.lookups, "counter conservation: {s:?}");
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Fixtures shared by the differential suites (`batched_get_equivalence`,
 //! `adaptive_equivalence`, `cache_equivalence`, `chaos`, `cluster_chaos`,
-//! `recovery`): one papers table, one record generator, one
-//! store-plus-model builder.
+//! `plan_equivalence`, `recovery`): one papers table, one record
+//! generator, one store-plus-model builder, and the aggregate-capable
+//! refs table with its churn.
 #![allow(dead_code)] // each suite uses its own subset
 
-use ndp_ir::elaborate;
+use ndp_ir::{elaborate, AggOp};
 use ndp_workload::spec::{PAPER_PE, PAPER_REF_SPEC};
-use ndp_workload::{Paper, PaperGen, PubGraphConfig};
-use nkv::{NkvDb, TableConfig};
+use ndp_workload::{Paper, PaperGen, PubGraphConfig, Ref};
+use nkv::{NkvDb, SimReport, TableConfig};
 use std::collections::BTreeMap;
 
 pub fn encode(p: &Paper) -> Vec<u8> {
@@ -50,4 +51,115 @@ pub fn build_db(n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
         }
     }
     (db, model)
+}
+
+/// The A3 ablation's refs table: a parser with count/sum/min/max units
+/// (the paper tables' PEs carry none), 4 PEs.
+pub fn ref_agg_cfg(unique_keys: bool) -> TableConfig {
+    let m = ndp_spec::parse(
+        "/* @autogen define parser RefAgg with chunksize = 32,
+            input = Ref, output = Ref, aggregate = { count, sum, min, max } */
+         typedef struct { uint64_t src; uint64_t dst; uint32_t year; } Ref;",
+    )
+    .unwrap();
+    let mut cfg = TableConfig::new(elaborate(&m, "RefAgg").unwrap());
+    cfg.n_pes = 4;
+    cfg.unique_keys = unique_keys;
+    cfg
+}
+
+pub fn ref_year(rec: &[u8]) -> u64 {
+    u64::from(u32::from_le_bytes(rec[16..20].try_into().unwrap()))
+}
+
+/// One write of [`churn`].
+pub enum Write {
+    Put(Vec<u8>),
+    Delete(u64),
+    Flush,
+}
+
+/// The sequence that made an aggregate count every stored version: 100
+/// PUTs, flush, 50 overwrites + 10 DELETEs, then a flush unless
+/// `tail_in_memtable`. The first versions of keys 1 and 2 hold the
+/// table's MIN and MAX year and are overwritten — an extreme that cannot
+/// be subtracted out afterwards. Returns the writes and the model.
+pub fn churn(tail_in_memtable: bool) -> (Vec<Write>, BTreeMap<u64, Vec<u8>>) {
+    let rec = |src: u64, year: u64| {
+        let mut v = Vec::with_capacity(20);
+        Ref { src, dst: src * 7, year: year as u32 }.encode_into(&mut v);
+        v
+    };
+    let mut writes: Vec<Write> = (1..=100u64)
+        .map(|k| match k {
+            1 => rec(k, 1500),
+            2 => rec(k, 2500),
+            _ => rec(k, 1960 + k * 37 % 60),
+        })
+        .map(Write::Put)
+        .collect();
+    writes.push(Write::Flush);
+    writes.extend((1..=50u64).map(|k| Write::Put(rec(k, 1970 + k * 11 % 45))));
+    writes.extend((91..=100).map(Write::Delete));
+    if !tail_in_memtable {
+        writes.push(Write::Flush);
+    }
+    let mut model = BTreeMap::new();
+    for w in &writes {
+        match w {
+            Write::Put(r) => {
+                model.insert(u64::from_le_bytes(r[..8].try_into().unwrap()), r.clone());
+            }
+            Write::Delete(k) => {
+                model.remove(k);
+            }
+            Write::Flush => {}
+        }
+    }
+    (writes, model)
+}
+
+pub fn apply(db: &mut NkvDb, table: &str, writes: &[Write]) {
+    for w in writes {
+        match w {
+            Write::Put(r) => db.put(table, r.clone()).unwrap(),
+            Write::Delete(k) => db.delete(table, *k).unwrap(),
+            Write::Flush => db.flush(table).unwrap(),
+        }
+    }
+}
+
+/// A report as one pinnable literal: `[sim_ns, blocks, bytes_scanned,
+/// result_bytes, tuples_in, tuples_out, reg_writes, reg_reads,
+/// shadow_confirm_reads]`.
+pub fn report_fields(r: &SimReport) -> [u64; 9] {
+    [
+        r.sim_ns,
+        r.blocks,
+        r.bytes_scanned,
+        r.result_bytes,
+        r.tuples_in,
+        r.tuples_out,
+        r.reg_writes,
+        r.reg_reads,
+        r.shadow_confirm_reads,
+    ]
+}
+
+/// The model's answer to `agg(year)` over the `rows` with `year >=
+/// min_year`: `(value, any)`, wrapping like the accumulator.
+pub fn fold_years<'a>(
+    rows: impl IntoIterator<Item = &'a Vec<u8>>,
+    min_year: u64,
+    agg: AggOp,
+) -> (u64, bool) {
+    let years: Vec<u64> =
+        rows.into_iter().map(|r| ref_year(r)).filter(|&y| y >= min_year).collect();
+    let value = match agg {
+        AggOp::Count => years.len() as u64,
+        AggOp::Sum => years.iter().fold(0u64, |a, y| a.wrapping_add(*y)),
+        AggOp::Min => years.iter().copied().min().unwrap_or(0),
+        AggOp::Max => years.iter().copied().max().unwrap_or(0),
+    };
+    (value, !years.is_empty())
 }

@@ -12,14 +12,20 @@
 //! across seeded datasets, overwrite churn, and injected fault weather
 //! (transient reads, ECC degradation, PE hangs → HW→SW degradation).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{apply, churn, fold_years, ref_agg_cfg, report_fields, Write};
 use cosmos_sim::faults::FaultPlan;
+use cosmos_sim::timing;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
-use nkv::{Backend, LogicalOp, NkvDb, PlanOutcome, TableConfig};
+use nkv::{
+    Backend, ClusterConfig, LogicalOp, NkvCluster, NkvDb, PlanOutcome, SimReport, TableConfig,
+};
 
 const TABLE: &str = "papers";
 
@@ -250,24 +256,28 @@ fn range_scan_plans_match_the_model() {
     assert!(db.execute(TABLE, &op, Backend::Hardware).is_err(), "2 rules > 1 stage");
 }
 
+const AGGS: [AggOp; 4] = [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max];
+
+/// `year >= min_year` on the refs table (no rule at all for 0).
+fn min_year_rules(min_year: u64) -> Vec<FilterRule> {
+    match min_year {
+        0 => Vec::new(),
+        v => vec![FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: v }],
+    }
+}
+
+fn aggregate(outcome: PlanOutcome) -> (u64, bool, SimReport) {
+    match outcome {
+        PlanOutcome::Aggregate { value, any, report } => (value, any, report),
+        other => panic!("aggregate must produce an aggregate outcome, got {other:?}"),
+    }
+}
+
 #[test]
 fn aggregate_plans_match_the_model_and_each_other() {
-    // The paper tables' PEs carry no aggregate units; build the
-    // aggregate-capable ref parser (count/sum/min/max) like the A3
-    // ablation does.
-    let module = ndp_spec::parse(
-        "/* @autogen define parser RefAgg with chunksize = 32,
-            input = Ref, output = Ref, aggregate = { count, sum, min, max } */
-         typedef struct { uint64_t src; uint64_t dst; uint32_t year; } Ref;",
-    )
-    .expect("aggregate spec parses");
-    let pe = ndp_ir::elaborate(&module, "RefAgg").expect("RefAgg elaborates");
+    // A bulk-loaded multi-record table: the A3 ablation's shape.
     let mut db = NkvDb::default_db();
-    let mut cfg = TableConfig::new(pe);
-    cfg.n_pes = 4;
-    cfg.unique_keys = false;
-    db.create_table("refs", cfg).expect("refs table");
-
+    db.create_table("refs", ref_agg_cfg(false)).expect("refs table");
     let mut wl = PubGraphConfig::scaled(1.0 / 4096.0);
     wl.refs = 15_000;
     let rows: Vec<Vec<u8>> = RefGen::new(wl)
@@ -279,32 +289,116 @@ fn aggregate_plans_match_the_model_and_each_other() {
         })
         .collect();
     db.bulk_load("refs", rows.iter().cloned()).expect("bulk load");
-
-    let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
-    let year_of = |rec: &Vec<u8>| u64::from(u32::from_le_bytes(rec[16..20].try_into().unwrap()));
-    let matched: Vec<u64> = rows.iter().filter(|r| year_of(r) >= 2000).map(year_of).collect();
-    assert!(!matched.is_empty(), "the dataset must exercise the reduction");
-
-    for (agg, lane, want) in [
-        (AggOp::Count, ref_lanes::YEAR, matched.len() as u64),
-        (AggOp::Sum, ref_lanes::YEAR, matched.iter().fold(0u64, |a, v| a.wrapping_add(*v))),
-        (AggOp::Min, ref_lanes::YEAR, *matched.iter().min().unwrap()),
-        (AggOp::Max, ref_lanes::YEAR, *matched.iter().max().unwrap()),
-    ] {
-        let (sw, sw_any, _) =
+    let rules = min_year_rules(2000);
+    // Recorded at the parent of the change that made aggregates
+    // reconcile: such a table has no versions, so not a nanosecond moves.
+    let pinned_sw = [3_289_058, 10, 300_000, 8, 15_000, 4_629, 0, 0, 0];
+    let pinned_hw = [2_031_091, 10, 300_000, 8, 15_000, 4_629, 94, 40, 0];
+    for agg in AGGS {
+        let want = fold_years(&rows, 2000, agg);
+        assert!(want.1, "the dataset must exercise the reduction");
+        let lane = ref_lanes::YEAR;
+        let (sw, sw_any, sw_rep) =
             db.scan_aggregate("refs", &rules, agg, lane, Backend::Software).expect("sw agg");
-        let (hw, hw_any, _) =
+        let (hw, hw_any, hw_rep) =
             db.scan_aggregate("refs", &rules, agg, lane, Backend::Hardware).expect("hw agg");
-        assert_eq!(sw, want, "software {agg:?} vs model");
-        assert_eq!(hw, want, "hardware {agg:?} vs model");
-        assert!(sw_any && hw_any);
-        let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        match db.execute("refs", &op, Backend::Hardware).expect("planned agg") {
-            PlanOutcome::Aggregate { value, any, .. } => {
-                assert_eq!(value, want, "planned {agg:?} vs model");
-                assert!(any);
+        assert_eq!((sw, sw_any), want, "software {agg:?} vs model");
+        assert_eq!((hw, hw_any), want, "hardware {agg:?} vs model");
+        assert_eq!(report_fields(&sw_rep), pinned_sw, "software {agg:?} report moved");
+        assert_eq!(report_fields(&hw_rep), pinned_hw, "hardware {agg:?} report moved");
+        let op = LogicalOp::ScanAggregate { rules: rules.clone(), agg, lane };
+        let (value, any, _) = aggregate(db.execute("refs", &op, Backend::Hardware).expect("agg"));
+        assert_eq!((value, any), want, "planned {agg:?} vs model");
+    }
+
+    // A churned unique-key table: overwritten and deleted versions must
+    // not count, wherever the shadowing version lives.
+    for tail_in_memtable in [false, true] {
+        let (writes, model) = churn(tail_in_memtable);
+        let mut db = NkvDb::default_db();
+        db.create_table("refs", ref_agg_cfg(true)).expect("refs table");
+        apply(&mut db, "refs", &writes);
+        for min_year in [0, 2000] {
+            check_churned_aggregates(&mut db, &model, min_year, tail_in_memtable);
+        }
+        for devices in [1, 4] {
+            let mut cluster =
+                NkvCluster::new(ClusterConfig { devices, ..ClusterConfig::default() }).unwrap();
+            cluster.create_table("refs", ref_agg_cfg(true)).expect("refs table");
+            for w in &writes {
+                match w {
+                    Write::Put(r) => cluster.put("refs", r.clone()),
+                    Write::Delete(k) => cluster.delete("refs", *k),
+                    Write::Flush => cluster.flush("refs"),
+                }
+                .expect("cluster write");
             }
-            other => panic!("aggregate must produce an aggregate outcome, got {other:?}"),
+            for min_year in [0, 2000] {
+                let rules = min_year_rules(min_year);
+                let count = cluster.scan("refs", &rules, Backend::Software).expect("scan").count;
+                for agg in AGGS {
+                    let want = fold_years(model.values(), min_year, agg);
+                    for backend in [Backend::Software, Backend::Hardware] {
+                        let got = cluster
+                            .scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, backend)
+                            .expect("cluster aggregate");
+                        let what = format!(
+                            "{devices} devices, {agg:?} on {backend:?}, year >= {min_year}, \
+                             tail in memtable: {tail_in_memtable}"
+                        );
+                        assert_eq!((got.value, got.any), want, "{what}");
+                        if agg == AggOp::Count {
+                            assert_eq!(got.value, count, "COUNT vs SCAN: {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The least register I/O a block reduced on a PE costs: a warm
+/// configuration plus the accumulator's two halves.
+const WARM_AGG_BLOCK_IO: u64 = timing::OURS_CFG_WRITES + timing::OURS_CFG_READS + 2;
+
+/// Every tier and the adaptive planner answer `agg(year)` over `year >=
+/// min_year` like the model, COUNT equals the SCAN's count and every
+/// report's `tuples_out`; the hardware tier reduces on the ARM exactly
+/// the blocks a newer component may shadow.
+fn check_churned_aggregates(db: &mut NkvDb, model: &Model, min_year: u64, tail_in_memtable: bool) {
+    let rules = min_year_rules(min_year);
+    let count = db.scan("refs", &rules, Backend::Software).expect("scan").count;
+    assert_eq!(count, fold_years(model.values(), min_year, AggOp::Count).0, "SCAN vs model");
+    for agg in AGGS {
+        let want = fold_years(model.values(), min_year, agg);
+        let op = LogicalOp::ScanAggregate { rules: rules.clone(), agg, lane: ref_lanes::YEAR };
+        let what = format!("{agg:?}, year >= {min_year}, tail in memtable: {tail_in_memtable}");
+        for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+            let fallbacks = db.table_health("refs").unwrap().sw_fallback_blocks;
+            let (value, any, rep) = aggregate(db.execute("refs", &op, backend).expect("agg"));
+            assert_eq!((value, any), want, "{what} on {backend:?} vs model");
+            assert_eq!(rep.tuples_out, count, "{what} on {backend:?}: tuples_out vs SCAN");
+            if backend == Backend::Hardware {
+                let health = db.table_health("refs").unwrap();
+                assert_eq!(
+                    health.sw_fallback_blocks, fallbacks,
+                    "{what}: ARM blocks are no fallback"
+                );
+                assert!(
+                    rep.reg_writes + rep.reg_reads < rep.blocks * WARM_AGG_BLOCK_IO,
+                    "{what}: shadowable blocks must not be reduced on a PE: {rep:?}"
+                );
+                // A shadowing version on flash is confirmed by a block
+                // read; one in the memtable by a probe.
+                assert_eq!(rep.shadow_confirm_reads > 0, !tail_in_memtable, "{what}: {rep:?}");
+            }
+        }
+        let (outcome, _) = db.execute_adaptive("refs", &op).expect("adaptive agg");
+        let (value, any, rep) = aggregate(outcome);
+        assert_eq!((value, any), want, "{what}, adaptive vs model");
+        assert_eq!(rep.tuples_out, count, "{what}, adaptive: tuples_out vs SCAN");
+        if agg == AggOp::Count {
+            assert_eq!(value, count, "{what}: COUNT vs SCAN");
         }
     }
 }
