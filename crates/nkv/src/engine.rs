@@ -117,22 +117,19 @@ pub(crate) fn read_index_page_resilient(
     })
 }
 
-/// Cache-aware read of one SST data block. On a device-DRAM
-/// block-cache hit the block bursts from DRAM over the shared port — no
-/// flash traffic — and a `cache_hit` span is traced. On a miss the
-/// resilient flash read runs and the block is admitted to the cache;
-/// with `stage` the flash DMA then moves it into the PE's staging
-/// buffer, without it (the reconciliation shadow check) the ARM consumes
-/// the block in place and the read alone is charged. With the cache
-/// disabled (the default) this is the legacy read (+ stage) path bit for
-/// bit. Returns the time the block is ready and its bytes.
+/// Cache-aware read of one SST data block into the PE's staging buffer.
+/// On a device-DRAM block-cache hit the block bursts from DRAM over the
+/// shared port — no flash traffic — and a `cache_hit` span is traced. On
+/// a miss the resilient flash read runs, the flash DMA moves the block
+/// into staging, and the block is admitted to the cache. With the cache
+/// disabled (the default) this is the read + stage path bit for bit.
+/// Returns the time the block is staged and its bytes.
 pub(crate) fn block_read(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     sst: &SstMeta,
     block_idx: usize,
     now: SimNs,
-    stage: bool,
 ) -> NkvResult<(SimNs, Vec<u8>)> {
     let hit = platform.cache_mut().and_then(|c| c.lookup(sst.id, block_idx)).map(|d| d.to_vec());
     if let Some(data) = hit {
@@ -140,7 +137,7 @@ pub(crate) fn block_read(
         platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, ready - now);
         return Ok((ready, data));
     }
-    let (mut ready, data) = read_block_resilient(
+    let (read, data) = read_block_resilient(
         &mut platform.flash,
         &exec.resilience,
         &mut exec.health,
@@ -148,13 +145,11 @@ pub(crate) fn block_read(
         block_idx,
         now,
     )?;
-    if stage {
-        ready = platform.dram.timed_transfer(DramClient::FlashDma, data.len() as u64, ready);
-    }
+    let staged = platform.dram.timed_transfer(DramClient::FlashDma, data.len() as u64, read);
     if let Some(c) = platform.cache_mut() {
         c.insert(sst.id, block_idx, data.clone());
     }
-    Ok((ready, data))
+    Ok((staged, data))
 }
 
 /// Cache-aware read of an SST's index page, keyed
@@ -419,10 +414,10 @@ fn apply_residual(
     dropped
 }
 
-/// One scan's rule chains, compiled once when the scan starts, and what
-/// it collects. The functional filter is always the whole conjunction;
-/// the plan's split into pushed/residual only decides where each
-/// predicate runs.
+/// One scan's rule chains, compiled once when the scan starts, what it
+/// collects, and what the ARM keeps of the staged blocks to reconcile.
+/// The functional filter is always the whole conjunction; the plan's
+/// split into pushed/residual only decides where each predicate runs.
 struct ScanFilters {
     /// Pushed + residual: the memtable pass, the software backend and
     /// blocks degraded to the ARM.
@@ -438,6 +433,11 @@ struct ScanFilters {
     /// Key range of the memtable's entries, tombstones included (`None`
     /// when it is empty); set by the memtable pass.
     c0_keys: Option<(u64, u64)>,
+    /// When the scan reconciles, the sorted key column of every staged
+    /// block but the `oldest` SST's (it shadows nothing), keyed `(sst.id,
+    /// block)`, with whether this op has searched it yet.
+    staged_keys: HashMap<(u64, usize), (Vec<u64>, bool)>,
+    oldest: Option<u64>,
 }
 
 impl ScanFilters {
@@ -476,7 +476,7 @@ fn scan_block_job(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters,
+    filters: &mut ScanFilters,
     sst: &SstMeta,
     block_idx: usize,
     issue: SimNs,
@@ -485,8 +485,14 @@ fn scan_block_job(
     out: &mut Vec<u8>,
     report: &mut SimReport,
 ) -> NkvResult<SimNs> {
-    let (staged, data) = block_read(platform, exec, sst, block_idx, issue, true)?;
+    let (staged, data) = block_read(platform, exec, sst, block_idx, issue)?;
     let data = data.as_slice();
+    if exec.reconcile && filters.oldest != Some(sst.id) {
+        let tuples = data.chunks_exact(exec.processor.in_tuple_bytes());
+        let mut keys = Vec::with_capacity(tuples.len());
+        keys.extend(tuples.filter_map(|t| t.first_chunk().copied().map(u64::from_le_bytes)));
+        filters.staged_keys.insert((sst.id, block_idx), (keys, false));
+    }
     report.blocks += 1;
     report.bytes_scanned += data.len() as u64;
     // A block that was never HW-eligible runs on the ARM, which is not a
@@ -567,15 +573,13 @@ fn decode_matched_keys(
     rank: usize,
     matched_keys: &mut Vec<(u64, usize, usize)>,
 ) -> NkvResult<()> {
-    let mut off = from;
-    while off < results.len() {
+    for off in (from..results.len()).step_by(width.max(1)) {
         let key = results
-            .get(off..off + 8)
-            .and_then(|s| <[u8; 8]>::try_from(s).ok())
-            .map(u64::from_le_bytes)
+            .get(off..)
+            .and_then(<[u8]>::first_chunk)
+            .map(|k| u64::from_le_bytes(*k))
             .ok_or(NkvError::ResultDecode { offset: off, need: 8, len: results.len() })?;
         matched_keys.push((key, rank, off));
-        off += width;
     }
     Ok(())
 }
@@ -633,7 +637,7 @@ fn run_parallel_scan_blocks(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters,
+    filters: &mut ScanFilters,
     ssts: &[&SstMeta],
     start: SimNs,
     results: &mut Vec<u8>,
@@ -643,16 +647,13 @@ fn run_parallel_scan_blocks(
     let n_pes = exec.pe_servers.len().max(1);
     let workers = plan.parallel_pes.min(n_pes).max(1);
     let channels = platform.flash.config().channels;
-    // Global (component, block) order: defines both the deterministic
-    // result merge and each worker's in-stream issue order.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new(); // (rank, sst idx, block idx)
-    for (si, sst) in ssts.iter().enumerate() {
-        for bi in 0..sst.blocks.len() {
-            jobs.push((si + 1, si, bi));
-        }
-    }
+    // Global (component, block) order of `(sst idx, block idx)` jobs:
+    // defines both the deterministic result merge and each worker's
+    // in-stream issue order.
+    let blocks = |(si, sst): (usize, &&SstMeta)| (0..sst.blocks.len()).map(move |bi| (si, bi));
+    let jobs: Vec<(usize, usize)> = ssts.iter().enumerate().flat_map(blocks).collect();
     let mut streams: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (j, &(_, si, bi)) in jobs.iter().enumerate() {
+    for (j, &(si, bi)) in jobs.iter().enumerate() {
         let ch = ssts[si].blocks[bi].pages.first().map_or(0, |p| p.channel);
         streams[worker_for_channel(ch, channels, workers)].push(j);
     }
@@ -663,11 +664,10 @@ fn run_parallel_scan_blocks(
         parallel_scan_streams(platform, exec, plan, filters, ssts, start, &jobs, &streams, report);
     set_overlapped_dispatch(platform, exec, false);
     let (outs, op_end) = res?;
-    for (j, out) in outs.iter().enumerate() {
-        let (rank, _, _) = jobs[j];
+    for (&(si, _), out) in jobs.iter().zip(&outs) {
         let before = results.len();
         results.extend_from_slice(out);
-        decode_matched_keys(filters.width, results, before, rank, matched_keys)?;
+        decode_matched_keys(filters.width, results, before, si + 1, matched_keys)?;
     }
     Ok(op_end)
 }
@@ -679,10 +679,10 @@ fn parallel_scan_streams(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &ScanFilters,
+    filters: &mut ScanFilters,
     ssts: &[&SstMeta],
     start: SimNs,
-    jobs: &[(usize, usize, usize)],
+    jobs: &[(usize, usize)],
     streams: &[Vec<usize>],
     report: &mut SimReport,
 ) -> NkvResult<(Vec<Vec<u8>>, SimNs)> {
@@ -697,8 +697,7 @@ fn parallel_scan_streams(
         let mut hist = LatencyHistogram::new();
         let mut t_next = start;
         for &j in stream {
-            let (_, si, bi) = jobs[j];
-            let issue = t_next;
+            let (si, bi) = jobs[j];
             let on_pe = filters.on_pe(exec.reconcile, &ssts[..si], &ssts[si].blocks[bi]);
             let done = scan_block_job(
                 platform,
@@ -707,15 +706,15 @@ fn parallel_scan_streams(
                 filters,
                 ssts[si],
                 bi,
-                issue,
+                t_next,
                 if on_pe { PeChoice::Pinned(pe) } else { PeChoice::Arm },
                 &mut configured,
                 &mut outs[j],
                 report,
             )?;
+            hist.record(done.saturating_sub(t_next));
             t_next = done;
             op_end = op_end.max(done);
-            hist.record(done.saturating_sub(issue));
             blocks_per_worker[w] += 1;
         }
         job_latency.merge(&hist);
@@ -749,10 +748,10 @@ pub(crate) fn run_scan(
     let mut report = SimReport::default();
     let mut results: Vec<u8> = Vec::new();
     let mut matched_keys: Vec<(u64, usize, usize)> = Vec::new(); // (key, rank, result offset)
-    let record_bytes = lsm.record_bytes();
     let start = now + platform.firmware.op_overhead_ns();
     let mut op_end = start;
     exec.last_parallel_scan = None;
+    let ssts = lsm.all_ssts();
     let all_rules: Vec<FilterRule> =
         plan.pushed.iter().chain(plan.residual.iter()).copied().collect();
     let mut filters = ScanFilters {
@@ -766,6 +765,8 @@ pub(crate) fn run_scan(
             None => exec.processor.out_tuple_bytes(),
         },
         c0_keys: None,
+        staged_keys: HashMap::new(),
+        oldest: ssts.last().map(|s| s.id),
     };
 
     // --- C0: the memtable participates in every scan (ARM-side); its
@@ -787,13 +788,12 @@ pub(crate) fn run_scan(
     op_end = op_end.max(memtable_pass_done(platform, lsm, start));
 
     // --- Persistent components: filter every data block.
-    let ssts = lsm.all_ssts();
     if plan.backend != Backend::Software && plan.parallel_pes >= 1 {
         let t = run_parallel_scan_blocks(
             platform,
             exec,
             plan,
-            &filters,
+            &mut filters,
             &ssts,
             start,
             &mut results,
@@ -811,20 +811,16 @@ pub(crate) fn run_scan(
             let rank = rank + 1; // memtable is rank 0
             for bi in 0..sst.blocks.len() {
                 let before = results.len();
-                let choice = if filters.on_pe(exec.reconcile, &ssts[..rank - 1], &sst.blocks[bi]) {
-                    PeChoice::RoundRobin(&mut driver_rr)
-                } else {
-                    PeChoice::Arm
-                };
+                let on_pe = filters.on_pe(exec.reconcile, &ssts[..rank - 1], &sst.blocks[bi]);
                 let done = scan_block_job(
                     platform,
                     exec,
                     plan,
-                    &filters,
+                    &mut filters,
                     sst,
                     bi,
                     start,
-                    choice,
+                    if on_pe { PeChoice::RoundRobin(&mut driver_rr) } else { PeChoice::Arm },
                     &mut configured,
                     &mut results,
                     &mut report,
@@ -835,7 +831,9 @@ pub(crate) fn run_scan(
         }
     }
 
-    // --- Post-filter reconciliation (shadow check).
+    // --- Newest wins (DESIGN.md §11): a newer component holding the key —
+    // memtable entry, tombstone, or staged key column of the block a bloom
+    // hit points at — hides a match; a block's first search is an ARM pass.
     let mut keep = vec![true; matched_keys.len()];
     for (i, &(key, rank, _)) in matched_keys.iter().enumerate() {
         if !exec.reconcile || rank == 0 {
@@ -845,22 +843,23 @@ pub(crate) fn run_scan(
             keep[i] = false;
             continue;
         }
-        for newer in lsm.ssts_newer_than(rank - 1) {
+        for newer in &ssts[..rank - 1] {
             if newer.is_tombstoned(key) {
                 keep[i] = false;
                 break;
             }
-            if newer.may_contain(key) {
-                // Bloom hit: confirm with a block read.
-                if let Some(bi) = newer.block_for(key) {
-                    let (t, data) = block_read(platform, exec, newer, bi, op_end, false)?;
-                    report.shadow_confirm_reads += 1;
-                    op_end = op_end.max(t);
-                    if search_block(&data, record_bytes, key)?.is_some() {
-                        keep[i] = false;
-                        break;
-                    }
-                }
+            let Some(b) = newer.block_for(key).filter(|_| newer.may_contain(key)) else { continue };
+            let (keys, searched) =
+                filters.staged_keys.get_mut(&(newer.id, b)).ok_or_else(|| {
+                    NkvError::Config(format!("SST {} block {b} was not staged", newer.id))
+                })?;
+            if !std::mem::replace(searched, true) {
+                op_end = arm_filter(platform, op_end, u64::from(newer.blocks[b].bytes));
+                report.shadow_confirm_reads += 1;
+            }
+            if keys.binary_search(&key).is_ok() {
+                keep[i] = false;
+                break;
             }
         }
     }
@@ -1059,7 +1058,7 @@ fn key_walk(
         }
         let Some(bi) = sst.block_for(key) else { continue };
         let mut fetch = || -> NkvResult<(SimNs, Vec<u8>)> {
-            let read = block_read(platform, exec, sst, bi, t, true)?;
+            let read = block_read(platform, exec, sst, bi, t)?;
             report.blocks += 1;
             report.bytes_scanned += read.1.len() as u64;
             Ok(read)

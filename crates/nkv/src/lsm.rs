@@ -339,12 +339,6 @@ impl LsmTree {
         out
     }
 
-    /// SSTs strictly newer than `rank` in the recency order of
-    /// [`Self::all_ssts`] (used by the scan shadow check).
-    pub fn ssts_newer_than(&self, rank: usize) -> Vec<&SstMeta> {
-        self.all_ssts().into_iter().take(rank).collect()
-    }
-
     /// Number of SSTs per level (diagnostics).
     pub fn level_sizes(&self) -> Vec<usize> {
         self.levels.iter().map(Vec::len).collect()
@@ -787,7 +781,5 @@ mod tests {
         let all = fx.lsm.all_ssts();
         assert_eq!(all.len(), 2);
         assert!(all[0].level <= 1, "C1 SSTs come before deeper levels");
-        assert_eq!(fx.lsm.ssts_newer_than(1).len(), 1);
-        assert_eq!(fx.lsm.ssts_newer_than(0).len(), 0);
     }
 }

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{apply, churn, fold_years, record_for, ref_agg_cfg, table_cfg};
+use common::{apply, fold_years, record_for, ref_agg_cfg, ref_year, table_cfg, Churn};
 use cosmos_sim::faults::FaultPlan;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
@@ -189,19 +189,17 @@ fn interleaved_puts_compactions_and_scans_stay_coherent() {
 
 #[test]
 fn aggregates_are_identical_with_and_without_cache() {
-    // A bulk-loaded multi-record table, then the churned unique-key table
-    // (`churn`) with its shadowing versions flushed or in the memtable.
-    for churned in [None, Some(false), Some(true)] {
+    // A bulk-loaded multi-record table, then every churned unique-key
+    // table (`Churn`), whose SCANs must also return the model's records.
+    for churned in std::iter::once(None).chain(Churn::ALL.map(Some)) {
         let build = |cache: bool| {
             let mut db = NkvDb::default_db();
             if cache {
                 db.enable_cache(CACHE_BUDGET);
             }
-            let mut cfg = ref_agg_cfg(churned.is_some());
-            cfg.n_pes = 2;
-            db.create_table("refs", cfg).expect("refs table");
+            db.create_table("refs", ref_agg_cfg(churned.is_some())).expect("refs table");
             match churned {
-                Some(tail_in_memtable) => apply(&mut db, "refs", &churn(tail_in_memtable).0),
+                Some(churn) => apply(&mut db, "refs", &churn.writes().0),
                 None => {
                     let mut wl = PubGraphConfig::scaled(1.0 / 4096.0);
                     wl.refs = 12_000;
@@ -215,7 +213,7 @@ fn aggregates_are_identical_with_and_without_cache() {
             }
             db
         };
-        let model = churned.map(|tail_in_memtable| churn(tail_in_memtable).1);
+        let model = churned.map(|churn| churn.writes().1);
         let mut plain = build(false);
         let mut cached = build(true);
         let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
@@ -231,6 +229,31 @@ fn aggregates_are_identical_with_and_without_cache() {
                     if let Some(m) = &model {
                         assert_eq!((bv, ba), fold_years(m.values(), 2000, agg), "{what} vs model");
                     }
+                }
+            }
+        }
+        if let Some(m) = &model {
+            let sorted = |records: &[u8]| {
+                let mut recs: Vec<&[u8]> = records.chunks_exact(20).collect();
+                recs.sort_unstable();
+                recs.concat()
+            };
+            let want: Vec<u8> =
+                m.values().filter(|r| ref_year(r) >= 2000).flatten().copied().collect();
+            let op = LogicalOp::Scan { rules: rules.to_vec() };
+            for mode in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+                for streams in [0usize, 4] {
+                    let what = format!("SCAN on {mode:?}, {streams} streams, {churned:?}");
+                    let mut got = Vec::new();
+                    for db in [&mut plain, &mut cached] {
+                        db.set_parallel_pes("refs", streams).expect("4 PEs configured");
+                        match db.execute("refs", &op, mode).expect("scan") {
+                            PlanOutcome::Records { records, .. } => got.push(records),
+                            other => panic!("scan must produce records, got {other:?}"),
+                        }
+                    }
+                    assert_eq!(got[0], got[1], "{what}: cache on vs off");
+                    assert_eq!(sorted(&got[1]), sorted(&want), "{what} vs model");
                 }
             }
         }

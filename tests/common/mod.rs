@@ -2,7 +2,7 @@
 //! `adaptive_equivalence`, `cache_equivalence`, `chaos`, `cluster_chaos`,
 //! `plan_equivalence`, `recovery`): one papers table, one record
 //! generator, one store-plus-model builder, and the aggregate-capable
-//! refs table with its churn.
+//! refs table with its version histories.
 #![allow(dead_code)] // each suite uses its own subset
 
 use ndp_ir::{elaborate, AggOp};
@@ -72,51 +72,98 @@ pub fn ref_year(rec: &[u8]) -> u64 {
     u64::from(u32::from_le_bytes(rec[16..20].try_into().unwrap()))
 }
 
-/// One write of [`churn`].
+/// One write of a [`Churn`] history.
 pub enum Write {
     Put(Vec<u8>),
     Delete(u64),
     Flush,
 }
 
-/// The sequence that made an aggregate count every stored version: 100
-/// PUTs, flush, 50 overwrites + 10 DELETEs, then a flush unless
-/// `tail_in_memtable`. The first versions of keys 1 and 2 hold the
-/// table's MIN and MAX year and are overwritten — an extreme that cannot
-/// be subtracted out afterwards. Returns the writes and the model.
-pub fn churn(tail_in_memtable: bool) -> (Vec<Write>, BTreeMap<u64, Vec<u8>>) {
-    let rec = |src: u64, year: u64| {
-        let mut v = Vec::with_capacity(20);
-        Ref { src, dst: src * 7, year: year as u32 }.encode_into(&mut v);
-        v
-    };
-    let mut writes: Vec<Write> = (1..=100u64)
-        .map(|k| match k {
-            1 => rec(k, 1500),
-            2 => rec(k, 2500),
-            _ => rec(k, 1960 + k * 37 % 60),
-        })
-        .map(Write::Put)
-        .collect();
-    writes.push(Write::Flush);
-    writes.extend((1..=50u64).map(|k| Write::Put(rec(k, 1970 + k * 11 % 45))));
-    writes.extend((91..=100).map(Write::Delete));
-    if !tail_in_memtable {
-        writes.push(Write::Flush);
-    }
-    let mut model = BTreeMap::new();
-    for w in &writes {
-        match w {
-            Write::Put(r) => {
-                model.insert(u64::from_le_bytes(r[..8].try_into().unwrap()), r.clone());
-            }
-            Write::Delete(k) => {
-                model.remove(k);
-            }
-            Write::Flush => {}
+/// The version histories the differential suites reconcile, each on a
+/// unique-key refs table ([`ref_agg_cfg`]`(true)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Churn {
+    /// The sequence that made an aggregate count every stored version:
+    /// 100 PUTs, flush, 50 overwrites + 10 DELETEs, flush. The first
+    /// versions of keys 1 and 2 hold the table's MIN and MAX year and are
+    /// overwritten — an extreme that cannot be subtracted out afterwards.
+    Flushed,
+    /// The same with the overwrites and DELETEs left in the memtable.
+    TailInMemtable,
+    /// 4 000 keys whose versions pass `year >= 2000`, flush; every odd
+    /// key overwritten by a version that fails it and key 4 000 deleted,
+    /// flush. The failing newer version must still hide the passing
+    /// older one, and the shadows span both blocks of the newer SST.
+    NewerFails,
+    /// The 3 000 odd keys 1..6 000, flush; the 3 000 even keys between
+    /// them, flush. No key has two versions, but every odd key falls
+    /// inside a block of the newer SST, so a bloom false positive sends
+    /// its search to a block that lacks it: the older version stays.
+    BloomMiss,
+}
+
+impl Churn {
+    pub const ALL: [Churn; 4] =
+        [Churn::Flushed, Churn::TailInMemtable, Churn::NewerFails, Churn::BloomMiss];
+
+    /// Data blocks of every SST but the oldest (1 638 records fill a 32
+    /// KiB block): the most blocks one reconciling op can search.
+    pub fn newer_blocks(self) -> u64 {
+        match self {
+            Churn::TailInMemtable => 0,
+            Churn::Flushed => 1,
+            Churn::NewerFails | Churn::BloomMiss => 2,
         }
     }
-    (writes, model)
+
+    /// The writes of this history and the model they leave.
+    pub fn writes(self) -> (Vec<Write>, BTreeMap<u64, Vec<u8>>) {
+        let rec = |src: u64, year: u64| {
+            let mut v = Vec::with_capacity(20);
+            Ref { src, dst: src * 7, year: year as u32 }.encode_into(&mut v);
+            Write::Put(v)
+        };
+        let mut writes: Vec<Write> = match self {
+            Churn::Flushed | Churn::TailInMemtable => (1..=100u64)
+                .map(|k| match k {
+                    1 => rec(k, 1500),
+                    2 => rec(k, 2500),
+                    _ => rec(k, 1960 + k * 37 % 60),
+                })
+                .chain([Write::Flush])
+                .chain((1..=50u64).map(|k| rec(k, 1970 + k * 11 % 45)))
+                .chain((91..=100).map(Write::Delete))
+                .collect(),
+            Churn::NewerFails => (1..=4_000u64)
+                .map(|k| rec(k, 2000 + k % 20))
+                .chain([Write::Flush])
+                .chain((1..=4_000u64).step_by(2).map(|k| rec(k, 1980 + k % 20)))
+                .chain([Write::Delete(4_000)])
+                .collect(),
+            Churn::BloomMiss => (1..6_000u64)
+                .step_by(2)
+                .map(|k| rec(k, 2000 + k % 20))
+                .chain([Write::Flush])
+                .chain((2..=6_000u64).step_by(2).map(|k| rec(k, 1990 + k % 20)))
+                .collect(),
+        };
+        if self != Churn::TailInMemtable {
+            writes.push(Write::Flush);
+        }
+        let mut model = BTreeMap::new();
+        for w in &writes {
+            match w {
+                Write::Put(r) => {
+                    model.insert(u64::from_le_bytes(r[..8].try_into().unwrap()), r.clone());
+                }
+                Write::Delete(k) => {
+                    model.remove(k);
+                }
+                Write::Flush => {}
+            }
+        }
+        (writes, model)
+    }
 }
 
 pub fn apply(db: &mut NkvDb, table: &str, writes: &[Write]) {

@@ -16,7 +16,7 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{apply, churn, fold_years, ref_agg_cfg, report_fields, Write};
+use common::{apply, fold_years, ref_agg_cfg, ref_year, report_fields, Churn, Write};
 use cosmos_sim::faults::FaultPlan;
 use cosmos_sim::timing;
 use ndp_ir::AggOp;
@@ -112,9 +112,9 @@ fn model_scan(model: &Model, rules: &[FilterRule]) -> (Vec<u8>, u64) {
 /// Key-sort a scan's raw output so it can be compared to the BTreeMap
 /// model. Raw (unsorted) bytes are still compared *across plans*, which
 /// pins the deterministic merge order itself.
-fn key_sorted(records: &[u8]) -> Vec<u8> {
-    let mut recs: Vec<&[u8]> = records.chunks_exact(80).collect();
-    assert_eq!(recs.len() * 80, records.len(), "whole records only");
+fn key_sorted(records: &[u8], width: usize) -> Vec<u8> {
+    let mut recs: Vec<&[u8]> = records.chunks_exact(width).collect();
+    assert_eq!(recs.len() * width, records.len(), "whole records only");
     recs.sort_by_key(|r| u64::from_le_bytes(r[..8].try_into().unwrap()));
     recs.concat()
 }
@@ -127,7 +127,7 @@ fn check_scan_plans(db: &mut NkvDb, model: &Model, rules: &[FilterRule], hw_lega
     let (want, want_count) = model_scan(model, rules);
 
     let sw = db.scan(TABLE, rules, Backend::Software).expect("software scan");
-    assert_eq!(key_sorted(&sw.records), want, "software scan vs model");
+    assert_eq!(key_sorted(&sw.records, 80), want, "software scan vs model");
     assert_eq!(sw.count, want_count);
 
     let op = LogicalOp::Scan { rules: rules.to_vec() };
@@ -248,7 +248,7 @@ fn range_scan_plans_match_the_model() {
     for backend in [Backend::Software, Backend::Hybrid] {
         match db.execute(TABLE, &op, backend).expect("range scan") {
             PlanOutcome::Records { records, .. } => {
-                assert_eq!(key_sorted(&records), want, "range scan on {backend:?} vs model")
+                assert_eq!(key_sorted(&records, 80), want, "range scan on {backend:?} vs model")
             }
             other => panic!("range scan must produce records, got {other:?}"),
         }
@@ -313,13 +313,14 @@ fn aggregate_plans_match_the_model_and_each_other() {
 
     // A churned unique-key table: overwritten and deleted versions must
     // not count, wherever the shadowing version lives.
-    for tail_in_memtable in [false, true] {
-        let (writes, model) = churn(tail_in_memtable);
+    for churn in Churn::ALL {
+        let (writes, model) = churn.writes();
         let mut db = NkvDb::default_db();
         db.create_table("refs", ref_agg_cfg(true)).expect("refs table");
         apply(&mut db, "refs", &writes);
         for min_year in [0, 2000] {
-            check_churned_aggregates(&mut db, &model, min_year, tail_in_memtable);
+            check_churned_scans(&mut db, &model, min_year, churn);
+            check_churned_aggregates(&mut db, &model, min_year, churn);
         }
         for devices in [1, 4] {
             let mut cluster =
@@ -344,7 +345,7 @@ fn aggregate_plans_match_the_model_and_each_other() {
                             .expect("cluster aggregate");
                         let what = format!(
                             "{devices} devices, {agg:?} on {backend:?}, year >= {min_year}, \
-                             tail in memtable: {tail_in_memtable}"
+                             {churn:?}"
                         );
                         assert_eq!((got.value, got.any), want, "{what}");
                         if agg == AggOp::Count {
@@ -357,22 +358,70 @@ fn aggregate_plans_match_the_model_and_each_other() {
     }
 }
 
+/// Reconciliation searches each newer block once, in the copy the scan
+/// staged: the churned SCAN costs at most twice its block phase plus
+/// transfer — what the same writes take on a multi-record table, which
+/// never reconciles and returns every stored version.
+#[test]
+fn a_churned_scan_costs_at_most_twice_its_block_phase_and_transfer() {
+    let (writes, _) = Churn::Flushed.writes();
+    for backend in [Backend::Software, Backend::Hardware] {
+        let scan = |unique_keys| {
+            let mut db = NkvDb::default_db();
+            db.create_table("refs", ref_agg_cfg(unique_keys)).expect("refs table");
+            apply(&mut db, "refs", &writes);
+            db.scan("refs", &[], backend).expect("scan")
+        };
+        let (reconciled, versions) = (scan(true), scan(false));
+        assert_eq!((reconciled.count, versions.count), (90, 150), "{backend:?}");
+        let (rep, bound) = (reconciled.report, versions.report);
+        assert_eq!(rep.shadow_confirm_reads, 1, "{backend:?}: one newer block, searched once");
+        assert!(rep.sim_ns <= 2 * bound.sim_ns, "{backend:?}: {rep:?} vs {bound:?}");
+    }
+}
+
 /// The least register I/O a block reduced on a PE costs: a warm
 /// configuration plus the accumulator's two halves.
 const WARM_AGG_BLOCK_IO: u64 = timing::OURS_CFG_WRITES + timing::OURS_CFG_READS + 2;
+
+/// Every tier returns the model's records for `year >= min_year`, with
+/// serial and 4-stream dispatch alike: the same bytes and the same number
+/// of blocks searched for shadows, never more than the newer SSTs hold.
+fn check_churned_scans(db: &mut NkvDb, model: &Model, min_year: u64, churn: Churn) {
+    let rules = min_year_rules(min_year);
+    let want: Vec<u8> =
+        model.values().filter(|r| ref_year(r) >= min_year).flatten().copied().collect();
+    let op = LogicalOp::Scan { rules };
+    for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+        let mut serial = None;
+        for streams in [0usize, 4] {
+            db.set_parallel_pes("refs", streams).expect("4 PEs configured");
+            let what = format!("{churn:?}, year >= {min_year}, {backend:?}, {streams} streams");
+            let (records, report) = match db.execute("refs", &op, backend).expect("scan") {
+                PlanOutcome::Records { records, report, .. } => (records, report),
+                other => panic!("scan must produce records, got {other:?}"),
+            };
+            assert_eq!(key_sorted(&records, 20), want, "{what} vs model");
+            assert!(report.shadow_confirm_reads <= churn.newer_blocks(), "{what}: {report:?}");
+            let seen = (records, report.shadow_confirm_reads);
+            assert_eq!(serial.get_or_insert_with(|| seen.clone()), &seen, "{what} vs serial");
+        }
+    }
+    db.set_parallel_pes("refs", 0).expect("reset");
+}
 
 /// Every tier and the adaptive planner answer `agg(year)` over `year >=
 /// min_year` like the model, COUNT equals the SCAN's count and every
 /// report's `tuples_out`; the hardware tier reduces on the ARM exactly
 /// the blocks a newer component may shadow.
-fn check_churned_aggregates(db: &mut NkvDb, model: &Model, min_year: u64, tail_in_memtable: bool) {
+fn check_churned_aggregates(db: &mut NkvDb, model: &Model, min_year: u64, churn: Churn) {
     let rules = min_year_rules(min_year);
     let count = db.scan("refs", &rules, Backend::Software).expect("scan").count;
     assert_eq!(count, fold_years(model.values(), min_year, AggOp::Count).0, "SCAN vs model");
     for agg in AGGS {
         let want = fold_years(model.values(), min_year, agg);
         let op = LogicalOp::ScanAggregate { rules: rules.clone(), agg, lane: ref_lanes::YEAR };
-        let what = format!("{agg:?}, year >= {min_year}, tail in memtable: {tail_in_memtable}");
+        let what = format!("{agg:?}, year >= {min_year}, {churn:?}");
         for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
             let fallbacks = db.table_health("refs").unwrap().sw_fallback_blocks;
             let (value, any, rep) = aggregate(db.execute("refs", &op, backend).expect("agg"));
@@ -388,9 +437,12 @@ fn check_churned_aggregates(db: &mut NkvDb, model: &Model, min_year: u64, tail_i
                     rep.reg_writes + rep.reg_reads < rep.blocks * WARM_AGG_BLOCK_IO,
                     "{what}: shadowable blocks must not be reduced on a PE: {rep:?}"
                 );
-                // A shadowing version on flash is confirmed by a block
-                // read; one in the memtable by a probe.
-                assert_eq!(rep.shadow_confirm_reads > 0, !tail_in_memtable, "{what}: {rep:?}");
+                // A version on flash is searched for in its staged block
+                // (a true shadow, or a bloom false positive); one in the
+                // memtable is probed. Each newer block is searched once.
+                let searched = churn != Churn::TailInMemtable;
+                assert_eq!(rep.shadow_confirm_reads > 0, searched, "{what}: {rep:?}");
+                assert!(rep.shadow_confirm_reads <= churn.newer_blocks(), "{what}: {rep:?}");
             }
         }
         let (outcome, _) = db.execute_adaptive("refs", &op).expect("adaptive agg");
