@@ -2,10 +2,10 @@
 # Parent/change comparison of one benchmark workload, the way PERF.md's
 # ground rules ask for it: each side built once into its own
 # CARGO_TARGET_DIR, then run as alternating pairs (odd pairs parent
-# first) with identical arguments. Prints, per end-to-end metric and
-# side, the sorted values, median and quartiles, the pairs the change
-# won (ties count for neither), and whether every sim_us_per_op agreed.
-# It reports; it is not a gate.
+# first) with identical arguments. Prints, per end-to-end metric, each
+# side's sorted values, median and quartiles, the change/parent ratio of
+# the medians, the pairs the change won (ties count for neither), and
+# whether every sim_us_per_op agreed. It reports; it is not a gate.
 #
 #   scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=42]
 #
@@ -54,12 +54,19 @@ values() {
     sed -E "s/.*\"$2\":\\{\"value\":([^,}]+).*/\\1/" "$out/$workload.$1.jsonl"
 }
 
-# summary: sorted values, then median and quartiles (linear interpolation).
+# q(p): the p-quantile of the sorted v[1..NR] (linear interpolation).
+quantile='function q(p,    h, lo) { h = 1 + (NR - 1) * p; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }'
+
+# summary: sorted values, then median and quartiles.
 summary() {
-    sort -g | awk '
+    sort -g | awk "$quantile"'
         { v[NR] = $1; printf " %.6g", $1 }
-        function q(p,    h, lo) { h = 1 + (NR - 1) * p; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
         END { printf "\n      median %.6g  quartiles %.6g .. %.6g\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+# median: the median of the values on stdin, unrounded.
+median() {
+    sort -g | awk "$quantile"' { v[NR] = $1 } END { printf "%.17g\n", q(0.5) }'
 }
 
 echo "$workload, seed $seed, $pairs pairs (parent $parent, change $change)"
@@ -70,6 +77,8 @@ for spec in host_ops_per_s:higher setup_s:lower peak_rss_mb:lower sim_us_per_op:
         printf '  %-6s' "$side"
         values "$side" "$metric" | summary
     done
+    awk -v p="$(values parent "$metric" | median)" -v c="$(values change "$metric" | median)" '
+        BEGIN { if (p == 0) print "  change/parent median n/a"; else printf "  change/parent median %.4g\n", c / p }'
     paste <(values parent "$metric") <(values change "$metric") | awk -v better="${spec#*:}" '
         $1 != $2 { if ((better == "higher") == ($2 > $1)) won++; else lost++ }
         END { printf "  change won %d, lost %d of %d pairs\n", won, lost, NR }'
