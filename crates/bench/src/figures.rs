@@ -397,7 +397,7 @@ pub fn profile_batched_tax(scale: f64, n_gets: u32, batch: u32) -> BatchedTax {
 
 /// Fleet-scope profile (`repro profile --devices N`): the same GET+SCAN
 /// workload pushed through an N-device hash-sharded cluster with the
-/// fleet observability stack on, returning the folded [`ClusterStats`]
+/// fleet observability stack on, returning the folded [`nkv::ClusterStats`]
 /// and the merged multi-device Chrome trace.
 #[derive(Debug, Clone)]
 pub struct ClusterProfile {

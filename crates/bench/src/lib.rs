@@ -9,8 +9,10 @@
 //! * [`figures::table1`] — full-design slice utilization;
 //! * [`figures::fig8`] — out-of-context slices vs tuple size (Full/Half);
 //! * [`figures::fig9`] — out-of-context slice % vs filtering stages;
-//! * [`figures::ablations`] — design-choice ablations called out in
-//!   DESIGN.md (PE count sweep, flexible vs fixed store units);
+//! * [`figures::ablation_pe_count`], [`figures::ablation_store_traffic`],
+//!   [`figures::ablation_aggregate_pushdown`] — design-choice ablations
+//!   called out in DESIGN.md (PE count sweep, flexible vs fixed store
+//!   units, aggregate pushdown);
 //! * [`loadgen::loadgen`] — beyond-paper: closed-loop multi-client
 //!   throughput/latency sweep through the NVMe queue engine, plus the
 //!   parallel-PE scan sweep;

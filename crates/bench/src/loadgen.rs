@@ -510,7 +510,7 @@ pub fn parallel_sweep(scale: f64, streams: &[usize]) -> Vec<ParallelSweepPoint> 
 const CACHE_SWEEP_SCANS: usize = 6;
 
 /// Sweep the device-DRAM block cache budget from off to `cache_mb` MiB,
-/// running the same selective refs SCAN [`CACHE_SWEEP_SCANS`] times per
+/// running the same selective refs SCAN `CACHE_SWEEP_SCANS` times per
 /// point on a freshly built device. The cache must never change *what*
 /// a scan returns — every row is asserted byte-identical to the
 /// cache-off baseline — only *when* flash is touched, which the hit

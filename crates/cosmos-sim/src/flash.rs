@@ -12,7 +12,7 @@
 //!    bottleneck.
 //!
 //! Page contents live in one page table per LUN: a directory of
-//! [`CHUNK_PAGES`]-page chunks, each allocated when its first page is
+//! `CHUNK_PAGES`-page chunks, each allocated when its first page is
 //! programmed. A read finds its page by indexing — no hashing — and
 //! memory follows what was programmed wherever it sits: full-volume
 //! datasets (~1.1 GB) cost 16 bytes of table per page, and a lone

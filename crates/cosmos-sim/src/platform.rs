@@ -103,12 +103,6 @@ impl CosmosPlatform {
         Self::new(CosmosConfig::default())
     }
 
-    /// Cost of the firmware writing `writes` and reading `reads` PE
-    /// control registers (PS↔PL round trips).
-    pub fn mmio_cost_ns(&self, writes: u64, reads: u64) -> SimNs {
-        timing::cfg_overhead_ns(writes, reads)
-    }
-
     /// ARM software filtering time for `bytes` of packed tuples.
     pub fn arm_filter_ns(&self, bytes: u64) -> SimNs {
         (bytes * timing::ARM_FILTER_PS_PER_BYTE).div_ceil(1000) + timing::ARM_SW_BLOCK_OVERHEAD_NS
@@ -390,7 +384,7 @@ impl CosmosPlatform {
     /// serial admissions would — then the host rings **one** SQ doorbell
     /// (one MMIO write) and the controller fetches all `n` 64 B SQEs in a
     /// single link burst. The `n - 1` saved doorbell writes are counted
-    /// in [`QueueStats::coalesced_doorbells`].
+    /// in [`QueueStats::coalesced_doorbells`](crate::queue::QueueStats::coalesced_doorbells).
     ///
     /// Returns `(qid, submit_ns, fetch_done_ns)`; the commands' execution
     /// should be scheduled at `fetch_done_ns`.
@@ -433,8 +427,9 @@ impl CosmosPlatform {
     /// per submitted batch, at its **last** completion — earlier members
     /// complete at their CQE post itself (`last == false`), saving one
     /// MMIO write each (also counted in
-    /// [`QueueStats::coalesced_doorbells`]). Returns the completion time
-    /// the host observes, and frees the command's queue slot as of then.
+    /// [`QueueStats::coalesced_doorbells`](crate::queue::QueueStats::coalesced_doorbells)).
+    /// Returns the completion time the host observes, and frees the
+    /// command's queue slot as of then.
     pub fn queue_complete_batched(
         &mut self,
         qid: u16,
@@ -481,9 +476,8 @@ mod tests {
 
     #[test]
     fn mmio_cost_matches_timing_table() {
-        let p = CosmosPlatform::default_platform();
-        assert_eq!(p.mmio_cost_ns(1, 0), timing::MMIO_WRITE_NS);
-        assert_eq!(p.mmio_cost_ns(0, 1), timing::MMIO_READ_NS);
+        assert_eq!(timing::cfg_overhead_ns(1, 0), timing::MMIO_WRITE_NS);
+        assert_eq!(timing::cfg_overhead_ns(0, 1), timing::MMIO_READ_NS);
     }
 
     #[test]

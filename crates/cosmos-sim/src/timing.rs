@@ -8,10 +8,10 @@
 //!   = 1,104,586,140 B, processed in 32 KiB blocks ⇒ 33,710 blocks;
 //! * \[1\]'s hardware SCAN takes 5.512 s and ours 5.530 s (+0.018 s).
 //!
-//! With the per-block configuration overheads derived from counted
-//! register accesses below, the effective aggregate flash bandwidth that
-//! reproduces 5.512 s is ~201.7 MB/s — consistent with the paper's
-//! "about 200 MB/s" for two Tiger4 controllers.
+//! With a warm block job's register count (`ndp_swgen::job_io`, priced by
+//! [`cfg_overhead_ns`]; `nkv::exec`'s tests re-derive both anchors), the
+//! flash bandwidth that reproduces 5.512 s is ~201.7 MB/s — consistent
+//! with the paper's "about 200 MB/s" for two Tiger4 controllers.
 
 use crate::SimNs;
 
@@ -40,32 +40,6 @@ pub const MMIO_WRITE_NS: SimNs = 150;
 /// Uncached PL→PS register read (round trip).
 pub const MMIO_READ_NS: SimNs = 234;
 
-/// Steady-state register writes the \[1\] firmware issues per processed
-/// block: SRC_ADDR_LO/HI, DST_ADDR_LO/HI and START. (Filter rules are
-/// written once per scan and cached — see `ndp_swgen::PeDriver`.)
-pub const BASE_CFG_WRITES: u64 = 5;
-/// Register reads per block for \[1\]: the pass counter.
-pub const BASE_CFG_READS: u64 = 1;
-/// Steady-state register writes of our generated firmware per block: the
-/// \[1\] set plus SRC_LEN and DST_CAPACITY (flexible partial-block
-/// units must be told the transfer length and the result capacity).
-pub const OURS_CFG_WRITES: u64 = 7;
-/// Register reads per block for our firmware: pass counter plus
-/// RESULT_BYTES (partial-block results have a variable size).
-pub const OURS_CFG_READS: u64 = 2;
-
-/// Steady-state register writes per *key* once a batched GET's key-list
-/// walker owns the datapath: the PL walker advances the descriptor
-/// itself, so the ARM only rings the per-key START strobe. Rules,
-/// addresses and capacities were programmed once by the batch's first
-/// key (which pays the full cold [`OURS_CFG_WRITES`]/[`OURS_CFG_READS`]
-/// sequence).
-pub const BATCH_KEY_CFG_WRITES: u64 = 1;
-/// Register reads per key in batched steady state: none — per-key
-/// result lengths ride the result stream itself (the walker prefixes
-/// each record with its length), not a readback register.
-pub const BATCH_KEY_CFG_READS: u64 = 0;
-
 /// ARM cost of parsing + validating one key-list descriptor header
 /// before handing it to the PL walker (magic/count/flags checks on the
 /// DMA'd page).
@@ -75,7 +49,7 @@ pub const ARM_BATCH_HEADER_PARSE_NS: SimNs = 1_000;
 /// at 667 MHz: record parse, field extract, compare, branch, result
 /// append). Deliberately above the ~4.96 ns/B aggregate flash rate so the
 /// software SCAN is compute-bound — the paper's premise for hardware
-/// NDP paying off on SCAN, consistent with [1]'s up-to-2.7x speedups.
+/// NDP paying off on SCAN, consistent with \[1\]'s up-to-2.7x speedups.
 pub const ARM_FILTER_PS_PER_BYTE: u64 = 8_150;
 /// ARM per-block dispatch overhead on the software path (function call,
 /// loop setup, result append bookkeeping).
@@ -92,12 +66,12 @@ pub const NVME_LINK_BW: f64 = 1.2e9;
 
 /// Per-operation firmware overhead of the *updated* Cosmos+ firmware the
 /// paper used ("traded some performance for higher reliability", making
-/// their GETs ~10 % slower than [1]'s). Amortized to nothing over a
+/// their GETs ~10 % slower than \[1\]'s). Amortized to nothing over a
 /// 5.5 s SCAN, but visible on a millisecond GET.
 pub const FIRMWARE_OP_OVERHEAD_NS: SimNs = 200_000;
 
-/// Per-block PE configuration overhead (ns) for the given firmware
-/// register-access counts.
+/// ARM time (ns) of the given PE register accesses: the MMIO cost of
+/// configuring and reading back one block job.
 pub const fn cfg_overhead_ns(writes: u64, reads: u64) -> SimNs {
     writes * MMIO_WRITE_NS + reads * MMIO_READ_NS
 }
@@ -105,33 +79,6 @@ pub const fn cfg_overhead_ns(writes: u64, reads: u64) -> SimNs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The derivation chain of the module docs, kept honest by a test:
-    /// dataset volume at the calibrated bandwidth plus per-block config
-    /// overheads must land on the paper's 5.512 s / 5.530 s anchors.
-    #[test]
-    fn fig7b_anchor_derivation() {
-        let bytes: f64 = 3_775_161.0 * 80.0 + 40_128_663.0 * 20.0;
-        assert_eq!(bytes, 1_104_586_140.0);
-        let blocks = (bytes / 32_768.0).ceil();
-        assert_eq!(blocks, 33_710.0);
-
-        let flash_s = bytes / FLASH_AGGREGATE_BW;
-        let base_s =
-            flash_s + blocks * cfg_overhead_ns(BASE_CFG_WRITES, BASE_CFG_READS) as f64 * 1e-9;
-        let ours_s =
-            flash_s + blocks * cfg_overhead_ns(OURS_CFG_WRITES, OURS_CFG_READS) as f64 * 1e-9;
-        assert!((base_s - 5.512).abs() < 0.005, "base anchor drifted: {base_s}");
-        assert!((ours_s - 5.530).abs() < 0.005, "ours anchor drifted: {ours_s}");
-        // The paper's headline delta: ~0.018 s.
-        assert!(((ours_s - base_s) - 0.018).abs() < 0.001);
-    }
-
-    #[test]
-    fn config_overhead_counts() {
-        assert_eq!(cfg_overhead_ns(BASE_CFG_WRITES, BASE_CFG_READS), 5 * 150 + 234);
-        assert_eq!(cfg_overhead_ns(OURS_CFG_WRITES, OURS_CFG_READS), 7 * 150 + 2 * 234);
-    }
 
     #[test]
     fn software_scan_lands_between_flash_and_double_flash() {

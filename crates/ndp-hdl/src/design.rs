@@ -27,22 +27,22 @@ pub enum Primitive {
     /// AXI4 Full master read channel (the Load Unit).
     ///
     /// `flexible` units (this work) support configurable partial-block
-    /// lengths; fixed units ([1]) always move whole 32 KiB blocks.
+    /// lengths; fixed units (\[1\]) always move whole 32 KiB blocks.
     AxiLoad {
         /// Datapath width in bits (64 on Zynq-7000 HP ports).
         data_bits: u32,
-        /// Configurable transfer length (ours) vs. fixed blocks ([1]).
+        /// Configurable transfer length (ours) vs. fixed blocks (\[1\]).
         flexible: bool,
     },
     /// AXI4 Full master write channel (the Store Unit).
     AxiStore { data_bits: u32, flexible: bool },
     /// Block buffer between the memory interface and the tuple buffers.
     /// Generated PEs back this with block RAM (the paper notes each
-    /// generated accelerator uses a single BRAM, unlike [1]).
+    /// generated accelerator uses a single BRAM, unlike \[1\]).
     BlockBuffer {
         /// Buffered bytes.
         bytes: u32,
-        /// True → RAMB36-backed; false → distributed LUT RAM ([1]).
+        /// True → RAMB36-backed; false → distributed LUT RAM (\[1\]).
         bram: bool,
     },
     /// Tuple Input Buffer: groups the 64-bit memory words into complete
@@ -60,7 +60,7 @@ pub enum Primitive {
         /// Carried opaque postfix width in bits.
         postfix_bits: u32,
         /// True for the generic generated realignment network (this
-        /// work); false for the hand-specialized schedule of [1].
+        /// work); false for the hand-specialized schedule of \[1\].
         generated: bool,
     },
     /// Tuple Output Buffer: reverse of [`Primitive::TupleUnpack`].

@@ -47,7 +47,7 @@ pub mod calib {
     pub const ALIGN_QUAD_LUTS_PER_BIT2: f64 = 0.039_224;
     /// Additional per-level cost of the *generated* buffers' generic
     /// any-offset network, in LUTs per (tuple bit)² per mux level
-    /// (clog2 of the words per tuple). The hand-crafted buffers of [1]
+    /// (clog2 of the words per tuple). The hand-crafted buffers of \[1\]
     /// collapse these levels into a single specialized layer because the
     /// tuple size is a compile-time constant for them.
     pub const GEN_ALIGN_DEPTH_LUTS_PER_BIT2: f64 = 0.005_921_1;

@@ -33,7 +33,7 @@ pub enum IrError {
     /// A struct has no relevant (filterable) field at all.
     NoRelevantFields { strct: String },
     /// The configuration requests a capability the hand-crafted baseline
-    /// architecture of [1] does not provide.
+    /// architecture of \[1\] does not provide.
     UnsupportedByBaseline { parser: String, reason: String },
 }
 

@@ -10,7 +10,7 @@
 //!   in this work, fixed 32 KiB blocks in the baseline of \[1\]
 //!   ([`pipeline`]);
 //! * **(c) accessor component** — Tuple Input/Output Buffers converting
-//!   between the 64-bit memory interface and padded tuples ([`tuple`],
+//!   between the 64-bit memory interface and padded tuples ([`tuple`](mod@tuple),
 //!   [`pipeline`]);
 //! * **(d) computation component** — a chain of 1..N Filtering Units
 //!   (lane mux + Compare Unit, Fig. 5) followed by the Data

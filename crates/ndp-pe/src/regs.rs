@@ -50,7 +50,7 @@ pub mod offsets {
     pub const SRC_ADDR_LO: u32 = 0x08;
     pub const SRC_ADDR_HI: u32 = 0x0C;
     /// Bytes to load; flexible units honour any value up to the chunk
-    /// size, the fixed units of [1] ignore it and always move 32 KiB.
+    /// size, the fixed units of \[1\] ignore it and always move 32 KiB.
     pub const SRC_LEN: u32 = 0x10;
     pub const DST_ADDR_LO: u32 = 0x14;
     pub const DST_ADDR_HI: u32 = 0x18;

@@ -156,7 +156,7 @@ pub struct ParserSpec {
     pub output: String,
     /// Explicit output←input field mappings (paper's case 3).
     pub mapping: Vec<MappingEntry>,
-    /// Number of chained filtering units (extension over [1]; default 1).
+    /// Number of chained filtering units (extension over \[1\]; default 1).
     pub stages: u32,
     /// Comparator operator set; `None` selects the paper's standard set
     /// (`!=, ==, >, >=, <, <=, nop`).

@@ -1,11 +1,15 @@
 //! The Rust twin of the generated C interface.
 //!
-//! [`PeDriver`] performs exactly the register-level protocol that the
-//! generated header's `filter_sync`/`filter_async`/`wait_until_done`
-//! functions perform on the device, against any [`PeDevice`]. It also
-//! counts every register access ([`IoStats`]) — the platform simulator
-//! turns those counts into PS↔PL configuration time, which is what makes
-//! the GET operation *not* profit from hardware in Fig. 7(a).
+//! [`PeDriver`] launches a job with the generated header's register
+//! writes (`set_filter` per rule and an unused stage's operator set to
+//! `nop`, `set_aggregate`, then `filter_async`) against any
+//! [`PeDevice`], and counts every access ([`IoStats`]) — the platform
+//! simulator turns those counts into PS↔PL configuration time, which is
+//! what makes the GET operation *not* profit from hardware in Fig. 7(a).
+//! [`job_io`] counts the same protocol without a device. Its readback is
+//! the twin's own: it reads `RESULT_BYTES` and `TUPLES_OUT` and polls
+//! nothing, where the header's `filter_sync` polls `STATUS` and reads
+//! `RESULT_BYTES` only.
 //!
 //! The [`DriverProfile`] distinguishes the generated firmware protocol
 //! (flexible lengths, 64-bit reference values, result-size readback) from
@@ -14,7 +18,7 @@
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_pe::regs::{agg_offsets, offsets, perf_offsets};
-use ndp_pe::{BlockResult, MemBus, PeDevice};
+use ndp_pe::{BlockResult, MemBus, Mmio, PeDevice};
 
 /// Which firmware register protocol to speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +52,7 @@ impl FilterJob {
     /// Point an existing job descriptor at a new source block, keeping
     /// rules/destination/capacity. Firmware reuses one descriptor per
     /// stream this way instead of rebuilding it per block, which is what
-    /// keeps the driver's rule cache warm across a scan.
+    /// keeps the driver's configuration cache warm across a scan.
     pub fn retarget(&mut self, src: u64, len: u32) {
         self.src = src;
         self.len = len;
@@ -66,11 +70,12 @@ pub struct IoStats {
 /// platform timing model prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeInvoke {
-    /// First block of an op: the rule cache is forgotten (as after a
-    /// device reset), so everything is rewritten.
+    /// First block of an op: the configuration cache is forgotten (as
+    /// after a device reset), so everything is rewritten.
     Cold,
-    /// Steady state: rules identical to the last configuration are
-    /// skipped; addresses, lengths and START are rewritten.
+    /// Steady state: a configuration (rules and aggregate) identical to
+    /// the last one is skipped; addresses, lengths and START are
+    /// rewritten.
     Warm,
     /// A later key of a batched invocation. The datapath was configured
     /// by the batch's first key; the PL-side key-list walker re-points
@@ -78,9 +83,135 @@ pub enum PeInvoke {
     /// source/destination window — and reads the result registers back,
     /// at fabric speed, charged to [`PeDriver::walker_io`]. Per-key
     /// result sizes ride the result stream, so the ARM's job-path cost
-    /// collapses to the START strobe
-    /// (`timing::BATCH_KEY_CFG_WRITES == 1`, `BATCH_KEY_CFG_READS == 0`).
+    /// collapses to the START strobe.
     Keyed,
+}
+
+/// Who performs a register access. Only the ARM's accesses cross the
+/// PS↔PL bridge the platform timing model prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum By {
+    Arm,
+    /// The PL-side key-list walker.
+    Walker,
+}
+
+/// The register protocol of one PE: applied to a device when there is
+/// one, and counted per [`By`] either way.
+struct Port<'a> {
+    pe: Option<&'a mut dyn Mmio>,
+    profile: DriverProfile,
+    stages: u32,
+    io: [IoStats; 2],
+}
+
+impl<'a> Port<'a> {
+    fn new(profile: DriverProfile, stages: u32, pe: Option<&'a mut dyn Mmio>) -> Self {
+        Self { pe, profile, stages, io: Default::default() }
+    }
+
+    fn write(&mut self, by: By, off: u32, val: u32) {
+        if let Some(pe) = self.pe.as_deref_mut() {
+            pe.mmio_write(off, val);
+        }
+        self.io[by as usize].reg_writes += 1;
+    }
+
+    fn read(&mut self, by: By, off: u32) -> u32 {
+        self.io[by as usize].reg_reads += 1;
+        self.pe.as_deref_mut().map_or(0, |pe| pe.mmio_read(off))
+    }
+
+    /// Offset of `FILTER_COUNTER`, the base of the aggregation and
+    /// performance-counter windows.
+    fn filter_counter(&self) -> u32 {
+        offsets::STAGE_BASE + self.stages * offsets::STAGE_STRIDE
+    }
+
+    /// One launch of a job with `rules` rules, in protocol order: the
+    /// stages a `Cold` launch configures (all of them, then the
+    /// Aggregation Unit when `agg`) or a `Keyed` one (stage 0); the
+    /// descriptor; `START`. The walker performs a keyed launch but for its
+    /// `START`. Values are `job`'s; a count has no job and writes zeros.
+    fn launch(&mut self, rules: usize, agg: bool, job: Option<&FilterJob>, invoke: PeInvoke) {
+        let by = if invoke == PeInvoke::Keyed { By::Walker } else { By::Arm };
+        let generated = self.profile == DriverProfile::Generated;
+        let configured = match invoke {
+            PeInvoke::Cold => rules.max(self.stages as usize),
+            PeInvoke::Keyed => rules.min(1),
+            PeInvoke::Warm => 0,
+        };
+        for s in 0..configured {
+            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
+            if s >= rules {
+                // An unused stage passes everything (nop).
+                self.write(by, group + offsets::STAGE_OP, 0);
+                continue;
+            }
+            let r = job.and_then(|j| j.rules.get(s));
+            let (lane, op, value) = r.map_or((0, 0, 0), |r| (r.lane, r.op_code, r.value));
+            self.write(by, group + offsets::STAGE_FIELD, lane);
+            self.write(by, group + offsets::STAGE_OP, op);
+            self.write(by, group + offsets::STAGE_VAL_LO, value as u32);
+            if generated {
+                self.write(by, group + offsets::STAGE_VAL_HI, (value >> 32) as u32);
+            }
+        }
+        if agg && invoke == PeInvoke::Cold {
+            let (op, lane) = job.and_then(|j| j.aggregate).map_or((0, 0), |(op, l)| (op.code(), l));
+            let fc = self.filter_counter();
+            self.write(by, fc + agg_offsets::AGG_FIELD, lane);
+            self.write(by, fc + agg_offsets::AGG_OP, op);
+        }
+        let (src, len, dst, cap) = job.map_or((0, 0, 0, 0), |j| (j.src, j.len, j.dst, j.capacity));
+        self.write(by, offsets::SRC_ADDR_LO, src as u32);
+        self.write(by, offsets::SRC_ADDR_HI, (src >> 32) as u32);
+        self.write(by, offsets::DST_ADDR_LO, dst as u32);
+        self.write(by, offsets::DST_ADDR_HI, (dst >> 32) as u32);
+        if generated {
+            self.write(by, offsets::SRC_LEN, len);
+            self.write(by, offsets::DST_CAPACITY, cap);
+        }
+        self.write(By::Arm, offsets::START, 1);
+    }
+
+    /// The readback after the PE has run, by the walker after a keyed
+    /// launch: the accumulator when `agg`, then the result size and the
+    /// pass count. Returns `(aggregate, result bytes, tuples out)`; the
+    /// protocol of \[1\] derives the result size from the pass counter
+    /// (fixed-size tuples) instead.
+    fn readback(&mut self, agg: bool, invoke: PeInvoke) -> (Option<u64>, Option<u32>, u32) {
+        let by = if invoke == PeInvoke::Keyed { By::Walker } else { By::Arm };
+        let fc = self.filter_counter();
+        let aggregate = agg.then(|| {
+            let lo = u64::from(self.read(by, fc + agg_offsets::AGG_RESULT_LO));
+            lo | u64::from(self.read(by, fc + agg_offsets::AGG_RESULT_HI)) << 32
+        });
+        match self.profile {
+            DriverProfile::Generated => {
+                let bytes = self.read(by, offsets::RESULT_BYTES);
+                (aggregate, Some(bytes), self.read(by, offsets::TUPLES_OUT))
+            }
+            DriverProfile::Baseline => (aggregate, None, self.read(by, fc)),
+        }
+    }
+}
+
+/// The ARM's register accesses for one job of `rules` rules, aggregating
+/// or not, on a PE with `stages` filtering stages: what [`PeDriver`]
+/// performs, counted without a device. `Warm` means the configuration
+/// (rules and aggregate) is cached.
+pub fn job_io(
+    profile: DriverProfile,
+    stages: u32,
+    rules: usize,
+    invoke: PeInvoke,
+    aggregate: bool,
+) -> IoStats {
+    let mut port = Port::new(profile, stages, None);
+    port.launch(rules, aggregate, None, invoke);
+    port.readback(aggregate, invoke);
+    port.io[By::Arm as usize]
 }
 
 /// An in-flight job started with [`PeDriver::filter_async`]. Consumed by
@@ -92,8 +223,8 @@ pub enum PeInvoke {
 #[must_use = "a launched job must be completed"]
 pub struct JobHandle {
     launch_io: IoStats,
-    /// The walker, not the ARM, reads the result registers back.
-    keyed: bool,
+    /// How the job was launched: the walker reads a keyed launch back.
+    invoke: PeInvoke,
     /// The job requested an aggregate.
     aggregated: bool,
 }
@@ -137,7 +268,7 @@ pub struct PeDriver<P: PeDevice> {
     pub total_io: IoStats,
     /// Register accesses spent on perf-counter readback/reset, tracked
     /// separately so observability never changes job-path configuration
-    /// costs (the timing model's CFG_WRITES/READS constants).
+    /// costs (what [`job_io`] counts).
     pub perf_io: IoStats,
     /// Register accesses performed by the PL-side key-list walker during
     /// batched (keyed) invocations. The walker re-points the descriptor
@@ -145,10 +276,10 @@ pub struct PeDriver<P: PeDevice> {
     /// crosses the PS↔PL bridge the timing model prices — it is tracked
     /// here, apart from the ARM job path in [`total_io`](Self::total_io).
     pub walker_io: IoStats,
-    /// Rules written during the last configuration (dirty-tracking:
-    /// reconfiguring identical filter rules is skipped, like firmware
-    /// that caches its last configuration).
-    last_rules: Option<Vec<FilterRule>>,
+    /// The job of the last configuration; its rules and aggregate are
+    /// what the PE holds (dirty-tracking: reconfiguring identical ones is
+    /// skipped, like firmware that caches its last configuration).
+    last: Option<FilterJob>,
 }
 
 impl<P: PeDevice> PeDriver<P> {
@@ -160,7 +291,7 @@ impl<P: PeDevice> PeDriver<P> {
             total_io: IoStats::default(),
             perf_io: IoStats::default(),
             walker_io: IoStats::default(),
-            last_rules: None,
+            last: None,
         }
     }
 
@@ -174,87 +305,34 @@ impl<P: PeDevice> PeDriver<P> {
         self.profile
     }
 
-    fn write(&mut self, io: &mut IoStats, off: u32, val: u32) {
-        self.pe.mmio_write(off, val);
-        io.reg_writes += 1;
-    }
-
-    fn read(&mut self, io: &mut IoStats, off: u32) -> u32 {
-        io.reg_reads += 1;
-        self.pe.mmio_read(off)
-    }
-
-    /// Program one filter stage's field/operator/reference registers.
-    fn write_rule(&mut self, io: &mut IoStats, stage: u32, r: &FilterRule) {
-        let group = offsets::STAGE_BASE + stage * offsets::STAGE_STRIDE;
-        self.write(io, group + offsets::STAGE_FIELD, r.lane);
-        self.write(io, group + offsets::STAGE_OP, r.op_code);
-        self.write(io, group + offsets::STAGE_VAL_LO, r.value as u32);
-        if self.profile == DriverProfile::Generated {
-            self.write(io, group + offsets::STAGE_VAL_HI, (r.value >> 32) as u32);
-        }
-    }
-
-    /// Configure the filter stages (like the header's `set_filter`).
-    fn configure_rules(&mut self, io: &mut IoStats, rules: &[FilterRule]) {
-        assert!(
-            rules.len() <= self.pe.stages() as usize,
-            "job has {} rules but the PE provides {} stages",
-            rules.len(),
-            self.pe.stages()
-        );
-        if self.last_rules.as_deref() == Some(rules) {
-            return; // unchanged configuration is not rewritten
-        }
-        for (s, r) in rules.iter().enumerate() {
-            self.write_rule(io, s as u32, r);
-        }
-        // Unused stages pass everything (nop).
-        for s in rules.len()..self.pe.stages() as usize {
-            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
-            self.write(io, group + offsets::STAGE_OP, 0);
-        }
-        self.last_rules = Some(rules.to_vec());
-    }
-
     /// Launch a job asynchronously (the header's `filter_async`):
     /// configure the PE the way `invoke` says and write START.
     pub fn filter_async(&mut self, job: &FilterJob, invoke: PeInvoke) -> JobHandle {
-        let keyed = invoke == PeInvoke::Keyed;
-        // ARM job path, and the walker's PL→PL traffic (keyed only).
-        let (mut io, mut wio) = (IoStats::default(), IoStats::default());
-        if keyed {
-            if let Some(r0) = job.rules.first() {
-                self.write_rule(&mut wio, 0, r0);
-                // Keep the rule cache coherent with what is now in the
-                // registers, so a later launch dirty-tracks correctly.
-                if let Some(cached) = self.last_rules.as_mut().and_then(|c| c.first_mut()) {
+        let (stages, rules) = (self.pe.stages(), job.rules.len());
+        assert!(
+            rules <= stages as usize,
+            "job has {rules} rules but the PE provides {stages} stages"
+        );
+        let same = |l: &FilterJob| l.rules == job.rules && l.aggregate == job.aggregate;
+        let cached = self.last.as_ref().is_some_and(same);
+        let invoke = if invoke == PeInvoke::Warm && !cached { PeInvoke::Cold } else { invoke };
+        match invoke {
+            PeInvoke::Cold => self.last = Some(job.clone()),
+            // Keep the cache coherent with what the walker leaves in the
+            // registers, so a later launch dirty-tracks correctly.
+            PeInvoke::Keyed => {
+                let cached = self.last.as_mut().and_then(|l| l.rules.first_mut());
+                if let (Some(cached), Some(r0)) = (cached, job.rules.first()) {
                     *cached = *r0;
                 }
             }
-        } else {
-            if invoke == PeInvoke::Cold {
-                self.last_rules = None;
-            }
-            self.configure_rules(&mut io, &job.rules);
+            PeInvoke::Warm => {}
         }
-        let desc = if keyed { &mut wio } else { &mut io };
-        self.write(desc, offsets::SRC_ADDR_LO, job.src as u32);
-        self.write(desc, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
-        self.write(desc, offsets::DST_ADDR_LO, job.dst as u32);
-        self.write(desc, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
-        if self.profile == DriverProfile::Generated {
-            self.write(desc, offsets::SRC_LEN, job.len);
-            self.write(desc, offsets::DST_CAPACITY, job.capacity);
-        }
-        if let Some((op, lane)) = job.aggregate {
-            let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-            self.write(desc, fc + agg_offsets::AGG_FIELD, lane);
-            self.write(desc, fc + agg_offsets::AGG_OP, op.code());
-        }
-        self.write(&mut io, offsets::START, 1);
-        self.walker_io.reg_writes += wio.reg_writes;
-        JobHandle { launch_io: io, keyed, aggregated: job.aggregate.is_some() }
+        let aggregated = job.aggregate.is_some();
+        let mut port = Port::new(self.profile, stages, Some(&mut self.pe));
+        port.launch(rules, aggregated, Some(job), invoke);
+        self.walker_io.reg_writes += port.io[By::Walker as usize].reg_writes;
+        JobHandle { launch_io: port.io[By::Arm as usize], invoke, aggregated }
     }
 
     /// Complete a previously launched job (the header's
@@ -263,32 +341,15 @@ impl<P: PeDevice> PeDriver<P> {
     /// is billed to whoever performs it: the ARM job path, or the walker
     /// for a [`PeInvoke::Keyed`] launch.
     pub fn wait_until_done(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
-        let (mut io, mut wio) = (handle.launch_io, IoStats::default());
-        let rb = if handle.keyed { &mut wio } else { &mut io };
         let block = self.pe.execute(mem);
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let aggregate = if handle.aggregated {
-            let lo = u64::from(self.read(rb, fc + agg_offsets::AGG_RESULT_LO));
-            let hi = u64::from(self.read(rb, fc + agg_offsets::AGG_RESULT_HI));
-            Some(lo | (hi << 32))
-        } else {
-            None
-        };
-        let (result_bytes, tuples_out) = match self.profile {
-            DriverProfile::Generated => {
-                let bytes = self.read(rb, offsets::RESULT_BYTES);
-                (bytes, self.read(rb, offsets::TUPLES_OUT))
-            }
-            DriverProfile::Baseline => {
-                // [1] derives the result size from the pass counter
-                // (fixed-size tuples): one register read.
-                let count = self.read(rb, fc);
-                (block.result_bytes, count)
-            }
-        };
-        self.walker_io.reg_reads += wio.reg_reads;
+        let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
+        port.io[By::Arm as usize] = handle.launch_io;
+        let (aggregate, bytes, tuples_out) = port.readback(handle.aggregated, handle.invoke);
+        let [io, walker] = port.io;
+        self.walker_io.reg_reads += walker.reg_reads;
         self.total_io.reg_writes += io.reg_writes;
         self.total_io.reg_reads += io.reg_reads;
+        let result_bytes = bytes.unwrap_or(block.result_bytes);
         JobResult { block, result_bytes, tuples_out, aggregate, io }
     }
 
@@ -303,34 +364,33 @@ impl<P: PeDevice> PeDriver<P> {
     /// `read_perf_counters`). Register accesses are charged to
     /// [`perf_io`](Self::perf_io), not the job path.
     pub fn read_perf_counters(&mut self) -> PerfReadout {
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut io = IoStats::default();
-        let rd = |drv: &mut Self, io: &mut IoStats, rel: u32| drv.read(io, fc + rel);
+        let stages = self.pe.stages();
+        let mut port = Port::new(self.profile, stages, Some(&mut self.pe));
+        let fc = port.filter_counter();
+        let mut rd = |rel: u32| port.read(By::Arm, fc + rel);
         let out = PerfReadout {
-            tuples_in: rd(self, &mut io, perf_offsets::CNT_TUPLES_IN),
-            tuples_out: rd(self, &mut io, perf_offsets::CNT_TUPLES_OUT),
-            in_stall: rd(self, &mut io, perf_offsets::CNT_IN_STALL),
-            out_stall: rd(self, &mut io, perf_offsets::CNT_OUT_STALL),
-            active: rd(self, &mut io, perf_offsets::CNT_ACTIVE),
-            idle: rd(self, &mut io, perf_offsets::CNT_IDLE),
-            load_beats: rd(self, &mut io, perf_offsets::CNT_LOAD_BEATS),
-            store_beats: rd(self, &mut io, perf_offsets::CNT_STORE_BEATS),
-            stage_drops: (0..self.pe.stages())
-                .map(|s| self.read(&mut io, fc + perf_offsets::CNT_STAGE_DROP_BASE + 4 * s))
+            tuples_in: rd(perf_offsets::CNT_TUPLES_IN),
+            tuples_out: rd(perf_offsets::CNT_TUPLES_OUT),
+            in_stall: rd(perf_offsets::CNT_IN_STALL),
+            out_stall: rd(perf_offsets::CNT_OUT_STALL),
+            active: rd(perf_offsets::CNT_ACTIVE),
+            idle: rd(perf_offsets::CNT_IDLE),
+            load_beats: rd(perf_offsets::CNT_LOAD_BEATS),
+            store_beats: rd(perf_offsets::CNT_STORE_BEATS),
+            stage_drops: (0..stages)
+                .map(|s| rd(perf_offsets::CNT_STAGE_DROP_BASE + 4 * s))
                 .collect(),
         };
-        self.perf_io.reg_reads += io.reg_reads;
-        self.perf_io.reg_writes += io.reg_writes;
+        self.perf_io.reg_reads += port.io[By::Arm as usize].reg_reads;
         out
     }
 
     /// Clear the hardware performance counters (the header's
     /// `reset_perf_counters`: write-1-to-clear on CNT_CTRL).
     pub fn reset_perf_counters(&mut self) {
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut io = IoStats::default();
-        self.write(&mut io, fc + perf_offsets::CNT_CTRL, 1);
-        self.perf_io.reg_writes += io.reg_writes;
+        let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
+        port.write(By::Arm, port.filter_counter() + perf_offsets::CNT_CTRL, 1);
+        self.perf_io.reg_writes += port.io[By::Arm as usize].reg_writes;
     }
 }
 
@@ -386,8 +446,7 @@ mod tests {
 
     #[test]
     fn generated_profile_register_counts_match_timing_model() {
-        // The cosmos-sim timing constants assume 11 writes + 2 reads for
-        // a steady-state single-stage block under the generated firmware.
+        // Fig. 7(b)'s per-block tax is priced from these counts.
         let (mut drv, mut mem, ge) = setup();
         let job = FilterJob {
             src: 0,
@@ -427,7 +486,7 @@ mod tests {
         };
         let res = drv.filter_sync(&mut mem, &job);
         // 3 rule writes (no VAL_HI) + 4 addresses + start = 8 writes,
-        // 1 counter read — matching cosmos-sim's BASE_CFG_* constants.
+        // 1 counter read.
         assert_eq!(res.io.reg_writes, 8);
         assert_eq!(res.io.reg_reads, 1);
         assert!(res.tuples_out > 0);
@@ -448,7 +507,7 @@ mod tests {
         let first = drv.filter_sync(&mut mem, &cold);
         assert_eq!(first.io.reg_writes, 11);
         // Subsequent keys: the walker re-points the descriptor; the ARM
-        // pays exactly BATCH_KEY_CFG_WRITES = 1 / BATCH_KEY_CFG_READS = 0.
+        // pays exactly one write (the START strobe) and no read.
         let keyed = FilterJob {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 90 }],
             ..cold.clone()
@@ -476,7 +535,69 @@ mod tests {
         // The rule cache stayed coherent: relaunching the keyed rules
         // warm skips reconfiguration (steady-state 7 writes).
         let steady = drv.filter_sync(&mut mem, &keyed);
-        assert_eq!(steady.io.reg_writes, 7, "keyed launch kept last_rules in sync");
+        assert_eq!(steady.io.reg_writes, 7, "keyed launch kept the configuration cache in sync");
+    }
+
+    /// `job_io` is what real launches count, over generated PEs of 1–4
+    /// stages with and without an Aggregation Unit and the 1-stage
+    /// baseline: every chain length, `Cold`, `Warm` and `Keyed` in
+    /// sequence, aggregate off and, where the PE has the unit, on.
+    #[test]
+    fn job_io_is_what_every_launch_counts() {
+        let spec = |stages: u32, agg: &str| {
+            format!(
+                "/* @autogen define parser P with input = Ref, output = Ref, \
+                 stages = {stages}{agg} */
+                 typedef struct {{ uint64_t src; uint64_t dst; uint32_t weight; }} Ref;"
+            )
+        };
+        let pe = |stages, agg| elaborate(&parse(&spec(stages, agg)).unwrap(), "P").unwrap();
+        let ge = pe(1, "").op_code("ge").unwrap();
+        let mut devices: Vec<(DriverProfile, Box<dyn PeDevice>, bool)> = Vec::new();
+        for stages in 1..=4 {
+            devices.push((DriverProfile::Generated, Box::new(PeSim::new(pe(stages, ""))), false));
+            let with_unit = PeSim::new(pe(stages, ", aggregate = { sum }"));
+            devices.push((DriverProfile::Generated, Box::new(with_unit), true));
+        }
+        let baseline = BaselinePe::new(pe(1, "")).unwrap();
+        devices.push((DriverProfile::Baseline, Box::new(baseline), false));
+        let mut mem = VecMem::new(1 << 16);
+        let job = |rules: usize, aggregate: bool| FilterJob {
+            src: 0,
+            len: 200,
+            dst: 0x8000,
+            capacity: 0x4000,
+            rules: (0..rules as u64)
+                .map(|v| FilterRule { lane: 2, op_code: ge, value: v })
+                .collect(),
+            aggregate: aggregate.then_some((AggOp::Sum, 2)),
+        };
+        for (profile, dev, has_unit) in devices {
+            let stages = dev.stages();
+            let mut drv = PeDriver::new(dev, profile);
+            let aggregates: &[bool] = if has_unit { &[false, true] } else { &[false] };
+            for rules in 1..=stages as usize {
+                for &aggregate in aggregates {
+                    for invoke in [PeInvoke::Cold, PeInvoke::Warm, PeInvoke::Keyed] {
+                        let handle = drv.filter_async(&job(rules, aggregate), invoke);
+                        assert_eq!(
+                            drv.wait_until_done(&mut mem, handle).io,
+                            job_io(profile, stages, rules, invoke, aggregate),
+                            "{profile:?} stages={stages} rules={rules} aggregate={aggregate} \
+                             {invoke:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The Aggregation Unit's configuration is cached with the rules:
+        // a warm aggregate launch rewrites no AGG_* register.
+        let mut drv =
+            PeDriver::new(PeSim::new(pe(1, ", aggregate = { sum }")), DriverProfile::Generated);
+        let cold = drv.filter_sync(&mut mem, &job(1, true)).io;
+        assert_eq!(cold, IoStats { reg_writes: 13, reg_reads: 4 });
+        let warm = drv.filter_sync(&mut mem, &job(1, true)).io;
+        assert_eq!(warm, IoStats { reg_writes: 7, reg_reads: 4 });
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! database engineer can drive the accelerator without knowing how it
 //! works.
 //!
-//! Two artifacts come out of the same [`RegisterMap`]:
+//! Two artifacts come out of the same [`RegisterMap`](ndp_pe::RegisterMap):
 //!
 //! * [`header::generate_header`] — the C header text (the inspectable
 //!   artifact, snapshot-tested); and
-//! * [`driver::PeDriver`] — the Rust twin of that header, which the `nkv`
-//!   firmware layer actually uses to drive the simulated PEs. Because
-//!   both render the same map, the register-level protocol exercised in
-//!   simulation is the one the generated C code would perform on the
-//!   device.
+//! * [`driver::PeDriver`] — the Rust twin of that header, which drives
+//!   the simulated PEs in tests, examples and the benchmark, and whose
+//!   register protocol [`driver::job_io`] counts for the `nkv` firmware
+//!   layer and its cost model. Both render the same map; where the twin's
+//!   readback differs from the header's, the [`driver`] module says so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -24,6 +24,7 @@ pub mod driver;
 pub mod header;
 
 pub use driver::{
-    DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PeInvoke, PerfReadout,
+    job_io, DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PeInvoke,
+    PerfReadout,
 };
 pub use header::generate_header;

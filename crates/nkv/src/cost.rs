@@ -4,9 +4,10 @@
 //! (generated PEs) and Hybrid (pushdown prefix + ARM residual) — all
 //! return byte-identical results; they differ only in simulated time.
 //! This module prices a logical operation on each tier *before* running
-//! it, using the same timing constants the DES charges afterwards
-//! ([`cosmos_sim::timing`]), so [`crate::db::NkvDb::choose_backend`] can
-//! pick the cheapest feasible tier per query.
+//! it, using the timing constants and register counts the DES charges
+//! afterwards ([`cosmos_sim::timing`], [`ndp_swgen::job_io`]), so
+//! [`crate::db::NkvDb::choose_backend`] can pick the cheapest feasible
+//! tier per query.
 //!
 //! The model is deliberately first-order: per-op firmware tax, per-block
 //! PE configuration tax, flash streaming bandwidth discounted by the
@@ -28,10 +29,10 @@
 use crate::plan::{Backend, LogicalOp};
 use cosmos_sim::timing::{
     cfg_overhead_ns, ARM_BLOCK_SEARCH_NS, ARM_FILTER_PS_PER_BYTE, ARM_MEMTABLE_PROBE_NS,
-    ARM_SW_BLOCK_OVERHEAD_NS, BATCH_KEY_CFG_READS, BATCH_KEY_CFG_WRITES, FIRMWARE_OP_OVERHEAD_NS,
-    FLASH_AGGREGATE_BW, FLASH_PAGE_BYTES, FLASH_PAGE_READ_NS, OURS_CFG_READS, OURS_CFG_WRITES,
-    PL_CLK_NS,
+    ARM_SW_BLOCK_OVERHEAD_NS, FIRMWARE_OP_OVERHEAD_NS, FLASH_AGGREGATE_BW, FLASH_PAGE_BYTES,
+    FLASH_PAGE_READ_NS, PL_CLK_NS,
 };
+use ndp_swgen::{job_io, DriverProfile, PeInvoke};
 
 /// Sightings of an op class before its hardware estimate switches from
 /// the cold (un-overlapped flash) model to the warm (pipelined) model.
@@ -221,10 +222,11 @@ impl AdaptState {
     }
 }
 
-/// Per-block PE configuration tax of the generated accelerators
-/// (register writes + DONE poll for each dispatched block).
-fn hw_block_cfg_ns() -> f64 {
-    cfg_overhead_ns(OURS_CFG_WRITES, OURS_CFG_READS) as f64
+/// ARM register-access time of one block job on the generated
+/// accelerators, a one-rule job launched the way `invoke` says.
+fn hw_block_cfg_ns(invoke: PeInvoke) -> f64 {
+    let io = job_io(DriverProfile::Generated, 1, 1, invoke, false);
+    cfg_overhead_ns(io.reg_writes, io.reg_reads) as f64
 }
 
 /// Nanoseconds to stream one byte off the flash array at aggregate
@@ -263,11 +265,10 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
                 Backend::Hardware | Backend::Hybrid => {
                     let cfg = if keys > 1.0 {
                         // Batched keys ride one descriptor: one full
-                        // config plus a per-key key-slot write.
-                        cfg_overhead_ns(BATCH_KEY_CFG_WRITES, BATCH_KEY_CFG_READS) as f64
-                            + hw_block_cfg_ns() / keys
+                        // config plus a per-key START strobe.
+                        hw_block_cfg_ns(PeInvoke::Keyed) + hw_block_cfg_ns(PeInvoke::Warm) / keys
                     } else {
-                        hw_block_cfg_ns()
+                        hw_block_cfg_ns(PeInvoke::Warm)
                     };
                     cfg + block_bytes / inputs.record_bytes.max(1) as f64 * PL_CLK_NS as f64
                 }
@@ -288,7 +289,8 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
                     let stream_flash = bytes * (1.0 - hit) * flash_ns_per_byte();
                     let tuples = bytes / inputs.record_bytes.max(1) as f64;
                     let stream_pe = tuples * PL_CLK_NS as f64;
-                    let mut hw = blocks * hw_block_cfg_ns() + stream_flash.max(stream_pe);
+                    let mut hw =
+                        blocks * hw_block_cfg_ns(PeInvoke::Warm) + stream_flash.max(stream_pe);
                     if !hot {
                         // Cold: assume no read-ahead overlap — every
                         // block pays its page reads serially. This is

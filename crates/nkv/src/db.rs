@@ -641,7 +641,7 @@ impl NkvDb {
     /// advancing the device clock and recording the op. Every query —
     /// the typed wrappers above, the adaptive planner, the cluster
     /// router — enters here; the queue engine enters one level down, at
-    /// [`execute_at`](Self::execute_at), with its own clock.
+    /// `execute_at`, with its own clock.
     pub fn execute(
         &mut self,
         table: &str,

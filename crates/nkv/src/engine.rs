@@ -2,8 +2,8 @@
 //!
 //! Every backend of a [`crate::plan::PhysicalPlan`] — software,
 //! hardware, hybrid, and the parallel-PE scan — runs through the three
-//! entry points here: [`run_scan`] (filter scans and aggregates, which
-//! are scans that fold), [`run_get`] and [`run_batched_get`]; `exec.rs`
+//! entry points here: `run_scan` (filter scans and aggregates, which
+//! are scans that fold), `run_get` and `run_batched_get`; `exec.rs`
 //! holds only the per-table state they work on.
 //!
 //! The shared plumbing all of them need — retrying flash reads with
@@ -41,7 +41,7 @@ use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
 use ndp_pe::oracle::{AggAccumulator, FilterProgram, FilterRule};
 use ndp_pe::pipeline::estimate_block_cycles;
-use ndp_swgen::{DriverProfile, PeInvoke};
+use ndp_swgen::{job_io, DriverProfile, IoStats, PeInvoke};
 use std::collections::{hash_map, HashMap};
 
 /// Backoff charged before retry `attempt` (1-based):
@@ -266,11 +266,11 @@ pub(crate) fn arm_filter(platform: &mut CosmosPlatform, resume: SimNs, bytes: u6
     t
 }
 
-/// Schedule one hardware block job on PE `d`: the ARM writes the config
-/// registers at `staged`, the PE streams the block for `cycles`, and
-/// the PE's DRAM traffic rides the shared port — a load of `load_bytes`
-/// at config-done (when given) and a store of `store_bytes` at PE-done
-/// (when given). Returns the job's completion time: the store's finish
+/// Schedule one hardware block job on PE `d`: the ARM performs the job's
+/// register accesses `io` at `staged`, the PE streams the block for
+/// `cycles`, and the PE's DRAM traffic rides the shared port — a load of
+/// `load_bytes` at config-done (when given) and a store of `store_bytes`
+/// at PE-done (when given). Returns the job's completion time: the store's finish
 /// when it stores, the PE's finish otherwise. GET/SCAN/aggregate differ
 /// only in which sides of the DRAM traffic exist.
 #[allow(clippy::too_many_arguments)]
@@ -280,14 +280,13 @@ pub(crate) fn schedule_hw_job(
     d: usize,
     staged: SimNs,
     cycles: u64,
-    w: u64,
-    r: u64,
+    io: IoStats,
     load_bytes: Option<u64>,
     store_bytes: Option<u64>,
 ) -> SimNs {
-    let cfg_ns = platform.mmio_cost_ns(w, r);
+    let cfg_ns = timing::cfg_overhead_ns(io.reg_writes, io.reg_reads);
     let (cfg_start, cfg_done) = platform.arm.schedule(staged, cfg_ns);
-    platform.trace_reg_access(d as u32, cfg_start, cfg_ns, w, r);
+    platform.trace_reg_access(d as u32, cfg_start, cfg_ns, io.reg_writes, io.reg_reads);
     let (pe_start, pe_done) = exec.pe_servers[d].schedule(cfg_done, cycles * timing::PL_CLK_NS);
     platform.trace_pe_job(d as u32, pe_start, pe_done - pe_start, cycles);
     if let Some(bytes) = load_bytes {
@@ -355,9 +354,9 @@ impl Collect {
 }
 
 /// One block's worth of hardware work (shared by GET and SCAN): the
-/// functional pass, the PE's cycles and the register I/O of configuring
-/// a chain of `rules` the way `invoke` says. Returns `(tuples_in,
-/// tuples_out, pe_cycles, io_writes, io_reads, store_bytes)`;
+/// functional pass, the PE's cycles and the ARM's register I/O of a job
+/// with a chain of `rules`, launched the way `invoke` says ([`job_io`]).
+/// Returns `(tuples_in, tuples_out, pe_cycles, io, store_bytes)`;
 /// `store_bytes` is `None` for a fold, whose result stays in the PE's
 /// accumulator register.
 fn hw_filter_block(
@@ -368,25 +367,19 @@ fn hw_filter_block(
     invoke: PeInvoke,
     collect: Collect,
     out: &mut Vec<u8>,
-) -> (u64, u64, u64, u64, u64, Option<u64>) {
+) -> (u64, u64, u64, IoStats, Option<u64>) {
     let (tin, tout) = collect.block(exec, program, data, out);
-    let (w, r) = match invoke {
-        PeInvoke::Keyed => (timing::BATCH_KEY_CFG_WRITES, timing::BATCH_KEY_CFG_READS),
-        PeInvoke::Cold => exec.cfg_io(true, rules),
-        PeInvoke::Warm => exec.cfg_io(false, rules),
-    };
-    let (w, r, stored) = match (collect, exec.profile) {
-        // AGG_FIELD + AGG_OP join a cold configuration; the accumulator's
-        // two halves are read back; nothing is stored.
-        (Collect::Fold, _) => (w + if invoke == PeInvoke::Cold { 2 } else { 0 }, r + 2, None),
+    let io = job_io(exec.profile, exec.stages, rules, invoke, collect == Collect::Fold);
+    let stored = match (collect, exec.profile) {
+        (Collect::Fold, _) => None,
         // The fixed-block baseline always writes whole blocks back.
-        (Collect::Records, DriverProfile::Baseline) => (w, r, Some(u64::from(exec.chunk_bytes))),
+        (Collect::Records, DriverProfile::Baseline) => Some(u64::from(exec.chunk_bytes)),
         (Collect::Records, DriverProfile::Generated) => {
-            (w, r, Some(tout * exec.processor.out_tuple_bytes() as u64))
+            Some(tout * exec.processor.out_tuple_bytes() as u64)
         }
     };
     let cycles = estimate_block_cycles(data.len() as u64, tin, stored.unwrap_or(0), exec.stages);
-    (tin, tout, cycles, w, r, stored)
+    (tin, tout, cycles, io, stored)
 }
 
 /// ARM post-filter over the PE's output tuples in `out[before..]` (the
@@ -514,7 +507,7 @@ fn scan_block_job(
     match claim_pe(platform, exec, candidate, !never_hw)? {
         PeGrant::Hw(d) => {
             let before = out.len();
-            let (tin, tout, cycles, w, r, stored) = hw_filter_block(
+            let (tin, tout, cycles, io, stored) = hw_filter_block(
                 exec,
                 data,
                 &filters.pushed,
@@ -526,21 +519,12 @@ fn scan_block_job(
             configured[d] = true;
             report.tuples_in += tin;
             report.tuples_out += tout;
-            report.reg_writes += w;
-            report.reg_reads += r;
+            report.reg_writes += io.reg_writes;
+            report.reg_reads += io.reg_reads;
             // ARM configures the PE, then the PE streams the block; its
             // load and any store ride the DRAM port.
-            let mut done = schedule_hw_job(
-                platform,
-                exec,
-                d,
-                staged,
-                cycles,
-                w,
-                r,
-                Some(data.len() as u64),
-                stored,
-            );
+            let load = Some(data.len() as u64);
+            let mut done = schedule_hw_job(platform, exec, d, staged, cycles, io, load, stored);
             if !plan.residual.is_empty() {
                 // Hybrid residual: the ARM re-filters the PE's output
                 // stream (it is in DRAM already) before reconciliation.
@@ -936,16 +920,16 @@ fn key_search_job(
             let rules = key_eq_rule(exec, key)?;
             let program = exec.processor.compile(&rules, &exec.ops);
             let mut out = Vec::new();
-            let (tin, tout, cycles, w, r, stored) =
+            let (tin, tout, cycles, io, stored) =
                 hw_filter_block(exec, data, &program, 1, invoke, Collect::Records, &mut out);
             report.tuples_in += tin;
             report.tuples_out += tout;
-            report.reg_writes += w;
-            report.reg_reads += r;
+            report.reg_writes += io.reg_writes;
+            report.reg_reads += io.reg_reads;
             // GET has no PE load phase in the model (the block is already
             // staged for the search); only the one-record store rides the
             // DRAM port.
-            let done = schedule_hw_job(platform, exec, d, staged, cycles, w, r, None, stored);
+            let done = schedule_hw_job(platform, exec, d, staged, cycles, io, None, stored);
             let rec = if out.is_empty() {
                 None
             } else {

@@ -10,7 +10,8 @@
 //!   data-page addresses, bloom filter bits, tombstones — see
 //!   [`crate::sst::serialize_index`]).
 //!
-//! [`persist`] writes the manifest; [`recover`] reads it back, parses
+//! [`NkvDb::persist`](crate::NkvDb::persist) writes the manifest;
+//! [`NkvDb::recover`](crate::NkvDb::recover) reads it back, parses
 //! every index block and reconstructs the LSM trees and the page
 //! allocator watermarks. The volatile memtable (`C0`) is lost, exactly
 //! like a real LSM without a write-ahead log — the device relies on the

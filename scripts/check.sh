@@ -22,6 +22,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> non-test unwraps stay denied"
 # The clippy run above is the enforcement; this pins the attribute
 # itself so it cannot be silently dropped.

@@ -30,6 +30,7 @@ mod common;
 use common::{build_db, record_for};
 use cosmos_sim::faults::FaultPlan;
 use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
+use ndp_swgen::{job_io, DriverProfile, PeInvoke};
 use ndp_workload::SplitMix64;
 use nkv::{Backend, ClusterConfig, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
 use std::collections::BTreeMap;
@@ -127,7 +128,9 @@ fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
     // The cold cost of a one-rule job, read off a one-block GET.
     let (easy_key, cold) =
         reports.iter().find(|(_, r)| r.blocks == 1).expect("some GET searches one block");
-    assert!(cold.reg_writes > cosmos_sim::timing::OURS_CFG_WRITES, "cold writes rules too");
+    let stages = table_cfg().pe.stages;
+    let warm = job_io(DriverProfile::Generated, stages, 1, PeInvoke::Warm, false);
+    assert!(cold.reg_writes > warm.reg_writes, "cold writes rules too");
     let (key, serial) = reports
         .iter()
         .find(|(_, r)| r.blocks >= 2)
@@ -138,7 +141,8 @@ fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
     // START strobe per further block — cheaper than the serial key alone.
     let (results, batched) = db.multi_get("papers", &[*key, *easy_key], Backend::Hardware).unwrap();
     assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))));
-    let strobes = serial.blocks * cosmos_sim::timing::BATCH_KEY_CFG_WRITES;
+    let strobes = serial.blocks
+        * job_io(DriverProfile::Generated, stages, 1, PeInvoke::Keyed, false).reg_writes;
     assert_eq!(batched.reg_writes, cold.reg_writes + strobes);
     assert!(batched.reg_writes < serial.reg_writes, "{batched:?} vs {serial:?}");
 }

@@ -18,9 +18,9 @@ use std::collections::BTreeMap;
 
 use common::{apply, fold_years, ref_agg_cfg, ref_year, report_fields, Churn, Write};
 use cosmos_sim::faults::FaultPlan;
-use cosmos_sim::timing;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
+use ndp_swgen::{job_io, DriverProfile, PeInvoke};
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
 use nkv::{
@@ -380,9 +380,12 @@ fn a_churned_scan_costs_at_most_twice_its_block_phase_and_transfer() {
     }
 }
 
-/// The least register I/O a block reduced on a PE costs: a warm
-/// configuration plus the accumulator's two halves.
-const WARM_AGG_BLOCK_IO: u64 = timing::OURS_CFG_WRITES + timing::OURS_CFG_READS + 2;
+/// The least register I/O a block reduced on a PE costs: a warm launch
+/// that aggregates.
+fn warm_agg_block_io() -> u64 {
+    let io = job_io(DriverProfile::Generated, 1, 1, PeInvoke::Warm, true);
+    io.reg_writes + io.reg_reads
+}
 
 /// Every tier returns the model's records for `year >= min_year`, with
 /// serial and 4-stream dispatch alike: the same bytes and the same number
@@ -434,7 +437,7 @@ fn check_churned_aggregates(db: &mut NkvDb, model: &Model, min_year: u64, churn:
                     "{what}: ARM blocks are no fallback"
                 );
                 assert!(
-                    rep.reg_writes + rep.reg_reads < rep.blocks * WARM_AGG_BLOCK_IO,
+                    rep.reg_writes + rep.reg_reads < rep.blocks * warm_agg_block_io(),
                     "{what}: shadowable blocks must not be reduced on a PE: {rep:?}"
                 );
                 // A version on flash is searched for in its staged block
