@@ -222,10 +222,10 @@ impl AdaptState {
     }
 }
 
-/// ARM register-access time of one block job on the generated
-/// accelerators, a one-rule job launched the way `invoke` says.
-fn hw_block_cfg_ns(invoke: PeInvoke) -> f64 {
-    let io = job_io(DriverProfile::Generated, 1, 1, invoke, false);
+/// ARM register-access time of one block job, a one-rule job launched
+/// the way `invoke` says under the table's register protocol.
+fn hw_block_cfg_ns(profile: DriverProfile, invoke: PeInvoke) -> f64 {
+    let io = job_io(profile, 1, 1, invoke, false);
     cfg_overhead_ns(io.reg_writes, io.reg_reads) as f64
 }
 
@@ -242,7 +242,13 @@ fn arm_filter_ns(bytes: u64) -> f64 {
 
 /// Analytic per-tier estimate (before feedback blending). Returns the
 /// model cost in nanoseconds.
-fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) -> f64 {
+fn model_ns(
+    class: OpClass,
+    backend: Backend,
+    inputs: &CostInputs,
+    profile: DriverProfile,
+    hot: bool,
+) -> f64 {
     let blocks = inputs.flash_blocks as f64;
     let bytes = inputs.flash_bytes as f64;
     let hit = inputs.cache_hit_rate.clamp(0.0, 1.0);
@@ -266,9 +272,10 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
                     let cfg = if keys > 1.0 {
                         // Batched keys ride one descriptor: one full
                         // config plus a per-key START strobe.
-                        hw_block_cfg_ns(PeInvoke::Keyed) + hw_block_cfg_ns(PeInvoke::Warm) / keys
+                        hw_block_cfg_ns(profile, PeInvoke::Keyed)
+                            + hw_block_cfg_ns(profile, PeInvoke::Warm) / keys
                     } else {
-                        hw_block_cfg_ns(PeInvoke::Warm)
+                        hw_block_cfg_ns(profile, PeInvoke::Warm)
                     };
                     cfg + block_bytes / inputs.record_bytes.max(1) as f64 * PL_CLK_NS as f64
                 }
@@ -289,8 +296,8 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
                     let stream_flash = bytes * (1.0 - hit) * flash_ns_per_byte();
                     let tuples = bytes / inputs.record_bytes.max(1) as f64;
                     let stream_pe = tuples * PL_CLK_NS as f64;
-                    let mut hw =
-                        blocks * hw_block_cfg_ns(PeInvoke::Warm) + stream_flash.max(stream_pe);
+                    let mut hw = blocks * hw_block_cfg_ns(profile, PeInvoke::Warm)
+                        + stream_flash.max(stream_pe);
                     if !hot {
                         // Cold: assume no read-ahead overlap — every
                         // block pays its page reads serially. This is
@@ -317,7 +324,8 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
     }
 }
 
-/// Price `op` on every tier and pick the cheapest feasible one.
+/// Price `op` on every tier and pick the cheapest feasible one. The
+/// hardware tiers pay the register I/O of the table's driver `profile`.
 ///
 /// `feasible` reports whether the op lowers on a tier at all (the
 /// caller consults the real planner, so infeasibility here matches
@@ -328,6 +336,7 @@ pub fn choose(
     state: &AdaptState,
     op: &LogicalOp,
     inputs: CostInputs,
+    profile: DriverProfile,
     feasible: impl Fn(Backend) -> bool,
 ) -> CostReport {
     let class = OpClass::of(op);
@@ -338,7 +347,7 @@ pub fn choose(
     let mut best: Option<f64> = None;
     for (i, b) in candidates.into_iter().enumerate() {
         let cost = if feasible(b) {
-            Some(state.blended(class, b, model_ns(class, b, &inputs, hot)))
+            Some(state.blended(class, b, model_ns(class, b, &inputs, profile, hot)))
         } else {
             None
         };
@@ -375,7 +384,7 @@ mod tests {
     #[test]
     fn cold_scans_stay_on_the_arm_path() {
         let state = AdaptState::default();
-        let r = choose(&state, &scan_op(), flash_heavy(), |_| true);
+        let r = choose(&state, &scan_op(), flash_heavy(), DriverProfile::Generated, |_| true);
         assert!(!r.hot);
         assert_eq!(r.chosen, Backend::Software, "cold estimate must brake promotion: {r:?}");
     }
@@ -386,7 +395,7 @@ mod tests {
         for _ in 0..PROMOTE_AFTER {
             state.record(OpClass::Scan, Backend::Software, 5_000_000);
         }
-        let r = choose(&state, &scan_op(), flash_heavy(), |_| true);
+        let r = choose(&state, &scan_op(), flash_heavy(), DriverProfile::Generated, |_| true);
         assert!(r.hot);
         assert_eq!(r.chosen, Backend::Hardware, "warm estimate must promote: {r:?}");
     }
@@ -405,7 +414,7 @@ mod tests {
             cache_hit_rate: 0.0,
             batch_keys: 1,
         };
-        let r = choose(&state, &scan_op(), inputs, |_| true);
+        let r = choose(&state, &scan_op(), inputs, DriverProfile::Generated, |_| true);
         assert_eq!(r.chosen, Backend::Software);
     }
 
@@ -424,14 +433,22 @@ mod tests {
             cache_hit_rate: 0.0,
             batch_keys: 1,
         };
-        let r = choose(&AdaptState::default(), &LogicalOp::Get { key: 7 }, inputs, |_| true);
+        let r = choose(
+            &AdaptState::default(),
+            &LogicalOp::Get { key: 7 },
+            inputs,
+            DriverProfile::Generated,
+            |_| true,
+        );
         assert_eq!(r.chosen, Backend::Software, "{r:?}");
     }
 
     #[test]
     fn infeasible_tiers_are_priced_as_n_a() {
         let state = AdaptState::default();
-        let r = choose(&state, &scan_op(), flash_heavy(), |b| b == Backend::Hybrid);
+        let r = choose(&state, &scan_op(), flash_heavy(), DriverProfile::Generated, |b| {
+            b == Backend::Hybrid
+        });
         assert_eq!(r.chosen, Backend::Hybrid);
         assert!(r.tiers[0].cost_ns.is_none() && r.tiers[1].cost_ns.is_none());
         assert!(r.render().contains("software n/a"));
@@ -445,14 +462,14 @@ mod tests {
         }
         // Observed software latencies near zero: even though the model
         // says hardware wins on this shape, the blend keeps software.
-        let r = choose(&state, &scan_op(), flash_heavy(), |_| true);
+        let r = choose(&state, &scan_op(), flash_heavy(), DriverProfile::Generated, |_| true);
         assert_eq!(r.chosen, Backend::Software, "{r:?}");
     }
 
     #[test]
     fn render_is_stable() {
         let state = AdaptState::default();
-        let r = choose(&state, &scan_op(), flash_heavy(), |_| true);
+        let r = choose(&state, &scan_op(), flash_heavy(), DriverProfile::Generated, |_| true);
         let text = r.render();
         assert!(text.starts_with("  cost: software "), "{text}");
         assert!(text.contains("hardware "), "{text}");

@@ -735,7 +735,7 @@ impl NkvDb {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let caps = t.exec.caps();
         let inputs = self.cost_inputs(table, op)?;
-        let report = crate::cost::choose(&t.adapt, op, inputs, |b| {
+        let report = crate::cost::choose(&t.adapt, op, inputs, t.exec.profile, |b| {
             PhysicalPlan::lower(op, b, &caps, table).is_ok()
         });
         if report.tiers.iter().all(|tc| tc.cost_ns.is_none()) {
@@ -859,7 +859,8 @@ impl NkvDb {
                 })?;
             if cfg.pe.input.tuple_bytes() != u64::from(entry.record_bytes) {
                 return Err(NkvError::Config(format!(
-                    "table `{}`: manifest records are {} bytes but the supplied                      format is {} bytes",
+                    "table `{}`: manifest records are {} bytes but the supplied \
+                     format is {} bytes",
                     entry.name,
                     entry.record_bytes,
                     cfg.pe.input.tuple_bytes()
@@ -1066,6 +1067,23 @@ mod tests {
             }
             assert!(db.tables.is_empty(), "{what}: rejected table must not be installed");
         }
+    }
+
+    /// The cost model prices a table's block jobs with the table's own
+    /// register protocol: a warm block of \[1\] writes 5 registers and
+    /// reads 1, a generated one writes 7 and reads 2 — 534 ns more.
+    #[test]
+    fn cost_prices_each_table_with_its_own_driver_profile() {
+        let cfg = PubGraphConfig { papers: 3000, refs: 3000, seed: 7 };
+        let rules = vec![FilterRule { lane: paper_lanes::VENUE, op_code: 5, value: 100 }];
+        let [ours, base] = [PeVariant::Generated, PeVariant::HandCrafted].map(|variant| {
+            let mut db = paper_db(1, variant);
+            db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+            db.choose_backend("papers", &LogicalOp::Scan { rules: rules.clone() }).unwrap().1
+        });
+        assert_eq!(ours.inputs, base.inputs, "two tables of one shape");
+        let hw = |r: &CostReport| r.tiers[1].cost_ns.expect("the hardware tier lowers");
+        assert_eq!(hw(&ours) - hw(&base), ours.inputs.flash_blocks as f64 * 534.0);
     }
 
     #[test]

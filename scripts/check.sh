@@ -12,7 +12,8 @@
 # why in PERF.md.
 #
 # Run from anywhere; operates on the repo this script lives in.
-# CHECK_SLOW=1 additionally runs the #[ignore]d long campaigns.
+# CHECK_SLOW=1 additionally runs the #[ignore]d long campaigns, among them
+# the full crash enumeration: a power cut after every flash program.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,10 +1,9 @@
-//! Batched-GET differential suite: key-list batching must never change
-//! *what* a GET returns, only how much configuration traffic it costs.
+//! Batched-GET slice of the differential harness (`tests/common`):
+//! key-list batching must never change *what* a GET returns, only how
+//! much configuration traffic it costs.
 //!
-//! Every test drives the same key schedule through batched key lists
-//! and checks the per-key outcomes against a `BTreeMap` model (and,
-//! where it matters, against the legacy per-key path on an identical
-//! device):
+//! Every test drives seeded key lists through batched GETs and checks
+//! every key's outcome against the model:
 //!
 //! 1. **equivalence**: every backend x batch size {1, 2, 16, 64}
 //!    returns byte-identical records for present keys and `Ok(None)`
@@ -20,69 +19,53 @@
 //!    over-capacity key lists are `NkvError::Config`, before any
 //!    device work;
 //! 5. **cluster split/merge**: a cluster batch splits per shard and
-//!    re-merges to the same bytes as an unbatched per-key fan-out,
-//!    and a shard-level hang/power-cut mid-batch names the hole
+//!    re-merges to the model's bytes, as the unbatched per-key fan-out
+//!    does, and a shard-level hang/power-cut mid-batch names the hole
 //!    (`Available`) or fails typed (`Strict`) without disturbing the
 //!    other shards' keys.
 
 mod common;
 
-use common::{build_db, record_for};
-use cosmos_sim::faults::FaultPlan;
-use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
+use common::{puts, record_for, run, run_reports, trip, Cfg, Mix, Op, Weather};
+use cosmos_sim::DeviceFaultKind;
 use ndp_swgen::{job_io, DriverProfile, PeInvoke};
-use ndp_workload::SplitMix64;
-use nkv::{Backend, ClusterConfig, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
-use std::collections::BTreeMap;
+use nkv::{Backend, NkvError, ReadPolicy};
 
 const BATCHES: [usize; 4] = [1, 2, 16, 64];
 
-fn table_cfg() -> TableConfig {
-    common::table_cfg(1, 4)
+/// `n` seeded GETs over keys 1..=470 of a 400-key table (so about 15 %
+/// miss), as key lists of up to `batch` keys. A list never repeats a key
+/// (a key list rejects duplicates by contract).
+fn key_lists(seed: u64, n: u32, batch: usize) -> Vec<Op> {
+    let gets = common::ops(seed, Mix { weights: [0, 0, 1, 0, 0], keys: 470 }, n);
+    let key = |op: &Op| if let Op::Get(k) = op { *k } else { unreachable!("{op:?}") };
+    let keys: Vec<u64> = gets.iter().map(key).collect();
+    let list = |chunk: &[u64]| {
+        let mut list: Vec<u64> = Vec::with_capacity(chunk.len());
+        for k in chunk {
+            if !list.contains(k) {
+                list.push(*k);
+            }
+        }
+        Op::MultiGet(list)
+    };
+    keys.chunks(batch).map(list).collect()
 }
 
-/// The seeded key schedule: mostly present keys, a sprinkle of absent
-/// ones, no duplicates within any `max_batch`-sized window (a key list
-/// rejects duplicates by contract).
-fn key_schedule(seed: u64, n_keys: u64, len: usize) -> Vec<u64> {
-    let mut rng = SplitMix64::new(seed);
-    let mut keys = Vec::with_capacity(len);
-    while keys.len() < len {
-        let k = if rng.gen_bool(0.85) {
-            1 + rng.gen_u64(n_keys)
-        } else {
-            n_keys + 1_000 + rng.gen_u64(500)
-        };
-        let window = keys.len().saturating_sub(63);
-        if !keys[window..].contains(&k) {
-            keys.push(k);
-        }
-    }
-    keys
+/// A fleet of 4 devices.
+fn fleet(read_policy: ReadPolicy) -> Cfg {
+    Cfg { devices: 4, read_policy, ..Cfg::default() }.on(Backend::Hardware)
 }
 
 #[test]
 fn every_backend_and_batch_size_matches_the_model() {
-    let schedule = key_schedule(0xBA7C, 400, 128);
     for mode in [Backend::Hardware, Backend::Software] {
         for batch in BATCHES {
-            let (mut db, model) = build_db(400);
-            for chunk in schedule.chunks(batch) {
-                let (results, report) = db
-                    .multi_get("papers", chunk, mode)
-                    .unwrap_or_else(|e| panic!("mode={mode:?} batch={batch}: multi_get -> {e}"));
-                assert_eq!(results.len(), chunk.len(), "mode={mode:?} batch={batch}");
+            let cfg = Cfg::default().on(mode);
+            let (mut store, mut model) = cfg.build(vec![], &puts(400));
+            let lists = key_lists(0xBA7C, 128, batch);
+            for (_, report) in run_reports(&cfg, &mut store, &mut model, &lists) {
                 assert!(report.sim_ns > 0, "mode={mode:?} batch={batch}");
-                for (key, res) in chunk.iter().zip(results) {
-                    let got = res.unwrap_or_else(|e| {
-                        panic!("mode={mode:?} batch={batch}: get({key}) -> {e}")
-                    });
-                    assert_eq!(
-                        got,
-                        model.get(key).cloned(),
-                        "mode={mode:?} batch={batch}: get({key}) diverged from the model"
-                    );
-                }
             }
         }
     }
@@ -90,16 +73,17 @@ fn every_backend_and_batch_size_matches_the_model() {
 
 #[test]
 fn batch_of_one_is_the_legacy_path_to_the_nanosecond() {
-    let (mut legacy, _) = build_db(300);
-    let (mut batched, _) = build_db(300);
+    let cfg = Cfg::default();
+    let [(mut legacy, mut legacy_model), (mut batched, mut batched_model)] =
+        [(), ()].map(|()| cfg.build(vec![], &puts(300)));
+    let keys = [1u64, 77, 150, 299, 300, 9_999];
     for mode in [Backend::Hardware, Backend::Software] {
-        for key in [1u64, 77, 150, 299, 300, 9_999] {
-            let (want, want_rep) = legacy.get("papers", key, mode).unwrap();
-            let (results, got_rep) = batched.multi_get("papers", &[key], mode).unwrap();
-            let [got] = <[_; 1]>::try_from(results).unwrap();
-            assert_eq!(got.unwrap(), want, "mode={mode:?} key={key}");
+        let gets = run_reports(&cfg.on(mode), &mut legacy, &mut legacy_model, &keys.map(Op::Get));
+        let lists = keys.map(|k| Op::MultiGet(vec![k]));
+        let singletons = run_reports(&cfg.on(mode), &mut batched, &mut batched_model, &lists);
+        for ((key, (_, want)), (_, got)) in keys.iter().zip(gets).zip(singletons) {
             assert_eq!(
-                got_rep.sim_ns, want_rep.sim_ns,
+                got.sim_ns, want.sim_ns,
                 "mode={mode:?} key={key}: a singleton batch must cost exactly the legacy path"
             );
         }
@@ -118,17 +102,19 @@ fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
     // range and a GET for an older key has to get past each newer SST's
     // bloom filter — a false positive costs a searched block.
     let n = 1_500u64;
-    let mut db = NkvDb::default_db();
-    db.create_table("papers", table_cfg()).unwrap();
-    for i in 0..n {
-        db.put("papers", record_for(1 + (i * 7_919) % n)).unwrap();
-    }
-    let reports: Vec<_> =
-        (1..=n).map(|key| (key, db.get("papers", key, Backend::Hardware).unwrap().1)).collect();
+    let cfg = Cfg::default().on(Backend::Hardware);
+    let writes: Vec<Op> = (0..n).map(|i| Op::Put(record_for(1 + (i * 7_919) % n))).collect();
+    let (mut store, mut model) = cfg.build(vec![], &writes);
+    let gets: Vec<Op> = (1..=n).map(Op::Get).collect();
+    let reports: Vec<_> = run_reports(&cfg, &mut store, &mut model, &gets)
+        .into_iter()
+        .zip(1..=n)
+        .map(|((_, report), key)| (key, report))
+        .collect();
     // The cold cost of a one-rule job, read off a one-block GET.
     let (easy_key, cold) =
         reports.iter().find(|(_, r)| r.blocks == 1).expect("some GET searches one block");
-    let stages = table_cfg().pe.stages;
+    let stages = cfg.table.config().pe.stages;
     let warm = job_io(DriverProfile::Generated, stages, 1, PeInvoke::Warm, false);
     assert!(cold.reg_writes > warm.reg_writes, "cold writes rules too");
     let (key, serial) = reports
@@ -139,8 +125,8 @@ fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
     assert_eq!(serial.reg_reads, serial.blocks * cold.reg_reads, "key {key}: cold per block");
     // The same key in a list of two: one cold configuration, then one
     // START strobe per further block — cheaper than the serial key alone.
-    let (results, batched) = db.multi_get("papers", &[*key, *easy_key], Backend::Hardware).unwrap();
-    assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))));
+    let pair = [Op::MultiGet(vec![*key, *easy_key])];
+    let [(_, batched)] = run_reports(&cfg, &mut store, &mut model, &pair).try_into().unwrap();
     let strobes = serial.blocks
         * job_io(DriverProfile::Generated, stages, 1, PeInvoke::Keyed, false).reg_writes;
     assert_eq!(batched.reg_writes, cold.reg_writes + strobes);
@@ -149,7 +135,8 @@ fn a_serial_hardware_get_reprograms_the_pe_cold_for_every_block_it_searches() {
 
 #[test]
 fn descriptor_shape_violations_are_typed_config_errors() {
-    let (mut db, _) = build_db(64);
+    let (mut store, _) = Cfg::default().build(vec![], &puts(64));
+    let db = store.db();
     let cases: [(&str, Vec<u64>); 3] =
         [("empty", vec![]), ("duplicate", vec![1, 2, 3, 2]), ("over-capacity", (0..600).collect())];
     for (name, keys) in cases {
@@ -168,46 +155,22 @@ fn descriptor_shape_violations_are_typed_config_errors() {
 
 /// Transient + correctable flash weather: the retry/read-repair layers
 /// absorb it, so every batched result still matches the model; the only
-/// permissible failures are the same typed errors the per-key path can
-/// surface, attributed to the exact key that hit them.
+/// permissible failures are the typed errors the weather allows the
+/// per-key path, attributed to the exact key that hit them (or, when the
+/// shared index walk failed, to the whole batch).
 #[test]
 fn transient_ecc_weather_never_changes_bytes() {
     let mut injected = 0u64;
     for batch in [2usize, 16, 64] {
-        let (mut db, model) = build_db(400);
-        db.enable_observability(1 << 14);
-        db.platform_mut().install_faults(&FaultPlan {
-            seed: 0xECC0 + batch as u64,
-            transient_read_p: 0.05,
-            correctable_p: 0.10,
-            ..FaultPlan::default()
-        });
-        let schedule = key_schedule(0x5EED + batch as u64, 400, 128);
-        for chunk in schedule.chunks(batch) {
-            match db.multi_get("papers", chunk, Backend::Hardware) {
-                Ok((results, _)) => {
-                    for (key, res) in chunk.iter().zip(results) {
-                        match res {
-                            Ok(got) => assert_eq!(
-                                got,
-                                model.get(key).cloned(),
-                                "batch={batch}: get({key}) diverged under ECC weather"
-                            ),
-                            Err(NkvError::RetriesExhausted { .. } | NkvError::Flash(_)) => {}
-                            Err(e) => panic!("batch={batch}: get({key}) -> unexpected {e}"),
-                        }
-                    }
-                }
-                // A whole-batch failure may only be the same typed
-                // infra errors (e.g. the shared index walk failed).
-                Err(NkvError::RetriesExhausted { .. } | NkvError::Flash(_)) => {}
-                Err(e) => panic!("batch={batch}: multi_get -> unexpected {e}"),
-            }
-        }
+        let cfg =
+            Cfg { weather: Weather::FlashStorm, seed: 0xECC0 + batch as u64, ..Cfg::default() };
+        let (mut store, mut model) = cfg.build(vec![], &puts(400));
+        let cfg = cfg.on(Backend::Hardware);
+        run(&cfg, &mut store, &mut model, &key_lists(0x5EED + batch as u64, 128, batch));
         // Batch sharing legitimately shrinks the flash-read count (and
         // with it the fault-roll count), so injection is asserted over
         // the whole campaign, not per batch size.
-        let health = db.health_report();
+        let health = store.db().health_report();
         injected += health.flash.transient_failures + health.flash.correctable_hits;
     }
     assert!(injected > 0, "the campaign never injected a fault");
@@ -219,28 +182,11 @@ fn transient_ecc_weather_never_changes_bytes() {
 #[test]
 fn pe_hang_mid_batch_falls_back_without_corruption() {
     for batch in [2usize, 16, 64] {
-        let (mut db, model) = build_db(400);
-        db.enable_observability(1 << 14);
-        db.platform_mut().install_faults(&FaultPlan {
-            seed: 0x4A6 + batch as u64,
-            pe_hang_p: 0.25,
-            ..FaultPlan::default()
-        });
-        let schedule = key_schedule(0xF00D, 400, 96);
-        for chunk in schedule.chunks(batch) {
-            let (results, _) = db
-                .multi_get("papers", chunk, Backend::Hardware)
-                .unwrap_or_else(|e| panic!("batch={batch}: multi_get -> {e}"));
-            for (key, res) in chunk.iter().zip(results) {
-                let got = res.unwrap_or_else(|e| panic!("batch={batch}: get({key}) -> {e}"));
-                assert_eq!(
-                    got,
-                    model.get(key).cloned(),
-                    "batch={batch}: get({key}) diverged across a PE hang"
-                );
-            }
-        }
-        let health = db.health_report();
+        let cfg =
+            Cfg { weather: Weather::HangBursts, seed: 0x4A6 + batch as u64, ..Cfg::default() };
+        let (mut store, mut model) = cfg.build(vec![], &puts(400));
+        run(&cfg.on(Backend::Hardware), &mut store, &mut model, &key_lists(0xF00D, 96, batch));
+        let health = store.db().health_report();
         assert!(health.pe_hangs_injected > 0, "batch={batch}: the campaign never hung a PE");
         assert!(
             health.watchdog_trips > 0 || health.sw_fallback_blocks > 0,
@@ -251,55 +197,33 @@ fn pe_hang_mid_batch_falls_back_without_corruption() {
 
 // ------------------------------------------------------------- cluster
 
-fn build_cluster(
-    devices: usize,
-    policy: ReadPolicy,
-    n: u64,
-) -> (NkvCluster, BTreeMap<u64, Vec<u8>>) {
-    let mut cluster =
-        NkvCluster::new(ClusterConfig { devices, read_policy: policy, ..ClusterConfig::default() })
-            .unwrap();
-    cluster.create_table("papers", table_cfg()).unwrap();
-    let records: Vec<Vec<u8>> = (1..=n).map(record_for).collect();
-    let model: BTreeMap<u64, Vec<u8>> = (1..=n).map(|k| (k, record_for(k))).collect();
-    cluster.bulk_load("papers", records).unwrap();
-    cluster.persist().unwrap();
-    (cluster, model)
-}
-
 #[test]
 fn cluster_batches_split_per_shard_and_merge_like_unbatched_fanout() {
-    let schedule = key_schedule(0xC1u64, 400, 128);
+    let cfg = fleet(ReadPolicy::Available);
     for batch in BATCHES {
-        let (mut batched, model) = build_cluster(4, ReadPolicy::Available, 400);
-        let (mut fanout, _) = build_cluster(4, ReadPolicy::Available, 400);
-        for chunk in schedule.chunks(batch) {
-            let got = batched.multi_get("papers", chunk, Backend::Hardware).unwrap();
-            assert!(got.missing_shards.is_empty(), "batch={batch}");
-            assert_eq!(got.results.len(), chunk.len(), "batch={batch}");
-            for (key, res) in chunk.iter().zip(got.results) {
-                let rec = res.unwrap_or_else(|e| panic!("batch={batch}: get({key}) -> {e}"));
-                // Model equivalence and per-key fan-out equivalence.
-                assert_eq!(rec, model.get(key).cloned(), "batch={batch}: get({key})");
-                let single = fanout.get("papers", *key, Backend::Hardware).unwrap();
-                assert_eq!(
-                    rec, single.record,
-                    "batch={batch}: get({key}) diverged from the unbatched fan-out"
-                );
-            }
+        let lists = key_lists(0xC1, 128, batch);
+        let keys = |op: &Op| if let Op::MultiGet(k) = op { k.clone() } else { unreachable!() };
+        let single: Vec<Op> = lists.iter().flat_map(keys).map(Op::Get).collect();
+        // Both answer every key from the model: the batched split and
+        // merge, and the unbatched per-key fan-out.
+        for ops in [lists, single] {
+            let (mut store, mut model) = cfg.loaded(400);
+            run(&cfg, &mut store, &mut model, &ops);
         }
     }
 }
 
 #[test]
 fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
+    let victim = 2usize;
+    let keys: Vec<u64> = (1..=64).collect();
     for kind in [DeviceFaultKind::Hang, DeviceFaultKind::PowerCut] {
+        let [(mut available, model), (mut strict, _)] =
+            [ReadPolicy::Available, ReadPolicy::Strict].map(|policy| fleet(policy).loaded(400));
         // Available: victim keys read Ok(None) + missing_shards names
         // the victim; other shards' keys are untouched.
-        let (mut cluster, model) = build_cluster(4, ReadPolicy::Available, 400);
-        let victim = 2usize;
-        cluster.install_device_fault(victim, DeviceFaultPlan { kind, after_ops: 0 }).unwrap();
-        let keys: Vec<u64> = (1..=64).collect();
+        let cluster = available.fleet();
+        trip(cluster, victim, kind);
         let mut saw_missing = false;
         for _ in 0..6 {
             let got = cluster.multi_get("papers", &keys, Backend::Hardware).unwrap();
@@ -309,8 +233,8 @@ fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
                     assert_eq!(*rec, None, "{kind:?}: victim key {key} must read as a hole");
                 } else {
                     assert_eq!(
-                        *rec,
-                        model.get(key).cloned(),
+                        rec.as_ref(),
+                        model.get(*key),
                         "{kind:?}: surviving key {key} diverged"
                     );
                 }
@@ -323,8 +247,8 @@ fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
         assert!(saw_missing, "{kind:?}: the shard fault never surfaced on the batch");
 
         // Strict: the same batch is a typed error naming the victim.
-        let (mut strict, _) = build_cluster(4, ReadPolicy::Strict, 400);
-        strict.install_device_fault(victim, DeviceFaultPlan { kind, after_ops: 0 }).unwrap();
+        let strict = strict.fleet();
+        trip(strict, victim, kind);
         let mut failed = false;
         for _ in 0..6 {
             match strict.multi_get("papers", &keys, Backend::Hardware) {

@@ -1,6 +1,6 @@
-//! Cluster chaos suite: fleet-level fault domains under seeded
-//! campaigns, checked against a `BTreeMap` model and a per-shard byte
-//! reference.
+//! Cluster chaos slice of the differential harness (`tests/common`):
+//! fleet-level fault domains under seeded campaigns, checked against the
+//! model and a per-shard byte reference.
 //!
 //! The single-device chaos suite (`tests/chaos.rs`) proves one device
 //! degrades safely; this suite proves the *router* does, across N
@@ -24,50 +24,49 @@
 
 mod common;
 
-use common::record_for;
-use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
+use common::{lt, record_for, run_reports, trip, Cfg, Op, Table};
+use cosmos_sim::DeviceFaultKind;
+use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::paper_lanes;
 use ndp_workload::SplitMix64;
 use nkv::{
     Backend, ClientScript, ClusterConfig, LogicalOp, NkvCluster, NkvDb, NkvError, PlanOutcome,
-    QueueRunConfig, QueuedOp, ReadPolicy, ShardState, TableConfig,
+    QueueRunConfig, QueuedOp, ReadPolicy, ShardState,
 };
-use std::collections::BTreeMap;
 
-/// The papers table with `n_pes` PEs and the chaos suite's tiny LSM
-/// thresholds.
-fn table_cfg(n_pes: usize) -> TableConfig {
-    common::table_cfg(n_pes, 2)
+/// The chaos suite's tiny-LSM papers table with `pes` PEs on `devices`
+/// shards (0: one bare device), at `streams` job streams per shard.
+fn cfg(devices: usize, read_policy: ReadPolicy, pes: usize, streams: usize) -> Cfg {
+    let table = Table::Papers { pes, c1: Some(2) };
+    Cfg { table, streams, devices, read_policy, ..Cfg::default() }
 }
 
-/// Keys 1..=n with deterministic payloads, in bulk-load order.
-fn dataset(n: u64) -> Vec<(u64, Vec<u8>)> {
-    (1..=n).map(|k| (k, record_for(k))).collect()
+/// GET `key` on `backend` until `shard` is `state`, at most `ops` times:
+/// whether it got there.
+fn drive(
+    cluster: &mut NkvCluster,
+    key: u64,
+    backend: Backend,
+    shard: usize,
+    state: ShardState,
+    ops: usize,
+) -> bool {
+    (0..ops).any(|_| {
+        cluster.get("papers", key, backend).unwrap();
+        cluster.shard_state(shard).unwrap() == state
+    })
+}
+
+/// Three clients' queue scripts of `n` ops; client `c`'s op `i` is `op(c, i)`.
+fn scripts(n: u64, op: impl Fn(u64, u64) -> QueuedOp) -> Vec<ClientScript> {
+    let script = |c| ClientScript { ops: (0..n).map(|i| op(c, i)).collect(), ..Default::default() };
+    (0..3).map(script).collect()
 }
 
 /// Match-everything predicate (year < 3000).
 fn all_rules() -> Vec<FilterRule> {
-    vec![FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }]
-}
-
-/// A loaded, persisted cluster: `devices` shards, `streams` parallel PE
-/// job streams per shard table.
-fn build_cluster(
-    devices: usize,
-    policy: ReadPolicy,
-    n_pes: usize,
-    streams: usize,
-    records: &[(u64, Vec<u8>)],
-) -> NkvCluster {
-    let mut cluster =
-        NkvCluster::new(ClusterConfig { devices, read_policy: policy, ..ClusterConfig::default() })
-            .unwrap();
-    cluster.create_table("papers", table_cfg(n_pes)).unwrap();
-    cluster.bulk_load("papers", records.iter().map(|(_, r)| r.clone()).collect()).unwrap();
-    cluster.persist().unwrap();
-    cluster.set_parallel_pes("papers", streams).unwrap();
-    cluster
+    vec![lt(paper_lanes::YEAR, 3000)]
 }
 
 /// One shard's full-scan bytes through `backend`, straight off its
@@ -86,20 +85,19 @@ fn shard_scan_bytes(cluster: &mut NkvCluster, shard: usize, backend: Backend) ->
 /// monotonicity, then heal and assert re-convergence.
 fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
     let ctx = format!("kind={kind:?} backend={backend:?} streams={streams}");
-    let records = dataset(400);
-    let model: BTreeMap<u64, Vec<u8>> = records.iter().cloned().collect();
-    let mut cluster = build_cluster(4, ReadPolicy::Available, 4, streams, &records);
+    let (mut store, model) = cfg(4, ReadPolicy::Available, 4, streams).loaded(400);
+    let cluster = store.fleet();
     let victim = 1usize;
 
     let per_shard: Vec<(Vec<u8>, u64)> =
-        (0..4).map(|s| shard_scan_bytes(&mut cluster, s, backend)).collect();
+        (0..4).map(|s| shard_scan_bytes(cluster, s, backend)).collect();
     let full: Vec<u8> = per_shard.iter().flat_map(|(r, _)| r.clone()).collect();
     let pre = cluster.scan("papers", &all_rules(), backend).unwrap();
     assert_eq!(pre.records, full, "{ctx}: clean cluster scan must concat shard scans in order");
     assert_eq!(pre.count, 400, "{ctx}");
     assert!(pre.missing_shards.is_empty(), "{ctx}");
 
-    cluster.install_device_fault(victim, DeviceFaultPlan { kind, after_ops: 0 }).unwrap();
+    trip(cluster, victim, kind);
 
     let mut last_severity = cluster.shard_state(victim).unwrap().severity();
     let mut saw_missing_get = false;
@@ -110,8 +108,8 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
         let got = cluster.get("papers", key, backend).unwrap();
         if got.missing_shards.is_empty() {
             assert_eq!(
-                got.record,
-                model.get(&key).cloned(),
+                got.record.as_ref(),
+                model.get(key),
                 "{ctx} step {step}: surviving get({key}) diverged"
             );
         } else {
@@ -156,10 +154,10 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
     // Operator repair: the shard rejoins and the namespace re-converges.
     cluster.heal_shard(victim).unwrap();
     assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Recovered, "{ctx}");
-    for (key, record) in model.iter().filter(|(k, _)| *k % 5 == 0) {
-        let got = cluster.get("papers", *key, backend).unwrap();
+    for key in model.keys().into_iter().filter(|k| k % 5 == 0) {
+        let got = cluster.get("papers", key, backend).unwrap();
         assert!(got.missing_shards.is_empty(), "{ctx}: post-heal get({key}) still degraded");
-        assert_eq!(got.record, Some(record.clone()), "{ctx}: post-heal get({key}) diverged");
+        assert_eq!(got.record.as_ref(), model.get(key), "{ctx}: post-heal get({key}) diverged");
     }
     let post = cluster.scan("papers", &all_rules(), backend).unwrap();
     assert!(post.missing_shards.is_empty(), "{ctx}: post-heal scan still degraded");
@@ -196,84 +194,37 @@ fn seeded_device_fault_campaigns_every_backend_and_stream_count() {
 /// identical simulated time, identical queue report.
 #[test]
 fn single_device_cluster_is_byte_identical_to_a_standalone_db() {
-    let records = dataset(300);
     for backend in [Backend::Software, Backend::Hardware] {
         for streams in [0, 2] {
             let ctx = format!("backend={backend:?} streams={streams}");
-            let mut solo = NkvDb::default_db();
-            solo.create_table("papers", table_cfg(4)).unwrap();
-            solo.bulk_load("papers", records.iter().map(|(_, r)| r.clone())).unwrap();
-            solo.persist().unwrap();
-            solo.set_parallel_pes("papers", streams).unwrap();
-            let mut cluster = build_cluster(1, ReadPolicy::Strict, 4, streams, &records);
-
-            for key in [1u64, 57, 170, 299, 100_000] {
-                let (solo_rec, solo_ns) =
-                    match solo.execute("papers", &LogicalOp::Get { key }, backend).unwrap() {
-                        PlanOutcome::Point { record, report } => (record, report.sim_ns),
-                        other => panic!("{ctx}: GET lowered to {other:?}"),
-                    };
-                let got = cluster.get("papers", key, backend).unwrap();
-                assert_eq!(got.record, solo_rec, "{ctx}: get({key}) bytes");
-                assert_eq!(got.sim_ns, solo_ns, "{ctx}: get({key}) time");
-                assert!(got.missing_shards.is_empty(), "{ctx}");
+            let solo_cfg = cfg(0, ReadPolicy::Strict, 4, streams);
+            let [(mut solo, mut solo_model), (mut cluster, mut cluster_model)] =
+                [solo_cfg, Cfg { devices: 1, ..solo_cfg }].map(|cfg| cfg.loaded(300));
+            let mut ops = [1u64, 57, 170, 299, 100_000].map(Op::Get).to_vec();
+            ops.push(Op::Scan(all_rules()));
+            // RANGE_SCAN is a 2-stage predicate chain and the paper PE has
+            // one filtering stage and no aggregation unit, so both run in
+            // software (the cluster and the standalone db must agree on
+            // that too).
+            let software = [Op::RangeScan(50, 150), Op::Aggregate(all_rules(), AggOp::Count, 0)];
+            for (tier, ops) in [(backend, &ops[..]), (Backend::Software, &software[..])] {
+                let solo_cfg = solo_cfg.on(tier);
+                let a = run_reports(&solo_cfg, &mut solo, &mut solo_model, ops);
+                let fleet_cfg = Cfg { devices: 1, ..solo_cfg };
+                let b = run_reports(&fleet_cfg, &mut cluster, &mut cluster_model, ops);
+                for ((op, (a, ra)), (b, rb)) in ops.iter().zip(a).zip(b) {
+                    assert_eq!((a, ra.sim_ns), (b, rb.sim_ns), "{ctx}: {op:?} bytes and time");
+                }
             }
-
-            let op = LogicalOp::Scan { rules: all_rules() };
-            let (solo_recs, solo_count, solo_ns) = match solo
-                .execute("papers", &op, backend)
-                .unwrap()
-            {
-                PlanOutcome::Records { records, count, report } => (records, count, report.sim_ns),
-                other => panic!("{ctx}: SCAN lowered to {other:?}"),
-            };
-            let scan = cluster.scan("papers", &all_rules(), backend).unwrap();
-            assert_eq!(scan.records, solo_recs, "{ctx}: scan bytes");
-            assert_eq!(scan.count, solo_count, "{ctx}: scan count");
-            assert_eq!(scan.sim_ns, solo_ns, "{ctx}: scan time");
-
-            // RANGE_SCAN is a 2-stage predicate chain; the paper PE has
-            // one filtering stage, so the range path runs software (the
-            // cluster and the standalone db must agree on that too).
-            let op = LogicalOp::RangeScan { lo: 50, hi: 150 };
-            let (solo_recs, solo_count, solo_ns) = match solo
-                .execute("papers", &op, Backend::Software)
-                .unwrap()
-            {
-                PlanOutcome::Records { records, count, report } => (records, count, report.sim_ns),
-                other => panic!("{ctx}: RANGE_SCAN lowered to {other:?}"),
-            };
-            let range = cluster.range_scan("papers", 50, 150, Backend::Software).unwrap();
-            assert_eq!(range.records, solo_recs, "{ctx}: range bytes");
-            assert_eq!(range.count, solo_count, "{ctx}: range count");
-            assert_eq!(range.sim_ns, solo_ns, "{ctx}: range time");
-
-            let op =
-                LogicalOp::ScanAggregate { rules: all_rules(), agg: ndp_ir::AggOp::Count, lane: 0 };
-            let (solo_value, solo_any, solo_ns) =
-                match solo.execute("papers", &op, Backend::Software).unwrap() {
-                    PlanOutcome::Aggregate { value, any, report } => (value, any, report.sim_ns),
-                    other => panic!("{ctx}: aggregate lowered to {other:?}"),
-                };
-            let agg = cluster
-                .scan_aggregate("papers", &all_rules(), ndp_ir::AggOp::Count, 0, Backend::Software)
-                .unwrap();
-            assert_eq!((agg.value, agg.any, agg.sim_ns), (solo_value, solo_any, solo_ns), "{ctx}");
+            let (solo, cluster) = (solo.db(), cluster.fleet());
 
             // The queued engine: same scripts, same report — on the
             // legacy path and through the auto-batching fold alike.
-            let scripts: Vec<ClientScript> = (0..3u64)
-                .map(|c| ClientScript {
-                    ops: (0..20u64)
-                        .map(|i| match (c + i) % 6 {
-                            0 => QueuedOp::Scan { rules: all_rules() },
-                            1 => QueuedOp::Put { record: record_for(500 + c * 20 + i) },
-                            _ => QueuedOp::Get { key: 1 + (c * 37 + i * 11) % 300 },
-                        })
-                        .collect(),
-                    ..Default::default()
-                })
-                .collect();
+            let scripts = scripts(20, |c, i| match (c + i) % 6 {
+                0 => QueuedOp::Scan { rules: all_rules() },
+                1 => QueuedOp::Put { record: record_for(500 + c * 20 + i) },
+                _ => QueuedOp::Get { key: 1 + (c * 37 + i * 11) % 300 },
+            });
             for batch in [1u32, 8] {
                 let qcfg = QueueRunConfig { batch, ..QueueRunConfig::default() };
                 let solo_report = solo.run_queued("papers", &scripts, &qcfg).unwrap();
@@ -306,20 +257,13 @@ fn single_device_cluster_is_byte_identical_to_a_standalone_db() {
 /// byte image after it — is identical to batch 1.
 #[test]
 fn batched_queued_runs_split_per_shard_and_rejoin_the_unbatched_bytes() {
-    let records = dataset(300);
-    let scripts: Vec<ClientScript> = (0..3u64)
-        .map(|c| ClientScript {
-            ops: (0..24u64)
-                .map(|i| match (c + i) % 8 {
-                    0 => QueuedOp::Put { record: record_for(600 + c * 24 + i) },
-                    _ => QueuedOp::Get { key: 1 + (c * 41 + i * 13) % 300 },
-                })
-                .collect(),
-            ..Default::default()
-        })
-        .collect();
+    let scripts = scripts(24, |c, i| match (c + i) % 8 {
+        0 => QueuedOp::Put { record: record_for(600 + c * 24 + i) },
+        _ => QueuedOp::Get { key: 1 + (c * 41 + i * 13) % 300 },
+    });
     let run = |batch: u32| {
-        let mut cluster = build_cluster(4, ReadPolicy::Available, 4, 0, &records);
+        let (mut store, _) = cfg(4, ReadPolicy::Available, 4, 0).loaded(300);
+        let cluster = store.fleet();
         let report = cluster
             .run_queued("papers", &scripts, &QueueRunConfig { batch, ..QueueRunConfig::default() })
             .unwrap();
@@ -347,13 +291,10 @@ fn batched_queued_runs_split_per_shard_and_rejoin_the_unbatched_bytes() {
 /// while keys owned by survivors keep serving.
 #[test]
 fn strict_policy_turns_a_killed_shard_into_typed_errors() {
-    let records = dataset(200);
-    let model: BTreeMap<u64, Vec<u8>> = records.iter().cloned().collect();
-    let mut cluster = build_cluster(4, ReadPolicy::Strict, 1, 0, &records);
+    let (mut store, model) = cfg(4, ReadPolicy::Strict, 1, 0).loaded(200);
+    let cluster = store.fleet();
     let victim = 2usize;
-    cluster
-        .install_device_fault(victim, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
-        .unwrap();
+    trip(cluster, victim, DeviceFaultKind::Hang);
 
     let victim_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
     let survivor_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) != victim).unwrap();
@@ -370,7 +311,7 @@ fn strict_policy_turns_a_killed_shard_into_typed_errors() {
         other => panic!("strict scan with a hung shard: {other:?}"),
     }
     let got = cluster.get("papers", survivor_key, Backend::Hardware).unwrap();
-    assert_eq!(got.record, model.get(&survivor_key).cloned());
+    assert_eq!(got.record.as_ref(), model.get(survivor_key));
     assert!(got.missing_shards.is_empty());
 
     // Writes are strict under either policy; the victim's keys bounce.
@@ -386,16 +327,11 @@ fn strict_policy_turns_a_killed_shard_into_typed_errors() {
 /// seeded op mixes; and it always ends Dead with probes on record.
 #[test]
 fn shard_state_is_monotone_under_sustained_faults() {
-    let records = dataset(150);
     for seed in 0..8u64 {
-        let mut cluster = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
+        let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(150);
+        let cluster = store.fleet();
         let victim = (seed % 4) as usize;
-        cluster
-            .install_device_fault(
-                victim,
-                DeviceFaultPlan { kind: DeviceFaultKind::LinkLoss, after_ops: 0 },
-            )
-            .unwrap();
+        trip(cluster, victim, DeviceFaultKind::LinkLoss);
         let mut rng = SplitMix64::new(0xC1A0_5EED ^ seed);
         let mut last = cluster.shard_state(victim).unwrap().severity();
         for step in 0..120u32 {
@@ -422,38 +358,24 @@ fn shard_state_is_monotone_under_sustained_faults() {
 /// action, no restart.
 #[test]
 fn quarantined_shard_reprobes_and_recovers_when_the_fault_clears() {
-    let records = dataset(200);
-    let mut cluster = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
+    let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(200);
+    let cluster = store.fleet();
     let victim = 3usize;
-    cluster
-        .install_device_fault(victim, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
-        .unwrap();
+    trip(cluster, victim, DeviceFaultKind::Hang);
     let victim_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
     let survivor_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) != victim).unwrap();
 
     // Drive victim traffic until the FSM quarantines it.
-    let mut quarantined = false;
-    for _ in 0..40 {
-        cluster.get("papers", victim_key, Backend::Hardware).unwrap();
-        if cluster.shard_state(victim).unwrap() == ShardState::Quarantined {
-            quarantined = true;
-            break;
-        }
-    }
+    let quarantined =
+        drive(cluster, victim_key, Backend::Hardware, victim, ShardState::Quarantined, 40);
     assert!(quarantined, "sustained errors must quarantine the shard");
     let probes_before = cluster.cluster_health().shards[victim].probes_sent;
 
     // The cable is reseated: clear the device fault out from under the
     // router. Only survivor traffic flows; probes must ride on it.
     cluster.shard_db(victim).unwrap().platform_mut().clear_device_fault();
-    let mut recovered = false;
-    for _ in 0..20 {
-        cluster.get("papers", survivor_key, Backend::Hardware).unwrap();
-        if cluster.shard_state(victim).unwrap() == ShardState::Recovered {
-            recovered = true;
-            break;
-        }
-    }
+    let recovered =
+        drive(cluster, survivor_key, Backend::Hardware, victim, ShardState::Recovered, 20);
     assert!(recovered, "a probe must observe the cleared fault and recover the shard");
     assert!(
         cluster.cluster_health().shards[victim].probes_sent > probes_before,
@@ -469,23 +391,12 @@ fn quarantined_shard_reprobes_and_recovers_when_the_fault_clears() {
 /// revive the shard — only an explicit heal does.
 #[test]
 fn dead_shard_stays_dead_until_explicitly_healed() {
-    let records = dataset(200);
-    let mut cluster = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
+    let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(200);
+    let cluster = store.fleet();
     let victim = 0usize;
-    cluster
-        .install_device_fault(
-            victim,
-            DeviceFaultPlan { kind: DeviceFaultKind::LinkLoss, after_ops: 0 },
-        )
-        .unwrap();
+    trip(cluster, victim, DeviceFaultKind::LinkLoss);
     let victim_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
-    for _ in 0..80 {
-        cluster.get("papers", victim_key, Backend::Software).unwrap();
-        if cluster.shard_state(victim).unwrap() == ShardState::Dead {
-            break;
-        }
-    }
-    assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Dead);
+    assert!(drive(cluster, victim_key, Backend::Software, victim, ShardState::Dead, 80));
 
     cluster.shard_db(victim).unwrap().platform_mut().clear_device_fault();
     for _ in 0..30 {
@@ -505,34 +416,24 @@ fn dead_shard_stays_dead_until_explicitly_healed() {
 /// stretched simulated time, and is never treated as failed.
 #[test]
 fn gray_slow_device_stretches_time_but_not_results() {
-    let records = dataset(200);
-    let mut clean = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
-    let mut slow = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
+    let cfg = cfg(4, ReadPolicy::Available, 1, 0).on(Backend::Hardware);
+    let [(mut clean, mut clean_model), (mut slow, mut slow_model)] =
+        [(), ()].map(|()| cfg.loaded(200));
     let victim = 1usize;
-    slow.install_device_fault(
-        victim,
-        DeviceFaultPlan { kind: DeviceFaultKind::Slow { factor_x10: 30 }, after_ops: 0 },
-    )
-    .unwrap();
-
-    let victim_key = (1..=200u64).find(|k| clean.shard_for_key(*k) == victim).unwrap();
-    let clean_get = clean.get("papers", victim_key, Backend::Hardware).unwrap();
-    let slow_get = slow.get("papers", victim_key, Backend::Hardware).unwrap();
-    assert_eq!(slow_get.record, clean_get.record, "gray failure changed bytes");
-    assert!(slow_get.missing_shards.is_empty(), "a slow shard is not missing");
-    assert_eq!(slow_get.sim_ns, clean_get.sim_ns * 3, "factor 3.0x must stretch time exactly");
-
-    let clean_scan = clean.scan("papers", &all_rules(), Backend::Hardware).unwrap();
-    let slow_scan = slow.scan("papers", &all_rules(), Backend::Hardware).unwrap();
-    assert_eq!(slow_scan.records, clean_scan.records, "gray failure changed scan bytes");
-    assert!(slow_scan.missing_shards.is_empty());
-    assert!(
-        slow_scan.sim_ns > clean_scan.sim_ns,
-        "the slowed shard must dominate the device-parallel span \
-         ({} !> {})",
-        slow_scan.sim_ns,
-        clean_scan.sim_ns
-    );
+    trip(slow.fleet(), victim, DeviceFaultKind::Slow { factor_x10: 30 });
+    // Both answer from every shard, as the model says, in the same order.
+    let victim_key = (1..=200u64).find(|k| clean.fleet().shard_for_key(*k) == victim).unwrap();
+    let ops = [Op::Get(victim_key), Op::Scan(all_rules())];
+    let fast = run_reports(&cfg, &mut clean, &mut clean_model, &ops);
+    let slowed = run_reports(&cfg, &mut slow, &mut slow_model, &ops);
+    for ((op, (a, _)), (b, _)) in ops.iter().zip(&fast).zip(&slowed) {
+        assert_eq!(a, b, "{op:?}: gray failure changed bytes");
+    }
+    let [(get, scan), (slow_get, slow_scan)] =
+        [fast, slowed].map(|r| (r[0].1.sim_ns, r[1].1.sim_ns));
+    assert_eq!(slow_get, get * 3, "factor 3.0x must stretch time exactly");
+    assert!(slow_scan > scan, "the slowed shard must dominate the device-parallel span");
+    let slow = slow.fleet();
     assert_eq!(slow.shard_state(victim).unwrap(), ShardState::Healthy, "slow is not sick");
     let stats = slow.device_fault_stats(victim).unwrap().unwrap();
     assert!(stats.ops_slowed > 0, "the gray fault must account its slowdowns");
@@ -543,8 +444,8 @@ fn gray_slow_device_stretches_time_but_not_results() {
 /// [`nkv::HealthReport`] text is unchanged by the cluster work.
 #[test]
 fn health_renderings_are_stable_across_the_new_states() {
-    let records = dataset(120);
-    let mut cluster = build_cluster(4, ReadPolicy::Available, 1, 0, &records);
+    let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(120);
+    let cluster = store.fleet();
     // The virgin rendering, before any routed op has been scored.
     let fresh = NkvCluster::new(ClusterConfig::default()).unwrap().cluster_health().to_string();
     assert!(
@@ -564,19 +465,10 @@ fn health_renderings_are_stable_across_the_new_states() {
 
     // Walk shard 1 to Dead and shard 2 to Degraded, then check the
     // rendering names both.
-    cluster
-        .install_device_fault(1, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
-        .unwrap();
+    trip(cluster, 1, DeviceFaultKind::Hang);
     let k1 = (1..=120u64).find(|k| cluster.shard_for_key(*k) == 1).unwrap();
-    for _ in 0..80 {
-        cluster.get("papers", k1, Backend::Software).unwrap();
-        if cluster.shard_state(1).unwrap() == ShardState::Dead {
-            break;
-        }
-    }
-    cluster
-        .install_device_fault(2, DeviceFaultPlan { kind: DeviceFaultKind::LinkLoss, after_ops: 0 })
-        .unwrap();
+    drive(cluster, k1, Backend::Software, 1, ShardState::Dead, 80);
+    trip(cluster, 2, DeviceFaultKind::LinkLoss);
     let k2 = (1..=120u64).find(|k| cluster.shard_for_key(*k) == 2).unwrap();
     cluster.get("papers", k2, Backend::Software).unwrap();
     assert_eq!(cluster.shard_state(1).unwrap(), ShardState::Dead);
@@ -607,7 +499,6 @@ fn health_renderings_are_stable_across_the_new_states() {
 /// that shard, even with the rest of the fleet dead.
 #[test]
 fn range_sharding_prunes_range_scans_to_owning_shards() {
-    let records = dataset(300);
     let mut cluster = NkvCluster::new(ClusterConfig {
         devices: 3,
         strategy: nkv::ShardStrategy::Range { boundaries: vec![101, 201] },
@@ -615,17 +506,15 @@ fn range_sharding_prunes_range_scans_to_owning_shards() {
         ..ClusterConfig::default()
     })
     .unwrap();
-    cluster.create_table("papers", table_cfg(1)).unwrap();
-    cluster.bulk_load("papers", records.iter().map(|(_, r)| r.clone()).collect()).unwrap();
+    cluster.create_table("papers", cfg(3, ReadPolicy::Strict, 1, 0).table.config()).unwrap();
+    cluster.bulk_load("papers", (1..=300).map(record_for).collect()).unwrap();
     cluster.persist().unwrap();
 
     // Kill shards 1 and 2; a range entirely inside shard 0 still works —
     // under Strict policy — because pruning proves the others hold
     // nothing.
     for s in [1usize, 2] {
-        cluster
-            .install_device_fault(s, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
-            .unwrap();
+        trip(&mut cluster, s, DeviceFaultKind::Hang);
     }
     let scan = cluster.range_scan("papers", 10, 101, Backend::Software).unwrap();
     assert_eq!(scan.count, 91, "keys 10..=100 live on shard 0");

@@ -92,7 +92,8 @@ fn recovered_ids_stay_unique_across_tables_and_later_flushes() {
     // source past every recovered SST of every table, or the first
     // flush after it reuses a live id and a GET searches the wrong
     // SST's cached block.
-    use common::{record_for, table_cfg as small_table};
+    use common::{record_for, Table};
+    let small_table = || Table::Papers { pes: 1, c1: Some(4) }.config();
     let tables = [("a", 0u64), ("b", 10_000)];
     let mut db = NkvDb::default_db();
     db.enable_cache(8 << 20);
@@ -103,7 +104,7 @@ fn recovered_ids_stay_unique_across_tables_and_later_flushes() {
         db.flush(table).unwrap();
     };
     for (table, base) in tables {
-        db.create_table(table, small_table(1, 4)).unwrap();
+        db.create_table(table, small_table()).unwrap();
         db.bulk_load(table, (base + 1..=base + 300).map(record_for)).unwrap();
         put_flush(&mut db, table, base + 1_001..=base + 1_040);
         put_flush(&mut db, table, base + 2_001..=base + 2_040);
@@ -112,7 +113,7 @@ fn recovered_ids_stay_unique_across_tables_and_later_flushes() {
 
     let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
     fresh.flash = db.platform_mut().flash.clone();
-    let configs = tables.iter().map(|(t, _)| (t.to_string(), small_table(1, 4))).collect();
+    let configs = tables.iter().map(|(t, _)| (t.to_string(), small_table())).collect();
     let mut rec = NkvDb::recover(fresh, configs).unwrap();
     rec.enable_cache(8 << 20);
     for (table, base) in tables {
@@ -151,7 +152,10 @@ fn recovery_rejects_mismatched_format() {
     let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
     let wrong = TableConfig::new(elaborate(&m, ndp_workload::REF_PE).unwrap());
     match NkvDb::recover(fresh, vec![("papers".into(), wrong)]) {
-        Err(NkvError::Config(msg)) => assert!(msg.contains("80")),
+        Err(NkvError::Config(msg)) => assert_eq!(
+            msg,
+            "table `papers`: manifest records are 80 bytes but the supplied format is 20 bytes"
+        ),
         Err(other) => panic!("expected format mismatch, got {other:?}"),
         Ok(_) => panic!("expected format mismatch, got a recovered database"),
     }
