@@ -14,6 +14,12 @@
 //! through the ordinary shared-port model, so hits are cheaper but
 //! never free and still contend with PE load/store traffic.
 //!
+//! **Storage** is the reader's own [`SharedBytes`] handle: admission
+//! keeps the view a block read returned (usually a view of the buffer
+//! the block's flash pages share), and a hit hands out another handle to
+//! it. Neither copies a byte; the byte budget still counts every entry's
+//! full length, as if it were a private copy in device DRAM.
+//!
 //! **Replacement** is a segmented LRU: entries are admitted into a
 //! *probationary* segment and promoted to the *protected* segment on
 //! their first hit (scan-resistant — a one-pass streaming SCAN cannot
@@ -37,6 +43,7 @@
 //! zero-cost-when-disabled idiom: the platform holds an
 //! `Option<BlockCache>` and every consult site is one branch.
 
+use crate::bytes::SharedBytes;
 use std::collections::HashMap;
 
 /// Pseudo block index under which an SST's index page is cached
@@ -76,7 +83,7 @@ impl CacheStats {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    data: Vec<u8>,
+    data: SharedBytes,
     /// Strictly increasing touch sequence — unique, so LRU victim
     /// selection is deterministic under any map iteration order.
     touched: u64,
@@ -138,8 +145,9 @@ impl BlockCache {
     }
 
     /// Look `(sst_id, block)` up; a hit promotes the entry to the
-    /// protected segment and returns its bytes.
-    pub fn lookup(&mut self, sst_id: u64, block: usize) -> Option<&[u8]> {
+    /// protected segment and returns its bytes (clone the handle to keep
+    /// them; that copies nothing).
+    pub fn lookup(&mut self, sst_id: u64, block: usize) -> Option<&SharedBytes> {
         self.stats.lookups += 1;
         let key = (sst_id, block);
         if !self.map.contains_key(&key) {
@@ -167,7 +175,8 @@ impl BlockCache {
     /// Admit `(sst_id, block)` into the probationary segment, evicting
     /// LRU entries until it fits. Blocks larger than the whole budget
     /// are not admitted; re-inserting an existing key replaces it.
-    pub fn insert(&mut self, sst_id: u64, block: usize, data: Vec<u8>) {
+    pub fn insert(&mut self, sst_id: u64, block: usize, data: impl Into<SharedBytes>) {
+        let data = data.into();
         if data.len() > self.budget {
             return;
         }
@@ -249,7 +258,7 @@ mod tests {
         let mut c = BlockCache::new(1 << 20);
         assert!(c.lookup(1, 0).is_none());
         c.insert(1, 0, vec![7; 100]);
-        assert_eq!(c.lookup(1, 0).unwrap(), &[7; 100][..]);
+        assert_eq!(&c.lookup(1, 0).unwrap()[..], &[7; 100][..]);
         assert!(c.lookup(1, 1).is_none());
         let s = c.stats();
         assert_eq!(s.lookups, 3);
@@ -325,6 +334,16 @@ mod tests {
         assert!(c.lookup(1, 0).is_some()); // protected now
         c.insert(1, 0, vec![1; 200]);
         assert_eq!(c.used_bytes(), 200);
-        assert_eq!(c.lookup(1, 0).unwrap(), &[1; 200][..]);
+        assert_eq!(&c.lookup(1, 0).unwrap()[..], &[1; 200][..]);
+    }
+
+    #[test]
+    fn hits_share_the_admitted_bytes() {
+        let mut c = BlockCache::new(1 << 10);
+        let block = SharedBytes::zero_padded(b"block", 64);
+        c.insert(1, 0, block.clone());
+        let hit = c.lookup(1, 0).unwrap();
+        assert_eq!(hit.as_ptr(), block.as_ptr(), "a hit is the admitted view, not a copy");
+        assert_eq!(c.used_bytes(), 64, "the budget counts the full length");
     }
 }

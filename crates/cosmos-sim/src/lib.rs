@@ -10,6 +10,9 @@
 //! * [`flash`] — NAND array behind two Tiger4-style controllers
 //!   (~200 MB/s aggregate, the paper's stated bottleneck), with channels,
 //!   LUNs, page latencies, per-channel buses and data storage;
+//! * [`bytes`] — the immutable, reference-counted byte range
+//!   ([`SharedBytes`]) that flash pages, blocks read from them and block
+//!   cache entries share instead of copying;
 //! * [`dram`] — the shared PS-DRAM port PEs and CPU compete for;
 //! * [`timing`] — the calibrated constants (documented one by one) that
 //!   anchor Fig. 7's absolute runtimes;
@@ -42,6 +45,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod batch;
+pub mod bytes;
 pub mod cache;
 pub mod dram;
 pub mod events;
@@ -56,6 +60,7 @@ pub mod trace;
 pub use batch::{
     KeyListDescriptor, KeyListError, KEY_LIST_HEADER_BYTES, KEY_LIST_MAGIC, KEY_LIST_PAGE_BYTES,
 };
+pub use bytes::SharedBytes;
 pub use cache::{BlockCache, CacheStats, INDEX_BLOCK};
 pub use dram::Dram;
 pub use events::EventQueue;

@@ -336,7 +336,7 @@ impl NkvDb {
             }
             // The page is degrading but still correctable: copy it out.
             let (t_read, data) = match self.platform.flash.read_page(addr, self.clock) {
-                Ok((t, d)) => (t, d.to_vec()),
+                Ok((t, d)) => (t, d.clone()),
                 Err(_) => continue, // already unreadable; repair cannot help
             };
             let new = self.alloc.alloc_block(0, 1).ok_or(NkvError::OutOfSpace)?[0];
@@ -954,6 +954,65 @@ mod tests {
         let (hw, _) = db.get("papers", p.id, Backend::Hardware).unwrap();
         assert_eq!(sw, Some(encode(&p)));
         assert_eq!(sw, hw);
+    }
+
+    #[test]
+    fn zero_copy_block_reads_equal_the_page_by_page_concatenation() {
+        use crate::sst::{read_block, SstMeta};
+        use cosmos_sim::FlashFaultKind;
+
+        fn sst(db: &NkvDb) -> SstMeta {
+            db.tables["papers"].lsm.levels().iter().flatten().next().unwrap().clone()
+        }
+        /// Read block `bi` with `read_block` and page by page; they must
+        /// agree. Returns whether `read_block` shared the buffer of the
+        /// block's first flash page instead of copying.
+        fn read(db: &mut NkvDb, bi: usize) -> bool {
+            let (sst, flash) = (sst(db), &mut db.platform.flash);
+            let block = &sst.blocks[bi];
+            let (_, data) = read_block(flash, &sst, bi, 0).unwrap();
+            let mut pages = Vec::new();
+            for &p in &block.pages {
+                let page = flash.read_page(p, 0).unwrap().1;
+                let take = page.len().min(block.bytes as usize - pages.len());
+                pages.extend_from_slice(&page[..take]);
+            }
+            assert_eq!(&data[..], &pages[..], "block {bi}");
+            data.as_ptr() == flash.read_page(block.pages[0], 0).unwrap().1.as_ptr()
+        }
+
+        let mut db = paper_db(1, PeVariant::Generated);
+        let cfg = PubGraphConfig { papers: 3000, refs: 3000, seed: 9 };
+        db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+        let page_bytes = db.platform.flash.config().page_bytes;
+        let blocks = sst(&db).blocks;
+        let last = blocks.len() - 1;
+        assert!(blocks[last].bytes < page_bytes * 2 && blocks[last].bytes > page_bytes);
+        // A freshly programmed block, and one ending in a partial page.
+        assert!(read(&mut db, 0), "a fresh block is a view");
+        assert!(read(&mut db, last), "a partial last page is a view");
+        // Block 1's third page relocated by read-repair.
+        let degrading = blocks[1].pages[2];
+        db.platform.flash.inject_fault(degrading, FlashFaultKind::Correctable);
+        db.platform.flash.read_page(degrading, 0).unwrap();
+        assert_eq!(db.read_repair(1).unwrap(), 1);
+        assert_ne!(sst(&db).blocks[1].pages[2], degrading);
+        assert!(!read(&mut db, 1), "a relocated page makes a copy");
+        // Block 2's second page rewritten on its own, with its own bytes.
+        let rewritten = blocks[2].pages[1];
+        let bytes = db.platform.flash.read_page(rewritten, 0).unwrap().1.to_vec();
+        db.platform.flash.program_page(rewritten, &bytes, 0).unwrap();
+        assert!(!read(&mut db, 2), "a rewritten page makes a copy");
+        assert!(read(&mut db, 3), "the other blocks are still views");
+        // Both branches still check the CRC.
+        for bi in [0, 2] {
+            let mut stale = sst(&db);
+            stale.blocks[bi].crc ^= 1;
+            assert!(matches!(
+                read_block(&mut db.platform.flash, &stale, bi, 0),
+                Err(NkvError::CorruptBlock { block, .. }) if block == bi
+            ));
+        }
     }
 
     #[test]

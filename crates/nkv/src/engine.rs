@@ -38,7 +38,7 @@ use crate::placement::worker_for_channel;
 use crate::plan::{Backend, PhysOp, PhysicalPlan, PlanOutcome};
 use crate::sst::{read_block, search_block, BlockMeta, SstMeta};
 use cosmos_sim::dram::DramClient;
-use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
+use cosmos_sim::{timing, CosmosPlatform, FlashArray, SharedBytes, SimNs};
 use ndp_pe::oracle::{AggAccumulator, FilterProgram, FilterRule};
 use ndp_pe::pipeline::estimate_block_cycles;
 use ndp_swgen::{job_io, DriverProfile, IoStats, PeInvoke};
@@ -95,13 +95,13 @@ pub(crate) fn read_block_resilient(
     sst: &SstMeta,
     block_idx: usize,
     now: SimNs,
-) -> NkvResult<(SimNs, Vec<u8>)> {
+) -> NkvResult<(SimNs, SharedBytes)> {
     retry_read(res, health, sst.id, block_idx, now, |at| read_block(flash, sst, block_idx, at))
 }
 
 /// Retrying read of an SST's index page (same policy as data blocks;
-/// the page content is already cached in the metadata, only the flash
-/// time matters). Returns the read-completion time.
+/// the page content is already parsed into the metadata, only the flash
+/// time matters). Returns the read-completion time and the page.
 pub(crate) fn read_index_page_resilient(
     platform: &mut CosmosPlatform,
     res: &ResilienceConfig,
@@ -109,11 +109,11 @@ pub(crate) fn read_index_page_resilient(
     sst_id: u64,
     page: cosmos_sim::PhysAddr,
     now: SimNs,
-) -> NkvResult<SimNs> {
+) -> NkvResult<(SimNs, SharedBytes)> {
     // `usize::MAX` marks the index page (not a data block) in the error.
     let flash = &mut platform.flash;
     retry_read(res, health, sst_id, usize::MAX, now, |at| {
-        flash.read_page(page, at).map(|(done, _)| done).map_err(NkvError::from)
+        flash.read_page(page, at).map(|(done, p)| (done, p.clone())).map_err(NkvError::from)
     })
 }
 
@@ -123,15 +123,16 @@ pub(crate) fn read_index_page_resilient(
 /// a miss the resilient flash read runs, the flash DMA moves the block
 /// into staging, and the block is admitted to the cache. With the cache
 /// disabled (the default) this is the read + stage path bit for bit.
-/// Returns the time the block is staged and its bytes.
+/// Returns the time the block is staged and its bytes, which the flash
+/// pages, the cache and the caller share.
 pub(crate) fn block_read(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     sst: &SstMeta,
     block_idx: usize,
     now: SimNs,
-) -> NkvResult<(SimNs, Vec<u8>)> {
-    let hit = platform.cache_mut().and_then(|c| c.lookup(sst.id, block_idx)).map(|d| d.to_vec());
+) -> NkvResult<(SimNs, SharedBytes)> {
+    let hit = platform.cache_mut().and_then(|c| c.lookup(sst.id, block_idx)).cloned();
     if let Some(data) = hit {
         let ready = platform.dram.timed_transfer(DramClient::CacheHit, data.len() as u64, now);
         platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, ready - now);
@@ -156,7 +157,8 @@ pub(crate) fn block_read(
 /// `(sst_id, INDEX_BLOCK)`. The page *content* already lives in the SST
 /// metadata — only the timing and the cache-budget occupancy of one
 /// flash page are modeled — so a hit is a page-sized DRAM burst and a
-/// miss is the legacy resilient flash-page read plus admission.
+/// miss is the legacy resilient flash-page read plus admission of the
+/// page read (shared with flash, not copied).
 pub(crate) fn index_page_read(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
@@ -172,10 +174,10 @@ pub(crate) fn index_page_read(
         platform.trace_cache_hit(sst_id, u64::MAX, bytes, now, done - now);
         return Ok(done);
     }
-    let done =
+    let (done, page) =
         read_index_page_resilient(platform, &exec.resilience, &mut exec.health, sst_id, page, now)?;
     if let Some(c) = platform.cache_mut() {
-        c.insert(sst_id, cosmos_sim::INDEX_BLOCK, vec![0u8; bytes as usize]);
+        c.insert(sst_id, cosmos_sim::INDEX_BLOCK, page);
     }
     Ok(done)
 }
@@ -478,8 +480,8 @@ fn scan_block_job(
     out: &mut Vec<u8>,
     report: &mut SimReport,
 ) -> NkvResult<SimNs> {
-    let (staged, data) = block_read(platform, exec, sst, block_idx, issue)?;
-    let data = data.as_slice();
+    let (staged, block) = block_read(platform, exec, sst, block_idx, issue)?;
+    let data: &[u8] = &block;
     if exec.reconcile && filters.oldest != Some(sst.id) {
         let tuples = data.chunks_exact(exec.processor.in_tuple_bytes());
         let mut keys = Vec::with_capacity(tuples.len());
@@ -983,7 +985,7 @@ struct BatchShared {
     /// `sst.id` → time its index page is read + parsed.
     index_parsed: HashMap<u64, SimNs>,
     /// `(sst.id, block)` → (staged-complete time, block bytes).
-    blocks: HashMap<(u64, usize), (SimNs, Vec<u8>)>,
+    blocks: HashMap<(u64, usize), (SimNs, SharedBytes)>,
     /// Whether an earlier hardware block of the batch programmed the PE
     /// cold; every later one is a [`PeInvoke::Keyed`] strobe.
     configured: bool,
@@ -1041,7 +1043,7 @@ fn key_walk(
             continue;
         }
         let Some(bi) = sst.block_for(key) else { continue };
-        let mut fetch = || -> NkvResult<(SimNs, Vec<u8>)> {
+        let mut fetch = || -> NkvResult<(SimNs, SharedBytes)> {
             let read = block_read(platform, exec, sst, bi, t)?;
             report.blocks += 1;
             report.bytes_scanned += read.1.len() as u64;

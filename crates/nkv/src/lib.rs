@@ -93,3 +93,16 @@ pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
 pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};
+
+#[cfg(test)]
+mod tests {
+    /// A store moves to another thread whole. It compiles only while the
+    /// bytes that flash pages, the block cache and readers share are
+    /// behind an `Arc`: an `Rc` there would make both types `!Send`.
+    #[test]
+    fn the_device_and_the_fleet_are_send() {
+        fn send<T: Send>() {}
+        send::<crate::NkvDb>();
+        send::<crate::NkvCluster>();
+    }
+}

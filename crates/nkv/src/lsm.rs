@@ -16,7 +16,7 @@ use crate::error::{NkvError, NkvResult};
 use crate::memtable::{Entry, MemTable};
 use crate::placement::PageAllocator;
 use crate::sst::{read_block, write_index, RunShape, RunWriter, SstMeta};
-use cosmos_sim::{FlashArray, PhysAddr, SimNs};
+use cosmos_sim::{FlashArray, PhysAddr, SharedBytes, SimNs};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -229,7 +229,7 @@ impl LsmTree {
         let bottom = self.levels[level + 2..].iter().all(Vec::is_empty);
 
         let mut read_done = now;
-        let mut blocks: Vec<Vec<Vec<u8>>> = Vec::with_capacity(inputs.len());
+        let mut blocks: Vec<Vec<SharedBytes>> = Vec::with_capacity(inputs.len());
         for sst in &inputs {
             let mut data = Vec::with_capacity(sst.blocks.len());
             for i in 0..sst.blocks.len() {
