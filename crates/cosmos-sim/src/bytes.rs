@@ -10,19 +10,32 @@
 //! through a view: programming a page *replaces* its view, so a view
 //! handed out earlier keeps the bytes it had.
 //!
-//! The buffer is an `Arc<Vec<u8>>`, not an `Arc<[u8]>`: a `Vec` moves
-//! into it without a copy of its bytes, and the handle is one pointer,
-//! so a view (and a flash page slot) is 16 bytes. It is an `Arc`, not an
-//! `Rc`, so that a store holding views stays `Send`.
+//! A buffer may carry the CRC its writer computed over its first bytes
+//! when it sealed them ([`SharedBytes::sealed`]); a buffer made any other
+//! way carries none. Only a view of exactly that range reports it
+//! ([`SharedBytes::recorded_crc`]). Which reads may compare it instead of
+//! recomputing the CRC is the integrity rule of `nkv::sst::read_block`.
+//!
+//! The shared allocation is one `Arc` of the bytes (a `Vec`, which moves
+//! in without a copy of its bytes) and that record, so the handle is one
+//! pointer and a view (and a flash page slot) is 16 bytes. It is an
+//! `Arc`, not an `Rc`, so that a store holding views stays `Send`.
 
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
+/// The allocation every view of one buffer shares.
+struct Buffer {
+    bytes: Vec<u8>,
+    /// `(len, crc)`: the CRC the writer computed over `bytes[..len]`.
+    sealed: Option<(u32, u32)>,
+}
+
 /// An immutable view of bytes `start..end` of a shared buffer.
 #[derive(Clone)]
 pub struct SharedBytes {
-    buf: Arc<Vec<u8>>,
+    buf: Arc<Buffer>,
     start: u32,
     end: u32,
 }
@@ -35,6 +48,34 @@ impl SharedBytes {
         v.extend_from_slice(data);
         v.resize(len, 0);
         Self::from(v)
+    }
+
+    /// A fresh buffer of `bytes` whose writer computed `crc` over its
+    /// first `len` bytes. The view returned covers all of `bytes`.
+    pub fn sealed(bytes: Vec<u8>, len: usize, crc: u32) -> Self {
+        assert!(len <= bytes.len(), "sealed range longer than its buffer");
+        Self::new(bytes, Some((len as u32, crc)))
+    }
+
+    fn new(bytes: Vec<u8>, sealed: Option<(u32, u32)>) -> Self {
+        let end = u32::try_from(bytes.len()).expect("a shared buffer holds less than 4 GiB");
+        Self { buf: Arc::new(Buffer { bytes, sealed }), start: 0, end }
+    }
+
+    /// The `(len, crc)` the writer of this view's buffer recorded, if
+    /// any, whatever range the view covers.
+    #[cfg(test)]
+    pub(crate) fn record(&self) -> Option<(u32, u32)> {
+        self.buf.sealed
+    }
+
+    /// The CRC the writer recorded, when this view is exactly the range
+    /// it was computed over; `None` for any other view or buffer.
+    pub fn recorded_crc(&self) -> Option<u32> {
+        match self.buf.sealed {
+            Some((len, crc)) if self.start == 0 && self.end == len => Some(crc),
+            _ => None,
+        }
     }
 
     /// Bytes `range` of this view, sharing its buffer.
@@ -60,8 +101,7 @@ impl SharedBytes {
 
 impl From<Vec<u8>> for SharedBytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = u32::try_from(v.len()).expect("a shared buffer holds less than 4 GiB");
-        Self { buf: Arc::new(v), start: 0, end }
+        Self::new(v, None)
     }
 }
 
@@ -69,7 +109,7 @@ impl Deref for SharedBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.start as usize..self.end as usize]
+        &self.buf.bytes[self.start as usize..self.end as usize]
     }
 }
 
@@ -103,6 +143,22 @@ mod tests {
         let twin = SharedBytes::from(b"abcdef\0\0".to_vec());
         assert_eq!(twin, buf, "equality is by content");
         assert!(a.joined(&twin.slice(2..5)).is_none(), "another buffer");
+    }
+
+    #[test]
+    fn only_the_sealed_range_reports_the_recorded_crc() {
+        let buf = SharedBytes::sealed(b"abcdef\0\0".to_vec(), 6, 0xC2C);
+        assert_eq!(buf.record(), Some((6, 0xC2C)));
+        assert_eq!(buf.recorded_crc(), None, "the padded whole is not the sealed range");
+        let (head, tail) = (buf.slice(0..4), buf.slice(4..6));
+        assert_eq!(head.joined(&tail).and_then(|v| v.recorded_crc()), Some(0xC2C));
+        assert_eq!(buf.slice(0..6).recorded_crc(), Some(0xC2C));
+        for range in [0..5, 1..6, 1..7, 0..0] {
+            assert_eq!(buf.slice(range.clone()).recorded_crc(), None, "{range:?}");
+        }
+        assert_eq!(tail.record(), Some((6, 0xC2C)), "every view shares the record");
+        assert_eq!(SharedBytes::from(b"abcdef".to_vec()).recorded_crc(), None);
+        assert_eq!(SharedBytes::zero_padded(b"abcdef", 6).record(), None);
     }
 
     #[test]

@@ -18,11 +18,15 @@
 //! consecutive views of the one buffer they were programmed from
 //! ([`FlashArray::program_shared`]); a page programmed on its own
 //! ([`FlashArray::program_page`]: read-repair copies) and a torn program
-//! are a buffer of their own. A read finds its page by indexing — no hashing — and returns the view,
-//! so a reader shares the bytes instead of copying them. Programming a
-//! page replaces its view and never writes into a buffer, so a view
-//! handed out earlier (to a block read, the block cache, a cloned array)
-//! keeps its bytes. Memory follows what was programmed wherever it sits:
+//! are a buffer of their own. A read finds its page by indexing — no
+//! hashing — and returns the view, so a reader shares the bytes instead
+//! of copying them. Programming a page replaces its view and never writes
+//! into a buffer, so a view handed out earlier (to a block read, the
+//! block cache, a cloned array) keeps its bytes. A page keeps the CRC its
+//! buffer's writer recorded ([`SharedBytes::sealed`]); a buffer of the
+//! array's own carries none, so a block read through such a page
+//! recomputes the CRC — the integrity rule is `nkv::sst::read_block`'s.
+//! Memory follows what was programmed wherever it sits:
 //! full-volume datasets (~1.1 GB) cost 16 bytes of table per page, and a
 //! lone manifest page at the top of an otherwise empty LUN costs one
 //! chunk.
@@ -862,6 +866,41 @@ mod tests {
         assert!(copy.read_page(block[1], 0).unwrap().1.iter().all(|&x| x == 0x22));
         // The torn page counts: a prefix of it is on the cells.
         assert_eq!(copy.stored_bytes(), 5 * 8192);
+    }
+
+    #[test]
+    fn only_a_view_of_a_writer_sealed_buffer_keeps_a_recorded_crc() {
+        // Every way the array stores bytes leaves a page whose buffer has
+        // no recorded CRC, unless the page is a view of a buffer its
+        // writer sealed. A fault that alters stored bytes must make a
+        // fresh buffer, so a block read through it recomputes the CRC.
+        let record = |f: &mut FlashArray, a| f.read_page(a, 0).unwrap().1.record();
+        let sealed = SharedBytes::sealed(vec![0x11; 2 * PAGE], PAGE + 9, 0x5EA1);
+        let [own, plain, head, tail, torn] = [0, 1, 2, 3, 4].map(|p| addr(3, 2, p));
+        let mut f = FlashArray::new(FlashConfig::default());
+        f.program_page(own, &[0x11; PAGE], 0).unwrap();
+        f.program_shared(plain, SharedBytes::zero_padded(&[0x11; 9], PAGE), 9, 0).unwrap();
+        f.program_shared(head, sealed.slice(0..PAGE), PAGE, 0).unwrap();
+        f.program_shared(tail, sealed.slice(PAGE..2 * PAGE), 9, 0).unwrap();
+        assert_eq!((record(&mut f, own), record(&mut f, plain)), (None, None));
+        for a in [head, tail] {
+            assert_eq!(record(&mut f, a), Some((PAGE as u32 + 9, 0x5EA1)), "{a:?}");
+        }
+        assert_eq!(f.read_page(head, 0).unwrap().1.as_ptr(), sealed.as_ptr(), "a view");
+        // A cloned array re-programs the sealed pages, on their own and as
+        // views of an unsealed buffer; a power cut tears a program of a
+        // sealed view. The original keeps its views.
+        let mut copy = f.clone();
+        copy.program_page(head, &sealed[..PAGE], 0).unwrap();
+        copy.program_shared(tail, SharedBytes::zero_padded(&sealed[PAGE..], PAGE), 9, 0).unwrap();
+        copy.install_faults(&FaultPlan { power_cut_at_write: Some(0), ..FaultPlan::default() });
+        let cut = copy.program_shared(torn, sealed.slice(0..PAGE), PAGE, 0);
+        assert_eq!(cut, Err(FlashError::PowerCut));
+        copy.reboot();
+        for a in [head, tail, torn] {
+            assert_eq!(record(&mut copy, a), None, "{a:?}");
+        }
+        assert!(record(&mut f, head).is_some() && record(&mut f, tail).is_some());
     }
 
     const PAGE: usize = 8192;

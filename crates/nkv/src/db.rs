@@ -965,9 +965,10 @@ mod tests {
             db.tables["papers"].lsm.levels().iter().flatten().next().unwrap().clone()
         }
         /// Read block `bi` with `read_block` and page by page; they must
-        /// agree. Returns whether `read_block` shared the buffer of the
-        /// block's first flash page instead of copying.
-        fn read(db: &mut NkvDb, bi: usize) -> bool {
+        /// agree. Returns whether `read_block` verified the block against
+        /// its writer's recorded CRC, which only a view of the buffer of
+        /// the block's first flash page may do; it recomputed otherwise.
+        fn recorded(db: &mut NkvDb, bi: usize) -> bool {
             let (sst, flash) = (sst(db), &mut db.platform.flash);
             let block = &sst.blocks[bi];
             let (_, data) = read_block(flash, &sst, bi, 0).unwrap();
@@ -978,7 +979,16 @@ mod tests {
                 pages.extend_from_slice(&page[..take]);
             }
             assert_eq!(&data[..], &pages[..], "block {bi}");
-            data.as_ptr() == flash.read_page(block.pages[0], 0).unwrap().1.as_ptr()
+            let view = data.as_ptr() == flash.read_page(block.pages[0], 0).unwrap().1.as_ptr();
+            assert_eq!(data.recorded_crc().is_some(), view, "block {bi}: recorded iff a view");
+            view
+        }
+        /// `read_block` of block `bi` under `meta` fails its CRC check.
+        fn corrupt(db: &mut NkvDb, meta: &SstMeta, bi: usize) -> bool {
+            matches!(
+                read_block(&mut db.platform.flash, meta, bi, 0),
+                Err(NkvError::CorruptBlock { block, .. }) if block == bi
+            )
         }
 
         let mut db = paper_db(1, PeVariant::Generated);
@@ -989,30 +999,38 @@ mod tests {
         let last = blocks.len() - 1;
         assert!(blocks[last].bytes < page_bytes * 2 && blocks[last].bytes > page_bytes);
         // A freshly programmed block, and one ending in a partial page.
-        assert!(read(&mut db, 0), "a fresh block is a view");
-        assert!(read(&mut db, last), "a partial last page is a view");
+        assert!(recorded(&mut db, 0), "a fresh block is a view");
+        assert!(recorded(&mut db, last), "a partial last page is a view");
         // Block 1's third page relocated by read-repair.
         let degrading = blocks[1].pages[2];
         db.platform.flash.inject_fault(degrading, FlashFaultKind::Correctable);
         db.platform.flash.read_page(degrading, 0).unwrap();
         assert_eq!(db.read_repair(1).unwrap(), 1);
         assert_ne!(sst(&db).blocks[1].pages[2], degrading);
-        assert!(!read(&mut db, 1), "a relocated page makes a copy");
+        assert!(!recorded(&mut db, 1), "a relocated page makes a copy");
         // Block 2's second page rewritten on its own, with its own bytes.
         let rewritten = blocks[2].pages[1];
         let bytes = db.platform.flash.read_page(rewritten, 0).unwrap().1.to_vec();
         db.platform.flash.program_page(rewritten, &bytes, 0).unwrap();
-        assert!(!read(&mut db, 2), "a rewritten page makes a copy");
-        assert!(read(&mut db, 3), "the other blocks are still views");
-        // Both branches still check the CRC.
+        assert!(!recorded(&mut db, 2), "a rewritten page makes a copy");
+        assert!(recorded(&mut db, 3), "the other blocks are still views");
+        // A stale CRC fails on both branches.
         for bi in [0, 2] {
             let mut stale = sst(&db);
             stale.blocks[bi].crc ^= 1;
-            assert!(matches!(
-                read_block(&mut db.platform.flash, &stale, bi, 0),
-                Err(NkvError::CorruptBlock { block, .. }) if block == bi
-            ));
+            assert!(corrupt(&mut db, &stale, bi), "stale CRC, block {bi}");
         }
+        // One record short: a sub-range of the sealed buffer recomputes.
+        let mut short = sst(&db);
+        short.blocks[0].bytes -= short.record_bytes as u32;
+        assert!(corrupt(&mut db, &short, 0), "a sub-range of a sealed block");
+        // Block 3's first page re-programmed with one bit flipped.
+        let flipped = blocks[3].pages[0];
+        let mut bytes = db.platform.flash.read_page(flipped, 0).unwrap().1.to_vec();
+        bytes[100] ^= 0x10;
+        db.platform.flash.program_page(flipped, &bytes, 0).unwrap();
+        let meta = sst(&db);
+        assert!(corrupt(&mut db, &meta, 3), "a flipped bit");
     }
 
     #[test]

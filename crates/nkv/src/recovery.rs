@@ -181,7 +181,7 @@ pub fn write_manifest(flash: &mut FlashArray, m: &Manifest, now: SimNs) -> NkvRe
     let slot = (m.epoch % 2) as u32;
     let pages_per_lun = flash.config().pages_per_lun;
     let pages: Vec<PhysAddr> = (0..needed).map(|i| manifest_page(slot, i, pages_per_lun)).collect();
-    program_pages(flash, &pages, bytes, now)
+    program_pages(flash, &pages, bytes, None, now)
 }
 
 /// Read one slot's manifest, or `None` if the slot holds nothing valid.

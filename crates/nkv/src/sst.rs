@@ -198,13 +198,14 @@ impl<'a> RunWriter<'a> {
         Ok(())
     }
 
-    /// Program the open block. Its buffer moves into flash
-    /// ([`program_pages`]), so a later read of the block can share it.
+    /// Program the open block. Its buffer moves into flash with its CRC
+    /// ([`program_pages`]), so a later read of the block can share it and
+    /// need not recompute the CRC ([`read_block`]).
     fn seal_block(&mut self) -> NkvResult<()> {
         let (bytes, crc) = (self.block.len() as u32, crc32c(&self.block));
         let block = std::mem::take(&mut self.block);
         let (level, span) = (self.shape.level, self.block_span);
-        let (pages, t) = place(self.flash, self.alloc, level, span, block, self.now)?;
+        let (pages, t) = place(self.flash, self.alloc, level, span, block, Some(crc), self.now)?;
         self.done = self.done.max(t);
         self.blocks.push(BlockMeta {
             first_key: self.block_first,
@@ -263,11 +264,13 @@ impl<'a> RunWriter<'a> {
 /// Program `bytes` onto `pages`, every page issued at `now`; returns the
 /// last completion. The buffer, zero-padded to whole pages, moves into
 /// flash without a copy: each page is a page-sized view of it (pages
-/// past the payload are programmed empty).
+/// past the payload are programmed empty). `crc`, the CRC-32C the caller
+/// computed over `bytes`, travels with the buffer ([`read_block`]).
 pub(crate) fn program_pages(
     flash: &mut FlashArray,
     pages: &[PhysAddr],
     mut bytes: Vec<u8>,
+    crc: Option<u32>,
     now: SimNs,
 ) -> NkvResult<SimNs> {
     let page_bytes = flash.config().page_bytes as usize;
@@ -275,7 +278,10 @@ pub(crate) fn program_pages(
     bytes.resize(pages.len() * page_bytes, 0);
     // Flash keeps the buffer: no spare capacity stays alive with it.
     bytes.shrink_to_fit();
-    let bytes = SharedBytes::from(bytes);
+    let bytes = match crc {
+        Some(crc) => SharedBytes::sealed(bytes, len, crc),
+        None => SharedBytes::from(bytes),
+    };
     let mut done = now;
     for (i, &page) in pages.iter().enumerate() {
         let view = bytes.slice(i * page_bytes..(i + 1) * page_bytes);
@@ -286,18 +292,19 @@ pub(crate) fn program_pages(
 }
 
 /// Allocate one block of `span` bytes at `level` and program `bytes`
-/// into it.
+/// (with its `crc`, see [`program_pages`]) into it.
 fn place(
     flash: &mut FlashArray,
     alloc: &mut PageAllocator,
     level: usize,
     span: usize,
     bytes: Vec<u8>,
+    crc: Option<u32>,
     now: SimNs,
 ) -> NkvResult<(Vec<PhysAddr>, SimNs)> {
     let n_pages = span.div_ceil(flash.config().page_bytes as usize);
     let pages = alloc.alloc_block(level, n_pages).ok_or(NkvError::OutOfSpace)?;
-    let done = program_pages(flash, &pages, bytes, now)?;
+    let done = program_pages(flash, &pages, bytes, crc, now)?;
     Ok((pages, done))
 }
 
@@ -310,7 +317,7 @@ pub(crate) fn write_index(
     now: SimNs,
 ) -> NkvResult<SimNs> {
     let index = serialize_index(meta);
-    let (pages, done) = place(flash, alloc, meta.level, index.len(), index, now)?;
+    let (pages, done) = place(flash, alloc, meta.level, index.len(), index, None, now)?;
     meta.index_pages = pages;
     Ok(done)
 }
@@ -321,6 +328,25 @@ pub(crate) fn write_index(
 /// [`RunWriter`] programs them — the payload is a view of that buffer,
 /// not a copy; a page programmed on its own since (relocated, rewritten)
 /// makes it a concatenated copy.
+///
+/// **The integrity rule.** The payload must match [`BlockMeta::crc`]. It
+/// is checked one of two ways, and [`SharedBytes::recorded_crc`] of the
+/// returned payload tells which (`Some`: compared, `None`: recomputed).
+///
+/// * *Compared with the writer's record*: a view of exactly the range
+///   [`RunWriter`] sealed. The writer computed the CRC of those bytes as
+///   it moved them into flash (`program_pages`), the buffer is
+///   immutable and CRC-32C is a pure function, so the O(1) compare gives
+///   the verdict a recomputation would; a stale `BlockMeta::crc` still
+///   fails it.
+/// * *Recomputed*: everything else — a concatenated copy (a relocated,
+///   rewritten or torn page), a sub-range of a sealed buffer (a
+///   `BlockMeta::bytes` that disagrees with it), and a buffer with no
+///   record (an index block, the manifest, a
+///   [`FlashArray::program_page`] copy).
+///
+/// No modelled fault alters stored bytes. One that did would store a
+/// fresh buffer, which carries no record, so its bytes are recomputed.
 pub fn read_block(
     flash: &mut FlashArray,
     sst: &SstMeta,
@@ -356,7 +382,7 @@ pub fn read_block(
         Ok(view) => view.unwrap_or_else(|| SharedBytes::from(Vec::new())),
         Err(copy) => SharedBytes::from(copy),
     };
-    if crc32c(&data) != block.crc {
+    if data.recorded_crc().unwrap_or_else(|| crc32c(&data)) != block.crc {
         return Err(NkvError::CorruptBlock { sst_id: sst.id, block: block_idx });
     }
     Ok((done, data))

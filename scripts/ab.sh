@@ -4,8 +4,10 @@
 # CARGO_TARGET_DIR, then run as alternating pairs (odd pairs parent
 # first) with identical arguments. Prints, per end-to-end metric, each
 # side's sorted values, median and quartiles, the change/parent ratio of
-# the medians, the pairs the change won (ties count for neither), and
-# whether every sim_us_per_op agreed. It reports; it is not a gate.
+# the medians, the pairs the change won (ties count for neither), the
+# median and range of the change/parent ratio within each pair (robust
+# to host periods that slow both sides of a pair alike), and whether
+# every sim_us_per_op agreed. It reports; it is not a gate.
 #
 #   scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=42]
 #
@@ -14,7 +16,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,15p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -82,6 +84,10 @@ for spec in host_ops_per_s:higher setup_s:lower peak_rss_mb:lower sim_us_per_op:
     paste <(values parent "$metric") <(values change "$metric") | awk -v better="${spec#*:}" '
         $1 != $2 { if ((better == "higher") == ($2 > $1)) won++; else lost++ }
         END { printf "  change won %d, lost %d of %d pairs\n", won, lost, NR }'
+    paste <(values parent "$metric") <(values change "$metric") | awk '$1 != 0 { print $2 / $1 }' |
+        sort -g | awk "$quantile"'
+        { v[NR] = $1 }
+        END { if (NR) printf "  change/parent per pair: median %.4g  min %.4g .. max %.4g\n", q(0.5), v[1], v[NR] }'
 done
 if [ "$(cat "$out/$workload".{parent,change}.jsonl | grep -c '"correct":true')" -ne $((2 * pairs)) ]; then
     echo "NOT every run ended in \"correct\":true"

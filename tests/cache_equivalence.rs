@@ -15,8 +15,10 @@
 mod common;
 
 use common::{
-    encode, ge, record_for, run, Answer, Cfg, Churn, Model, Op, Store, Table, Weather, CACHE_BUDGET,
+    encode, ge, paper, record_for, run, trip, Answer, Cfg, Churn, Model, Op, Store, Table, Weather,
+    CACHE_BUDGET,
 };
+use cosmos_sim::{DeviceFaultKind, INDEX_BLOCK};
 use ndp_ir::AggOp;
 use ndp_workload::spec::{paper_lanes, ref_lanes};
 use ndp_workload::{PaperGen, PubGraphConfig};
@@ -238,4 +240,76 @@ fn flushes_into_two_tables_do_not_share_cached_blocks() {
     assert_all_present(&mut db, "a", 1..=60);
     assert_all_present(&mut db, "b", 1_001..=1_060);
     assert_all_present(&mut db, "a", 1..=60);
+}
+
+// A power cut hands out again the SST ids written after the last
+// persist (recovery advances the allocator past the ids it recovers), so
+// a cached `(sst_id, block)` that outlived a cut would answer with the
+// lost SST's bytes. DRAM does not survive a cut: both ways a device comes
+// back — the harness's power cycle and `NkvCluster::heal_shard` — leave
+// no block cached before it.
+
+/// The `(sst_id, block)` keys `db` caches among the first ids a device
+/// hands out (these SSTs hold one data block each).
+fn cached_blocks(db: &mut NkvDb) -> Vec<(u64, usize)> {
+    let Some(cache) = db.platform_mut().cache() else { return Vec::new() };
+    let keys = (1..=64).flat_map(|id| [(id, 0), (id, INDEX_BLOCK)]);
+    keys.filter(|&(id, block)| cache.contains(id, block)).collect()
+}
+
+/// Keys `1..=40` at `year`, flushed into one SST.
+fn versions(year: u32) -> Vec<Op> {
+    (1..=40).map(|key| Op::Put(paper(key, Some(year)))).chain([Op::Flush]).collect()
+}
+
+/// Flush, persist, flush again and GET every key. Each GET finds its key
+/// in the newest SST, so the cache holds blocks of that SST only, the
+/// one the next power cut loses.
+fn cached_past_the_persist() -> Vec<Op> {
+    [versions(1990), vec![Op::Persist], versions(2000), (1..=40).map(Op::Get).collect()].concat()
+}
+
+#[test]
+fn a_power_cycle_leaves_no_block_cached_before_it() {
+    let cfg = Cfg { cache: true, ..Cfg::default() };
+    let (mut store, mut model) = cfg.build(vec![], &cached_past_the_persist());
+    let before = cached_blocks(store.db());
+    assert!(!before.is_empty(), "the GETs cached the unpersisted SST");
+    // The cycle ends in a full SCAN of what recovery found, which caches
+    // the persisted SST's blocks, not the lost one's.
+    run(&cfg, &mut store, &mut model, &[Op::PowerCycle]);
+    assert!(store.db().cache_enabled(), "a cached device comes back cached");
+    let cycled = cached_blocks(store.db());
+    assert!(before.iter().all(|k| !cycled.contains(k)), "{before:?} survived: {cycled:?}");
+    // `run` holds every GET to the model: none may see the lost SST.
+    let gets: Vec<Op> = (1..=40).map(Op::Get).collect();
+    run(&cfg, &mut store, &mut model, &[versions(2010), gets].concat());
+    let after = cached_blocks(store.db());
+    assert!(before.iter().any(|k| after.contains(k)), "an id is reused: {before:?} {after:?}");
+}
+
+#[test]
+fn a_healed_shard_leaves_no_block_cached_before_its_power_cut() {
+    let (cfg, victim) = (Cfg { devices: 2, ..Cfg::default() }, 0);
+    let (mut store, mut model) = cfg.build(vec![], &[]);
+    for shard in 0..2 {
+        store.fleet().shard_db(shard).unwrap().enable_cache(CACHE_BUDGET);
+    }
+    run(&cfg, &mut store, &mut model, &cached_past_the_persist());
+    let fleet = store.fleet();
+    let before = cached_blocks(fleet.shard_db(victim).unwrap());
+    assert!(!before.is_empty(), "the GETs cached the victim's unpersisted SST");
+    trip(fleet, victim, DeviceFaultKind::PowerCut);
+    let key = (1..=40).find(|&key| fleet.shard_for_key(key) == victim).unwrap();
+    let missing = fleet.get(cfg.table.name(), key, Backend::Software).unwrap().missing_shards;
+    assert_eq!(missing, [victim], "the cut strikes the victim's next op");
+    fleet.heal_shard(victim).unwrap();
+    let db = fleet.shard_db(victim).unwrap();
+    assert_eq!(cached_blocks(db), [], "nothing cached survives the cut");
+    db.enable_cache(CACHE_BUDGET);
+    // Every key is written again, so the model holds once more.
+    let gets: Vec<Op> = (1..=40).map(Op::Get).collect();
+    run(&cfg, &mut store, &mut model, &[versions(2010), gets].concat());
+    let after = cached_blocks(store.fleet().shard_db(victim).unwrap());
+    assert!(before.iter().any(|k| after.contains(k)), "an id is reused: {before:?} {after:?}");
 }

@@ -836,12 +836,16 @@ impl Store {
     }
 
     /// Reboot a device from its flash image and recover it; a device
-    /// that never persisted comes back blank.
+    /// that never persisted comes back blank. DRAM does not survive: a
+    /// cached device comes back with an empty cache.
     fn power_cycle(&mut self, cfg: &Cfg, durable: bool) -> NkvResult<()> {
         let db = self.db();
         let mut fresh = CosmosPlatform::default_platform();
         fresh.flash = db.platform_mut().flash.clone();
         fresh.flash.reboot();
+        if cfg.cache {
+            fresh.enable_cache(CACHE_BUDGET);
+        }
         match NkvDb::recover(fresh, vec![(cfg.table.name().into(), cfg.table.config())]) {
             Ok(recovered) => *db = recovered,
             Err(_) if !durable => {
