@@ -5,10 +5,8 @@
 //! cargo run --release -p bench --bin repro -- fig7a fig7b table1   # any subset, in order
 //! cargo run --release -p bench --bin repro -- loadgen [--clients 1,4,16] \
 //!     [--depth D] [--ops N] [--seed S] [--scale F] [--cache-mb M] \
-//!     [--devices 1,2,4] [--batch B] [--qos] [--json out.json] \
-//!     [--trace t.json]
-//! cargo run --release -p bench --bin repro -- profile [--devices 4] \
-//!     [--json BENCH_profile.json] [--trace t.json]
+//!     [--devices 1,2,4] [--batch B] [--qos] [--trace t.json]
+//! cargo run --release -p bench --bin repro -- profile [--devices 4] [--trace t.json]
 //! cargo run --release -p bench --bin repro -- explain refs year>=2010 --backend adaptive
 //! ```
 //!
@@ -48,7 +46,6 @@ enum Invocation {
         cmds: Vec<String>,
         scale: f64,
         lg: bench::LoadgenConfig,
-        json_path: Option<String>,
         trace_path: Option<String>,
     },
 }
@@ -61,7 +58,6 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut scale = 1.0 / 8.0;
     let mut scale_set = false;
     let mut lg = bench::LoadgenConfig::default();
-    let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
@@ -111,7 +107,6 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
                 };
             }
             "--qos" => lg.qos = true,
-            "--json" => json_path = Some(value()?.clone()),
             "--trace" => trace_path = Some(value()?.clone()),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -144,7 +139,7 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
         std::fs::File::create(path)
             .map_err(|e| format!("cannot write --trace file {path}: {e}"))?;
     }
-    Ok(Invocation::Experiments { cmds, scale, lg, json_path, trace_path })
+    Ok(Invocation::Experiments { cmds, scale, lg, trace_path })
 }
 
 fn parse_explain(args: &[String]) -> Result<Invocation, String> {
@@ -178,7 +173,7 @@ fn run(inv: Invocation) -> Result<(), String> {
         Invocation::Explain { table, query, backend, cache_mb } => {
             print!("{}", bench::explain::explain(&table, &query, &backend, cache_mb)?);
         }
-        Invocation::Experiments { cmds, scale, lg, json_path, trace_path } => {
+        Invocation::Experiments { cmds, scale, lg, trace_path } => {
             for cmd in &cmds {
                 match cmd.as_str() {
                     "all" => {
@@ -195,8 +190,8 @@ fn run(inv: Invocation) -> Result<(), String> {
                     "fig8" => fig8(),
                     "fig9" => fig9(),
                     "ablations" => ablations(scale),
-                    "profile" => profile(scale, &lg, json_path.as_deref(), trace_path.as_deref())?,
-                    "loadgen" => loadgen(&lg, json_path.as_deref(), trace_path.as_deref())?,
+                    "profile" => profile(scale, &lg, trace_path.as_deref())?,
+                    "loadgen" => loadgen(&lg, trace_path.as_deref())?,
                     _ => unreachable!("parse_args admits only KNOWN experiments"),
                 }
             }
@@ -212,7 +207,7 @@ fn die(msg: &str) -> ! {
          \x20            [--scale F | --full]\n\
          \x20            [--clients n[,n...]] [--depth D] [--ops N] [--seed S]\n\
          \x20            [--cache-mb M] [--devices n[,n...]] [--batch B] [--qos]\n\
-         \x20            [--json PATH] [--trace PATH]  (loadgen, profile)\n\
+         \x20            [--trace PATH]  (loadgen, profile)\n\
          \x20            loadgen --devices ... --trace t.json writes the merged cluster\n\
          \x20            trace; profile --devices N adds the fleet ClusterStats fold;\n\
          \x20            loadgen --qos adds the mixed-priority FIFO-vs-QoS sweep\n\
@@ -338,12 +333,7 @@ fn fig9() {
     );
 }
 
-fn profile(
-    scale: f64,
-    lg: &bench::LoadgenConfig,
-    json_path: Option<&str>,
-    trace_path: Option<&str>,
-) -> Result<(), String> {
+fn profile(scale: f64, lg: &bench::LoadgenConfig, trace_path: Option<&str>) -> Result<(), String> {
     header("Profile — where the device time goes (observability stack)");
     println!("building the database with metrics + tracing enabled ...");
     let p = figures::profile(scale, 16);
@@ -420,9 +410,8 @@ fn profile(
 
     // Fleet-scope profile: the same workload over an N-device cluster,
     // folded through ClusterStats and the merged multi-device trace.
-    let fleet_devices = lg.devices.iter().copied().max();
     let mut fleet_trace = None;
-    if let Some(d) = fleet_devices {
+    if let Some(d) = lg.devices.iter().copied().max() {
         println!("\n  --- fleet profile ({d} hash-sharded devices) ---");
         let fp = figures::cluster_profile(scale, 16, d);
         println!("  {}", fp.stats.to_string().replace('\n', "\n  "));
@@ -435,27 +424,14 @@ fn profile(
         write_file(path, json)?;
         eprintln!("wrote Chrome trace to {path}");
     }
-    if let Some(path) = json_path {
-        let b = figures::profile_bench(scale, lg.seed, fleet_devices.unwrap_or(4));
-        write_file(path, &bench::json::profile_bench_json(&b))?;
-        eprintln!("wrote machine-readable results to {path}");
-    }
     Ok(())
 }
 
-fn loadgen(
-    cfg: &bench::LoadgenConfig,
-    json_path: Option<&str>,
-    trace_path: Option<&str>,
-) -> Result<(), String> {
+fn loadgen(cfg: &bench::LoadgenConfig, trace_path: Option<&str>) -> Result<(), String> {
     header("Loadgen — closed-loop multi-client throughput (beyond-paper)");
     println!("building one database per client count ...");
     let (fig, trace) = bench::loadgen::loadgen_traced(cfg, trace_path.is_some());
     print!("{}", bench::loadgen::render(&fig));
-    if let Some(path) = json_path {
-        write_file(path, &bench::loadgen::bench_json(&fig))?;
-        eprintln!("wrote machine-readable results to {path}");
-    }
     if let (Some(path), Some(json)) = (trace_path, trace) {
         write_file(path, &json)?;
         eprintln!("wrote merged cluster trace to {path}");
@@ -518,7 +494,7 @@ mod tests {
             ("definitely-not-an-experiment", "unknown experiment `definitely-not-an-experiment`"),
             ("fig7a fig7b tabel1", "unknown experiment `tabel1`"),
             ("all --definitely-not-a-flag", "unknown flag `--definitely-not-a-flag`"),
-            ("all --json-force", "unknown flag `--json-force`"),
+            ("loadgen --json out.json", "unknown flag `--json`"),
             ("all --scale", "--scale needs a value"),
             ("all --scale big", "--scale needs a number"),
             ("loadgen --clients 1,x", "--clients needs n[,n...]"),
@@ -535,20 +511,19 @@ mod tests {
 
     #[test]
     fn accepted_command_lines_carry_their_values() {
-        let Ok(Invocation::Experiments { cmds, scale, lg, json_path, trace_path }) = parse("")
-        else {
+        let Ok(Invocation::Experiments { cmds, scale, lg, trace_path }) = parse("") else {
             panic!("no arguments means `all`");
         };
         assert_eq!(cmds, ["all"]);
         assert_eq!(scale, 1.0 / 8.0);
         assert_eq!(lg.scale, bench::LoadgenConfig::default().scale, "loadgen keeps its own scale");
-        assert_eq!((json_path, trace_path), (None, None));
+        assert_eq!(trace_path, None);
 
         // Beyond one key-list DMA page (510 keys) is legal: the queue
         // engine splits the fold into capacity-sized descriptors.
-        let Ok(Invocation::Experiments { cmds, scale, lg, json_path, .. }) = parse(
+        let Ok(Invocation::Experiments { cmds, scale, lg, .. }) = parse(
             "fig7a loadgen --scale 0.5 --clients 1,4 --depth 2 --ops 3 --seed 9 --cache-mb 8 \
-             --devices 1,2,4 --batch 511 --qos --json out.json",
+             --devices 1,2,4 --batch 511 --qos",
         ) else {
             panic!("every flag parses");
         };
@@ -556,7 +531,6 @@ mod tests {
         assert_eq!((scale, lg.scale), (0.5, 0.5), "--scale feeds the figures and loadgen");
         assert_eq!((lg.clients, lg.depth, lg.ops_per_client, lg.seed), (vec![1, 4], 2, 3, 9));
         assert_eq!((lg.cache_mb, lg.devices, lg.batch, lg.qos), (8, vec![1, 2, 4], 511, true));
-        assert_eq!(json_path.as_deref(), Some("out.json"));
 
         let Ok(Invocation::Explain { table, query, backend, cache_mb }) =
             parse("explain refs year>=2010 venue==3 --backend hybrid --cache-mb 8")

@@ -446,102 +446,6 @@ pub fn cluster_profile(scale: f64, n_gets: u32, devices: usize) -> ClusterProfil
     ClusterProfile { devices, stats, trace_json }
 }
 
-/// The `BENCH_profile.json` measurements: one number per question the
-/// perf journal tracks. All from fixed-seed runs, so the artifact is
-/// byte-stable until an intentional performance change moves it.
-#[derive(Debug, Clone)]
-pub struct ProfileBench {
-    pub seed: u64,
-    pub scale: f64,
-    pub devices: usize,
-    pub n_gets: u32,
-    /// GET config-register busy time over result-transfer busy time
-    /// (Fig. 7a's "why GET gains nothing from HW", measured).
-    pub config_tax_ratio: f64,
-    /// Keys per key-list descriptor in the batched-GET measurement.
-    pub batch: u32,
-    /// The same ratio with the GETs issued through `batch`-sized key
-    /// lists — one PE configuration plus per-key START strobes. The
-    /// perf journal gates this at ≤ `config_tax_ratio` / 5.
-    pub config_tax_batched: f64,
-    /// Mean simulated device time per key, unbatched (batch-1 key
-    /// lists fold to the legacy point-lookup path), microseconds.
-    pub get_us_unbatched: f64,
-    /// Mean simulated device time per key at `batch` keys per list,
-    /// microseconds.
-    pub get_us_batched: f64,
-    /// GET throughput win from batching alone: `get_us_unbatched /
-    /// get_us_batched` (same device, same key schedule, one knob). The
-    /// perf journal gates this at ≥ 5.
-    pub batched_get_speedup: f64,
-    /// Flash-controller DMA occupancy of the profiling SCAN (≈1.0 when
-    /// flash-bound, the paper's stated bottleneck).
-    pub flash_occupancy: f64,
-    /// Full-budget row of the DRAM block-cache sweep.
-    pub cache_hit_rate: f64,
-    /// Cluster throughput scaling factor: 4-device ops/s over 1-device
-    /// ops/s for the fixed-seed queued matrix cell.
-    pub cluster_scaling: f64,
-    /// The fleet snapshot behind the scaling number.
-    pub cluster: nkv::ClusterStats,
-}
-
-/// Assemble the perf-journal measurements from their owning
-/// experiments: [`profile`] (config tax + flash occupancy),
-/// [`crate::loadgen::cache_sweep`] (hit rate),
-/// [`crate::loadgen::cluster_matrix`] (scaling factor) and
-/// [`cluster_profile`] (the fleet snapshot).
-pub fn profile_bench(scale: f64, seed: u64, devices: usize) -> ProfileBench {
-    let n_gets = 16;
-    // Floor the single-device profile's scale: below ~1/512 the scan is
-    // too short for constant per-op overheads, and the occupancy number
-    // stops measuring the flash-bandwidth bottleneck it journals.
-    let p = profile(scale.max(1.0 / 512.0), n_gets);
-    let get = p.stats.metrics.op(nkv::OpKind::Get);
-    let config_tax_ratio = get.breakdown.cfg_ns as f64 / get.breakdown.nvme_ns.max(1) as f64;
-
-    // The journal's canonical batched measurement: the same schedule as
-    // one batch-of-16 key list, with a batch-1 run (the legacy per-key
-    // path, via the singleton fold) as the speedup denominator.
-    let batch = 16;
-    let batched = profile_batched_tax(scale.max(1.0 / 512.0), n_gets, batch);
-    let unbatched = profile_batched_tax(scale.max(1.0 / 512.0), n_gets, 1);
-
-    let cache = crate::loadgen::cache_sweep(scale, 8);
-    let cache_hit_rate = cache.last().map_or(0.0, |r| r.hit_rate);
-
-    let matrix = crate::loadgen::cluster_matrix(&crate::loadgen::LoadgenConfig {
-        scale,
-        clients: vec![2],
-        depth: 4,
-        ops_per_client: 32,
-        seed,
-        cache_mb: 0,
-        devices: vec![1, devices.max(2)],
-        batch: 1,
-        qos: false,
-    });
-    let cluster_scaling = matrix[1].ops_per_sec / matrix[0].ops_per_sec;
-
-    let fleet = cluster_profile(scale, n_gets, devices);
-    ProfileBench {
-        seed,
-        scale,
-        devices,
-        n_gets,
-        config_tax_ratio,
-        batch,
-        config_tax_batched: batched.config_tax_ratio,
-        get_us_unbatched: unbatched.us_per_get,
-        get_us_batched: batched.us_per_get,
-        batched_get_speedup: unbatched.us_per_get / batched.us_per_get.max(f64::MIN_POSITIVE),
-        flash_occupancy: p.scan_flash_occupancy,
-        cache_hit_rate,
-        cluster_scaling,
-        cluster: fleet.stats,
-    }
-}
-
 // ------------------------------------------------------------- Ablations
 
 /// SCAN time (extrapolated to full scale) vs ref-PE count.
@@ -735,24 +639,20 @@ mod tests {
     }
 
     #[test]
-    fn profile_bench_collects_the_journal_numbers() {
-        let b = profile_bench(SCALE, 42, 4);
-        // Fig. 7a's config tax: register writes dominate result bytes.
-        assert!(b.config_tax_ratio > 1.0, "{b:?}");
-        // Key lists amortize the configuration away: the batched ratio
-        // must clear the journal's 5x bar with margin.
-        assert_eq!(b.batch, 16);
-        assert!(b.config_tax_batched <= b.config_tax_ratio / 5.0, "{b:?}");
+    fn batched_key_lists_cut_the_config_tax_and_the_per_key_time() {
+        // The settings `profile_smoke.txt` prints: scale 1/512, the
+        // 16-GET schedule, batch 16 against the batch-1 per-key path.
+        let unbatched = profile_batched_tax(1.0 / 512.0, 16, 1);
+        let batched = profile_batched_tax(1.0 / 512.0, 16, 16);
+        assert_eq!(batched.n_gets, unbatched.n_gets, "same key schedule");
+        // One PE configuration per key list amortizes the register
+        // writes: the batched tax clears a 5x bar.
+        assert!(
+            batched.config_tax_ratio <= unbatched.config_tax_ratio / 5.0,
+            "{unbatched:?} vs {batched:?}"
+        );
         // And the per-key device time drops at least 5x with it.
-        assert!(b.batched_get_speedup >= 5.0, "{b:?}");
-        // The profiling SCAN stays flash-bound.
-        assert!((0.90..=1.01).contains(&b.flash_occupancy), "{b:?}");
-        // Full-budget cache row clears the acceptance rate.
-        assert!(b.cache_hit_rate >= 0.5, "{b:?}");
-        // 4 hash shards must clearly out-run 1 device.
-        assert!(b.cluster_scaling >= 2.5, "{b:?}");
-        assert_eq!(b.cluster.shards.len(), 4);
-        assert!(b.cluster.total_ops() > 0, "fleet profile must record its ops");
+        assert!(batched.us_per_get * 5.0 <= unbatched.us_per_get, "{unbatched:?} vs {batched:?}");
     }
 
     #[test]

@@ -28,7 +28,6 @@
 pub mod dataset;
 pub mod explain;
 pub mod figures;
-pub mod json;
 pub mod loadgen;
 
 pub use dataset::{build_db, Dataset, DbKind};

@@ -15,7 +15,6 @@
 //! byte-identical tables (used by `scripts/check.sh`'s smoke diff).
 
 use crate::dataset::{build_db, paper_records, paper_table_config, DbKind};
-use crate::json::{json_num, json_str};
 use cosmos_sim::{chrome_trace_json_cluster, ns_to_secs};
 use ndp_pe::oracle::FilterRule;
 use ndp_pe::template::PeVariant;
@@ -38,22 +37,18 @@ pub struct LoadgenConfig {
     /// Workload seed (scripts are derived per client from this).
     pub seed: u64,
     /// Device-DRAM block-cache budget for the cache sweep, MiB. `0`
-    /// (the default) skips the sweep entirely and leaves the cache off,
-    /// so the smoke table stays byte-identical to the pre-cache output.
+    /// (the default) skips the sweep and leaves the cache off.
     pub cache_mb: usize,
     /// Device counts for the clients x devices cluster matrix. Empty
-    /// (the default) skips the matrix entirely, so the smoke table
-    /// stays byte-identical to the pre-cluster output.
+    /// (the default) skips the matrix.
     pub devices: Vec<usize>,
     /// Max keys per batched-GET key list for the batched-GET sweep.
-    /// `1` (the default) skips the sweep entirely and keeps every
-    /// queued run on the legacy per-key path, so the smoke table stays
-    /// byte-identical to the pre-batching output.
+    /// `1` (the default) skips the sweep and keeps every queued run on
+    /// the per-key path.
     pub batch: u32,
     /// Run the mixed-priority QoS sweep (bulk scan flood vs
     /// latency-sensitive GETs, FIFO baseline vs priority dispatch).
-    /// `false` (the default) skips the sweep entirely, so the smoke
-    /// table stays byte-identical to the pre-QoS output.
+    /// `false` (the default) skips the sweep.
     pub qos: bool,
 }
 
@@ -264,8 +259,7 @@ pub fn loadgen_traced(cfg: &LoadgenConfig, trace: bool) -> (LoadgenFigure, Optio
 /// [`NkvCluster`] of that many hash-sharded devices and push the same
 /// seeded client scripts through [`NkvCluster::run_queued`] (the router
 /// partitions each script by key, so the per-op order every device sees
-/// is deterministic). Empty `cfg.devices` skips the matrix — the default
-/// loadgen output must stay byte-identical to the single-device table.
+/// is deterministic). Empty `cfg.devices` skips the matrix.
 pub fn cluster_matrix(cfg: &LoadgenConfig) -> Vec<ClusterMatrixPoint> {
     cluster_matrix_traced(cfg, false).0
 }
@@ -662,163 +656,6 @@ pub fn render(fig: &LoadgenFigure) -> String {
     out
 }
 
-/// Render the figure as machine-readable JSON (`BENCH_loadgen.json` in
-/// `scripts/check.sh`). Hand-rolled through [`crate::json`] — the
-/// workspace carries no serde — and stable: same seed, same bytes, keys
-/// always present (empty sweeps are empty arrays, not missing keys).
-/// Schema v2 added the top-level `seed` stamp every `BENCH_*.json`
-/// carries; v3 added the `batch` config knob and the always-present
-/// `batched_sweep` section; v4 added the `qos` config knob and the
-/// always-present `qos_sweep` section.
-pub fn bench_json(fig: &LoadgenFigure) -> String {
-    use std::fmt::Write as _;
-    let join = |items: Vec<String>| items.join(", ");
-    let c = &fig.cfg;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"nkv-bench-loadgen/4\",");
-    let _ = writeln!(out, "  \"seed\": {},", c.seed);
-    let _ = writeln!(out, "  \"config\": {{");
-    let _ = writeln!(out, "    \"scale\": {},", json_num(c.scale));
-    let _ = writeln!(
-        out,
-        "    \"clients\": [{}],",
-        join(c.clients.iter().map(u32::to_string).collect())
-    );
-    let _ = writeln!(out, "    \"depth\": {},", c.depth);
-    let _ = writeln!(out, "    \"ops_per_client\": {},", c.ops_per_client);
-    let _ = writeln!(out, "    \"seed\": {},", c.seed);
-    let _ = writeln!(out, "    \"cache_mb\": {},", c.cache_mb);
-    let _ = writeln!(
-        out,
-        "    \"devices\": [{}],",
-        join(c.devices.iter().map(usize::to_string).collect())
-    );
-    let _ = writeln!(out, "    \"batch\": {},", c.batch);
-    let _ = writeln!(out, "    \"qos\": {}", c.qos);
-    let _ = writeln!(out, "  }},");
-    let points = fig
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"clients\": {}, \"ops\": {}, \"span_ms\": {}, \"ops_per_sec\": {}, \
-                 \"full_stalls\": {}, \"max_inflight\": {}, \"latency\": {}}}",
-                p.clients,
-                p.ops,
-                json_num(p.span_s * 1e3),
-                json_num(p.ops_per_sec),
-                p.full_stalls,
-                p.max_inflight,
-                json_str(&p.latency)
-            )
-        })
-        .collect::<Vec<_>>();
-    let _ = writeln!(out, "  \"points\": [\n{}\n  ],", points.join(",\n"));
-    let sweep = fig
-        .sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"streams\": {}, \"scan_ms\": {}, \"matched\": {}, \"speedup\": {}}}",
-                r.streams,
-                json_num(r.scan_ms),
-                r.matched,
-                json_num(r.speedup)
-            )
-        })
-        .collect::<Vec<_>>();
-    if sweep.is_empty() {
-        let _ = writeln!(out, "  \"parallel_sweep\": [],");
-    } else {
-        let _ = writeln!(out, "  \"parallel_sweep\": [\n{}\n  ],", sweep.join(",\n"));
-    }
-    let cache = fig
-        .cache
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"budget_mb\": {}, \"hit_rate\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}",
-                r.budget_mb,
-                json_num(r.hit_rate),
-                json_num(r.p50_ms),
-                json_num(r.p99_ms)
-            )
-        })
-        .collect::<Vec<_>>();
-    if cache.is_empty() {
-        let _ = writeln!(out, "  \"cache_sweep\": [],");
-    } else {
-        let _ = writeln!(out, "  \"cache_sweep\": [\n{}\n  ],", cache.join(",\n"));
-    }
-    let cluster = fig
-        .cluster
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"clients\": {}, \"devices\": {}, \"ops\": {}, \"span_ms\": {}, \
-                 \"ops_per_sec\": {}, \"latency\": {}}}",
-                r.clients,
-                r.devices,
-                r.ops,
-                json_num(r.span_s * 1e3),
-                json_num(r.ops_per_sec),
-                json_str(&r.latency)
-            )
-        })
-        .collect::<Vec<_>>();
-    if cluster.is_empty() {
-        let _ = writeln!(out, "  \"cluster_matrix\": [],");
-    } else {
-        let _ = writeln!(out, "  \"cluster_matrix\": [\n{}\n  ],", cluster.join(",\n"));
-    }
-    let batched = fig
-        .batched
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"batch\": {}, \"ops\": {}, \"span_ms\": {}, \"ops_per_sec\": {}, \
-                 \"coalesced_doorbells\": {}, \"speedup\": {}, \"latency\": {}}}",
-                r.batch,
-                r.ops,
-                json_num(r.span_s * 1e3),
-                json_num(r.ops_per_sec),
-                r.coalesced_doorbells,
-                json_num(r.speedup),
-                json_str(&r.latency)
-            )
-        })
-        .collect::<Vec<_>>();
-    if batched.is_empty() {
-        let _ = writeln!(out, "  \"batched_sweep\": [],");
-    } else {
-        let _ = writeln!(out, "  \"batched_sweep\": [\n{}\n  ],", batched.join(",\n"));
-    }
-    let qos = fig
-        .qos
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"mode\": {}, \"ops\": {}, \"span_ms\": {}, \"ops_per_sec\": {}, \
-                 \"get_p99_ms\": {}, \"latency\": {}}}",
-                json_str(r.mode),
-                r.ops,
-                json_num(r.span_s * 1e3),
-                json_num(r.ops_per_sec),
-                json_num(r.get_p99_ms),
-                json_str(&r.latency)
-            )
-        })
-        .collect::<Vec<_>>();
-    if qos.is_empty() {
-        let _ = writeln!(out, "  \"qos_sweep\": []");
-    } else {
-        let _ = writeln!(out, "  \"qos_sweep\": [\n{}\n  ]", qos.join(",\n"));
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,23 +725,10 @@ mod tests {
         assert!(a.contains("clients"), "{a}");
         assert!(a.contains("p99.9="), "latency column reports the p99.9 tail: {a}");
         assert!(a.contains("parallel-PE sweep"), "{a}");
-        assert!(
-            !a.contains("DRAM cache sweep"),
-            "cache_mb=0 must leave the table byte-identical to the pre-cache output: {a}"
-        );
-        assert!(
-            !a.contains("cluster matrix"),
-            "an empty devices list must leave the table byte-identical to the \
-             pre-cluster output: {a}"
-        );
-        assert!(
-            !a.contains("batched-GET sweep"),
-            "batch=1 must leave the table byte-identical to the pre-batching output: {a}"
-        );
-        assert!(
-            !a.contains("QoS sweep"),
-            "qos=false must leave the table byte-identical to the pre-QoS output: {a}"
-        );
+        assert!(!a.contains("DRAM cache sweep"), "cache_mb=0 skips the cache sweep: {a}");
+        assert!(!a.contains("cluster matrix"), "an empty devices list skips the matrix: {a}");
+        assert!(!a.contains("batched-GET sweep"), "batch=1 skips the batched sweep: {a}");
+        assert!(!a.contains("QoS sweep"), "qos=false skips the QoS sweep: {a}");
     }
 
     #[test]
@@ -946,7 +770,8 @@ mod tests {
         assert_eq!(one.ops, sixteen.ops, "every row completes the same commands");
         // The queued baseline already overlaps ops at depth 16, so its
         // honest win is smaller than the serial >= 5x that
-        // `profile_bench_collects_the_journal_numbers` holds.
+        // `figures::tests::batched_key_lists_cut_the_config_tax_and_the_per_key_time`
+        // holds.
         assert!(
             sixteen.speedup >= 4.0,
             "batch-16 key lists must keep 4x the batch-1 GET throughput: {rows:?}"
@@ -1005,71 +830,6 @@ mod tests {
         assert!(json.contains("router_fanout"), "{}", &json[..json.len().min(400)]);
         assert!(json.contains("router_merge"));
         assert!(cluster_matrix_traced(&cfg, false).1.is_none(), "no trace unless asked");
-    }
-
-    #[test]
-    fn bench_json_is_wellformed_and_carries_every_section() {
-        let cfg = LoadgenConfig {
-            scale: SCALE,
-            clients: vec![1],
-            depth: 2,
-            ops_per_client: 8,
-            seed: 7,
-            cache_mb: 0,
-            devices: vec![1, 2],
-            batch: 1,
-            qos: false,
-        };
-        let json = bench_json(&loadgen(&cfg));
-        for key in [
-            "\"schema\"",
-            "\"seed\"",
-            "\"config\"",
-            "\"points\"",
-            "\"parallel_sweep\"",
-            "\"cache_sweep\"",
-            "\"cluster_matrix\"",
-            "\"batched_sweep\"",
-            "\"qos_sweep\"",
-        ] {
-            assert!(json.contains(key), "missing {key}: {json}");
-        }
-        assert!(json.contains("\"nkv-bench-loadgen/4\""), "{json}");
-        assert!(json.contains("\"batched_sweep\": []"), "batch off is an empty array: {json}");
-        assert!(json.contains("\"qos_sweep\": []"), "qos off is an empty array: {json}");
-        assert!(json.contains("\"seed\": 7,"), "{json}");
-        assert!(json.contains("\"devices\": [1, 2]"), "{json}");
-        assert!(json.contains("\"cache_sweep\": []"), "cache off is an empty array: {json}");
-        // Structural sanity without a JSON parser in the workspace: the
-        // document is one balanced object, every bracket closes, and no
-        // non-finite float leaked through.
-        let depth_ok = |open: char, close: char| {
-            let mut depth = 0i64;
-            let mut in_str = false;
-            for c in json.chars() {
-                if c == '"' {
-                    in_str = !in_str;
-                }
-                if in_str {
-                    continue;
-                }
-                if c == open {
-                    depth += 1;
-                }
-                if c == close {
-                    depth -= 1;
-                    assert!(depth >= 0, "unbalanced {open}{close}: {json}");
-                }
-            }
-            depth == 0
-        };
-        assert!(depth_ok('{', '}'), "unbalanced braces: {json}");
-        assert!(depth_ok('[', ']'), "unbalanced brackets: {json}");
-        for bad in [": NaN", ": inf", ": -inf"] {
-            assert!(!json.contains(bad), "non-finite float leaked into JSON: {json}");
-        }
-        let again = bench_json(&loadgen(&cfg));
-        assert_eq!(json, again, "same seed, same bytes");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! * [`dram`] — the shared PS-DRAM port PEs and CPU compete for;
 //! * [`timing`] — the calibrated constants (documented one by one) that
 //!   anchor Fig. 7's absolute runtimes;
-//! * [`server`]/[`events`] — the queueing/event primitives everything is
-//!   built from;
+//! * [`server`] — the queueing primitives everything is built from;
 //! * [`platform`] — the assembled device ([`CosmosPlatform`]);
 //! * [`faults`] — deterministic, seeded fault injection ([`FaultPlan`]):
 //!   transient/persistent/correctable flash faults, DRAM stall bursts,
@@ -48,7 +47,6 @@ pub mod batch;
 pub mod bytes;
 pub mod cache;
 pub mod dram;
-pub mod events;
 pub mod faults;
 pub mod flash;
 pub mod platform;
@@ -63,7 +61,6 @@ pub use batch::{
 pub use bytes::SharedBytes;
 pub use cache::{BlockCache, CacheStats, INDEX_BLOCK};
 pub use dram::Dram;
-pub use events::EventQueue;
 pub use faults::{
     DeviceAdmission, DeviceFaultKind, DeviceFaultPlan, DeviceFaultStats, FaultPlan, FaultRng,
     FlashFaultKind, ScheduledFault,

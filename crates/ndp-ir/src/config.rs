@@ -217,11 +217,6 @@ impl PeConfig {
         self.operators.iter().find(|o| o.name == name).map(|o| o.code)
     }
 
-    /// Look up an operator by its register encoding.
-    pub fn op_by_code(&self, code: u32) -> Option<&OpSpec> {
-        self.operators.iter().find(|o| o.code == code)
-    }
-
     /// The `nop` encoding (always present; 0 by construction).
     pub fn nop_code(&self) -> u32 {
         self.op_code("nop").expect("nop is always in the operator set")

@@ -41,9 +41,6 @@ use cosmos_sim::{FlashArray, PhysAddr, SimNs};
 /// (and is caught by the CRC).
 pub const MANIFEST_SLOT_PAGES: u32 = 8;
 
-/// Total pages reserved for manifests (both slots).
-pub const MANIFEST_PAGES: u32 = 2 * MANIFEST_SLOT_PAGES;
-
 /// Manifest entry for one table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableManifest {

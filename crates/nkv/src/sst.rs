@@ -66,11 +66,6 @@ impl SstMeta {
         let idx = self.blocks.partition_point(|b| b.last_key < key);
         (idx < self.blocks.len() && self.blocks[idx].first_key <= key).then_some(idx)
     }
-
-    /// Total payload bytes across data blocks.
-    pub fn data_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| u64::from(b.bytes)).sum()
-    }
 }
 
 /// Shape of one run of SSTs: where it is placed and when it rolls over.

@@ -5,11 +5,13 @@
 # maps each gate to its test), and this script holds neither numbers nor
 # column positions: it is fmt, clippy, the workspace tests and diffs.
 #
-# The commands below are the one place each committed artifact's
-# regeneration flags are written down. Fresh copies land in target/; the
-# committed files are never written here. A deliberate simulated-clock
-# change re-blesses them by hand (`cp target/<name> <name>`) and journals
-# why in PERF.md.
+# Each `repro` experiment has exactly one committed text artifact, its
+# stdout: repro_output.txt (the paper's figures), loadgen_smoke.txt and
+# profile_smoke.txt. Each is regenerated into target/ and diffed below,
+# and these commands are the one place its regeneration flags are
+# written down. The committed files are never written here. A
+# deliberate simulated-clock change re-blesses them by hand
+# (`cp target/<name> <name>`) and journals why in PERF.md.
 #
 # Run from anywhere; operates on the repo this script lives in.
 # CHECK_SLOW=1 additionally runs the #[ignore]d long campaigns, among them
@@ -52,27 +54,17 @@ echo "==> repro_output.txt: every paper figure, byte for byte"
 $repro all --scale 0.0625 > target/repro_output.txt
 diff -u repro_output.txt target/repro_output.txt
 
-echo "==> loadgen_smoke.txt: queue engine with every optional sweep off"
-$repro loadgen --clients 1,2,4 --depth 2 --ops 8 --seed 7 \
-    --scale $smoke_scale > target/loadgen_smoke.txt
+echo "==> loadgen_smoke.txt: queue engine + clients x devices matrix (+ merged cluster trace)"
+$repro loadgen --clients 1,2,4 --depth 2 --ops 8 --seed 7 --scale $smoke_scale \
+    --devices 1,2,4 --trace target/cluster_trace.json > target/loadgen_smoke.txt
 diff -u loadgen_smoke.txt target/loadgen_smoke.txt
-
-echo "==> BENCH_loadgen.json: clients x devices matrix (+ merged cluster trace)"
-$repro loadgen --clients 2 --depth 4 --ops 32 --seed 42 --scale $smoke_scale \
-    --devices 1,2,4 --json target/BENCH_loadgen.json \
-    --trace target/cluster_trace.json > /dev/null
-diff -u BENCH_loadgen.json target/BENCH_loadgen.json
 test -s target/cluster_trace.json
 
-echo "==> BENCH_profile.json: fleet profile (perf-journal snapshot)"
-$repro profile --scale $smoke_scale --devices 4 \
-    --json target/BENCH_profile.json > target/profile_fleet.txt
-diff -u BENCH_profile.json target/BENCH_profile.json
-# The profile's text is printed by the binary, not by a typed renderer.
-for line in 'fleet profile (4 hash-sharded devices)' 'cluster stats: 4 shards' \
-    'batched GET (key-list descriptors' 'key lists cut the config tax'; do
-    grep -qF "$line" target/profile_fleet.txt
-done
+echo "==> profile_smoke.txt: single-device and fleet profile"
+# 1/512: below it the profiling SCAN is too short for the flash occupancy
+# to measure the flash-bandwidth bottleneck.
+$repro profile --scale 0.001953125 --devices 4 > target/profile_smoke.txt
+diff -u profile_smoke.txt target/profile_smoke.txt
 
 echo "==> benchmark package: unit tests + smoke run correct, simulated clock pinned"
 # benchmark/ is its own workspace, so the runs above never see it. The
