@@ -33,7 +33,7 @@ pub enum DramClient {
 /// The PS-DRAM model: byte storage plus a shared-port timing model.
 pub struct Dram {
     bytes: Vec<u8>,
-    port: BandwidthLink,
+    pub(crate) port: BandwidthLink,
     traffic: [u64; 6],
     /// Stall-burst injection state; `None` (the default) costs one
     /// branch per transfer and changes nothing else.
@@ -142,12 +142,6 @@ impl Dram {
     /// Drop stall-burst injection state.
     pub fn clear_faults(&mut self) {
         self.faults = None;
-    }
-
-    /// Switch the port timeline between the strict conveyor and
-    /// gap-aware backfill (see `cosmos_sim::Server::set_backfill`).
-    pub fn set_backfill(&mut self, on: bool) {
-        self.port.set_backfill(on);
     }
 
     /// Stall counters since install (zeros when no plan is installed).

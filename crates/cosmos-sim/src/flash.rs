@@ -439,20 +439,11 @@ impl FlashArray {
         self.faults = None;
     }
 
-    /// Switch every LUN, channel bus and controller timeline between
-    /// the strict conveyor and gap-aware backfill (see
-    /// [`Server::set_backfill`]); the queue engine enables backfill for
-    /// the duration of a multi-client run.
-    pub fn set_backfill(&mut self, on: bool) {
-        for l in &mut self.luns {
-            l.set_backfill(on);
-        }
-        for c in &mut self.channels {
-            c.set_backfill(on);
-        }
-        for c in &mut self.controllers {
-            c.set_backfill(on);
-        }
+    /// Every LUN, channel-bus and controller timeline (see
+    /// `CosmosPlatform::advance_horizon`).
+    pub(crate) fn timelines_mut(&mut self) -> impl Iterator<Item = &mut Server> {
+        let links = self.channels.iter_mut().chain(&mut self.controllers);
+        self.luns.iter_mut().chain(links.map(|l| &mut l.server))
     }
 
     /// Explicitly inject one fault at `addr`. Transient faults clear

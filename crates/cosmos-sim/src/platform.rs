@@ -79,6 +79,8 @@ pub struct CosmosPlatform {
     /// Device-level fault plan (hang/power-cut/link-loss/slow); `None`
     /// (the default) admits every operation without counting anything.
     device_faults: Option<DeviceFaultState>,
+    /// The latest horizon passed to [`Self::advance_horizon`].
+    horizon: SimNs,
 }
 
 impl CosmosPlatform {
@@ -95,6 +97,7 @@ impl CosmosPlatform {
             queues: None,
             cache: None,
             device_faults: None,
+            horizon: 0,
         }
     }
 
@@ -281,13 +284,31 @@ impl CosmosPlatform {
         self.set_backfill(false);
     }
 
-    /// Switch every device timeline (ARM, NVMe link, flash, DRAM)
-    /// between the strict conveyor and gap-aware backfill.
+    /// Every device timeline: the ARM, the NVMe link, the DRAM port and
+    /// the flash LUN, channel-bus and controller servers.
+    fn timelines_mut(&mut self) -> impl Iterator<Item = &mut Server> {
+        let fixed = [&mut self.arm, &mut self.nvme.server, &mut self.dram.port.server];
+        fixed.into_iter().chain(self.flash.timelines_mut())
+    }
+
+    /// Switch every device timeline between the strict conveyor and
+    /// gap-aware backfill.
     fn set_backfill(&mut self, on: bool) {
-        self.arm.set_backfill(on);
-        self.nvme.set_backfill(on);
-        self.flash.set_backfill(on);
-        self.dram.set_backfill(on);
+        self.timelines_mut().for_each(|s| s.set_backfill(on));
+    }
+
+    /// Promise that no later job arrives on this device before `horizon`,
+    /// and let every device timeline forget the reservations that end at
+    /// or before it ([`Server::forget_before`]). Returns whether the
+    /// horizon moved. An unmoved one returns at once: a PUT that triggers
+    /// no flush leaves the device clock where it was.
+    pub fn advance_horizon(&mut self, horizon: SimNs) -> bool {
+        if horizon <= self.horizon {
+            return false;
+        }
+        self.horizon = horizon;
+        self.timelines_mut().for_each(|s| s.forget_before(horizon));
+        true
     }
 
     /// Multi-PE job dispatch: a parallel scan plan expands several

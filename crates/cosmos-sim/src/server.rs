@@ -49,27 +49,21 @@
 //! Cost of a backfill placement: the reserved intervals are disjoint
 //! and sorted by start, so their *ends* are sorted too, and the
 //! intervals that end at or before the job's start form a prefix of the
-//! history. A binary search skips that prefix in O(log n) (n ≤ 512),
-//! the walk then visits only the intervals that can still hold the job
-//! back, and the reservation is a `VecDeque` insert at index k,
-//! O(min(k, n − k)). Under queued load arrivals land near the tail, so
-//! the walk is a few intervals and so is the insert.
+//! history. A binary search skips that prefix in O(log n), the walk then
+//! visits only the intervals that can still hold the job back, and the
+//! reservation is a `VecDeque` insert at index k, O(min(k, n − k)).
+//! Under queued load arrivals land near the tail, so the walk is a few
+//! intervals and so is the insert.
+//!
+//! History is forgotten behind a *horizon*, never by count:
+//! [`Server::forget_before`] drops what ends at or before a time no later
+//! job arrives before (the "safe time" of conservative parallel DES), so
+//! every placement equals the unbounded history's. The store advances it
+//! (`CosmosPlatform::advance_horizon`) at each serial op's entry and each
+//! queued command's dispatch.
 
 use crate::SimNs;
 use std::collections::VecDeque;
-
-/// Cap on remembered busy intervals per server. When exceeded, the
-/// oldest interval is folded into a "no job before here" floor, which
-/// keeps memory bounded on long runs. A backfill arrival below the
-/// floor is clamped to it, so the cap is part of the timing model, not
-/// only a memory bound: no gap more than 512 intervals back is ever
-/// used. Every committed artifact regenerates byte for byte with an
-/// unbounded history, but the full-scale benchmark reaches that depth:
-/// in a 2-second seed-42 run, 3 709 of 4.55 M backfill placements on
-/// `queued_mixed` and 198 of 0.94 M on `scan_bulk` are clamped, and
-/// with an unbounded history `scan_bulk`'s 4-stream hardware scan pair
-/// takes 0.778 instead of 1.582 simulated seconds.
-const MAX_TRACKED_INTERVALS: usize = 512;
 
 /// A single first-come-first-served resource with a gap-aware timeline.
 #[derive(Debug, Clone, Default)]
@@ -78,7 +72,8 @@ pub struct Server {
     /// end, which `schedule`'s binary search relies on) and coalesced
     /// when abutting.
     reserved: VecDeque<(SimNs, SimNs)>,
-    /// No job may be placed before this time (pruned-history horizon).
+    /// End of the last forgotten reservation, which no backfill arrival
+    /// may precede; `available_at` once everything is forgotten.
     floor: SimNs,
     /// Total busy time accumulated (for utilization reporting).
     busy_total: SimNs,
@@ -111,7 +106,8 @@ impl Server {
     /// after the job's start in O(log n), walks on from there to the
     /// first gap that fits, and inserts in O(min(k, n − k)) at index k.
     pub fn schedule(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
-        let mut start = arrival.max(self.floor);
+        debug_assert!(!self.backfill || arrival >= self.floor, "backfill arrival below the floor");
+        let mut start = arrival;
         let mut idx = self.reserved.len();
         if self.backfill {
             let first = self.reserved.partition_point(|&(_, e)| e <= start);
@@ -128,12 +124,18 @@ impl Server {
         let finish = start + duration;
         self.insert_at(idx, start, finish);
         self.busy_total += duration;
-        while self.reserved.len() > MAX_TRACKED_INTERVALS {
-            if let Some((_, e)) = self.reserved.pop_front() {
-                self.floor = e;
-            }
-        }
         (start, finish)
+    }
+
+    /// Drop the reservations that end at or before `horizon`, a time no
+    /// later job arrives before. `floor` becomes the last dropped end, not
+    /// `horizon`, so `available_at` does not move.
+    pub fn forget_before(&mut self, horizon: SimNs) {
+        let n = self.reserved.partition_point(|&(_, e)| e <= horizon);
+        if n > 0 {
+            self.floor = self.reserved[n - 1].1;
+            self.reserved.drain(..n);
+        }
     }
 
     /// Insert `(start, finish)` before index `idx`, coalescing with
@@ -179,7 +181,7 @@ impl Server {
 /// A server whose service time is proportional to the transferred bytes.
 #[derive(Debug, Clone)]
 pub struct BandwidthLink {
-    server: Server,
+    pub(crate) server: Server,
     /// Picoseconds per byte (ps keeps sub-ns rates exact in integers).
     ps_per_byte: u64,
     bytes_total: u64,
@@ -199,12 +201,6 @@ impl BandwidthLink {
     /// Service duration for `bytes`.
     pub fn duration_for(&self, bytes: u64) -> SimNs {
         (bytes * self.ps_per_byte).div_ceil(1000)
-    }
-
-    /// Switch between strict conveyor and gap-aware backfill (see
-    /// [`Server::set_backfill`]).
-    pub fn set_backfill(&mut self, on: bool) {
-        self.server.set_backfill(on);
     }
 
     /// Schedule a transfer of `bytes` arriving at `arrival`;
@@ -280,10 +276,12 @@ mod tests {
             backfill.set_backfill(true);
             let mut arrival = 0;
             // Steps of 0..16 against durations of 1..=8 mix repeated
-            // arrivals, queued bursts and idle gaps that never abut, so
-            // the timelines grow past the pruning cap.
-            for _ in 0..4 * MAX_TRACKED_INTERVALS {
+            // arrivals, queued bursts and idle gaps that never abut. Each
+            // arrival is also the backfill server's horizon, so it
+            // forgets as it goes.
+            for _ in 0..2_048 {
                 arrival += rng.gen_u64(16);
+                backfill.forget_before(arrival);
                 let duration = 1 + rng.gen_u64(8);
                 assert_eq!(
                     strict.schedule(arrival, duration),
@@ -291,7 +289,7 @@ mod tests {
                     "seed {seed}, arrival {arrival}, duration {duration}"
                 );
             }
-            assert!(backfill.floor > 0, "seed {seed} never reached the pruning cap");
+            assert!(backfill.floor > 0, "seed {seed} never forgot an interval");
         }
         // Positive durations are needed: a zero-length job reserves
         // nothing, so it "fits" in front of a reservation that starts
@@ -305,9 +303,10 @@ mod tests {
 
     impl Server {
         /// Reference placement: the linear walk over the whole history
-        /// that the binary search in [`Server::schedule`] replaced.
+        /// that the binary search in [`Server::schedule`] replaced. The
+        /// reference never forgets.
         fn schedule_linear(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
-            let mut start = arrival.max(self.floor);
+            let mut start = arrival;
             let mut idx = self.reserved.len();
             if self.backfill {
                 for (i, &(s, e)) in self.reserved.iter().enumerate() {
@@ -326,11 +325,6 @@ mod tests {
             let finish = start + duration;
             self.insert_at(idx, start, finish);
             self.busy_total += duration;
-            while self.reserved.len() > MAX_TRACKED_INTERVALS {
-                if let Some((_, e)) = self.reserved.pop_front() {
-                    self.floor = e;
-                }
-            }
             (start, finish)
         }
 
@@ -349,33 +343,38 @@ mod tests {
         }
     }
 
+    /// The binary search over a history forgotten behind a horizon places
+    /// every job of a seeded non-monotone trace exactly where the linear
+    /// walk over the never-forgotten history does. The trace is drawn
+    /// first, against the reference, so that each step's horizon can be
+    /// the earliest arrival still to come.
     #[test]
     fn binary_search_places_every_job_like_the_linear_walk() {
         for seed in 0..8 {
             let mut rng = crate::faults::FaultRng::new(seed);
-            let (mut fast, mut slow) = (Server::new(), Server::new());
-            let mut backfill = true;
-            fast.set_backfill(backfill);
-            slow.set_backfill(backfill);
-            let (mut cursor, mut floors, mut toggles) = (0, 0, 0);
-            for step in 0..16 * MAX_TRACKED_INTERVALS {
-                if rng.gen_u64(128) == 0 {
-                    backfill = !backfill;
-                    fast.set_backfill(backfill);
-                    slow.set_backfill(backfill);
-                    toggles += 1;
+            let mut slow = Server::new();
+            slow.set_backfill(true);
+            // (toggle backfill first, arrival, duration, reference placement)
+            let mut trace = Vec::new();
+            let mut cursor = 0;
+            for _ in 0..8_192 {
+                let toggle = rng.gen_u64(128) == 0;
+                if toggle {
+                    slow.set_backfill(!slow.backfill);
                 }
                 let r = &slow.reserved;
-                let pick = rng.gen_u64(r.len() as u64) as usize;
+                // One of the 64 newest reservations, so that the trace
+                // reaches a bounded distance back.
+                let pick = r.len().saturating_sub(1 + rng.gen_u64(64) as usize);
                 let (arrival, duration) = match rng.gen_u64(16) {
                     // Sparse jobs moving forward: gaps that never abut,
-                    // so the history grows through the cap.
+                    // so the history keeps growing.
                     0..=5 => {
                         cursor += 1 + rng.gen_u64(40);
                         (cursor, 1 + rng.gen_u64(8))
                     }
-                    // Non-monotone arrivals jumping back into gaps, some
-                    // of them below the floor.
+                    // Non-monotone arrivals jumping up to 2 000 ns back
+                    // into gaps.
                     6..=8 => (cursor.saturating_sub(rng.gen_u64(2000)), 1 + rng.gen_u64(6)),
                     // A job that exactly fills a gap.
                     9 if r.len() >= 2 => {
@@ -392,56 +391,76 @@ mod tests {
                         let d = 1 + rng.gen_u64(4);
                         (r[pick].0.saturating_sub(d), d)
                     }
-                    _ => (fast.available_at(), 1 + rng.gen_u64(3)),
+                    _ => (slow.available_at(), 1 + rng.gen_u64(3)),
                 };
-                let floor = slow.floor;
+                trace.push((toggle, arrival, duration, slow.schedule_linear(arrival, duration)));
+            }
+            // horizon[i]: the earliest arrival of steps i.. .
+            let mut horizon = vec![SimNs::MAX; trace.len() + 1];
+            for (i, &(_, arrival, _, _)) in trace.iter().enumerate().rev() {
+                horizon[i] = horizon[i + 1].min(arrival);
+            }
+            let mut fast = Server::new();
+            fast.set_backfill(true);
+            let (mut floors, mut toggles, mut peak) = (0, 0, 0);
+            for (step, &(toggle, arrival, duration, placed)) in trace.iter().enumerate() {
+                if toggle {
+                    fast.set_backfill(!fast.backfill);
+                    toggles += 1;
+                }
+                let floor = fast.floor;
+                fast.forget_before(horizon[step]);
+                floors += usize::from(fast.floor != floor);
                 let ctx =
                     format!("seed {seed}, step {step}, arrival {arrival}, duration {duration}");
-                assert_eq!(
-                    fast.schedule(arrival, duration),
-                    slow.schedule_linear(arrival, duration),
-                    "{ctx}"
-                );
+                assert_eq!(fast.schedule(arrival, duration), placed, "{ctx}");
                 fast.assert_timeline_invariant(&ctx);
-                floors += usize::from(slow.floor != floor);
+                peak = peak.max(fast.reserved.len());
             }
             assert!(toggles >= 2, "seed {seed}: backfill toggled {toggles} times");
+            assert!(floors >= 256, "seed {seed}: the horizon moved the floor {floors} times");
             assert!(
-                floors >= 2 * MAX_TRACKED_INTERVALS,
-                "seed {seed}: the history turned over only {floors} times"
+                16 * peak < slow.reserved.len(),
+                "seed {seed}: {peak} intervals tracked at peak, {} in the whole history",
+                slow.reserved.len()
             );
             assert_eq!(fast.available_at(), slow.available_at(), "seed {seed}");
             assert_eq!(fast.busy_total(), slow.busy_total(), "seed {seed}");
-            assert_eq!(fast.floor, slow.floor, "seed {seed}");
-            assert_eq!(fast.reserved, slow.reserved, "seed {seed}");
+            let kept = slow.reserved.len() - fast.reserved.len();
+            assert!(fast.reserved.iter().eq(slow.reserved.range(kept..)), "seed {seed}");
         }
     }
 
     #[test]
     fn abutting_reservations_coalesce() {
         let mut s = Server::new();
-        for i in 0..10 * MAX_TRACKED_INTERVALS as u64 {
+        for i in 0..5_120 {
             s.schedule(i * 10, 10);
         }
-        // Back-to-back jobs merge into one interval, so dense timelines
-        // never hit the pruning cap.
-        assert_eq!(s.available_at(), 10 * MAX_TRACKED_INTERVALS as u64 * 10);
+        // Back-to-back jobs merge into one interval, so a dense
+        // timeline stays one interval long.
+        assert_eq!(s.reserved.len(), 1);
+        assert_eq!(s.available_at(), 5_120 * 10);
         assert_eq!(s.schedule(3, 4), (s.available_at() - 4, s.available_at()));
     }
 
     #[test]
-    fn pruning_bounds_memory_and_stays_causal() {
+    fn a_trailing_horizon_bounds_the_history_to_its_window() {
         let mut s = Server::new();
         s.set_backfill(true);
-        // Sparse jobs (gaps never abut) force interval growth past the
-        // cap; the oldest gaps become unusable but scheduling after the
-        // horizon is unaffected.
-        for i in 0..2 * MAX_TRACKED_INTERVALS as u64 {
-            s.schedule(i * 100, 1);
+        // Sparse jobs (gaps never abut) 100 ns apart, with the horizon
+        // 1 000 ns behind each arrival: only the ten intervals that end
+        // inside that window stay, however long the stream runs.
+        for i in 0..100_000u64 {
+            let arrival = i * 100;
+            let horizon = arrival.saturating_sub(1_000);
+            s.forget_before(horizon);
+            assert_eq!(s.schedule(arrival, 1), (arrival, arrival + 1));
+            assert_eq!(s.reserved.len(), (i as usize + 1).min(11), "step {i}");
+            assert!(s.reserved[0].1 > horizon, "step {i}");
         }
-        let tail = s.available_at();
-        let (start, finish) = s.schedule(tail + 50, 1);
-        assert_eq!((start, finish), (tail + 50, tail + 51));
+        assert_eq!(s.floor, 99_988 * 100 + 1, "the end of the last forgotten interval");
+        assert_eq!(s.available_at(), 99_999 * 100 + 1);
     }
 
     #[test]

@@ -273,6 +273,18 @@ impl NkvDb {
         self.trace_log.extend(spans);
     }
 
+    /// Promise that no later job arrives before `horizon` — the device
+    /// clock at a serial op's entry, a queued command's submit time — so
+    /// the platform timelines and every table's PE pool forget what ends
+    /// at or before it (`cosmos_sim::Server::forget_before`).
+    pub(crate) fn advance_horizon(&mut self, horizon: SimNs) {
+        if self.platform.advance_horizon(horizon) {
+            for t in self.tables.values_mut() {
+                t.exec.pe_servers.iter_mut().for_each(|s| s.forget_before(horizon));
+            }
+        }
+    }
+
     /// Device-wide health summary: injected faults plus the resilience
     /// layer's reactions, aggregated over all tables.
     #[must_use = "a health snapshot is only useful when inspected"]
@@ -322,6 +334,7 @@ impl NkvDb {
         if degrading.is_empty() {
             return Ok(0);
         }
+        self.advance_horizon(self.clock);
         let t0 = self.clock;
         let mut moved = 0u64;
         let mut repaired_bytes = 0u64;
@@ -441,6 +454,7 @@ impl NkvDb {
     /// Insert or update a record (key = first 8 bytes, little endian).
     /// Flushes and compacts as thresholds are crossed.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
+        self.advance_horizon(self.clock);
         let t0 = self.clock;
         let bytes = record.len() as u64;
         let done = self.put_at(table, record, t0)?;
@@ -463,6 +477,7 @@ impl NkvDb {
 
     /// Delete a key (tombstone).
     pub fn delete(&mut self, table: &str, key: u64) -> NkvResult<()> {
+        self.advance_horizon(self.clock);
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         t.lsm.delete(key);
         self.maintain(table)
@@ -516,6 +531,7 @@ impl NkvDb {
 
     /// Force-flush a table's memtable.
     pub fn flush(&mut self, table: &str) -> NkvResult<()> {
+        self.advance_horizon(self.clock);
         let now = self.clock;
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let done = t.lsm.flush(&mut self.platform.flash, &mut self.alloc, now)?;
@@ -531,6 +547,7 @@ impl NkvDb {
     where
         I: IntoIterator<Item = Vec<u8>>,
     {
+        self.advance_horizon(self.clock);
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let (flash, dups) = (&mut self.platform.flash, !t.unique_keys);
         let (loaded, done) = t.lsm.bulk_load(flash, &mut self.alloc, records, dups, self.clock)?;
@@ -648,6 +665,7 @@ impl NkvDb {
         op: &LogicalOp,
         backend: Backend,
     ) -> NkvResult<PlanOutcome> {
+        self.advance_horizon(self.clock);
         let (outcome, _) = self.execute_at(table, op, backend, self.clock)?;
         let report = *outcome.report();
         let (kind, bytes) = match &outcome {
@@ -805,6 +823,7 @@ impl NkvDb {
     /// a cut mid-persist leaves the old manifest valid (recovery picks
     /// the newest slot whose CRC verifies).
     pub fn persist(&mut self) -> NkvResult<()> {
+        self.advance_horizon(self.clock);
         let manifest = crate::recovery::Manifest {
             epoch: self.manifest_epoch + 1,
             tables: self

@@ -250,6 +250,10 @@ impl NkvDb {
         let mut latency = LatencyHistogram::new();
         let mut cid: u16 = 0;
         while let Some(Reverse((at, prio, client, seq))) = ready.pop() {
+            // Pops come in submit-time order and every job a command
+            // issues arrives at or after its submit time, so `at` is the
+            // horizon (not `fetch`: the SQE fetch rides the link before it).
+            self.advance_horizon(at);
             // Every pop is a group of `n >= 1` commands with consecutive
             // seqs. Auto-batching folds the client's *adjacent* ready
             // GETs — same submit time, distinct keys, up to `cfg.batch` —
