@@ -19,7 +19,7 @@
 use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC, REF_PE};
-use nkv::{Backend, LogicalOp, NkvDb, TableConfig};
+use nkv::{Backend, LogicalOp, NkvDb, TableConfig, Tier};
 
 /// Streams the refs table's scan plans fan out to in the explain device
 /// (and the device the README example builds).
@@ -113,13 +113,13 @@ pub fn explain(
     backend: &str,
     cache_mb: usize,
 ) -> Result<String, String> {
-    let backend = match backend {
-        "sw" => Some(Backend::Software),
-        "hw" => Some(Backend::Hardware),
-        "hybrid" => Some(Backend::Hybrid),
+    let tier = match backend {
+        "sw" => Tier::Forced(Backend::Software),
+        "hw" => Tier::Forced(Backend::Hardware),
+        "hybrid" => Tier::Forced(Backend::Hybrid),
         // Cost-based tier selection: the plan renders with the chosen
         // tier plus the per-tier estimates that drove the choice.
-        "adaptive" => None,
+        "adaptive" => Tier::Adaptive,
         other => {
             return Err(format!("unknown backend `{other}` (want sw, hw, hybrid or adaptive)"))
         }
@@ -129,10 +129,7 @@ pub fn explain(
     }
     let op = parse_query(table, query)?;
     let db = explain_db(cache_mb);
-    match backend {
-        Some(b) => db.explain(table, &op, b).map_err(|e| e.to_string()),
-        None => db.explain_adaptive(table, &op).map_err(|e| e.to_string()),
-    }
+    db.explain(table, &op, tier).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -432,12 +432,9 @@ pub fn cluster_profile(scale: f64, n_gets: u32, devices: usize) -> ClusterProfil
         let got = cluster.get("papers", p.id, Backend::Hardware).expect("get succeeds");
         assert!(got.record.is_some(), "key {} must exist", p.id);
     }
+    let rules = vec![FilterRule { lane: paper_lanes::YEAR, op_code: ops::GE, value: 2019 }];
     cluster
-        .scan(
-            "papers",
-            &[FilterRule { lane: paper_lanes::YEAR, op_code: ops::GE, value: 2019 }],
-            Backend::Hardware,
-        )
+        .execute("papers", &nkv::LogicalOp::Scan { rules }, Backend::Hardware)
         .expect("fleet scan succeeds");
 
     let stats = cluster.cluster_stats();

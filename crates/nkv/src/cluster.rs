@@ -9,11 +9,14 @@
 //!
 //! * [`NkvCluster`] — a router over N independent [`NkvDb`] instances
 //!   (each its own `CosmosPlatform`). Keys are placed by a
-//!   [`ShardStrategy`] (stateless hash or explicit range boundaries);
-//!   GET routes to one shard, SCAN / RANGE_SCAN / aggregate fan out
-//!   device-parallel and merge in shard-index order. With one device the
-//!   router is a pass-through: every result is byte-identical to calling
-//!   the [`NkvDb`] directly.
+//!   [`ShardStrategy`] (stateless hash or explicit range boundaries).
+//!   Every read is one call, [`NkvCluster::execute`], taking the same
+//!   [`LogicalOp`] and [`Tier`] as [`NkvDb::execute`] and returning the
+//!   same [`PlanOutcome`]: GET routes to one shard, a batched GET splits
+//!   per shard, SCAN / RANGE_SCAN / aggregate fan out device-parallel,
+//!   and one merge puts the answers back together in shard-index order.
+//!   With one device the router is a pass-through: every result is
+//!   byte-identical to calling the [`NkvDb`] directly.
 //! * **Health FSM** — each shard runs `Healthy → Degraded → Quarantined
 //!   → Dead` (with `Recovered` on the way back), driven by the typed
 //!   [`NkvError`]s and device-level fault admissions the shard returns.
@@ -36,17 +39,17 @@
 //! Nothing here consults a clock or RNG of its own, so a seeded chaos
 //! campaign replays exactly.
 
-use crate::db::{NkvDb, ScanSummary, TableConfig};
+use crate::db::{MultiGetResults, NkvDb, TableConfig};
 use crate::error::{NkvError, NkvResult};
-use crate::exec::ResilienceConfig;
+use crate::exec::{ResilienceConfig, SimReport};
 use crate::metrics::{fmt_ns, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind};
-use crate::plan::{Backend, LogicalOp};
+use crate::plan::{Backend, LogicalOp, PlanOutcome, Tier};
 use crate::queue::{ClientScript, QueueRunConfig, QueuedOp};
 use cosmos_sim::{
     ns_to_secs, CacheStats, CosmosConfig, CosmosPlatform, DeviceAdmission, DeviceFaultKind,
     DeviceFaultPlan, DeviceFaultStats, DeviceTrace, RouterSpan, RouterSpanKind, SimNs,
 };
-use ndp_pe::oracle::FilterRule;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Simulated cost of one router dispatch/merge step (the host-side hop
@@ -345,48 +348,6 @@ pub struct ClusterGet {
     /// which errors instead).
     pub missing_shards: Vec<usize>,
     /// Simulated device time, including router backoff.
-    pub sim_ns: SimNs,
-}
-
-/// A cluster batched GET's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterMultiGet {
-    /// Per-key outcomes, in input-key order. A key on a missing shard
-    /// (under [`ReadPolicy::Available`]) reads as `Ok(None)`, exactly
-    /// like the single-key path; per-key logic errors from a serving
-    /// shard keep their typed [`NkvError`].
-    pub results: Vec<NkvResult<Option<Vec<u8>>>>,
-    /// Shards that could not serve their slice of the batch.
-    pub missing_shards: Vec<usize>,
-    /// Max participant device time (shard batches run device-parallel).
-    pub sim_ns: SimNs,
-}
-
-/// A cluster scan's outcome: surviving shards' records concatenated in
-/// shard-index order (each shard's records are in its own key order).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterScan {
-    /// Matched output tuples, back to back.
-    pub records: Vec<u8>,
-    /// Matched tuple count.
-    pub count: u64,
-    /// Shards that could not serve.
-    pub missing_shards: Vec<usize>,
-    /// Max participant device time (the fan-out is device-parallel).
-    pub sim_ns: SimNs,
-}
-
-/// A cluster aggregate's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterAggregate {
-    /// Merged accumulator (COUNT/SUM add, MIN/MAX compare). Meaningless
-    /// when `any` is false.
-    pub value: u64,
-    /// Whether any surviving shard matched at least one record.
-    pub any: bool,
-    /// Shards that could not serve.
-    pub missing_shards: Vec<usize>,
-    /// Max participant device time.
     pub sim_ns: SimNs,
 }
 
@@ -1061,139 +1022,86 @@ impl NkvCluster {
         Ok(())
     }
 
-    /// Cluster point lookup: routes to the key's shard.
-    pub fn get(&mut self, table: &str, key: u64, backend: Backend) -> NkvResult<ClusterGet> {
-        let op = LogicalOp::Get { key };
-        let mut record = None;
-        let (missing_shards, sim_ns) = self.fanout(
-            [self.shard_for_key(key)],
-            |_, db| db.execute(table, &op, backend)?.into_point().map(|(r, rep)| (r, rep.sim_ns)),
-            |_, r| record = r,
-        )?;
-        Ok(ClusterGet { record, missing_shards, sim_ns })
-    }
-
-    /// Cluster batched GET: validates the whole key list against the
-    /// key-list descriptor contract, splits it per shard (each slice
-    /// keeps the input's relative order), runs one batched-GET physical
-    /// op per shard in shard-index order, and scatters the per-key
-    /// results back to input-key order — the same bytes an unbatched
-    /// per-key fan-out would produce.
-    pub fn multi_get(
+    /// The one fleet read: route `op` to the shards that can hold its
+    /// answer, run it on each through [`NkvDb::execute`] on `tier`, and
+    /// merge the answers in shard order into the outcome one device
+    /// would give. Returns that outcome and the shards that could not
+    /// serve (empty under [`ReadPolicy::Strict`], which errors instead).
+    ///
+    /// * GET goes to the key's shard. A batched GET is validated whole
+    ///   against the key-list descriptor contract, then split per shard,
+    ///   each slice in the input's relative order; its per-key results
+    ///   scatter back to input order, and a key on a missing shard reads
+    ///   as `Ok(None)`, exactly like a plain GET.
+    /// * SCAN and aggregate fan out to every shard. RANGE_SCAN, under
+    ///   range sharding, visits only the shards whose interval meets
+    ///   `[lo, hi)`: the pruned ones provably hold nothing, so they are
+    ///   not missing. A route that leaves no shard still validates `op`
+    ///   against shard 0's table and returns its error.
+    /// * Records concatenate; accumulators merge (COUNT/SUM add with
+    ///   wraparound, MIN/MAX compare; a shard without a match does not
+    ///   contribute).
+    ///
+    /// On [`Tier::Adaptive`] every shard prices `op` against its own
+    /// shape (shard data volumes and cache heat diverge under skew) and
+    /// runs its own pick, so one fan-out can mix tiers; the bytes do not
+    /// depend on the mix. The outcome's report carries only `sim_ns`:
+    /// the slowest participant's time, router backoff included.
+    pub fn execute(
         &mut self,
         table: &str,
-        keys: &[u64],
-        backend: Backend,
-    ) -> NkvResult<ClusterMultiGet> {
-        // Shape violations (empty, duplicate, over-capacity) are logic
-        // errors on the full input list, before any shard is touched.
-        cosmos_sim::KeyListDescriptor::new(keys)
-            .map_err(|e| NkvError::Config(format!("cluster batched GET on `{table}`: {e}")))?;
-        // Per shard: the input slots it answers and its slice of keys.
-        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut shard_keys: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            let shard = self.shard_for_key(k);
-            slots[shard].push(i);
-            shard_keys[shard].push(k);
-        }
-        let ops: Vec<LogicalOp> =
-            shard_keys.into_iter().map(|keys| LogicalOp::MultiGet { keys }).collect();
-        let mut results: Vec<NkvResult<Option<Vec<u8>>>> = keys.iter().map(|_| Ok(None)).collect();
-        let (missing_shards, sim_ns) = self.fanout(
-            (0..slots.len()).filter(|&s| !slots[s].is_empty()),
-            |shard, db| {
-                db.execute(table, &ops[shard], backend)?
-                    .into_batch()
-                    .map(|(r, rep)| (r, rep.sim_ns))
-            },
-            |shard, shard_results: Vec<_>| {
-                for (&slot, r) in slots[shard].iter().zip(shard_results) {
-                    results[slot] = r;
+        op: &LogicalOp,
+        tier: impl Into<Tier>,
+    ) -> NkvResult<(PlanOutcome, Vec<usize>)> {
+        let tier = tier.into();
+        // Per shard, the op it runs: a batched GET's slice, else `op`.
+        let mut ops = vec![Cow::Borrowed(op); self.shards.len()];
+        let participants = match op {
+            LogicalOp::Get { key } => vec![self.shard_for_key(*key)],
+            LogicalOp::MultiGet { keys } => {
+                // Shape violations (empty, duplicate, over-capacity) are
+                // logic errors on the full input list, before any shard
+                // is touched.
+                cosmos_sim::KeyListDescriptor::new(keys).map_err(|e| {
+                    NkvError::Config(format!("cluster batched GET on `{table}`: {e}"))
+                })?;
+                let mut slices = vec![Vec::new(); self.shards.len()];
+                for &key in keys {
+                    slices[self.shard_for_key(key)].push(key);
                 }
+                let participants = (0..slices.len()).filter(|&s| !slices[s].is_empty()).collect();
+                for (shard_op, keys) in ops.iter_mut().zip(slices) {
+                    *shard_op = Cow::Owned(LogicalOp::MultiGet { keys });
+                }
+                participants
+            }
+            LogicalOp::RangeScan { lo, hi } => self.participants(Some((*lo, *hi))),
+            LogicalOp::Scan { .. } | LogicalOp::ScanAggregate { .. } => self.participants(None),
+        };
+        if participants.is_empty() {
+            // Nothing runs, but `op` fails where one device would fail it.
+            let db = &self.shards[0].db;
+            db.plan(table, op, db.resolve_tier(table, op, tier)?.0)?;
+        }
+        let mut parts = Vec::with_capacity(participants.len());
+        let (missing, sim_ns) = self.fanout(
+            participants,
+            |shard, db| {
+                let outcome = db.execute(table, &ops[shard], tier)?;
+                let ns = outcome.report().sim_ns;
+                Ok((outcome, ns))
             },
+            |shard, outcome| parts.push((shard, outcome)),
         )?;
-        Ok(ClusterMultiGet { results, missing_shards, sim_ns })
+        Ok((self.merge_outcome(op, parts, sim_ns)?, missing))
     }
 
-    /// Cluster SCAN: fan out to every shard, concatenate surviving
-    /// results in shard-index order.
-    pub fn scan(
-        &mut self,
-        table: &str,
-        rules: &[FilterRule],
-        backend: Backend,
-    ) -> NkvResult<ClusterScan> {
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        self.fanout_scan(None, |_, db| db.execute(table, &op, backend)?.into_scan())
-    }
-
-    /// Cluster SCAN with cost-based tier selection: every serving shard
-    /// prices the scan against its *own* shape (shard data volumes and
-    /// cache heat diverge under skew) and runs whichever tier its model
-    /// picks, so one fan-out can mix software and hardware shards.
-    /// Returns the merged scan plus each shard's chosen tier, in shard
-    /// order. Results are byte-identical to any forced-tier fan-out.
-    pub fn scan_adaptive(
-        &mut self,
-        table: &str,
-        rules: &[FilterRule],
-    ) -> NkvResult<(ClusterScan, Vec<(usize, Backend)>)> {
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        let mut tiers: Vec<(usize, Backend)> = Vec::new();
-        let scan = self.fanout_scan(None, |shard, db| {
-            let (outcome, cost) = db.execute_adaptive(table, &op)?;
-            let scan = outcome.into_scan()?;
-            // An `Ok` is final (the router only retries faults), so each
-            // answering shard reports its tier exactly once.
-            tiers.push((shard, cost.chosen));
-            Ok(scan)
-        })?;
-        Ok((scan, tiers))
-    }
-
-    /// Cluster RANGE_SCAN (`lo <= key < hi`). Under range sharding,
-    /// shards whose key interval cannot intersect the range are pruned
-    /// (provably empty, not "missing").
-    pub fn range_scan(
-        &mut self,
-        table: &str,
-        lo: u64,
-        hi: u64,
-        backend: Backend,
-    ) -> NkvResult<ClusterScan> {
-        let op = LogicalOp::RangeScan { lo, hi };
-        self.fanout_scan(Some((lo, hi)), |_, db| db.execute(table, &op, backend)?.into_scan())
-    }
-
-    /// Cluster aggregate SCAN: fan out, merge accumulators (COUNT/SUM
-    /// add with wraparound, MIN/MAX compare; shards with no matching
-    /// rows don't contribute).
-    pub fn scan_aggregate(
-        &mut self,
-        table: &str,
-        rules: &[FilterRule],
-        agg: ndp_ir::AggOp,
-        lane: u32,
-        backend: Backend,
-    ) -> NkvResult<ClusterAggregate> {
-        let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        let mut merged: Option<(u64, bool)> = None;
-        let (missing_shards, sim_ns) = self.fanout(
-            self.participants(None),
-            |_, db| {
-                let (value, any, report) = db.execute(table, &op, backend)?.into_aggregate()?;
-                Ok(((value, any), report.sim_ns))
-            },
-            |_, part| {
-                merged = Some(match merged {
-                    None => part,
-                    Some(acc) => merge_agg(agg, acc, part),
-                });
-            },
-        )?;
-        let (value, any) = merged.unwrap_or((0, false));
-        Ok(ClusterAggregate { value, any, missing_shards, sim_ns })
+    /// Cluster point lookup: [`execute`](Self::execute) of a
+    /// [`LogicalOp::Get`], unwrapped.
+    pub fn get(&mut self, table: &str, key: u64, backend: Backend) -> NkvResult<ClusterGet> {
+        let (outcome, missing_shards) = self.execute(table, &LogicalOp::Get { key }, backend)?;
+        let (record, report) = outcome.into_point()?;
+        Ok(ClusterGet { record, missing_shards, sim_ns: report.sim_ns })
     }
 
     /// Run every client's script through the cluster: each op is routed
@@ -1279,29 +1187,53 @@ impl NkvCluster {
         Ok(ClusterRunReport { logical_ops, completions, span_ns: span, latency, shard_spans })
     }
 
-    /// SCAN/RANGE_SCAN: run `call` on every participant and concatenate
-    /// the records in shard-index order. `range` enables shard pruning
-    /// under range sharding.
-    fn fanout_scan(
-        &mut self,
-        range: Option<(u64, u64)>,
-        mut call: impl FnMut(usize, &mut NkvDb) -> NkvResult<ScanSummary>,
-    ) -> NkvResult<ClusterScan> {
-        let (mut records, mut count) = (Vec::new(), 0);
-        let (missing_shards, sim_ns) = self.fanout(
-            self.participants(range),
-            |shard, db| {
-                call(shard, db).map(|scan| {
-                    let ns = scan.report.sim_ns;
-                    (scan, ns)
-                })
-            },
-            |_, scan: ScanSummary| {
-                records.extend_from_slice(&scan.records);
-                count += scan.count;
-            },
-        )?;
-        Ok(ClusterScan { records, count, missing_shards, sim_ns })
+    /// Merge the answering shards' outcomes, in shard order, into one
+    /// outcome of `op`'s shape whose report carries only `sim_ns`.
+    fn merge_outcome(
+        &self,
+        op: &LogicalOp,
+        parts: Vec<(usize, PlanOutcome)>,
+        sim_ns: SimNs,
+    ) -> NkvResult<PlanOutcome> {
+        let report = SimReport { sim_ns, ..SimReport::default() };
+        Ok(match op {
+            LogicalOp::Get { .. } => {
+                let mut record = None;
+                for (_, part) in parts {
+                    record = part.into_point()?.0;
+                }
+                PlanOutcome::Point { record, report }
+            }
+            LogicalOp::MultiGet { keys } => {
+                let mut results: MultiGetResults = keys.iter().map(|_| Ok(None)).collect();
+                for (shard, part) in parts {
+                    let slots = (0..keys.len()).filter(|&i| self.shard_for_key(keys[i]) == shard);
+                    for (slot, r) in slots.zip(part.into_batch()?.0) {
+                        results[slot] = r;
+                    }
+                }
+                PlanOutcome::Batch { results, report }
+            }
+            LogicalOp::Scan { .. } | LogicalOp::RangeScan { .. } => {
+                let (mut records, mut count) = (Vec::new(), 0);
+                for (_, part) in parts {
+                    let scan = part.into_scan()?;
+                    records.extend_from_slice(&scan.records);
+                    count += scan.count;
+                }
+                PlanOutcome::Records { records, count, report }
+            }
+            LogicalOp::ScanAggregate { agg, .. } => {
+                let mut merged: Option<(u64, bool)> = None;
+                for (_, part) in parts {
+                    let (value, any, _) = part.into_aggregate()?;
+                    merged =
+                        Some(merged.map_or((value, any), |acc| merge_agg(*agg, acc, (value, any))));
+                }
+                let (value, any) = merged.unwrap_or((0, false));
+                PlanOutcome::Aggregate { value, any, report }
+            }
+        })
     }
 
     /// The one read fan-out every cluster read runs through: give

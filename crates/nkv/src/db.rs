@@ -13,7 +13,7 @@ use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
-use crate::plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome};
+use crate::plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier};
 use cosmos_sim::faults::{DramFaultStats, FlashFaultStats};
 use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
@@ -637,10 +637,13 @@ impl NkvDb {
         PhysicalPlan::lower(op, backend, &t.exec.caps(), table)
     }
 
-    /// `EXPLAIN`: render the physical plan a logical operation lowers to,
-    /// using the table's operator symbols.
-    pub fn explain(&self, table: &str, op: &LogicalOp, backend: Backend) -> NkvResult<String> {
+    /// `EXPLAIN`: render the physical plan a logical operation lowers to
+    /// on `tier`, using the table's operator symbols. On the adaptive
+    /// tier the per-tier cost estimates and the promotion state that
+    /// drove the choice follow the plan.
+    pub fn explain(&self, table: &str, op: &LogicalOp, tier: impl Into<Tier>) -> NkvResult<String> {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
+        let (backend, cost) = self.resolve_tier(table, op, tier.into())?;
         let plan = PhysicalPlan::lower(op, backend, &t.exec.caps(), table)?;
         let mut text = plan.explain(table, &t.exec.ops);
         // The cache line appears only when the cache is on, keeping the
@@ -651,20 +654,27 @@ impl NkvDb {
                 c.budget_bytes() / 1024
             ));
         }
+        if let Some(cost) = cost {
+            text.push_str(&cost.render());
+        }
         Ok(text)
     }
 
-    /// Plan and execute a logical operation on the chosen backend,
-    /// advancing the device clock and recording the op. Every query —
-    /// the typed wrappers above, the adaptive planner, the cluster
-    /// router — enters here; the queue engine enters one level down, at
-    /// `execute_at`, with its own clock.
+    /// Plan and execute a logical operation on `tier`, advancing the
+    /// device clock and recording the op. On [`Tier::Adaptive`] it runs
+    /// whichever backend [`choose_backend`](Self::choose_backend) picks,
+    /// then feeds the observed latency back into the table's adaptive
+    /// state so repeated shapes are re-costed (SW→HW promotion for hot
+    /// flash-heavy scans). Every query — the typed wrappers above, the
+    /// cluster router — enters here; the queue engine enters one level
+    /// down, at `execute_at`, with its own clock.
     pub fn execute(
         &mut self,
         table: &str,
         op: &LogicalOp,
-        backend: Backend,
+        tier: impl Into<Tier>,
     ) -> NkvResult<PlanOutcome> {
+        let (backend, cost) = self.resolve_tier(table, op, tier.into())?;
         self.advance_horizon(self.clock);
         let (outcome, _) = self.execute_at(table, op, backend, self.clock)?;
         let report = *outcome.report();
@@ -681,6 +691,11 @@ impl NkvDb {
         };
         self.clock += report.sim_ns;
         self.observe(kind, report.sim_ns, bytes);
+        if let Some(cost) = cost {
+            let t =
+                self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
+            t.adapt.record(cost.class, backend, report.sim_ns);
+        }
         Ok(outcome)
     }
 
@@ -764,31 +779,20 @@ impl NkvDb {
         Ok((report.chosen, report))
     }
 
-    /// Plan and execute `op` on whichever tier
-    /// [`choose_backend`](Self::choose_backend) picks, then feed the
-    /// observed latency back into the table's adaptive state so repeated
-    /// shapes are re-costed (SW→HW promotion for hot flash-heavy scans).
-    pub fn execute_adaptive(
-        &mut self,
+    /// The backend `tier` runs `op` on, with the cost report behind an
+    /// adaptive pick.
+    pub(crate) fn resolve_tier(
+        &self,
         table: &str,
         op: &LogicalOp,
-    ) -> NkvResult<(PlanOutcome, CostReport)> {
-        let (backend, report) = self.choose_backend(table, op)?;
-        let outcome = self.execute(table, op, backend)?;
-        let observed = outcome.report().sim_ns;
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        t.adapt.record(report.class, backend, observed);
-        Ok((outcome, report))
-    }
-
-    /// `EXPLAIN` for the adaptive planner: the chosen tier's plan plus
-    /// the per-tier cost estimates and the promotion state that drove
-    /// the decision.
-    pub fn explain_adaptive(&self, table: &str, op: &LogicalOp) -> NkvResult<String> {
-        let (backend, report) = self.choose_backend(table, op)?;
-        let mut text = self.explain(table, op, backend)?;
-        text.push_str(&report.render());
-        Ok(text)
+        tier: Tier,
+    ) -> NkvResult<(Backend, Option<CostReport>)> {
+        match tier {
+            Tier::Forced(backend) => Ok((backend, None)),
+            Tier::Adaptive => {
+                self.choose_backend(table, op).map(|(backend, cost)| (backend, Some(cost)))
+            }
+        }
     }
 
     /// Change how many parallel PE job streams a table's hardware scans
@@ -1180,6 +1184,38 @@ mod tests {
         assert_eq!(ours.inputs, base.inputs, "two tables of one shape");
         let hw = |r: &CostReport| r.tiers[1].cost_ns.expect("the hardware tier lowers");
         assert_eq!(hw(&ours) - hw(&base), ours.inputs.flash_blocks as f64 * 534.0);
+    }
+
+    /// The adaptive tier runs exactly what `choose_backend` picks: on
+    /// two identical devices, `Tier::Adaptive` and that pick forced give
+    /// equal outcomes and reports, and only the adaptive run is recorded,
+    /// as one sighting of the op's class. Repeating the scan promotes it
+    /// off the ARM, so the picks are not all one backend.
+    #[test]
+    fn adaptive_tier_runs_the_backend_choose_backend_picks() {
+        let cfg = PubGraphConfig { papers: 3000, refs: 0, seed: 7 };
+        let [mut adaptive, mut forced] = [(), ()].map(|()| {
+            let mut db = paper_db(1, PeVariant::Generated);
+            db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+            db
+        });
+        let year = FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2000 };
+        let scan = LogicalOp::Scan { rules: vec![year] };
+        let get = LogicalOp::Get { key: PaperGen::paper_at(&cfg, 17).id };
+        let mut picks = Vec::new();
+        for op in [vec![scan; 6], vec![get]].concat() {
+            let class = crate::cost::OpClass::of(&op);
+            let seen = adaptive.tables["papers"].adapt.seen(class);
+            let (pick, _) = adaptive.choose_backend("papers", &op).unwrap();
+            let a = adaptive.execute("papers", &op, Tier::Adaptive).unwrap();
+            let f = forced.execute("papers", &op, pick).unwrap();
+            assert_eq!(a, f, "{op:?} on {pick:?}");
+            assert_eq!(adaptive.tables["papers"].adapt.seen(class), seen + 1, "{op:?}");
+            assert_eq!(forced.tables["papers"].adapt.seen(class), 0, "{op:?}");
+            picks.push(pick);
+        }
+        assert!(picks.contains(&Backend::Software), "{picks:?}");
+        assert!(picks.iter().any(|&b| b != Backend::Software), "{picks:?}");
     }
 
     #[test]

@@ -81,9 +81,8 @@ pub mod sst;
 pub mod util;
 
 pub use cluster::{
-    ClusterAggregate, ClusterConfig, ClusterGet, ClusterHealthReport, ClusterMultiGet,
-    ClusterRunReport, ClusterScan, ClusterStats, HealthFsmConfig, NkvCluster, ReadPolicy,
-    ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
+    ClusterConfig, ClusterGet, ClusterHealthReport, ClusterRunReport, ClusterStats,
+    HealthFsmConfig, NkvCluster, ReadPolicy, ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
 };
 pub use cost::{AdaptState, CostInputs, CostReport, OpClass, TierCost, PROMOTE_AFTER};
 pub use db::{HealthReport, MultiGetResults, NkvDb, ScanSummary, TableConfig};
@@ -91,7 +90,7 @@ pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};
 pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
-pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome};
+pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome, Tier};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};
 
 #[cfg(test)]

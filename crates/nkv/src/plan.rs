@@ -74,6 +74,25 @@ impl Backend {
     }
 }
 
+/// Which tier runs an operation: one the caller forces, or the
+/// cost-based planner's pick (`NkvDb::choose_backend`), whose observed
+/// latency then feeds the table's adaptive state. A [`Backend`] converts
+/// into its forced tier, so `execute(table, &op, Backend::Hardware)`
+/// reads as before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Run on this backend.
+    Forced(Backend),
+    /// Run on the tier the cost model picks for the table as it is now.
+    Adaptive,
+}
+
+impl From<Backend> for Tier {
+    fn from(backend: Backend) -> Tier {
+        Tier::Forced(backend)
+    }
+}
+
 /// What a table's executor can do — the planner's view of the device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanCaps {
@@ -353,7 +372,7 @@ fn required_op(code: Option<u32>, name: &str, what: &str, table: &str) -> NkvRes
 }
 
 /// What executing a plan produced (see `NkvDb::execute`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanOutcome {
     /// A filter scan's reconciled records.
     Records { records: Vec<u8>, count: u64, report: SimReport },
@@ -380,20 +399,22 @@ impl PlanOutcome {
         }
     }
 
-    // The typed views the `NkvDb` wrappers and the cluster router take
-    // of an outcome. A lowered op's outcome always has the shape of its
-    // `LogicalOp`, so the error arm means the dispatch itself is broken.
+    // The typed views of an outcome. An executed op's outcome always
+    // has the shape of its `LogicalOp`, so each error arm means the
+    // caller unwrapped the wrong shape or the dispatch itself is broken.
 
-    pub(crate) fn into_point(self) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
+    /// A GET's record and report.
+    pub fn into_point(self) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
         match self {
             PlanOutcome::Point { record, report } => Ok((record, report)),
             other => Err(other.wrong_shape("point lookup")),
         }
     }
 
+    /// A batched GET's per-key outcomes, in key order, and its report.
     /// A single-key batch lowers to the plain point lookup; it reads
     /// back as a batch of one.
-    pub(crate) fn into_batch(self) -> NkvResult<(crate::db::MultiGetResults, SimReport)> {
+    pub fn into_batch(self) -> NkvResult<(crate::db::MultiGetResults, SimReport)> {
         match self {
             PlanOutcome::Batch { results, report } => Ok((results, report)),
             PlanOutcome::Point { record, report } => Ok((vec![Ok(record)], report)),
@@ -401,7 +422,8 @@ impl PlanOutcome {
         }
     }
 
-    pub(crate) fn into_scan(self) -> NkvResult<crate::db::ScanSummary> {
+    /// A SCAN's or RANGE_SCAN's records, count and report.
+    pub fn into_scan(self) -> NkvResult<crate::db::ScanSummary> {
         match self {
             PlanOutcome::Records { records, count, report } => {
                 Ok(crate::db::ScanSummary { records, count, report })
@@ -410,7 +432,8 @@ impl PlanOutcome {
         }
     }
 
-    pub(crate) fn into_aggregate(self) -> NkvResult<(u64, bool, SimReport)> {
+    /// An aggregate's `(value, any_rows, report)`.
+    pub fn into_aggregate(self) -> NkvResult<(u64, bool, SimReport)> {
         match self {
             PlanOutcome::Aggregate { value, any, report } => Ok((value, any, report)),
             other => Err(other.wrong_shape("aggregate scan")),

@@ -43,8 +43,20 @@ else
     cargo test --workspace -q
 fi
 
-echo "==> profiling example runs"
-cargo run --release --example profiling -- target/profile_trace.json > /dev/null
+echo "==> every example runs"
+# An API change that still compiles can panic in an example; each takes
+# milliseconds in release. Those that write files write under target/.
+cargo build --release -q --examples
+for src in examples/*.rs; do
+    example=$(basename "$src" .rs)
+    case $example in
+        codegen_export) args=(target/codegen_export) ;;
+        profiling) args=(target/profile_trace.json) ;;
+        *) args=() ;;
+    esac
+    echo "  $example"
+    "target/release/examples/$example" "${args[@]}" > /dev/null
+done
 
 cargo build --release -p bench -q
 repro=target/release/repro

@@ -29,7 +29,7 @@ mod common;
 use common::{puts, record_for, run, run_reports, trip, Cfg, Mix, Op, Weather};
 use cosmos_sim::DeviceFaultKind;
 use ndp_swgen::{job_io, DriverProfile, PeInvoke};
-use nkv::{Backend, NkvError, ReadPolicy};
+use nkv::{Backend, LogicalOp, NkvError, ReadPolicy};
 
 const BATCHES: [usize; 4] = [1, 2, 16, 64];
 
@@ -217,6 +217,7 @@ fn cluster_batches_split_per_shard_and_merge_like_unbatched_fanout() {
 fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
     let victim = 2usize;
     let keys: Vec<u64> = (1..=64).collect();
+    let batch = LogicalOp::MultiGet { keys: keys.clone() };
     for kind in [DeviceFaultKind::Hang, DeviceFaultKind::PowerCut] {
         let [(mut available, model), (mut strict, _)] =
             [ReadPolicy::Available, ReadPolicy::Strict].map(|policy| fleet(policy).loaded(400));
@@ -226,10 +227,11 @@ fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
         trip(cluster, victim, kind);
         let mut saw_missing = false;
         for _ in 0..6 {
-            let got = cluster.multi_get("papers", &keys, Backend::Hardware).unwrap();
-            for (key, res) in keys.iter().zip(&got.results) {
+            let (got, missing) = cluster.execute("papers", &batch, Backend::Hardware).unwrap();
+            let (results, _) = got.into_batch().unwrap();
+            for (key, res) in keys.iter().zip(&results) {
                 let rec = res.as_ref().unwrap_or_else(|e| panic!("{kind:?}: get({key}) -> {e}"));
-                if cluster.shard_for_key(*key) == victim && !got.missing_shards.is_empty() {
+                if cluster.shard_for_key(*key) == victim && !missing.is_empty() {
                     assert_eq!(*rec, None, "{kind:?}: victim key {key} must read as a hole");
                 } else {
                     assert_eq!(
@@ -239,8 +241,8 @@ fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
                     );
                 }
             }
-            if !got.missing_shards.is_empty() {
-                assert_eq!(got.missing_shards, vec![victim], "{kind:?}");
+            if !missing.is_empty() {
+                assert_eq!(missing, vec![victim], "{kind:?}");
                 saw_missing = true;
             }
         }
@@ -251,7 +253,7 @@ fn shard_fault_mid_batch_names_the_hole_or_fails_typed() {
         trip(strict, victim, kind);
         let mut failed = false;
         for _ in 0..6 {
-            match strict.multi_get("papers", &keys, Backend::Hardware) {
+            match strict.execute("papers", &batch, Backend::Hardware) {
                 Ok(_) => {}
                 Err(NkvError::ShardUnavailable { shard, .. }) => {
                     assert_eq!(shard, victim, "{kind:?}");

@@ -24,15 +24,15 @@
 
 mod common;
 
-use common::{lt, record_for, run_reports, trip, Cfg, Op, Table};
+use common::{lt, record_for, run_reports, trip, Cfg, Op, Table, Tier};
 use cosmos_sim::DeviceFaultKind;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::paper_lanes;
 use ndp_workload::SplitMix64;
 use nkv::{
-    Backend, ClientScript, ClusterConfig, LogicalOp, NkvCluster, NkvDb, NkvError, PlanOutcome,
-    QueueRunConfig, QueuedOp, ReadPolicy, ShardState,
+    Backend, ClientScript, ClusterConfig, LogicalOp, NkvCluster, NkvDb, NkvError, NkvResult,
+    PlanOutcome, QueueRunConfig, QueuedOp, ReadPolicy, ScanSummary, ShardState,
 };
 
 /// The chaos suite's tiny-LSM papers table with `pes` PEs on `devices`
@@ -79,6 +79,14 @@ fn shard_scan_bytes(cluster: &mut NkvCluster, shard: usize, backend: Backend) ->
     }
 }
 
+/// A fleet-wide full scan through `backend`: the merged records and the
+/// shards that could not serve.
+fn fleet_scan(cluster: &mut NkvCluster, backend: Backend) -> NkvResult<(ScanSummary, Vec<usize>)> {
+    let (outcome, missing) =
+        cluster.execute("papers", &LogicalOp::Scan { rules: all_rules() }, backend)?;
+    Ok((outcome.into_scan()?, missing))
+}
+
 /// One seeded mid-run device-fault campaign: load, capture the per-shard
 /// byte reference, trip `kind` on one device, drive reads through
 /// `backend` while asserting survivor byte-identity and FSM
@@ -92,10 +100,10 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
     let per_shard: Vec<(Vec<u8>, u64)> =
         (0..4).map(|s| shard_scan_bytes(cluster, s, backend)).collect();
     let full: Vec<u8> = per_shard.iter().flat_map(|(r, _)| r.clone()).collect();
-    let pre = cluster.scan("papers", &all_rules(), backend).unwrap();
+    let (pre, missing) = fleet_scan(cluster, backend).unwrap();
     assert_eq!(pre.records, full, "{ctx}: clean cluster scan must concat shard scans in order");
     assert_eq!(pre.count, 400, "{ctx}");
-    assert!(pre.missing_shards.is_empty(), "{ctx}");
+    assert!(missing.is_empty(), "{ctx}");
 
     trip(cluster, victim, kind);
 
@@ -126,17 +134,17 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
         last_severity = severity;
 
         if step % 10 == 9 {
-            let scan = cluster.scan("papers", &all_rules(), backend).unwrap();
+            let (scan, missing) = fleet_scan(cluster, backend).unwrap();
             let expected: Vec<u8> = (0..4usize)
-                .filter(|s| !scan.missing_shards.contains(s))
+                .filter(|s| !missing.contains(s))
                 .flat_map(|s| per_shard[s].0.clone())
                 .collect();
             assert_eq!(
                 scan.records, expected,
                 "{ctx} step {step}: survivors must be byte-identical to the reference"
             );
-            if !scan.missing_shards.is_empty() {
-                assert_eq!(scan.missing_shards, vec![victim], "{ctx} step {step}");
+            if !missing.is_empty() {
+                assert_eq!(missing, vec![victim], "{ctx} step {step}");
                 saw_missing_scan = true;
             }
         }
@@ -159,8 +167,8 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
         assert!(got.missing_shards.is_empty(), "{ctx}: post-heal get({key}) still degraded");
         assert_eq!(got.record.as_ref(), model.get(key), "{ctx}: post-heal get({key}) diverged");
     }
-    let post = cluster.scan("papers", &all_rules(), backend).unwrap();
-    assert!(post.missing_shards.is_empty(), "{ctx}: post-heal scan still degraded");
+    let (post, missing) = fleet_scan(cluster, backend).unwrap();
+    assert!(missing.is_empty(), "{ctx}: post-heal scan still degraded");
     assert_eq!(post.count, 400, "{ctx}: post-heal scan count");
     if kind != DeviceFaultKind::PowerCut {
         // Hang/link-loss leave device state intact, so even the byte
@@ -191,7 +199,8 @@ fn seeded_device_fault_campaigns_every_backend_and_stream_count() {
 }
 
 /// With one device the cluster is a pass-through: identical bytes,
-/// identical simulated time, identical queue report.
+/// identical simulated time, identical queue report — for every read
+/// shape, on a forced tier and on the adaptive one.
 #[test]
 fn single_device_cluster_is_byte_identical_to_a_standalone_db() {
     for backend in [Backend::Software, Backend::Hardware] {
@@ -201,14 +210,21 @@ fn single_device_cluster_is_byte_identical_to_a_standalone_db() {
             let [(mut solo, mut solo_model), (mut cluster, mut cluster_model)] =
                 [solo_cfg, Cfg { devices: 1, ..solo_cfg }].map(|cfg| cfg.loaded(300));
             let mut ops = [1u64, 57, 170, 299, 100_000].map(Op::Get).to_vec();
+            ops.push(Op::MultiGet(vec![1, 57, 299, 100_000]));
+            ops.push(Op::MultiGet(vec![170]));
             ops.push(Op::Scan(all_rules()));
             // RANGE_SCAN is a 2-stage predicate chain and the paper PE has
             // one filtering stage and no aggregation unit, so both run in
             // software (the cluster and the standalone db must agree on
             // that too).
             let software = [Op::RangeScan(50, 150), Op::Aggregate(all_rules(), AggOp::Count, 0)];
-            for (tier, ops) in [(backend, &ops[..]), (Backend::Software, &software[..])] {
-                let solo_cfg = solo_cfg.on(tier);
+            let every = [&ops[..], &software[..]].concat();
+            for (tier, ops) in [
+                (Tier::Forced(backend), &ops[..]),
+                (Tier::Forced(Backend::Software), &software[..]),
+                (Tier::Adaptive, &every[..]),
+            ] {
+                let solo_cfg = Cfg { tier, ..solo_cfg };
                 let a = run_reports(&solo_cfg, &mut solo, &mut solo_model, ops);
                 let fleet_cfg = Cfg { devices: 1, ..solo_cfg };
                 let b = run_reports(&fleet_cfg, &mut cluster, &mut cluster_model, ops);
@@ -267,8 +283,8 @@ fn batched_queued_runs_split_per_shard_and_rejoin_the_unbatched_bytes() {
         let report = cluster
             .run_queued("papers", &scripts, &QueueRunConfig { batch, ..QueueRunConfig::default() })
             .unwrap();
-        let scan = cluster.scan("papers", &all_rules(), Backend::Software).unwrap();
-        assert!(scan.missing_shards.is_empty(), "batch {batch}");
+        let (scan, missing) = fleet_scan(cluster, Backend::Software).unwrap();
+        assert!(missing.is_empty(), "batch {batch}");
         (report, scan)
     };
     let (base, base_scan) = run(1);
@@ -306,7 +322,7 @@ fn strict_policy_turns_a_killed_shard_into_typed_errors() {
         }
         other => panic!("strict get on a hung shard: {other:?}"),
     }
-    match cluster.scan("papers", &all_rules(), Backend::Hardware) {
+    match fleet_scan(cluster, Backend::Hardware) {
         Err(NkvError::ShardUnavailable { shard, .. }) => assert_eq!(shard, victim),
         other => panic!("strict scan with a hung shard: {other:?}"),
     }
@@ -339,7 +355,7 @@ fn shard_state_is_monotone_under_sustained_faults() {
             if rng.gen_bool(0.8) {
                 cluster.get("papers", key, Backend::Hardware).unwrap();
             } else {
-                cluster.scan("papers", &all_rules(), Backend::Software).unwrap();
+                fleet_scan(cluster, Backend::Software).unwrap();
             }
             let severity = cluster.shard_state(victim).unwrap().severity();
             assert!(
@@ -516,13 +532,31 @@ fn range_sharding_prunes_range_scans_to_owning_shards() {
     for s in [1usize, 2] {
         trip(&mut cluster, s, DeviceFaultKind::Hang);
     }
-    let scan = cluster.range_scan("papers", 10, 101, Backend::Software).unwrap();
-    assert_eq!(scan.count, 91, "keys 10..=100 live on shard 0");
-    assert!(scan.missing_shards.is_empty());
+    let range = |lo, hi| LogicalOp::RangeScan { lo, hi };
+    let (scan, missing) = cluster.execute("papers", &range(10, 101), Backend::Software).unwrap();
+    assert_eq!(scan.into_scan().unwrap().count, 91, "keys 10..=100 live on shard 0");
+    assert!(missing.is_empty());
     // A range crossing into shard 1 must hit the hung device and fail
     // strictly.
-    match cluster.range_scan("papers", 50, 150, Backend::Software) {
+    match cluster.execute("papers", &range(50, 150), Backend::Software) {
         Err(NkvError::ShardUnavailable { shard: 1, .. }) => {}
         other => panic!("cross-shard range over a hung device: {other:?}"),
+    }
+    // An empty range prunes every shard, yet is validated like the one
+    // device would: an unknown table and a chain too deep for the 1-stage
+    // paper PE are errors, not empty answers.
+    match cluster.execute("nope", &range(50, 50), Backend::Software) {
+        Err(NkvError::UnknownTable(t)) => assert_eq!(t, "nope"),
+        other => panic!("empty range over an unknown table: {other:?}"),
+    }
+    let deep = "predicate chain of 2 rules exceeds the PE's 1 filtering stage(s)";
+    match cluster.execute("papers", &range(50, 50), Backend::Hardware) {
+        Err(NkvError::Config(e)) => assert_eq!(e, deep),
+        other => panic!("empty range too deep for the PE: {other:?}"),
+    }
+    for tier in [nkv::Tier::Adaptive, Backend::Software.into()] {
+        let (scan, missing) = cluster.execute("papers", &range(50, 50), tier).unwrap();
+        assert_eq!(scan.into_scan().unwrap().count, 0, "{tier:?}");
+        assert!(missing.is_empty(), "{tier:?}");
     }
 }

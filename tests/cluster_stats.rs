@@ -23,7 +23,9 @@ use ndp_ir::elaborate;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
-use nkv::{Backend, ClusterConfig, LatencyHistogram, NkvCluster, ShardState, TableConfig};
+use nkv::{
+    Backend, ClusterConfig, LatencyHistogram, LogicalOp, NkvCluster, ShardState, TableConfig,
+};
 
 fn encode(p: &Paper) -> Vec<u8> {
     let mut v = Vec::with_capacity(80);
@@ -45,8 +47,9 @@ fn record_for(key: u64) -> Vec<u8> {
     encode(&p)
 }
 
-fn all_rules() -> Vec<FilterRule> {
-    vec![FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }]
+/// A match-everything SCAN (year < 3000).
+fn scan_all() -> LogicalOp {
+    LogicalOp::Scan { rules: vec![FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 3000 }] }
 }
 
 /// A loaded cluster with observability on.
@@ -104,7 +107,7 @@ fn cluster_stats_merged_registry_is_the_exact_shard_fold() {
     for key in 1..=60u64 {
         cluster.get("papers", key, Backend::Hardware).unwrap();
     }
-    cluster.scan("papers", &all_rules(), Backend::Hardware).unwrap();
+    cluster.execute("papers", &scan_all(), Backend::Hardware).unwrap();
 
     let stats = cluster.cluster_stats();
     assert_eq!(stats.shards.len(), 3);
@@ -141,7 +144,7 @@ fn busy_time_is_conserved_across_drains_and_quarantine_probes() {
         assert_eq!(stats.merged.total_breakdown().total(), sum, "merged == per-shard sum");
     };
 
-    cluster.scan("papers", &all_rules(), Backend::Hardware).unwrap();
+    cluster.execute("papers", &scan_all(), Backend::Hardware).unwrap();
     let before = cluster.cluster_stats();
     check_conservation(&before);
     assert!(before.merged.total_breakdown().total() > 0, "traced scan must attribute busy time");
@@ -152,7 +155,7 @@ fn busy_time_is_conserved_across_drains_and_quarantine_probes() {
         .install_device_fault(victim, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
         .unwrap();
     for _ in 0..30 {
-        let _ = cluster.scan("papers", &all_rules(), Backend::Hardware);
+        let _ = cluster.execute("papers", &scan_all(), Backend::Hardware);
     }
     assert!(
         cluster.shard_state(victim).unwrap().severity() >= ShardState::Quarantined.severity(),
@@ -183,7 +186,7 @@ fn busy_time_is_conserved_across_drains_and_quarantine_probes() {
 fn merged_trace_namespaces_devices_and_renders_router_spans() {
     let mut cluster = observed_cluster(3, 300);
     cluster.get("papers", 7, Backend::Hardware).unwrap();
-    cluster.scan("papers", &all_rules(), Backend::Hardware).unwrap();
+    cluster.execute("papers", &scan_all(), Backend::Hardware).unwrap();
 
     let (devices, router) = cluster.take_cluster_trace();
     assert_eq!(devices.len(), 3);

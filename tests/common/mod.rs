@@ -784,55 +784,29 @@ impl Store {
         }
     }
 
-    /// Run a read on `tier` (`None`: a device's adaptive planner). A fleet's
-    /// answer must come from every shard; its report is its span.
+    /// Run a read on `tier`. A fleet's answer must come from every shard;
+    /// its report is its span.
     fn read(
         &mut self,
         t: Table,
-        tier: Option<Backend>,
+        tier: nkv::Tier,
         op: &LogicalOp,
     ) -> NkvResult<(Answer, SimReport)> {
-        let table = t.name();
-        let fleet = match self {
-            Store::Db(db) => {
-                let outcome = match tier {
-                    Some(backend) => db.execute(table, op, backend)?,
-                    None => db.execute_adaptive(table, op)?.0,
-                };
-                let report = *outcome.report();
-                let answer = match (Answer::from_outcome(outcome, t), op) {
-                    // A one-key batch lowers to the point lookup.
-                    (Answer::Record(r), LogicalOp::MultiGet { .. }) => Answer::Batch(vec![Ok(r)]),
-                    (answer, _) => answer,
-                };
-                return Ok((answer, report));
+        let outcome = match self {
+            Store::Db(db) => db.execute(t.name(), op, tier)?,
+            Store::Fleet(fleet) => {
+                let (outcome, missing) = fleet.execute(t.name(), op, tier)?;
+                assert!(missing.is_empty(), "a clean fleet answers from every shard: {missing:?}");
+                outcome
             }
-            Store::Fleet(fleet) => fleet,
         };
-        let scan = |s: nkv::ClusterScan| {
-            (Answer::records(&s.records, s.count, t.width()), s.missing_shards, s.sim_ns)
+        let report = *outcome.report();
+        let answer = match (Answer::from_outcome(outcome, t), op) {
+            // A one-key batch lowers to the point lookup.
+            (Answer::Record(r), LogicalOp::MultiGet { .. }) => Answer::Batch(vec![Ok(r)]),
+            (answer, _) => answer,
         };
-        let (answer, missing, sim_ns) = match (op, tier) {
-            (LogicalOp::Get { key }, Some(b)) => {
-                let g = fleet.get(table, *key, b)?;
-                (Answer::Record(g.record), g.missing_shards, g.sim_ns)
-            }
-            (LogicalOp::MultiGet { keys }, Some(b)) => {
-                let g = fleet.multi_get(table, keys, b)?;
-                (Answer::Batch(g.results), g.missing_shards, g.sim_ns)
-            }
-            (LogicalOp::Scan { rules }, Some(b)) => scan(fleet.scan(table, rules, b)?),
-            (LogicalOp::RangeScan { lo, hi }, Some(b)) => {
-                scan(fleet.range_scan(table, *lo, *hi, b)?)
-            }
-            (LogicalOp::ScanAggregate { rules, agg, lane }, Some(b)) => {
-                let a = fleet.scan_aggregate(table, rules, *agg, *lane, b)?;
-                (Answer::Agg(a.value, a.any), a.missing_shards, a.sim_ns)
-            }
-            (op, None) => panic!("a fleet plans no adaptive {op:?}"),
-        };
-        assert!(missing.is_empty(), "a clean fleet answers from every shard: {missing:?}");
-        Ok((answer, SimReport { sim_ns, ..SimReport::default() }))
+        Ok((answer, report))
     }
 
     /// Reboot a device from its flash image and recover it; a device
@@ -887,10 +861,10 @@ pub fn run_reports(
         let replay =
             |what: String| format!("{what}\n  under {cfg:?}\n  replay: vec!{:?}", &ops[..=i]);
         let tier = match cfg.tier {
-            Tier::Forced(backend) => Some(backend),
-            Tier::Adaptive => None,
-            Tier::Coin if coin.gen_bool(0.5) => Some(Backend::Hardware),
-            Tier::Coin => Some(Backend::Software),
+            Tier::Forced(backend) => nkv::Tier::Forced(backend),
+            Tier::Adaptive => nkv::Tier::Adaptive,
+            Tier::Coin if coin.gen_bool(0.5) => nkv::Tier::Forced(Backend::Hardware),
+            Tier::Coin => nkv::Tier::Forced(Backend::Software),
         };
         out.push(match op.query() {
             _ if model.down && *op != Op::PowerCycle => {
@@ -915,7 +889,7 @@ pub fn run_reports(
                 let everything = LogicalOp::Scan { rules: vec![] };
                 let state = store
                     .power_cycle(cfg, model.durable.is_some())
-                    .and_then(|()| store.read(t, Some(Backend::Software), &everything));
+                    .and_then(|()| store.read(t, Backend::Software.into(), &everything));
                 let rebooted = state.map_err(|e| e.to_string()).and_then(|(s, _)| model.reboot(s));
                 rebooted.unwrap_or_else(|e| panic!("{}", replay(e)));
                 (Answer::Done, none)
