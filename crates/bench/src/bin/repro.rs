@@ -72,7 +72,13 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
                 scale_set = true;
             }
             "--scale" => {
-                scale = value()?.parse().map_err(|_| "--scale needs a number")?;
+                // 1 is the paper's full dataset; `inf` exhausts the
+                // simulated flash, and at or below 0 (or NaN) the figures
+                // would be labelled with a scale nothing ran at.
+                scale = match value()?.parse::<f64>() {
+                    Ok(s) if s > 0.0 && s <= 1.0 => s,
+                    _ => return Err("--scale needs a number in (0, 1]".into()),
+                };
                 scale_set = true;
             }
             "--clients" => {
@@ -81,7 +87,12 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
                     .map(|c| c.parse().map_err(|_| "--clients needs n[,n...]"))
                     .collect::<Result<_, _>>()?;
             }
-            "--depth" => lg.depth = value()?.parse().map_err(|_| "--depth needs an integer")?,
+            "--depth" => {
+                lg.depth = match value()?.parse() {
+                    Ok(d) if d >= 1 => d,
+                    _ => return Err("--depth needs an integer >= 1".into()),
+                };
+            }
             "--ops" => {
                 lg.ops_per_client = value()?.parse().map_err(|_| "--ops needs an integer")?;
             }
@@ -497,6 +508,13 @@ mod tests {
             ("loadgen --json out.json", "unknown flag `--json`"),
             ("all --scale", "--scale needs a value"),
             ("all --scale big", "--scale needs a number"),
+            ("fig7a --scale inf", "--scale needs a number in (0, 1]"),
+            ("all --scale 0", "--scale needs a number in (0, 1]"),
+            ("all --scale -1", "--scale needs a number in (0, 1]"),
+            ("all --scale NaN", "--scale needs a number in (0, 1]"),
+            ("all --scale 1.5", "--scale needs a number in (0, 1]"),
+            ("loadgen --depth 0", "--depth needs an integer >= 1"),
+            ("loadgen --depth deep", "--depth needs an integer >= 1"),
             ("loadgen --clients 1,x", "--clients needs n[,n...]"),
             ("explain", "explain needs a table"),
             ("explain refs year>=2010 --backend", "--backend needs a value"),

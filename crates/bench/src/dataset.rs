@@ -9,7 +9,7 @@ use nkv::{NkvDb, TableConfig};
 
 /// Which system composition to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DbKind {
+pub(crate) enum DbKind {
     /// This work: generated PEs, updated firmware.
     Ours,
     /// Vinçon et al. \[1\]: hand-crafted PEs, original firmware.
@@ -18,7 +18,7 @@ pub enum DbKind {
 
 /// A loaded device: the database plus the workload configuration.
 pub struct Dataset {
-    pub db: NkvDb,
+    pub(crate) db: NkvDb,
     pub cfg: PubGraphConfig,
     /// Scale factor relative to the paper's full dataset.
     pub scale: f64,
@@ -27,7 +27,7 @@ pub struct Dataset {
 /// The papers table's configuration (1 paper-PE, the paper's C1 churn
 /// shape) — shared between the single-device builder and the cluster
 /// experiments so every experiment runs the identical table.
-pub fn paper_table_config(variant: PeVariant) -> TableConfig {
+pub(crate) fn paper_table_config(variant: PeVariant) -> TableConfig {
     let module = ndp_spec::parse(PAPER_REF_SPEC).expect("bundled spec parses");
     let paper_pe = elaborate(&module, PAPER_PE).expect("bundled spec elaborates");
     let mut cfg = TableConfig::new(paper_pe);
@@ -40,7 +40,7 @@ pub fn paper_table_config(variant: PeVariant) -> TableConfig {
 }
 
 /// The refs table's configuration (7 ref-PEs, duplicate source keys).
-pub fn ref_table_config(variant: PeVariant) -> TableConfig {
+pub(crate) fn ref_table_config(variant: PeVariant) -> TableConfig {
     let module = ndp_spec::parse(PAPER_REF_SPEC).expect("bundled spec parses");
     let ref_pe = elaborate(&module, REF_PE).expect("bundled spec elaborates");
     let mut cfg = TableConfig::new(ref_pe);
@@ -54,7 +54,7 @@ pub fn ref_table_config(variant: PeVariant) -> TableConfig {
 /// For experiments that load the same dataset repeatedly (the cluster
 /// matrix builds one fleet per cell); the single-device builder streams
 /// instead.
-pub fn paper_records(cfg: PubGraphConfig) -> Vec<Vec<u8>> {
+pub(crate) fn paper_records(cfg: PubGraphConfig) -> Vec<Vec<u8>> {
     PaperGen::new(cfg)
         .map(|p| {
             let mut buf = Vec::with_capacity(80);
@@ -71,7 +71,7 @@ pub fn paper_records(cfg: PubGraphConfig) -> Vec<Vec<u8>> {
 /// Generation runs in a producer thread feeding the bulk loader through a
 /// bounded channel, so multi-gigabyte datasets stream without
 /// materialization.
-pub fn build_db(scale: f64, kind: DbKind) -> Dataset {
+pub(crate) fn build_db(scale: f64, kind: DbKind) -> Dataset {
     let (variant, firmware) = match kind {
         DbKind::Ours => (PeVariant::Generated, FirmwareEra::Updated),
         DbKind::Baseline => (PeVariant::HandCrafted, FirmwareEra::Original),

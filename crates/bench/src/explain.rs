@@ -23,7 +23,7 @@ use nkv::{Backend, LogicalOp, NkvDb, TableConfig, Tier};
 
 /// Streams the refs table's scan plans fan out to in the explain device
 /// (and the device the README example builds).
-pub const EXPLAIN_REF_STREAMS: usize = 4;
+pub(crate) const EXPLAIN_REF_STREAMS: usize = 4;
 
 /// Build the paper's device shape (1 paper-PE, 7 ref-PEs) with empty
 /// tables — capabilities only, no data. A nonzero `cache_mb` turns on

@@ -10,10 +10,9 @@ use ndp_workload::PaperGen;
 use nkv::Backend;
 
 /// Operator codes of the standard set (ndp-ir encodings).
-pub mod ops {
-    pub const EQ: u32 = 2;
-    pub const GE: u32 = 4;
-    pub const LT: u32 = 5;
+mod ops {
+    pub(crate) const EQ: u32 = 2;
+    pub(crate) const GE: u32 = 4;
 }
 
 // ---------------------------------------------------------------- Fig. 7a
@@ -188,7 +187,7 @@ pub struct Fig8Row {
 }
 
 /// Specification text of a Fig. 8 "Full" PE (all-u32 struct).
-pub fn fig8_full_spec(bits: u32) -> String {
+pub(crate) fn fig8_full_spec(bits: u32) -> String {
     let fields: Vec<String> = (0..bits / 32).map(|i| format!("uint32_t f{i};")).collect();
     format!(
         "/* @autogen define parser F with input = T, output = T */
@@ -199,7 +198,7 @@ pub fn fig8_full_spec(bits: u32) -> String {
 
 /// Specification text of a Fig. 8 "Half" PE: same tuple size, half the
 /// data discarded through a string prefix.
-pub fn fig8_half_spec(bits: u32) -> String {
+pub(crate) fn fig8_half_spec(bits: u32) -> String {
     let n = bits / 64 - 1;
     let string_len = bits / 16 + 4;
     let fields: Vec<String> = (0..n).map(|i| format!("uint32_t f{i};")).collect();

@@ -13,7 +13,7 @@
 //!   [`figures::ablation_aggregate_pushdown`] — design-choice ablations
 //!   called out in DESIGN.md (PE count sweep, flexible vs fixed store
 //!   units, aggregate pushdown);
-//! * [`loadgen::loadgen`] — beyond-paper: closed-loop multi-client
+//! * [`loadgen::loadgen_traced`] — beyond-paper: closed-loop multi-client
 //!   throughput/latency sweep through the NVMe queue engine, plus the
 //!   parallel-PE scan sweep;
 //! * [`explain::explain`] — the `repro explain` subcommand: parse a
@@ -21,14 +21,19 @@
 //!
 //! Simulated times come from the calibrated `cosmos-sim` platform; see
 //! EXPERIMENTS.md for the paper-vs-measured record.
+//!
+//! The `pub use` list and the `pub mod`s below are this crate's API, the
+//! one the `repro` binary calls. Everything else is private to the crate,
+//! and `#![deny(unreachable_pub)]` keeps it so.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod dataset;
+mod dataset;
 pub mod explain;
 pub mod figures;
 pub mod loadgen;
 
-pub use dataset::{build_db, Dataset, DbKind};
-pub use loadgen::{LoadgenConfig, LoadgenFigure, LoadgenPoint, ParallelSweepPoint};
+pub use dataset::Dataset;
+pub use loadgen::LoadgenConfig;

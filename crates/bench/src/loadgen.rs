@@ -75,9 +75,9 @@ pub struct LoadgenPoint {
     /// Commands completed.
     pub ops: u64,
     /// Simulated wall time of the run, seconds.
-    pub span_s: f64,
+    pub(crate) span_s: f64,
     /// Sustained throughput over the run.
-    pub ops_per_sec: f64,
+    pub(crate) ops_per_sec: f64,
     /// `LatencyHistogram::tail_summary` of submit→complete times
     /// (p50/p95/p99/p99.9/max).
     pub latency: String,
@@ -91,13 +91,13 @@ pub struct LoadgenPoint {
 /// serial dispatch).
 #[derive(Debug, Clone)]
 pub struct ParallelSweepPoint {
-    pub streams: usize,
+    pub(crate) streams: usize,
     /// Simulated device time of one full-table SCAN, milliseconds.
-    pub scan_ms: f64,
+    pub(crate) scan_ms: f64,
     /// Records matched (identical across rows — asserted).
     pub matched: u64,
     /// Speedup relative to the 1-stream row (`t_1 / t_self`).
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// One row of the DRAM block-cache sweep (`budget_mb == 0` is the
@@ -105,14 +105,14 @@ pub struct ParallelSweepPoint {
 #[derive(Debug, Clone)]
 pub struct CacheSweepPoint {
     /// Cache budget, MiB (0 = cache disabled).
-    pub budget_mb: usize,
+    pub(crate) budget_mb: usize,
     /// Hit rate over the whole repeated-scan run, `hits / lookups`.
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
     /// Median per-scan simulated device time, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// p99 per-scan simulated device time, milliseconds (the cold
     /// first scan lands here, so it stays near the uncached p50).
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
 }
 
 /// One row of the batched-GET sweep (`batch == 1` is the legacy
@@ -124,15 +124,15 @@ pub struct BatchedSweepPoint {
     /// Commands completed (identical across rows — asserted).
     pub ops: u64,
     /// Simulated wall time of the run, seconds.
-    pub span_s: f64,
+    pub(crate) span_s: f64,
     /// Sustained GET throughput over the run.
-    pub ops_per_sec: f64,
+    pub(crate) ops_per_sec: f64,
     /// Doorbell MMIOs the coalescer saved across the run.
     pub coalesced_doorbells: u64,
     /// `LatencyHistogram::tail_summary` of submit→complete times.
     pub latency: String,
     /// Throughput relative to the batch-1 row (`self / t_1`).
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// One row of the mixed-priority QoS sweep: the same seeded workload
@@ -146,12 +146,12 @@ pub struct QosSweepPoint {
     /// Commands completed (identical across rows — asserted).
     pub ops: u64,
     /// Simulated wall time of the run, seconds.
-    pub span_s: f64,
+    pub(crate) span_s: f64,
     /// Sustained throughput over the run.
-    pub ops_per_sec: f64,
+    pub(crate) ops_per_sec: f64,
     /// p99 submit→complete latency of the GET client, milliseconds —
     /// the number the priority heap exists to shrink.
-    pub get_p99_ms: f64,
+    pub(crate) get_p99_ms: f64,
     /// `LatencyHistogram::tail_summary` across all commands.
     pub latency: String,
 }
@@ -166,9 +166,9 @@ pub struct ClusterMatrixPoint {
     /// Logical commands issued across all clients.
     pub ops: u64,
     /// Simulated wall time of the run (slowest shard), seconds.
-    pub span_s: f64,
+    pub(crate) span_s: f64,
     /// Sustained cluster throughput over the run.
-    pub ops_per_sec: f64,
+    pub(crate) ops_per_sec: f64,
     /// `LatencyHistogram::tail_summary` of submit→complete times,
     /// merged across shards.
     pub latency: String,
@@ -178,24 +178,29 @@ pub struct ClusterMatrixPoint {
 #[derive(Debug, Clone)]
 pub struct LoadgenFigure {
     pub cfg: LoadgenConfig,
-    pub points: Vec<LoadgenPoint>,
+    pub(crate) points: Vec<LoadgenPoint>,
     /// Parallel-PE scan sweep over the refs table (the paper's "1..N
     /// filtering units"), same scale and dataset as the client sweep.
-    pub sweep: Vec<ParallelSweepPoint>,
+    pub(crate) sweep: Vec<ParallelSweepPoint>,
     /// DRAM block-cache sweep; empty unless `cfg.cache_mb > 0`.
-    pub cache: Vec<CacheSweepPoint>,
+    pub(crate) cache: Vec<CacheSweepPoint>,
     /// Clients x devices cluster matrix; empty unless `cfg.devices` is
     /// non-empty.
-    pub cluster: Vec<ClusterMatrixPoint>,
+    pub(crate) cluster: Vec<ClusterMatrixPoint>,
     /// Batched-GET sweep; empty unless `cfg.batch > 1`.
-    pub batched: Vec<BatchedSweepPoint>,
+    pub(crate) batched: Vec<BatchedSweepPoint>,
     /// Mixed-priority QoS sweep; empty unless `cfg.qos` is set.
     pub qos: Vec<QosSweepPoint>,
 }
 
 /// Build the seeded script for one client: ~90 % GET, ~8 % PUT
 /// (re-writes of existing papers), ~2 % selective SCAN.
-pub fn client_script(cfg: &PubGraphConfig, seed: u64, client: u32, ops: u32) -> ClientScript {
+pub(crate) fn client_script(
+    cfg: &PubGraphConfig,
+    seed: u64,
+    client: u32,
+    ops: u32,
+) -> ClientScript {
     let mut rng = SplitMix64::for_record(seed, 0x10ad + u64::from(client), 0);
     let mut script = ClientScript::default();
     for _ in 0..ops {
@@ -218,15 +223,17 @@ pub fn client_script(cfg: &PubGraphConfig, seed: u64, client: u32, ops: u32) -> 
     script
 }
 
-/// Run the sweep: one freshly built device per client count (so points
-/// are independent and each run starts from the identical bulk-loaded
-/// state), hardware execution mode throughout.
-pub fn loadgen(cfg: &LoadgenConfig) -> LoadgenFigure {
+/// The sweep without its trace.
+#[cfg(test)]
+pub(crate) fn loadgen(cfg: &LoadgenConfig) -> LoadgenFigure {
     loadgen_traced(cfg, false).0
 }
 
-/// [`loadgen`] plus the optional merged cluster trace from
-/// [`cluster_matrix_traced`] (requires a non-empty `cfg.devices`).
+/// Run the sweep: one freshly built device per client count (so points
+/// are independent and each run starts from the identical bulk-loaded
+/// state), hardware execution mode throughout, plus the optional merged
+/// cluster trace from `cluster_matrix_traced` (requires a non-empty
+/// `cfg.devices`).
 pub fn loadgen_traced(cfg: &LoadgenConfig, trace: bool) -> (LoadgenFigure, Option<String>) {
     let mut points = Vec::with_capacity(cfg.clients.len());
     for &n in &cfg.clients {
@@ -260,7 +267,8 @@ pub fn loadgen_traced(cfg: &LoadgenConfig, trace: bool) -> (LoadgenFigure, Optio
 /// seeded client scripts through [`NkvCluster::run_queued`] (the router
 /// partitions each script by key, so the per-op order every device sees
 /// is deterministic). Empty `cfg.devices` skips the matrix.
-pub fn cluster_matrix(cfg: &LoadgenConfig) -> Vec<ClusterMatrixPoint> {
+#[cfg(test)]
+pub(crate) fn cluster_matrix(cfg: &LoadgenConfig) -> Vec<ClusterMatrixPoint> {
     cluster_matrix_traced(cfg, false).0
 }
 
@@ -270,7 +278,7 @@ pub fn cluster_matrix(cfg: &LoadgenConfig) -> Vec<ClusterMatrixPoint> {
 /// observability enabled, and its merged multi-device trace JSON is
 /// returned alongside the rows. Tracing is timing-invisible, so every
 /// cell's numbers are byte-identical either way.
-pub fn cluster_matrix_traced(
+pub(crate) fn cluster_matrix_traced(
     cfg: &LoadgenConfig,
     trace: bool,
 ) -> (Vec<ClusterMatrixPoint>, Option<String>) {
@@ -327,7 +335,7 @@ const BATCHED_SWEEP_DEPTH: u32 = 16;
 const BATCHED_SWEEP_CLIENTS: u32 = 2;
 
 /// Build the seeded GET-only script for one batched-sweep client.
-pub fn get_script(cfg: &PubGraphConfig, seed: u64, client: u32, ops: u32) -> ClientScript {
+pub(crate) fn get_script(cfg: &PubGraphConfig, seed: u64, client: u32, ops: u32) -> ClientScript {
     let mut rng = SplitMix64::for_record(seed, 0xba7c4 + u64::from(client), 0);
     let mut script = ClientScript::default();
     for _ in 0..ops {
@@ -343,7 +351,7 @@ pub fn get_script(cfg: &PubGraphConfig, seed: u64, client: u32, ops: u32) -> Cli
 /// amortizes). Batching must never change *what* a GET returns — every
 /// row's completions are asserted record-identical to the batch-1
 /// baseline — only how many PE configurations and doorbells it costs.
-pub fn batched_get_sweep(cfg: &LoadgenConfig) -> Vec<BatchedSweepPoint> {
+pub(crate) fn batched_get_sweep(cfg: &LoadgenConfig) -> Vec<BatchedSweepPoint> {
     let batches: Vec<u32> =
         [1, 2, 4, 8, 16].iter().copied().filter(|&b| b == 1 || b <= cfg.batch).collect();
     let mut rows = Vec::with_capacity(batches.len());
@@ -430,7 +438,7 @@ fn qos_scripts(cfg: &PubGraphConfig, seed: u64, prioritized: bool) -> Vec<Client
 /// a command returns — the rows are asserted record-identical — only
 /// *when* the latency-sensitive GETs get dispatched, which the GET-p99
 /// column makes visible.
-pub fn qos_sweep(cfg: &LoadgenConfig) -> Vec<QosSweepPoint> {
+pub(crate) fn qos_sweep(cfg: &LoadgenConfig) -> Vec<QosSweepPoint> {
     let mut rows = Vec::with_capacity(2);
     let mut baseline: Option<Vec<(u32, u32, Vec<u8>)>> = None;
     for (mode, prioritized) in [("fifo", false), ("priority", true)] {
@@ -469,7 +477,7 @@ pub fn qos_sweep(cfg: &LoadgenConfig) -> Vec<QosSweepPoint> {
 /// match the same records — the plans only reshape the DES timeline —
 /// and that invariant is asserted here, so the smoke diff doubles as an
 /// equivalence gate.
-pub fn parallel_sweep(scale: f64, streams: &[usize]) -> Vec<ParallelSweepPoint> {
+pub(crate) fn parallel_sweep(scale: f64, streams: &[usize]) -> Vec<ParallelSweepPoint> {
     let mut ds = build_db(scale, DbKind::Ours);
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4 /* ge */, value: 2000 }];
     let mut rows = Vec::with_capacity(streams.len());
@@ -509,7 +517,7 @@ const CACHE_SWEEP_SCANS: usize = 6;
 /// a scan returns — every row is asserted byte-identical to the
 /// cache-off baseline — only *when* flash is touched, which the hit
 /// rate and the p50/p99 split make visible.
-pub fn cache_sweep(scale: f64, cache_mb: usize) -> Vec<CacheSweepPoint> {
+pub(crate) fn cache_sweep(scale: f64, cache_mb: usize) -> Vec<CacheSweepPoint> {
     let mut budgets = vec![0, cache_mb / 4, cache_mb / 2, cache_mb];
     budgets.sort_unstable();
     budgets.dedup();

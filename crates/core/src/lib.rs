@@ -16,9 +16,13 @@
 //! is no longer required" and "the dependency between the accelerator
 //! design and the interface development is removed" — maps to this crate
 //! producing both sides from one source, in one call.
+//!
+//! The items declared `pub` in this file are the crate's API. It has no
+//! other modules, and `#![deny(unreachable_pub)]` keeps it that way.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
 use ndp_hdl::verilog::emit_design;
 use ndp_ir::{IrError, PeConfig};

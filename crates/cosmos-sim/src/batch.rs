@@ -29,13 +29,13 @@ use std::collections::HashSet;
 use std::fmt;
 
 /// Magic tag ("NKL1" in LE byte order) opening every key-list page.
-pub const KEY_LIST_MAGIC: u32 = 0x4E4B_4C31;
+pub(crate) const KEY_LIST_MAGIC: u32 = 0x4E4B_4C31;
 
 /// Bytes in the fixed descriptor header.
-pub const KEY_LIST_HEADER_BYTES: usize = 16;
+pub(crate) const KEY_LIST_HEADER_BYTES: usize = 16;
 
 /// DMA page the walker reads the descriptor from (it never crosses it).
-pub const KEY_LIST_PAGE_BYTES: usize = 4096;
+pub(crate) const KEY_LIST_PAGE_BYTES: usize = 4096;
 
 /// Why a key-list descriptor was rejected. Typed so the KV layer can
 /// surface a configuration error instead of panicking on hostile bytes.
@@ -50,7 +50,7 @@ pub enum KeyListError {
     DuplicateKey { key: u64 },
     /// The byte buffer ends before the advertised key list does.
     Truncated { need: usize, len: usize },
-    /// The header does not open with [`KEY_LIST_MAGIC`].
+    /// The header does not open with `KEY_LIST_MAGIC`.
     BadMagic { found: u32 },
     /// The reserved flags/pad fields carry non-zero bits.
     ReservedBits,
@@ -113,19 +113,15 @@ impl KeyListDescriptor {
     }
 
     /// The keys, in the order the walker serves them.
-    pub fn keys(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> &[u64] {
         &self.keys
     }
 
     /// Number of keys in the batch.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// A descriptor is never empty ([`KeyListError::Empty`] guards it),
-    /// but the conventional probe exists anyway.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Bytes the host DMAs to the device for this batch: header plus
@@ -135,7 +131,8 @@ impl KeyListDescriptor {
     }
 
     /// Serialize to the wire format the PL walker reads.
-    pub fn encode(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.dma_bytes());
         out.extend_from_slice(&KEY_LIST_MAGIC.to_le_bytes());
         out.extend_from_slice(&(self.keys.len() as u16).to_le_bytes());
@@ -149,7 +146,8 @@ impl KeyListDescriptor {
 
     /// Parse and validate hostile bytes back into a descriptor. Every
     /// malformed shape is a typed error; this function cannot panic.
-    pub fn decode(bytes: &[u8]) -> Result<Self, KeyListError> {
+    #[cfg(test)]
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, KeyListError> {
         let header = bytes
             .get(..KEY_LIST_HEADER_BYTES)
             .ok_or(KeyListError::Truncated { need: KEY_LIST_HEADER_BYTES, len: bytes.len() })?;

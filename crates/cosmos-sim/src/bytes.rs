@@ -42,7 +42,7 @@ pub struct SharedBytes {
 
 impl SharedBytes {
     /// A fresh buffer of `len` bytes: `data`, then zeros.
-    pub fn zero_padded(data: &[u8], len: usize) -> Self {
+    pub(crate) fn zero_padded(data: &[u8], len: usize) -> Self {
         assert!(data.len() <= len, "data longer than its padded length");
         let mut v = Vec::with_capacity(len);
         v.extend_from_slice(data);

@@ -119,22 +119,25 @@ impl BlockCache {
     }
 
     /// Bytes currently cached.
-    pub fn used_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self) -> usize {
         self.used
     }
 
     /// Number of cached blocks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// Counters since construction.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -199,7 +202,7 @@ impl BlockCache {
     /// Drop every cached block of `sst_id` (data and index). Called
     /// when compaction retires the SST or read-repair relocates its
     /// pages. Returns how many entries were invalidated.
-    pub fn evict_sst(&mut self, sst_id: u64) -> u64 {
+    pub(crate) fn evict_sst(&mut self, sst_id: u64) -> u64 {
         let keys: Vec<(u64, usize)> = self.map.keys().filter(|k| k.0 == sst_id).copied().collect();
         for k in &keys {
             let e = self.map.remove(k).expect("key collected above");

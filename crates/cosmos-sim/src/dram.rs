@@ -1,4 +1,4 @@
-//! The PS-DRAM: shared storage and bandwidth model.
+//! The PS-DRAM: the shared-port bandwidth model.
 //!
 //! The PEs are not directly coupled to flash; data is staged in DRAM and
 //! results are collected in DRAM before the host transfer (paper,
@@ -30,9 +30,8 @@ pub enum DramClient {
     CacheHit,
 }
 
-/// The PS-DRAM model: byte storage plus a shared-port timing model.
+/// The PS-DRAM model: a shared-port timing model.
 pub struct Dram {
-    bytes: Vec<u8>,
     pub(crate) port: BandwidthLink,
     traffic: [u64; 6],
     /// Stall-burst injection state; `None` (the default) costs one
@@ -45,40 +44,12 @@ pub struct Dram {
 
 /// Zynq-7000 PS DDR3 effective bandwidth available to the PL masters
 /// (shared HP ports; conservative figure).
-pub const DRAM_PORT_BW: f64 = 1.0e9;
+pub(crate) const DRAM_PORT_BW: f64 = 1.0e9;
 
 impl Dram {
-    /// A zeroed DRAM of `size` bytes.
-    pub fn new(size: usize) -> Self {
-        Self {
-            bytes: vec![0; size],
-            port: BandwidthLink::new(DRAM_PORT_BW),
-            traffic: [0; 6],
-            faults: None,
-            trace: None,
-        }
-    }
-
-    /// DRAM size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True if zero-sized.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Functional read without timing (used by firmware bookkeeping).
-    pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let a = addr as usize;
-        buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
-    }
-
-    /// Functional write without timing.
-    pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let a = addr as usize;
-        self.bytes[a..a + data.len()].copy_from_slice(data);
+    /// An idle DRAM port.
+    pub(crate) fn new() -> Self {
+        Self { port: BandwidthLink::new(DRAM_PORT_BW), traffic: [0; 6], faults: None, trace: None }
     }
 
     /// Account a timed transfer of `bytes` by `client` starting at `now`;
@@ -109,38 +80,28 @@ impl Dram {
     }
 
     /// Start recording DRAM-port spans into a ring of `capacity` events.
-    pub fn enable_tracing(&mut self, capacity: usize) {
+    pub(crate) fn enable_tracing(&mut self, capacity: usize) {
         self.trace = Some(TraceRing::new(capacity));
-    }
-
-    /// Stop recording and drop any buffered spans.
-    pub fn disable_tracing(&mut self) {
-        self.trace = None;
-    }
-
-    /// Whether DRAM spans are being recorded.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Drain the buffered DRAM spans (oldest first; empty when tracing
     /// is disabled).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.as_mut().map(TraceRing::drain).unwrap_or_default()
     }
 
     /// Spans evicted from the DRAM ring because it was full.
-    pub fn trace_dropped(&self) -> u64 {
+    pub(crate) fn trace_dropped(&self) -> u64 {
         self.trace.as_ref().map_or(0, TraceRing::dropped)
     }
 
     /// Install the stall-burst portion of a fault plan.
-    pub fn install_faults(&mut self, plan: &FaultPlan) {
+    pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
         self.faults = Some(DramFaultState::from_plan(plan));
     }
 
     /// Drop stall-burst injection state.
-    pub fn clear_faults(&mut self) {
+    pub(crate) fn clear_faults(&mut self) {
         self.faults = None;
     }
 
@@ -155,18 +116,9 @@ impl Dram {
     }
 
     /// Total bytes moved over the port.
-    pub fn traffic_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn traffic_total(&self) -> u64 {
         self.traffic.iter().sum()
-    }
-
-    /// Port utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimNs) -> f64 {
-        self.port.utilization(now)
-    }
-
-    /// Borrow the backing bytes (testing/diagnostics).
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
     }
 }
 
@@ -175,18 +127,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn functional_read_write() {
-        let mut d = Dram::new(1024);
-        d.write(100, &[1, 2, 3]);
-        let mut buf = [0u8; 3];
-        d.read(100, &mut buf);
-        assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(d.len(), 1024);
-    }
-
-    #[test]
     fn contention_serializes_on_the_port() {
-        let mut d = Dram::new(0);
+        let mut d = Dram::new();
         let f1 = d.timed_transfer(DramClient::FlashDma, 32 * 1024, 0);
         let f2 = d.timed_transfer(DramClient::PeLoad, 32 * 1024, 0);
         assert!(f2 >= 2 * f1 - 1, "second transfer must queue behind the first");
@@ -194,14 +136,14 @@ mod tests {
 
     #[test]
     fn stall_bursts_delay_transfers_and_are_counted() {
-        let mut d = Dram::new(0);
+        let mut d = Dram::new();
         d.install_faults(&FaultPlan {
             seed: 3,
             dram_stall_p: 1.0,
             dram_stall_ns: (10_000, 20_000),
             ..FaultPlan::default()
         });
-        let mut clean = Dram::new(0);
+        let mut clean = Dram::new();
         let f_faulty = d.timed_transfer(DramClient::PeLoad, 4096, 0);
         let f_clean = clean.timed_transfer(DramClient::PeLoad, 4096, 0);
         let delta = f_faulty - f_clean;
@@ -214,7 +156,7 @@ mod tests {
 
     #[test]
     fn traffic_is_accounted_per_client() {
-        let mut d = Dram::new(0);
+        let mut d = Dram::new();
         d.timed_transfer(DramClient::PeStore, 100, 0);
         d.timed_transfer(DramClient::PeStore, 50, 0);
         d.timed_transfer(DramClient::Cpu, 7, 0);

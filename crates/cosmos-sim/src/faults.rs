@@ -22,7 +22,7 @@
 //!   write is torn mid-page and every later flash op fails until the
 //!   device "reboots".
 //!
-//! **Determinism.** All randomness comes from [`FaultRng`] (SplitMix64)
+//! **Determinism.** All randomness comes from `FaultRng` (SplitMix64)
 //! streams derived from `FaultPlan::seed`; the same plan over the same
 //! operation sequence produces the same faults, so every chaos-test
 //! failure is replayable from its seed.
@@ -39,26 +39,26 @@ use std::collections::HashMap;
 /// SplitMix64: small, seedable, statistically solid. Local to the
 /// simulator so fault injection needs no external dependency.
 #[derive(Debug, Clone)]
-pub struct FaultRng {
+pub(crate) struct FaultRng {
     state: u64,
 }
 
 impl FaultRng {
     /// Generator from a raw seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Decorrelated stream `stream` of a base seed (so flash, DRAM and
     /// PE faults draw independently from one plan seed).
-    pub fn stream(seed: u64, stream: u64) -> Self {
+    pub(crate) fn stream(seed: u64, stream: u64) -> Self {
         let mut r = Self::new(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         r.next_u64(); // one warm-up step decorrelates nearby seeds
         r
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -67,12 +67,12 @@ impl FaultRng {
     }
 
     /// Uniform in `0..bound` (`bound > 0`).
-    pub fn gen_u64(&mut self, bound: u64) -> u64 {
+    pub(crate) fn gen_u64(&mut self, bound: u64) -> u64 {
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
     /// Bernoulli trial with probability `p`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
+    pub(crate) fn gen_bool(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
@@ -135,14 +135,15 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan that injects nothing (identical to running with faults
     /// disabled, but exercises the enabled code path).
-    pub fn quiet(seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn quiet(seed: u64) -> Self {
         Self { seed, ..Self::default() }
     }
 }
 
 /// Extra LUN occupancy charged when a read needs ECC correction
 /// (re-read + correction pipeline; order of an extra tR).
-pub const ECC_CORRECTION_NS: SimNs = 60_000;
+pub(crate) const ECC_CORRECTION_NS: SimNs = 60_000;
 
 /// Counters the flash array keeps while faults are installed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -156,14 +157,14 @@ pub struct FlashFaultStats {
     /// Page programs torn by a power cut (0 or 1 per cut).
     pub torn_writes: u64,
     /// Flash operations rejected because power was out.
-    pub rejected_while_cut: u64,
+    pub(crate) rejected_while_cut: u64,
 }
 
 /// Per-array fault state, owned by `FlashArray` (cloned with it, so a
 /// flash image carried across a simulated reboot keeps its grown-bad
 /// and degradation history).
 #[derive(Debug, Clone)]
-pub struct FlashFaultState {
+pub(crate) struct FlashFaultState {
     pub(crate) rng: FaultRng,
     pub(crate) transient_read_p: f64,
     pub(crate) correctable_p: f64,
@@ -209,7 +210,7 @@ pub struct DramFaultStats {
 
 /// Per-port fault state, owned by `Dram`.
 #[derive(Debug, Clone)]
-pub struct DramFaultState {
+pub(crate) struct DramFaultState {
     pub(crate) rng: FaultRng,
     pub(crate) stall_p: f64,
     pub(crate) stall_ns: (SimNs, SimNs),
@@ -266,11 +267,11 @@ pub struct DeviceFaultPlan {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceFaultStats {
     /// Whether the fault has tripped yet.
-    pub tripped: bool,
+    pub(crate) tripped: bool,
     /// Operations admitted normally (before the trip).
-    pub ops_admitted: u64,
+    pub(crate) ops_admitted: u64,
     /// Operations rejected after a Hang/PowerCut/LinkLoss trip.
-    pub ops_rejected: u64,
+    pub(crate) ops_rejected: u64,
     /// Operations served slowly after a Slow trip.
     pub ops_slowed: u64,
 }
@@ -280,7 +281,7 @@ pub struct DeviceFaultStats {
 /// the cluster router decides what a rejection means (retry, failover,
 /// quarantine).
 #[derive(Debug, Clone)]
-pub struct DeviceFaultState {
+pub(crate) struct DeviceFaultState {
     pub(crate) plan: DeviceFaultPlan,
     pub(crate) ops_seen: u64,
     pub(crate) stats: DeviceFaultStats,
@@ -309,11 +310,11 @@ pub enum DeviceAdmission {
 /// `nkv`'s executor; the platform decides *whether* the next block job
 /// hangs, the executor decides what that means).
 #[derive(Debug, Clone)]
-pub struct PeFaultState {
+pub(crate) struct PeFaultState {
     pub(crate) rng: FaultRng,
     pub(crate) hang_p: f64,
     /// Block jobs whose DONE was never observed.
-    pub hangs: u64,
+    pub(crate) hangs: u64,
 }
 
 impl PeFaultState {

@@ -218,7 +218,7 @@ impl FlashArray {
     }
 
     /// Which controller owns `channel`.
-    pub fn controller_of(&self, channel: u16) -> u16 {
+    pub(crate) fn controller_of(&self, channel: u16) -> u16 {
         channel / (self.cfg.channels / self.cfg.controllers)
     }
 
@@ -412,7 +412,7 @@ impl FlashArray {
     /// Install a fault plan: seeds the per-array RNG streams, arms the
     /// power cut and applies the explicit schedule. Replaces any
     /// previously installed state.
-    pub fn install_faults(&mut self, plan: &FaultPlan) {
+    pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
         let mut st = FlashFaultState::from_plan(plan);
         for s in &plan.schedule {
             match s.kind {
@@ -435,7 +435,7 @@ impl FlashArray {
 
     /// Drop all fault state (pages already grown bad stay bad: that is
     /// physical damage, not injection bookkeeping).
-    pub fn clear_faults(&mut self) {
+    pub(crate) fn clear_faults(&mut self) {
         self.faults = None;
     }
 
@@ -496,7 +496,8 @@ impl FlashArray {
     }
 
     /// True while a struck power cut keeps the array offline.
-    pub fn power_is_cut(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn power_is_cut(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| f.power_is_cut)
     }
 
@@ -536,28 +537,18 @@ impl FlashArray {
     }
 
     /// Start recording flash spans into a ring of `capacity` events.
-    pub fn enable_tracing(&mut self, capacity: usize) {
+    pub(crate) fn enable_tracing(&mut self, capacity: usize) {
         self.trace = Some(TraceRing::new(capacity));
-    }
-
-    /// Stop recording and drop any buffered spans.
-    pub fn disable_tracing(&mut self) {
-        self.trace = None;
-    }
-
-    /// Whether flash spans are being recorded.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Drain the buffered flash spans (oldest first; empty when tracing
     /// is disabled).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.as_mut().map(TraceRing::drain).unwrap_or_default()
     }
 
     /// Spans evicted from the flash ring because it was full.
-    pub fn trace_dropped(&self) -> u64 {
+    pub(crate) fn trace_dropped(&self) -> u64 {
         self.trace.as_ref().map_or(0, TraceRing::dropped)
     }
 

@@ -43,15 +43,12 @@ impl FirmwareEra {
 #[derive(Debug, Clone)]
 pub struct CosmosConfig {
     pub flash: FlashConfig,
-    /// DRAM size in bytes (staging buffers only; the KV data lives in
-    /// flash).
-    pub dram_bytes: usize,
     pub firmware: FirmwareEra,
 }
 
 impl Default for CosmosConfig {
     fn default() -> Self {
-        Self { flash: FlashConfig::default(), dram_bytes: 64 << 20, firmware: FirmwareEra::Updated }
+        Self { flash: FlashConfig::default(), firmware: FirmwareEra::Updated }
     }
 }
 
@@ -88,7 +85,7 @@ impl CosmosPlatform {
     pub fn new(cfg: CosmosConfig) -> Self {
         Self {
             flash: FlashArray::new(cfg.flash),
-            dram: Dram::new(cfg.dram_bytes),
+            dram: Dram::new(),
             arm: Server::new(),
             nvme: BandwidthLink::new(timing::NVME_LINK_BW),
             firmware: cfg.firmware,
@@ -212,13 +209,6 @@ impl CosmosPlatform {
         self.trace = Some(TraceRing::new(capacity));
     }
 
-    /// Disable tracing everywhere and drop buffered spans.
-    pub fn disable_tracing(&mut self) {
-        self.flash.disable_tracing();
-        self.dram.disable_tracing();
-        self.trace = None;
-    }
-
     /// Whether device-wide tracing is on.
     pub fn tracing_enabled(&self) -> bool {
         self.trace.is_some()
@@ -271,7 +261,7 @@ impl CosmosPlatform {
     /// different clients overlap the way pipelined hardware would
     /// (where a serial path's arrivals are monotone the two modes
     /// coincide; the serial hardware SCAN's are not on the DRAM port —
-    /// see the [`crate::server`] module doc).
+    /// see the `server` module doc).
     pub fn enable_queues(&mut self, cfg: NvmeQueueConfig) {
         self.queues = Some(NvmeQueues::new(cfg));
         self.set_backfill(true);
@@ -485,7 +475,6 @@ mod tests {
     fn platform_assembles_with_defaults() {
         let p = CosmosPlatform::default_platform();
         assert_eq!(p.firmware, FirmwareEra::Updated);
-        assert_eq!(p.dram.len(), 64 << 20);
         assert_eq!(p.flash.config().controllers, 2);
     }
 
@@ -626,17 +615,14 @@ mod tests {
     #[test]
     fn end_to_end_block_staging_path() {
         // Flash page → DRAM staging is the executor's inner loop; check
-        // the data path functions and the clock moves forward.
+        // the page comes back and the clock moves forward.
         let mut p = CosmosPlatform::default_platform();
         let a = PhysAddr { channel: 0, lun: 0, page: 0 };
         let done = p.flash.program_page(a, b"kv block", 0).unwrap();
         let (t, data) = p.flash.read_page(a, done).unwrap();
         let page = data.to_vec();
         let t2 = p.dram.timed_transfer(crate::dram::DramClient::FlashDma, page.len() as u64, t);
-        p.dram.write(0x1000, &page);
         assert!(t2 > t);
-        let mut buf = [0u8; 8];
-        p.dram.read(0x1000, &mut buf);
-        assert_eq!(&buf, b"kv block");
+        assert_eq!(&page[..8], b"kv block");
     }
 }

@@ -29,10 +29,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Size of one NVMe submission-queue entry fetched over the link.
-pub const SQE_BYTES: u64 = 64;
+pub(crate) const SQE_BYTES: u64 = 64;
 
 /// Size of one NVMe completion-queue entry posted over the link.
-pub const CQE_BYTES: u64 = 16;
+pub(crate) const CQE_BYTES: u64 = 16;
 
 /// Queue-geometry configuration: how many paired SQ/CQ rings the
 /// controller exposes and how many commands each may hold in flight.
@@ -62,7 +62,7 @@ pub struct QueueStats {
     /// Admissions that found the pair full and had to stall.
     pub full_stalls: u64,
     /// Total simulated time spent stalled on a full pair.
-    pub full_stall_ns: SimNs,
+    pub(crate) full_stall_ns: SimNs,
     /// High-water mark of concurrently in-flight commands.
     pub max_inflight: u64,
     /// Doorbell MMIO writes *saved* by batched submission: a batch of N
@@ -85,7 +85,6 @@ impl QueueStats {
 /// One paired submission/completion queue.
 #[derive(Debug, Clone)]
 pub struct QueuePair {
-    id: u16,
     depth: u16,
     /// Completion times of in-flight commands (min-heap). Entries are
     /// popped lazily at the next admission that reaches past them.
@@ -94,22 +93,18 @@ pub struct QueuePair {
 }
 
 impl QueuePair {
-    fn new(id: u16, depth: u16) -> Self {
-        Self { id, depth, inflight: BinaryHeap::new(), stats: QueueStats::default() }
-    }
-
-    /// Queue identifier (0-based).
-    pub fn id(&self) -> u16 {
-        self.id
+    fn new(depth: u16) -> Self {
+        Self { depth, inflight: BinaryHeap::new(), stats: QueueStats::default() }
     }
 
     /// Counters for this pair.
-    pub fn stats(&self) -> &QueueStats {
+    pub(crate) fn stats(&self) -> &QueueStats {
         &self.stats
     }
 
     /// Commands still in flight as of the last admission.
-    pub fn inflight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight.len()
     }
 
@@ -123,7 +118,7 @@ impl QueuePair {
     /// doorbell can actually be rung: `now` when a slot is free, or the
     /// earliest in-flight completion when the pair is full (the host
     /// stalls on the full SQ).
-    pub fn admit(&mut self, now: SimNs) -> SimNs {
+    pub(crate) fn admit(&mut self, now: SimNs) -> SimNs {
         self.drain_completed(now);
         let mut at = now;
         if self.inflight.len() >= usize::from(self.depth) {
@@ -140,7 +135,7 @@ impl QueuePair {
     /// Record that the command just admitted holds its slot until
     /// `complete_ns` (known immediately because commands execute
     /// synchronously in simulated time).
-    pub fn commit(&mut self, complete_ns: SimNs) {
+    pub(crate) fn commit(&mut self, complete_ns: SimNs) {
         self.inflight.push(Reverse(complete_ns));
         self.stats.max_inflight = self.stats.max_inflight.max(self.inflight.len() as u64);
         self.stats.completed += 1;
@@ -162,26 +157,22 @@ pub struct NvmeQueues {
 
 impl NvmeQueues {
     /// Build `cfg.queues` empty pairs of depth `cfg.depth`.
-    pub fn new(cfg: NvmeQueueConfig) -> Self {
+    pub(crate) fn new(cfg: NvmeQueueConfig) -> Self {
         assert!(cfg.queues > 0, "need at least one queue pair");
         assert!(cfg.depth > 0, "queue depth must be positive");
-        let pairs = (0..cfg.queues).map(|id| QueuePair::new(id, cfg.depth)).collect();
+        let pairs = (0..cfg.queues).map(|_| QueuePair::new(cfg.depth)).collect();
         Self { cfg, pairs }
-    }
-
-    /// The geometry this set was built with.
-    pub fn config(&self) -> NvmeQueueConfig {
-        self.cfg
     }
 
     /// Static client→queue mapping (round-robin by client id), the
     /// usual one-queue-per-submitter NVMe driver layout.
-    pub fn pair_for_client(&self, client: u32) -> u16 {
+    pub(crate) fn pair_for_client(&self, client: u32) -> u16 {
         (client % u32::from(self.cfg.queues)) as u16
     }
 
     /// Borrow one pair by id.
-    pub fn pair(&self, qid: u16) -> &QueuePair {
+    #[cfg(test)]
+    pub(crate) fn pair(&self, qid: u16) -> &QueuePair {
         &self.pairs[usize::from(qid)]
     }
 
@@ -221,7 +212,7 @@ mod tests {
 
     #[test]
     fn admission_is_immediate_below_depth() {
-        let mut p = QueuePair::new(0, 2);
+        let mut p = QueuePair::new(2);
         assert_eq!(p.admit(100), 100);
         p.commit(500);
         assert_eq!(p.admit(110), 110);
@@ -232,7 +223,7 @@ mod tests {
 
     #[test]
     fn full_pair_stalls_to_earliest_completion() {
-        let mut p = QueuePair::new(0, 2);
+        let mut p = QueuePair::new(2);
         assert_eq!(p.admit(0), 0);
         p.commit(500);
         assert_eq!(p.admit(10), 10);
@@ -249,7 +240,7 @@ mod tests {
 
     #[test]
     fn completed_commands_drain_lazily() {
-        let mut p = QueuePair::new(0, 1);
+        let mut p = QueuePair::new(1);
         assert_eq!(p.admit(0), 0);
         p.commit(50);
         // Completion at 50 is in the past by 60: no stall.

@@ -159,7 +159,7 @@ impl Server {
 
     /// Time after which the resource is free indefinitely (end of the
     /// last reservation). Earlier idle gaps may still accept jobs.
-    pub fn available_at(&self) -> SimNs {
+    pub(crate) fn available_at(&self) -> SimNs {
         self.reserved.back().map_or(self.floor, |&(_, e)| e)
     }
 
@@ -169,7 +169,8 @@ impl Server {
     }
 
     /// Utilization over the horizon `[0, now]`.
-    pub fn utilization(&self, now: SimNs) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self, now: SimNs) -> f64 {
         if now == 0 {
             0.0
         } else {
@@ -184,51 +185,30 @@ pub struct BandwidthLink {
     pub(crate) server: Server,
     /// Picoseconds per byte (ps keeps sub-ns rates exact in integers).
     ps_per_byte: u64,
-    bytes_total: u64,
 }
 
 impl BandwidthLink {
     /// Create a link with the given throughput in bytes per second.
-    pub fn new(bytes_per_sec: f64) -> Self {
+    pub(crate) fn new(bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0);
-        Self {
-            server: Server::new(),
-            ps_per_byte: (1e12 / bytes_per_sec).round() as u64,
-            bytes_total: 0,
-        }
+        Self { server: Server::new(), ps_per_byte: (1e12 / bytes_per_sec).round() as u64 }
     }
 
     /// Service duration for `bytes`.
-    pub fn duration_for(&self, bytes: u64) -> SimNs {
+    pub(crate) fn duration_for(&self, bytes: u64) -> SimNs {
         (bytes * self.ps_per_byte).div_ceil(1000)
     }
 
     /// Schedule a transfer of `bytes` arriving at `arrival`;
     /// returns `(start, finish)`.
     pub fn transfer(&mut self, arrival: SimNs, bytes: u64) -> (SimNs, SimNs) {
-        self.bytes_total += bytes;
         let d = self.duration_for(bytes);
         self.server.schedule(arrival, d)
     }
 
-    /// Time after which the link is free indefinitely.
-    pub fn available_at(&self) -> SimNs {
-        self.server.available_at()
-    }
-
-    /// Total bytes moved over this link.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
     /// Total time this link has been busy serving transfers.
-    pub fn busy_total(&self) -> SimNs {
+    pub(crate) fn busy_total(&self) -> SimNs {
         self.server.busy_total()
-    }
-
-    /// Link utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimNs) -> f64 {
-        self.server.utilization(now)
     }
 }
 
@@ -480,7 +460,6 @@ mod tests {
         assert_eq!(f0, 163_840); // 32 KiB at 5 ns/B
         let (s1, _) = l.transfer(0, 1);
         assert_eq!(s1, f0, "transfers serialize on the link");
-        assert_eq!(l.bytes_total(), 32 * 1024 + 1);
     }
 
     #[test]

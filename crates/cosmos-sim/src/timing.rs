@@ -17,10 +17,6 @@ use crate::SimNs;
 
 /// 100 MHz programmable-logic clock period (PEs, flash controllers).
 pub const PL_CLK_NS: SimNs = 10;
-/// 250 MHz NVMe core clock period.
-pub const NVME_CLK_NS: SimNs = 4;
-/// ARM Cortex-A9 clock on the Zynq-7045 (667 MHz grade): ~1.5 ns/cycle.
-pub const ARM_CLK_PS: u64 = 1500;
 
 /// Effective aggregate flash read bandwidth over both Tiger4 controllers,
 /// bytes/second. Derived from the 5.512 s anchor (see module docs);
@@ -30,15 +26,15 @@ pub const FLASH_AGGREGATE_BW: f64 = 201.609_6e6;
 /// shows up on cold, single-block accesses such as GET index walks.
 pub const FLASH_PAGE_READ_NS: SimNs = 70_000;
 /// NAND page program latency (tPROG).
-pub const FLASH_PAGE_PROGRAM_NS: SimNs = 600_000;
+pub(crate) const FLASH_PAGE_PROGRAM_NS: SimNs = 600_000;
 /// Flash page size (Cosmos+ ships 8 KiB-page NAND).
 pub const FLASH_PAGE_BYTES: u32 = 8192;
 
 /// Uncached PS→PL AXI-Lite register write, as issued by the firmware when
 /// configuring a PE.
-pub const MMIO_WRITE_NS: SimNs = 150;
+pub(crate) const MMIO_WRITE_NS: SimNs = 150;
 /// Uncached PL→PS register read (round trip).
-pub const MMIO_READ_NS: SimNs = 234;
+pub(crate) const MMIO_READ_NS: SimNs = 234;
 
 /// ARM cost of parsing + validating one key-list descriptor header
 /// before handing it to the PL walker (magic/count/flags checks on the
@@ -62,7 +58,7 @@ pub const ARM_BLOCK_SEARCH_NS: SimNs = 15_000;
 
 /// Host NVMe link bandwidth (PCIe Gen2 x8 front-end of the Cosmos+,
 /// conservatively clocked): result sets travel over this.
-pub const NVME_LINK_BW: f64 = 1.2e9;
+pub(crate) const NVME_LINK_BW: f64 = 1.2e9;
 
 /// Per-operation firmware overhead of the *updated* Cosmos+ firmware the
 /// paper used ("traded some performance for higher reliability", making

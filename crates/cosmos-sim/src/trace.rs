@@ -109,13 +109,13 @@ impl TraceRing {
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Remove and return all buffered events (oldest first). The
     /// dropped counter is preserved.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn drain(&mut self) -> Vec<TraceEvent> {
         self.events.drain(..).collect()
     }
 }

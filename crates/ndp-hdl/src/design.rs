@@ -7,7 +7,7 @@
 
 /// Ceiling base-2 logarithm, with `clog2(0..=1) == 1` (a register always
 /// needs at least one bit).
-pub fn clog2(n: u64) -> u32 {
+pub(crate) fn clog2(n: u64) -> u32 {
     64 - n.max(2).saturating_sub(1).leading_zeros()
 }
 
@@ -131,7 +131,8 @@ pub enum Primitive {
 
 impl Primitive {
     /// A short type name used for Verilog module naming.
-    pub fn type_name(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Primitive::RegFile { .. } => "ctrl_regfile",
             Primitive::AxiLoad { .. } => "axi_load_unit",
@@ -156,7 +157,7 @@ impl Primitive {
 pub struct Child {
     /// Instance name (unique within the parent).
     pub inst_name: String,
-    pub node: Node,
+    pub(crate) node: Node,
 }
 
 /// Either a leaf primitive or a nested module.
@@ -208,7 +209,8 @@ impl Module {
     }
 
     /// Count instances (primitive leaves) in the subtree.
-    pub fn leaf_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn leaf_count(&self) -> usize {
         self.primitives().len()
     }
 }

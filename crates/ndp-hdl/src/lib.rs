@@ -19,11 +19,16 @@
 //! The model's coefficients are calibrated against the paper's Table I
 //! anchors (see `resources`); Figures 8 and 9 are then predictions of the
 //! same model. See DESIGN.md for the substitution argument.
+//!
+//! The `pub use` list below is this crate's API, plus the `resources` and
+//! `verilog` modules whose paths other crates name. Everything else is
+//! private to the crate, and `#![deny(unreachable_pub)]` keeps it so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
-pub mod design;
+mod design;
 pub mod resources;
 pub mod verilog;
 

@@ -30,12 +30,6 @@ pub struct XC7Z045;
 impl XC7Z045 {
     /// Total slices available (paper, Table I "Available" row).
     pub const SLICES: u32 = 54_650;
-    /// LUT6 count (4 per slice).
-    pub const LUTS: u32 = 218_600;
-    /// Flip-flop count (8 per slice).
-    pub const FFS: u32 = 437_200;
-    /// RAMB36E1 blocks.
-    pub const BRAMS: u32 = 545;
 }
 
 /// Calibration coefficients (see module docs).
@@ -44,25 +38,25 @@ pub mod calib {
     /// buffer variants, in LUTs per (tuple bit)², split 60 % input /
     /// 40 % output: moving a T-bit tuple across 64-bit word boundaries
     /// needs a T-wide mux layer selecting among O(T/64) word positions.
-    pub const ALIGN_QUAD_LUTS_PER_BIT2: f64 = 0.039_224;
+    pub(crate) const ALIGN_QUAD_LUTS_PER_BIT2: f64 = 0.039_224;
     /// Additional per-level cost of the *generated* buffers' generic
     /// any-offset network, in LUTs per (tuple bit)² per mux level
     /// (clog2 of the words per tuple). The hand-crafted buffers of \[1\]
     /// collapse these levels into a single specialized layer because the
     /// tuple size is a compile-time constant for them.
-    pub const GEN_ALIGN_DEPTH_LUTS_PER_BIT2: f64 = 0.005_921_1;
+    pub(crate) const GEN_ALIGN_DEPTH_LUTS_PER_BIT2: f64 = 0.005_921_1;
     /// Extra LUTs in a flexible (partial-block capable) Load or Store
     /// unit compared to the fixed-block units of \[1\].
-    pub const FLEX_AXI_EXTRA_LUTS: f64 = 31.4;
+    pub(crate) const FLEX_AXI_EXTRA_LUTS: f64 = 31.4;
     /// Miscellaneous per-PE glue (reset trees, AXI adapters, debug):
     /// fitted residual, identical for both variants.
-    pub const PE_GLUE_LUTS: f64 = 41.9;
+    pub(crate) const PE_GLUE_LUTS: f64 = 41.9;
     /// In-context packing: fraction of a slice's 4 LUTs usable when Vivado
     /// packs the full design densely.
-    pub const PACKING_IN_CONTEXT: f64 = 0.50;
+    pub(crate) const PACKING_IN_CONTEXT: f64 = 0.50;
     /// Out-of-context packing (paper: OOC results represent the logic
     /// "without very dense packing").
-    pub const PACKING_OUT_OF_CONTEXT: f64 = 0.40;
+    pub(crate) const PACKING_OUT_OF_CONTEXT: f64 = 0.40;
     /// Fixed platform slice budget: NVMe core, two Tiger4 flash
     /// controllers, PS interconnect and infrastructure of the Cosmos+
     /// baseline design.
@@ -74,7 +68,7 @@ pub mod calib {
     /// template").
     pub const INTERCONNECT_OURS_SLICES: f64 = 308.0;
     /// BRAM bits per RAMB36E1.
-    pub const BRAM_BITS: u64 = 36_864;
+    pub(crate) const BRAM_BITS: u64 = 36_864;
 }
 
 /// Aggregated resource counts. LUTs/FFs are tracked as `f64` because the
@@ -87,7 +81,7 @@ pub struct Resources {
     pub brams: u32,
     /// Slices contributed directly by fixed platform macros (bypassing
     /// the LUT→slice conversion; their counts come from vendor reports).
-    pub macro_slices: f64,
+    pub(crate) macro_slices: f64,
 }
 
 impl Resources {
@@ -100,7 +94,7 @@ impl Resources {
     }
 
     /// A LUT/FF-only contribution.
-    pub fn logic(luts: f64, ffs: f64) -> Self {
+    pub(crate) fn logic(luts: f64, ffs: f64) -> Self {
         Resources { luts, ffs, ..Default::default() }
     }
 }
@@ -136,13 +130,14 @@ impl SliceModel {
     }
 
     /// Utilization percentage of the XC7Z045.
-    pub fn utilization_pct(self, r: &Resources) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization_pct(self, r: &Resources) -> f64 {
         self.slices(r) / f64::from(XC7Z045::SLICES) * 100.0
     }
 }
 
 /// Estimate the resources of one primitive.
-pub fn primitive_resources(p: &Primitive) -> Resources {
+pub(crate) fn primitive_resources(p: &Primitive) -> Resources {
     match *p {
         Primitive::RegFile { n_regs } => {
             let n = f64::from(n_regs);
@@ -233,9 +228,8 @@ pub fn primitive_resources(p: &Primitive) -> Resources {
 ///
 /// `share` splits the realignment network 60/40 between input and output
 /// side; `generated` selects the generic quadratic network (this work) vs
-/// the hand-specialized linear schedule of \[1\]. The [`Primitive`] enum
-/// does not carry a variant flag: hand-crafted designs are composed via
-/// [`baseline_tuple_buffer`] instead.
+/// the hand-specialized linear schedule of \[1\], as the tuple buffer
+/// primitives' own `generated` flag says.
 fn tuple_buffer(
     word_bits: u32,
     tuple_bits: u32,
@@ -261,7 +255,8 @@ fn tuple_buffer(
 
 /// Resource estimate of a *hand-crafted* tuple buffer as used by the
 /// baseline designs of \[1\] (linear realignment schedule).
-pub fn baseline_tuple_buffer(
+#[cfg(test)]
+pub(crate) fn baseline_tuple_buffer(
     word_bits: u32,
     tuple_bits: u32,
     lanes: u32,
@@ -273,13 +268,13 @@ pub fn baseline_tuple_buffer(
     tuple_buffer(word_bits, tuple_bits, lanes, lane_bits, postfix_bits, share, false)
 }
 
-/// Per-PE glue as plain LUT/FF logic (see [`calib::PE_GLUE_LUTS`]).
+/// Per-PE glue as plain LUT/FF logic (see `calib::PE_GLUE_LUTS`).
 pub fn glue_resources() -> Resources {
     pe_glue()
 }
 
-/// Per-PE glue contribution (see [`calib::PE_GLUE_LUTS`]).
-pub fn pe_glue() -> Resources {
+/// Per-PE glue contribution (see `calib::PE_GLUE_LUTS`).
+pub(crate) fn pe_glue() -> Resources {
     Resources::logic(calib::PE_GLUE_LUTS, calib::PE_GLUE_LUTS)
 }
 

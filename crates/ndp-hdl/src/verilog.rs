@@ -37,7 +37,7 @@ pub fn emit_design(design: &Design) -> String {
 }
 
 /// Stable, parameter-encoding module name for a primitive instance.
-pub fn prim_module_name(p: &Primitive) -> String {
+pub(crate) fn prim_module_name(p: &Primitive) -> String {
     match *p {
         Primitive::RegFile { n_regs } => format!("ctrl_regfile_n{n_regs}"),
         Primitive::AxiLoad { data_bits, flexible } => {

@@ -31,7 +31,7 @@ impl CmpOp {
     /// All standard operators with their canonical names and register
     /// encodings. `nop` is code 0 so a zero-initialized control register
     /// file lets every tuple pass.
-    pub const STANDARD: [(CmpOp, &'static str); 7] = [
+    pub(crate) const STANDARD: [(CmpOp, &'static str); 7] = [
         (CmpOp::Nop, "nop"),
         (CmpOp::Ne, "ne"),
         (CmpOp::Eq, "eq"),
@@ -42,7 +42,8 @@ impl CmpOp {
     ];
 
     /// Canonical textual name (as used in `operators = {...}` sets).
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CmpOp::Nop => "nop",
             CmpOp::Ne => "ne",
@@ -55,7 +56,7 @@ impl CmpOp {
     }
 
     /// Parse a canonical name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         Self::STANDARD.iter().find(|(_, n)| *n == name).map(|(op, _)| *op)
     }
 
@@ -153,7 +154,7 @@ impl AggOp {
     }
 
     /// Parse an annotation spelling.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         Some(match name {
             "count" => AggOp::Count,
             "sum" => AggOp::Sum,
@@ -161,12 +162,6 @@ impl AggOp {
             "max" => AggOp::Max,
             _ => return None,
         })
-    }
-
-    /// Neutral accumulator start value (Min/Max orderings are resolved
-    /// lazily on the first element, so 0 suffices for all).
-    pub fn identity(self) -> u64 {
-        0
     }
 }
 

@@ -36,7 +36,7 @@ pub struct FieldLayout {
 
 impl FieldLayout {
     /// True if the field can be used in filter predicates.
-    pub fn relevant(&self) -> bool {
+    pub(crate) fn relevant(&self) -> bool {
         self.lane.is_some()
     }
 }
@@ -77,7 +77,7 @@ impl TupleLayout {
     }
 
     /// Index of a field by its dotted path.
-    pub fn field_index(&self, path: &str) -> Option<usize> {
+    pub(crate) fn field_index(&self, path: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.path == path)
     }
 
@@ -94,7 +94,7 @@ impl TupleLayout {
 /// `node` must be the root struct after `resolve_strings` and `scalarize`
 /// (no `Array`/`StrArray` nodes remain); this is an internal contract of
 /// the elaboration pipeline, violated only by a pipeline bug.
-pub fn compute_layout(name: &str, node: &TypeNode) -> IrResult<TupleLayout> {
+pub(crate) fn compute_layout(name: &str, node: &TypeNode) -> IrResult<TupleLayout> {
     debug_assert!(!node.contains_array(), "layout requires a scalarized tree");
     debug_assert!(!node.contains_str_array(), "layout requires resolved strings");
 

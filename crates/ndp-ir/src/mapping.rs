@@ -32,25 +32,12 @@ pub struct TransformPlan {
     /// Field moves in output wire order.
     pub moves: Vec<FieldMove>,
     /// True if this is the paper's case 1 (identity pass-through).
-    pub identity: bool,
-}
-
-impl TransformPlan {
-    /// Number of output fields produced.
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// True if the plan contains no moves (impossible for valid layouts,
-    /// which always have at least one field).
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
+    pub(crate) identity: bool,
 }
 
 /// Derive the transformation plan from input/output layouts plus the
 /// user-provided mapping entries.
-pub fn derive_transform(
+pub(crate) fn derive_transform(
     parser: &str,
     input: &TupleLayout,
     output: &TupleLayout,

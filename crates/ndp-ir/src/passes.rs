@@ -14,7 +14,7 @@ use crate::tree::TypeNode;
 /// the string").
 ///
 /// A prefix covering the entire array degenerates to just the prefix field.
-pub fn resolve_strings(node: TypeNode) -> TypeNode {
+pub(crate) fn resolve_strings(node: TypeNode) -> TypeNode {
     match node {
         TypeNode::StrArray { prefix_bytes, total_bytes } => {
             let prefix_prim = prim_for_bytes(prefix_bytes);
@@ -44,7 +44,7 @@ pub fn resolve_strings(node: TypeNode) -> TypeNode {
 /// Because element naming happens at the *field* level (the array's name
 /// combines with the element index), this pass operates on struct nodes;
 /// the root of a type tree is always a struct.
-pub fn scalarize(node: TypeNode) -> TypeNode {
+pub(crate) fn scalarize(node: TypeNode) -> TypeNode {
     match node {
         TypeNode::Struct(fields) => {
             let mut out = Vec::with_capacity(fields.len());

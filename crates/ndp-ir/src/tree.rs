@@ -10,7 +10,7 @@ use ndp_spec::{PrimTy, SpecModule, StructDef, TypeExpr};
 
 /// A node of the resolved type tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TypeNode {
+pub(crate) enum TypeNode {
     /// A primitive scalar leaf.
     Prim(PrimTy),
     /// A struct with named children, in declaration order.
@@ -36,7 +36,8 @@ pub enum TypeNode {
 impl TypeNode {
     /// Total packed width of this subtree in bits (the wire format is the
     /// packed little-endian concatenation of all leaves; see crate docs).
-    pub fn packed_bits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn packed_bits(&self) -> u64 {
         match self {
             TypeNode::Prim(p) => u64::from(p.bits()),
             TypeNode::Struct(fields) => fields.iter().map(|(_, n)| n.packed_bits()).sum(),
@@ -47,7 +48,7 @@ impl TypeNode {
     }
 
     /// True if the subtree still contains an [`TypeNode::Array`].
-    pub fn contains_array(&self) -> bool {
+    pub(crate) fn contains_array(&self) -> bool {
         match self {
             TypeNode::Prim(_) | TypeNode::StrArray { .. } | TypeNode::Postfix { .. } => false,
             TypeNode::Array(..) => true,
@@ -56,7 +57,7 @@ impl TypeNode {
     }
 
     /// True if the subtree still contains a [`TypeNode::StrArray`].
-    pub fn contains_str_array(&self) -> bool {
+    pub(crate) fn contains_str_array(&self) -> bool {
         match self {
             TypeNode::Prim(_) | TypeNode::Postfix { .. } => false,
             TypeNode::StrArray { .. } => true,
@@ -70,7 +71,7 @@ impl TypeNode {
 ///
 /// Named struct references are inlined; cycles are reported as
 /// [`IrError::RecursiveType`].
-pub fn build_tree(module: &SpecModule, name: &str, parser: &str) -> IrResult<TypeNode> {
+pub(crate) fn build_tree(module: &SpecModule, name: &str, parser: &str) -> IrResult<TypeNode> {
     let def = module
         .find_struct(name)
         .ok_or_else(|| IrError::UnknownStruct { parser: parser.into(), name: name.into() })?;

@@ -18,7 +18,7 @@
 
 use crate::membus::MemBus;
 use crate::pipeline::{BlockResult, PeSim};
-use crate::regs::{Mmio, RegisterMap};
+use crate::regs::Mmio;
 use crate::PeDevice;
 use ndp_ir::{IrError, IrResult, PeConfig};
 
@@ -61,13 +61,9 @@ impl BaselinePe {
     }
 
     /// The underlying configuration.
-    pub fn config(&self) -> &PeConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &PeConfig {
         self.inner.config()
-    }
-
-    /// The baseline register map (single stage).
-    pub fn register_map(&self) -> &RegisterMap {
-        self.inner.register_map()
     }
 }
 

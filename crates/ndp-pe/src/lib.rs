@@ -26,12 +26,17 @@
 //!
 //! [`template`] elaborates a PE configuration into an `ndp-hdl` design for
 //! Verilog emission and resource estimation (Table I, Figs. 8/9).
+//!
+//! The `pub use` list below and the [`PeDevice`] trait are this crate's
+//! API, plus the `pub mod`s whose paths other crates name. Everything else
+//! is private to the crate, and `#![deny(unreachable_pub)]` keeps it so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
-pub mod baseline;
-pub mod membus;
+mod baseline;
+mod membus;
 pub mod oracle;
 pub mod pipeline;
 pub mod regs;
@@ -40,12 +45,11 @@ pub mod tuple;
 
 pub use baseline::BaselinePe;
 pub use membus::{MemBus, VecMem};
-pub use oracle::{FilterRule, OracleStats};
+pub use oracle::FilterRule;
 pub use pipeline::{estimate_block_cycles, BlockResult, PeSim};
-pub use regs::{Access, Mmio, PerfCounters, RegDef, RegisterMap};
+pub use regs::{Access, Mmio, RegisterMap};
 pub use template::{
-    pe_design, pe_design_opts, pe_report, pe_report_opts, pe_resources, pe_resources_opts,
-    PeObservability, PeReport, PeVariant, SystemReport,
+    pe_design_opts, pe_report, pe_report_opts, PeObservability, PeReport, PeVariant, SystemReport,
 };
 pub use tuple::{LayoutCodec, Tuple};
 

@@ -32,27 +32,32 @@ impl VecMem {
     }
 
     /// Create a memory initialized with `data`.
-    pub fn from_bytes(data: Vec<u8>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_bytes(data: Vec<u8>) -> Self {
         Self { bytes: data }
     }
 
     /// Memory size in bytes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
     }
 
     /// True if the memory has zero size.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
 
     /// Borrow the underlying bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.bytes
     }
 
     /// Mutably borrow the underlying bytes.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+    #[cfg(test)]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.bytes
     }
 }

@@ -45,7 +45,7 @@ impl FilterRule {
 }
 
 /// Semantics of a custom comparator operation.
-pub type CustomOpFn = Arc<dyn Fn(PrimTy, u64, u64) -> bool + Send + Sync>;
+pub(crate) type CustomOpFn = Arc<dyn Fn(PrimTy, u64, u64) -> bool + Send + Sync>;
 
 /// Operator-code dispatch table built from a PE configuration.
 ///
@@ -70,7 +70,7 @@ impl std::fmt::Debug for OpTable {
 
 impl OpTable {
     /// Build the table from the configuration's operator set. Custom
-    /// operators start unbound; [`OpTable::bind_custom`] attaches their
+    /// operators start unbound; `OpTable::bind_custom` attaches their
     /// semantics.
     pub fn from_config(cfg: &PeConfig) -> Self {
         let max_code = cfg.operators.iter().map(|o| o.code).max().unwrap_or(0) as usize;
@@ -84,7 +84,7 @@ impl OpTable {
     /// Bind the semantics of the custom operator named `name`.
     ///
     /// Returns `false` if the configuration has no such operator.
-    pub fn bind_custom(
+    pub(crate) fn bind_custom(
         &mut self,
         cfg: &PeConfig,
         name: &str,
@@ -190,10 +190,10 @@ pub struct OracleStats {
     /// Tuples that passed every filtering stage.
     pub tuples_out: u32,
     /// Result bytes produced.
-    pub bytes_out: u32,
+    pub(crate) bytes_out: u32,
     /// Trailing input bytes that did not form a complete tuple (dropped,
     /// like the hardware input buffer at end-of-block).
-    pub trailing_bytes: u32,
+    pub(crate) trailing_bytes: u32,
 }
 
 /// Precompiled filter + transform executor for one PE configuration.
@@ -406,7 +406,7 @@ impl BlockProcessor {
     }
 
     /// Primitive type of a lane.
-    pub fn lane_prim(&self, lane: u32) -> Option<PrimTy> {
+    pub(crate) fn lane_prim(&self, lane: u32) -> Option<PrimTy> {
         self.lane_slots.get(lane as usize).map(|&(_, p)| p)
     }
 

@@ -27,12 +27,12 @@
 
 use crate::membus::MemBus;
 use crate::oracle::{AggAccumulator, BlockProcessor, FilterProgram, FilterRule, OpTable};
-use crate::regs::{offsets, Mmio, PerfCounters, RegState, RegisterMap};
+use crate::regs::{offsets, Mmio, PerfCounters, RegState};
 use crate::PeDevice;
 use ndp_ir::PeConfig;
 
 /// Initial AXI read latency in PL cycles before the first beat arrives.
-pub const MEM_LATENCY_CYCLES: u64 = 24;
+pub(crate) const MEM_LATENCY_CYCLES: u64 = 24;
 /// Queue capacity (tuples) of the elastic FIFOs between units.
 const FIFO_TUPLES: usize = 4;
 /// Byte capacity of the word-side staging buffers.
@@ -75,14 +75,13 @@ pub fn estimate_block_cycles(
 /// wrapped by [`crate::BaselinePe`]).
 pub struct PeSim {
     cfg: PeConfig,
-    map: RegisterMap,
     regs: RegState,
     ops: OpTable,
     processor: BlockProcessor,
     flexible: bool,
     scratch: Scratch,
     /// Cumulative statistics across blocks (for debugging/reporting).
-    pub total: TotalStats,
+    pub(crate) total: TotalStats,
 }
 
 /// Lifetime statistics of one PE instance.
@@ -326,8 +325,7 @@ impl PeSim {
 
     /// Build with explicit flexibility (false = fixed 32 KiB blocks, the
     /// behaviour of the hand-crafted units of \[1\]).
-    pub fn with_flexibility(cfg: PeConfig, flexible: bool) -> Self {
-        let map = if flexible { RegisterMap::for_config(&cfg) } else { RegisterMap::for_stages(1) };
+    pub(crate) fn with_flexibility(cfg: PeConfig, flexible: bool) -> Self {
         let mut regs = RegState::new(cfg.stages);
         regs.has_agg = !cfg.aggregates.is_empty();
         // Only the generated template carries the observability bank; the
@@ -337,7 +335,6 @@ impl PeSim {
         let processor = BlockProcessor::new(&cfg);
         Self {
             cfg,
-            map,
             regs,
             ops,
             processor,
@@ -348,13 +345,9 @@ impl PeSim {
     }
 
     /// The PE's configuration.
-    pub fn config(&self) -> &PeConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &PeConfig {
         &self.cfg
-    }
-
-    /// The generated register map.
-    pub fn register_map(&self) -> &RegisterMap {
-        &self.map
     }
 
     /// Bind a custom comparator operator by name (must be declared in the
@@ -516,6 +509,7 @@ impl PeDevice for PeSim {
 mod tests {
     use super::*;
     use crate::membus::VecMem;
+    use crate::regs::RegisterMap;
     use ndp_ir::elaborate;
     use ndp_spec::parse;
     use ndp_workload::SplitMix64;
@@ -612,7 +606,7 @@ mod tests {
         assert_eq!(pe.mmio_read(offsets::TUPLES_IN), 1);
         assert_eq!(pe.mmio_read(offsets::TUPLES_OUT), 1);
         assert_eq!(pe.mmio_read(offsets::RESULT_BYTES), 8);
-        assert_eq!(pe.mmio_read(pe.register_map().filter_counter_offset()), 1);
+        assert_eq!(pe.mmio_read(RegisterMap::for_config(&pe.cfg).filter_counter_offset()), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The register map is *generated* from the PE configuration — the number
 //! of filtering stages determines how many `FILTER_*` register groups
 //! exist — and is the contract shared between the hardware model
-//! ([`RegState`]) and the generated software interface (`ndp-swgen`
+//! (`RegState`) and the generated software interface (`ndp-swgen`
 //! renders the same [`RegisterMap`] into the header-only C library of
 //! the paper's Fig. 6).
 
@@ -25,7 +25,7 @@ pub struct RegDef {
     pub name: String,
     /// Byte offset within the PE's register window.
     pub offset: u32,
-    pub access: Access,
+    pub(crate) access: Access,
     /// One-line description rendered into the generated header.
     pub doc: String,
 }
@@ -38,7 +38,7 @@ pub struct RegisterMap {
     pub stages: u32,
     /// Number of trailing performance-counter registers (0 for the
     /// baseline maps of \[1\], which have no observability bank).
-    pub perf_regs: usize,
+    pub(crate) perf_regs: usize,
 }
 
 /// Fixed register offsets (stage-independent part of the map).
@@ -46,7 +46,7 @@ pub mod offsets {
     /// Write 1 to start processing the configured block.
     pub const START: u32 = 0x00;
     /// Bit 0: BUSY; bit 1: DONE since last START.
-    pub const STATUS: u32 = 0x04;
+    pub(crate) const STATUS: u32 = 0x04;
     pub const SRC_ADDR_LO: u32 = 0x08;
     pub const SRC_ADDR_HI: u32 = 0x0C;
     /// Bytes to load; flexible units honour any value up to the chunk
@@ -59,7 +59,7 @@ pub mod offsets {
     pub const RESULT_BYTES: u32 = 0x20;
     pub const TUPLES_IN: u32 = 0x24;
     pub const TUPLES_OUT: u32 = 0x28;
-    pub const VERSION: u32 = 0x2C;
+    pub(crate) const VERSION: u32 = 0x2C;
     /// First per-stage group; each group is [`STAGE_STRIDE`] bytes.
     pub const STAGE_BASE: u32 = 0x30;
     pub const STAGE_STRIDE: u32 = 0x10;
@@ -118,7 +118,7 @@ pub mod perf_offsets {
 
 /// Value reported by the `VERSION` register of this template generation
 /// (minor bump 1 → 2: the performance-counter bank joined the contract).
-pub const TEMPLATE_VERSION: u32 = 0x0002_0002;
+pub(crate) const TEMPLATE_VERSION: u32 = 0x0002_0002;
 
 impl RegisterMap {
     /// Generate the register map for `cfg`.
@@ -197,7 +197,7 @@ impl RegisterMap {
     }
 
     /// Generate a map for an explicit stage count.
-    pub fn for_stages(stages: u32) -> Self {
+    pub(crate) fn for_stages(stages: u32) -> Self {
         use offsets::*;
         let mut regs = vec![
             RegDef {
@@ -325,7 +325,8 @@ impl RegisterMap {
     }
 
     /// Look up a register by name.
-    pub fn by_name(&self, name: &str) -> Option<&RegDef> {
+    #[cfg(test)]
+    pub(crate) fn by_name(&self, name: &str) -> Option<&RegDef> {
         self.regs.iter().find(|r| r.name == name)
     }
 }
@@ -364,12 +365,12 @@ pub struct PerfCounters {
 
 impl PerfCounters {
     /// Zeroed counters for a PE with `stages` filtering stages.
-    pub fn new(stages: u32) -> Self {
+    pub(crate) fn new(stages: u32) -> Self {
         Self { stage_drops: vec![0; stages as usize], ..Self::default() }
     }
 
     /// Clear every counter (the `CNT_CTRL` write-1 action).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let stages = self.stage_drops.len();
         *self = Self { stage_drops: vec![0; stages], ..Self::default() };
     }
@@ -383,38 +384,38 @@ impl PerfCounters {
 /// Software-visible register state shared by the generated and the
 /// baseline PE models.
 #[derive(Debug, Clone)]
-pub struct RegState {
-    pub start_pending: bool,
-    pub busy: bool,
-    pub done: bool,
-    pub src_addr: u64,
-    pub src_len: u32,
-    pub dst_addr: u64,
-    pub dst_capacity: u32,
+pub(crate) struct RegState {
+    pub(crate) start_pending: bool,
+    pub(crate) busy: bool,
+    pub(crate) done: bool,
+    pub(crate) src_addr: u64,
+    pub(crate) src_len: u32,
+    pub(crate) dst_addr: u64,
+    pub(crate) dst_capacity: u32,
     pub result_bytes: u32,
     pub tuples_in: u32,
     pub tuples_out: u32,
     /// Per-stage (field, op, value) configuration.
-    pub filters: Vec<(u32, u32, u64)>,
-    pub filter_counter: u32,
+    pub(crate) filters: Vec<(u32, u32, u64)>,
+    pub(crate) filter_counter: u32,
     /// Aggregation configuration (lane, reduction code) and accumulator.
-    pub agg_field: u32,
-    pub agg_op: u32,
-    pub agg_result: u64,
+    pub(crate) agg_field: u32,
+    pub(crate) agg_op: u32,
+    pub(crate) agg_result: u64,
     /// Whether the aggregation registers exist on this PE.
-    pub has_agg: bool,
+    pub(crate) has_agg: bool,
     /// Whether the performance-counter bank exists on this PE (generated
     /// template only; the hand-crafted PEs of \[1\] have no counters).
-    pub has_perf: bool,
+    pub(crate) has_perf: bool,
     /// Cumulative performance counters behind the `CNT_*` registers.
-    pub perf: PerfCounters,
+    pub(crate) perf: PerfCounters,
     stages: u32,
 }
 
 impl RegState {
     /// Zero-initialized state for `stages` filtering stages. All filter
     /// ops start as `nop` (code 0), matching the hardware reset value.
-    pub fn new(stages: u32) -> Self {
+    pub(crate) fn new(stages: u32) -> Self {
         Self {
             start_pending: false,
             busy: false,
@@ -477,7 +478,7 @@ impl RegState {
     }
 
     /// MMIO read dispatch (shared by both PE models).
-    pub fn read(&mut self, offset: u32) -> u32 {
+    pub(crate) fn read(&mut self, offset: u32) -> u32 {
         use offsets::*;
         match offset {
             START => 0,
@@ -530,7 +531,7 @@ impl RegState {
     }
 
     /// MMIO write dispatch (shared by both PE models).
-    pub fn write(&mut self, offset: u32, value: u32) {
+    pub(crate) fn write(&mut self, offset: u32, value: u32) {
         use offsets::*;
         match offset {
             START => {

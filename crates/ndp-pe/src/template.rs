@@ -1,8 +1,8 @@
 //! Elaboration of PE configurations into hardware designs and resource
 //! reports.
 //!
-//! [`pe_design`] composes the architectural template of Fig. 3 from
-//! `ndp-hdl` primitives; [`pe_resources`]/[`pe_report`] run the calibrated
+//! [`pe_design_opts`] composes the architectural template of Fig. 3 from
+//! `ndp-hdl` primitives; `pe_resources`/[`pe_report`] run the calibrated
 //! resource model over it (Table I, Figs. 8/9); [`system_report`]
 //! assembles the full Cosmos+ design (platform + interconnect + PEs) the
 //! way the paper's Table I reports it.
@@ -53,7 +53,8 @@ const FIFO_DEPTH: u32 = 4;
 
 /// Elaborate a PE configuration into a structural hardware design
 /// (counter bank stripped, the paper's evaluation configuration).
-pub fn pe_design(cfg: &PeConfig, variant: PeVariant) -> Design {
+#[cfg(test)]
+pub(crate) fn pe_design(cfg: &PeConfig, variant: PeVariant) -> Design {
     pe_design_opts(cfg, variant, PeObservability::Stripped)
 }
 
@@ -176,12 +177,16 @@ pub fn pe_design_opts(cfg: &PeConfig, variant: PeVariant, obs: PeObservability) 
 }
 
 /// Aggregate resources of one PE (including per-PE glue).
-pub fn pe_resources(cfg: &PeConfig, variant: PeVariant) -> Resources {
+pub(crate) fn pe_resources(cfg: &PeConfig, variant: PeVariant) -> Resources {
     pe_resources_opts(cfg, variant, PeObservability::Stripped)
 }
 
 /// [`pe_resources`] with an explicit observability option.
-pub fn pe_resources_opts(cfg: &PeConfig, variant: PeVariant, obs: PeObservability) -> Resources {
+pub(crate) fn pe_resources_opts(
+    cfg: &PeConfig,
+    variant: PeVariant,
+    obs: PeObservability,
+) -> Resources {
     let design = pe_design_opts(cfg, variant, obs);
     let mut r = module_resources(&design.top);
     r.add(glue_resources());
@@ -233,7 +238,7 @@ pub struct SystemReport {
     /// Percentage of the XC7Z045's 54,650 slices.
     pub overall_pct: f64,
     /// Per-population `(name, slices_per_pe, pct_per_pe, count)`.
-    pub per_pe: Vec<(String, u32, f64, u32)>,
+    pub(crate) per_pe: Vec<(String, u32, f64, u32)>,
     /// Total BRAMs (platform + PEs).
     pub brams: u32,
     /// Slices available on the device.
@@ -465,7 +470,7 @@ mod calibration {
     /// The evaluation schemas: publication-graph nodes and edges sized to
     /// match the paper's Table I PEs (paper-PE: 80-byte records with an
     /// 8-byte string prefix; ref-PE: 20-byte edge records).
-    pub const SCHEMAS: &str = "
+    pub(crate) const SCHEMAS: &str = "
         /* @autogen define parser PaperPe with input = Paper, output = Paper */
         /* @autogen define parser RefPe with input = Ref, output = Ref */
         typedef struct {

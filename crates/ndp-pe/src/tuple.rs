@@ -17,7 +17,7 @@ pub struct Tuple {
     /// One zero-extended value per comparator lane, in lane order.
     pub lanes: Vec<u64>,
     /// Concatenated opaque string-postfix bytes, in field order.
-    pub postfix: Vec<u8>,
+    pub(crate) postfix: Vec<u8>,
 }
 
 /// Where a layout field lives in the padded representation.
@@ -25,7 +25,7 @@ pub struct Tuple {
 pub enum Slot {
     /// Lane index plus the primitive type used for comparisons.
     Lane { lane: u32, prim: PrimTy },
-    /// Byte range within [`Tuple::postfix`].
+    /// Byte range within `Tuple::postfix`.
     Postfix { offset: usize, len: usize },
 }
 
@@ -79,17 +79,17 @@ impl LayoutCodec {
     }
 
     /// Number of comparator lanes.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.lanes
     }
 
     /// Total postfix bytes carried per tuple.
-    pub fn postfix_bytes(&self) -> usize {
+    pub(crate) fn postfix_bytes(&self) -> usize {
         self.postfix_bytes
     }
 
     /// Slot of layout field `idx`.
-    pub fn slot(&self, idx: usize) -> Slot {
+    pub(crate) fn slot(&self, idx: usize) -> Slot {
         self.slots[idx].2
     }
 
@@ -111,7 +111,7 @@ impl LayoutCodec {
     }
 
     /// Allocation-free variant of [`Self::unpack`] reusing `t`'s buffers.
-    pub fn unpack_into(&self, bytes: &[u8], t: &mut Tuple) {
+    pub(crate) fn unpack_into(&self, bytes: &[u8], t: &mut Tuple) {
         t.lanes.resize(self.lanes, 0);
         t.postfix.resize(self.postfix_bytes, 0);
         for &(off, len, slot) in &self.slots {
@@ -153,8 +153,9 @@ impl LayoutCodec {
     }
 
     /// Extract the raw lane value of layout field `idx` directly from
-    /// packed bytes (used by the zero-copy software oracle).
-    pub fn read_field_raw(&self, bytes: &[u8], idx: usize) -> u64 {
+    /// packed bytes.
+    #[cfg(test)]
+    pub(crate) fn read_field_raw(&self, bytes: &[u8], idx: usize) -> u64 {
         let (off, len, _) = self.slots[idx];
         let mut v = 0u64;
         for (i, b) in bytes[off..off + len.min(8)].iter().enumerate() {
@@ -164,7 +165,7 @@ impl LayoutCodec {
     }
 
     /// Byte range of layout field `idx` in the packed representation.
-    pub fn field_range(&self, idx: usize) -> (usize, usize) {
+    pub(crate) fn field_range(&self, idx: usize) -> (usize, usize) {
         let (off, len, _) = self.slots[idx];
         (off, len)
     }

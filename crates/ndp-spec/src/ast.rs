@@ -46,7 +46,7 @@ impl PrimTy {
     }
 
     /// Parse a C type name (`uint32_t`, `float`, ...).
-    pub fn from_c_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_c_name(name: &str) -> Option<Self> {
         Some(match name {
             "uint8_t" => PrimTy::U8,
             "uint16_t" => PrimTy::U16,

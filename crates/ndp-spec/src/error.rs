@@ -4,30 +4,24 @@ use crate::lexer::Span;
 use std::fmt;
 
 /// Result alias used throughout the frontend.
-pub type SpecResult<T> = Result<T, SpecError>;
+pub(crate) type SpecResult<T> = Result<T, SpecError>;
 
 /// A frontend error with source location and a rendered excerpt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     /// Human-readable description of what went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Location of the offending token (byte offset, line, column).
     pub span: Span,
     /// The source line containing the error, for rendering.
-    pub source_line: String,
+    pub(crate) source_line: String,
 }
 
 impl SpecError {
     /// Build an error at `span`, extracting the offending line from `source`.
-    pub fn new(message: impl Into<String>, span: Span, source: &str) -> Self {
+    pub(crate) fn new(message: impl Into<String>, span: Span, source: &str) -> Self {
         let source_line = source.lines().nth(span.line.saturating_sub(1)).unwrap_or("").to_string();
         Self { message: message.into(), span, source_line }
-    }
-
-    /// Build an error without source context (used by sub-lexers that only
-    /// see an annotation body).
-    pub fn bare(message: impl Into<String>, span: Span) -> Self {
-        Self { message: message.into(), span, source_line: String::new() }
     }
 }
 

@@ -18,12 +18,12 @@ pub struct Span {
     /// 1-based line number.
     pub line: usize,
     /// 1-based column number.
-    pub col: usize,
+    pub(crate) col: usize,
 }
 
 /// Lexical token categories.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`typedef`, `struct`, type names, field names).
     Ident(String),
     /// Unsigned integer literal.
@@ -87,13 +87,13 @@ impl fmt::Display for TokenKind {
 
 /// A token paired with its source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub span: Span,
 }
 
 /// Streaming lexer over a source string.
-pub struct Lexer<'a> {
+pub(crate) struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -103,12 +103,12 @@ pub struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
-    pub fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Self { src, bytes: src.as_bytes(), pos: 0, line: 1, col: 1 }
     }
 
     /// Tokenize the whole input, ending with a single [`TokenKind::Eof`].
-    pub fn tokenize(mut self) -> SpecResult<Vec<Token>> {
+    pub(crate) fn tokenize(mut self) -> SpecResult<Vec<Token>> {
         let mut out = Vec::new();
         loop {
             let tok = self.next_token()?;

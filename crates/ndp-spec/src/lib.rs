@@ -31,25 +31,29 @@
 //!   `output` (struct names), `mapping` (explicit output←input field paths),
 //!   `stages` (number of chained filtering units, default 1) and
 //!   `operators` (comparator operator set, default the paper's standard set).
+//!
+//! The `pub use` list below and [`parse`] are this crate's API. Every
+//! module and every other item is private to the crate, and
+//! `#![deny(unreachable_pub)]` keeps it so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
-pub mod ast;
-pub mod error;
-pub mod lexer;
-pub mod parser;
-pub mod printer;
+mod ast;
+mod error;
+mod lexer;
+mod parser;
+mod printer;
 
 pub use ast::{
     FieldDecl, FieldPath, MappingEntry, ParserSpec, PrimTy, SpecModule, StructDef, TypeExpr,
 };
-pub use error::{SpecError, SpecResult};
-pub use lexer::{Lexer, Span, Token, TokenKind};
-pub use parser::parse_module;
+pub use error::SpecError;
+pub use lexer::Span;
 pub use printer::print_module;
 
 /// Convenience entry point: parse a complete specification source file.
-pub fn parse(source: &str) -> SpecResult<SpecModule> {
-    parse_module(source)
+pub fn parse(source: &str) -> Result<SpecModule, SpecError> {
+    parser::parse_module(source)
 }

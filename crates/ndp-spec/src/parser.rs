@@ -14,7 +14,7 @@ use crate::error::{SpecError, SpecResult};
 use crate::lexer::{Lexer, Span, Token, TokenKind};
 
 /// Parse a complete specification source file into a [`SpecModule`].
-pub fn parse_module(source: &str) -> SpecResult<SpecModule> {
+pub(crate) fn parse_module(source: &str) -> SpecResult<SpecModule> {
     let tokens = Lexer::new(source).tokenize()?;
     Parser { src: source, tokens, pos: 0 }.module()
 }

@@ -25,7 +25,7 @@ pub fn print_module(m: &SpecModule) -> String {
 }
 
 /// Render one `@autogen define parser` annotation.
-pub fn print_parser(p: &ParserSpec) -> String {
+pub(crate) fn print_parser(p: &ParserSpec) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -54,7 +54,7 @@ pub fn print_parser(p: &ParserSpec) -> String {
 }
 
 /// Render one struct typedef.
-pub fn print_struct(s: &StructDef) -> String {
+pub(crate) fn print_struct(s: &StructDef) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "typedef struct {{");
     for f in &s.fields {

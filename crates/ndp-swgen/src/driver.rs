@@ -17,7 +17,9 @@
 
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
-use ndp_pe::regs::{agg_offsets, offsets, perf_offsets};
+#[cfg(test)]
+use ndp_pe::regs::perf_offsets;
+use ndp_pe::regs::{agg_offsets, offsets};
 use ndp_pe::{BlockResult, MemBus, Mmio, PeDevice};
 
 /// Which firmware register protocol to speak.
@@ -53,7 +55,8 @@ impl FilterJob {
     /// rules/destination/capacity. Firmware reuses one descriptor per
     /// stream this way instead of rebuilding it per block, which is what
     /// keeps the driver's configuration cache warm across a scan.
-    pub fn retarget(&mut self, src: u64, len: u32) {
+    #[cfg(test)]
+    pub(crate) fn retarget(&mut self, src: u64, len: u32) {
         self.src = src;
         self.len = len;
     }
@@ -81,7 +84,7 @@ pub enum PeInvoke {
     /// by the batch's first key; the PL-side key-list walker re-points
     /// the descriptor registers itself — stage-0 reference value plus the
     /// source/destination window — and reads the result registers back,
-    /// at fabric speed, charged to [`PeDriver::walker_io`]. Per-key
+    /// at fabric speed, charged to the driver's `walker_io`. Per-key
     /// result sizes ride the result stream, so the ARM's job-path cost
     /// collapses to the START strobe.
     Keyed,
@@ -221,7 +224,7 @@ pub fn job_io(
 /// cannot mix it up.
 #[derive(Debug)]
 #[must_use = "a launched job must be completed"]
-pub struct JobHandle {
+pub(crate) struct JobHandle {
     launch_io: IoStats,
     /// How the job was launched: the walker reads a keyed launch back.
     invoke: PeInvoke,
@@ -247,7 +250,8 @@ pub struct JobResult {
 /// Snapshot of the PE's hardware performance counters (the Rust twin of
 /// the header's `<pe>_perf_counters_t` + `<pe>_read_perf_counters`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PerfReadout {
+#[cfg(test)]
+pub(crate) struct PerfReadout {
     pub tuples_in: u32,
     pub tuples_out: u32,
     pub in_stall: u32,
@@ -265,17 +269,18 @@ pub struct PeDriver<P: PeDevice> {
     pe: P,
     profile: DriverProfile,
     /// Lifetime register-access counters.
-    pub total_io: IoStats,
+    pub(crate) total_io: IoStats,
     /// Register accesses spent on perf-counter readback/reset, tracked
     /// separately so observability never changes job-path configuration
     /// costs (what [`job_io`] counts).
-    pub perf_io: IoStats,
+    #[cfg(test)]
+    pub(crate) perf_io: IoStats,
     /// Register accesses performed by the PL-side key-list walker during
     /// batched (keyed) invocations. The walker re-points the descriptor
     /// registers itself, PL→PL at fabric speed, so this traffic never
     /// crosses the PS↔PL bridge the timing model prices — it is tracked
     /// here, apart from the ARM job path in [`total_io`](Self::total_io).
-    pub walker_io: IoStats,
+    pub(crate) walker_io: IoStats,
     /// The job of the last configuration; its rules and aggregate are
     /// what the PE holds (dirty-tracking: reconfiguring identical ones is
     /// skipped, like firmware that caches its last configuration).
@@ -289,6 +294,7 @@ impl<P: PeDevice> PeDriver<P> {
             pe,
             profile,
             total_io: IoStats::default(),
+            #[cfg(test)]
             perf_io: IoStats::default(),
             walker_io: IoStats::default(),
             last: None,
@@ -300,14 +306,9 @@ impl<P: PeDevice> PeDriver<P> {
         &mut self.pe
     }
 
-    /// Profile in use.
-    pub fn profile(&self) -> DriverProfile {
-        self.profile
-    }
-
     /// Launch a job asynchronously (the header's `filter_async`):
     /// configure the PE the way `invoke` says and write START.
-    pub fn filter_async(&mut self, job: &FilterJob, invoke: PeInvoke) -> JobHandle {
+    pub(crate) fn filter_async(&mut self, job: &FilterJob, invoke: PeInvoke) -> JobHandle {
         let (stages, rules) = (self.pe.stages(), job.rules.len());
         assert!(
             rules <= stages as usize,
@@ -340,7 +341,7 @@ impl<P: PeDevice> PeDriver<P> {
     /// executes here; on the device this would poll STATUS. The readback
     /// is billed to whoever performs it: the ARM job path, or the walker
     /// for a [`PeInvoke::Keyed`] launch.
-    pub fn wait_until_done(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
+    pub(crate) fn wait_until_done(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
         let block = self.pe.execute(mem);
         let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
         port.io[By::Arm as usize] = handle.launch_io;
@@ -363,7 +364,8 @@ impl<P: PeDevice> PeDriver<P> {
     /// Read the hardware performance counters (the header's
     /// `read_perf_counters`). Register accesses are charged to
     /// [`perf_io`](Self::perf_io), not the job path.
-    pub fn read_perf_counters(&mut self) -> PerfReadout {
+    #[cfg(test)]
+    pub(crate) fn read_perf_counters(&mut self) -> PerfReadout {
         let stages = self.pe.stages();
         let mut port = Port::new(self.profile, stages, Some(&mut self.pe));
         let fc = port.filter_counter();
@@ -387,7 +389,8 @@ impl<P: PeDevice> PeDriver<P> {
 
     /// Clear the hardware performance counters (the header's
     /// `reset_perf_counters`: write-1-to-clear on CNT_CTRL).
-    pub fn reset_perf_counters(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_perf_counters(&mut self) {
         let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
         port.write(By::Arm, port.filter_counter() + perf_offsets::CNT_CTRL, 1);
         self.perf_io.reg_writes += port.io[By::Arm as usize].reg_writes;

@@ -9,22 +9,24 @@
 //!
 //! Two artifacts come out of the same [`RegisterMap`](ndp_pe::RegisterMap):
 //!
-//! * [`header::generate_header`] — the C header text (the inspectable
+//! * [`generate_header`] — the C header text (the inspectable
 //!   artifact, snapshot-tested); and
-//! * [`driver::PeDriver`] — the Rust twin of that header, which drives
+//! * [`PeDriver`] — the Rust twin of that header, which drives
 //!   the simulated PEs in tests, examples and the benchmark, and whose
-//!   register protocol [`driver::job_io`] counts for the `nkv` firmware
+//!   register protocol [`job_io`] counts for the `nkv` firmware
 //!   layer and its cost model. Both render the same map; where the twin's
-//!   readback differs from the header's, the [`driver`] module says so.
+//!   readback differs from the header's, the `driver` module says so.
+//!
+//! The `pub use` list below is this crate's API. Every module and every
+//! other item is private to the crate, and `#![deny(unreachable_pub)]`
+//! keeps it so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
-pub mod driver;
-pub mod header;
+mod driver;
+mod header;
 
-pub use driver::{
-    job_io, DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PeInvoke,
-    PerfReadout,
-};
+pub use driver::{job_io, DriverProfile, FilterJob, IoStats, JobResult, PeDriver, PeInvoke};
 pub use header::generate_header;

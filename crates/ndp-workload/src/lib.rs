@@ -17,12 +17,17 @@
 //! Generators are *streaming* and deterministic: record `i` depends only
 //! on `(seed, i)`, so multi-gigabyte datasets are produced without
 //! materialization and any sub-range can be regenerated for verification.
+//!
+//! The `pub use` list below is this crate's API, plus the `pubgraph` and
+//! `spec` modules whose paths other crates name. Everything else is
+//! private to the crate, and `#![deny(unreachable_pub)]` keeps it so.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 
 pub mod pubgraph;
-pub mod rng;
+mod rng;
 pub mod spec;
 
 pub use pubgraph::{Paper, PaperGen, PubGraphConfig, Ref, RefGen};

@@ -3,9 +3,9 @@
 use crate::rng::SplitMix64;
 
 /// Full-size cardinalities from the paper's evaluation.
-pub const FULL_PAPERS: u64 = 3_775_161;
+pub(crate) const FULL_PAPERS: u64 = 3_775_161;
 /// Full-size reference (edge) count.
-pub const FULL_REFS: u64 = 40_128_663;
+pub(crate) const FULL_REFS: u64 = 40_128_663;
 
 /// Packed size of a [`Paper`] record.
 pub const PAPER_BYTES: usize = 80;
@@ -28,9 +28,9 @@ pub struct Paper {
     pub year: u32,
     pub venue: u32,
     pub n_cits: u32,
-    pub n_refs: u32,
+    pub(crate) n_refs: u32,
     /// 56-byte title; the first 8 bytes are the filterable prefix.
-    pub title: [u8; 56],
+    pub(crate) title: [u8; 56],
 }
 
 impl Paper {
@@ -95,7 +95,7 @@ pub struct PubGraphConfig {
 
 impl PubGraphConfig {
     /// The paper's full-size dataset (≈1.10 GB of records).
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         Self { papers: FULL_PAPERS, refs: FULL_REFS, seed: 0x6e4b_5644 }
     }
 

@@ -63,7 +63,7 @@ impl SplitMix64 {
     }
 
     /// Uniform float in `[0, 1)` with 53 random bits.
-    pub fn f64_unit(&mut self) -> f64 {
+    pub(crate) fn f64_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -88,21 +88,21 @@ pub enum ReadPolicy {
 pub struct HealthFsmConfig {
     /// Sliding error window length in ops (1..=64; the window is one
     /// `u64` of outcome bits).
-    pub window: u32,
+    pub(crate) window: u32,
     /// Error rate over the window at which a `Degraded` shard is
     /// quarantined.
-    pub quarantine_error_rate: f64,
+    pub(crate) quarantine_error_rate: f64,
     /// Minimum window samples before the quarantine rate is evaluated
     /// (so a single early error cannot quarantine a shard).
-    pub quarantine_min_samples: u32,
+    pub(crate) quarantine_min_samples: u32,
     /// A quarantined shard is probed once every this many cluster ops.
-    pub probe_interval_ops: u64,
+    pub(crate) probe_interval_ops: u64,
     /// Consecutive failed probes after which a quarantined shard is
     /// declared `Dead`.
-    pub dead_after_probes: u32,
+    pub(crate) dead_after_probes: u32,
     /// Consecutive successes that promote `Recovered` (or `Degraded`)
     /// back to `Healthy`.
-    pub recovered_ok_ops: u32,
+    pub(crate) recovered_ok_ops: u32,
 }
 
 impl Default for HealthFsmConfig {
@@ -151,7 +151,7 @@ impl ShardState {
     }
 
     /// Does the router send this shard traffic?
-    pub fn serving(self) -> bool {
+    pub(crate) fn serving(self) -> bool {
         matches!(self, ShardState::Healthy | ShardState::Degraded | ShardState::Recovered)
     }
 }
@@ -386,15 +386,15 @@ pub struct ShardHealth {
     /// Shard index.
     pub shard: usize,
     /// FSM state.
-    pub state: ShardState,
+    pub(crate) state: ShardState,
     /// Routed ops (successes + errors) the FSM has scored.
     pub ops: u64,
     /// Errors the FSM has scored.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Probes sent while quarantined.
     pub probes_sent: u64,
     /// State transitions taken.
-    pub transitions: u64,
+    pub(crate) transitions: u64,
 }
 
 /// Cluster-wide health snapshot with a stable `Display` rendering.
@@ -405,7 +405,7 @@ pub struct ClusterHealthReport {
     /// Router-level retries across all shards.
     pub router_retries: u64,
     /// Backoff nanoseconds the router charged to operations.
-    pub router_backoff_ns: u64,
+    pub(crate) router_backoff_ns: u64,
 }
 
 impl fmt::Display for ClusterHealthReport {
@@ -443,7 +443,7 @@ pub struct ShardStatsRow {
     /// Shard index.
     pub shard: usize,
     /// FSM state at snapshot time.
-    pub state: ShardState,
+    pub(crate) state: ShardState,
     /// The shard device's own [`DeviceStats`] (metrics + health + cache
     /// + dropped trace spans).
     pub stats: DeviceStats,
@@ -465,13 +465,13 @@ pub struct ClusterStats {
     /// Cross-shard fold of every shard's metrics registry.
     pub merged: MetricsRegistry,
     /// Summed block-cache counters (`None` when no shard has a cache).
-    pub merged_cache: Option<CacheStats>,
+    pub(crate) merged_cache: Option<CacheStats>,
     /// Trace spans lost to ring overflow, summed over shards.
     pub dropped_spans: u64,
     /// Router-level retries across all shards.
     pub router_retries: u64,
     /// Backoff nanoseconds the router charged to operations.
-    pub router_backoff_ns: u64,
+    pub(crate) router_backoff_ns: u64,
     /// Max/median per-shard busy time (0.0 when the median is zero —
     /// an idle or untraced fleet has no meaningful skew).
     pub busy_skew: f64,
@@ -481,12 +481,6 @@ impl ClusterStats {
     /// Total operations recorded across the fleet.
     pub fn total_ops(&self) -> u64 {
         self.merged.total_ops()
-    }
-
-    /// Fleet-wide cache hit rate in `[0, 1]` (0.0 with no cache or no
-    /// lookups).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.merged_cache.as_ref().map_or(0.0, |c| c.hit_rate())
     }
 }
 
@@ -648,7 +642,7 @@ fn shard_call<T>(
 
 /// A host-side router over N independent simulated Cosmos+ devices.
 ///
-/// See the [module docs](self) for semantics. All mutating entry points
+/// See the `cluster` module docs for semantics. All mutating entry points
 /// first give quarantined shards their probe tick, so recovery needs no
 /// background thread — it rides on foreground traffic, deterministic in
 /// op counts.
@@ -744,11 +738,6 @@ impl NkvCluster {
     /// Number of devices.
     pub fn devices(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The cluster's read policy.
-    pub fn read_policy(&self) -> ReadPolicy {
-        self.cfg.read_policy
     }
 
     /// Which shard owns `key` under the cluster's placement strategy.

@@ -49,7 +49,7 @@ const FEEDBACK_BLEND: f64 = 0.5;
 /// Range scans are scans; aggregates are priced separately because only
 /// a 64-bit result crosses the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpClass {
+pub(crate) enum OpClass {
     /// Point and batched lookups ([`LogicalOp::Get`]/[`LogicalOp::MultiGet`]).
     Get,
     /// Full and range scans returning records.
@@ -60,7 +60,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// Classify a logical operation.
-    pub fn of(op: &LogicalOp) -> Self {
+    pub(crate) fn of(op: &LogicalOp) -> Self {
         match op {
             LogicalOp::Get { .. } | LogicalOp::MultiGet { .. } => OpClass::Get,
             LogicalOp::Scan { .. } | LogicalOp::RangeScan { .. } => OpClass::Scan,
@@ -69,7 +69,7 @@ impl OpClass {
     }
 
     /// Stable display name (used by EXPLAIN).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             OpClass::Get => "get",
             OpClass::Scan => "scan",
@@ -97,27 +97,27 @@ fn backend_index(b: Backend) -> usize {
 /// Table-shape inputs the cost model prices against, captured from the
 /// LSM tree and platform at planning time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CostInputs {
+pub(crate) struct CostInputs {
     /// Flash-resident data blocks the op may touch.
-    pub flash_blocks: u64,
+    pub(crate) flash_blocks: u64,
     /// Flash-resident data bytes behind those blocks.
-    pub flash_bytes: u64,
+    pub(crate) flash_bytes: u64,
     /// Live memtable entries (served without touching flash).
-    pub memtable_records: u64,
+    pub(crate) memtable_records: u64,
     /// Fixed record width of the table.
     pub record_bytes: u64,
     /// DRAM block-cache hit rate (0.0 while the cache is off or cold).
-    pub cache_hit_rate: f64,
+    pub(crate) cache_hit_rate: f64,
     /// Keys in the lookup (1 for a point GET, N for a batch).
-    pub batch_keys: u64,
+    pub(crate) batch_keys: u64,
 }
 
 /// One tier's price. `cost_ns` is `None` when the op does not lower on
 /// that tier (e.g. a predicate chain deeper than the PE pipeline).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierCost {
-    pub backend: Backend,
-    pub cost_ns: Option<f64>,
+pub(crate) struct TierCost {
+    pub(crate) backend: Backend,
+    pub(crate) cost_ns: Option<f64>,
 }
 
 /// The adaptive planner's decision record: what was priced, what was
@@ -126,19 +126,19 @@ pub struct TierCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostReport {
     /// Shape class the feedback state was keyed on.
-    pub class: OpClass,
+    pub(crate) class: OpClass,
     /// The winning tier (cheapest feasible estimate; ties break toward
     /// the earlier entry in Software → Hardware → Hybrid order).
     pub chosen: Backend,
     /// Per-tier estimates in candidate order.
-    pub tiers: [TierCost; 3],
+    pub(crate) tiers: [TierCost; 3],
     /// Whether the class had crossed [`PROMOTE_AFTER`] sightings (warm
     /// hardware model) when this decision was made.
     pub hot: bool,
     /// Sightings of this class before this decision.
-    pub seen: u64,
+    pub(crate) seen: u64,
     /// Inputs the estimates were computed from.
-    pub inputs: CostInputs,
+    pub(crate) inputs: CostInputs,
 }
 
 impl CostReport {
@@ -149,7 +149,7 @@ impl CostReport {
     ///   cost: software 1.234 ms, hardware 0.456 ms, hybrid n/a
     ///   adaptive: chose hardware (scan hot after 5 sightings)
     /// ```
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut line = String::from("  cost:");
         for (i, t) in self.tiers.iter().enumerate() {
             if i > 0 {
@@ -178,25 +178,25 @@ impl CostReport {
 /// observed-latency EWMA per (class, tier). Purely a function of the
 /// operations executed against the table, so runs stay deterministic.
 #[derive(Debug, Clone, Default)]
-pub struct AdaptState {
+pub(crate) struct AdaptState {
     seen: [u64; 3],
     ewma_ns: [[Option<f64>; 3]; 3],
 }
 
 impl AdaptState {
     /// Sightings of `class` so far.
-    pub fn seen(&self, class: OpClass) -> u64 {
+    pub(crate) fn seen(&self, class: OpClass) -> u64 {
         self.seen[class.index()]
     }
 
     /// Whether `class` has crossed the promotion threshold.
-    pub fn hot(&self, class: OpClass) -> bool {
+    pub(crate) fn hot(&self, class: OpClass) -> bool {
         self.seen(class) >= PROMOTE_AFTER
     }
 
     /// Record one adaptively executed op: bump the class's sighting
     /// counter and fold the observed latency into the tier's EWMA.
-    pub fn record(&mut self, class: OpClass, backend: Backend, observed_ns: u64) {
+    pub(crate) fn record(&mut self, class: OpClass, backend: Backend, observed_ns: u64) {
         self.seen[class.index()] += 1;
         let slot = &mut self.ewma_ns[class.index()][backend_index(backend)];
         let obs = observed_ns as f64;
@@ -332,7 +332,7 @@ fn model_ns(
 /// lowering errors exactly). Ties break toward the earlier candidate in
 /// Software → Hardware → Hybrid order, which keeps the choice stable
 /// under floating-point equality.
-pub fn choose(
+pub(crate) fn choose(
     state: &AdaptState,
     op: &LogicalOp,
     inputs: CostInputs,

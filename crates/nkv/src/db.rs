@@ -27,7 +27,7 @@ use std::fmt;
 /// Per-key outcomes of a batched GET, in key order: slot *i* answers
 /// `keys[i]`, independently attributed (see [`NkvDb::multi_get`] and
 /// DESIGN.md §11).
-pub type MultiGetResults = Vec<NkvResult<Option<Vec<u8>>>>;
+pub(crate) type MultiGetResults = Vec<NkvResult<Option<Vec<u8>>>>;
 
 /// Per-table configuration.
 #[derive(Clone)]
@@ -201,7 +201,7 @@ impl NkvDb {
 
     /// Turn on op-level metrics (latency histograms + throughput
     /// counters). Breakdowns stay zero unless tracing is also enabled.
-    pub fn enable_metrics(&mut self) {
+    pub(crate) fn enable_metrics(&mut self) {
         self.metrics.get_or_insert_with(MetricsRegistry::new);
     }
 
@@ -917,12 +917,6 @@ impl NkvDb {
     pub fn level_sizes(&self, table: &str) -> NkvResult<Vec<usize>> {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         Ok(t.lsm.level_sizes())
-    }
-
-    /// Total persistent records of a table (including shadowed versions).
-    pub fn persistent_records(&self, table: &str) -> NkvResult<u64> {
-        let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        Ok(t.lsm.persistent_records())
     }
 }
 

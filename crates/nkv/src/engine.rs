@@ -33,7 +33,6 @@ use crate::error::{NkvError, NkvResult};
 use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
 use crate::lsm::LsmTree;
 use crate::memtable::Entry;
-use crate::metrics::LatencyHistogram;
 use crate::placement::worker_for_channel;
 use crate::plan::{Backend, PhysOp, PhysicalPlan, PlanOutcome};
 use crate::sst::{read_block, search_block, BlockMeta, SstMeta};
@@ -610,9 +609,6 @@ pub struct ParallelScanStats {
     pub workers: usize,
     /// Blocks processed by each worker.
     pub blocks_per_worker: Vec<u64>,
-    /// Per-block job latency (issue → block done), folded over every
-    /// worker via [`LatencyHistogram::merge`].
-    pub job_latency: LatencyHistogram,
 }
 
 /// The parallel block phase: partition blocks into per-worker streams
@@ -676,11 +672,9 @@ fn parallel_scan_streams(
     let mut outs: Vec<Vec<u8>> = vec![Vec::new(); jobs.len()];
     let mut configured = vec![false; n_pes];
     let mut blocks_per_worker = vec![0u64; streams.len()];
-    let mut job_latency = LatencyHistogram::new();
     let mut op_end = start;
     for (w, stream) in streams.iter().enumerate() {
         let pe = w % n_pes;
-        let mut hist = LatencyHistogram::new();
         let mut t_next = start;
         for &j in stream {
             let (si, bi) = jobs[j];
@@ -698,15 +692,12 @@ fn parallel_scan_streams(
                 &mut outs[j],
                 report,
             )?;
-            hist.record(done.saturating_sub(t_next));
             t_next = done;
             op_end = op_end.max(done);
             blocks_per_worker[w] += 1;
         }
-        job_latency.merge(&hist);
     }
-    exec.last_parallel_scan =
-        Some(ParallelScanStats { workers: streams.len(), blocks_per_worker, job_latency });
+    exec.last_parallel_scan = Some(ParallelScanStats { workers: streams.len(), blocks_per_worker });
     Ok((outs, op_end))
 }
 

@@ -21,30 +21,30 @@
 //!   LSM components apart so compaction does not block scans);
 //! * [`lsm`] — levels `C1..Ck`, flush (no compaction on `C0→C1`,
 //!   matching the paper), leveled compaction with tombstone purging;
-//! * [`plan`] — the query planner: logical GET/SCAN/RANGE_SCAN/
+//! * `plan` — the query planner: logical GET/SCAN/RANGE_SCAN/
 //!   aggregate ops are *lowered* into explicit physical plans (predicate
 //!   pushdown into PE registers, software residual filters, parallel PE
 //!   job streams) with an `EXPLAIN` rendering;
-//! * [`exec`] — per-table executor state ([`exec::TableExec`]): PE
+//! * `exec` — per-table executor state (`TableExec`): PE
 //!   timing servers, operator encodings, fault policy and health
 //!   counters;
-//! * [`engine`] — the plan-driven execution loops: block-parallel
+//! * `engine` — the plan-driven execution loops: block-parallel
 //!   SCAN/GET over flash channels with software (ARM) or hardware (PE)
 //!   filtering — serial or over N parallel per-channel-group job
 //!   streams — returning both results and simulated device time; an
 //!   aggregate is a SCAN that folds;
-//! * [`metrics`] — op-level observability: log-bucket latency
+//! * `metrics` — op-level observability: log-bucket latency
 //!   histograms, throughput counters and per-op time breakdowns
 //!   attributed from the platform's trace spans;
-//! * [`db`] — the [`db::NkvDb`] facade with PUT/GET/DELETE/SCAN/
+//! * `db` — the [`NkvDb`] facade with PUT/GET/DELETE/SCAN/
 //!   RANGE_SCAN over multiple tables;
 //! * [`queue`] — the multi-tenant NVMe queue engine:
-//!   [`db::NkvDb::run_queued`] keeps a window of commands in flight per
+//!   [`NkvDb::run_queued`] keeps a window of commands in flight per
 //!   client over the platform's submission/completion queues, with
 //!   out-of-order completion when commands touch disjoint resources;
 //! * [`recovery`] — manifest + index-block based state reconstruction
 //!   after a power cycle (all accessor state lives on the device);
-//! * [`cluster`] — fleet-level fault domains: [`cluster::NkvCluster`]
+//! * `cluster` — fleet-level fault domains: [`NkvCluster`]
 //!   shards one namespace across N simulated devices (hash or range
 //!   placement), fans reads out device-parallel with deterministic
 //!   merges, and runs a per-shard health FSM (`Healthy → Degraded →
@@ -55,26 +55,32 @@
 //! the first 8 bytes of every record are its little-endian `u64` key.
 //! This *is* the nKV model: the store understands application formats
 //! natively instead of wrapping them in opaque blobs.
+//!
+//! The `pub use` list below is this crate's API, plus the `pub mod`s whose
+//! paths other crates name (the benchmark's kernels reach `memtable` and
+//! `util`). Everything else is private to the crate, and
+//! `#![deny(unreachable_pub)]` keeps it so.
 
 // Panic-free decode discipline: non-test store code must surface typed
 // `NkvError`s instead of unwrapping (test modules are exempt — they are
 // compiled out of the non-test build this lint runs on).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(unreachable_pub)]
 // One `unsafe` call exists in the crate: the detection-guarded SSE4.2
 // CRC-32C kernel in `util`, which carries the only `allow`.
 #![deny(unsafe_code)]
 
-pub mod cluster;
-pub mod cost;
-pub mod db;
-pub mod engine;
-pub mod error;
-pub mod exec;
+mod cluster;
+mod cost;
+mod db;
+mod engine;
+mod error;
+mod exec;
 pub mod lsm;
 pub mod memtable;
-pub mod metrics;
+mod metrics;
 pub mod placement;
-pub mod plan;
+mod plan;
 pub mod queue;
 pub mod recovery;
 pub mod sst;
@@ -84,13 +90,13 @@ pub use cluster::{
     ClusterConfig, ClusterGet, ClusterHealthReport, ClusterRunReport, ClusterStats,
     HealthFsmConfig, NkvCluster, ReadPolicy, ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
 };
-pub use cost::{AdaptState, CostInputs, CostReport, OpClass, TierCost, PROMOTE_AFTER};
-pub use db::{HealthReport, MultiGetResults, NkvDb, ScanSummary, TableConfig};
+pub use cost::{CostReport, PROMOTE_AFTER};
+pub use db::{HealthReport, NkvDb, ScanSummary, TableConfig};
 pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};
 pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
-pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome, Tier};
+pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};
 
 #[cfg(test)]

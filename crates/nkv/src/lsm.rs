@@ -80,12 +80,12 @@ impl LsmTree {
     }
 
     /// Fixed record size of this table.
-    pub fn record_bytes(&self) -> usize {
+    pub(crate) fn record_bytes(&self) -> usize {
         self.record_bytes
     }
 
     /// The in-memory component.
-    pub fn memtable(&self) -> &MemTable {
+    pub(crate) fn memtable(&self) -> &MemTable {
         &self.memtable
     }
 
@@ -94,7 +94,7 @@ impl LsmTree {
     /// and bulk-load paths are reachable from the cluster router's shard
     /// calls, where a panic would take down the whole fleet simulation
     /// instead of failing one shard.
-    pub fn record_key(&self, record: &[u8]) -> NkvResult<u64> {
+    pub(crate) fn record_key(&self, record: &[u8]) -> NkvResult<u64> {
         let key = record.get(..8).and_then(|k| <[u8; 8]>::try_from(k).ok());
         key.filter(|_| record.len() == self.record_bytes).map(u64::from_le_bytes).ok_or_else(|| {
             NkvError::RecordSizeMismatch {
@@ -105,7 +105,7 @@ impl LsmTree {
         })
     }
 
-    /// Insert or update a record (`key` = [`Self::record_key`]).
+    /// Insert or update a record (`key` = `record_key`).
     pub fn put(&mut self, key: u64, record: Vec<u8>) {
         self.memtable.put(key, record);
     }
@@ -116,7 +116,7 @@ impl LsmTree {
     }
 
     /// Should the memtable be flushed?
-    pub fn should_flush(&self) -> bool {
+    pub(crate) fn should_flush(&self) -> bool {
         self.memtable.approximate_bytes() >= self.cfg.memtable_bytes
     }
 
@@ -186,7 +186,7 @@ impl LsmTree {
     /// the keys do not overlap earlier loads). The SSTs are installed
     /// once the whole run is on flash, so a rejected record leaves the
     /// tree as it was. Returns the record count and the completion time.
-    pub fn bulk_load(
+    pub(crate) fn bulk_load(
         &mut self,
         flash: &mut FlashArray,
         alloc: &mut PageAllocator,
@@ -278,21 +278,21 @@ impl LsmTree {
     }
 
     /// Per-level SST metadata (read-only view for persistence).
-    pub fn levels(&self) -> &[Vec<SstMeta>] {
+    pub(crate) fn levels(&self) -> &[Vec<SstMeta>] {
         &self.levels
     }
 
     /// Drain the SST ids retired by compactions since the last drain.
     /// The caller (the DB maintenance loop) evicts them from the device
     /// block cache; the list is empty when nothing was retired.
-    pub fn take_retired(&mut self) -> Vec<u64> {
+    pub(crate) fn take_retired(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.retired)
     }
 
     /// Rebuild a tree from recovered SST metadata (`(level, meta)` pairs
     /// in recency order per level; the memtable starts empty — volatile
     /// state does not survive a power cycle).
-    pub fn from_recovered(
+    pub(crate) fn from_recovered(
         table: &str,
         record_bytes: usize,
         cfg: LsmConfig,
@@ -331,7 +331,7 @@ impl LsmTree {
     }
 
     /// All SSTs in recency order (for SCAN).
-    pub fn all_ssts(&self) -> Vec<&SstMeta> {
+    pub(crate) fn all_ssts(&self) -> Vec<&SstMeta> {
         let mut out: Vec<&SstMeta> = self.levels[0].iter().collect();
         for level in &self.levels[1..] {
             out.extend(level.iter());
@@ -340,19 +340,20 @@ impl LsmTree {
     }
 
     /// Number of SSTs per level (diagnostics).
-    pub fn level_sizes(&self) -> Vec<usize> {
+    pub(crate) fn level_sizes(&self) -> Vec<usize> {
         self.levels.iter().map(Vec::len).collect()
     }
 
     /// Total records across all SSTs (including shadowed versions).
-    pub fn persistent_records(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn persistent_records(&self) -> u64 {
         self.levels.iter().flatten().map(|s| s.n_records).sum()
     }
 
     /// True if any live SST references physical page `addr` — as a data
     /// page or as an index page. Used by read-repair to decide whether a
     /// degrading page still holds reachable data.
-    pub fn references_page(&self, addr: PhysAddr) -> bool {
+    pub(crate) fn references_page(&self, addr: PhysAddr) -> bool {
         self.levels.iter().flatten().any(|sst| {
             sst.index_pages.contains(&addr) || sst.blocks.iter().any(|b| b.pages.contains(&addr))
         })
@@ -364,7 +365,7 @@ impl LsmTree {
     /// on-flash index blocks are now stale and must be rewritten via
     /// [`Self::rewrite_index`]. Index-page moves only touch in-memory
     /// metadata (and the manifest, which the caller re-persists).
-    pub fn relocate_page(&mut self, old: PhysAddr, new: PhysAddr) -> Vec<u64> {
+    pub(crate) fn relocate_page(&mut self, old: PhysAddr, new: PhysAddr) -> Vec<u64> {
         let mut stale = Vec::new();
         for sst in self.levels.iter_mut().flatten() {
             let mut data_changed = false;
@@ -392,7 +393,7 @@ impl LsmTree {
     /// pages (the bump allocator never reuses pages, so the old index
     /// stays readable until the manifest is re-persisted). No-op for an
     /// unknown id. Returns the completion time.
-    pub fn rewrite_index(
+    pub(crate) fn rewrite_index(
         &mut self,
         flash: &mut FlashArray,
         alloc: &mut PageAllocator,

@@ -33,7 +33,6 @@ pub struct MemTable {
     rng: u64,
     /// Approximate payload bytes (records + per-entry overhead).
     bytes: usize,
-    live_entries: usize,
 }
 
 const NIL: usize = usize::MAX;
@@ -41,14 +40,7 @@ const NIL: usize = usize::MAX;
 impl MemTable {
     /// An empty memtable with a deterministic tower-height seed.
     pub fn new(seed: u64) -> Self {
-        Self {
-            nodes: Vec::new(),
-            head: [NIL; MAX_HEIGHT],
-            height: 1,
-            rng: seed | 1,
-            bytes: 0,
-            live_entries: 0,
-        }
+        Self { nodes: Vec::new(), head: [NIL; MAX_HEIGHT], height: 1, rng: seed | 1, bytes: 0 }
     }
 
     fn random_height(&mut self) -> usize {
@@ -93,7 +85,7 @@ impl MemTable {
     }
 
     /// Insert a tombstone for `key`.
-    pub fn delete(&mut self, key: u64) {
+    pub(crate) fn delete(&mut self, key: u64) {
         self.insert_entry(key, Entry::Tombstone);
     }
 
@@ -106,21 +98,12 @@ impl MemTable {
             let old = std::mem::replace(&mut self.nodes[at].entry, entry);
             self.bytes -= entry_bytes(&old);
             self.bytes += entry_bytes(&self.nodes[at].entry);
-            if matches!(old, Entry::Value(_)) {
-                self.live_entries -= 1;
-            }
-            if matches!(self.nodes[at].entry, Entry::Value(_)) {
-                self.live_entries += 1;
-            }
             return;
         }
 
         let h = self.random_height();
         let idx = self.nodes.len();
         self.bytes += entry_bytes(&entry) + 48; // payload + node overhead
-        if matches!(entry, Entry::Value(_)) {
-            self.live_entries += 1;
-        }
         let mut node = Node { key, entry, next: [NIL; MAX_HEIGHT] };
         for (level, &pred) in preds.iter().enumerate().take(h) {
             if level >= self.height {
@@ -144,7 +127,7 @@ impl MemTable {
     }
 
     /// Look up `key`.
-    pub fn get(&self, key: u64) -> Option<&Entry> {
+    pub(crate) fn get(&self, key: u64) -> Option<&Entry> {
         let preds = self.predecessors(key);
         let at = if preds[0] == NIL { self.head[0] } else { self.nodes[preds[0]].next[0] };
         if at != NIL && self.nodes[at].key == key {
@@ -155,12 +138,12 @@ impl MemTable {
     }
 
     /// Iterate entries in ascending key order.
-    pub fn iter(&self) -> MemIter<'_> {
+    pub(crate) fn iter(&self) -> MemIter<'_> {
         MemIter { table: self, cur: self.head[0] }
     }
 
     /// Approximate memory footprint in bytes (drives flush decisions).
-    pub fn approximate_bytes(&self) -> usize {
+    pub(crate) fn approximate_bytes(&self) -> usize {
         self.bytes
     }
 
@@ -172,11 +155,6 @@ impl MemTable {
     /// True if the table holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Number of live (non-tombstone) entries.
-    pub fn live_entries(&self) -> usize {
-        self.live_entries
     }
 }
 
@@ -216,6 +194,10 @@ mod tests {
         v
     }
 
+    fn live_entries(m: &MemTable) -> usize {
+        m.iter().filter(|(_, e)| matches!(e, Entry::Value(_))).count()
+    }
+
     #[test]
     fn put_get_round_trip() {
         let mut m = MemTable::new(7);
@@ -225,7 +207,7 @@ mod tests {
         assert_eq!(m.get(5), Some(&Entry::Value(rec(5))));
         assert_eq!(m.get(2), None);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.live_entries(), 3);
+        assert_eq!(live_entries(&m), 3);
     }
 
     #[test]
@@ -245,7 +227,7 @@ mod tests {
         m.put(5, rec(5));
         m.delete(5);
         assert_eq!(m.get(5), Some(&Entry::Tombstone));
-        assert_eq!(m.live_entries(), 0);
+        assert_eq!(live_entries(&m), 0);
         // Deleting a missing key still records the tombstone (it must
         // shadow versions in deeper components).
         m.delete(77);

@@ -27,7 +27,7 @@ use cosmos_sim::{SimNs, TraceEvent, TraceKind};
 use std::fmt;
 
 /// Number of log buckets (covers the full `u64` nanosecond range).
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// Log-bucket latency histogram over simulated nanoseconds.
 ///
@@ -87,7 +87,8 @@ impl LatencyHistogram {
     }
 
     /// Mean duration (0 when empty).
-    pub fn mean(&self) -> SimNs {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> SimNs {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
@@ -134,7 +135,7 @@ impl LatencyHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Like [`LatencyHistogram::percentile_summary`] but with the deep
+    /// Like `percentile_summary` but with the deep
     /// tail (p99.9) included — the loadgen report's format.
     pub fn tail_summary(&self) -> String {
         if self.count == 0 {
@@ -153,7 +154,7 @@ impl LatencyHistogram {
 
     /// One-line percentile summary for reports. An empty histogram
     /// renders as the stable `"n=0"` — never fabricated zero quantiles.
-    pub fn percentile_summary(&self) -> String {
+    pub(crate) fn percentile_summary(&self) -> String {
         if self.count == 0 {
             return "n=0".to_string();
         }
@@ -181,7 +182,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in the stable reporting order.
-    pub const ALL: [OpKind; 6] = [
+    pub(crate) const ALL: [OpKind; 6] = [
         OpKind::Get,
         OpKind::Scan,
         OpKind::Put,
@@ -191,7 +192,7 @@ impl OpKind {
     ];
 
     /// Stable display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             OpKind::Get => "GET",
             OpKind::Scan => "SCAN",
@@ -233,7 +234,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Fold one trace span into the matching component.
-    pub fn add_span(&mut self, ev: &TraceEvent) {
+    pub(crate) fn add_span(&mut self, ev: &TraceEvent) {
         match ev.kind {
             TraceKind::FlashRead { .. } | TraceKind::FlashProgram { .. } => {
                 self.flash_ns += ev.dur;
@@ -262,7 +263,7 @@ impl Breakdown {
     /// Fold `other`'s component times into `self` (cross-shard
     /// aggregation). Component-wise addition, so merging per-shard
     /// breakdowns conserves the fleet's total busy time exactly.
-    pub fn merge(&mut self, other: &Breakdown) {
+    pub(crate) fn merge(&mut self, other: &Breakdown) {
         self.flash_ns += other.flash_ns;
         self.dram_ns += other.dram_ns;
         self.pe_ns += other.pe_ns;
@@ -277,7 +278,7 @@ pub struct OpMetrics {
     /// Operations completed.
     pub ops: u64,
     /// Result/payload bytes moved by those operations.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Latency distribution.
     pub hist: LatencyHistogram,
     /// Component time attribution (zeroed while tracing is off).
@@ -292,12 +293,12 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one completed operation.
-    pub fn record(&mut self, kind: OpKind, latency_ns: SimNs, bytes: u64) {
+    pub(crate) fn record(&mut self, kind: OpKind, latency_ns: SimNs, bytes: u64) {
         let m = &mut self.per_op[kind.index()];
         m.ops += 1;
         m.bytes += bytes;
@@ -305,7 +306,7 @@ impl MetricsRegistry {
     }
 
     /// Attribute a batch of trace spans to `kind`'s breakdown.
-    pub fn attribute(&mut self, kind: OpKind, spans: &[TraceEvent]) {
+    pub(crate) fn attribute(&mut self, kind: OpKind, spans: &[TraceEvent]) {
         let b = &mut self.per_op[kind.index()].breakdown;
         for ev in spans {
             b.add_span(ev);
@@ -326,7 +327,7 @@ impl MetricsRegistry {
     /// bucket-exactly ([`LatencyHistogram::merge`]), counters and
     /// breakdowns add. This is the cross-shard fold — merging N shard
     /// registries equals recording every shard's samples into one.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
         for (a, b) in self.per_op.iter_mut().zip(other.per_op.iter()) {
             a.ops += b.ops;
             a.bytes += b.bytes;
@@ -349,13 +350,13 @@ impl MetricsRegistry {
 /// Device-wide observability snapshot: per-op metrics plus health.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceStats {
-    /// Per-op metrics, indexed like [`OpKind::ALL`].
+    /// Per-op metrics, indexed like `OpKind::ALL`.
     pub metrics: MetricsRegistry,
     /// Fault/resilience counters.
     pub health: HealthReport,
     /// DRAM block-cache counters (`None` while the cache is disabled,
     /// keeping the rendering byte-identical to the pre-cache device).
-    pub cache: Option<cosmos_sim::CacheStats>,
+    pub(crate) cache: Option<cosmos_sim::CacheStats>,
     /// Trace spans silently evicted by ring overflow since the last
     /// drain. Nonzero means the flame graph (and the breakdown columns
     /// attributed from drained spans) undercounts — grow the ring
@@ -366,7 +367,7 @@ pub struct DeviceStats {
 
 /// Render a nanosecond duration with a readable unit. Stable across
 /// runs for identical inputs (used by snapshot-style output checks).
-pub fn fmt_ns(ns: SimNs) -> String {
+pub(crate) fn fmt_ns(ns: SimNs) -> String {
     if ns < 10_000 {
         format!("{ns} ns")
     } else if ns < 1_000_000 {

@@ -46,7 +46,7 @@ impl PageAllocator {
     }
 
     /// Hand out the next device-unique SST id.
-    pub fn alloc_sst_id(&mut self) -> u64 {
+    pub(crate) fn alloc_sst_id(&mut self) -> u64 {
         self.last_sst_id += 1;
         self.last_sst_id
     }
@@ -110,7 +110,7 @@ impl PageAllocator {
 
     /// Mark a page as in use (recovery: advance the watermark past every
     /// page referenced by recovered metadata).
-    pub fn mark_used(&mut self, addr: PhysAddr) {
+    pub(crate) fn mark_used(&mut self, addr: PhysAddr) {
         let slot = self.slot(addr.channel, addr.lun);
         if addr.page >= self.next_page[slot] {
             self.next_page[slot] = addr.page + 1;
@@ -119,7 +119,7 @@ impl PageAllocator {
 
     /// Recovery: advance the page watermarks and the id source past
     /// everything a recovered SST occupies.
-    pub fn mark_sst(&mut self, sst: &SstMeta) {
+    pub(crate) fn mark_sst(&mut self, sst: &SstMeta) {
         self.last_sst_id = self.last_sst_id.max(sst.id);
         let data = sst.blocks.iter().flat_map(|b| &b.pages);
         data.chain(&sst.index_pages).for_each(|&p| self.mark_used(p));
@@ -130,7 +130,8 @@ impl PageAllocator {
     }
 
     /// Free pages remaining (approximate, for diagnostics).
-    pub fn free_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn free_pages(&self) -> u64 {
         self.next_page.iter().map(|&used| u64::from(self.pages_per_lun - used)).sum()
     }
 }
@@ -140,7 +141,7 @@ impl PageAllocator {
 /// worker (the allocator stripes consecutive blocks across channels, so
 /// contiguous groups balance block counts). With more workers than
 /// channels the extra workers simply receive no channels.
-pub fn worker_for_channel(channel: u16, channels: u16, workers: usize) -> usize {
+pub(crate) fn worker_for_channel(channel: u16, channels: u16, workers: usize) -> usize {
     let channels = usize::from(channels).max(1);
     let workers = workers.max(1);
     (usize::from(channel) * workers / channels).min(workers - 1)

@@ -65,7 +65,7 @@ pub enum Backend {
 
 impl Backend {
     /// Stable display name (EXPLAIN renderings and cost reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Backend::Software => "software",
             Backend::Hardware => "hardware",
@@ -95,7 +95,7 @@ impl From<Backend> for Tier {
 
 /// What a table's executor can do — the planner's view of the device.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanCaps {
+pub(crate) struct PlanCaps {
     /// Chained filtering stages per PE.
     pub stages: u32,
     /// Lanes of the input tuple layout.
@@ -108,12 +108,12 @@ pub struct PlanCaps {
     pub aggregates: Vec<ndp_ir::AggOp>,
     /// Whether the PE's transformation is the identity (output tuples
     /// are byte-for-byte the input tuples). Gates hybrid residuals.
-    pub identity_transform: bool,
+    pub(crate) identity_transform: bool,
     /// The table's own encodings of `eq`/`ge`/`lt` (`None` when its
     /// operator set omits the operator; see `TableExec::eq_code`).
-    pub eq_code: Option<u32>,
-    pub ge_code: Option<u32>,
-    pub lt_code: Option<u32>,
+    pub(crate) eq_code: Option<u32>,
+    pub(crate) ge_code: Option<u32>,
+    pub(crate) lt_code: Option<u32>,
 }
 
 /// The physical operator at the root of a plan.
@@ -137,12 +137,12 @@ pub enum PhysOp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysicalPlan {
     pub op: PhysOp,
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// Predicates pushed into PE register programming (for a software
     /// backend: the chain the ARM walk evaluates).
-    pub pushed: Vec<FilterRule>,
+    pub(crate) pushed: Vec<FilterRule>,
     /// Predicates evaluated by the ARM over the PE's output stream.
-    pub residual: Vec<FilterRule>,
+    pub(crate) residual: Vec<FilterRule>,
     /// Parallel PE job streams a filter scan fans out to (0 = serial).
     pub parallel_pes: usize,
 }
@@ -150,7 +150,7 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Lower `op` for a table with capabilities `caps` — the one place
     /// a query is validated, whichever entry point it came through.
-    pub fn lower(
+    pub(crate) fn lower(
         op: &LogicalOp,
         backend: Backend,
         caps: &PlanCaps,
@@ -276,7 +276,7 @@ impl PhysicalPlan {
     /// Render the plan for debugging (`repro explain`). `ops` supplies
     /// the table's operator encodings (they are per-PE-config, not
     /// global), so predicates print as `lane1 >= 2015`.
-    pub fn explain(&self, table: &str, ops: &OpTable) -> String {
+    pub(crate) fn explain(&self, table: &str, ops: &OpTable) -> String {
         let mut s = String::new();
         let rule = |r: &FilterRule| format!("lane{} {} {}", r.lane, ops.symbol(r.op_code), r.value);
         // The primary path's chain, shared by both scan renderings.
@@ -404,7 +404,7 @@ impl PlanOutcome {
     // caller unwrapped the wrong shape or the dispatch itself is broken.
 
     /// A GET's record and report.
-    pub fn into_point(self) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
+    pub(crate) fn into_point(self) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
         match self {
             PlanOutcome::Point { record, report } => Ok((record, report)),
             other => Err(other.wrong_shape("point lookup")),
@@ -433,7 +433,7 @@ impl PlanOutcome {
     }
 
     /// An aggregate's `(value, any_rows, report)`.
-    pub fn into_aggregate(self) -> NkvResult<(u64, bool, SimReport)> {
+    pub(crate) fn into_aggregate(self) -> NkvResult<(u64, bool, SimReport)> {
         match self {
             PlanOutcome::Aggregate { value, any, report } => Ok((value, any, report)),
             other => Err(other.wrong_shape("aggregate scan")),

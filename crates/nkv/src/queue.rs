@@ -74,15 +74,6 @@ impl Priority {
             Priority::Bulk => 2,
         }
     }
-
-    /// Render name (bench tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Bulk => "bulk",
-        }
-    }
 }
 
 /// The ordered command list one client will issue.
@@ -123,7 +114,7 @@ pub struct CommandRecord {
     /// Index into the client's script.
     pub seq: u32,
     /// Queue pair the command went through.
-    pub qid: u16,
+    pub(crate) qid: u16,
     pub kind: OpKind,
     /// When the client rang the SQ doorbell (after any full-queue stall).
     pub submit_ns: SimNs,

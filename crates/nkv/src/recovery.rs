@@ -25,7 +25,7 @@
 //! between **two fixed slots** (`epoch % 2`). A persist only ever
 //! overwrites the slot *not* holding the current manifest, so a power
 //! cut mid-write tears at most the new slot: its CRC fails and
-//! [`read_manifest`] falls back to the intact older slot. Because the
+//! `read_manifest` falls back to the intact older slot. Because the
 //! page allocator is a bump allocator that never reuses pages, every
 //! SST the older manifest references is still readable — recovery
 //! always lands on a consistent (if slightly stale) state.
@@ -39,7 +39,12 @@ use cosmos_sim::{FlashArray, PhysAddr, SimNs};
 /// channel 0 / LUN 0 (slot 0 highest). The allocator fills pages
 /// bottom-up, so collision would require an essentially full device
 /// (and is caught by the CRC).
-pub const MANIFEST_SLOT_PAGES: u32 = 8;
+pub(crate) const MANIFEST_SLOT_PAGES: u32 = 8;
+
+/// The one manifest layout: magic, version, epoch, tables, CRC. The
+/// decoder reads exactly the version the encoder writes, so a slot of
+/// any other version is corrupt rather than misread.
+const MANIFEST_VERSION: u32 = 2;
 
 /// Manifest entry for one table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,10 +72,10 @@ fn manifest_page(slot: u32, i: u32, pages_per_lun: u32) -> PhysAddr {
 }
 
 /// Serialize the manifest (little-endian, CRC-terminated).
-pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
+pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(b"NKVM");
-    out.extend_from_slice(&2u32.to_le_bytes());
+    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
     out.extend_from_slice(&m.epoch.to_le_bytes());
     out.extend_from_slice(&(m.tables.len() as u32).to_le_bytes());
     for t in &m.tables {
@@ -95,7 +100,7 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
 }
 
 /// Parse a serialized manifest.
-pub fn decode_manifest(bytes: &[u8]) -> NkvResult<Manifest> {
+pub(crate) fn decode_manifest(bytes: &[u8]) -> NkvResult<Manifest> {
     let fail = || NkvError::Config("corrupt manifest".into());
     let take = |pos: &mut usize, n: usize| -> NkvResult<&[u8]> {
         let end = pos.checked_add(n).filter(|&e| e <= bytes.len()).ok_or_else(fail)?;
@@ -117,15 +122,11 @@ pub fn decode_manifest(bytes: &[u8]) -> NkvResult<Manifest> {
     if take(&mut pos, 4)? != b"NKVM" {
         return Err(fail());
     }
-    let version = u32_at(&mut pos)?;
-    // Version 1 manifests predate epochs (single-slot layout).
-    let epoch = if version >= 2 {
-        let e = crate::util::le_u64(bytes, pos, "manifest epoch")?;
-        pos += 8;
-        e
-    } else {
-        0
-    };
+    if u32_at(&mut pos)? != MANIFEST_VERSION {
+        return Err(fail());
+    }
+    let epoch = crate::util::le_u64(bytes, pos, "manifest epoch")?;
+    pos += 8;
     let n_tables = u32_at(&mut pos)? as usize;
     if n_tables > bytes.len() {
         return Err(fail());
@@ -206,7 +207,7 @@ fn read_slot(flash: &mut FlashArray, slot: u32, now: SimNs) -> (Option<Manifest>
 /// Read the manifest back: both slots are scanned and the newest valid
 /// one (highest epoch with an intact CRC) wins. Errors only if neither
 /// slot holds a valid manifest.
-pub fn read_manifest(flash: &mut FlashArray, now: SimNs) -> NkvResult<(Manifest, SimNs)> {
+pub(crate) fn read_manifest(flash: &mut FlashArray, now: SimNs) -> NkvResult<(Manifest, SimNs)> {
     let (m0, t0) = read_slot(flash, 0, now);
     let (m1, t1) = read_slot(flash, 1, now);
     let done = t0.max(t1);
@@ -221,7 +222,7 @@ pub fn read_manifest(flash: &mut FlashArray, now: SimNs) -> NkvResult<(Manifest,
 }
 
 /// Rebuild every SST's metadata from its on-flash index block.
-pub fn recover_table_ssts(
+pub(crate) fn recover_table_ssts(
     flash: &mut FlashArray,
     t: &TableManifest,
     now: SimNs,
@@ -247,7 +248,7 @@ pub fn recover_table_ssts(
 }
 
 /// Build the manifest entry for one table from its live metadata.
-pub fn manifest_entry(
+pub(crate) fn manifest_entry(
     name: &str,
     record_bytes: usize,
     unique_keys: bool,
@@ -407,16 +408,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_without_epoch_still_decodes() {
-        // Hand-roll a version-1 header (no epoch field, empty table list).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"NKVM");
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        let crc = crc32c(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        let m = decode_manifest(&bytes).unwrap();
-        assert_eq!(m.epoch, 0);
-        assert!(m.tables.is_empty());
+    fn only_the_written_manifest_version_decodes() {
+        // A CRC-valid header with an empty table list; `epoch` is the
+        // version-2 field, which version 1 (pre-epoch) did not have.
+        let header = |version: u32, epoch: Option<u64>| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(b"NKVM");
+            bytes.extend_from_slice(&version.to_le_bytes());
+            if let Some(e) = epoch {
+                bytes.extend_from_slice(&e.to_le_bytes());
+            }
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            let crc = crc32c(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let v2 = decode_manifest(&header(MANIFEST_VERSION, Some(7))).unwrap();
+        assert_eq!((v2.epoch, v2.tables.len()), (7, 0));
+        for (version, epoch) in [(1, None), (3, Some(7))] {
+            assert!(
+                decode_manifest(&header(version, epoch)).is_err(),
+                "a version-{version} manifest must not decode"
+            );
+        }
     }
 }

@@ -20,14 +20,14 @@ use cosmos_sim::{FlashArray, PhysAddr, SharedBytes, SimNs};
 /// Metadata of one data block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
-    pub first_key: u64,
-    pub last_key: u64,
+    pub(crate) first_key: u64,
+    pub(crate) last_key: u64,
     /// Physical pages holding this block, in order.
-    pub pages: Vec<PhysAddr>,
+    pub(crate) pages: Vec<PhysAddr>,
     /// Payload bytes (whole records; the rest of the block is padding).
-    pub bytes: u32,
+    pub(crate) bytes: u32,
     /// CRC-32C over the payload.
-    pub crc: u32,
+    pub(crate) crc: u32,
 }
 
 /// In-memory (and flash-serialized) SST metadata.
@@ -41,10 +41,10 @@ pub struct SstMeta {
     pub max_key: u64,
     pub blocks: Vec<BlockMeta>,
     /// Pages of the serialized index block.
-    pub index_pages: Vec<PhysAddr>,
-    pub bloom: Bloom,
+    pub(crate) index_pages: Vec<PhysAddr>,
+    pub(crate) bloom: Bloom,
     /// Deleted keys this SST shadows (sorted).
-    pub tombstones: Vec<u64>,
+    pub(crate) tombstones: Vec<u64>,
 }
 
 impl SstMeta {
@@ -324,7 +324,7 @@ pub(crate) fn write_index(
 /// not a copy; a page programmed on its own since (relocated, rewritten)
 /// makes it a concatenated copy.
 ///
-/// **The integrity rule.** The payload must match [`BlockMeta::crc`]. It
+/// **The integrity rule.** The payload must match `BlockMeta::crc`. It
 /// is checked one of two ways, and [`SharedBytes::recorded_crc`] of the
 /// returned payload tells which (`Some`: compared, `None`: recomputed).
 ///

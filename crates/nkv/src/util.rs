@@ -276,18 +276,19 @@ impl Bloom {
     }
 
     /// Size of the filter in bytes.
-    pub fn byte_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn byte_size(&self) -> usize {
         self.bits.len() * 8
     }
 
     /// Raw parts for serialization: `(words, n_bits, k)`.
-    pub fn to_parts(&self) -> (&[u64], u64, u32) {
+    pub(crate) fn to_parts(&self) -> (&[u64], u64, u32) {
         (&self.bits, self.n_bits, self.k)
     }
 
     /// Rebuild a filter from serialized parts (inverse of
     /// [`Bloom::to_parts`]).
-    pub fn from_parts(words: Vec<u64>, n_bits: u64, k: u32) -> Self {
+    pub(crate) fn from_parts(words: Vec<u64>, n_bits: u64, k: u32) -> Self {
         assert_eq!(words.len() as u64 * 64, n_bits, "word count must match n_bits");
         Self { bits: words, n_bits, k }
     }

@@ -28,11 +28,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (deny warnings: every intra-doc link resolves)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> non-test unwraps stay denied"
-# The clippy run above is the enforcement; this pins the attribute
-# itself so it cannot be silently dropped.
-for crate in nkv cosmos-sim ndp-ir ndp-hdl ndp-swgen ndp-pe ndp-spec core ndp-workload bench; do
-    grep -q 'cfg_attr(not(test), deny(clippy::unwrap_used))' "crates/$crate/src/lib.rs"
+echo "==> every library denies non-test unwraps and unreachable pub"
+# The clippy run above is the enforcement; this pins the attributes
+# themselves so they cannot be silently dropped, in every library,
+# including one added later.
+for lib in crates/*/src/lib.rs; do
+    grep -q 'cfg_attr(not(test), deny(clippy::unwrap_used))' "$lib"
+    grep -q 'deny(unreachable_pub)' "$lib"
 done
 
 if [ "${CHECK_SLOW:-0}" = "1" ]; then
