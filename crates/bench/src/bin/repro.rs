@@ -415,7 +415,7 @@ fn profile(scale: f64, lg: &bench::LoadgenConfig, trace_path: Option<&str>) -> R
     println!(
         "  trace: {} spans captured ({} bytes of Chrome trace_event JSON; \
          see examples/profiling.rs to export)",
-        p.trace_events,
+        p.trace.len(),
         p.trace_json.len()
     );
 

@@ -282,7 +282,7 @@ pub struct Profile {
     /// was busy (averaged over the controllers); ≈1.0 when flash-bound.
     pub scan_flash_occupancy: f64,
     /// Spans captured device-wide.
-    pub trace_events: usize,
+    pub trace: Vec<cosmos_sim::TraceEvent>,
     /// The captured spans, exported as Chrome `trace_event` JSON.
     pub trace_json: String,
 }
@@ -320,7 +320,7 @@ pub fn profile(scale: f64, n_gets: u32) -> Profile {
     let stats = ds.db.device_stats();
     let trace = ds.db.take_trace();
     let trace_json = cosmos_sim::chrome_trace_json(&trace);
-    Profile { stats, n_gets, scan_flash_occupancy, trace_events: trace.len(), trace_json }
+    Profile { stats, n_gets, scan_flash_occupancy, trace, trace_json }
 }
 
 /// The profiling GET schedule's keys, deduplicated in first-seen order
@@ -629,7 +629,7 @@ mod tests {
             "occupancy {}",
             p.scan_flash_occupancy
         );
-        assert!(p.trace_events > 0);
+        assert!(!p.trace.is_empty());
         assert!(p.trace_json.starts_with("{\"traceEvents\":["));
         assert!(p.stats.metrics.op(nkv::OpKind::Scan).breakdown.pe_ns > 0);
     }
@@ -661,6 +661,65 @@ mod tests {
         assert!(p.trace_json.contains(&format!("\"pid\":{}", cosmos_sim::DEVICE_PID_STRIDE + 100)));
         assert!(p.trace_json.contains(&format!("\"pid\":{}", cosmos_sim::ROUTER_PID)));
         assert!(p.trace_json.contains("router_merge"));
+    }
+
+    /// Busy means service (the utilisation law): on a single-server
+    /// resource (the DRAM port, the ARM, the NVMe link, each PE) busy time
+    /// never exceeds the latency of the ops that spent it, and one
+    /// resource's spans never overlap. Checked on everything `repro
+    /// profile` prints at `profile_smoke.txt`'s settings: the device's GET
+    /// and SCAN rows, their spans, the batched GET tax and every fleet
+    /// shard's rows. (`repro explain` prints plans and cost estimates, no
+    /// busy time.)
+    #[test]
+    fn single_server_busy_time_never_exceeds_latency() {
+        use cosmos_sim::TraceKind;
+        use std::collections::BTreeMap;
+        fn check(who: &str, stats: &nkv::DeviceStats) {
+            for kind in [nkv::OpKind::Get, nkv::OpKind::Scan] {
+                let m = stats.metrics.op(kind);
+                let (b, latency) = (&m.breakdown, m.hist.sum());
+                for (resource, busy) in
+                    [("dram", b.dram_ns), ("arm", b.cfg_ns), ("nvme", b.nvme_ns)]
+                {
+                    assert!(busy <= latency, "{who} {kind:?}: {resource} busy {busy} > {latency}");
+                }
+            }
+        }
+        let scale = 1.0 / 512.0;
+        let p = profile(scale, 16);
+        check("device", &p.stats);
+        // The profile's ops run one after another, so every span of one
+        // single-server resource must end before the next one starts.
+        let mut by_resource: BTreeMap<(u8, u32), Vec<(u64, u64)>> = BTreeMap::new();
+        for ev in &p.trace {
+            let resource = match ev.kind {
+                TraceKind::DramTransfer { .. } => (0, 0),
+                TraceKind::RegAccess { .. } => (1, 0),
+                TraceKind::NvmeTransfer { .. }
+                | TraceKind::QueueSubmit { .. }
+                | TraceKind::QueueComplete { .. } => (2, 0),
+                TraceKind::PeJob { pe, .. } => (3, pe),
+                _ => continue,
+            };
+            by_resource.entry(resource).or_default().push((ev.start, ev.start + ev.dur));
+        }
+        assert!(by_resource.len() >= 4, "DRAM, ARM, NVMe and the PEs are traced");
+        for (resource, mut spans) in by_resource {
+            spans.sort_unstable();
+            for w in spans.windows(2) {
+                assert!(w[0].1 <= w[1].0, "{resource:?}: span {:?} overlaps {:?}", w[0], w[1]);
+            }
+        }
+        for batch in [1, 16] {
+            let t = profile_batched_tax(scale, p.n_gets, batch);
+            assert!(t.cfg_us_per_get <= t.us_per_get, "{t:?}");
+            assert!(t.nvme_us_per_get <= t.us_per_get, "{t:?}");
+        }
+        let fleet = cluster_profile(scale, 16, 4);
+        for row in &fleet.stats.shards {
+            check(&format!("shard {}", row.shard), &row.stats);
+        }
     }
 
     #[test]

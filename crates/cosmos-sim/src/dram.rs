@@ -72,8 +72,8 @@ impl Dram {
         if let Some(t) = &mut self.trace {
             t.record(TraceEvent {
                 kind: TraceKind::DramTransfer { client, bytes, wait_ns: grant - now },
-                start: now,
-                dur: finish - now,
+                start: grant,
+                dur: finish - grant,
             });
         }
         finish

@@ -8,6 +8,18 @@
 //! event is evicted and counted, so tracing a long run costs bounded
 //! memory and never fails.
 //!
+//! One rule for every span that is a resource's busy time: it covers
+//! `[grant, finish)`, the interval the resource serves the request.
+//! Waiting is a field, never part of `dur` (`DramTransfer { wait_ns }`
+//! carries the port's queue wait and injected stalls; a flash span sums
+//! the service of the LUN, channel bus and controller stages and leaves
+//! out the waits between them). So the spans of one single-server
+//! resource (the DRAM port, the ARM, the NVMe link, each PE) never
+//! overlap, and their busy time never exceeds the time that passed.
+//! The one span that is no resource's busy time is the `CacheHit`
+//! marker, which spans a hit from request to data-ready; its burst is
+//! the `DramTransfer` span beside it.
+//!
 //! Like fault injection ([`crate::faults`]), tracing follows the
 //! zero-cost-when-disabled idiom: every record site is guarded by one
 //! `Option` branch, and with tracing off the timing behaviour is
@@ -51,11 +63,13 @@ pub enum TraceKind {
     NvmeTransfer { bytes: u64 },
     /// A batch of PE control-register accesses (PS↔PL round trips).
     RegAccess { pe: u32, writes: u64, reads: u64 },
-    /// NVMe command admission on queue pair `qid`: SQ doorbell write
-    /// plus the controller's 64 B SQE fetch, for command id `cid`.
+    /// NVMe command admission on queue pair `qid`: the controller's
+    /// 64 B SQE fetch over the host link, for command id `cid` (the SQ
+    /// doorbell write before it is host MMIO, not link service).
     QueueSubmit { qid: u16, cid: u16 },
-    /// NVMe completion posting on queue pair `qid`: 16 B CQE DMA plus
-    /// the host's CQ-head doorbell acknowledgement, for command `cid`.
+    /// NVMe completion posting on queue pair `qid`: the 16 B CQE DMA
+    /// over the host link, for command `cid` (the host's CQ-head
+    /// doorbell after it is host MMIO, not link service).
     QueueComplete { qid: u16, cid: u16 },
     /// A DRAM block-cache hit: `bytes` of SST `sst_id` (block index
     /// `block`; `u64::MAX` marks the index page) served from DRAM

@@ -242,9 +242,9 @@ impl Breakdown {
             TraceKind::DramTransfer { .. } => self.dram_ns += ev.dur,
             TraceKind::PeJob { .. } => self.pe_ns += ev.dur,
             TraceKind::RegAccess { .. } => self.cfg_ns += ev.dur,
-            // Queue envelope spans are doorbell MMIO + SQE/CQE traffic on
-            // the host link: fold them into the NVMe component so the
-            // breakdown layout (and its Display) stays unchanged.
+            // Queue spans are SQE/CQE traffic on the host link: fold
+            // them into the NVMe component so the breakdown layout (and
+            // its Display) stays unchanged.
             TraceKind::NvmeTransfer { .. }
             | TraceKind::QueueSubmit { .. }
             | TraceKind::QueueComplete { .. } => self.nvme_ns += ev.dur,
