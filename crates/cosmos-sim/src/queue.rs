@@ -5,7 +5,7 @@
 //! doorbell (one MMIO write), the controller fetches the 64 B submission
 //! entry over the link, executes the command, and posts a 16 B
 //! completion entry back to host memory. This module models that
-//! envelope on top of the FCFS [`Server`]/[`BandwidthLink`] timeline —
+//! envelope on top of the [`Server`]/[`BandwidthLink`] timelines —
 //! it accounts for the per-command doorbell + SQE/CQE link traffic and
 //! enforces per-queue depth, while the *execution* of each command
 //! (flash, PEs, ARM) stays with the existing executor.

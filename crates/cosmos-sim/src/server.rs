@@ -1,85 +1,70 @@
-//! Queueing primitives: FCFS servers and bandwidth links.
+//! Queueing primitives: single-server timelines and bandwidth links.
 //!
-//! All platform resources (flash channel buses, controller queues, the
-//! DRAM port, the ARM core, the NVMe link) are modeled as single FCFS
-//! servers: a request arriving at time `t` starts at the first point at
-//! or after `t` where the resource is free for its whole service time.
-//! This is the classic "resource timeline" discrete-event style —
-//! deterministic and exact for the pipelined bulk transfers that
-//! dominate the paper's workloads.
+//! All platform resources (flash LUNs, channel buses and controllers,
+//! the DRAM port, the ARM core, the NVMe link, each PE) are modeled as
+//! single servers with one placement rule, *earliest fit*: a job
+//! arriving at time `t` starts at the first point at or after `t` where
+//! the resource is free for its whole service time, which may be an
+//! idle gap in front of a later reservation. This is the classic
+//! "resource timeline" discrete-event style — deterministic and exact
+//! for the pipelined bulk transfers that dominate the paper's
+//! workloads.
 //!
-//! The timeline can be *gap-aware*: reservations are kept as disjoint
-//! busy intervals, and with [`Server::set_backfill`] enabled a job may
-//! start in an idle gap that lies before a later reservation. The
-//! default is the strict conveyor (`start = max(arrival, busy_until)`),
-//! which every serial one-op-at-a-time code path uses — so all paper
-//! figures are computed exactly as before, byte for byte. The queued
-//! engine (`nkv::queue`) switches the device into backfill mode for the
-//! duration of a multi-client run: there, command N+1 may need a
-//! resource at a wall time earlier than command N's *future*
-//! reservation on it — e.g. the ARM core is touched at the start
-//! (memtable probe) and end (PE config writes) of every GET, and under
-//! the strict conveyor each command's first ARM job would queue behind
-//! its predecessor's last one even though the core sits idle in
-//! between, serializing the whole device. Backfill restores the
-//! overlap a real pipelined device has. For monotonically
-//! non-decreasing arrivals and positive service times the two modes
-//! coincide (a usable gap at or after a new arrival would require an
-//! earlier job to have started later than the new arrival; held by the
-//! seeded test `monotone_arrivals_make_strict_and_backfill_coincide`,
-//! which also pins the one exception: a zero-length job tied with the
-//! start of a reservation is placed in front of it by backfill and
-//! behind it by the conveyor).
-//!
-//! Both modes stay, because one serial path is *not* monotone: the
+//! Why earliest fit and nothing else: the PEs, the flash DMA and the ARM
+//! share one AXI port to PS-DRAM (paper, Sec. IV), and a shared port
+//! serves requests in the order they arrive in *simulated* time. The
+//! simulator does not issue them in that order. It expands one op's
+//! job chain at a time, and even one op's chain goes backwards: the
 //! serial hardware SCAN issues every flash read at scan start and then
-//! walks the blocks in host order, so on the shared DRAM port block
-//! `i + 1`'s flash-DMA staging write arrives before block `i`'s PE
-//! store, which the walk has already reserved. Under the conveyor the
-//! staging write queues behind that store; backfill would drop it into
-//! the gap in front. Measured with backfill forced on and nothing else
-//! changed: 2400 such placements in `repro fig7b --scale 0.0625`,
-//! 7 lines of `repro_output.txt` move (Fig. 7b HW 5.516 -> 5.510 s
-//! for \[1\] and 5.515 -> 5.512 s for ours, A1 4.0421 -> 4.0285 s, A3
-//! 0.0632/0.0630 -> 0.0629/0.0628 s) and so do the `scan_bulk` and
-//! `ingest_churn` digests in `sim_digests_quick.txt`. The flash
-//! controllers see arrivals go backwards too (reads striped across
-//! channels), but their timelines are dense and no gap is ever usable.
+//! walks the blocks in host order, so block `i + 1`'s flash-DMA staging
+//! write reaches the DRAM port at a time before block `i`'s PE store,
+//! which the walk has already reserved; a parallel scan expands its
+//! worker chains one after another, a batched GET its per-key walks,
+//! and the queue engine many clients' commands, all overlapping in
+//! simulated time. Earliest fit places each job where the resource was
+//! free when the job arrived, whatever order the host walked in. For
+//! non-decreasing arrivals and positive service times it reduces to
+//! the conveyor `start = max(arrival, available_at)` (a usable gap at
+//! or after a new arrival would need an earlier job to have started
+//! after it; held by the seeded test
+//! `monotone_arrivals_make_strict_and_backfill_coincide`, which also
+//! pins the one exception: a zero-length job tied with the start of a
+//! reservation is placed in front of it).
 //!
-//! Cost of a backfill placement: the reserved intervals are disjoint
-//! and sorted by start, so their *ends* are sorted too, and the
-//! intervals that end at or before the job's start form a prefix of the
-//! history. A binary search skips that prefix in O(log n), the walk then
-//! visits only the intervals that can still hold the job back, and the
-//! reservation is a `VecDeque` insert at index k, O(min(k, n − k)).
-//! Under queued load arrivals land near the tail, so the walk is a few
-//! intervals and so is the insert.
+//! Cost of a placement: the reserved intervals are disjoint and sorted
+//! by start, so their *ends* are sorted too, and the intervals that end
+//! at or before the job's start form a prefix of the history. A binary
+//! search skips that prefix in O(log n), the walk then visits only the
+//! intervals that can still hold the job back, and the reservation is a
+//! `VecDeque` insert at index k, O(min(k, n − k)). Arrivals land near
+//! the tail, so the walk is a few intervals and so is the insert.
 //!
 //! History is forgotten behind a *horizon*, never by count:
 //! [`Server::forget_before`] drops what ends at or before a time no later
 //! job arrives before (the "safe time" of conservative parallel DES), so
 //! every placement equals the unbounded history's. The store advances it
 //! (`CosmosPlatform::advance_horizon`) at each serial op's entry and each
-//! queued command's dispatch.
+//! queued command's dispatch. A power cycle leaves nothing in flight:
+//! recovery (`NkvDb::recover`) empties every timeline
+//! (`CosmosPlatform::idle_timelines`), so a device rebuilt from a flash
+//! image starts its clock at zero on idle resources.
 
 use crate::SimNs;
 use std::collections::VecDeque;
 
-/// A single first-come-first-served resource with a gap-aware timeline.
+/// A single resource: a timeline of disjoint busy intervals that places
+/// every job at its earliest fit.
 #[derive(Debug, Clone, Default)]
 pub struct Server {
     /// Disjoint busy intervals `(start, end)`, sorted by start (hence by
     /// end, which `schedule`'s binary search relies on) and coalesced
     /// when abutting.
     reserved: VecDeque<(SimNs, SimNs)>,
-    /// End of the last forgotten reservation, which no backfill arrival
-    /// may precede; `available_at` once everything is forgotten.
+    /// End of the last forgotten reservation, which no arrival may
+    /// precede; `available_at` once everything is forgotten.
     floor: SimNs,
     /// Total busy time accumulated (for utilization reporting).
     busy_total: SimNs,
-    /// When set, jobs may start in idle gaps before later reservations;
-    /// when clear (default), the strict `busy_until` conveyor applies.
-    backfill: bool,
 }
 
 impl Server {
@@ -88,43 +73,44 @@ impl Server {
         Self::default()
     }
 
-    /// Switch between the strict conveyor (`false`, default) and
-    /// gap-aware backfill scheduling (`true`). Toggling is safe at any
-    /// point: existing reservations stay as they are.
-    pub fn set_backfill(&mut self, on: bool) {
-        self.backfill = on;
-    }
+    /// Does nothing: every server places jobs at their earliest fit. It
+    /// stays for callers written when a second, strict placement mode
+    /// existed, and goes once they no longer call it.
+    pub fn set_backfill(&mut self, _on: bool) {}
 
     /// Schedule a job arriving at `arrival` with the given service
     /// `duration`: the job starts at the first instant `>= arrival`
-    /// where the resource is continuously free for `duration` (in
-    /// backfill mode), or at `max(arrival, busy_until)` (strict mode).
-    /// Returns `(start, finish)`.
+    /// where the resource is continuously free for `duration`. Returns
+    /// `(start, finish)`.
     ///
-    /// Backfill relies on the reservations' ends being sorted (they are
-    /// disjoint and sorted by start): it finds the first interval ending
-    /// after the job's start in O(log n), walks on from there to the
-    /// first gap that fits, and inserts in O(min(k, n − k)) at index k.
+    /// The reservations' ends are sorted (they are disjoint and sorted
+    /// by start), so the first interval ending after the job's start is
+    /// found in O(log n); the walk goes on from there to the first gap
+    /// that fits, and the insert at index k is O(min(k, n − k)).
     pub fn schedule(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
-        debug_assert!(!self.backfill || arrival >= self.floor, "backfill arrival below the floor");
+        debug_assert!(arrival >= self.floor, "arrival {arrival} below the floor {}", self.floor);
         let mut start = arrival;
         let mut idx = self.reserved.len();
-        if self.backfill {
-            let first = self.reserved.partition_point(|&(_, e)| e <= start);
-            for (i, &(s, e)) in self.reserved.range(first..).enumerate() {
-                if start + duration <= s {
-                    idx = first + i;
-                    break;
-                }
-                start = start.max(e);
+        let first = self.reserved.partition_point(|&(_, e)| e <= start);
+        for (i, &(s, e)) in self.reserved.range(first..).enumerate() {
+            if start + duration <= s {
+                idx = first + i;
+                break;
             }
-        } else {
-            start = start.max(self.available_at());
+            start = start.max(e);
         }
         let finish = start + duration;
         self.insert_at(idx, start, finish);
         self.busy_total += duration;
         (start, finish)
+    }
+
+    /// Empty the timeline, as a power cycle does: nothing is in flight
+    /// afterwards, and the resource is idle from time zero. The busy
+    /// total is a counter, not timeline state, and is kept.
+    pub(crate) fn go_idle(&mut self) {
+        self.reserved.clear();
+        self.floor = 0;
     }
 
     /// Drop the reservations that end at or before `horizon`, a time no
@@ -159,7 +145,8 @@ impl Server {
 
     /// Time after which the resource is free indefinitely (end of the
     /// last reservation). Earlier idle gaps may still accept jobs.
-    pub(crate) fn available_at(&self) -> SimNs {
+    #[cfg(test)]
+    fn available_at(&self) -> SimNs {
         self.reserved.back().map_or(self.floor, |&(_, e)| e)
     }
 
@@ -226,17 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_never_backfills() {
-        let mut s = Server::new();
-        s.schedule(0, 15); // [0, 15)
-        s.schedule(100, 5); // [100, 105)
-        assert_eq!(s.schedule(16, 2), (105, 107), "conveyor ignores the gap");
-    }
-
-    #[test]
     fn backfill_uses_idle_gaps_between_reservations() {
         let mut s = Server::new();
-        s.set_backfill(true);
         s.schedule(0, 15); // [0, 15)
         s.schedule(100, 5); // [100, 105)
                             // A job arriving in the gap fits there instead of queueing
@@ -248,37 +226,39 @@ mod tests {
         assert_eq!(s.busy_total(), 15 + 5 + 2 + 90);
     }
 
+    /// For non-decreasing arrivals and positive durations earliest fit is
+    /// the strict conveyor: every job starts at `max(arrival,
+    /// available_at)`, before the job is placed.
     #[test]
     fn monotone_arrivals_make_strict_and_backfill_coincide() {
         for seed in 0..32 {
             let mut rng = crate::faults::FaultRng::new(seed);
-            let (mut strict, mut backfill) = (Server::new(), Server::new());
-            backfill.set_backfill(true);
+            let mut s = Server::new();
             let mut arrival = 0;
             // Steps of 0..16 against durations of 1..=8 mix repeated
             // arrivals, queued bursts and idle gaps that never abut. Each
-            // arrival is also the backfill server's horizon, so it
-            // forgets as it goes.
+            // arrival is also the horizon, so the server forgets as it
+            // goes.
             for _ in 0..2_048 {
                 arrival += rng.gen_u64(16);
-                backfill.forget_before(arrival);
+                s.forget_before(arrival);
                 let duration = 1 + rng.gen_u64(8);
+                let strict = arrival.max(s.available_at());
                 assert_eq!(
-                    strict.schedule(arrival, duration),
-                    backfill.schedule(arrival, duration),
+                    s.schedule(arrival, duration),
+                    (strict, strict + duration),
                     "seed {seed}, arrival {arrival}, duration {duration}"
                 );
             }
-            assert!(backfill.floor > 0, "seed {seed} never forgot an interval");
+            assert!(s.floor > 0, "seed {seed} never forgot an interval");
         }
         // Positive durations are needed: a zero-length job reserves
-        // nothing, so it "fits" in front of a reservation that starts
-        // at its own arrival time.
-        let (mut strict, mut backfill) = (Server::new(), Server::new());
-        backfill.set_backfill(true);
-        assert_eq!(strict.schedule(5, 3), backfill.schedule(5, 3));
-        assert_eq!(strict.schedule(5, 0), (8, 8));
-        assert_eq!(backfill.schedule(5, 0), (5, 5));
+        // nothing, so it fits in front of a reservation that starts at
+        // its own arrival time, where the conveyor would put it behind.
+        let mut s = Server::new();
+        assert_eq!(s.schedule(5, 3), (5, 8));
+        assert_eq!(s.available_at(), 8);
+        assert_eq!(s.schedule(5, 0), (5, 5));
     }
 
     impl Server {
@@ -288,19 +268,15 @@ mod tests {
         fn schedule_linear(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
             let mut start = arrival;
             let mut idx = self.reserved.len();
-            if self.backfill {
-                for (i, &(s, e)) in self.reserved.iter().enumerate() {
-                    if e <= start {
-                        continue;
-                    }
-                    if start + duration <= s {
-                        idx = i;
-                        break;
-                    }
-                    start = start.max(e);
+            for (i, &(s, e)) in self.reserved.iter().enumerate() {
+                if e <= start {
+                    continue;
                 }
-            } else {
-                start = start.max(self.available_at());
+                if start + duration <= s {
+                    idx = i;
+                    break;
+                }
+                start = start.max(e);
             }
             let finish = start + duration;
             self.insert_at(idx, start, finish);
@@ -333,15 +309,10 @@ mod tests {
         for seed in 0..8 {
             let mut rng = crate::faults::FaultRng::new(seed);
             let mut slow = Server::new();
-            slow.set_backfill(true);
-            // (toggle backfill first, arrival, duration, reference placement)
+            // (arrival, duration, reference placement)
             let mut trace = Vec::new();
             let mut cursor = 0;
             for _ in 0..8_192 {
-                let toggle = rng.gen_u64(128) == 0;
-                if toggle {
-                    slow.set_backfill(!slow.backfill);
-                }
                 let r = &slow.reserved;
                 // One of the 64 newest reservations, so that the trace
                 // reaches a bounded distance back.
@@ -373,21 +344,16 @@ mod tests {
                     }
                     _ => (slow.available_at(), 1 + rng.gen_u64(3)),
                 };
-                trace.push((toggle, arrival, duration, slow.schedule_linear(arrival, duration)));
+                trace.push((arrival, duration, slow.schedule_linear(arrival, duration)));
             }
             // horizon[i]: the earliest arrival of steps i.. .
             let mut horizon = vec![SimNs::MAX; trace.len() + 1];
-            for (i, &(_, arrival, _, _)) in trace.iter().enumerate().rev() {
+            for (i, &(arrival, _, _)) in trace.iter().enumerate().rev() {
                 horizon[i] = horizon[i + 1].min(arrival);
             }
             let mut fast = Server::new();
-            fast.set_backfill(true);
-            let (mut floors, mut toggles, mut peak) = (0, 0, 0);
-            for (step, &(toggle, arrival, duration, placed)) in trace.iter().enumerate() {
-                if toggle {
-                    fast.set_backfill(!fast.backfill);
-                    toggles += 1;
-                }
+            let (mut floors, mut peak) = (0, 0);
+            for (step, &(arrival, duration, placed)) in trace.iter().enumerate() {
                 let floor = fast.floor;
                 fast.forget_before(horizon[step]);
                 floors += usize::from(fast.floor != floor);
@@ -397,7 +363,6 @@ mod tests {
                 fast.assert_timeline_invariant(&ctx);
                 peak = peak.max(fast.reserved.len());
             }
-            assert!(toggles >= 2, "seed {seed}: backfill toggled {toggles} times");
             assert!(floors >= 256, "seed {seed}: the horizon moved the floor {floors} times");
             assert!(
                 16 * peak < slow.reserved.len(),
@@ -406,8 +371,13 @@ mod tests {
             );
             assert_eq!(fast.available_at(), slow.available_at(), "seed {seed}");
             assert_eq!(fast.busy_total(), slow.busy_total(), "seed {seed}");
-            let kept = slow.reserved.len() - fast.reserved.len();
-            assert!(fast.reserved.iter().eq(slow.reserved.range(kept..)), "seed {seed}");
+            // What is kept is the reference's history after the floor; an
+            // interval that abutted a forgotten one was coalesced with it
+            // in the reference, so it is compared from the floor on.
+            let floor = fast.floor;
+            let tail = slow.reserved.iter().filter(|&&(_, e)| e > floor);
+            let clipped = tail.map(|&(s, e)| (s.max(floor), e));
+            assert!(fast.reserved.iter().copied().eq(clipped), "seed {seed}");
         }
     }
 
@@ -427,7 +397,6 @@ mod tests {
     #[test]
     fn a_trailing_horizon_bounds_the_history_to_its_window() {
         let mut s = Server::new();
-        s.set_backfill(true);
         // Sparse jobs (gaps never abut) 100 ns apart, with the horizon
         // 1 000 ns behind each arrival: only the ten intervals that end
         // inside that window stay, however long the stream runs.

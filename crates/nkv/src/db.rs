@@ -856,9 +856,12 @@ impl NkvDb {
     /// `table_configs` re-supplies the PE configurations (formats live in
     /// the data catalog / specification, not in flash).
     pub fn recover(
-        platform: CosmosPlatform,
+        mut platform: CosmosPlatform,
         table_configs: Vec<(String, TableConfig)>,
     ) -> NkvResult<Self> {
+        // A power cycle leaves nothing in flight, whatever timelines the
+        // flash image was carried over with.
+        platform.idle_timelines();
         let mut db = Self {
             alloc: PageAllocator::new(platform.flash.config()),
             platform,
@@ -981,29 +984,31 @@ mod tests {
         fn sst(db: &NkvDb) -> SstMeta {
             db.tables["papers"].lsm.levels().iter().flatten().next().unwrap().clone()
         }
-        /// Read block `bi` with `read_block` and page by page; they must
-        /// agree. Returns whether `read_block` verified the block against
-        /// its writer's recorded CRC, which only a view of the buffer of
-        /// the block's first flash page may do; it recomputed otherwise.
+        /// Read block `bi` with `read_block` and page by page, at the
+        /// device clock (no job may arrive before the horizon the store's
+        /// ops have advanced); they must agree. Returns whether
+        /// `read_block` verified the block against its writer's recorded
+        /// CRC, which only a view of the buffer of the block's first flash
+        /// page may do; it recomputed otherwise.
         fn recorded(db: &mut NkvDb, bi: usize) -> bool {
-            let (sst, flash) = (sst(db), &mut db.platform.flash);
+            let (sst, now, flash) = (sst(db), db.clock, &mut db.platform.flash);
             let block = &sst.blocks[bi];
-            let (_, data) = read_block(flash, &sst, bi, 0).unwrap();
+            let (_, data) = read_block(flash, &sst, bi, now).unwrap();
             let mut pages = Vec::new();
             for &p in &block.pages {
-                let page = flash.read_page(p, 0).unwrap().1;
+                let page = flash.read_page(p, now).unwrap().1;
                 let take = page.len().min(block.bytes as usize - pages.len());
                 pages.extend_from_slice(&page[..take]);
             }
             assert_eq!(&data[..], &pages[..], "block {bi}");
-            let view = data.as_ptr() == flash.read_page(block.pages[0], 0).unwrap().1.as_ptr();
+            let view = data.as_ptr() == flash.read_page(block.pages[0], now).unwrap().1.as_ptr();
             assert_eq!(data.recorded_crc().is_some(), view, "block {bi}: recorded iff a view");
             view
         }
         /// `read_block` of block `bi` under `meta` fails its CRC check.
         fn corrupt(db: &mut NkvDb, meta: &SstMeta, bi: usize) -> bool {
             matches!(
-                read_block(&mut db.platform.flash, meta, bi, 0),
+                read_block(&mut db.platform.flash, meta, bi, db.clock),
                 Err(NkvError::CorruptBlock { block, .. }) if block == bi
             )
         }
@@ -1026,9 +1031,9 @@ mod tests {
         assert_ne!(sst(&db).blocks[1].pages[2], degrading);
         assert!(!recorded(&mut db, 1), "a relocated page makes a copy");
         // Block 2's second page rewritten on its own, with its own bytes.
-        let rewritten = blocks[2].pages[1];
-        let bytes = db.platform.flash.read_page(rewritten, 0).unwrap().1.to_vec();
-        db.platform.flash.program_page(rewritten, &bytes, 0).unwrap();
+        let (rewritten, now) = (blocks[2].pages[1], db.clock);
+        let bytes = db.platform.flash.read_page(rewritten, now).unwrap().1.to_vec();
+        db.platform.flash.program_page(rewritten, &bytes, now).unwrap();
         assert!(!recorded(&mut db, 2), "a rewritten page makes a copy");
         assert!(recorded(&mut db, 3), "the other blocks are still views");
         // A stale CRC fails on both branches.
@@ -1043,9 +1048,9 @@ mod tests {
         assert!(corrupt(&mut db, &short, 0), "a sub-range of a sealed block");
         // Block 3's first page re-programmed with one bit flipped.
         let flipped = blocks[3].pages[0];
-        let mut bytes = db.platform.flash.read_page(flipped, 0).unwrap().1.to_vec();
+        let mut bytes = db.platform.flash.read_page(flipped, now).unwrap().1.to_vec();
         bytes[100] ^= 0x10;
-        db.platform.flash.program_page(flipped, &bytes, 0).unwrap();
+        db.platform.flash.program_page(flipped, &bytes, now).unwrap();
         let meta = sst(&db);
         assert!(corrupt(&mut db, &meta, 3), "a flipped bit");
     }

@@ -21,13 +21,12 @@
 //! *strictly serially* — block `k+1` is issued only once block `k` is
 //! consumed — so the streams model bounded per-worker staging rather
 //! than the serial path's idealized issue-everything-at-start firmware
-//! loop. The worker chains overlap in simulated time on the shared
-//! timelines (flash controllers, DRAM port, ARM), which therefore run
-//! in gap-aware backfill mode for the duration of the block phase
-//! ([`cosmos_sim::CosmosPlatform::set_parallel_dispatch`]). Results
-//! merge deterministically in global (component, block) order before
-//! the shared reconciliation pass, so a parallel scan returns exactly
-//! the serial plan's bytes.
+//! loop. The worker chains are expanded one after another but overlap
+//! in simulated time on the shared timelines (flash controllers, DRAM
+//! port, ARM), which place every job at its earliest fit (the
+//! `cosmos_sim::server` module doc). Results merge deterministically in
+//! global (component, block) order before the shared reconciliation
+//! pass, so a parallel scan returns exactly the serial plan's bytes.
 
 use crate::error::{NkvError, NkvResult};
 use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
@@ -582,25 +581,6 @@ fn memtable_pass_done(platform: &mut CosmosPlatform, lsm: &LsmTree, start: SimNs
     t
 }
 
-/// Put the platform's shared timelines and this table's PE pool into
-/// (or back out of) gap-aware backfill, for code that expands several
-/// job chains sequentially in host order that overlap in simulated
-/// time — parallel scan workers, a batched GET's per-key walks, a queue
-/// run's commands — so every timeline must accept out-of-order arrivals.
-/// A queue run owns the mode while its queues are enabled: the platform
-/// refuses the off-switch until then, and the PE pool follows it.
-pub(crate) fn set_overlapped_dispatch(
-    platform: &mut CosmosPlatform,
-    exec: &mut TableExec,
-    on: bool,
-) {
-    if platform.set_parallel_dispatch(on) {
-        for s in &mut exec.pe_servers {
-            s.set_backfill(on);
-        }
-    }
-}
-
 /// Per-scan statistics of the parallel block phase (see
 /// `NkvDb::parallel_scan_stats`).
 #[derive(Debug, Clone)]
@@ -639,13 +619,8 @@ fn run_parallel_scan_blocks(
         let ch = ssts[si].blocks[bi].pages.first().map_or(0, |p| p.channel);
         streams[worker_for_channel(ch, channels, workers)].push(j);
     }
-    // The worker chains are expanded sequentially in host order but
-    // overlap in simulated time.
-    set_overlapped_dispatch(platform, exec, true);
-    let res =
-        parallel_scan_streams(platform, exec, plan, filters, ssts, start, &jobs, &streams, report);
-    set_overlapped_dispatch(platform, exec, false);
-    let (outs, op_end) = res?;
+    let (outs, op_end) =
+        parallel_scan_streams(platform, exec, plan, filters, ssts, start, &jobs, &streams, report)?;
     for (&(si, _), out) in jobs.iter().zip(&outs) {
         let before = results.len();
         results.extend_from_slice(out);
@@ -1107,8 +1082,6 @@ pub(crate) fn run_batched_get(
     platform.trace_nvme(nv_start, dma_done - nv_start, desc.dma_bytes() as u64);
     let (_, t_start) = platform.arm.schedule(dma_done, timing::ARM_BATCH_HEADER_PARSE_NS);
 
-    // Per-key chains overlap on the shared timelines.
-    set_overlapped_dispatch(platform, exec, true);
     let mut shared = BatchShared::default();
     let mut results = Vec::with_capacity(keys.len());
     let mut dones = Vec::with_capacity(keys.len());
@@ -1149,7 +1122,6 @@ pub(crate) fn run_batched_get(
         }
     }
 
-    set_overlapped_dispatch(platform, exec, false);
     report.sim_ns = last_done.saturating_sub(now);
     Ok((results, dones, report))
 }

@@ -7,7 +7,7 @@
 //! module adds it: [`NkvDb::run_queued`] admits a *window* of in-flight
 //! GET/SCAN/PUT commands per client through the platform's NVMe queue
 //! pairs ([`cosmos_sim::queue`]) and dispatches them onto the shared
-//! FCFS resource timelines (flash channels/LUNs, PE pool, ARM, DRAM
+//! resource timelines (flash channels/LUNs, PE pool, ARM, DRAM
 //! port, NVMe link). Commands that touch disjoint resources overlap and
 //! may complete out of submission order; commands that contend queue up
 //! exactly as the hardware would.
@@ -17,7 +17,7 @@
 //! the client submits its next. Dispatch order is a deterministic
 //! min-heap on `(submit_ns, client, seq)`, and because each command is
 //! expanded on the timeline the moment it is popped, submission times
-//! seen by the FCFS servers are monotonically non-decreasing — the run
+//! seen by the servers are monotonically non-decreasing — the run
 //! is exactly reproducible for a given database state and script set.
 //!
 //! With one client at depth 1 the engine degenerates to the serial
@@ -200,19 +200,9 @@ impl NkvDb {
             return Err(NkvError::UnknownTable(table.into()));
         }
         self.platform.enable_queues(cfg.queues);
-        self.set_overlapped_dispatch(table, true);
         let out = self.run_queued_inner(table, scripts, cfg);
         self.platform.disable_queues();
-        self.set_overlapped_dispatch(table, false);
         out
-    }
-
-    /// The run's commands overlap in simulated time: see
-    /// [`crate::engine::set_overlapped_dispatch`]. Enabled queues own the
-    /// mode, so the off-switch comes after `disable_queues`.
-    fn set_overlapped_dispatch(&mut self, table: &str, on: bool) {
-        let t = self.tables.get_mut(table).expect("validated by run_queued");
-        crate::engine::set_overlapped_dispatch(&mut self.platform, &mut t.exec, on);
     }
 
     fn run_queued_inner(

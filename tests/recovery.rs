@@ -196,12 +196,12 @@ fn torn_manifest_slot_recovers_the_previous_epoch() {
     let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
     fresh.flash = db.platform_mut().flash.clone();
     // Tear epoch 2's slot: corrupt the first page of slot 0 (the
-    // topmost page of channel 0 / LUN 0).
-    let top = fresh.flash.config().pages_per_lun - 1;
+    // topmost page of channel 0 / LUN 0), at the old device's clock.
+    let (top, now) = (fresh.flash.config().pages_per_lun - 1, db.clock());
     let addr = cosmos_sim::PhysAddr { channel: 0, lun: 0, page: top };
-    let mut torn = fresh.flash.read_page(addr, 0).unwrap().1.to_vec();
+    let mut torn = fresh.flash.read_page(addr, now).unwrap().1.to_vec();
     torn.truncate(16); // only the header reached the cells
-    fresh.flash.program_page(addr, &torn, 0).unwrap();
+    fresh.flash.program_page(addr, &torn, now).unwrap();
 
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
     // Epoch 1 state: the bulk data is there, the later put is not.
@@ -260,4 +260,39 @@ fn unflushed_memtable_data_is_volatile() {
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap();
     let (gone, _) = rec.get("papers", 90_000, Backend::Software).unwrap();
     assert_eq!(gone, None, "memtable contents do not survive a power cycle");
+}
+
+#[test]
+fn a_recovered_device_starts_its_clock_on_idle_timelines() {
+    // A power cycle leaves nothing in flight, so recovery costs the same
+    // simulated time from the image taken at the last persist as from
+    // the image of a device that went on reading for a long time after
+    // it: the flash array carries its pages over, not its reservations.
+    let mut db = NkvDb::default_db();
+    db.create_table("papers", table_cfg()).unwrap();
+    let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 27 };
+    db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+    db.persist().unwrap();
+    let at_persist = db.platform_mut().flash.clone();
+    let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5, value: 1950 }];
+    for _ in 0..4 {
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
+    }
+    let recover = |flash: &cosmos_sim::FlashArray| {
+        let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
+        fresh.flash = flash.clone();
+        fresh.enable_tracing(1 << 16);
+        NkvDb::recover(fresh, vec![("papers".into(), table_cfg())]).unwrap()
+    };
+    let mut ran_ahead = recover(&db.platform_mut().flash);
+    // The manifest read is the recovered device's first flash job, at
+    // t = 0 on an idle LUN, not behind the old device's last scan.
+    let first_read = ran_ahead
+        .take_trace()
+        .into_iter()
+        .find(|e| matches!(e.kind, cosmos_sim::TraceKind::FlashRead { .. }))
+        .expect("recovery reads the manifest");
+    assert_eq!(first_read.start, 0, "{first_read:?}");
+    assert_eq!(ran_ahead.clock(), recover(&at_persist).clock());
+    assert!(ran_ahead.clock() < db.clock() / 4, "{} vs {}", ran_ahead.clock(), db.clock());
 }
