@@ -1217,6 +1217,63 @@ mod tests {
         assert!(picks.iter().any(|&b| b != Backend::Software), "{picks:?}");
     }
 
+    /// A hardware GET programs `lane0 == key`. On a table whose lane 0
+    /// is the low `uint32_t` half of the key, that filter compares the
+    /// wrong bytes: the PE used to answer `Ok(None)` for a key the ARM
+    /// finds. Every entry point now refuses it at lowering, and the
+    /// adaptive tier runs the GET on the ARM.
+    #[test]
+    fn hardware_get_needs_lane_0_to_be_the_key() {
+        let spec = "/* @autogen define parser SplitPe with
+                        chunksize = 32, input = Split, output = Split */
+                    typedef struct { uint32_t lo; uint32_t hi; uint32_t v; } Split;";
+        let pe = elaborate(&parse(spec).unwrap(), "SplitPe").unwrap();
+        let mut db = NkvDb::default_db();
+        db.create_table("split", TableConfig::new(pe)).unwrap();
+        let record = |i: u64| [((i << 32) | 7).to_le_bytes().as_slice(), &[i as u8; 4]].concat();
+        assert_eq!(db.bulk_load("split", (0..100).map(record)).unwrap(), 100);
+        let key = 0x1_0000_0007;
+        assert_eq!(db.get("split", key, Backend::Software).unwrap().0, Some(record(1)));
+        for backend in [Backend::Hardware, Backend::Hybrid] {
+            for op in [LogicalOp::Get { key }, LogicalOp::MultiGet { keys: vec![key, 7] }] {
+                match db.execute("split", &op, backend) {
+                    Err(NkvError::Config(msg)) => assert!(msg.contains("lane 0"), "{msg}"),
+                    other => {
+                        panic!("{op:?} on {backend:?}: expected a Config error, got {other:?}")
+                    }
+                }
+            }
+        }
+        let get = LogicalOp::Get { key };
+        assert_eq!(db.choose_backend("split", &get).unwrap().0, Backend::Software);
+        let adaptive = db.execute("split", &get, Tier::Adaptive).unwrap().into_point().unwrap();
+        assert_eq!(adaptive.0, Some(record(1)));
+    }
+
+    /// `TableConfig::unique_keys`: on a duplicate-key table a GET returns
+    /// the key's first record, on either arm. The ARM's bisection used to
+    /// return whichever duplicate it landed on (`dst` 104 for key 1,
+    /// where the PE returns `dst` 100).
+    #[test]
+    fn duplicate_key_get_returns_the_first_record_on_both_arms() {
+        let pe = elaborate(&parse(PAPER_REF_SPEC).unwrap(), ndp_workload::spec::REF_PE).unwrap();
+        let mut db = NkvDb::default_db();
+        db.create_table("refs", TableConfig { unique_keys: false, ..TableConfig::new(pe) })
+            .unwrap();
+        let record = |src: u64, j: u64| {
+            [src.to_le_bytes().as_slice(), &(100 * src + j).to_le_bytes(), &2020u32.to_le_bytes()]
+                .concat()
+        };
+        let records = (0..40).flat_map(|src| (0..7).map(move |j| record(src, j)));
+        assert_eq!(db.bulk_load("refs", records).unwrap(), 280);
+        for src in 0..40 {
+            for backend in [Backend::Software, Backend::Hardware] {
+                let (got, _) = db.get("refs", src, backend).unwrap();
+                assert_eq!(got, Some(record(src, 0)), "key {src} on {backend:?}");
+            }
+        }
+    }
+
     #[test]
     fn unknown_table_and_bad_record_are_errors() {
         let mut db = paper_db(1, PeVariant::Generated);

@@ -34,13 +34,14 @@ use crate::lsm::LsmTree;
 use crate::memtable::Entry;
 use crate::placement::worker_for_channel;
 use crate::plan::{Backend, PhysOp, PhysicalPlan, PlanOutcome};
-use crate::sst::{read_block, search_block, BlockMeta, SstMeta};
+use crate::sst::{key_run, read_block, BlockMeta, SstMeta};
 use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SharedBytes, SimNs};
 use ndp_pe::oracle::{AggAccumulator, FilterProgram, FilterRule};
 use ndp_pe::pipeline::estimate_block_cycles;
 use ndp_swgen::{job_io, DriverProfile, IoStats, PeInvoke};
 use std::collections::{hash_map, HashMap};
+use std::ops::Range;
 
 /// Backoff charged before retry `attempt` (1-based):
 /// `backoff_base_ns << (attempt - 1)`, shift capped so a hostile retry
@@ -298,23 +299,12 @@ pub(crate) fn schedule_hw_job(
     }
 }
 
-/// The `lane0 == key` rule a hardware GET programs into the PE, in the
-/// table's own `eq` encoding. Lowering already rejects hardware GETs on
-/// a table whose operator set omits `eq`, so the error needs a plan that
-/// bypassed [`PhysicalPlan::lower`].
-fn key_eq_rule(exec: &TableExec, key: u64) -> NkvResult<[FilterRule; 1]> {
-    let op_code = exec.eq_code.ok_or_else(|| {
-        NkvError::Config("hardware GET on a table generated without the `eq` operator".into())
-    })?;
-    Ok([FilterRule { lane: 0, op_code, value: key }])
-}
-
 /// What a scan keeps of each passing tuple, fixed by the plan's
 /// [`PhysOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Collect {
-    /// The transformed tuple, returned over NVMe (a filter scan, and the
-    /// PE output a GET searches).
+    /// The transformed tuple, returned over NVMe (a filter scan; a GET's
+    /// key job is priced as one).
     Records,
     /// The raw tuple (key = its first 8 bytes), folded into the
     /// aggregate's accumulator once reconciliation has dropped shadowed
@@ -353,22 +343,21 @@ impl Collect {
     }
 }
 
-/// One block's worth of hardware work (shared by GET and SCAN): the
-/// functional pass, the PE's cycles and the ARM's register I/O of a job
-/// with a chain of `rules`, launched the way `invoke` says ([`job_io`]).
-/// Returns `(tuples_in, tuples_out, pe_cycles, io, store_bytes)`;
+/// The price of one hardware block job (shared by GET and SCAN), from
+/// what its functional pass reported: the PE's cycles to stream
+/// `block_bytes` holding `tin` tuples of which `tout` pass, and the ARM's
+/// register I/O of a job with a chain of `rules`, launched the way
+/// `invoke` says ([`job_io`]). Returns `(pe_cycles, io, store_bytes)`;
 /// `store_bytes` is `None` for a fold, whose result stays in the PE's
 /// accumulator register.
-fn hw_filter_block(
+fn hw_job_price(
     exec: &TableExec,
-    data: &[u8],
-    program: &FilterProgram,
+    block_bytes: u64,
+    (tin, tout): (u64, u64),
     rules: usize,
     invoke: PeInvoke,
     collect: Collect,
-    out: &mut Vec<u8>,
-) -> (u64, u64, u64, IoStats, Option<u64>) {
-    let (tin, tout) = collect.block(exec, program, data, out);
+) -> (u64, IoStats, Option<u64>) {
     let io = job_io(exec.profile, exec.stages, rules, invoke, collect == Collect::Fold);
     let stored = match (collect, exec.profile) {
         (Collect::Fold, _) => None,
@@ -378,8 +367,8 @@ fn hw_filter_block(
             Some(tout * exec.processor.out_tuple_bytes() as u64)
         }
     };
-    let cycles = estimate_block_cycles(data.len() as u64, tin, stored.unwrap_or(0), exec.stages);
-    (tin, tout, cycles, io, stored)
+    let cycles = estimate_block_cycles(block_bytes, tin, stored.unwrap_or(0), exec.stages);
+    (cycles, io, stored)
 }
 
 /// ARM post-filter over the PE's output tuples in `out[before..]` (the
@@ -507,14 +496,14 @@ fn scan_block_job(
     match claim_pe(platform, exec, candidate, !never_hw)? {
         PeGrant::Hw(d) => {
             let before = out.len();
-            let (tin, tout, cycles, io, stored) = hw_filter_block(
+            let (tin, tout) = filters.collect.block(exec, &filters.pushed, data, out);
+            let (cycles, io, stored) = hw_job_price(
                 exec,
-                data,
-                &filters.pushed,
+                data.len() as u64,
+                (tin, tout),
                 filters.rules,
                 if configured[d] { PeInvoke::Warm } else { PeInvoke::Cold },
                 filters.collect,
-                out,
             );
             configured[d] = true;
             report.tuples_in += tin;
@@ -851,11 +840,18 @@ pub(crate) fn run_scan(
 /// binary search, or a `lane0 == key` filter job on PE 0 — GET always
 /// targets PE 0 (one block, no parallelism to exploit), and a retired
 /// or freshly hung PE 0 degrades the search to the ARM, like the SCAN
-/// path. Returns the record, if the block holds it, and the search's
-/// completion time. `configured` is whether an earlier key of the same
-/// batch already programmed the PE: a serial GET passes `false` (every
-/// GET reconfigures the reference value, so no rule caching applies), a
-/// batch's later keys pay only the [`PeInvoke::Keyed`] strobe.
+/// path. Both arms answer from the block's run of `key` ([`key_run`]).
+/// The ARM returns the run's first record. The PE job is priced as the
+/// full-block filter it models — every whole tuple in, the run out and
+/// stored ([`hw_job_price`]) — and returns the first tuple the PE would
+/// store, the run's first record transformed; lowering admits a
+/// hardware GET only where lane 0 is the key (`PlanCaps::key_lane`), so
+/// the run is exactly what that filter passes. Returns the record, if
+/// the block holds it, and the search's completion time. `configured`
+/// is whether an earlier key of the same batch already programmed the
+/// PE: a serial GET passes `false` (every GET reconfigures the reference
+/// value, so no rule caching applies), a batch's later keys pay only the
+/// [`PeInvoke::Keyed`] strobe.
 #[allow(clippy::too_many_arguments)]
 fn key_search_job(
     platform: &mut CosmosPlatform,
@@ -874,43 +870,60 @@ fn key_search_job(
         let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
         claim_pe(platform, exec, if pe_down { None } else { Some(0) }, true)?
     };
+    let run = key_run(data, record_bytes, key)?;
     match grant {
         PeGrant::Sw { hung } => {
-            let rec = search_block(data, record_bytes, key)?.map(<[u8]>::to_vec);
             let (_, done) = platform
                 .arm
                 .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-            Ok((rec, done))
+            let first =
+                (!run.is_empty()).then(|| &data[run.start * record_bytes..][..record_bytes]);
+            Ok((first.map(<[u8]>::to_vec), done))
         }
         PeGrant::Hw(d) => {
             let invoke = if *configured { PeInvoke::Keyed } else { PeInvoke::Cold };
             *configured = true;
-            let rules = key_eq_rule(exec, key)?;
-            let program = exec.processor.compile(&rules, &exec.ops);
-            let mut out = Vec::new();
-            let (tin, tout, cycles, io, stored) =
-                hw_filter_block(exec, data, &program, 1, invoke, Collect::Records, &mut out);
+            let ((tin, tout), rec) = key_job(exec, data, run, record_bytes);
+            let (cycles, io, stored) =
+                hw_job_price(exec, data.len() as u64, (tin, tout), 1, invoke, Collect::Records);
             report.tuples_in += tin;
             report.tuples_out += tout;
             report.reg_writes += io.reg_writes;
             report.reg_reads += io.reg_reads;
             // GET has no PE load phase in the model (the block is already
-            // staged for the search); only the one-record store rides the
-            // DRAM port.
+            // staged for the search); only the PE's store rides the DRAM
+            // port.
             let done = schedule_hw_job(platform, exec, d, staged, cycles, io, None, stored);
-            let rec = if out.is_empty() {
-                None
-            } else {
-                let found = out.get(..record_bytes).ok_or(NkvError::ResultDecode {
-                    offset: 0,
-                    need: record_bytes,
-                    len: out.len(),
-                })?;
-                Some(found.to_vec())
-            };
-            Ok((rec, done))
+            Ok((rec?, done))
         }
     }
+}
+
+/// A hardware GET's PE job over one block, answered from the block's
+/// run of the key (`run`, from [`key_run`]): `(tuples_in, tuples_out)`
+/// as the full-block `lane0 == key` filter it models reports them —
+/// every whole tuple in, the run out — and the record the GET returns,
+/// the first `record_bytes` of the first tuple that filter stores (the
+/// run's first record, transformed). A stored tuple too short for a
+/// record means the PE wrote garbage: a typed error, not a panic.
+fn key_job(
+    exec: &TableExec,
+    data: &[u8],
+    run: Range<usize>,
+    record_bytes: usize,
+) -> ((u64, u64), NkvResult<Option<Vec<u8>>>) {
+    let counts = ((data.len() / exec.processor.in_tuple_bytes()) as u64, run.len() as u64);
+    if run.is_empty() {
+        return (counts, Ok(None));
+    }
+    let mut out = Vec::with_capacity(exec.processor.out_tuple_bytes());
+    exec.processor.transform_into(&data[run.start * record_bytes..][..record_bytes], &mut out);
+    if out.len() < record_bytes {
+        let len = out.len();
+        return (counts, Err(NkvError::ResultDecode { offset: 0, need: record_bytes, len }));
+    }
+    out.truncate(record_bytes);
+    (counts, Ok(Some(out)))
 }
 
 /// Execute a lowered point-lookup plan: a [`key_walk`] with nothing to
@@ -1124,4 +1137,117 @@ pub(crate) fn run_batched_get(
 
     report.sim_ns = last_done.saturating_sub(now);
     Ok((results, dones, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::tests::make_exec;
+    use crate::placement::PageAllocator;
+    use crate::sst::{RunShape, RunWriter};
+    use cosmos_sim::FlashConfig;
+
+    /// `Ref` records (`src`, `dst`, a year) written by [`RunWriter`] into
+    /// 32 KiB blocks of 1638 records, read back as a GET stages them.
+    fn blocks(records: &[(u64, u64)], duplicates: bool) -> Vec<SharedBytes> {
+        let mut flash = FlashArray::new(FlashConfig::default());
+        let mut alloc = PageAllocator::new(flash.config());
+        let shape = RunShape {
+            table: "refs",
+            level: 1,
+            record_bytes: 20,
+            block_bytes: 32 * 1024,
+            entries_per_sst: usize::MAX,
+            allow_duplicates: duplicates,
+        };
+        let mut run = RunWriter::new(&mut flash, &mut alloc, 0, shape);
+        for &(src, dst) in records {
+            let mut r = [src.to_le_bytes(), dst.to_le_bytes()].concat();
+            r.extend_from_slice(&2024u32.to_le_bytes());
+            run.add(src, Some(&r)).unwrap();
+        }
+        let (ssts, _) = run.finish().unwrap();
+        let mut out = Vec::new();
+        for sst in &ssts {
+            for bi in 0..sst.blocks.len() {
+                out.push(read_block(&mut flash, sst, bi, 0).unwrap().1);
+            }
+        }
+        out
+    }
+
+    /// A hardware GET answers from the key's run ([`key_run`] +
+    /// [`key_job`]) what the full-block `lane0 == key` filter job it
+    /// models reports: tuples in and out, stored bytes, PE cycles and the
+    /// record returned — on a unique-key and a duplicate-key table, under
+    /// both register protocols, for present and absent keys inside each
+    /// block, keys outside it, runs at its first and last tuple and a
+    /// one-tuple block.
+    #[test]
+    fn key_run_answers_what_the_full_block_filter_reports() {
+        // Two full blocks and a one-tuple third block each.
+        let n = 2 * 1638 + 1;
+        let unique: Vec<(u64, u64)> = (1..=n as u64).map(|k| (2 * k, 7 * k)).collect();
+        // Key k holds 1 + k % 7 records; runs straddle block boundaries.
+        let dups: Vec<(u64, u64)> =
+            (1u64..).flat_map(|k| (0..=k % 7).map(move |j| (2 * k, 100 * k + j))).take(n).collect();
+        let (mut first_runs, mut last_runs, mut absent, mut one_tuple) = (0, 0, 0, 0);
+        for (records, duplicates) in [(unique, false), (dups, true)] {
+            let blocks = blocks(&records, duplicates);
+            assert_eq!(blocks.len(), 3);
+            for baseline in [false, true] {
+                let mut exec = make_exec(1, baseline);
+                if baseline {
+                    exec.stages = 1;
+                }
+                let eq = exec.eq_code.unwrap();
+                for data in &blocks {
+                    let tuples = data.len() / 20;
+                    one_tuple += usize::from(tuples == 1);
+                    let key_at =
+                        |i: usize| u64::from_le_bytes(data[i * 20..][..8].try_into().unwrap());
+                    let (lo, hi) = (key_at(0), key_at(tuples - 1));
+                    let mut probes = vec![0, 1, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, u64::MAX];
+                    for i in [1, tuples / 3, tuples / 2, tuples.saturating_sub(2)] {
+                        probes.extend([key_at(i.min(tuples - 1)) - 1, key_at(i.min(tuples - 1))]);
+                    }
+                    for key in probes {
+                        let rule = [FilterRule { lane: 0, op_code: eq, value: key }];
+                        let mut out = Vec::new();
+                        let stats = exec.processor.run_block(
+                            &exec.processor.compile(&rule, &exec.ops),
+                            data,
+                            &mut out,
+                        );
+                        let want = (u64::from(stats.tuples_in), u64::from(stats.tuples_out));
+                        let run = key_run(data, 20, key).unwrap();
+                        let what = format!(
+                            "key {key}, run {run:?}, duplicates {duplicates}, baseline {baseline}"
+                        );
+                        first_runs += usize::from(run.start == 0 && !run.is_empty());
+                        last_runs += usize::from(run.end == tuples && !run.is_empty());
+                        absent += usize::from(run.is_empty() && (lo..=hi).contains(&key));
+                        let (got, rec) = key_job(&exec, data, run, 20);
+                        assert_eq!(got, want, "tuples in/out, {what}");
+                        let price = |counts| {
+                            hw_job_price(
+                                &exec,
+                                data.len() as u64,
+                                counts,
+                                1,
+                                PeInvoke::Cold,
+                                Collect::Records,
+                            )
+                        };
+                        let ((cycles, _, stored), (want_cycles, _, want_stored)) =
+                            (price(got), price(want));
+                        assert_eq!((cycles, stored), (want_cycles, want_stored), "{what}");
+                        assert_eq!(rec.unwrap().as_deref(), out.get(..20), "first record, {what}");
+                    }
+                }
+            }
+        }
+        assert!(first_runs > 0 && last_runs > 0 && absent > 0, "{first_runs} {last_runs} {absent}");
+        assert_eq!(one_tuple, 4, "each table's third block holds one tuple, under both protocols");
+    }
 }

@@ -175,6 +175,7 @@ impl TableExec {
             parallel_pes: self.parallel_pes,
             aggregates: self.aggregates.clone(),
             identity_transform: self.processor.identity_transform(),
+            key_lane: self.processor.int_lane_at(0, 0, 8),
             eq_code: self.eq_code,
             ge_code: self.ge_code,
             lt_code: self.lt_code,
@@ -183,7 +184,7 @@ impl TableExec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{run_get, run_scan};
     use crate::error::NkvResult;
@@ -203,7 +204,7 @@ mod tests {
         elaborate(&parse(PAPER_REF_SPEC).unwrap(), REF_PE).unwrap()
     }
 
-    fn make_exec(n_pes: usize, baseline: bool) -> TableExec {
+    pub(crate) fn make_exec(n_pes: usize, baseline: bool) -> TableExec {
         let cfg = ref_pe();
         let processor = BlockProcessor::new(&cfg);
         let ops = OpTable::from_config(&cfg);

@@ -17,6 +17,8 @@
 //!   equality, RANGE_SCAN's `ge`/`lt` chain — take their codes from
 //!   [`PlanCaps`]; an operator the table's set omits is a typed
 //!   [`NkvError::Config`], never a silently wrong comparison;
+//! * a hardware or hybrid GET programs `lane0 == key`, so it also needs
+//!   lane 0 to be the record key (`PlanCaps::key_lane`);
 //! * **software** plans evaluate the whole chain on the ARM;
 //! * **hardware** plans push the whole chain into the PE's filtering
 //!   stages and reject chains longer than the stage count;
@@ -109,6 +111,10 @@ pub(crate) struct PlanCaps {
     /// Whether the PE's transformation is the identity (output tuples
     /// are byte-for-byte the input tuples). Gates hybrid residuals.
     pub(crate) identity_transform: bool,
+    /// Whether lane 0 is an 8-byte integer lane at offset 0, that is,
+    /// the record key: only then does a GET's `lane0 == key` PE job pass
+    /// exactly the records whose key is `key`.
+    pub(crate) key_lane: bool,
     /// The table's own encodings of `eq`/`ge`/`lt` (`None` when its
     /// operator set omits the operator; see `TableExec::eq_code`).
     pub(crate) eq_code: Option<u32>,
@@ -156,11 +162,18 @@ impl PhysicalPlan {
         caps: &PlanCaps,
         table: &str,
     ) -> NkvResult<PhysicalPlan> {
-        // The PE finds a key with a `lane0 == key` filter; the ARM's
-        // block search needs no operator at all.
+        // The PE finds a key with a `lane0 == key` filter, which needs
+        // `eq` and lane 0 to be the key; the ARM's block search needs
+        // neither.
         let key_lookup = |op: PhysOp| -> NkvResult<PhysicalPlan> {
             if backend != Backend::Software {
                 required_op(caps.eq_code, "eq", "a hardware GET", table)?;
+                if !caps.key_lane {
+                    return Err(NkvError::Config(format!(
+                        "a hardware GET on `{table}` programs `lane0 == key`, but lane 0 of \
+                         the table's input layout is not its key (an 8-byte integer at offset 0)"
+                    )));
+                }
             }
             Ok(PhysicalPlan {
                 op,
@@ -463,6 +476,7 @@ mod tests {
             parallel_pes: parallel,
             aggregates: vec![ndp_ir::AggOp::Sum],
             identity_transform: identity,
+            key_lane: true,
             // The standard set's encodings.
             eq_code: Some(2),
             ge_code: Some(4),

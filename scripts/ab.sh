@@ -8,7 +8,13 @@
 # median and range of the change/parent ratio within each pair (robust
 # to host periods that slow both sides of a pair alike), and whether
 # sim_us_per_op repeated on each side and agreed between the sides (or,
-# for a deliberate simulated-clock change, moved parent → change). It
+# for a deliberate simulated-clock change, moved parent → change). Each
+# metric ends in PERF.md's verdict: `gain` (the change won at least 9 in
+# 10 pairs and its median beats the parent's by more than the parent's
+# q3 - q1), `regressed` (the change's median is worse than the parent's
+# by more than the metric's bound in BENCHMARK.json), `unresolved`
+# (within the bound, but a side's quartiles span more than the bound and
+# not every change run beats every parent run), or `no change`. It
 # reports; it is not a gate.
 #
 #   scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=42]
@@ -18,7 +24,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -73,6 +79,37 @@ median() {
     sort -g | awk "$quantile"' { v[NR] = $1 } END { printf "%.17g\n", q(0.5) }'
 }
 
+# verdict <metric> <better>: the metric's verdict under PERF.md's rules,
+# its bound read from the change's BENCHMARK.json.
+verdict() {
+    local bound
+    bound=$(grep "\"name\": \"$1\"" "$change/BENCHMARK.json" | grep -o '"bound": *[0-9.eE+-]*' |
+        awk '{ print $NF }')
+    paste <(values parent "$1") <(values change "$1") | awk -v better="$2" -v bound="${bound:-0}" '
+        function sort(v, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        }
+        function q(v, n, p,    h, lo) { h = 1 + (n - 1) * p; lo = int(h); return v[lo] + (h - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) }
+        function abs(x) { return x < 0 ? -x : x }
+        BEGIN { s = better == "higher" ? 1 : -1 }
+        { p[NR] = $1; c[NR] = $2; if (s * ($2 - $1) > 0) won++ }
+        END {
+            n = NR; sort(p, n); sort(c, n)
+            pm = q(p, n, 0.5); cm = q(c, n, 0.5)
+            piqr = q(p, n, 0.75) - q(p, n, 0.25); ciqr = q(c, n, 0.75) - q(c, n, 0.25)
+            # How far the change median is better than the parent median.
+            ahead = s * (cm - pm)
+            apart = s > 0 ? c[1] > p[n] : c[n] < p[1]
+            if (won >= 0.9 * n && ahead > piqr) v = "gain"
+            else if (pm != 0 && -ahead > bound * abs(pm)) v = "regressed"
+            else if ((pm != 0 && piqr > bound * abs(pm) || cm != 0 && ciqr > bound * abs(cm)) && !apart)
+                v = "unresolved"
+            else v = "no change"
+            printf "  verdict: %s (bound %s)\n", v, bound
+        }'
+}
+
 echo "$workload, seed $seed, $pairs pairs (parent $parent, change $change)"
 for spec in host_ops_per_s:higher setup_s:lower peak_rss_mb:lower sim_us_per_op:lower; do
     metric=${spec%:*}
@@ -90,6 +127,7 @@ for spec in host_ops_per_s:higher setup_s:lower peak_rss_mb:lower sim_us_per_op:
         sort -g | awk "$quantile"'
         { v[NR] = $1 }
         END { if (NR) printf "  change/parent per pair: median %.4g  min %.4g .. max %.4g\n", q(0.5), v[1], v[NR] }'
+    verdict "$metric" "${spec#*:}"
 done
 if [ "$(cat "$out/$workload".{parent,change}.jsonl | grep -c '"correct":true')" -ne $((2 * pairs)) ]; then
     echo "NOT every run ended in \"correct\":true"
