@@ -419,6 +419,14 @@ impl BlockProcessor {
             .is_some_and(|&(o, prim)| o == off && prim.bytes() == bytes && !prim.is_float())
     }
 
+    /// Where the transform puts input bytes `src..src + len` in an output
+    /// tuple, when it copies them as one contiguous run; `None` when the
+    /// output does not carry them whole.
+    pub fn out_offset_of(&self, src: usize, len: usize) -> Option<usize> {
+        let moved = self.byte_moves.iter().find(|&&(s, _, l)| s <= src && src + len <= s + l)?;
+        Some(moved.1 + src - moved.0)
+    }
+
     /// Primitive type of a lane.
     pub(crate) fn lane_prim(&self, lane: u32) -> Option<PrimTy> {
         self.lane_slots.get(lane as usize).map(|&(_, p)| p)
@@ -1007,5 +1015,29 @@ mod tests {
         )
         .unwrap();
         assert_eq!(BlockProcessor::new(&cfg).byte_moves, [(4, 0, 4), (0, 4, 4)]);
+    }
+
+    #[test]
+    fn out_offset_of_finds_input_bytes_copied_as_one_run() {
+        let points = BlockProcessor::new(&elaborate(&parse(POINTS).unwrap(), "P").unwrap());
+        // (y, z) at input 4..12 land at output 0..8.
+        assert_eq!(points.out_offset_of(4, 8), Some(0));
+        assert_eq!(points.out_offset_of(8, 4), Some(4));
+        assert_eq!(points.out_offset_of(0, 4), None, "x is not carried");
+        assert_eq!(points.out_offset_of(0, 8), None, "only half of input 0..8 is carried");
+        let swap = BlockProcessor::new(
+            &elaborate(
+                &parse(
+                    "/* @autogen define parser S with input = A, output = A,
+                        mapping = { output.x = input.y, output.y = input.x } */
+                     typedef struct { uint32_t x, y; } A;",
+                )
+                .unwrap(),
+                "S",
+            )
+            .unwrap(),
+        );
+        assert_eq!(swap.out_offset_of(0, 4), Some(4));
+        assert_eq!(swap.out_offset_of(0, 8), None, "both halves moved, but not as one run");
     }
 }

@@ -415,6 +415,14 @@ impl NkvDb {
             }
         };
         let processor = BlockProcessor::new(&cfg.pe);
+        // The device reconciles a scan on the PE's output stream, so it
+        // must find the key there: input bytes 0..8, copied as one run.
+        if cfg.unique_keys && processor.out_offset_of(0, 8).is_none() {
+            return Err(NkvError::Config(format!(
+                "table `{name}`: unique_keys needs the PE output to carry the 8-byte key \
+                 as one field — map it, or set unique_keys = false"
+            )));
+        }
         let ops = OpTable::from_config(&cfg.pe);
         let n = cfg.n_pes.max(1);
         let full_block_payload = (cfg.pe.chunk_bytes / record_bytes as u32) * record_bytes as u32;
@@ -1272,6 +1280,67 @@ mod tests {
                 assert_eq!(got, Some(record(src, 0)), "key {src} on {backend:?}");
             }
         }
+    }
+
+    /// A reconciling SCAN reads the key where the PE's transform puts it.
+    /// This output moves the key behind `a` and `b`; reconciliation used
+    /// to take the output's first 8 bytes (`a | b << 32`) for the key, so
+    /// key 5's stale version and the deleted key 7 came back (101 records
+    /// where the model has 99) on both arms. COUNT folds raw input tuples
+    /// and is the control. A unique-key table whose output drops the key
+    /// is refused at creation.
+    #[test]
+    fn reconciling_scan_reads_the_key_where_the_transform_puts_it() {
+        let spec = |out: &str| {
+            let text = format!(
+                "/* @autogen define parser MovePe with chunksize = 32, input = Rec,
+                    output = Out, aggregate = {{ count }} */
+                 typedef struct {{ uint64_t key; uint32_t a; uint32_t b; }} Rec;
+                 typedef struct {{ {out} }} Out;"
+            );
+            elaborate(&parse(&text).unwrap(), "MovePe").unwrap()
+        };
+        let rec = |key: u64, a: u32| {
+            [key.to_le_bytes().as_slice(), &a.to_le_bytes(), &(key as u32 ^ 0xff).to_le_bytes()]
+                .concat()
+        };
+        let moved = spec("uint32_t a; uint32_t b; uint64_t key;");
+        let a_ge_0 = [FilterRule { lane: 1, op_code: moved.op_code("ge").unwrap(), value: 0 }];
+        for (n_pes, parallel_pes) in [(1, 0), (2, 2)] {
+            let mut db = NkvDb::default_db();
+            let cfg = TableConfig { n_pes, parallel_pes, ..TableConfig::new(moved.clone()) };
+            db.create_table("moved", cfg).unwrap();
+            assert_eq!(db.bulk_load("moved", (0..100).map(|k| rec(k, 1))).unwrap(), 100);
+            db.put("moved", rec(5, 2)).unwrap();
+            db.delete("moved", 7).unwrap();
+            // The newer versions in the memtable, then in a newer SST.
+            for flushed in [false, true] {
+                if flushed {
+                    db.flush("moved").unwrap();
+                }
+                for backend in [Backend::Software, Backend::Hardware] {
+                    let what = format!("{backend:?}, {parallel_pes} streams, flushed {flushed}");
+                    let scan = db.scan("moved", &a_ge_0, backend).unwrap();
+                    assert_eq!((scan.count, scan.records.len()), (99, 99 * 16), "{what}");
+                    let out: Vec<(u64, u32)> = (scan.records.chunks_exact(16))
+                        .map(|t| (u64::from_le_bytes(t[8..].try_into().unwrap()), t[0] as u32))
+                        .collect();
+                    assert_eq!(out.iter().filter(|&&(k, _)| k == 5).collect::<Vec<_>>(), [&(5, 2)]);
+                    assert!(out.iter().all(|&(k, _)| k != 7), "{what}");
+                    let count =
+                        db.scan_aggregate("moved", &a_ge_0, ndp_ir::AggOp::Count, 0, backend);
+                    assert_eq!(count.unwrap().0, 99, "COUNT, {what}");
+                }
+            }
+        }
+        let dropped = spec("uint32_t a; uint32_t b;");
+        let mut db = NkvDb::default_db();
+        match db.create_table("dropped", TableConfig::new(dropped.clone())) {
+            Err(NkvError::Config(msg)) => assert!(msg.contains("8-byte key"), "{msg}"),
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+        db.create_table("dropped", TableConfig { unique_keys: false, ..TableConfig::new(dropped) })
+            .unwrap();
     }
 
     #[test]

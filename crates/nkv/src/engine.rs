@@ -14,19 +14,23 @@
 //!
 //! # Parallel scan
 //!
-//! A plan with `parallel_pes = n >= 1` splits a scan's block list into
-//! `n` per-worker streams by flash-channel group (every block's pages
-//! live on one channel; see `placement::worker_for_channel`). Each
-//! worker owns one PE and one staging buffer and processes its stream
-//! *strictly serially* — block `k+1` is issued only once block `k` is
-//! consumed — so the streams model bounded per-worker staging rather
-//! than the serial path's idealized issue-everything-at-start firmware
-//! loop. The worker chains are expanded one after another but overlap
-//! in simulated time on the shared timelines (flash controllers, DRAM
-//! port, ARM), which place every job at its earliest fit (the
-//! `cosmos_sim::server` module doc). Results merge deterministically in
-//! global (component, block) order before the shared reconciliation
-//! pass, so a parallel scan returns exactly the serial plan's bytes.
+//! A scan runs one block loop over a list of streams of its (component,
+//! block) jobs ([`scan_streams`]). A plan with `parallel_pes = n >= 1`
+//! splits the job list into `n` per-worker streams by flash-channel group
+//! (every block's pages live on one channel; see
+//! `placement::worker_for_channel`). Each worker owns one PE and one
+//! staging buffer and processes its stream *strictly serially* — block
+//! `k+1` is issued only once block `k` is consumed — so the streams model
+//! bounded per-worker staging. The serial dispatch (`parallel_pes = 0`)
+//! is the one-stream case of the same loop: the idealized firmware loop
+//! that issues every read at the op start and hands blocks round-robin
+//! to the healthy PEs. The worker chains are expanded one after another
+//! but overlap in simulated time on the shared timelines (flash
+//! controllers, DRAM port, ARM), which place every job at its earliest
+//! fit (the `cosmos_sim::server` module doc). Every job appends to one
+//! result buffer, and the reconciliation pass walks the jobs' outputs in
+//! global (component, block) order, so a parallel scan returns exactly
+//! the serial plan's bytes.
 
 use crate::error::{NkvError, NkvResult};
 use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
@@ -397,9 +401,9 @@ fn apply_residual(
 }
 
 /// One scan's rule chains, compiled once when the scan starts, what it
-/// collects, and what the ARM keeps of the staged blocks to reconcile.
-/// The functional filter is always the whole conjunction; the plan's
-/// split into pushed/residual only decides where each predicate runs.
+/// collects, and the staged blocks the ARM searches to reconcile. The
+/// functional filter is always the whole conjunction; the plan's split
+/// into pushed/residual only decides where each predicate runs.
 struct ScanFilters {
     /// Pushed + residual: the memtable pass, the software backend and
     /// blocks degraded to the ARM.
@@ -410,16 +414,14 @@ struct ScanFilters {
     /// What the ARM re-checks on a PE's output (hybrid plans).
     residual: FilterProgram,
     collect: Collect,
-    /// Bytes one collected tuple occupies.
-    width: usize,
     /// Key range of the memtable's entries, tombstones included (`None`
     /// when it is empty); set by the memtable pass.
     c0_keys: Option<(u64, u64)>,
-    /// When the scan reconciles, the sorted key column of every staged
-    /// block but the `oldest` SST's (it shadows nothing), keyed `(sst.id,
-    /// block)`, with whether this op has searched it yet.
-    staged_keys: HashMap<(u64, usize), (Vec<u64>, bool)>,
-    oldest: Option<u64>,
+    /// When the scan reconciles, every staged block of every SST but the
+    /// oldest (it shadows nothing), indexed `[component][block]`, with
+    /// whether this op has searched it yet. A slot holds the staged bytes
+    /// themselves, shared with flash and the cache.
+    staged: Vec<Vec<Option<(SharedBytes, bool)>>>,
 }
 
 impl ScanFilters {
@@ -436,6 +438,44 @@ impl ScanFilters {
             || !(self.c0_keys.is_some_and(meets)
                 || newer.iter().any(|s| meets((s.min_key, s.max_key))))
     }
+
+    /// Newest wins (DESIGN.md §11): whether a component newer than a
+    /// match's — the memtable, or one of the SSTs `newer` — holds `key`:
+    /// a memtable entry or tombstone, an SST tombstone, or a record of
+    /// the staged block a bloom hit points at, searched in place with
+    /// [`key_run`]. A block's first search is one ARM filter pass over
+    /// it, charged at `op_end`.
+    fn shadowed(
+        &mut self,
+        platform: &mut CosmosPlatform,
+        lsm: &LsmTree,
+        newer: &[&SstMeta],
+        key: u64,
+        op_end: &mut SimNs,
+        report: &mut SimReport,
+    ) -> NkvResult<bool> {
+        if lsm.memtable_get(key).is_some() {
+            return Ok(true);
+        }
+        for (si, sst) in newer.iter().enumerate() {
+            if sst.is_tombstoned(key) {
+                return Ok(true);
+            }
+            let Some(b) = sst.block_for(key).filter(|_| sst.may_contain(key)) else { continue };
+            let slot = self.staged.get_mut(si).and_then(|s| s.get_mut(b)).and_then(Option::as_mut);
+            let Some((block, searched)) = slot else {
+                return Err(NkvError::Config(format!("SST {} block {b} was not staged", sst.id)));
+            };
+            if !std::mem::replace(searched, true) {
+                *op_end = arm_filter(platform, *op_end, u64::from(sst.blocks[b].bytes));
+                report.shadow_confirm_reads += 1;
+            }
+            if !key_run(block, lsm.record_bytes(), key)?.is_empty() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Which PE a scan block is offered to.
@@ -451,14 +491,15 @@ enum PeChoice<'a> {
 
 /// Read, stage and filter one scan block on the plan's backend,
 /// appending what the scan collects of each passing tuple to `out` and
-/// returning the block's completion time. The read issues at `issue`;
-/// `configured[pe]` tracks whether the PE's rule registers are warm.
+/// returning the block's completion time and the staged block. The read
+/// issues at `issue`; `configured[pe]` tracks whether the PE's rule
+/// registers are warm.
 #[allow(clippy::too_many_arguments)]
 fn scan_block_job(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     plan: &PhysicalPlan,
-    filters: &mut ScanFilters,
+    filters: &ScanFilters,
     sst: &SstMeta,
     block_idx: usize,
     issue: SimNs,
@@ -466,15 +507,9 @@ fn scan_block_job(
     configured: &mut [bool],
     out: &mut Vec<u8>,
     report: &mut SimReport,
-) -> NkvResult<SimNs> {
+) -> NkvResult<(SimNs, SharedBytes)> {
     let (staged, block) = block_read(platform, exec, sst, block_idx, issue)?;
     let data: &[u8] = &block;
-    if exec.reconcile && filters.oldest != Some(sst.id) {
-        let tuples = data.chunks_exact(exec.processor.in_tuple_bytes());
-        let mut keys = Vec::with_capacity(tuples.len());
-        keys.extend(tuples.filter_map(|t| t.first_chunk().copied().map(u64::from_le_bytes)));
-        filters.staged_keys.insert((sst.id, block_idx), (keys, false));
-    }
     report.blocks += 1;
     report.bytes_scanned += data.len() as u64;
     // A block that was never HW-eligible runs on the ARM, which is not a
@@ -521,7 +556,7 @@ fn scan_block_job(
                 done = arm_filter(platform, done, produced);
                 report.tuples_out -= apply_residual(exec, &filters.residual, out, before);
             }
-            Ok(done)
+            Ok((done, block))
         }
         PeGrant::Sw { hung } => {
             // Never HW-eligible, a just-hung PE, or no healthy PE left:
@@ -530,31 +565,10 @@ fn scan_block_job(
             let (tin, tout) = filters.collect.block(exec, &filters.all, data, out);
             report.tuples_in += tin;
             report.tuples_out += tout;
-            Ok(arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64))
+            let done = arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64);
+            Ok((done, block))
         }
     }
-}
-
-/// Decode the keys of the `width`-byte tuples appended at
-/// `results[from..]` into the reconciliation worklist. A result buffer
-/// too short for a whole key means a PE wrote garbage — surfaced as a
-/// typed error, not a panic.
-fn decode_matched_keys(
-    width: usize,
-    results: &[u8],
-    from: usize,
-    rank: usize,
-    matched_keys: &mut Vec<(u64, usize, usize)>,
-) -> NkvResult<()> {
-    for off in (from..results.len()).step_by(width.max(1)) {
-        let key = results
-            .get(off..)
-            .and_then(<[u8]>::first_chunk)
-            .map(|k| u64::from_le_bytes(*k))
-            .ok_or(NkvError::ResultDecode { offset: off, need: 8, len: results.len() })?;
-        matched_keys.push((key, rank, off));
-    }
-    Ok(())
 }
 
 /// The ARM's memtable pass: probe plus a per-byte filter walk.
@@ -580,96 +594,38 @@ pub struct ParallelScanStats {
     pub blocks_per_worker: Vec<u64>,
 }
 
-/// The parallel block phase: partition blocks into per-worker streams
-/// by flash-channel group, expand each worker's strictly-serial chain,
-/// then merge per-job outputs back in global (component, block) order.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_scan_blocks(
-    platform: &mut CosmosPlatform,
-    exec: &mut TableExec,
+/// A scan's block jobs — indices into its (component, block) job list
+/// `jobs` — as streams, each with the PE it is pinned to. A plan with
+/// `parallel_pes = n >= 1` on a PE backend has `n` (capped at the PE
+/// count) channel-group streams, stream `w` pinned to PE `w`; any other
+/// plan has one unpinned stream of every job.
+fn scan_streams(
+    platform: &CosmosPlatform,
+    exec: &TableExec,
     plan: &PhysicalPlan,
-    filters: &mut ScanFilters,
     ssts: &[&SstMeta],
-    start: SimNs,
-    results: &mut Vec<u8>,
-    matched_keys: &mut Vec<(u64, usize, usize)>,
-    report: &mut SimReport,
-) -> NkvResult<SimNs> {
-    let n_pes = exec.pe_servers.len().max(1);
-    let workers = plan.parallel_pes.min(n_pes).max(1);
+    jobs: &[(usize, usize)],
+) -> Vec<(Option<usize>, Vec<usize>)> {
+    if plan.backend == Backend::Software || plan.parallel_pes == 0 {
+        return vec![(None, (0..jobs.len()).collect())];
+    }
+    let workers = plan.parallel_pes.min(exec.pe_servers.len()).max(1);
     let channels = platform.flash.config().channels;
-    // Global (component, block) order of `(sst idx, block idx)` jobs:
-    // defines both the deterministic result merge and each worker's
-    // in-stream issue order.
-    let blocks = |(si, sst): (usize, &&SstMeta)| (0..sst.blocks.len()).map(move |bi| (si, bi));
-    let jobs: Vec<(usize, usize)> = ssts.iter().enumerate().flat_map(blocks).collect();
-    let mut streams: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    let mut streams: Vec<_> = (0..workers).map(|w| (Some(w), Vec::new())).collect();
     for (j, &(si, bi)) in jobs.iter().enumerate() {
         let ch = ssts[si].blocks[bi].pages.first().map_or(0, |p| p.channel);
-        streams[worker_for_channel(ch, channels, workers)].push(j);
+        streams[worker_for_channel(ch, channels, workers)].1.push(j);
     }
-    let (outs, op_end) =
-        parallel_scan_streams(platform, exec, plan, filters, ssts, start, &jobs, &streams, report)?;
-    for (&(si, _), out) in jobs.iter().zip(&outs) {
-        let before = results.len();
-        results.extend_from_slice(out);
-        decode_matched_keys(filters.width, results, before, si + 1, matched_keys)?;
-    }
-    Ok(op_end)
-}
-
-/// Expand every worker's serial block chain (the streaming firmware
-/// loop: read block, stage, filter, only then issue the next read).
-#[allow(clippy::too_many_arguments)]
-fn parallel_scan_streams(
-    platform: &mut CosmosPlatform,
-    exec: &mut TableExec,
-    plan: &PhysicalPlan,
-    filters: &mut ScanFilters,
-    ssts: &[&SstMeta],
-    start: SimNs,
-    jobs: &[(usize, usize)],
-    streams: &[Vec<usize>],
-    report: &mut SimReport,
-) -> NkvResult<(Vec<Vec<u8>>, SimNs)> {
-    let n_pes = exec.pe_servers.len().max(1);
-    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); jobs.len()];
-    let mut configured = vec![false; n_pes];
-    let mut blocks_per_worker = vec![0u64; streams.len()];
-    let mut op_end = start;
-    for (w, stream) in streams.iter().enumerate() {
-        let pe = w % n_pes;
-        let mut t_next = start;
-        for &j in stream {
-            let (si, bi) = jobs[j];
-            let on_pe = filters.on_pe(exec.reconcile, &ssts[..si], &ssts[si].blocks[bi]);
-            let done = scan_block_job(
-                platform,
-                exec,
-                plan,
-                filters,
-                ssts[si],
-                bi,
-                t_next,
-                if on_pe { PeChoice::Pinned(pe) } else { PeChoice::Arm },
-                &mut configured,
-                &mut outs[j],
-                report,
-            )?;
-            t_next = done;
-            op_end = op_end.max(done);
-            blocks_per_worker[w] += 1;
-        }
-    }
-    exec.last_parallel_scan = Some(ParallelScanStats { workers: streams.len(), blocks_per_worker });
-    Ok((outs, op_end))
+    streams
 }
 
 /// Execute a lowered filter-scan or aggregate-scan plan: memtable pass,
-/// per-block filtering on the plan's backend (serial or parallel),
-/// version reconciliation, then the NVMe transfer of the surviving
-/// records — or, for an aggregate, of the 8-byte accumulator they fold
-/// into.
+/// per-block filtering on the plan's backend — one loop over the scan's
+/// streams ([`scan_streams`]), every job appending to one result buffer
+/// — then one reconciliation pass over the matches in (component,
+/// block) order, writing each survivor into the result set (or folding
+/// it), then the NVMe transfer of the surviving records — or, for an
+/// aggregate, of the 8-byte accumulator they fold into.
 pub(crate) fn run_scan(
     platform: &mut CosmosPlatform,
     lsm: &LsmTree,
@@ -686,28 +642,31 @@ pub(crate) fn run_scan(
         ),
         _ => None,
     };
+    // Bytes one collected tuple occupies, and where its 8-byte key sits:
+    // a fold keeps raw tuples; a PE output tuple carries the key wherever
+    // the transform puts input bytes 0..8, which `create_table` requires
+    // of a reconciling table.
+    let (width, key_at) = match fold {
+        Some(_) => (exec.processor.in_tuple_bytes(), 0),
+        None => (exec.processor.out_tuple_bytes(), exec.processor.out_offset_of(0, 8).unwrap_or(0)),
+    };
     let mut report = SimReport::default();
     let mut results: Vec<u8> = Vec::new();
-    let mut matched_keys: Vec<(u64, usize, usize)> = Vec::new(); // (key, rank, result offset)
     let start = now + platform.firmware.op_overhead_ns();
     let mut op_end = start;
     exec.last_parallel_scan = None;
     let ssts = lsm.all_ssts();
     let all_rules: Vec<FilterRule> =
         plan.pushed.iter().chain(plan.residual.iter()).copied().collect();
+    let newer_ssts = if exec.reconcile { ssts.len().saturating_sub(1) } else { 0 };
     let mut filters = ScanFilters {
         all: exec.processor.compile(&all_rules, &exec.ops),
         pushed: exec.processor.compile(&plan.pushed, &exec.ops),
         rules: plan.pushed.len(),
         residual: exec.processor.compile(&plan.residual, &exec.ops),
         collect: if fold.is_some() { Collect::Fold } else { Collect::Records },
-        width: match fold {
-            Some(_) => exec.processor.in_tuple_bytes(),
-            None => exec.processor.out_tuple_bytes(),
-        },
         c0_keys: None,
-        staged_keys: HashMap::new(),
-        oldest: ssts.last().map(|s| s.id),
+        staged: ssts[..newer_ssts].iter().map(|s| vec![None; s.blocks.len()]).collect(),
     };
 
     // --- C0: the memtable participates in every scan (ARM-side); its
@@ -717,110 +676,93 @@ pub(crate) fn run_scan(
         if let Entry::Value(rec) = entry {
             report.tuples_in += 1;
             if filters.all.passes(rec) {
-                matched_keys.push((key, 0, results.len()));
                 match filters.collect {
                     Collect::Records => exec.processor.transform_into(rec, &mut results),
                     Collect::Fold => results.extend_from_slice(rec),
                 }
-                report.tuples_out += 1;
             }
         }
     }
     op_end = op_end.max(memtable_pass_done(platform, lsm, start));
 
-    // --- Persistent components: filter every data block.
-    if plan.backend != Backend::Software && plan.parallel_pes >= 1 {
-        let t = run_parallel_scan_blocks(
-            platform,
-            exec,
-            plan,
-            &mut filters,
-            &ssts,
-            start,
-            &mut results,
-            &mut matched_keys,
-            &mut report,
-        )?;
-        op_end = op_end.max(t);
-    } else {
-        // Serial legacy dispatch: every flash read issues at `start`
-        // (the firmware queues reads across channels); the flash model
-        // serializes per resource.
-        let mut driver_rr = 0usize;
-        let mut configured = vec![false; exec.pe_servers.len().max(1)];
-        for (rank, sst) in ssts.iter().enumerate() {
-            let rank = rank + 1; // memtable is rank 0
-            for bi in 0..sst.blocks.len() {
-                let before = results.len();
-                let on_pe = filters.on_pe(exec.reconcile, &ssts[..rank - 1], &sst.blocks[bi]);
-                let done = scan_block_job(
-                    platform,
-                    exec,
-                    plan,
-                    &mut filters,
-                    sst,
-                    bi,
-                    start,
-                    if on_pe { PeChoice::RoundRobin(&mut driver_rr) } else { PeChoice::Arm },
-                    &mut configured,
-                    &mut results,
-                    &mut report,
-                )?;
-                op_end = op_end.max(done);
-                decode_matched_keys(filters.width, &results, before, rank, &mut matched_keys)?;
+    // --- Persistent components: filter every data block. `parts` holds
+    // each component rank's output range in `results` in (component,
+    // block) order: the memtable's (rank 0), then job `j`'s at `j + 1`.
+    let blocks = |(si, sst): (usize, &&SstMeta)| (0..sst.blocks.len()).map(move |bi| (si, bi));
+    let jobs: Vec<(usize, usize)> = ssts.iter().enumerate().flat_map(blocks).collect();
+    let mut parts = vec![(0, 0..results.len())];
+    parts.extend(jobs.iter().map(|&(si, _)| (si + 1, 0..0)));
+    let streams = scan_streams(platform, exec, plan, &ssts, &jobs);
+    let mut configured = vec![false; exec.pe_servers.len().max(1)];
+    let mut driver_rr = 0usize;
+    for (pinned, stream) in &streams {
+        // An unpinned stream issues every read at `start` (the firmware
+        // queues reads across channels; the flash model serializes per
+        // resource); a pinned one issues block `k + 1` only once block
+        // `k` is done (bounded per-worker staging).
+        let mut issue = start;
+        for &j in stream {
+            let (si, bi) = jobs[j];
+            let on_pe = filters.on_pe(exec.reconcile, &ssts[..si], &ssts[si].blocks[bi]);
+            let choice = match pinned {
+                _ if !on_pe => PeChoice::Arm,
+                Some(pe) => PeChoice::Pinned(*pe),
+                None => PeChoice::RoundRobin(&mut driver_rr),
+            };
+            let before = results.len();
+            let (done, block) = scan_block_job(
+                platform,
+                exec,
+                plan,
+                &filters,
+                ssts[si],
+                bi,
+                issue,
+                choice,
+                &mut configured,
+                &mut results,
+                &mut report,
+            )?;
+            parts[j + 1].1 = before..results.len();
+            if let Some(slot) = filters.staged.get_mut(si) {
+                slot[bi] = Some((block, false));
             }
+            if pinned.is_some() {
+                issue = done;
+            }
+            op_end = op_end.max(done);
         }
+    }
+    if streams[0].0.is_some() {
+        let blocks_per_worker = streams.iter().map(|(_, s)| s.len() as u64).collect();
+        exec.last_parallel_scan =
+            Some(ParallelScanStats { workers: streams.len(), blocks_per_worker });
     }
 
-    // --- Newest wins (DESIGN.md §11): a newer component holding the key —
-    // memtable entry, tombstone, or staged key column of the block a bloom
-    // hit points at — hides a match; a block's first search is an ARM pass.
-    let mut keep = vec![true; matched_keys.len()];
-    for (i, &(key, rank, _)) in matched_keys.iter().enumerate() {
-        if !exec.reconcile || rank == 0 {
-            continue; // memtable is always newest
-        }
-        if lsm.memtable_get(key).is_some() {
-            keep[i] = false;
-            continue;
-        }
-        for newer in &ssts[..rank - 1] {
-            if newer.is_tombstoned(key) {
-                keep[i] = false;
-                break;
+    // --- One reconciliation pass, in (component, block) order: a match
+    // shadowed by a newer component is dropped ([`ScanFilters::shadowed`];
+    // the memtable is always newest), every other is written straight
+    // into the result set, or folded.
+    let mut records = Vec::with_capacity(if fold.is_some() { 0 } else { results.len() });
+    report.tuples_out = 0;
+    for (rank, range) in parts {
+        for tuple in results[range].chunks_exact(width.max(1)) {
+            if exec.reconcile && rank > 0 {
+                let key = crate::util::le_u64(tuple, key_at, "scan result key")?;
+                let newer = &ssts[..rank - 1];
+                if filters.shadowed(platform, lsm, newer, key, &mut op_end, &mut report)? {
+                    continue;
+                }
             }
-            let Some(b) = newer.block_for(key).filter(|_| newer.may_contain(key)) else { continue };
-            let (keys, searched) =
-                filters.staged_keys.get_mut(&(newer.id, b)).ok_or_else(|| {
-                    NkvError::Config(format!("SST {} block {b} was not staged", newer.id))
-                })?;
-            if !std::mem::replace(searched, true) {
-                op_end = arm_filter(platform, op_end, u64::from(newer.blocks[b].bytes));
-                report.shadow_confirm_reads += 1;
+            report.tuples_out += 1;
+            match &mut fold {
+                None => records.extend_from_slice(tuple),
+                Some(acc) => {
+                    if let Some(v) = exec.processor.lane_value(tuple, acc.lane) {
+                        acc.update(v);
+                    }
+                }
             }
-            if keys.binary_search(&key).is_ok() {
-                keep[i] = false;
-                break;
-            }
-        }
-    }
-    report.tuples_out = keep.iter().filter(|&&k| k).count() as u64;
-    let survivors = matched_keys
-        .iter()
-        .zip(&keep)
-        .filter(|&(_, &k)| k)
-        .map(|(&(_, _, off), _)| &results[off..off + filters.width]);
-    let mut records = Vec::new();
-    match &mut fold {
-        None => {
-            records.reserve(results.len());
-            survivors.for_each(|t| records.extend_from_slice(t));
-        }
-        Some(acc) => {
-            let lane = acc.lane;
-            survivors
-                .filter_map(|t| exec.processor.lane_value(t, lane))
-                .for_each(|v| acc.update(v));
         }
     }
 

@@ -57,7 +57,7 @@ pub struct SimReport {
     pub reg_writes: u64,
     pub reg_reads: u64,
     /// Newer blocks a scan searched for shadowing versions: a bloom hit
-    /// is confirmed in the block's staged key column, and each block is
+    /// is confirmed in the staged block itself, and each block is
     /// searched (and charged one ARM pass) at most once per op. No flash
     /// read is issued.
     pub shadow_confirm_reads: u64,
@@ -147,7 +147,7 @@ pub(crate) struct TableExec {
     /// [`TableExec::reset_failed_pes`]).
     pub(crate) pe_failed: Vec<bool>,
     /// Parallel PE job streams a hardware scan fans out to (0 = the
-    /// legacy serial dispatch; see `crate::plan`).
+    /// serial dispatch, one stream; see `crate::plan`).
     pub parallel_pes: usize,
     /// Statistics of the most recent parallel scan phase (None after a
     /// serial scan).
