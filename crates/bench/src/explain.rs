@@ -39,8 +39,8 @@ fn explain_db(cache_mb: usize) -> NkvDb {
     let mut refs_cfg = TableConfig::new(ref_pe);
     refs_cfg.n_pes = 7;
     refs_cfg.unique_keys = false;
-    refs_cfg.parallel_pes = EXPLAIN_REF_STREAMS;
     db.create_table("refs", refs_cfg).expect("table config is valid");
+    db.set_parallel_pes("refs", EXPLAIN_REF_STREAMS).expect("refs has enough PEs");
     if cache_mb > 0 {
         db.enable_cache(cache_mb << 20);
     }

@@ -29,8 +29,8 @@
 //!   lists the holes in `missing_shards`, so callers can tell a true
 //!   miss from a degraded read.
 //! * **Router retry** — shard calls are wrapped in the same bounded
-//!   retry/backoff policy the device firmware uses
-//!   ([`ResilienceConfig`]), with the backoff nanoseconds charged to the
+//!   retry/backoff policy the device firmware uses (3 retries after 50,
+//!   100 and 200 µs), with the backoff nanoseconds charged to the
 //!   operation's reported time.
 //!
 //! Determinism: shards are a `Vec`, fan-out visits them in index order,
@@ -40,8 +40,9 @@
 //! campaign replays exactly.
 
 use crate::db::{MultiGetResults, NkvDb, TableConfig};
+use crate::engine::{backoff_before_retry, MAX_READ_RETRIES};
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{ResilienceConfig, SimReport};
+use crate::exec::SimReport;
 use crate::metrics::{fmt_ns, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind};
 use crate::plan::{Backend, LogicalOp, PlanOutcome, Tier};
 use crate::queue::{ClientScript, QueueRunConfig, QueuedOp};
@@ -83,40 +84,28 @@ pub enum ReadPolicy {
     Available,
 }
 
-/// Tuning of the per-shard health state machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthFsmConfig {
-    /// Sliding error window length in ops (1..=64; the window is one
-    /// `u64` of outcome bits).
-    pub(crate) window: u32,
-    /// Error rate over the window at which a `Degraded` shard is
-    /// quarantined.
-    pub(crate) quarantine_error_rate: f64,
-    /// Minimum window samples before the quarantine rate is evaluated
-    /// (so a single early error cannot quarantine a shard).
-    pub(crate) quarantine_min_samples: u32,
-    /// A quarantined shard is probed once every this many cluster ops.
-    pub(crate) probe_interval_ops: u64,
-    /// Consecutive failed probes after which a quarantined shard is
-    /// declared `Dead`.
-    pub(crate) dead_after_probes: u32,
-    /// Consecutive successes that promote `Recovered` (or `Degraded`)
-    /// back to `Healthy`.
-    pub(crate) recovered_ok_ops: u32,
-}
+/// Sliding error window of the health FSM, in ops (at most 64: the
+/// window is one `u64` of outcome bits).
+const HEALTH_WINDOW: u32 = 16;
 
-impl Default for HealthFsmConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            quarantine_error_rate: 0.5,
-            quarantine_min_samples: 4,
-            probe_interval_ops: 8,
-            dead_after_probes: 3,
-            recovered_ok_ops: 4,
-        }
-    }
-}
+/// Error rate over the window at which a `Degraded` shard is
+/// quarantined.
+const QUARANTINE_ERROR_RATE: f64 = 0.5;
+
+/// Window samples needed before the quarantine rate is evaluated (so a
+/// single early error cannot quarantine a shard).
+const QUARANTINE_MIN_SAMPLES: u32 = 4;
+
+/// A quarantined shard is probed once every this many cluster ops.
+const PROBE_INTERVAL_OPS: u64 = 8;
+
+/// Consecutive failed probes after which a quarantined shard is
+/// declared `Dead`.
+const DEAD_AFTER_PROBES: u32 = 3;
+
+/// Consecutive successes that promote `Recovered` (or `Degraded`) back
+/// to `Healthy`.
+const RECOVERED_OK_OPS: u32 = 4;
 
 /// Health state of one shard, as seen by the router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,10 +158,9 @@ impl fmt::Display for ShardState {
     }
 }
 
-/// The per-shard health state machine (see [`HealthFsmConfig`]).
+/// The per-shard health state machine, tuned by the constants above.
 #[derive(Debug, Clone)]
 struct HealthFsm {
-    cfg: HealthFsmConfig,
     state: ShardState,
     /// Outcome bits of the last `window_len` routed ops (bit 0 =
     /// newest; 1 = error).
@@ -189,9 +177,8 @@ struct HealthFsm {
 }
 
 impl HealthFsm {
-    fn new(cfg: HealthFsmConfig) -> Self {
+    fn new() -> Self {
         Self {
-            cfg,
             state: ShardState::Healthy,
             window_bits: 0,
             window_len: 0,
@@ -213,11 +200,8 @@ impl HealthFsm {
     }
 
     fn record(&mut self, err: bool) {
-        self.window_bits = (self.window_bits << 1) | err as u64;
-        if self.cfg.window < 64 {
-            self.window_bits &= (1u64 << self.cfg.window) - 1;
-        }
-        if self.window_len < self.cfg.window {
+        self.window_bits = ((self.window_bits << 1) | err as u64) & ((1u64 << HEALTH_WINDOW) - 1);
+        if self.window_len < HEALTH_WINDOW {
             self.window_len += 1;
         }
         self.ops_total += 1;
@@ -239,7 +223,7 @@ impl HealthFsm {
     fn on_success(&mut self) {
         self.record(false);
         if matches!(self.state, ShardState::Degraded | ShardState::Recovered)
-            && self.consecutive_ok >= self.cfg.recovered_ok_ops
+            && self.consecutive_ok >= RECOVERED_OK_OPS
         {
             self.set_state(ShardState::Healthy);
         }
@@ -250,8 +234,8 @@ impl HealthFsm {
         match self.state {
             ShardState::Healthy | ShardState::Recovered => self.set_state(ShardState::Degraded),
             ShardState::Degraded => {
-                if self.window_len >= self.cfg.quarantine_min_samples
-                    && self.window_error_rate() >= self.cfg.quarantine_error_rate
+                if self.window_len >= QUARANTINE_MIN_SAMPLES
+                    && self.window_error_rate() >= QUARANTINE_ERROR_RATE
                 {
                     self.ops_since_probe = 0;
                     self.probe_failures = 0;
@@ -267,7 +251,7 @@ impl HealthFsm {
     /// a probe is due now. Only meaningful in `Quarantined`.
     fn probe_due(&mut self) -> bool {
         self.ops_since_probe += 1;
-        if self.ops_since_probe >= self.cfg.probe_interval_ops {
+        if self.ops_since_probe >= PROBE_INTERVAL_OPS {
             self.ops_since_probe = 0;
             true
         } else {
@@ -282,7 +266,7 @@ impl HealthFsm {
             self.set_state(ShardState::Recovered);
         } else {
             self.probe_failures += 1;
-            if self.probe_failures >= self.cfg.dead_after_probes {
+            if self.probe_failures >= DEAD_AFTER_PROBES {
                 self.set_state(ShardState::Dead);
             }
         }
@@ -317,25 +301,11 @@ pub struct ClusterConfig {
     pub strategy: ShardStrategy,
     /// Behaviour of reads that need an unavailable shard.
     pub read_policy: ReadPolicy,
-    /// Health FSM tuning.
-    pub health: HealthFsmConfig,
-    /// Router-side retry/backoff policy for shard calls (same shape the
-    /// device firmware uses for flash reads).
-    pub router: ResilienceConfig,
-    /// Platform every shard device is built from.
-    pub platform: CosmosConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        Self {
-            devices: 4,
-            strategy: ShardStrategy::Hash,
-            read_policy: ReadPolicy::Available,
-            health: HealthFsmConfig::default(),
-            router: ResilienceConfig::default(),
-            platform: CosmosConfig::default(),
-        }
+        Self { devices: 4, strategy: ShardStrategy::Hash, read_policy: ReadPolicy::Available }
     }
 }
 
@@ -570,8 +540,6 @@ fn is_shard_fault(e: &NkvError) -> bool {
         NkvError::Flash(_)
             | NkvError::CorruptBlock { .. }
             | NkvError::RetriesExhausted { .. }
-            | NkvError::PeTimeout { .. }
-            | NkvError::ResultDecode { .. }
             | NkvError::ShardUnavailable { .. }
     )
 }
@@ -596,7 +564,9 @@ fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// Run one shard call under the router's bounded retry/backoff policy.
+/// Run one shard call under the router's bounded retry/backoff policy,
+/// the firmware's own: [`MAX_READ_RETRIES`] retries, each after
+/// [`backoff_before_retry`].
 ///
 /// Every attempt first passes the device's admission gate (the
 /// cluster-level fault hook): a rejected admission counts as a failed
@@ -605,7 +575,6 @@ fn mix64(mut x: u64) -> u64 {
 /// time, mirroring what a host-side retry loop would cost in wall time.
 fn shard_call<T>(
     shard: &mut Shard,
-    router: &ResilienceConfig,
     retries: &mut u64,
     backoff_total: &mut u64,
     mut op: impl FnMut(&mut NkvDb) -> NkvResult<(T, SimNs)>,
@@ -628,10 +597,10 @@ fn shard_call<T>(
         match outcome {
             Ok((v, ns)) => return Ok((v, ns.saturating_add(penalty))),
             Err(reason) => {
-                if attempt > router.max_read_retries {
+                if attempt > MAX_READ_RETRIES {
                     return Err(ShardCallError::Fault(reason));
                 }
-                let backoff = crate::engine::backoff_before_retry(router, attempt);
+                let backoff = backoff_before_retry(attempt);
                 penalty = penalty.saturating_add(backoff);
                 *retries += 1;
                 *backoff_total += backoff;
@@ -671,26 +640,6 @@ impl NkvCluster {
         if cfg.devices == 0 {
             return Err(NkvError::Config("cluster needs at least 1 device".into()));
         }
-        if cfg.health.window == 0 || cfg.health.window > 64 {
-            return Err(NkvError::Config(format!(
-                "health window must be 1..=64 ops, got {}",
-                cfg.health.window
-            )));
-        }
-        if !(cfg.health.quarantine_error_rate > 0.0 && cfg.health.quarantine_error_rate <= 1.0) {
-            return Err(NkvError::Config(format!(
-                "quarantine error rate must be in (0, 1], got {}",
-                cfg.health.quarantine_error_rate
-            )));
-        }
-        if cfg.health.probe_interval_ops == 0
-            || cfg.health.dead_after_probes == 0
-            || cfg.health.recovered_ok_ops == 0
-        {
-            return Err(NkvError::Config(
-                "probe interval, dead-after-probes and recovered-ok ops must all be >= 1".into(),
-            ));
-        }
         if let ShardStrategy::Range { boundaries } = &cfg.strategy {
             if boundaries.len() != cfg.devices - 1 {
                 return Err(NkvError::Config(format!(
@@ -705,10 +654,7 @@ impl NkvCluster {
             }
         }
         let shards = (0..cfg.devices)
-            .map(|_| Shard {
-                db: NkvDb::new(cfg.platform.clone()),
-                fsm: HealthFsm::new(cfg.health),
-            })
+            .map(|_| Shard { db: NkvDb::default_db(), fsm: HealthFsm::new() })
             .collect();
         Ok(Self {
             cfg,
@@ -803,7 +749,7 @@ impl NkvCluster {
         let fault = self.shard_db(shard)?.platform_mut().device_fault_active();
         match fault {
             Some(DeviceFaultKind::PowerCut) => {
-                let mut fresh = CosmosPlatform::new(self.cfg.platform.clone());
+                let mut fresh = CosmosPlatform::new(CosmosConfig::default());
                 fresh.flash = self.shards[shard].db.platform_mut().flash.clone();
                 fresh.flash.reboot();
                 let db = NkvDb::recover(fresh, self.table_configs.clone())?;
@@ -1243,7 +1189,6 @@ impl NkvCluster {
         mut fold: impl FnMut(usize, T),
     ) -> NkvResult<(Vec<usize>, SimNs)> {
         self.probe_quarantined();
-        let router = self.cfg.router;
         let mut missing = Vec::new();
         let mut waits: Vec<(usize, SimNs)> = Vec::new();
         let mut sim_ns: SimNs = 0;
@@ -1255,7 +1200,6 @@ impl NkvCluster {
             }
             let res = shard_call(
                 &mut self.shards[shard],
-                &router,
                 &mut self.router_retries,
                 &mut self.router_backoff_ns,
                 |db| call(shard, db),
@@ -1326,10 +1270,8 @@ impl NkvCluster {
             let state = self.shards[shard].fsm.state;
             return Err(NkvError::ShardUnavailable { shard, reason: format!("shard is {state}") });
         }
-        let router = self.cfg.router;
         match shard_call(
             &mut self.shards[shard],
-            &router,
             &mut self.router_retries,
             &mut self.router_backoff_ns,
             op,
@@ -1385,10 +1327,6 @@ fn merge_agg(agg: ndp_ir::AggOp, a: (u64, bool), b: (u64, bool)) -> (u64, bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fsm(cfg: HealthFsmConfig) -> HealthFsm {
-        HealthFsm::new(cfg)
-    }
 
     #[test]
     fn hash_placement_covers_every_shard_and_is_stable() {
@@ -1451,27 +1389,11 @@ mod tests {
             strategy: ShardStrategy::Range { boundaries: vec![20, 10] },
             ..ClusterConfig::default()
         });
-        bad(ClusterConfig {
-            health: HealthFsmConfig { window: 0, ..HealthFsmConfig::default() },
-            ..ClusterConfig::default()
-        });
-        bad(ClusterConfig {
-            health: HealthFsmConfig { window: 65, ..HealthFsmConfig::default() },
-            ..ClusterConfig::default()
-        });
-        bad(ClusterConfig {
-            health: HealthFsmConfig { quarantine_error_rate: 0.0, ..HealthFsmConfig::default() },
-            ..ClusterConfig::default()
-        });
-        bad(ClusterConfig {
-            health: HealthFsmConfig { probe_interval_ops: 0, ..HealthFsmConfig::default() },
-            ..ClusterConfig::default()
-        });
     }
 
     #[test]
     fn fsm_walks_the_failure_ladder_and_back() {
-        let mut f = fsm(HealthFsmConfig::default());
+        let mut f = HealthFsm::new();
         assert_eq!(f.state, ShardState::Healthy);
         f.on_error();
         assert_eq!(f.state, ShardState::Degraded);
@@ -1497,7 +1419,7 @@ mod tests {
 
     #[test]
     fn fsm_successful_probe_recovers_a_quarantined_shard() {
-        let mut f = fsm(HealthFsmConfig::default());
+        let mut f = HealthFsm::new();
         for _ in 0..4 {
             f.on_error();
         }
@@ -1512,7 +1434,7 @@ mod tests {
 
     #[test]
     fn fsm_degraded_heals_itself_after_a_run_of_successes() {
-        let mut f = fsm(HealthFsmConfig::default());
+        let mut f = HealthFsm::new();
         f.on_error();
         assert_eq!(f.state, ShardState::Degraded);
         for _ in 0..3 {
@@ -1525,11 +1447,10 @@ mod tests {
 
     #[test]
     fn fsm_probe_cadence_respects_the_interval() {
-        let mut f = fsm(HealthFsmConfig { probe_interval_ops: 3, ..HealthFsmConfig::default() });
-        assert!(!f.probe_due());
-        assert!(!f.probe_due());
-        assert!(f.probe_due());
-        assert!(!f.probe_due());
+        let mut f = HealthFsm::new();
+        let due: Vec<bool> = (0..17).map(|_| f.probe_due()).collect();
+        let every_8th: Vec<bool> = (1..=17).map(|op| op % 8 == 0).collect();
+        assert_eq!(due, every_8th);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::cost::{AdaptState, CostInputs, CostReport};
 use crate::engine::ParallelScanStats;
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
+use crate::exec::{HealthCounters, SimReport, TableExec};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
@@ -46,15 +46,6 @@ pub struct TableConfig {
     pub unique_keys: bool,
     /// LSM tuning.
     pub lsm: LsmConfig,
-    /// Device-side fault policy (retry budget, PE watchdog, HW→SW
-    /// degradation switch).
-    pub resilience: ResilienceConfig,
-    /// Parallel PE job streams a hardware scan fans out to: the scan's
-    /// blocks are partitioned by flash-channel group, one strictly
-    /// serial stream per worker, merged deterministically. `0` (the
-    /// default) keeps the legacy serial dispatch. Must not exceed
-    /// `n_pes`.
-    pub parallel_pes: usize,
 }
 
 impl TableConfig {
@@ -66,8 +57,6 @@ impl TableConfig {
             variant: PeVariant::Generated,
             unique_keys: true,
             lsm: LsmConfig::default(),
-            resilience: ResilienceConfig::default(),
-            parallel_pes: 0,
         }
     }
 }
@@ -388,13 +377,6 @@ impl NkvDb {
 
     /// Create a table driven by the given PE configuration.
     pub fn create_table(&mut self, name: &str, cfg: TableConfig) -> NkvResult<()> {
-        if cfg.parallel_pes > cfg.n_pes.max(1) {
-            return Err(NkvError::Config(format!(
-                "table `{name}`: parallel_pes = {} exceeds the table's {} PE(s)",
-                cfg.parallel_pes,
-                cfg.n_pes.max(1)
-            )));
-        }
         let record_bytes = cfg.pe.input.tuple_bytes() as usize;
         // The key is the first 8 bytes of every record; a narrower tuple
         // would make every key extraction slice out of bounds. Validate
@@ -448,10 +430,9 @@ impl NkvDb {
                 chunk_bytes: cfg.pe.chunk_bytes,
                 reconcile: cfg.unique_keys,
                 aggregates: cfg.pe.aggregates.clone(),
-                resilience: cfg.resilience,
                 health: HealthCounters::default(),
                 pe_failed: vec![false; n],
-                parallel_pes: cfg.parallel_pes,
+                parallel_pes: 0,
                 last_parallel_scan: None,
             },
         };
@@ -803,9 +784,11 @@ impl NkvDb {
         }
     }
 
-    /// Change how many parallel PE job streams a table's hardware scans
-    /// fan out to (0 = legacy serial dispatch). Bounded by the table's
-    /// PE count, like [`TableConfig::parallel_pes`] at creation.
+    /// Set how many parallel PE job streams a table's hardware scans fan
+    /// out to: the scan's blocks are partitioned by flash-channel group,
+    /// one strictly serial stream per worker, merged deterministically.
+    /// A new table starts at 0, the serial dispatch (one stream). Bounded
+    /// by the table's PE count.
     pub fn set_parallel_pes(&mut self, table: &str, n: usize) -> NkvResult<()> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let pes = t.exec.pe_servers.len().max(1);
@@ -1282,6 +1265,24 @@ mod tests {
         }
     }
 
+    /// A PE over `Rec { uint64_t key; uint32_t a; uint32_t b; }` whose
+    /// output struct has the fields `out`.
+    fn move_pe(out: &str) -> PeConfig {
+        let text = format!(
+            "/* @autogen define parser MovePe with chunksize = 32, input = Rec,
+                output = Out, aggregate = {{ count }} */
+             typedef struct {{ uint64_t key; uint32_t a; uint32_t b; }} Rec;
+             typedef struct {{ {out} }} Out;"
+        );
+        elaborate(&parse(&text).unwrap(), "MovePe").unwrap()
+    }
+
+    /// A `Rec` of [`move_pe`]: `b` is the key's low half XOR 0xff.
+    fn move_rec(key: u64, a: u32) -> Vec<u8> {
+        [key.to_le_bytes().as_slice(), &a.to_le_bytes(), &(key as u32 ^ 0xff).to_le_bytes()]
+            .concat()
+    }
+
     /// A reconciling SCAN reads the key where the PE's transform puts it.
     /// This output moves the key behind `a` and `b`; reconciliation used
     /// to take the output's first 8 bytes (`a | b << 32`) for the key, so
@@ -1291,27 +1292,15 @@ mod tests {
     /// is refused at creation.
     #[test]
     fn reconciling_scan_reads_the_key_where_the_transform_puts_it() {
-        let spec = |out: &str| {
-            let text = format!(
-                "/* @autogen define parser MovePe with chunksize = 32, input = Rec,
-                    output = Out, aggregate = {{ count }} */
-                 typedef struct {{ uint64_t key; uint32_t a; uint32_t b; }} Rec;
-                 typedef struct {{ {out} }} Out;"
-            );
-            elaborate(&parse(&text).unwrap(), "MovePe").unwrap()
-        };
-        let rec = |key: u64, a: u32| {
-            [key.to_le_bytes().as_slice(), &a.to_le_bytes(), &(key as u32 ^ 0xff).to_le_bytes()]
-                .concat()
-        };
-        let moved = spec("uint32_t a; uint32_t b; uint64_t key;");
+        let moved = move_pe("uint32_t a; uint32_t b; uint64_t key;");
         let a_ge_0 = [FilterRule { lane: 1, op_code: moved.op_code("ge").unwrap(), value: 0 }];
         for (n_pes, parallel_pes) in [(1, 0), (2, 2)] {
             let mut db = NkvDb::default_db();
-            let cfg = TableConfig { n_pes, parallel_pes, ..TableConfig::new(moved.clone()) };
-            db.create_table("moved", cfg).unwrap();
-            assert_eq!(db.bulk_load("moved", (0..100).map(|k| rec(k, 1))).unwrap(), 100);
-            db.put("moved", rec(5, 2)).unwrap();
+            db.create_table("moved", TableConfig { n_pes, ..TableConfig::new(moved.clone()) })
+                .unwrap();
+            db.set_parallel_pes("moved", parallel_pes).unwrap();
+            assert_eq!(db.bulk_load("moved", (0..100).map(|k| move_rec(k, 1))).unwrap(), 100);
+            db.put("moved", move_rec(5, 2)).unwrap();
             db.delete("moved", 7).unwrap();
             // The newer versions in the memtable, then in a newer SST.
             for flushed in [false, true] {
@@ -1333,7 +1322,7 @@ mod tests {
                 }
             }
         }
-        let dropped = spec("uint32_t a; uint32_t b;");
+        let dropped = move_pe("uint32_t a; uint32_t b;");
         let mut db = NkvDb::default_db();
         match db.create_table("dropped", TableConfig::new(dropped.clone())) {
             Err(NkvError::Config(msg)) => assert!(msg.contains("8-byte key"), "{msg}"),
@@ -1341,6 +1330,41 @@ mod tests {
         }
         db.create_table("dropped", TableConfig { unique_keys: false, ..TableConfig::new(dropped) })
             .unwrap();
+    }
+
+    /// A GET answers with the stored record on every tier. The PE's GET
+    /// filter stores the *transformed* tuple, which is the record only
+    /// under an identity transform: a PE whose output reorders the fields
+    /// used to answer `(1, 250, 5)` for the record `(5, 1, 250)`, and one
+    /// whose output projects a field away failed to decode its 12-byte
+    /// tuple as a 16-byte record, on the forced tiers and on the adaptive
+    /// tier alike. Lowering now
+    /// refuses a hardware or hybrid GET and MULTI-GET on such a PE, and
+    /// the adaptive tier answers on the ARM.
+    #[test]
+    fn get_answers_with_the_record_or_is_refused_on_a_transforming_pe() {
+        for out in ["uint32_t a; uint32_t b; uint64_t key;", "uint64_t key; uint32_t b;"] {
+            let mut db = NkvDb::default_db();
+            db.create_table("t", TableConfig::new(move_pe(out))).unwrap();
+            assert_eq!(db.bulk_load("t", (0..100).map(|k| move_rec(k, 1))).unwrap(), 100);
+            let get = LogicalOp::Get { key: 5 };
+            let multi = LogicalOp::MultiGet { keys: vec![5, 9] };
+            for tier in [Tier::from(Backend::Software), Tier::Adaptive] {
+                let (point, _) = db.execute("t", &get, tier).unwrap().into_point().unwrap();
+                assert_eq!(point, Some(move_rec(5, 1)), "`{out}`: GET on {tier:?}");
+                let (batch, _) = db.execute("t", &multi, tier).unwrap().into_batch().unwrap();
+                let want = [Ok(Some(move_rec(5, 1))), Ok(Some(move_rec(9, 1)))];
+                assert_eq!(batch, want, "`{out}`: MULTI-GET on {tier:?}");
+            }
+            for backend in [Backend::Hardware, Backend::Hybrid] {
+                for op in [&get, &multi] {
+                    match db.execute("t", op, backend) {
+                        Err(NkvError::Config(msg)) => assert!(msg.contains("identity"), "{msg}"),
+                        other => panic!("`{out}`: {op:?} on {backend:?}: got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! backoff, claiming a healthy PE under the watchdog/degradation
 //! policy, dispatching one block job to a PE (ARM register
 //! configuration + PE streaming + DRAM traffic), and falling back to
-//! the ARM oracle when no PE is available — lives here exactly once.
+//! the ARM oracle when no PE is available — lives here exactly once,
+//! and so does the firmware's fault policy: three constants
+//! ([`MAX_READ_RETRIES`], [`BACKOFF_BASE_NS`], [`WATCHDOG_NS`]) that
+//! the cluster router's per-shard retry uses too.
 //!
 //! # Parallel scan
 //!
@@ -33,7 +36,7 @@
 //! the serial plan's bytes.
 
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
+use crate::exec::{HealthCounters, SimReport, TableExec};
 use crate::lsm::LsmTree;
 use crate::memtable::Entry;
 use crate::placement::worker_for_channel;
@@ -47,21 +50,31 @@ use ndp_swgen::{job_io, DriverProfile, IoStats, PeInvoke};
 use std::collections::{hash_map, HashMap};
 use std::ops::Range;
 
+/// Retries after a failed first attempt: the 4th failure is final.
+pub(crate) const MAX_READ_RETRIES: u32 = 3;
+
+/// Backoff before the first retry (simulated time; the firmware
+/// busy-waits the flash controller). Each later retry doubles it.
+pub(crate) const BACKOFF_BASE_NS: SimNs = 50_000;
+
+/// How long the firmware polls a PE's DONE flag before declaring it
+/// hung. Charged in full on every watchdog trip.
+pub(crate) const WATCHDOG_NS: SimNs = 1_000_000;
+
 /// Backoff charged before retry `attempt` (1-based):
-/// `backoff_base_ns << (attempt - 1)`, shift capped so a hostile retry
-/// budget cannot overflow. One definition shared by the block-read
-/// retry loop below and the cluster router's per-shard retry wrapper.
-pub(crate) fn backoff_before_retry(res: &ResilienceConfig, attempt: u32) -> SimNs {
-    res.backoff_base_ns << attempt.saturating_sub(1).min(16)
+/// `BACKOFF_BASE_NS << (attempt - 1)`, so 50, 100 and 200 µs. One
+/// definition shared by the block-read retry loop below and the cluster
+/// router's per-shard retry wrapper.
+pub(crate) fn backoff_before_retry(attempt: u32) -> SimNs {
+    BACKOFF_BASE_NS << attempt.saturating_sub(1)
 }
 
 /// Run `attempt_read` at increasing simulated times until it succeeds,
-/// fails non-retryably, or exhausts the retry budget. Backoff before
-/// retry `n` is `backoff_base_ns << (n - 1)` (capped shift); every
-/// retry and the backoff time are accounted in `health`. Exhaustion
-/// surfaces as [`NkvError::RetriesExhausted`] with the given identity.
+/// fails non-retryably, or exhausts [`MAX_READ_RETRIES`], backing off
+/// [`backoff_before_retry`] before each retry; every retry and the
+/// backoff time are accounted in `health`. Exhaustion surfaces as
+/// [`NkvError::RetriesExhausted`] with the given identity.
 pub(crate) fn retry_read<T>(
-    res: &ResilienceConfig,
     health: &mut HealthCounters,
     sst_id: u64,
     block: usize,
@@ -74,12 +87,12 @@ pub(crate) fn retry_read<T>(
         match attempt_read(at) {
             Err(NkvError::Flash(e)) if e.is_retryable() => {
                 attempt += 1;
-                if attempt > res.max_read_retries {
+                if attempt > MAX_READ_RETRIES {
                     health.reads_failed += 1;
                     return Err(NkvError::RetriesExhausted { sst_id, block, attempts: attempt });
                 }
                 health.read_retries += 1;
-                let backoff = backoff_before_retry(res, attempt);
+                let backoff = backoff_before_retry(attempt);
                 health.retry_backoff_ns += backoff;
                 at += backoff;
             }
@@ -93,13 +106,12 @@ pub(crate) fn retry_read<T>(
 /// [`NkvError::RetriesExhausted`]. Non-retryable errors pass through.
 pub(crate) fn read_block_resilient(
     flash: &mut FlashArray,
-    res: &ResilienceConfig,
     health: &mut HealthCounters,
     sst: &SstMeta,
     block_idx: usize,
     now: SimNs,
 ) -> NkvResult<(SimNs, SharedBytes)> {
-    retry_read(res, health, sst.id, block_idx, now, |at| read_block(flash, sst, block_idx, at))
+    retry_read(health, sst.id, block_idx, now, |at| read_block(flash, sst, block_idx, at))
 }
 
 /// Retrying read of an SST's index page (same policy as data blocks;
@@ -107,7 +119,6 @@ pub(crate) fn read_block_resilient(
 /// time matters). Returns the read-completion time and the page.
 pub(crate) fn read_index_page_resilient(
     platform: &mut CosmosPlatform,
-    res: &ResilienceConfig,
     health: &mut HealthCounters,
     sst_id: u64,
     page: cosmos_sim::PhysAddr,
@@ -115,7 +126,7 @@ pub(crate) fn read_index_page_resilient(
 ) -> NkvResult<(SimNs, SharedBytes)> {
     // `usize::MAX` marks the index page (not a data block) in the error.
     let flash = &mut platform.flash;
-    retry_read(res, health, sst_id, usize::MAX, now, |at| {
+    retry_read(health, sst_id, usize::MAX, now, |at| {
         flash.read_page(page, at).map(|(done, p)| (done, p.clone())).map_err(NkvError::from)
     })
 }
@@ -141,14 +152,8 @@ pub(crate) fn block_read(
         platform.trace_cache_hit(sst.id, block_idx as u64, data.len() as u64, now, ready - now);
         return Ok((ready, data));
     }
-    let (read, data) = read_block_resilient(
-        &mut platform.flash,
-        &exec.resilience,
-        &mut exec.health,
-        sst,
-        block_idx,
-        now,
-    )?;
+    let (read, data) =
+        read_block_resilient(&mut platform.flash, &mut exec.health, sst, block_idx, now)?;
     let staged = platform.dram.timed_transfer(DramClient::FlashDma, data.len() as u64, read);
     if let Some(c) = platform.cache_mut() {
         c.insert(sst.id, block_idx, data.clone());
@@ -177,8 +182,7 @@ pub(crate) fn index_page_read(
         platform.trace_cache_hit(sst_id, u64::MAX, bytes, now, done - now);
         return Ok(done);
     }
-    let (done, page) =
-        read_index_page_resilient(platform, &exec.resilience, &mut exec.health, sst_id, page, now)?;
+    let (done, page) = read_index_page_resilient(platform, &mut exec.health, sst_id, page, now)?;
     if let Some(c) = platform.cache_mut() {
         c.insert(sst_id, cosmos_sim::INDEX_BLOCK, page);
     }
@@ -204,23 +208,21 @@ pub(crate) enum PeGrant {
     /// Dispatch to this PE index.
     Hw(usize),
     /// Process on the ARM; `hung` is set when a fresh watchdog trip led
-    /// here (the caller charges `watchdog_ns` before resuming).
+    /// here (the caller charges [`WATCHDOG_NS`] before resuming).
     Sw { hung: bool },
 }
 
 /// Claim `candidate` for one block job: roll the platform's hang fault,
 /// account watchdog trips and software fallbacks, and decide where the
-/// block runs. A hung PE is retired for the session; with
-/// `hw_fallback_to_sw` disabled the hang fails the operation with
-/// [`NkvError::PeTimeout`] instead of degrading. `count_fallback` is
-/// false for blocks that were never HW-eligible (the fixed-block
-/// baseline's software tail block).
+/// block runs. A hung PE is retired for the session and its block
+/// degrades to the ARM. `count_fallback` is false for blocks that were
+/// never HW-eligible (the fixed-block baseline's software tail block).
 pub(crate) fn claim_pe(
     platform: &mut CosmosPlatform,
     exec: &mut TableExec,
     candidate: Option<usize>,
     count_fallback: bool,
-) -> NkvResult<PeGrant> {
+) -> PeGrant {
     // Watchdog: a hung PE never raises DONE; the firmware's poll times
     // out, the PE is retired and the block degrades to software. The
     // hang fault is rolled only when a PE was actually selected — the
@@ -235,30 +237,24 @@ pub(crate) fn claim_pe(
             if let Some(f) = exec.pe_failed.get_mut(d) {
                 *f = true;
             }
-            if !exec.resilience.hw_fallback_to_sw {
-                return Err(NkvError::PeTimeout {
-                    pe: d,
-                    watchdog_ns: exec.resilience.watchdog_ns,
-                });
-            }
         }
     }
     match candidate {
-        Some(d) if !hung => Ok(PeGrant::Hw(d)),
+        Some(d) if !hung => PeGrant::Hw(d),
         _ => {
             if count_fallback {
                 exec.health.sw_fallback_blocks += 1;
             }
-            Ok(PeGrant::Sw { hung })
+            PeGrant::Sw { hung }
         }
     }
 }
 
 /// The time a degraded block resumes on the ARM: after the watchdog
 /// timeout on a fresh hang, immediately otherwise.
-pub(crate) fn sw_resume_at(exec: &TableExec, staged: SimNs, hung: bool) -> SimNs {
+pub(crate) fn sw_resume_at(staged: SimNs, hung: bool) -> SimNs {
     if hung {
-        staged + exec.resilience.watchdog_ns
+        staged + WATCHDOG_NS
     } else {
         staged
     }
@@ -528,7 +524,7 @@ fn scan_block_job(
         }
         _ => None,
     };
-    match claim_pe(platform, exec, candidate, !never_hw)? {
+    match claim_pe(platform, exec, candidate, !never_hw) {
         PeGrant::Hw(d) => {
             let before = out.len();
             let (tin, tout) = filters.collect.block(exec, &filters.pushed, data, out);
@@ -565,7 +561,7 @@ fn scan_block_job(
             let (tin, tout) = filters.collect.block(exec, &filters.all, data, out);
             report.tuples_in += tin;
             report.tuples_out += tout;
-            let done = arm_filter(platform, sw_resume_at(exec, staged, hung), data.len() as u64);
+            let done = arm_filter(platform, sw_resume_at(staged, hung), data.len() as u64);
             Ok((done, block))
         }
     }
@@ -782,14 +778,14 @@ pub(crate) fn run_scan(
 /// binary search, or a `lane0 == key` filter job on PE 0 — GET always
 /// targets PE 0 (one block, no parallelism to exploit), and a retired
 /// or freshly hung PE 0 degrades the search to the ARM, like the SCAN
-/// path. Both arms answer from the block's run of `key` ([`key_run`]).
-/// The ARM returns the run's first record. The PE job is priced as the
+/// path. Both arms answer from the block's run of `key` ([`key_run`])
+/// and return the run's first record. The PE job is priced as the
 /// full-block filter it models — every whole tuple in, the run out and
-/// stored ([`hw_job_price`]) — and returns the first tuple the PE would
-/// store, the run's first record transformed; lowering admits a
-/// hardware GET only where lane 0 is the key (`PlanCaps::key_lane`), so
-/// the run is exactly what that filter passes. Returns the record, if
-/// the block holds it, and the search's completion time. `configured`
+/// stored ([`hw_job_price`]); lowering admits a hardware GET only where
+/// lane 0 is the key (`PlanCaps::key_lane`) and the transform is the
+/// identity, so the run is exactly what that filter passes and its
+/// first stored tuple is the record. Returns the record, if the block
+/// holds it, and the search's completion time. `configured`
 /// is whether an earlier key of the same batch already programmed the
 /// PE: a serial GET passes `false` (every GET reconfigures the reference
 /// value, so no rule caching applies), a batch's later keys pay only the
@@ -810,22 +806,18 @@ fn key_search_job(
         PeGrant::Sw { hung: false }
     } else {
         let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
-        claim_pe(platform, exec, if pe_down { None } else { Some(0) }, true)?
+        claim_pe(platform, exec, if pe_down { None } else { Some(0) }, true)
     };
-    let run = key_run(data, record_bytes, key)?;
+    let ((tin, tout), first) = key_job(exec, data, key_run(data, record_bytes, key)?, record_bytes);
     match grant {
         PeGrant::Sw { hung } => {
-            let (_, done) = platform
-                .arm
-                .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-            let first =
-                (!run.is_empty()).then(|| &data[run.start * record_bytes..][..record_bytes]);
-            Ok((first.map(<[u8]>::to_vec), done))
+            let (_, done) =
+                platform.arm.schedule(sw_resume_at(staged, hung), timing::ARM_BLOCK_SEARCH_NS);
+            Ok((first, done))
         }
         PeGrant::Hw(d) => {
             let invoke = if *configured { PeInvoke::Keyed } else { PeInvoke::Cold };
             *configured = true;
-            let ((tin, tout), rec) = key_job(exec, data, run, record_bytes);
             let (cycles, io, stored) =
                 hw_job_price(exec, data.len() as u64, (tin, tout), 1, invoke, Collect::Records);
             report.tuples_in += tin;
@@ -836,36 +828,25 @@ fn key_search_job(
             // staged for the search); only the PE's store rides the DRAM
             // port.
             let done = schedule_hw_job(platform, exec, d, staged, cycles, io, None, stored);
-            Ok((rec?, done))
+            Ok((first, done))
         }
     }
 }
 
-/// A hardware GET's PE job over one block, answered from the block's
-/// run of the key (`run`, from [`key_run`]): `(tuples_in, tuples_out)`
-/// as the full-block `lane0 == key` filter it models reports them —
-/// every whole tuple in, the run out — and the record the GET returns,
-/// the first `record_bytes` of the first tuple that filter stores (the
-/// run's first record, transformed). A stored tuple too short for a
-/// record means the PE wrote garbage: a typed error, not a panic.
+/// A GET's answer from one block's run of the key (`run`, from
+/// [`key_run`]): `(tuples_in, tuples_out)` as the full-block
+/// `lane0 == key` filter a PE job models reports them — every whole
+/// tuple in, the run out — and the run's first record.
 fn key_job(
     exec: &TableExec,
     data: &[u8],
     run: Range<usize>,
     record_bytes: usize,
-) -> ((u64, u64), NkvResult<Option<Vec<u8>>>) {
+) -> ((u64, u64), Option<Vec<u8>>) {
     let counts = ((data.len() / exec.processor.in_tuple_bytes()) as u64, run.len() as u64);
-    if run.is_empty() {
-        return (counts, Ok(None));
-    }
-    let mut out = Vec::with_capacity(exec.processor.out_tuple_bytes());
-    exec.processor.transform_into(&data[run.start * record_bytes..][..record_bytes], &mut out);
-    if out.len() < record_bytes {
-        let len = out.len();
-        return (counts, Err(NkvError::ResultDecode { offset: 0, need: record_bytes, len }));
-    }
-    out.truncate(record_bytes);
-    (counts, Ok(Some(out)))
+    let first =
+        (!run.is_empty()).then(|| data[run.start * record_bytes..][..record_bytes].to_vec());
+    (counts, first)
 }
 
 /// Execute a lowered point-lookup plan: a [`key_walk`] with nothing to
@@ -1184,7 +1165,7 @@ mod tests {
                         let ((cycles, _, stored), (want_cycles, _, want_stored)) =
                             (price(got), price(want));
                         assert_eq!((cycles, stored), (want_cycles, want_stored), "{what}");
-                        assert_eq!(rec.unwrap().as_deref(), out.get(..20), "first record, {what}");
+                        assert_eq!(rec.as_deref(), out.get(..20), "first record, {what}");
                     }
                 }
             }

@@ -30,18 +30,12 @@ pub enum NkvError {
     /// not have (more than one stage, a custom operator, an aggregation
     /// unit).
     UnsupportedByBaseline { parser: String, reason: String },
-    /// A PE result buffer was too short or misaligned to decode
-    /// (`offset..offset+need` out of a `len`-byte buffer).
-    ResultDecode { offset: usize, need: usize, len: usize },
     /// A persisted structure (SST index page, manifest, data block
     /// record) was truncated or malformed: decoding `what` needed
     /// `need` bytes at `offset` of a `len`-byte buffer.
     Corrupt { what: &'static str, offset: usize, need: usize, len: usize },
-    /// A PE never raised DONE within the watchdog timeout and software
-    /// fallback is disabled for the table.
-    PeTimeout { pe: usize, watchdog_ns: u64 },
     /// A transiently failing page read did not recover within the
-    /// configured retry budget.
+    /// firmware's retry budget.
     RetriesExhausted { sst_id: u64, block: usize, attempts: u32 },
     /// A cluster shard could not serve the operation (quarantined,
     /// dead, or rejected by a device-level fault) and the query ran
@@ -73,15 +67,8 @@ impl fmt::Display for NkvError {
                 f,
                 "configuration error: parser `{parser}`: {reason} is not supported by the [1] baseline"
             ),
-            NkvError::ResultDecode { offset, need, len } => write!(
-                f,
-                "PE result buffer too short: need {need} bytes at offset {offset}, have {len}"
-            ),
             NkvError::Corrupt { what, offset, need, len } => {
                 write!(f, "corrupt {what}: need {need} bytes at offset {offset}, have {len}")
-            }
-            NkvError::PeTimeout { pe, watchdog_ns } => {
-                write!(f, "PE {pe} did not signal DONE within {watchdog_ns} ns")
             }
             NkvError::RetriesExhausted { sst_id, block, attempts } => write!(
                 f,

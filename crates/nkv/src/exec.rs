@@ -5,7 +5,7 @@
 //! hardware whenever datablocks have to be filtered or transformed"
 //! (paper, Sec. V). This module holds the *state* of that firmware
 //! algorithm — [`TableExec`], the per-table executor with its PE
-//! timing servers, fault policy and health counters — and nothing else.
+//! timing servers and health counters — and nothing else.
 //!
 //! The execution loops themselves live in [`crate::engine`], driven by
 //! an explicit [`crate::plan::PhysicalPlan`] lowered from the table's
@@ -16,19 +16,18 @@
 //!
 //! # Resilience
 //!
-//! The executor runs *below* the host's error-handling stack, so it owns
-//! the device-side fault policy ([`ResilienceConfig`]):
+//! The executor runs *below* the host's error-handling stack, so the
+//! device firmware owns one fixed fault policy (its constants live
+//! beside `engine::backoff_before_retry`):
 //!
-//! * **retry with backoff** — transient page-read failures are retried a
-//!   bounded number of times, each attempt delayed by an exponentially
-//!   growing amount of *simulated* time; exhaustion surfaces as the typed
+//! * **retry with backoff** — a transient page-read failure is retried
+//!   3 times, backing off 50, 100 and 200 µs of *simulated* time;
+//!   exhaustion surfaces as the typed
 //!   [`NkvError::RetriesExhausted`](crate::error::NkvError::RetriesExhausted);
 //! * **watchdog + HW→SW degradation** — if a PE never raises DONE, the
-//!   firmware's DONE poll times out after `watchdog_ns`, the PE is marked
-//!   failed for the rest of the session, and the block is re-processed by
-//!   the ARM software oracle (results stay identical, only time is lost).
-//!   With `hw_fallback_to_sw` disabled the op fails with
-//!   [`NkvError::PeTimeout`](crate::error::NkvError::PeTimeout) instead;
+//!   firmware's DONE poll times out after 1 ms, the PE is marked failed
+//!   for the rest of the session, and the block is re-processed by the
+//!   ARM software oracle (results stay identical, only time is lost);
 //! * **health accounting** — every retry, watchdog trip and fallback is
 //!   counted in [`HealthCounters`], surfaced device-wide through
 //!   `NkvDb::health_report`.
@@ -61,34 +60,6 @@ pub struct SimReport {
     /// searched (and charged one ARM pass) at most once per op. No flash
     /// read is issued.
     pub shadow_confirm_reads: u64,
-}
-
-/// Device-side fault policy of one table's executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceConfig {
-    /// Retries after the first failed block read (0 = fail fast).
-    pub(crate) max_read_retries: u32,
-    /// Backoff before retry `n` is `backoff_base_ns << (n - 1)`
-    /// (simulated time; the firmware busy-waits the flash controller).
-    pub(crate) backoff_base_ns: SimNs,
-    /// How long the firmware polls a PE's DONE flag before declaring it
-    /// hung. Charged in full on every watchdog trip.
-    pub(crate) watchdog_ns: SimNs,
-    /// Degrade a hung PE's work to the ARM software oracle (results stay
-    /// identical) instead of failing the operation with
-    /// [`NkvError::PeTimeout`](crate::error::NkvError::PeTimeout).
-    pub hw_fallback_to_sw: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            max_read_retries: 3,
-            backoff_base_ns: 50_000,
-            watchdog_ns: 1_000_000,
-            hw_fallback_to_sw: true,
-        }
-    }
 }
 
 /// Error/degradation counters of one table's executor (monotonic since
@@ -139,8 +110,6 @@ pub(crate) struct TableExec {
     pub(crate) reconcile: bool,
     /// Aggregation reductions the attached PEs were generated with.
     pub aggregates: Vec<ndp_ir::AggOp>,
-    /// Fault policy (retry budget, watchdog, degradation switch).
-    pub resilience: ResilienceConfig,
     /// Error/degradation counters since table creation.
     pub health: HealthCounters,
     /// PEs declared hung by the watchdog (skipped until
@@ -222,7 +191,6 @@ pub(crate) mod tests {
             chunk_bytes: cfg.chunk_bytes,
             reconcile: true,
             aggregates: cfg.aggregates.clone(),
-            resilience: ResilienceConfig::default(),
             health: HealthCounters::default(),
             pe_failed: vec![false; n_pes],
             parallel_pes: 0,

@@ -26,13 +26,13 @@
 //!   pushdown into PE registers, software residual filters, parallel PE
 //!   job streams) with an `EXPLAIN` rendering;
 //! * `exec` — per-table executor state (`TableExec`): PE
-//!   timing servers, operator encodings, fault policy and health
-//!   counters;
-//! * `engine` — the plan-driven execution loops: block-parallel
-//!   SCAN/GET over flash channels with software (ARM) or hardware (PE)
-//!   filtering — serial or over N parallel per-channel-group job
-//!   streams — returning both results and simulated device time; an
-//!   aggregate is a SCAN that folds;
+//!   timing servers, operator encodings and health counters;
+//! * `engine` — the firmware's fixed fault policy (read retries with
+//!   backoff, the PE watchdog) and the plan-driven execution loops:
+//!   block-parallel SCAN/GET over flash channels with software (ARM) or
+//!   hardware (PE) filtering — serial or over N parallel
+//!   per-channel-group job streams — returning both results and
+//!   simulated device time; an aggregate is a SCAN that folds;
 //! * `metrics` — op-level observability: log-bucket latency
 //!   histograms, throughput counters and per-op time breakdowns
 //!   attributed from the platform's trace spans;
@@ -87,14 +87,14 @@ pub mod sst;
 pub mod util;
 
 pub use cluster::{
-    ClusterConfig, ClusterGet, ClusterHealthReport, ClusterRunReport, ClusterStats,
-    HealthFsmConfig, NkvCluster, ReadPolicy, ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
+    ClusterConfig, ClusterGet, ClusterHealthReport, ClusterRunReport, ClusterStats, NkvCluster,
+    ReadPolicy, ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
 };
 pub use cost::{CostReport, PROMOTE_AFTER};
 pub use db::{HealthReport, NkvDb, ScanSummary, TableConfig};
 pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};
-pub use exec::{HealthCounters, ResilienceConfig, SimReport};
+pub use exec::{HealthCounters, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
 pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};

@@ -20,6 +20,12 @@ use cosmos_sim::{FlashArray, PhysAddr, SharedBytes, SimNs};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Size ratio between consecutive levels.
+const LEVEL_FANOUT: usize = 10;
+
+/// Number of persistent levels (`C1..Ck`).
+const MAX_LEVELS: usize = 7;
+
 /// Tuning knobs of one LSM tree.
 #[derive(Debug, Clone)]
 pub struct LsmConfig {
@@ -29,21 +35,11 @@ pub struct LsmConfig {
     pub block_bytes: usize,
     /// Maximum SST count in `C1` before compaction into `C2`.
     pub c1_sst_limit: usize,
-    /// Size ratio between consecutive levels.
-    pub level_fanout: usize,
-    /// Maximum number of persistent levels (`C1..Ck`).
-    pub max_levels: usize,
 }
 
 impl Default for LsmConfig {
     fn default() -> Self {
-        Self {
-            memtable_bytes: 4 << 20,
-            block_bytes: 32 * 1024,
-            c1_sst_limit: 4,
-            level_fanout: 10,
-            max_levels: 7,
-        }
+        Self { memtable_bytes: 4 << 20, block_bytes: 32 * 1024, c1_sst_limit: 4 }
     }
 }
 
@@ -67,13 +63,12 @@ pub struct LsmTree {
 impl LsmTree {
     /// Create an empty tree.
     pub fn new(table: &str, record_bytes: usize, cfg: LsmConfig, seed: u64) -> Self {
-        let max_levels = cfg.max_levels;
         Self {
             table: table.to_string(),
             record_bytes,
             cfg,
             memtable: MemTable::new(seed),
-            levels: vec![Vec::new(); max_levels],
+            levels: vec![Vec::new(); MAX_LEVELS],
             seed,
             retired: Vec::new(),
         }
@@ -125,7 +120,7 @@ impl LsmTree {
         if level == 0 {
             self.levels[0].len() > self.cfg.c1_sst_limit
         } else if level + 1 < self.levels.len() {
-            let limit = self.cfg.c1_sst_limit * self.cfg.level_fanout.pow(level as u32);
+            let limit = self.cfg.c1_sst_limit * LEVEL_FANOUT.pow(level as u32);
             self.levels[level].len() > limit
         } else {
             false

@@ -17,8 +17,10 @@
 //!   equality, RANGE_SCAN's `ge`/`lt` chain — take their codes from
 //!   [`PlanCaps`]; an operator the table's set omits is a typed
 //!   [`NkvError::Config`], never a silently wrong comparison;
-//! * a hardware or hybrid GET programs `lane0 == key`, so it also needs
-//!   lane 0 to be the record key (`PlanCaps::key_lane`);
+//! * a hardware or hybrid GET or MULTI-GET programs `lane0 == key`, so
+//!   it also needs lane 0 to be the record key (`PlanCaps::key_lane`),
+//!   and it answers with the tuple the PE stores, so it needs the PE's
+//!   transformation to be the identity (`PlanCaps::identity_transform`);
 //! * **software** plans evaluate the whole chain on the ARM;
 //! * **hardware** plans push the whole chain into the PE's filtering
 //!   stages and reject chains longer than the stage count;
@@ -163,8 +165,9 @@ impl PhysicalPlan {
         table: &str,
     ) -> NkvResult<PhysicalPlan> {
         // The PE finds a key with a `lane0 == key` filter, which needs
-        // `eq` and lane 0 to be the key; the ARM's block search needs
-        // neither.
+        // `eq` and lane 0 to be the key, and answers with the tuple it
+        // stores, which is the record only under an identity transform;
+        // the ARM's block search needs none of the three.
         let key_lookup = |op: PhysOp| -> NkvResult<PhysicalPlan> {
             if backend != Backend::Software {
                 required_op(caps.eq_code, "eq", "a hardware GET", table)?;
@@ -172,6 +175,13 @@ impl PhysicalPlan {
                     return Err(NkvError::Config(format!(
                         "a hardware GET on `{table}` programs `lane0 == key`, but lane 0 of \
                          the table's input layout is not its key (an 8-byte integer at offset 0)"
+                    )));
+                }
+                if !caps.identity_transform {
+                    return Err(NkvError::Config(format!(
+                        "a hardware GET on `{table}` answers with the tuple the PE stores, but \
+                         the PE's transformation is not the identity, so that tuple is not the \
+                         record"
                     )));
                 }
             }

@@ -519,7 +519,6 @@ fn range_sharding_prunes_range_scans_to_owning_shards() {
         devices: 3,
         strategy: nkv::ShardStrategy::Range { boundaries: vec![101, 201] },
         read_policy: ReadPolicy::Strict,
-        ..ClusterConfig::default()
     })
     .unwrap();
     cluster.create_table("papers", cfg(3, ReadPolicy::Strict, 1, 0).table.config()).unwrap();
@@ -559,4 +558,20 @@ fn range_sharding_prunes_range_scans_to_owning_shards() {
         assert_eq!(scan.into_scan().unwrap().count, 0, "{tier:?}");
         assert!(missing.is_empty(), "{tier:?}");
     }
+}
+
+/// The router's retry policy, pinned: one fleet op on a shard whose
+/// device rejects every admission is retried 3 times, backing off
+/// 50 + 100 + 200 µs, before the shard is reported missing.
+#[test]
+fn a_rejecting_shard_costs_one_op_three_router_retries_and_350_us() {
+    let (mut store, _) = cfg(2, ReadPolicy::Available, 1, 0).build(vec![], &[]);
+    let fleet = store.fleet();
+    let shard = fleet.shard_for_key(7);
+    trip(fleet, shard, DeviceFaultKind::Hang);
+    let got = fleet.get("papers", 7, Backend::Software).unwrap();
+    assert_eq!((got.record, got.missing_shards), (None, vec![shard]));
+    let health = fleet.cluster_health();
+    assert_eq!(health.router_retries, 3);
+    assert!(health.to_string().ends_with("router: 3 retries (+350000 ns backoff)"), "{health}");
 }

@@ -576,7 +576,8 @@ pub enum Weather {
     /// 5 % transient reads and 10 % correctable ECC: a read may exhaust
     /// its retries.
     FlashStorm,
-    /// The flash storm plus 10 % PE hangs: a read may also time out.
+    /// The flash storm plus 10 % PE hangs, which degrade blocks to the
+    /// ARM: a read may exhaust its retries.
     FlashAndHangStorm,
     /// Mild ECC degradation (low enough that pages survive until a
     /// repair) and 10 % PE hangs, which degrade blocks to the ARM.
@@ -633,8 +634,7 @@ impl Weather {
         use Weather::*;
         let flash = matches!(e, NkvError::RetriesExhausted { .. } | NkvError::Flash(_));
         match self {
-            FlashStorm | Chaos | ChaosStorm => flash,
-            FlashAndHangStorm => flash || matches!(e, NkvError::PeTimeout { .. }),
+            FlashStorm | FlashAndHangStorm | Chaos | ChaosStorm => flash,
             _ => false,
         }
     }

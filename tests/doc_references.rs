@@ -17,10 +17,20 @@
 //!   starts with the prefix;
 //! * paths rooted in the standard library, clippy or a primitive type
 //!   are skipped, as are fenced code blocks.
+//!
+//! The prose may not quote a number the artifacts no longer print
+//! either. A line that names a committed `repro` artifact
+//! (`repro_output.txt`, `profile_smoke.txt`, `loadgen_smoke.txt`), and
+//! every row of a table whose header names one, may only contain
+//! decimal numbers (`5.510`, `98.9`) that the named artifact prints. A
+//! fenced `text` block right after a fenced block that names an artifact
+//! is an excerpt of it: each of its lines, but a `...`, is a line of
+//! that artifact, verbatim.
 
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
+const ARTIFACTS: [&str; 3] = ["repro_output.txt", "profile_smoke.txt", "loadgen_smoke.txt"];
 const SOURCE_DIRS: [&str; 4] = ["crates", "tests", "examples", "src"];
 const ITEM_KEYWORDS: [&str; 8] =
     ["fn", "struct", "enum", "const", "static", "type", "trait", "mod"];
@@ -205,4 +215,127 @@ fn every_backticked_path_in_the_docs_names_declared_code() {
     }
     assert!(checked >= 100, "the scan found only {checked} references; is it still parsing?");
     assert!(dangling.is_empty(), "docs name code that does not exist:\n{}", dangling.join("\n"));
+}
+
+/// The decimal numbers written in `text`: digit runs around a `.`
+/// (`5.510`, `98.9`), not part of a word (`SSE4.2`) or a path.
+fn decimals(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let glued = i > 0 && (is_ident(char::from(bytes[i - 1])) || bytes[i - 1] == b'.');
+        if !bytes[i].is_ascii_digit() || glued {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+            i += 1;
+        }
+        let number = text[start..i].trim_end_matches('.');
+        if number.contains('.') {
+            out.push(number);
+        }
+    }
+    out
+}
+
+/// Where `doc` quotes a number or a line that the artifacts it names do
+/// not print. `artifacts` pairs each artifact's file name with its text.
+fn misquotes(doc: &str, artifacts: &[(&str, String)]) -> Vec<String> {
+    let named = |line: &str| -> Vec<usize> {
+        (0..artifacts.len()).filter(|&a| line.contains(artifacts[a].0)).collect()
+    };
+    let mut found = Vec::new();
+    // Artifacts named by the open fence so far, and the artifacts the
+    // open fence is an excerpt of.
+    let mut fence: Option<(Vec<usize>, Vec<usize>)> = None;
+    let mut last_fence_named: Vec<usize> = Vec::new();
+    let mut table_named: Option<Vec<usize>> = None;
+    for (n, line) in doc.lines().enumerate() {
+        let at = |what: String| format!("line {}: {what}", n + 1);
+        let fence_line = line.trim_start().starts_with("```");
+        if let Some((names, excerpt_of)) = fence.as_mut() {
+            if fence_line {
+                last_fence_named = std::mem::take(names);
+                fence = None;
+            } else if excerpt_of.is_empty() {
+                names.extend(named(line));
+            } else if line.trim() != "..." {
+                let printed = |&a: &usize| artifacts[a].1.lines().any(|l| l == line);
+                if !excerpt_of.iter().any(printed) {
+                    found.push(at(format!("`{line}` is not a line of the artifact it excerpts")));
+                }
+            }
+            continue;
+        }
+        if fence_line {
+            let text = line.trim_start() == "```text";
+            let excerpt_of = if text { std::mem::take(&mut last_fence_named) } else { Vec::new() };
+            fence = Some((named(line), excerpt_of));
+            continue;
+        }
+        if !line.trim().is_empty() {
+            last_fence_named.clear();
+        }
+        let mut check = named(line);
+        if line.trim_start().starts_with('|') {
+            let header = table_named.get_or_insert_with(|| check.clone());
+            check.extend(header.iter());
+        } else {
+            table_named = None;
+        }
+        for number in decimals(line) {
+            let printed = |&a: &usize| decimals(&artifacts[a].1).contains(&number);
+            if !check.is_empty() && !check.iter().any(printed) {
+                let names: Vec<&str> = check.iter().map(|&a| artifacts[a].0).collect();
+                found.push(at(format!("{number} is printed by none of {names:?}")));
+            }
+        }
+    }
+    found
+}
+
+fn committed_artifacts(root: &Path) -> Vec<(&'static str, String)> {
+    let read = |name| std::fs::read_to_string(root.join(name)).expect("artifact is readable");
+    ARTIFACTS.iter().map(|&name| (name, read(name))).collect()
+}
+
+#[test]
+fn every_number_the_docs_quote_from_an_artifact_is_in_it() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let artifacts = committed_artifacts(root);
+    let mut found = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc is readable");
+        found.extend(misquotes(&text, &artifacts).into_iter().map(|m| format!("{doc}: {m}")));
+    }
+    assert!(found.is_empty(), "docs quote what no artifact prints:\n{}", found.join("\n"));
+}
+
+/// The check sees a re-bless: move one quoted number in the artifact,
+/// or one character of a quoted line, and the docs no longer pass.
+#[test]
+fn a_mutated_artifact_line_fails_the_quote_check() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let docs: Vec<String> = DOCS
+        .iter()
+        .map(|doc| std::fs::read_to_string(root.join(doc)).expect("doc is readable"))
+        .collect();
+    let count = |artifacts: &[(&str, String)]| -> usize {
+        docs.iter().map(|d| misquotes(d, artifacts).len()).sum()
+    };
+    let mutated = |name: &str, from: &str, to: &str| {
+        let mut artifacts = committed_artifacts(root);
+        let (_, text) = artifacts.iter_mut().find(|(n, _)| *n == name).expect("an artifact");
+        assert!(text.contains(from), "{name} no longer prints `{from}`");
+        *text = text.replacen(from, to, 1);
+        artifacts
+    };
+    assert_eq!(count(&committed_artifacts(root)), 0);
+    // Fig. 7(b)'s [1] HW row, quoted in README.md and EXPERIMENTS.md.
+    assert!(count(&mutated("repro_output.txt", "( 5.510 s)", "( 5.511 s)")) >= 2);
+    // The flash occupancy line of README.md's `repro profile` excerpt.
+    assert!(count(&mutated("profile_smoke.txt", "occupancy 94.3%", "occupancy 94.4%")) >= 1);
 }
