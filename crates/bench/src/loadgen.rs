@@ -362,8 +362,7 @@ pub(crate) fn batched_get_sweep(cfg: &LoadgenConfig) -> Vec<BatchedSweepPoint> {
         let scripts: Vec<ClientScript> = (0..BATCHED_SWEEP_CLIENTS)
             .map(|c| get_script(&ds.cfg, cfg.seed, c, cfg.ops_per_client))
             .collect();
-        let run_cfg =
-            QueueRunConfig { depth: BATCHED_SWEEP_DEPTH, batch: b, ..QueueRunConfig::default() };
+        let run_cfg = QueueRunConfig { depth: BATCHED_SWEEP_DEPTH, batch: b };
         let report = ds.db.run_queued("papers", &scripts, &run_cfg).expect("queued run succeeds");
         let mut records: Vec<(u32, u32, Vec<u8>)> =
             report.completions.iter().map(|c| (c.client, c.seq, c.payload.clone())).collect();

@@ -316,11 +316,6 @@ impl CosmosPlatform {
         self.cache = None;
     }
 
-    /// Whether the block cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// The block cache, when enabled.
     pub fn cache(&self) -> Option<&BlockCache> {
         self.cache.as_ref()

@@ -28,10 +28,16 @@
 //!   [`ReadPolicy::Available`] returns the surviving shards' results and
 //!   lists the holes in `missing_shards`, so callers can tell a true
 //!   miss from a degraded read.
-//! * **Router retry** — shard calls are wrapped in the same bounded
+//! * **One shard call** — every call into a shard, read or write
+//!   (PUT, DELETE, flush, persist, bulk load, a queued run's per-shard
+//!   run), goes through one fan-out: device admission, the same bounded
 //!   retry/backoff policy the device firmware uses (3 retries after 50,
-//!   100 and 200 µs), with the backoff nanoseconds charged to the
-//!   operation's reported time.
+//!   100 and 200 µs, charged to the operation's reported time), and one
+//!   health-FSM score. Writes and queued runs have no partial mode: they
+//!   run it under `Strict`.
+//! * **One snapshot** — [`NkvCluster::cluster_stats`] reports every
+//!   shard's FSM state and counters beside its device metrics, and the
+//!   router's retries.
 //!
 //! Determinism: shards are a `Vec`, fan-out visits them in index order,
 //! merges concatenate in that order, and an operation's cluster time is
@@ -48,7 +54,7 @@ use crate::plan::{Backend, LogicalOp, PlanOutcome, Tier};
 use crate::queue::{ClientScript, QueueRunConfig, QueuedOp};
 use cosmos_sim::{
     ns_to_secs, CacheStats, CosmosConfig, CosmosPlatform, DeviceAdmission, DeviceFaultKind,
-    DeviceFaultPlan, DeviceFaultStats, DeviceTrace, RouterSpan, RouterSpanKind, SimNs,
+    DeviceTrace, RouterSpan, RouterSpanKind, SimNs,
 };
 use std::borrow::Cow;
 use std::fmt;
@@ -350,77 +356,29 @@ impl ClusterRunReport {
     }
 }
 
-/// One shard's health, as reported by [`NkvCluster::cluster_health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardHealth {
-    /// Shard index.
-    pub shard: usize,
-    /// FSM state.
-    pub(crate) state: ShardState,
-    /// Routed ops (successes + errors) the FSM has scored.
-    pub ops: u64,
-    /// Errors the FSM has scored.
-    pub(crate) errors: u64,
-    /// Probes sent while quarantined.
-    pub probes_sent: u64,
-    /// State transitions taken.
-    pub(crate) transitions: u64,
-}
-
-/// Cluster-wide health snapshot with a stable `Display` rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterHealthReport {
-    /// Per-shard health, by shard index.
-    pub shards: Vec<ShardHealth>,
-    /// Router-level retries across all shards.
-    pub router_retries: u64,
-    /// Backoff nanoseconds the router charged to operations.
-    pub(crate) router_backoff_ns: u64,
-}
-
-impl fmt::Display for ClusterHealthReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let count = |s: ShardState| self.shards.iter().filter(|h| h.state == s).count();
-        writeln!(
-            f,
-            "cluster: {} shards ({} serving) — {} healthy, {} degraded, {} quarantined, {} dead, {} recovered",
-            self.shards.len(),
-            self.shards.iter().filter(|h| h.state.serving()).count(),
-            count(ShardState::Healthy),
-            count(ShardState::Degraded),
-            count(ShardState::Quarantined),
-            count(ShardState::Dead),
-            count(ShardState::Recovered),
-        )?;
-        for h in &self.shards {
-            writeln!(
-                f,
-                "  shard {}: {} (ops {}, errors {}, probes {}, transitions {})",
-                h.shard, h.state, h.ops, h.errors, h.probes_sent, h.transitions
-            )?;
-        }
-        write!(
-            f,
-            "  router: {} retries (+{} ns backoff)",
-            self.router_retries, self.router_backoff_ns
-        )
-    }
-}
-
 /// One shard's full observability snapshot inside a [`ClusterStats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStatsRow {
     /// Shard index.
     pub shard: usize,
     /// FSM state at snapshot time.
-    pub(crate) state: ShardState,
+    pub state: ShardState,
+    /// Routed ops (successes + errors) the FSM has scored.
+    pub(crate) routed_ops: u64,
+    /// Errors the FSM has scored.
+    pub(crate) errors: u64,
+    /// Probes sent while quarantined.
+    pub probes_sent: u64,
+    /// State transitions taken.
+    pub(crate) transitions: u64,
     /// The shard device's own [`DeviceStats`] (metrics + health + cache
     /// + dropped trace spans).
     pub stats: DeviceStats,
 }
 
-/// Fleet-wide metrics snapshot ([`NkvCluster::cluster_stats`]): every
-/// shard's [`DeviceStats`] plus the cross-shard fold.
+/// The fleet's one snapshot ([`NkvCluster::cluster_stats`]): every
+/// shard's health-FSM state and counters and its [`DeviceStats`], the
+/// cross-shard fold, and the router's retries.
 ///
 /// The merged registry is exact — log-bucket histograms merge
 /// bucket-wise ([`LatencyHistogram::merge`]) and breakdowns add — so
@@ -483,6 +441,13 @@ impl fmt::Display for ClusterStats {
             }
             if row.stats.dropped_spans > 0 {
                 write!(f, " dropped_spans={}", row.stats.dropped_spans)?;
+            }
+            if row.errors > 0 || row.probes_sent > 0 {
+                write!(
+                    f,
+                    " routed={} errors={} probes={} transitions={}",
+                    row.routed_ops, row.errors, row.probes_sent, row.transitions
+                )?;
             }
             writeln!(f)?;
         }
@@ -623,9 +588,10 @@ pub struct NkvCluster {
     table_configs: Vec<(String, TableConfig)>,
     router_retries: u64,
     router_backoff_ns: u64,
-    /// Whether router spans are recorded (set by
-    /// [`NkvCluster::enable_observability`]).
-    trace_router: bool,
+    /// The trace ring capacity of [`NkvCluster::enable_observability`],
+    /// once called: router spans are recorded, and a healed shard comes
+    /// back observed.
+    trace_capacity: Option<usize>,
     /// The router's own virtual timeline: fan-outs of successive ops
     /// are laid out back to back so the merged flame graph reads as a
     /// sequence, independent of any shard's device clock.
@@ -662,7 +628,7 @@ impl NkvCluster {
             table_configs: Vec::new(),
             router_retries: 0,
             router_backoff_ns: 0,
-            trace_router: false,
+            trace_capacity: None,
             router_clock: 0,
             router_spans: Vec::new(),
         })
@@ -678,7 +644,7 @@ impl NkvCluster {
         for shard in &mut self.shards {
             shard.db.enable_observability(trace_capacity);
         }
-        self.trace_router = true;
+        self.trace_capacity = Some(trace_capacity);
     }
 
     /// Number of devices.
@@ -714,27 +680,6 @@ impl NkvCluster {
         })
     }
 
-    /// One shard's FSM state.
-    pub fn shard_state(&self, shard: usize) -> NkvResult<ShardState> {
-        let n = self.shards.len();
-        self.shards.get(shard).map(|s| s.fsm.state).ok_or_else(|| {
-            NkvError::Config(format!("shard {shard} out of range (cluster has {n})"))
-        })
-    }
-
-    /// Install a device-level fault plan on one shard (see
-    /// [`DeviceFaultPlan`]). The fault trips after its op budget and
-    /// from then on rejects (or slows) every admission until healed.
-    pub fn install_device_fault(&mut self, shard: usize, plan: DeviceFaultPlan) -> NkvResult<()> {
-        self.shard_db(shard)?.platform_mut().install_device_fault(plan);
-        Ok(())
-    }
-
-    /// The shard device's fault counters, if a plan is installed.
-    pub fn device_fault_stats(&mut self, shard: usize) -> NkvResult<Option<DeviceFaultStats>> {
-        Ok(self.shard_db(shard)?.platform_mut().device_fault_stats())
-    }
-
     /// Repair one shard, clearing its device fault and resetting its FSM
     /// to `Recovered` (the operator swapped the cable / power-cycled the
     /// enclosure).
@@ -744,16 +689,24 @@ impl NkvCluster {
     /// recovery test does: carry the flash image over, clear the cut,
     /// and run manifest recovery against the tables created so far.
     /// Unflushed memtable contents are lost — exactly the volatility
-    /// contract [`NkvDb::persist`] documents.
+    /// contract [`NkvDb::persist`] documents. The rebuilt shard keeps its
+    /// session: the fleet's observability, each table's PE job streams
+    /// and its block-cache budget (the cache itself comes back empty).
+    /// Installed fault plans do not carry over.
     pub fn heal_shard(&mut self, shard: usize) -> NkvResult<()> {
         let fault = self.shard_db(shard)?.platform_mut().device_fault_active();
         match fault {
             Some(DeviceFaultKind::PowerCut) => {
+                let old = &mut self.shards[shard].db;
                 let mut fresh = CosmosPlatform::new(CosmosConfig::default());
-                fresh.flash = self.shards[shard].db.platform_mut().flash.clone();
+                fresh.flash = old.platform_mut().flash.clone();
                 fresh.flash.reboot();
-                let db = NkvDb::recover(fresh, self.table_configs.clone())?;
-                self.shards[shard].db = db;
+                let mut db = NkvDb::recover(fresh, self.table_configs.clone())?;
+                db.resume_session(old);
+                if let Some(capacity) = self.trace_capacity {
+                    db.enable_observability(capacity);
+                }
+                *old = db;
             }
             _ => self.shards[shard].db.platform_mut().clear_device_fault(),
         }
@@ -761,29 +714,9 @@ impl NkvCluster {
         Ok(())
     }
 
-    /// Cluster-wide health snapshot.
-    pub fn cluster_health(&self) -> ClusterHealthReport {
-        ClusterHealthReport {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardHealth {
-                    shard: i,
-                    state: s.fsm.state,
-                    ops: s.fsm.ops_total,
-                    errors: s.fsm.errors_total,
-                    probes_sent: s.fsm.probes_sent,
-                    transitions: s.fsm.transitions,
-                })
-                .collect(),
-            router_retries: self.router_retries,
-            router_backoff_ns: self.router_backoff_ns,
-        }
-    }
-
-    /// Fleet-wide metrics snapshot: every shard's [`DeviceStats`] plus
-    /// the exact cross-shard fold (see [`ClusterStats`]).
+    /// The fleet's snapshot: every shard's health-FSM state and counters
+    /// and its [`DeviceStats`], plus the exact cross-shard fold (see
+    /// [`ClusterStats`]).
     pub fn cluster_stats(&self) -> ClusterStats {
         let shards: Vec<ShardStatsRow> = self
             .shards
@@ -792,6 +725,10 @@ impl NkvCluster {
             .map(|(i, s)| ShardStatsRow {
                 shard: i,
                 state: s.fsm.state,
+                routed_ops: s.fsm.ops_total,
+                errors: s.fsm.errors_total,
+                probes_sent: s.fsm.probes_sent,
+                transitions: s.fsm.transitions,
                 stats: s.db.device_stats(),
             })
             .collect();
@@ -856,7 +793,7 @@ impl NkvCluster {
     /// device time), and a merge marker after the slowest wait. No-op
     /// while router tracing is off; never touches any reported time.
     fn record_router_fanout(&mut self, waits: &[(usize, SimNs)]) {
-        if !self.trace_router || waits.is_empty() {
+        if self.trace_capacity.is_none() || waits.is_empty() {
             return;
         }
         let shards = waits.len() as u32;
@@ -897,35 +834,29 @@ impl NkvCluster {
     /// unavailable target shard is always a typed
     /// [`NkvError::ShardUnavailable`], under either read policy.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
-        self.probe_quarantined();
         let shard = self.shard_for_record(&record);
-        self.write_on(shard, |db| db.put(table, record.clone()).map(|()| ((), 0)))
+        let put = |_, db: &mut NkvDb| db.put(table, record.clone()).map(|()| ((), 0));
+        self.fanout(ReadPolicy::Strict, [shard], put, |_, (), _| {}).map(drop)
     }
 
     /// Route a DELETE to the key's shard (same write semantics as
     /// [`NkvCluster::put`]).
     pub fn delete(&mut self, table: &str, key: u64) -> NkvResult<()> {
-        self.probe_quarantined();
         let shard = self.shard_for_key(key);
-        self.write_on(shard, |db| db.delete(table, key).map(|()| ((), 0)))
+        let delete = |_, db: &mut NkvDb| db.delete(table, key).map(|()| ((), 0));
+        self.fanout(ReadPolicy::Strict, [shard], delete, |_, (), _| {}).map(drop)
     }
 
     /// Flush every shard's memtable.
     pub fn flush(&mut self, table: &str) -> NkvResult<()> {
-        self.probe_quarantined();
-        for shard in 0..self.shards.len() {
-            self.write_on(shard, |db| db.flush(table).map(|()| ((), 0)))?;
-        }
-        Ok(())
+        let flush = |_, db: &mut NkvDb| db.flush(table).map(|()| ((), 0));
+        self.fanout(ReadPolicy::Strict, 0..self.shards.len(), flush, |_, (), _| {}).map(drop)
     }
 
     /// Persist every shard's manifest (see [`NkvDb::persist`]).
     pub fn persist(&mut self) -> NkvResult<()> {
-        self.probe_quarantined();
-        for shard in 0..self.shards.len() {
-            self.write_on(shard, |db| db.persist().map(|()| ((), 0)))?;
-        }
-        Ok(())
+        let persist = |_, db: &mut NkvDb| db.persist().map(|()| ((), 0));
+        self.fanout(ReadPolicy::Strict, 0..self.shards.len(), persist, |_, (), _| {}).map(drop)
     }
 
     /// Bulk load sorted records, partitioned by shard. The input must be
@@ -933,19 +864,18 @@ impl NkvCluster {
     /// partitioning preserves that order per shard. Returns the total
     /// records loaded.
     pub fn bulk_load(&mut self, table: &str, records: Vec<Vec<u8>>) -> NkvResult<u64> {
-        self.probe_quarantined();
         let mut parts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.shards.len()];
         for rec in records {
             parts[self.shard_for_record(&rec)].push(rec);
         }
+        let loaded: Vec<usize> = (0..parts.len()).filter(|&s| !parts[s].is_empty()).collect();
         let mut total = 0;
-        for (shard, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            total +=
-                self.write_on(shard, |db| db.bulk_load(table, part.clone()).map(|n| (n, 0)))?;
-        }
+        self.fanout(
+            ReadPolicy::Strict,
+            loaded,
+            |shard, db| db.bulk_load(table, parts[shard].clone()).map(|n| (n, 0)),
+            |_, n, _| total += n,
+        )?;
         Ok(total)
     }
 
@@ -1020,13 +950,14 @@ impl NkvCluster {
         }
         let mut parts = Vec::with_capacity(participants.len());
         let (missing, sim_ns) = self.fanout(
+            self.cfg.read_policy,
             participants,
             |shard, db| {
                 let outcome = db.execute(table, &ops[shard], tier)?;
                 let ns = outcome.report().sim_ns;
                 Ok((outcome, ns))
             },
-            |shard, outcome| parts.push((shard, outcome)),
+            |shard, outcome, _| parts.push((shard, outcome)),
         )?;
         Ok((self.merge_outcome(op, parts, sim_ns)?, missing))
     }
@@ -1045,26 +976,17 @@ impl NkvCluster {
     /// the cluster span is the slowest shard's span — the devices run in
     /// parallel. With one device this is exactly [`NkvDb::run_queued`].
     ///
+    /// Each shard's run is one shard call of the fan-out every fleet op
+    /// takes, admission, router retry and health scoring included.
     /// Queued runs are throughput experiments, not degraded-mode reads:
-    /// every shard must be serving, under either read policy.
+    /// every shard must serve, under either read policy.
     pub fn run_queued(
         &mut self,
         table: &str,
         scripts: &[ClientScript],
         cfg: &QueueRunConfig,
     ) -> NkvResult<ClusterRunReport> {
-        self.probe_quarantined();
         let n = self.shards.len();
-        for shard in 0..n {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                let state = self.shards[shard].fsm.state;
-                return Err(NkvError::ShardUnavailable {
-                    shard,
-                    reason: format!("shard is {state}"),
-                });
-            }
-        }
         let mut parts: Vec<Vec<ClientScript>> =
             vec![vec![ClientScript::default(); scripts.len()]; n];
         for (client, script) in scripts.iter().enumerate() {
@@ -1092,34 +1014,21 @@ impl NkvCluster {
         let mut completions = 0;
         let mut latency = LatencyHistogram::new();
         let mut shard_spans = Vec::with_capacity(n);
-        let mut span: SimNs = 0;
-        for (shard, part) in parts.iter().enumerate() {
-            let slow = match self.shards[shard].db.platform_mut().device_op_admit() {
-                DeviceAdmission::Rejected(kind) => {
-                    self.shards[shard].fsm.on_error();
-                    return Err(NkvError::ShardUnavailable {
-                        shard,
-                        reason: admission_reason(kind).to_string(),
-                    });
-                }
-                DeviceAdmission::Slow { factor_x10 } => Some(factor_x10 as u64),
-                DeviceAdmission::Ok => None,
-            };
-            let report = self.shards[shard].db.run_queued(table, part, cfg)?;
-            self.shards[shard].fsm.on_success();
-            let mut shard_span = report.finished_ns.saturating_sub(report.started_ns);
-            if let Some(factor_x10) = slow {
-                shard_span = shard_span.saturating_mul(factor_x10) / 10;
-            }
-            completions += report.ops();
-            latency.merge(&report.latency);
-            span = span.max(shard_span);
-            shard_spans.push(shard_span);
-        }
-        let waits: Vec<(usize, SimNs)> =
-            shard_spans.iter().enumerate().map(|(i, &ns)| (i, ns)).collect();
-        self.record_router_fanout(&waits);
-        Ok(ClusterRunReport { logical_ops, completions, span_ns: span, latency, shard_spans })
+        let (_, span_ns) = self.fanout(
+            ReadPolicy::Strict,
+            0..n,
+            |shard, db| {
+                let report = db.run_queued(table, &parts[shard], cfg)?;
+                let span = report.finished_ns.saturating_sub(report.started_ns);
+                Ok((report, span))
+            },
+            |_, report, span| {
+                completions += report.ops();
+                latency.merge(&report.latency);
+                shard_spans.push(span);
+            },
+        )?;
+        Ok(ClusterRunReport { logical_ops, completions, span_ns, latency, shard_spans })
     }
 
     /// Merge the answering shards' outcomes, in shard order, into one
@@ -1171,55 +1080,61 @@ impl NkvCluster {
         })
     }
 
-    /// The one read fan-out every cluster read runs through: give
-    /// quarantined shards their probe tick, then visit `participants` in
-    /// the given (shard-index) order. Each `call` runs under the
-    /// router's retry/backoff and is scored by the shard's health FSM; a
-    /// shard that is not serving, or still faults after the retry
-    /// budget, either fails the operation with
-    /// [`NkvError::ShardUnavailable`] or is listed as missing, per the
-    /// read policy. A logic error propagates verbatim, unscored. Every
-    /// answering shard's value goes to `fold`. Returns the missing
-    /// shards and the operation's time: the *maximum* participant time,
-    /// since the devices run in parallel.
+    /// The one fan-out every call into a shard runs through, read or
+    /// write: give quarantined shards their probe tick, then visit
+    /// `participants` in the given (shard-index) order. Each `call` runs
+    /// under the router's retry/backoff and is scored by the shard's
+    /// health FSM; a shard that is not serving, or still faults after the
+    /// retry budget, either fails the operation with
+    /// [`NkvError::ShardUnavailable`] or is listed as missing, per
+    /// `policy` (reads pass the fleet's [`ReadPolicy`]; writes and queued
+    /// runs, which have no partial mode, pass `Strict`). A logic error
+    /// propagates verbatim, unscored. Every answering shard's value goes
+    /// to `fold` with its time. Returns the missing shards and the
+    /// operation's time: the *maximum* participant time, since the
+    /// devices run in parallel. With observability on, every fan-out,
+    /// writes included, records its router spans.
     fn fanout<T>(
         &mut self,
+        policy: ReadPolicy,
         participants: impl IntoIterator<Item = usize>,
         mut call: impl FnMut(usize, &mut NkvDb) -> NkvResult<(T, SimNs)>,
-        mut fold: impl FnMut(usize, T),
+        mut fold: impl FnMut(usize, T, SimNs),
     ) -> NkvResult<(Vec<usize>, SimNs)> {
         self.probe_quarantined();
         let mut missing = Vec::new();
         let mut waits: Vec<(usize, SimNs)> = Vec::new();
         let mut sim_ns: SimNs = 0;
         for shard in participants {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let res = shard_call(
-                &mut self.shards[shard],
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| call(shard, db),
-            );
-            match res {
-                Ok((value, ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    fold(shard, value);
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
+            let state = self.shards[shard].fsm.state;
+            let reason = if !state.serving() {
+                format!("shard is {state}")
+            } else {
+                let res = shard_call(
+                    &mut self.shards[shard],
+                    &mut self.router_retries,
+                    &mut self.router_backoff_ns,
+                    |db| call(shard, db),
+                );
+                match res {
+                    Ok((value, ns)) => {
+                        self.shards[shard].fsm.on_success();
+                        fold(shard, value, ns);
+                        waits.push((shard, ns));
+                        sim_ns = sim_ns.max(ns);
+                        continue;
                     }
-                    missing.push(shard);
+                    Err(ShardCallError::Logic(e)) => return Err(e),
+                    Err(ShardCallError::Fault(reason)) => {
+                        self.shards[shard].fsm.on_error();
+                        reason
+                    }
                 }
+            };
+            if policy == ReadPolicy::Strict {
+                return Err(NkvError::ShardUnavailable { shard, reason });
             }
+            missing.push(shard);
         }
         self.record_router_fanout(&waits);
         Ok((missing, sim_ns))
@@ -1244,48 +1159,6 @@ impl NkvCluster {
                 start < hi && end.is_none_or(|e| lo < e)
             })
             .collect()
-    }
-
-    /// Handle a not-serving shard on the read path: `Strict` errors,
-    /// `Available` lets the caller record it as missing.
-    fn unavailable(&self, shard: usize) -> NkvResult<()> {
-        match self.cfg.read_policy {
-            ReadPolicy::Strict => {
-                let state = self.shards[shard].fsm.state;
-                Err(NkvError::ShardUnavailable { shard, reason: format!("shard is {state}") })
-            }
-            ReadPolicy::Available => Ok(()),
-        }
-    }
-
-    /// Write-path shard call: full router retry/backoff, but an
-    /// unavailable or exhausted shard is always a typed error (writes
-    /// have no partial mode).
-    fn write_on<T>(
-        &mut self,
-        shard: usize,
-        op: impl FnMut(&mut NkvDb) -> NkvResult<(T, SimNs)>,
-    ) -> NkvResult<T> {
-        if !self.shards[shard].fsm.state.serving() {
-            let state = self.shards[shard].fsm.state;
-            return Err(NkvError::ShardUnavailable { shard, reason: format!("shard is {state}") });
-        }
-        match shard_call(
-            &mut self.shards[shard],
-            &mut self.router_retries,
-            &mut self.router_backoff_ns,
-            op,
-        ) {
-            Ok((v, _)) => {
-                self.shards[shard].fsm.on_success();
-                Ok(v)
-            }
-            Err(ShardCallError::Logic(e)) => Err(e),
-            Err(ShardCallError::Fault(reason)) => {
-                self.shards[shard].fsm.on_error();
-                Err(NkvError::ShardUnavailable { shard, reason })
-            }
-        }
     }
 
     /// Give every quarantined shard its probe tick. Probes go through

@@ -215,25 +215,52 @@ impl NkvDb {
         self.platform.disable_cache();
     }
 
-    /// Whether the block cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.platform.cache_enabled()
-    }
-
     /// Block-cache counters (`None` while the cache is disabled).
     pub fn cache_stats(&self) -> Option<cosmos_sim::CacheStats> {
         self.platform.cache_stats()
     }
 
     /// Device-wide observability snapshot: per-op metrics (empty while
-    /// metrics are disabled) plus the [`HealthReport`].
+    /// metrics are disabled) plus the [`HealthReport`]: injected faults
+    /// and the resilience layer's reactions, aggregated over all tables.
     #[must_use = "a device-stats snapshot is only useful when inspected"]
     pub fn device_stats(&self) -> DeviceStats {
+        let mut health = HealthReport {
+            flash: self.platform.flash.fault_stats(),
+            dram: self.platform.dram.fault_stats(),
+            pe_hangs_injected: self.platform.pe_hangs(),
+            pages_repaired: self.pages_repaired,
+            ..HealthReport::default()
+        };
+        for t in self.tables.values() {
+            let h = t.exec.health;
+            health.read_retries += h.read_retries;
+            health.retry_backoff_ns += h.retry_backoff_ns;
+            health.reads_failed += h.reads_failed;
+            health.watchdog_trips += h.watchdog_trips;
+            health.sw_fallback_blocks += h.sw_fallback_blocks;
+            health.pes_failed += t.exec.failed_pes() as u64;
+        }
         DeviceStats {
             metrics: self.metrics.clone().unwrap_or_default(),
-            health: self.health_report(),
+            health,
             cache: self.platform.cache_stats(),
             dropped_spans: self.platform.trace_dropped(),
+        }
+    }
+
+    /// Carry `old`'s settings over to this device, rebuilt by
+    /// [`NkvDb::recover`] from `old`'s flash after a power cut: each
+    /// table's PE job streams, and a block cache of the same budget. The
+    /// cache starts empty: its contents were DRAM.
+    pub(crate) fn resume_session(&mut self, old: &NkvDb) {
+        if let Some(cache) = old.platform.cache() {
+            self.enable_cache(cache.budget_bytes());
+        }
+        for (name, t) in &mut self.tables {
+            if let Some(was) = old.tables.get(name) {
+                t.exec.parallel_pes = was.exec.parallel_pes;
+            }
         }
     }
 
@@ -272,29 +299,6 @@ impl NkvDb {
                 t.exec.pe_servers.iter_mut().for_each(|s| s.forget_before(horizon));
             }
         }
-    }
-
-    /// Device-wide health summary: injected faults plus the resilience
-    /// layer's reactions, aggregated over all tables.
-    #[must_use = "a health snapshot is only useful when inspected"]
-    pub fn health_report(&self) -> HealthReport {
-        let mut r = HealthReport {
-            flash: self.platform.flash.fault_stats(),
-            dram: self.platform.dram.fault_stats(),
-            pe_hangs_injected: self.platform.pe_hangs(),
-            pages_repaired: self.pages_repaired,
-            ..HealthReport::default()
-        };
-        for t in self.tables.values() {
-            let h = t.exec.health;
-            r.read_retries += h.read_retries;
-            r.retry_backoff_ns += h.retry_backoff_ns;
-            r.reads_failed += h.reads_failed;
-            r.watchdog_trips += h.watchdog_trips;
-            r.sw_fallback_blocks += h.sw_fallback_blocks;
-            r.pes_failed += t.exec.failed_pes() as u64;
-        }
-        r
     }
 
     /// Per-table resilience counters.

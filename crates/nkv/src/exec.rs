@@ -30,7 +30,7 @@
 //!   ARM software oracle (results stay identical, only time is lost);
 //! * **health accounting** — every retry, watchdog trip and fallback is
 //!   counted in [`HealthCounters`], surfaced device-wide through
-//!   `NkvDb::health_report`.
+//!   the `health` block of `NkvDb::device_stats`.
 
 use crate::engine::ParallelScanStats;
 use crate::plan::PlanCaps;
@@ -63,7 +63,7 @@ pub struct SimReport {
 }
 
 /// Error/degradation counters of one table's executor (monotonic since
-/// table creation; see `NkvDb::health_report` for the device-wide view).
+/// table creation; see `NkvDb::device_stats` for the device-wide view).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCounters {
     /// Block/page reads that were retried after a transient failure.

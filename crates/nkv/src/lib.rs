@@ -87,8 +87,8 @@ pub mod sst;
 pub mod util;
 
 pub use cluster::{
-    ClusterConfig, ClusterGet, ClusterHealthReport, ClusterRunReport, ClusterStats, NkvCluster,
-    ReadPolicy, ShardHealth, ShardState, ShardStatsRow, ShardStrategy,
+    ClusterConfig, ClusterGet, ClusterRunReport, ClusterStats, NkvCluster, ReadPolicy, ShardState,
+    ShardStatsRow, ShardStrategy,
 };
 pub use cost::{CostReport, PROMOTE_AFTER};
 pub use db::{HealthReport, NkvDb, ScanSummary, TableConfig};

@@ -84,15 +84,16 @@ pub struct ClientScript {
     pub priority: Priority,
 }
 
-/// Parameters of one queued run.
+/// The backend every queued GET/SCAN is lowered for: the queue engine
+/// models the smart-storage device's own command path.
+const QUEUED_BACKEND: Backend = Backend::Hardware;
+
+/// Parameters of one queued run. The controller exposes its default
+/// NVMe queue geometry ([`NvmeQueueConfig::default`]) for the run.
 #[derive(Debug, Clone)]
 pub struct QueueRunConfig {
     /// Per-client window: commands kept in flight by each client.
     pub depth: u32,
-    /// Backend every GET/SCAN of the run is lowered for.
-    pub mode: Backend,
-    /// NVMe queue geometry exposed by the controller for the run.
-    pub queues: NvmeQueueConfig,
     /// Auto-batching limit: up to this many *adjacent* queued GETs of
     /// one client are folded into a single batched-GET physical op (one
     /// key-list descriptor, one PE configuration, coalesced doorbells).
@@ -103,7 +104,7 @@ pub struct QueueRunConfig {
 
 impl Default for QueueRunConfig {
     fn default() -> Self {
-        Self { depth: 8, mode: Backend::Hardware, queues: NvmeQueueConfig::default(), batch: 1 }
+        Self { depth: 8, batch: 1 }
     }
 }
 
@@ -199,7 +200,7 @@ impl NkvDb {
         if !self.tables.contains_key(table) {
             return Err(NkvError::UnknownTable(table.into()));
         }
-        self.platform.enable_queues(cfg.queues);
+        self.platform.enable_queues(NvmeQueueConfig::default());
         let out = self.run_queued_inner(table, scripts, cfg);
         self.platform.disable_queues();
         out
@@ -270,7 +271,7 @@ impl NkvDb {
             // One execution yields `(kind, exec_done, payload)` per member.
             let members = if n > 1 {
                 let (outcome, dones) =
-                    self.execute_at(table, &LogicalOp::MultiGet { keys }, cfg.mode, fetch)?;
+                    self.execute_at(table, &LogicalOp::MultiGet { keys }, QUEUED_BACKEND, fetch)?;
                 let (results, _) = outcome.into_batch()?;
                 // A typed per-key error aborts the run, like a single
                 // command's `?` on run_command.
@@ -280,7 +281,7 @@ impl NkvDb {
                     .map(|(res, done)| Ok((OpKind::Get, done, res?.unwrap_or_default())))
                     .collect::<NkvResult<Vec<_>>>()?
             } else {
-                vec![self.run_command(table, &ops[seq as usize], cfg.mode, fetch)?]
+                vec![self.run_command(table, &ops[seq as usize], fetch)?]
             };
             let mut complete = fetch;
             for (i, (kind, exec_done, payload)) in members.into_iter().enumerate() {
@@ -341,7 +342,6 @@ impl NkvDb {
         &mut self,
         table: &str,
         op: &QueuedOp,
-        backend: Backend,
         now: SimNs,
     ) -> NkvResult<(OpKind, SimNs, Vec<u8>)> {
         match op {
@@ -349,13 +349,13 @@ impl NkvDb {
             // lowering and its validation errors are identical.
             QueuedOp::Get { key } => {
                 let (outcome, _) =
-                    self.execute_at(table, &LogicalOp::Get { key: *key }, backend, now)?;
+                    self.execute_at(table, &LogicalOp::Get { key: *key }, QUEUED_BACKEND, now)?;
                 let (rec, report) = outcome.into_point()?;
                 Ok((OpKind::Get, now + report.sim_ns, rec.unwrap_or_default()))
             }
             QueuedOp::Scan { rules } => {
                 let op = LogicalOp::Scan { rules: rules.clone() };
-                let (outcome, _) = self.execute_at(table, &op, backend, now)?;
+                let (outcome, _) = self.execute_at(table, &op, QUEUED_BACKEND, now)?;
                 let scan = outcome.into_scan()?;
                 Ok((OpKind::Scan, now + scan.report.sim_ns, scan.records))
             }

@@ -54,7 +54,7 @@ fn main() {
         degraded.count,
         degraded.report.sim_ns as f64 / reference.report.sim_ns as f64
     );
-    println!("{}", db.health_report());
+    println!("{}", db.device_stats().health);
 
     // --- Read-repair: a couple more scans accumulate ECC-correction
     // counts, then degrading pages are relocated to fresh ones.

@@ -139,7 +139,7 @@ fn adaptive_gets_match_the_model_under_fault_weather() {
             assert_eq!(got, want, "{op:?} drifted under fault weather");
         }
     }
-    let health = faulty.db().health_report();
+    let health = faulty.db().device_stats().health;
     assert!(
         health.flash.transient_failures + health.flash.correctable_hits + health.pe_hangs_injected
             > 0,

@@ -170,7 +170,7 @@ fn transient_ecc_weather_never_changes_bytes() {
         // Batch sharing legitimately shrinks the flash-read count (and
         // with it the fault-roll count), so injection is asserted over
         // the whole campaign, not per batch size.
-        let health = store.db().health_report();
+        let health = store.db().device_stats().health;
         injected += health.flash.transient_failures + health.flash.correctable_hits;
     }
     assert!(injected > 0, "the campaign never injected a fault");
@@ -186,7 +186,7 @@ fn pe_hang_mid_batch_falls_back_without_corruption() {
             Cfg { weather: Weather::HangBursts, seed: 0x4A6 + batch as u64, ..Cfg::default() };
         let (mut store, mut model) = cfg.build(vec![], &puts(400));
         run(&cfg.on(Backend::Hardware), &mut store, &mut model, &key_lists(0xF00D, 96, batch));
-        let health = store.db().health_report();
+        let health = store.db().device_stats().health;
         assert!(health.pe_hangs_injected > 0, "batch={batch}: the campaign never hung a PE");
         assert!(
             health.watchdog_trips > 0 || health.sw_fallback_blocks > 0,

@@ -46,12 +46,11 @@ fn campaign(seed: u64) -> nkv::HealthReport {
     let (mut store, mut model) = cfg.build(vec![], &[]);
     run(&cfg, &mut store, &mut model, &common::ops(seed, CHAOS, 400));
     let db = store.db();
-    let health = db.health_report();
     // Observability: the operator-facing `DeviceStats` snapshot carries
-    // the same health counters the campaign accumulated, and the ops
-    // that provoked them are accounted in the metrics registry.
+    // the health counters the campaign accumulated, and the ops that
+    // provoked them are accounted in the metrics registry.
     let stats = db.device_stats();
-    assert_eq!(stats.health, health, "seed {seed}: DeviceStats diverges from health_report");
+    let health = stats.health;
     assert!(stats.metrics.total_ops() > 0, "seed {seed}: no ops recorded");
     // End of campaign: with injection off (no persistent damage was
     // planned) the store must agree with the model on every key.
@@ -92,8 +91,8 @@ fn thirty_two_seeded_fault_campaigns_preserve_the_model() {
 
 /// Every fault class the weather injects is visible in the single
 /// [`DeviceStats`](nkv::DeviceStats) snapshot an operator would pull:
-/// the health block equals `health_report()` and the rendered text
-/// carries the exact counters — injection can never be silent.
+/// its health block and its rendered text carry the exact counters —
+/// injection can never be silent.
 #[test]
 fn every_injected_fault_is_visible_in_device_stats() {
     let cfg = Cfg { weather: Weather::ChaosStorm, ..chaos(0xD1A6) };
@@ -112,7 +111,6 @@ fn every_injected_fault_is_visible_in_device_stats() {
     db.read_repair(2).unwrap();
 
     let stats = db.device_stats();
-    assert_eq!(stats.health, db.health_report(), "one snapshot, one truth");
     let h = stats.health;
     assert!(h.flash.transient_failures > 0, "transient faults invisible");
     assert!(h.flash.correctable_hits > 0, "correctable-ECC hits invisible");
@@ -204,13 +202,13 @@ fn pe_hang_mid_scan_degrades_to_software_with_identical_results() {
     let h = db.table_health("papers").unwrap();
     assert_eq!(h.watchdog_trips, 1, "one trip retires the only PE");
     assert!(h.sw_fallback_blocks > 0, "remaining blocks must run in software");
-    let report = db.health_report();
+    let report = db.device_stats().health;
     assert_eq!(report.pes_failed, 1);
     assert!(report.pe_hangs_injected >= 1);
 
     // A PL reconfiguration brings the PE back.
     db.reset_pes("papers").unwrap();
-    assert_eq!(db.health_report().pes_failed, 0);
+    assert_eq!(db.device_stats().health.pes_failed, 0);
 }
 
 #[test]
@@ -230,7 +228,7 @@ fn read_repair_relocates_degrading_pages_and_survives_recovery() {
     }
     let moved = db.read_repair(3).unwrap();
     assert!(moved > 0, "three full scans must push data pages past the threshold");
-    assert_eq!(db.health_report().pages_repaired, moved);
+    assert_eq!(db.device_stats().health.pages_repaired, moved);
     // Repaired pages start fresh; a second pass finds nothing at the
     // same threshold.
     assert_eq!(db.read_repair(u32::MAX).unwrap(), 0);

@@ -42,19 +42,24 @@ fn cfg(devices: usize, read_policy: ReadPolicy, pes: usize, streams: usize) -> C
     Cfg { table, streams, devices, read_policy, ..Cfg::default() }
 }
 
-/// GET `key` on `backend` until `shard` is `state`, at most `ops` times:
-/// whether it got there.
+/// `shard`'s health-FSM state.
+fn state(cluster: &NkvCluster, shard: usize) -> ShardState {
+    cluster.cluster_stats().shards[shard].state
+}
+
+/// GET `key` on `backend` until `shard` is `target`, at most `ops`
+/// times: whether it got there.
 fn drive(
     cluster: &mut NkvCluster,
     key: u64,
     backend: Backend,
     shard: usize,
-    state: ShardState,
+    target: ShardState,
     ops: usize,
 ) -> bool {
     (0..ops).any(|_| {
         cluster.get("papers", key, backend).unwrap();
-        cluster.shard_state(shard).unwrap() == state
+        state(cluster, shard) == target
     })
 }
 
@@ -107,7 +112,7 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
 
     trip(cluster, victim, kind);
 
-    let mut last_severity = cluster.shard_state(victim).unwrap().severity();
+    let mut last_severity = state(cluster, victim).severity();
     let mut saw_missing_get = false;
     let mut saw_missing_scan = false;
     for step in 0..80u64 {
@@ -126,7 +131,7 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
             assert_eq!(got.record, None, "{ctx} step {step}");
             saw_missing_get = true;
         }
-        let severity = cluster.shard_state(victim).unwrap().severity();
+        let severity = state(cluster, victim).severity();
         assert!(
             severity >= last_severity,
             "{ctx} step {step}: severity regressed {last_severity} -> {severity} without a heal"
@@ -152,16 +157,16 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
     assert!(saw_missing_get, "{ctx}: the fault never surfaced on the GET path");
     assert!(saw_missing_scan, "{ctx}: the fault never surfaced on the SCAN path");
     assert_eq!(
-        cluster.shard_state(victim).unwrap(),
+        state(cluster, victim),
         ShardState::Dead,
         "{ctx}: sustained rejection must walk the victim to Dead"
     );
-    let probes = cluster.cluster_health().shards[victim].probes_sent;
+    let probes = cluster.cluster_stats().shards[victim].probes_sent;
     assert!(probes >= 3, "{ctx}: quarantine must have probed (got {probes})");
 
     // Operator repair: the shard rejoins and the namespace re-converges.
     cluster.heal_shard(victim).unwrap();
-    assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Recovered, "{ctx}");
+    assert_eq!(state(cluster, victim), ShardState::Recovered, "{ctx}");
     for key in model.keys().into_iter().filter(|k| k % 5 == 0) {
         let got = cluster.get("papers", key, backend).unwrap();
         assert!(got.missing_shards.is_empty(), "{ctx}: post-heal get({key}) still degraded");
@@ -178,7 +183,7 @@ fn fault_campaign(kind: DeviceFaultKind, backend: Backend, streams: usize) {
         assert_eq!(post.records, full, "{ctx}: post-heal scan bytes");
     }
     assert_eq!(
-        cluster.shard_state(victim).unwrap(),
+        state(cluster, victim),
         ShardState::Healthy,
         "{ctx}: successful post-heal traffic must promote the shard back to Healthy"
     );
@@ -349,7 +354,7 @@ fn shard_state_is_monotone_under_sustained_faults() {
         let victim = (seed % 4) as usize;
         trip(cluster, victim, DeviceFaultKind::LinkLoss);
         let mut rng = SplitMix64::new(0xC1A0_5EED ^ seed);
-        let mut last = cluster.shard_state(victim).unwrap().severity();
+        let mut last = state(cluster, victim).severity();
         for step in 0..120u32 {
             let key = rng.gen_range_u64(1, 151);
             if rng.gen_bool(0.8) {
@@ -357,15 +362,15 @@ fn shard_state_is_monotone_under_sustained_faults() {
             } else {
                 fleet_scan(cluster, Backend::Software).unwrap();
             }
-            let severity = cluster.shard_state(victim).unwrap().severity();
+            let severity = state(cluster, victim).severity();
             assert!(
                 severity >= last,
                 "seed {seed} step {step}: severity regressed {last} -> {severity}"
             );
             last = severity;
         }
-        assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Dead, "seed {seed}");
-        assert!(cluster.cluster_health().shards[victim].probes_sent > 0, "seed {seed}");
+        assert_eq!(state(cluster, victim), ShardState::Dead, "seed {seed}");
+        assert!(cluster.cluster_stats().shards[victim].probes_sent > 0, "seed {seed}");
     }
 }
 
@@ -385,7 +390,7 @@ fn quarantined_shard_reprobes_and_recovers_when_the_fault_clears() {
     let quarantined =
         drive(cluster, victim_key, Backend::Hardware, victim, ShardState::Quarantined, 40);
     assert!(quarantined, "sustained errors must quarantine the shard");
-    let probes_before = cluster.cluster_health().shards[victim].probes_sent;
+    let probes_before = cluster.cluster_stats().shards[victim].probes_sent;
 
     // The cable is reseated: clear the device fault out from under the
     // router. Only survivor traffic flows; probes must ride on it.
@@ -394,7 +399,7 @@ fn quarantined_shard_reprobes_and_recovers_when_the_fault_clears() {
         drive(cluster, survivor_key, Backend::Hardware, victim, ShardState::Recovered, 20);
     assert!(recovered, "a probe must observe the cleared fault and recover the shard");
     assert!(
-        cluster.cluster_health().shards[victim].probes_sent > probes_before,
+        cluster.cluster_stats().shards[victim].probes_sent > probes_before,
         "recovery must come from probing, not from routed traffic"
     );
     // And the shard serves again, correct bytes included.
@@ -419,10 +424,10 @@ fn dead_shard_stays_dead_until_explicitly_healed() {
         let got = cluster.get("papers", victim_key, Backend::Software).unwrap();
         assert_eq!(got.missing_shards, vec![victim], "a dead shard must not serve");
     }
-    assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Dead);
+    assert_eq!(state(cluster, victim), ShardState::Dead);
 
     cluster.heal_shard(victim).unwrap();
-    assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Recovered);
+    assert_eq!(state(cluster, victim), ShardState::Recovered);
     let got = cluster.get("papers", victim_key, Backend::Software).unwrap();
     assert!(got.missing_shards.is_empty());
     assert_eq!(got.record, Some(record_for(victim_key)));
@@ -450,58 +455,59 @@ fn gray_slow_device_stretches_time_but_not_results() {
     assert_eq!(slow_get, get * 3, "factor 3.0x must stretch time exactly");
     assert!(slow_scan > scan, "the slowed shard must dominate the device-parallel span");
     let slow = slow.fleet();
-    assert_eq!(slow.shard_state(victim).unwrap(), ShardState::Healthy, "slow is not sick");
-    let stats = slow.device_fault_stats(victim).unwrap().unwrap();
+    assert_eq!(state(slow, victim), ShardState::Healthy, "slow is not sick");
+    let stats = slow.shard_db(victim).unwrap().platform_mut().device_fault_stats().unwrap();
     assert!(stats.ops_slowed > 0, "the gray fault must account its slowdowns");
 }
 
-/// The health renderings operators grep are stable: the cluster report
-/// names every FSM state with fixed wording, and the single-device
-/// [`nkv::HealthReport`] text is unchanged by the cluster work.
+/// The health renderings operators grep are stable: the fleet snapshot
+/// names every shard's FSM state with fixed wording and adds the FSM's
+/// counters to the line of a shard that has erred or probed, and the
+/// single-device [`nkv::HealthReport`] text is unchanged by the cluster
+/// work.
 #[test]
 fn health_renderings_are_stable_across_the_new_states() {
     let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(120);
     let cluster = store.fleet();
     // The virgin rendering, before any routed op has been scored.
-    let fresh = NkvCluster::new(ClusterConfig::default()).unwrap().cluster_health().to_string();
+    let fresh = NkvCluster::new(ClusterConfig::default()).unwrap().cluster_stats().to_string();
+    assert!(fresh.starts_with("cluster stats: 4 shards, 0 ops,"), "fresh header drifted:\n{fresh}");
     assert!(
-        fresh.starts_with(
-            "cluster: 4 shards (4 serving) — 4 healthy, 0 degraded, 0 quarantined, 0 dead, 0 recovered"
-        ),
-        "fresh cluster header drifted:\n{fresh}"
-    );
-    assert!(
-        fresh.contains("  shard 0: healthy (ops 0, errors 0, probes 0, transitions 0)"),
+        fresh.contains("  shard 0 [healthy]: ops=0 busy="),
         "fresh shard line drifted:\n{fresh}"
     );
+    assert!(!fresh.contains("routed="), "a fault-free shard shows no FSM counters:\n{fresh}");
     assert!(
         fresh.ends_with("  router: 0 retries (+0 ns backoff)"),
         "router line drifted:\n{fresh}"
     );
 
     // Walk shard 1 to Dead and shard 2 to Degraded, then check the
-    // rendering names both.
+    // rendering names both, with their counters.
     trip(cluster, 1, DeviceFaultKind::Hang);
     let k1 = (1..=120u64).find(|k| cluster.shard_for_key(*k) == 1).unwrap();
     drive(cluster, k1, Backend::Software, 1, ShardState::Dead, 80);
     trip(cluster, 2, DeviceFaultKind::LinkLoss);
     let k2 = (1..=120u64).find(|k| cluster.shard_for_key(*k) == 2).unwrap();
     cluster.get("papers", k2, Backend::Software).unwrap();
-    assert_eq!(cluster.shard_state(1).unwrap(), ShardState::Dead);
-    assert_eq!(cluster.shard_state(2).unwrap(), ShardState::Degraded);
+    assert_eq!(state(cluster, 1), ShardState::Dead);
+    assert_eq!(state(cluster, 2), ShardState::Degraded);
 
-    let report = cluster.cluster_health();
-    let text = report.to_string();
-    assert!(text.starts_with("cluster: 4 shards (3 serving) —"), "serving count drifted:\n{text}");
-    assert!(text.contains("1 degraded"), "{text}");
-    assert!(text.contains("1 dead"), "{text}");
-    assert!(text.contains("  shard 1: dead ("), "{text}");
-    assert!(text.contains("  shard 2: degraded ("), "{text}");
-    assert!(report.router_retries > 0, "rejections must be counted as router retries");
+    let stats = cluster.cluster_stats();
+    let text = stats.to_string();
+    let line = |s: usize| text.lines().find(|l| l.starts_with(&format!("  shard {s} ["))).unwrap();
+    assert!(line(0).starts_with("  shard 0 [healthy]: ") && !line(0).contains("routed="), "{text}");
+    assert!(line(1).starts_with("  shard 1 [dead]: "), "{text}");
+    assert!(line(1).ends_with(" probes=3 transitions=3"), "{text}");
+    // The bulk load and the persist succeeded on shard 2, then one GET
+    // failed: Healthy -> Degraded.
+    assert!(line(2).starts_with("  shard 2 [degraded]: "), "{text}");
+    assert!(line(2).ends_with(" routed=3 errors=1 probes=0 transitions=1"), "{text}");
+    assert!(stats.router_retries > 0, "rejections must be counted as router retries");
 
     // The device-level health text predates the cluster layer and must
     // not have moved: byte-exact for a fresh device.
-    let device = NkvDb::default_db().health_report().to_string();
+    let device = NkvDb::default_db().device_stats().health.to_string();
     assert_eq!(
         device,
         "health: injected 0 transient flash, 0 ecc-corrected, 0 grown-bad, 0 torn, \
@@ -571,7 +577,120 @@ fn a_rejecting_shard_costs_one_op_three_router_retries_and_350_us() {
     trip(fleet, shard, DeviceFaultKind::Hang);
     let got = fleet.get("papers", 7, Backend::Software).unwrap();
     assert_eq!((got.record, got.missing_shards), (None, vec![shard]));
-    let health = fleet.cluster_health();
-    assert_eq!(health.router_retries, 3);
-    assert!(health.to_string().ends_with("router: 3 retries (+350000 ns backoff)"), "{health}");
+    let stats = fleet.cluster_stats();
+    assert_eq!(stats.router_retries, 3);
+    assert!(stats.to_string().ends_with("router: 3 retries (+350000 ns backoff)"), "{stats}");
+}
+
+/// A fleet queued run over a gray-slow shard: that shard's span is
+/// stretched by exactly the slow factor, every other shard's is not, and
+/// what completes, with which device-side latencies, does not change.
+#[test]
+fn a_slow_shard_stretches_its_queued_span_and_nothing_else() {
+    let scripts = scripts(16, |c, i| match (c + i) % 8 {
+        0 => QueuedOp::Scan { rules: all_rules() },
+        1 => QueuedOp::Put { record: record_for(700 + c * 16 + i) },
+        _ => QueuedOp::Get { key: 1 + (c * 29 + i * 7) % 200 },
+    });
+    let victim = 1usize;
+    let [clean, slow] = [None, Some(DeviceFaultKind::Slow { factor_x10: 30 })].map(|fault| {
+        let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(200);
+        let cluster = store.fleet();
+        if let Some(kind) = fault {
+            trip(cluster, victim, kind);
+        }
+        cluster.run_queued("papers", &scripts, &QueueRunConfig::default()).unwrap()
+    });
+    for (shard, (&c, &s)) in clean.shard_spans.iter().zip(&slow.shard_spans).enumerate() {
+        let want = if shard == victim { 3 * c } else { c };
+        assert_eq!(s, want, "shard {shard}: span {c} ns clean");
+    }
+    assert_eq!(slow.completions, clean.completions);
+    assert_eq!(slow.latency, clean.latency, "a slow device changes the span, not the CQEs");
+}
+
+/// A queued run needs every shard: one that is quarantined or dead
+/// fails the run with a typed `ShardUnavailable` naming it, under either
+/// read policy (a queued run has no partial mode).
+#[test]
+fn a_queued_run_over_an_unserving_shard_fails_under_both_policies() {
+    let scripts = scripts(4, |c, i| QueuedOp::Get { key: 1 + c * 4 + i });
+    let victim = 2usize;
+    for policy in [ReadPolicy::Strict, ReadPolicy::Available] {
+        for target in [ShardState::Quarantined, ShardState::Dead] {
+            let ctx = format!("{policy:?} {target:?}");
+            let (mut store, _) = cfg(4, policy, 1, 0).loaded(200);
+            let cluster = store.fleet();
+            trip(cluster, victim, DeviceFaultKind::LinkLoss);
+            let key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
+            let reached = (0..80).any(|_| {
+                // A strict GET on the victim is itself an error.
+                let _ = cluster.get("papers", key, Backend::Software);
+                state(cluster, victim) == target
+            });
+            assert!(reached, "{ctx}: the victim never got there");
+            match cluster.run_queued("papers", &scripts, &QueueRunConfig::default()) {
+                Err(NkvError::ShardUnavailable { shard, .. }) => assert_eq!(shard, victim, "{ctx}"),
+                other => panic!("{ctx}: queued run over an unserving shard: {other:?}"),
+            }
+        }
+    }
+}
+
+/// A hung shard fails a queued run the way it fails a read: the router
+/// retries the shard 3 times, backing off 50 + 100 + 200 µs, then fails
+/// the run with the fault's reason and leaves the shard `Degraded`.
+#[test]
+fn a_hung_shard_fails_a_queued_run_after_three_router_retries() {
+    let (mut store, _) = cfg(4, ReadPolicy::Available, 1, 0).loaded(200);
+    let cluster = store.fleet();
+    let victim = 1usize;
+    trip(cluster, victim, DeviceFaultKind::Hang);
+    let scripts = scripts(4, |c, i| QueuedOp::Get { key: 1 + c * 4 + i });
+    match cluster.run_queued("papers", &scripts, &QueueRunConfig::default()) {
+        Err(NkvError::ShardUnavailable { shard, reason }) => {
+            assert_eq!((shard, reason.as_str()), (victim, "device hang"))
+        }
+        other => panic!("queued run over a hung shard: {other:?}"),
+    }
+    let stats = cluster.cluster_stats();
+    assert_eq!(stats.router_retries, 3);
+    assert!(stats.to_string().ends_with("router: 3 retries (+350000 ns backoff)"), "{stats}");
+    assert_eq!(state(cluster, victim), ShardState::Degraded);
+}
+
+/// Healing a power cut rebuilds the shard from its flash image and keeps
+/// its session: the fleet's observability, the table's PE job streams
+/// and the block cache's budget. The cache comes back empty (DRAM does
+/// not survive the cut).
+#[test]
+fn a_healed_power_cut_keeps_the_shards_session() {
+    let table = Table::Papers { pes: 2, c1: Some(2) };
+    let mut fleet =
+        NkvCluster::new(ClusterConfig { devices: 2, ..ClusterConfig::default() }).unwrap();
+    fleet.enable_observability(1 << 16);
+    fleet.create_table("papers", table.config()).unwrap();
+    fleet.bulk_load("papers", (1..=200).map(record_for).collect()).unwrap();
+    fleet.persist().unwrap();
+    fleet.set_parallel_pes("papers", 2).unwrap();
+    fleet.shard_db(0).unwrap().enable_cache(1 << 20);
+    trip(&mut fleet, 0, DeviceFaultKind::PowerCut);
+    for key in 1..=10 {
+        fleet.get("papers", key, Backend::Hardware).unwrap();
+    }
+    fleet.heal_shard(0).unwrap();
+
+    let db = fleet.shard_db(0).unwrap();
+    assert_eq!(db.cache_stats(), Some(cosmos_sim::CacheStats::default()), "empty, same budget");
+    let scan = LogicalOp::Scan { rules: all_rules() };
+    let plan = db.explain("papers", &scan, Backend::Hardware).unwrap();
+    assert!(plan.contains("dispatch: 2 parallel PE job stream(s)"), "{plan}");
+    for key in 1..=40 {
+        fleet.get("papers", key, Backend::Hardware).unwrap();
+    }
+    let stats = fleet.cluster_stats();
+    let [healed, other] = [0, 1].map(|s| stats.shards[s].stats.metrics.total_ops());
+    assert!(healed > 0 && other > 0, "both shards record their GETs: {healed} vs {other}");
+    let cache = fleet.shard_db(0).unwrap().cache_stats();
+    assert!(cache.is_some_and(|c| c.lookups > 0), "the cache serves again: {cache:?}");
 }

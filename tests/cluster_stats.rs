@@ -151,14 +151,14 @@ fn busy_time_is_conserved_across_drains_and_quarantine_probes() {
 
     // Hang one device and drive traffic until it is quarantined; the
     // probes that follow ride on foreground ops.
-    cluster
-        .install_device_fault(victim, DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 })
-        .unwrap();
+    let hang = DeviceFaultPlan { kind: DeviceFaultKind::Hang, after_ops: 0 };
+    cluster.shard_db(victim).unwrap().platform_mut().install_device_fault(hang);
     for _ in 0..30 {
         let _ = cluster.execute("papers", &scan_all(), Backend::Hardware);
     }
     assert!(
-        cluster.shard_state(victim).unwrap().severity() >= ShardState::Quarantined.severity(),
+        cluster.cluster_stats().shards[victim].state.severity()
+            >= ShardState::Quarantined.severity(),
         "sustained hang must at least quarantine the victim"
     );
     let after = cluster.cluster_stats();

@@ -833,7 +833,11 @@ impl Store {
 
 /// Trip `kind` on a fleet's `shard` device from its next op on.
 pub fn trip(fleet: &mut NkvCluster, shard: usize, kind: DeviceFaultKind) {
-    fleet.install_device_fault(shard, DeviceFaultPlan { kind, after_ops: 0 }).unwrap();
+    fleet
+        .shard_db(shard)
+        .unwrap()
+        .platform_mut()
+        .install_device_fault(DeviceFaultPlan { kind, after_ops: 0 });
 }
 
 /// Apply `ops` to `store` and `model` under `cfg`, checking each read

@@ -233,8 +233,7 @@ fn batching_preserves_per_client_order_and_payloads() {
         let (mut db, cfg) = make_db();
         // GET-heavy scripts with occasional PUT/SCAN fold-breakers.
         let scripts: Vec<ClientScript> = (0..3).map(|c| script(&cfg, 23, c, 16)).collect();
-        db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: 8, batch, ..Default::default() })
-            .expect("queued run")
+        db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: 8, batch }).expect("queued run")
     };
     let base = run(1);
     assert_eq!(base.queue.coalesced_doorbells, 0, "batch 1 must be the legacy path");
@@ -304,8 +303,7 @@ fn batched_runs_are_deterministic() {
     let run = || {
         let (mut db, cfg) = make_db();
         let scripts: Vec<ClientScript> = (0..2).map(|c| script(&cfg, 7, c, 12)).collect();
-        db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: 8, batch: 8, ..Default::default() })
-            .expect("queued run")
+        db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: 8, batch: 8 }).expect("queued run")
     };
     assert_eq!(run(), run());
 }
@@ -360,12 +358,7 @@ fn fold_stops_cleanly_at_every_window_and_script_boundary() {
             let (mut db, _) = make_db();
             let scripts: Vec<ClientScript> =
                 ops.iter().map(|o| ClientScript { ops: o.clone(), ..Default::default() }).collect();
-            db.run_queued(
-                TABLE,
-                &scripts,
-                &QueueRunConfig { depth: 4, batch: b, ..Default::default() },
-            )
-            .expect(name)
+            db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: 4, batch: b }).expect(name)
         };
         let base = run(1);
         let b = run(*batch);
@@ -398,12 +391,8 @@ fn oversized_folds_split_into_capacity_sized_descriptors() {
                 .collect(),
             ..Default::default()
         }];
-        db.run_queued(
-            TABLE,
-            &scripts,
-            &QueueRunConfig { depth: n_keys, batch, ..Default::default() },
-        )
-        .expect("oversized batch run")
+        db.run_queued(TABLE, &scripts, &QueueRunConfig { depth: n_keys, batch })
+            .expect("oversized batch run")
     };
     let base = run(1);
     let split = run(n_keys);
