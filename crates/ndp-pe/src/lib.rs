@@ -17,12 +17,13 @@
 //!   Transformation Unit ([`pipeline`]).
 //!
 //! Two executable models are provided: a **cycle-level** simulator
-//! ([`pipeline::PeSim`]) that models the elastic, latency-insensitive
-//! pipeline tick by tick, and a byte-level **software oracle**
-//! ([`oracle`]) defining the functional semantics (also reused as the
-//! ARM software-NDP implementation by `nkv`). A validated **analytic
-//! timing estimator** ([`pipeline::estimate_block_cycles`]) lets
-//! large-scale simulations skip per-cycle stepping.
+//! ([`pipeline::PeSim`]) that computes the elastic, latency-insensitive
+//! pipeline's cycles exactly as a recurrence over tuples, and a
+//! byte-level **software oracle** ([`oracle`]) defining the functional
+//! semantics (also reused as the ARM software-NDP implementation by
+//! `nkv`). A validated **analytic timing estimator**
+//! ([`pipeline::estimate_block_cycles`]) lets large-scale simulations
+//! skip the cycle model.
 //!
 //! [`template`] elaborates a PE configuration into an `ndp-hdl` design for
 //! Verilog emission and resource estimation (Table I, Figs. 8/9).

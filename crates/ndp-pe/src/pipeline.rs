@@ -2,22 +2,54 @@
 //!
 //! The template's units are *latency-insensitive*: every unit talks to its
 //! neighbours through elastic FIFOs with ready/valid semantics, so they can
-//! simply be wired up in sequence (paper, Sec. IV-B "Composition"). The
-//! simulator mirrors that structure: bounded queues between units, one
-//! tick per 100 MHz PL clock cycle, downstream units ticked first so
-//! back-pressure propagates exactly like combinational ready signals.
+//! simply be wired up in sequence (paper, Sec. IV-B "Composition"): Load
+//! Unit, Tuple Input Buffer, Filtering Units, Data Transformation Unit,
+//! Tuple Output Buffer, Store Unit, with 4-deep tuple FIFOs between them.
 //!
-//! What a tuple *holds* reaches the schedule through one fact only: which
+//! What a tuple *holds* reaches the timing through one fact only: which
 //! Filtering Unit drops it. So a block runs as two planes. The **data
 //! plane** reads the source once, decides every tuple's *fate* (the first
 //! stage that drops it) with the per-stage [`FilterProgram`]s, folds the
 //! aggregate and transforms the survivors into one output buffer. The
-//! **schedule plane** then ticks the units over integers — byte counts
-//! for the word-side buffers, 4-deep rings of fates for the FIFOs — and
-//! counts cycles, tuples, drops, beats and stalls as the hardware would;
-//! how much of the output buffer reaches memory is what its Store Unit
-//! stored. Runs of cycles in which nothing but memory beats can happen
-//! are advanced in closed form (the beat-run jump in `schedule`).
+//! **schedule plane** computes in which 100 MHz PL cycle each tuple leaves
+//! each unit; what reaches memory is what the Store Unit's beats carried.
+//!
+//! *Same-cycle rule.* A cycle settles downstream first, like ready
+//! signals: a slot freed in cycle `t` is refilled from upstream in `t`,
+//! and what enters a buffer in cycle `t` leaves it in `t + 1` at the
+//! earliest.
+//!
+//! *Tuple stations.* The Filtering Units, the Data Transformation Unit and
+//! the Tuple Output Buffer pass one tuple a cycle, in order. The cycle in
+//! which the `i`-th tuple to reach station `s` leaves it is the max-plus
+//! recurrence `D[i][s] = max(D[i][s-1] + 1, D[i-1][s] + 1, D[i-4][s+1])`:
+//! the hop from the station before, one a cycle, and a free slot in the
+//! FIFO behind (`i - 4` counted among the tuples entering it), which a
+//! Filtering Unit needs even for a tuple it drops. Only the output
+//! buffer's room makes a departure later than the free flow `A + s + 1`
+//! (`A`: when the Tuple Input Buffer passed the tuple on), and a departure
+//! in free flow never binds a later tuple, so a tuple that arrives after
+//! every late departure so far skips the walk.
+//!
+//! *Word-side stations.* Beats are runs that rise one a cycle. Load beat
+//! `b` fires at `max(25, L[b-1] + 1, A[k-1])`: after the 24-cycle AXI
+//! latency, one a cycle, once `k` tuples have left the `max(64, in + 8)`
+//! byte input buffer to make room. A tuple is passed on a cycle after the
+//! beat that completes it. A survivor is serialized once it fits in the
+//! `max(64, out + 8)` byte output buffer; a store beat fires a cycle after
+//! the survivor that completes it, one a cycle, and once nothing upstream
+//! can move a partial beat flushes the rest. The beat that meets the
+//! result capacity stores what fits, later firings drop the buffer, and
+//! the fixed-block pad follows the drain, a beat a cycle. A block costs
+//! O(tuples × stations walked + beat runs); nothing loops over cycles.
+//!
+//! *Counters.* `idle` is the AXI latency (1 for an empty block): after it
+//! every cycle moves a beat or a tuple, as a blocked unit waits on a full
+//! output buffer, whose Store Unit fires. `active` is the rest. `in_stall`
+//! counts the cycles to the last load beat that moved none, `out_stall`
+//! the cycles survivors waited at the head of their FIFO. `tuples_in`,
+//! `tuples_out` and `stage_drops` count fates; `load_beats` and
+//! `store_beats` count the beats that moved bytes.
 //!
 //! Steady-state throughput is `min(8 bytes/cycle memory, 1 tuple/cycle
 //! compute)` — which is why the paper's multi-stage filters add only
@@ -80,19 +112,6 @@ pub struct PeSim {
     processor: BlockProcessor,
     flexible: bool,
     scratch: Scratch,
-    /// Cumulative statistics across blocks (for debugging/reporting).
-    pub(crate) total: TotalStats,
-}
-
-/// Lifetime statistics of one PE instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TotalStats {
-    pub blocks: u64,
-    pub cycles: u64,
-    pub tuples_in: u64,
-    pub tuples_out: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
 }
 
 /// Index of the first Filtering Unit that drops a tuple, the stage count
@@ -100,33 +119,27 @@ pub struct TotalStats {
 /// 64 stages, a hand-built configuration need not.
 type Fate = u32;
 
-/// One elastic FIFO of the schedule plane. The tuples in it matter only
-/// through where each will be dropped.
+/// A tuple station as the departures of its last [`FIFO_TUPLES`] visitors.
 #[derive(Clone, Copy, Default)]
-struct FateRing {
-    fates: [Fate; FIFO_TUPLES],
-    head: usize,
-    len: usize,
+struct Station {
+    departed: [u64; FIFO_TUPLES],
+    visits: usize,
 }
 
-impl FateRing {
-    fn has_room(&self) -> bool {
-        self.len < FIFO_TUPLES
+impl Station {
+    /// When the previous visitor left (0 before the first).
+    fn last(&self) -> u64 {
+        self.departed[(self.visits + FIFO_TUPLES - 1) % FIFO_TUPLES]
     }
 
-    fn push(&mut self, fate: Fate) {
-        self.fates[(self.head + self.len) % FIFO_TUPLES] = fate;
-        self.len += 1;
+    /// When the FIFO in front has room for the next visitor (0 before).
+    fn freed(&self) -> u64 {
+        self.departed[self.visits % FIFO_TUPLES]
     }
 
-    fn pop(&mut self) -> Option<Fate> {
-        if self.len == 0 {
-            return None;
-        }
-        let fate = self.fates[self.head];
-        self.head = (self.head + 1) % FIFO_TUPLES;
-        self.len -= 1;
-        Some(fate)
+    fn depart(&mut self, at: u64) {
+        self.departed[self.visits % FIFO_TUPLES] = at;
+        self.visits += 1;
     }
 }
 
@@ -143,9 +156,52 @@ struct Scratch {
     /// The rule registers, compiled one program per Filtering Unit (a
     /// stage sees only its own rule).
     programs: Vec<FilterProgram>,
-    /// `rings[0]` is the parsed-tuple FIFO behind the Tuple Input Buffer,
-    /// `rings[s + 1]` the FIFO behind Filtering Unit `s`.
-    rings: Vec<FateRing>,
+    /// Each Filtering Unit, then the transformation unit and output buffer.
+    stations: Vec<Station>,
+    load: LoadRuns,
+    /// The cycle each survivor was serialized, kept only when the result
+    /// capacity can run out.
+    serialized: Vec<u64>,
+}
+
+/// The Load Unit's beats as runs: beat `b` fires in cycle `b + lift` of the
+/// last run starting at or before `b`, a run at each beat that waited.
+#[derive(Default)]
+struct LoadRuns {
+    /// `(first beat, lift)`, both rising.
+    runs: Vec<(u64, u64)>,
+    /// The run in force for the beat looked up last, its lift, and the
+    /// first beat of the run after it.
+    at: usize,
+    lift: u64,
+    next: u64,
+}
+
+impl LoadRuns {
+    fn reset(&mut self) {
+        self.runs.clear();
+        self.runs.push((0, MEM_LATENCY_CYCLES + 1));
+        (self.at, self.lift, self.next) = (0, MEM_LATENCY_CYCLES + 1, u64::MAX);
+    }
+
+    /// Beats from `first` on fit once a tuple passed on in `passed_on`.
+    fn wait(&mut self, first: u64, passed_on: u64) {
+        let lift = passed_on.saturating_sub(first);
+        if self.runs.last().is_some_and(|&(_, top)| lift > top) {
+            self.runs.push((first, lift));
+            self.next = self.next.min(first);
+        }
+    }
+
+    /// The cycle beat `b` fires in; `b` never falls between calls.
+    fn fires(&mut self, b: u64) -> u64 {
+        while b >= self.next {
+            self.at += 1;
+            self.lift = self.runs[self.at].1;
+            self.next = self.runs.get(self.at + 1).map_or(u64::MAX, |&(first, _)| first);
+        }
+        b + self.lift
+    }
 }
 
 /// What the schedule plane needs to know of a block besides its fates.
@@ -156,164 +212,153 @@ struct Shape {
     capacity: u64,
 }
 
-/// Schedule plane: tick the units of one block — Store Unit, Tuple Output
-/// Buffer, Data Transformation Unit, Filtering Units last first, Tuple
-/// Input Buffer, Load Unit — until everything has drained, counting into
-/// the `CNT_*` bank as the hardware would (`active + idle` grows by the
-/// block's cycles by construction). Tuple `i` of the block is
-/// dropped by stage `fates[i]`; `rings` holds one empty ring more than
-/// there are stages. `bytes_written` of the result is the Store Unit's
-/// payload; padding is the caller's.
-fn schedule(
-    shape: &Shape,
-    fates: &[Fate],
-    rings: &mut [FateRing],
-    bank: &mut PerfCounters,
-) -> BlockResult {
-    // Counted in a local for the length of the loop: through the
-    // reference every increment is a store (5-10 % of a one-stage tick).
-    let mut perf = std::mem::take(bank);
-    let Shape { in_tuple, out_tuple, .. } = *shape;
-    let stages = rings.len() - 1;
+/// Schedule plane: walk every tuple of one block through the stations it
+/// reaches (the recurrence of the module doc), counting into the `CNT_*`
+/// bank. Tuple `i` is dropped by stage `fates[i]`. `bytes_written` of the
+/// result is the Store Unit's payload; padding is the caller's.
+fn schedule(shape: &Shape, scratch: &mut Scratch, perf: &mut PerfCounters) -> BlockResult {
+    let Shape { in_tuple, out_tuple, src_len, capacity } = *shape;
+    let Scratch { fates, stations, load, serialized, .. } = scratch;
+    let stages = stations.len() - 2;
+    let (dtu, tob) = (stages, stages + 1);
+    let n = fates.len() as u64;
     // The word-side staging buffers must hold at least one whole tuple
     // plus a beat, or wide-tuple pipelines would stall forever waiting
     // for a complete tuple to assemble.
     let in_buf_cap = BYTE_BUF.max(in_tuple + 8);
     let out_buf_cap = BYTE_BUF.max(out_tuple + 8);
-    let mut load_remaining = shape.src_len;
-    let mut capacity_left = shape.capacity;
-    // Bytes in the Tuple Input / Output Buffer.
-    let (mut in_len, mut out_len) = (0u64, 0u64);
-    // Tuples in `rings`, and in the FIFO behind the transformation unit.
-    let (mut queued, mut transformed) = (0usize, 0usize);
-    let mut res = BlockResult::default();
-
-    loop {
-        // Beat-run jump. With every FIFO empty, the AXI latency over and
-        // the next tuple `beats` loads from complete, each of the next
-        // `beats` cycles is one full load beat and, while the output
-        // buffer still holds a whole word, one full store beat; no other
-        // unit can fire. The block's last beat (after which the pipeline
-        // flushes) and a store that meets the capacity limit are left to
-        // the cycle-by-cycle code below.
-        if queued == 0 && transformed == 0 && res.cycles >= MEM_LATENCY_CYCLES && in_len < in_tuple
-        {
-            let beats = (in_tuple - in_len).div_ceil(8).min(load_remaining.saturating_sub(1) / 8);
-            let stores = beats.min(out_len / 8);
-            if 8 * stores <= capacity_left {
-                res.cycles += beats;
-                perf.active += beats;
-                perf.load_beats += beats;
-                res.bytes_read += (8 * beats) as u32;
-                in_len += 8 * beats;
-                load_remaining -= 8 * beats;
-                perf.store_beats += stores;
-                res.result_bytes += (8 * stores) as u32;
-                out_len -= 8 * stores;
-                capacity_left -= 8 * stores;
-            }
-        }
-
-        res.cycles += 1;
-        let mut did_work = false;
-
-        // --- Store Unit: drain up to one 64-bit beat per cycle.
-        let flushing = load_remaining == 0 && in_len < in_tuple && queued == 0 && transformed == 0;
-        if out_len >= 8 || (flushing && out_len > 0) {
-            let n = out_len.min(8).min(capacity_left);
-            if n > 0 {
-                out_len -= n;
-                capacity_left -= n;
-                res.result_bytes += n as u32;
-                perf.store_beats += 1;
-            } else {
-                // Result buffer full: drop the remainder (an AXI
-                // master would raise an IRQ; firmware sizes buffers
-                // so this only happens under fault injection).
-                out_len = 0;
-            }
-            did_work = true;
-        }
-
-        // --- Tuple Output Buffer: serialize one tuple per cycle.
-        if out_len + out_tuple <= out_buf_cap {
-            if transformed > 0 {
-                transformed -= 1;
-                out_len += out_tuple;
-                did_work = true;
-            }
-        } else if transformed > 0 {
-            perf.out_stall += 1;
-        }
-
-        // --- Data Transformation Unit: one tuple per cycle, from the
-        // last Filtering Unit's FIFO.
-        if transformed < FIFO_TUPLES && rings[stages].pop().is_some() {
-            queued -= 1;
-            transformed += 1;
-            did_work = true;
-        }
-
-        // --- Filtering Units, last stage first (back-pressure).
-        for s in (0..stages).rev() {
-            if !rings[s + 1].has_room() {
-                continue;
-            }
-            if let Some(fate) = rings[s].pop() {
-                did_work = true;
-                if fate as usize > s {
-                    if s == stages - 1 {
-                        res.tuples_out += 1;
-                    }
-                    rings[s + 1].push(fate);
-                } else {
-                    // Failing tuples are discarded (not enqueued).
-                    perf.stage_drops[s] += 1;
-                    queued -= 1;
+    // Full store beat `qc` meets the result capacity.
+    let (qc, partial) = (capacity / 8, capacity % 8 > 0);
+    // The first load beat that fits only once `k` tuples are passed on.
+    let first_gated = |k: u64| (k.saturating_sub(1) * in_tuple + in_buf_cap) / 8;
+    let keep = capacity < n * out_tuple;
+    load.reset();
+    serialized.clear();
+    // Store Unit: first beat and cycle of its current run of back-to-back
+    // beats, the cycle after its last beat, and the cycle of beat `qc`.
+    let (mut busy, mut store_free, mut spent) = ((0, 0), 0, 0);
+    let (mut passed_on, mut t_last, mut out_stall, mut serial, mut survivors) = (0u64, 0, 0, 0, 0);
+    // The latest departure that came later than the free flow `A + s + 1`.
+    let mut horizon = 0;
+    for (i, &fate) in (0u64..).zip(fates.iter()) {
+        // Tuple Input Buffer: a cycle after the beat completing the tuple.
+        load.wait(first_gated(i), passed_on);
+        let beat = ((i + 1) * in_tuple).div_ceil(8) - 1;
+        let mut t = (passed_on + 1).max(load.fires(beat) + 1);
+        // Filtering Units up to the one that drops it, or on through the
+        // Data Transformation Unit.
+        let reach = (fate as usize).min(dtu);
+        let free = t >= horizon;
+        if free {
+            // Nothing ahead was late enough to block it, and it blocks
+            // nothing behind it: no station records it.
+            passed_on = t;
+            t += reach as u64 + 1;
+        } else {
+            t = t.max(stations[0].freed());
+            passed_on = t;
+            for s in 0..=reach {
+                t = (t + 1).max(stations[s].last() + 1).max(stations[s + 1].freed());
+                stations[s].depart(t);
+                if t > passed_on + s as u64 + 1 {
+                    horizon = horizon.max(t);
                 }
             }
         }
-
-        // --- Tuple Input Buffer: assemble one tuple per cycle.
-        if in_len >= in_tuple && rings[0].has_room() {
-            rings[0].push(fates[res.tuples_in as usize]);
-            res.tuples_in += 1;
-            queued += 1;
-            in_len -= in_tuple;
-            did_work = true;
-        }
-
-        // --- Load Unit: one 64-bit beat per cycle after the initial
-        // AXI latency.
-        if res.cycles > MEM_LATENCY_CYCLES && load_remaining > 0 {
-            if in_len + 8 <= in_buf_cap {
-                let n = load_remaining.min(8);
-                in_len += n;
-                load_remaining -= n;
-                res.bytes_read += n as u32;
-                perf.load_beats += 1;
-                did_work = true;
+        if (fate as usize) < stages {
+            perf.stage_drops[fate as usize] += 1;
+        } else {
+            // Tuple Output Buffer: room once the bytes `need` ahead are
+            // stored, or once the capacity is spent. Only a Store Unit
+            // still busy when the survivor is ready can hold it back, and
+            // then not with a beat from before its current run.
+            let ready = if free { t + 1 } else { (t + 1).max(stations[tob].last() + 1) };
+            let first = serial / 8;
+            (serial, survivors) = (serial + out_tuple, survivors + 1);
+            let need = serial.saturating_sub(out_buf_cap);
+            let room = if store_free > ready && need > 0 {
+                let q = ((need - 1) / 8).min(qc);
+                q.checked_sub(busy.0)
+                    .map_or(0, |d| busy.1 + d + u64::from(partial && need > capacity))
             } else {
-                perf.in_stall += 1;
+                0
+            };
+            t = ready.max(room);
+            out_stall += t - ready;
+            if !free || t > ready {
+                stations[tob].depart(t);
+            }
+            if t > passed_on + tob as u64 + 1 {
+                horizon = horizon.max(t);
+            }
+            // Store Unit: the beats `first..serial / 8` this survivor completes.
+            if serial / 8 > first {
+                if t + 1 > store_free {
+                    (busy, store_free) = ((first, t + 1), t + 1);
+                }
+                if (first..serial / 8).contains(&qc) {
+                    spent = store_free + qc - first;
+                }
+                store_free += serial / 8 - first;
+            }
+            if keep {
+                serialized.push(t);
             }
         }
+        t_last = t_last.max(t);
+    }
 
-        perf.active += u64::from(did_work);
-        perf.idle += u64::from(!did_work);
+    // The Load Unit's last beat.
+    let beats = src_len.div_ceil(8);
+    load.wait(first_gated(n), passed_on);
+    let last = if beats > 0 { load.fires(beats - 1) } else { 0 };
+    t_last = t_last.max(last);
 
-        // --- Termination: everything drained.
-        if load_remaining == 0
-            && in_len < in_tuple
-            && queued == 0
-            && transformed == 0
-            && out_len == 0
-        {
-            res.bytes_written = res.result_bytes;
-            perf.tuples_in += u64::from(res.tuples_in);
-            perf.tuples_out += u64::from(res.tuples_out);
-            *bank = perf;
-            return res;
+    // The Store Unit after the last tuple: its full beats, then the flush
+    // of a partial beat, and what the capacity lets through.
+    let stored = serial.min(capacity);
+    let end = if qc < serial / 8 {
+        // Full beat `qc` met the capacity in cycle `spent`; from then on
+        // each firing (a whole word held, or the flush) drops the buffer.
+        // Follow what it holds to the last drop.
+        let before = serialized.partition_point(|&o| o < spent);
+        let mut held = if partial { before as u64 * out_tuple - capacity } else { 0 };
+        let mut at = spent;
+        for &o in &serialized[before..] {
+            held = if o > at && held >= 8 { 0 } else { held } + out_tuple;
+            at = o;
         }
+        match held {
+            0 => at.max(t_last),
+            1..=7 => at.max(t_last) + 1,
+            _ => (at + 1).max(t_last),
+        }
+    } else if serial % 8 > 0 {
+        // A flush that meets the capacity stores what fits and drops the
+        // rest in the next cycle.
+        store_free.max(t_last + 1) + u64::from(partial && serial > capacity)
+    } else {
+        (store_free.max(1) - 1).max(t_last)
+    };
+    let cycles = end.max(1);
+
+    let tuples_out = if stages > 0 { survivors } else { 0 };
+    let idle = cycles.min(MEM_LATENCY_CYCLES);
+    perf.tuples_in += n;
+    perf.tuples_out += tuples_out;
+    perf.in_stall += last.saturating_sub(MEM_LATENCY_CYCLES + beats);
+    perf.out_stall += out_stall;
+    perf.active += cycles - idle;
+    perf.idle += idle;
+    perf.load_beats += beats;
+    perf.store_beats += stored.div_ceil(8);
+    BlockResult {
+        cycles,
+        tuples_in: n as u32,
+        tuples_out: tuples_out as u32,
+        bytes_read: src_len as u32,
+        bytes_written: stored as u32,
+        result_bytes: stored as u32,
     }
 }
 
@@ -333,15 +378,7 @@ impl PeSim {
         regs.has_perf = flexible;
         let ops = OpTable::from_config(&cfg);
         let processor = BlockProcessor::new(&cfg);
-        Self {
-            cfg,
-            regs,
-            ops,
-            processor,
-            flexible,
-            scratch: Scratch::default(),
-            total: TotalStats::default(),
-        }
+        Self { cfg, regs, ops, processor, flexible, scratch: Scratch::default() }
     }
 
     /// The PE's configuration.
@@ -413,8 +450,8 @@ impl PeSim {
         let agg = self.decide_fates(mem, src_len as usize);
 
         let s = &mut self.scratch;
-        s.rings.clear();
-        s.rings.resize(s.programs.len() + 1, FateRing::default());
+        s.stations.clear();
+        s.stations.resize(s.programs.len() + 2, Station::default());
         let shape = Shape {
             in_tuple: self.processor.in_tuple_bytes() as u64,
             out_tuple: self.processor.out_tuple_bytes() as u64,
@@ -422,7 +459,7 @@ impl PeSim {
             capacity: u64::from(self.regs.dst_capacity),
         };
         let perf = &mut self.regs.perf;
-        let mut res = schedule(&shape, &s.fates, &mut s.rings, perf);
+        let mut res = schedule(&shape, s, perf);
 
         // What reaches memory is what the Store Unit's beats carried.
         s.output.truncate(res.result_bytes as usize);
@@ -491,12 +528,6 @@ impl PeDevice for PeSim {
         self.regs.tuples_in = res.tuples_in;
         self.regs.tuples_out = res.tuples_out;
         self.regs.filter_counter = res.tuples_out;
-        self.total.blocks += 1;
-        self.total.cycles += res.cycles;
-        self.total.tuples_in += u64::from(res.tuples_in);
-        self.total.tuples_out += u64::from(res.tuples_out);
-        self.total.bytes_read += u64::from(res.bytes_read);
-        self.total.bytes_written += u64::from(res.bytes_written);
         res
     }
 
@@ -619,7 +650,7 @@ mod tests {
 
     #[test]
     fn cycle_model_matches_oracle_semantics() {
-        // Cross-validate the tick-based pipeline against the byte-level
+        // Cross-validate the cycle-level pipeline against the byte-level
         // oracle on a randomized block.
         let mut rng = ndp_workload::SplitMix64::new(0xC0FFEE);
         let cfg = elaborate(&parse(POINTS).unwrap(), "P").unwrap();
@@ -779,15 +810,14 @@ mod tests {
     }
 
     #[test]
-    fn total_stats_accumulate_across_blocks() {
+    fn counters_accumulate_across_blocks() {
         let mut pe = make_pe(POINTS, "P");
         let mut mem = VecMem::new(1 << 16);
         let len = write_points(&mut mem, 0, &[(1, 2, 3), (4, 5, 6)]);
         for _ in 0..3 {
             let _ = run(&mut pe, &mut mem, 0, len, 0x8000, 4096, &[]);
         }
-        assert_eq!(pe.total.blocks, 3);
-        assert_eq!(pe.total.tuples_in, 6);
+        assert_eq!(pe.perf().tuples_in, 6);
     }
 
     // ------------------------------------------------------------------
@@ -1025,7 +1055,11 @@ mod tests {
 
     /// One PE of the differential grid: a Fig. 8 tuple (all-`u32`, or half
     /// of it behind a 4-byte string prefix) behind a Fig. 9 filter chain,
-    /// on 8 KiB chunks so a fixed-block run stays cheap.
+    /// on 8 KiB chunks so a fixed-block run stays cheap. The output is the
+    /// input tuple, or `out_lanes` `u32` lanes mapped from an 8-byte input:
+    /// a Store Unit that needs more beats per tuple than the Load Unit is
+    /// the bottleneck, so back-pressure reaches every FIFO and the Load
+    /// Unit, and a 12-byte output ends blocks on a partial store beat.
     #[derive(Debug, Clone, Copy)]
     struct GridPe {
         bits: u32,
@@ -1033,13 +1067,11 @@ mod tests {
         stages: u32,
         aggregate: bool,
         flexible: bool,
+        out_lanes: u32,
     }
 
     const GRID_CHUNK: u32 = 8192;
     const GRID_DST: u64 = 0x4000;
-    /// Source chunk at 0, result region at [`GRID_DST`] with room for the
-    /// ample capacity.
-    const GRID_MEM: usize = 0x8000;
 
     impl GridPe {
         fn all() -> Vec<GridPe> {
@@ -1049,13 +1081,36 @@ mod tests {
                     for stages in 1..=8 {
                         for aggregate in [false, true] {
                             for flexible in [true, false] {
-                                pes.push(GridPe { bits, half, stages, aggregate, flexible });
+                                let out_lanes = 0;
+                                let pe =
+                                    GridPe { bits, half, stages, aggregate, flexible, out_lanes };
+                                pes.push(pe);
                             }
                         }
                     }
                 }
             }
+            // The widening axis: 8 B -> 12 B, 16 B and 32 B.
+            for out_lanes in [3, 4, 8] {
+                for stages in [1, 8] {
+                    for flexible in [true, false] {
+                        let (bits, half, aggregate) = (64, false, false);
+                        pes.push(GridPe { bits, half, stages, aggregate, flexible, out_lanes });
+                    }
+                }
+            }
             pes
+        }
+
+        /// Result capacity that holds a whole chunk's output twice over.
+        fn ample(&self) -> u32 {
+            GRID_CHUNK * self.out_lanes.max(2)
+        }
+
+        /// Source chunk at 0, result region at [`GRID_DST`] with room for
+        /// the ample capacity.
+        fn mem_size(&self) -> usize {
+            GRID_DST as usize + self.ample() as usize
         }
 
         fn config(&self) -> PeConfig {
@@ -1065,15 +1120,31 @@ mod tests {
                 fields += &format!("/* @string(prefix = 4) */ uint8_t s[{}];", self.bits / 16 + 4);
             }
             let aggregate = if self.aggregate { ", aggregate = { sum }" } else { "" };
-            let src = format!(
-                "/* @autogen define parser F with chunksize = {}, input = T, output = T,
-                    stages = {}{aggregate} */
+            // Output lane k copies input lane k mod `words`.
+            let lanes = self.out_lanes;
+            let (output, mapping, out_fields) = if lanes == 0 {
+                ("T", String::new(), String::new())
+            } else {
+                let pairs: Vec<String> =
+                    (0..lanes).map(|k| format!("output.o{k} = input.f{}", k % words)).collect();
+                let out_fields: String = (0..lanes).map(|k| format!("uint32_t o{k}; ")).collect();
+                ("O", format!(", mapping = {{ {} }}", pairs.join(", ")), out_fields)
+            };
+            let mut src = format!(
+                "/* @autogen define parser F with chunksize = {}, input = T, output = {output},
+                    stages = {}{aggregate}{mapping} */
                  typedef struct {{ {fields} }} T;",
                 GRID_CHUNK / 1024,
                 self.stages
             );
+            if lanes > 0 {
+                src += &format!(" typedef struct {{ {out_fields} }} O;");
+            }
             let cfg = elaborate(&parse(&src).unwrap(), "F").unwrap();
             assert_eq!(cfg.input.tuple_bytes(), u64::from(self.bits / 8));
+            if lanes > 0 {
+                assert_eq!(cfg.output.tuple_bytes(), u64::from(4 * lanes));
+            }
             cfg
         }
 
@@ -1096,10 +1167,12 @@ mod tests {
 
     /// Selectivity {0, ~1 %, ~50 %, 100 %} x length {whole chunk, trailing
     /// partial tuple ending on a whole and on a partial beat, under one
-    /// tuple, nothing} x capacity {ample, 100 B, 4 KiB}. Every lane is a uniformly random `u32`, so `lt` against a
-    /// fraction of 2^32 sets a stage's pass rate; a fixed-block PE ignores
-    /// SRC_LEN and gets one length.
-    fn grid_jobs(cfg: &PeConfig, flexible: bool) -> Vec<GridJob> {
+    /// tuple, nothing} x capacity {ample, 100 B, 4 KiB}. Every lane is a
+    /// uniformly random `u32`, so `lt` against a fraction of 2^32 sets a
+    /// stage's pass rate; a fixed-block PE ignores SRC_LEN and gets one
+    /// length.
+    fn grid_jobs(cfg: &PeConfig, shape: &GridPe) -> Vec<GridJob> {
+        let flexible = shape.flexible;
         let (nop, lt) = (cfg.nop_code(), cfg.op_code("lt").unwrap());
         let stages = cfg.stages;
         let spread = |pass: f64| -> Vec<(u32, u32, u64)> {
@@ -1118,7 +1191,7 @@ mod tests {
         let mut jobs = Vec::new();
         for rules in &selectivities {
             for &len in if flexible { &lens[..] } else { &lens[..1] } {
-                for capacity in [2 * GRID_CHUNK, 100, 4096] {
+                for capacity in [shape.ample(), 100, 4096] {
                     jobs.push(GridJob { rules: rules.clone(), len, capacity });
                 }
             }
@@ -1138,36 +1211,95 @@ mod tests {
         rules: &[(u32, u32, u64)],
         at: &str,
     ) -> (BlockResult, VecMem) {
-        let mut mem = VecMem::from_bytes(image.to_vec());
-        let mut reference_mem = VecMem::from_bytes(image.to_vec());
+        let mut mem = VecMem::from_bytes(image);
+        let mut reference_mem = VecMem::from_bytes(image);
         configure(pe, src, len, dst, cap, rules);
         configure(reference, src, len, dst, cap, rules);
         let got = pe.execute(&mut mem);
         assert_eq!(got, reference_run_block(reference, &mut reference_mem), "{at}");
         assert_eq!(pe.regs.perf, reference.regs.perf, "{at}");
         assert_eq!(pe.regs.agg_result, reference.regs.agg_result, "{at}");
-        assert!(mem.as_slice() == reference_mem.as_slice(), "{at}: memory images differ");
+        assert!(mem.image() == reference_mem.image(), "{at}: memory images differ");
         (got, mem)
     }
 
     #[test]
     fn two_planes_equal_the_byte_moving_loop_on_the_grid() {
         let mut cells = 0;
+        // Stall cycles summed over the grid: only the widening shapes
+        // make any, and the blocking terms are checked only where they do.
+        let (mut in_stall, mut out_stall) = (0, 0);
         for (i, shape) in GridPe::all().iter().enumerate() {
             let cfg = shape.config();
             // One PE pair per shape: the counters are cumulative and the
             // scratch buffers are reused, so both are compared as well.
             let (mut pe, mut reference) = (shape.build(&cfg), shape.build(&cfg));
-            let mut image = vec![0u8; GRID_MEM];
+            let mut image = vec![0u8; shape.mem_size()];
             SplitMix64::new(0x6772_6964 + i as u64).fill_bytes(&mut image);
-            for job in grid_jobs(&cfg, shape.flexible) {
+            for job in grid_jobs(&cfg, shape) {
                 let (src, dst) = ((0, job.len), (GRID_DST, job.capacity));
                 let at = format!("{shape:?} {job:?}");
                 assert_equals_reference(&mut pe, &mut reference, &image, src, dst, &job.rules, &at);
                 cells += 1;
             }
+            in_stall += pe.perf().in_stall;
+            out_stall += pe.perf().out_stall;
         }
-        assert!(cells >= 1000, "{cells} configurations");
+        assert_eq!(cells, 13_824 + 432, "configurations");
+        assert!(in_stall > 0 && out_stall > 0, "no back-pressure: {in_stall} / {out_stall}");
+    }
+
+    #[test]
+    fn odd_widths_and_capacities_equal_the_byte_moving_loop() {
+        // The grid's tuples are whole beats. Here tuples of 1 to 31 bytes
+        // narrow, keep or widen by a random mapping, under capacities
+        // that end inside a beat, so the Store Unit's partial beats, its
+        // drops and sub-beat output tuples are checked as well.
+        let mut rng = SplitMix64::new(0x6f64_6473);
+        for case in 0..200 {
+            let ins: Vec<&str> = (0..1 + rng.gen_usize(6))
+                .map(|_| ["uint8_t", "uint16_t", "uint32_t"][rng.gen_usize(3)])
+                .collect();
+            let outs: Vec<usize> =
+                (0..1 + rng.gen_usize(9)).map(|_| rng.gen_usize(ins.len())).collect();
+            let in_fields: String =
+                ins.iter().enumerate().map(|(i, t)| format!("{t} f{i}; ")).collect();
+            let out_fields: String =
+                outs.iter().enumerate().map(|(k, &i)| format!("{} o{k}; ", ins[i])).collect();
+            let mapping: Vec<String> =
+                outs.iter().enumerate().map(|(k, i)| format!("output.o{k} = input.f{i}")).collect();
+            let stages = 1 + rng.gen_u32(8);
+            let src = format!(
+                "/* @autogen define parser F with chunksize = 8, input = T, output = O,
+                    stages = {stages}, mapping = {{ {} }} */
+                 typedef struct {{ {in_fields} }} T; typedef struct {{ {out_fields} }} O;",
+                mapping.join(", ")
+            );
+            let cfg = elaborate(&parse(&src).unwrap(), "F").unwrap();
+            let flexible = rng.gen_bool(0.8);
+            let (mut pe, mut reference) = (
+                PeSim::with_flexibility(cfg.clone(), flexible),
+                PeSim::with_flexibility(cfg.clone(), flexible),
+            );
+            let mut image = vec![0u8; 0x1_4000];
+            rng.fill_bytes(&mut image);
+            let lt = cfg.op_code("lt").unwrap();
+            for _ in 0..4 {
+                let len = rng.gen_u32(GRID_CHUNK + 1);
+                let capacity = [0, 1, 5, 13, 100, 1003, 0x1_0000][rng.gen_usize(7)];
+                // A bound of random magnitude against lanes of 8 to 32
+                // bits: some stages pass everything, some almost nothing.
+                let rules: Vec<(u32, u32, u64)> = (0..stages)
+                    .map(|s| {
+                        let bits = rng.gen_u32(32);
+                        (s % cfg.input.lanes, lt, rng.gen_u64(2 << bits))
+                    })
+                    .collect();
+                let at = format!("case {case}: {src} len {len} capacity {capacity} {rules:?}");
+                let (src, dst) = ((0, len), (GRID_DST, capacity));
+                assert_equals_reference(&mut pe, &mut reference, &image, src, dst, &rules, &at);
+            }
+        }
     }
 
     #[test]
@@ -1176,7 +1308,14 @@ mod tests {
         // the one aliasing the streaming hardware supports: a result byte
         // lands on a source byte the Load Unit has already passed. A
         // projection (12 -> 8 bytes) and an identity, both half-selective.
-        let wide = GridPe { bits: 256, half: false, stages: 2, aggregate: false, flexible: true };
+        let wide = GridPe {
+            bits: 256,
+            half: false,
+            stages: 2,
+            aggregate: false,
+            flexible: true,
+            out_lanes: 0,
+        };
         for cfg in [elaborate(&parse(POINTS).unwrap(), "P").unwrap(), wide.config()] {
             let mut image = vec![0u8; 0x4000];
             SplitMix64::new(0x616c_6961).fill_bytes(&mut image);
@@ -1212,14 +1351,14 @@ mod tests {
         let (res, mem) = assert_equals_reference(
             &mut pe,
             &mut reference,
-            image.as_slice(),
+            &image.image(),
             (0, len),
             (0x8000, 4096),
             &[],
             "stages = 0",
         );
         assert_eq!((res.tuples_in, res.tuples_out, res.result_bytes), (3, 0, 24));
-        assert_eq!(&mem.as_slice()[0x8000..0x8008], &[2, 0, 0, 0, 3, 0, 0, 0]);
+        assert_eq!(&mem.image()[0x8000..0x8008], &[2, 0, 0, 0, 3, 0, 0, 0]);
     }
 
     #[test]
@@ -1233,12 +1372,14 @@ mod tests {
         // Per class `[fixed-block, flexible]`: lowest and highest signed
         // error with the cell that produced it.
         let mut envelope = [[(0.0f64, String::new()), (0.0, String::new())], Default::default()];
-        for shape in GridPe::all().iter().filter(|s| !s.aggregate) {
+        for shape in GridPe::all().iter().filter(|s| !s.aggregate && s.out_lanes == 0) {
             let cfg = shape.config();
             let mut pe = shape.build(&cfg);
-            let mut mem = VecMem::new(GRID_MEM);
-            SplitMix64::new(0x656e_7665).fill_bytes(&mut mem.as_mut_slice()[..GRID_CHUNK as usize]);
-            for job in grid_jobs(&cfg, shape.flexible).iter().filter(|j| j.len >= 1000) {
+            let mut chunk = vec![0u8; GRID_CHUNK as usize];
+            SplitMix64::new(0x656e_7665).fill_bytes(&mut chunk);
+            let mut mem = VecMem::new(shape.mem_size());
+            mem.write_bytes(0, &chunk);
+            for job in grid_jobs(&cfg, shape).iter().filter(|j| j.len >= 1000) {
                 configure(&mut pe, 0, job.len, GRID_DST, job.capacity, &job.rules);
                 let res = pe.execute(&mut mem);
                 let estimate = estimate_block_cycles(

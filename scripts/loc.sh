@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The two code-size numbers a simplification is measured by:
 #
-#   1. non-test lines per crate under crates/*/src, and per nkv file.
+#   1. non-test lines per crate under crates/*/src, and per nkv and ndp-pe
+#      file.
 #      A file counts up to its `#[cfg(test)] mod tests` (the whole file
 #      when it has none); a `#[cfg(test)]` on any other item, such as an
 #      import, does not end the count. Blank and comment lines count.
@@ -34,9 +35,11 @@ for dir in crates/*/src; do
 done
 printf '  %-14s %6d\n' total "$total"
 
-echo "non-test lines per nkv file (crates/nkv/src):"
-for f in crates/nkv/src/*.rs; do
-    printf '  %-14s %6d\n' "$(basename "$f")" "$(nontest "$f")"
+for crate in nkv ndp-pe; do
+    echo "non-test lines per $crate file (crates/$crate/src):"
+    for f in crates/"$crate"/src/*.rs; do
+        printf '  %-14s %6d\n' "$(basename "$f")" "$(nontest "$f")"
+    done
 done
 
 pub_fns=0
