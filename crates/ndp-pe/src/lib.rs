@@ -1,10 +1,12 @@
 //! The NDP processing element (PE): architectural template, cycle-level
-//! model, hand-crafted baseline, and hardware elaboration.
+//! model, and hardware elaboration.
 //!
 //! This crate realizes the paper's architectural template (Fig. 3):
 //!
 //! * **(a) control component** — a register file mapped into the ARM
-//!   address space ([`regs`]);
+//!   address space ([`regs`]: each register window declared once, and that
+//!   table is the map the C header prints, the `RegFile` the template
+//!   prices and the register file the simulator decodes);
 //! * **(b) memory interface** — Load/Store units moving data between
 //!   PS-DRAM and the PE at 64-bit granularity; *flexible* (partial-block)
 //!   in this work, fixed 32 KiB blocks in the baseline of \[1\]
@@ -18,7 +20,10 @@
 //!
 //! Two executable models are provided: a **cycle-level** simulator
 //! ([`pipeline::PeSim`]) that computes the elastic, latency-insensitive
-//! pipeline's cycles exactly as a recurrence over tuples, and a
+//! pipeline's cycles exactly as a recurrence over tuples — of a generated
+//! PE ([`PeSim::new`]) or of the hand-crafted PE of \[1\]
+//! ([`PeSim::baseline`], which refuses what that architecture lacks:
+//! more than one stage, an aggregation unit, a custom operator) — and a
 //! byte-level **software oracle** ([`oracle`]) defining the functional
 //! semantics (also reused as the ARM software-NDP implementation by
 //! `nkv`). A validated **analytic timing estimator**
@@ -36,7 +41,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(unreachable_pub)]
 
-mod baseline;
 mod membus;
 pub mod oracle;
 pub mod pipeline;
@@ -44,7 +48,6 @@ pub mod regs;
 pub mod template;
 pub mod tuple;
 
-pub use baseline::BaselinePe;
 pub use membus::{MemBus, VecMem};
 pub use oracle::FilterRule;
 pub use pipeline::{estimate_block_cycles, BlockResult, PeSim};

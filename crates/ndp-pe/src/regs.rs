@@ -1,12 +1,41 @@
 //! The control register file (architectural template component (a)).
 //!
-//! The register map is *generated* from the PE configuration — the number
-//! of filtering stages determines how many `FILTER_*` register groups
-//! exist — and is the contract shared between the hardware model
-//! (`RegState`) and the generated software interface (`ndp-swgen`
-//! renders the same [`RegisterMap`] into the header-only C library of
-//! the paper's Fig. 6).
+//! The register map is the contract between a PE and its firmware. Each
+//! window of it is declared once, below, as a table of `(name, offset,
+//! access, doc)` [`Row`]s; a PE's map (`RegisterMap::of`) walks the windows
+//! its variant has. `ndp-swgen` prints that map as the C header of the
+//! paper's Fig. 6, `template` prices a `RegFile` word per register, and
+//! [`PeSim`](crate::PeSim) decodes every MMIO access through it.
+//!
+//! *Layout.* Each register is a 32-bit word at a byte offset of the PE's
+//! AXI-Lite window; `fc = 0x30 + 0x10 × stages` is `FILTER_COUNTER`'s.
+//!
+//! | window | offsets | rows |
+//! |---|---|---|
+//! | fixed | `0x00`…`0x2C` | [`FIXED`]: `START`, `STATUS`, job descriptor, results, `VERSION` |
+//! | stage `s` | `0x30 + 0x10 × s` + `0x0`…`0xC` | [`STAGE`]: lane, operator, 64-bit value |
+//! | counter | `fc` | [`COUNTER`]: `FILTER_COUNTER` |
+//! | aggregation | `fc + 0x04`…`0x10` | [`AGG`]; reserved, unmapped, without the unit |
+//! | perf bank | `fc + 0x14`…`0x34` | [`PERF`]: `CNT_CTRL`, then eight counters |
+//! | stage drops | `fc + 0x38 + 4 × s` | [`PERF_STAGE`]: a counter per stage |
+//!
+//! A generated PE has every window (the aggregation rows only with an
+//! Aggregation Unit), so the perf bank's place depends on the stage count
+//! alone; the hand-crafted PE of \[1\] has the first three, with one stage.
+//!
+//! *Access rule.* A read-write row reads back the word last written to it;
+//! a read-only row ignores writes and reads what the PE put there; an
+//! unmapped or unaligned offset reads 0 and ignores writes (an AXI-Lite
+//! slave that answers OKAY and discards). Four registers act otherwise:
+//! writing 1 to `START` launches the block and clears `STATUS`'s DONE bit;
+//! `STATUS` is bit 0 BUSY, bit 1 DONE; writing 1 to `CNT_CTRL` clears
+//! every counter; both strobes read 0. The `CNT_*` counters count across
+//! blocks, 64 bit wide in the model, and read as their low word, as a
+//! wrapping 32-bit hardware counter would.
 
+use crate::oracle::FilterRule;
+use crate::pipeline::{BlockResult, PerfCounters};
+use crate::template::PeVariant;
 use ndp_ir::PeConfig;
 
 /// Register access class.
@@ -18,295 +47,204 @@ pub enum Access {
     ReadOnly,
 }
 
-/// One 32-bit control register.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegDef {
-    /// Macro-style name (`FILTER_OP_0`).
-    pub name: String,
-    /// Byte offset within the PE's register window.
-    pub offset: u32,
-    pub(crate) access: Access,
-    /// One-line description rendered into the generated header.
-    pub doc: String,
-}
+use Access::{ReadOnly as RO, ReadWrite as RW};
 
-/// The generated register map of one PE.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegisterMap {
-    pub regs: Vec<RegDef>,
-    /// Number of filtering stages the map was generated for.
-    pub stages: u32,
-    /// Number of trailing performance-counter registers (0 for the
-    /// baseline maps of \[1\], which have no observability bank).
-    pub(crate) perf_regs: usize,
-}
+/// One register of a window: `(name, offset in the window, access, doc)`.
+/// In a per-stage row, `{s}` in the name and the doc stands for the stage.
+pub type Row = (&'static str, u32, Access, &'static str);
 
-/// Fixed register offsets (stage-independent part of the map).
+/// Offsets of the fixed window's rows and of a stage group's.
 pub mod offsets {
-    /// Write 1 to start processing the configured block.
     pub const START: u32 = 0x00;
-    /// Bit 0: BUSY; bit 1: DONE since last START.
     pub(crate) const STATUS: u32 = 0x04;
     pub const SRC_ADDR_LO: u32 = 0x08;
     pub const SRC_ADDR_HI: u32 = 0x0C;
-    /// Bytes to load; flexible units honour any value up to the chunk
-    /// size, the fixed units of \[1\] ignore it and always move 32 KiB.
     pub const SRC_LEN: u32 = 0x10;
     pub const DST_ADDR_LO: u32 = 0x14;
     pub const DST_ADDR_HI: u32 = 0x18;
     pub const DST_CAPACITY: u32 = 0x1C;
-    /// Bytes of result actually produced (read-only).
     pub const RESULT_BYTES: u32 = 0x20;
     pub const TUPLES_IN: u32 = 0x24;
     pub const TUPLES_OUT: u32 = 0x28;
     pub(crate) const VERSION: u32 = 0x2C;
-    /// First per-stage group; each group is [`STAGE_STRIDE`] bytes.
     pub const STAGE_BASE: u32 = 0x30;
     pub const STAGE_STRIDE: u32 = 0x10;
-    /// Within a stage group: lane selector.
     pub const STAGE_FIELD: u32 = 0x0;
-    /// Within a stage group: operator code.
     pub const STAGE_OP: u32 = 0x4;
-    /// Within a stage group: reference value, low half.
     pub const STAGE_VAL_LO: u32 = 0x8;
-    /// Within a stage group: reference value, high half.
     pub const STAGE_VAL_HI: u32 = 0xC;
+
+    /// Offset of stage `s`'s group.
+    pub const fn stage(s: u32) -> u32 {
+        STAGE_BASE + s * STAGE_STRIDE
+    }
+
+    /// `fc` of a PE with `stages` stages.
+    pub const fn filter_counter(stages: u32) -> u32 {
+        stage(stages)
+    }
 }
 
-/// Aggregation register offsets *relative to* `FILTER_COUNTER`
-/// (present only when the configuration requests aggregates).
+/// Offsets of the aggregation rows, relative to `fc`.
 pub mod agg_offsets {
-    /// Lane whose values feed the Aggregation Unit.
     pub const AGG_FIELD: u32 = 0x4;
-    /// Reduction select (0 = disabled; see `ndp_ir::AggOp::code`).
     pub const AGG_OP: u32 = 0x8;
-    /// Accumulator, low half (read-only).
     pub const AGG_RESULT_LO: u32 = 0xC;
-    /// Accumulator, high half (read-only).
     pub const AGG_RESULT_HI: u32 = 0x10;
 }
 
-/// Performance-counter register offsets *relative to* `FILTER_COUNTER`.
-/// The bank sits after the aggregation window (which is reserved even on
-/// PEs without an Aggregation Unit), so its placement depends only on the
-/// stage count. All counters are read-only, cumulative across blocks,
-/// and cleared together by writing 1 to `CNT_CTRL`. Hardware counters
-/// are 32 bit and wrap; the simulator tracks 64 bit internally and
-/// exposes the low word, which is what a wrapping counter would show.
+/// Offsets of the perf bank's rows, relative to `fc`.
 pub mod perf_offsets {
-    /// Write 1 to clear every performance counter. Reads as 0.
     pub const CNT_CTRL: u32 = 0x14;
-    /// Tuples parsed from the input stream since the last clear.
     pub const CNT_TUPLES_IN: u32 = 0x18;
-    /// Tuples that passed the final filtering stage since the last clear.
     pub const CNT_TUPLES_OUT: u32 = 0x1C;
-    /// Cycles the Load Unit had a beat ready but the input buffer was full.
     pub const CNT_IN_STALL: u32 = 0x20;
-    /// Cycles a transformed tuple waited for room in the output buffer.
     pub const CNT_OUT_STALL: u32 = 0x24;
-    /// Cycles in which at least one pipeline unit made progress.
     pub const CNT_ACTIVE: u32 = 0x28;
-    /// Cycles in which no unit made progress (AXI latency, drain bubbles).
     pub const CNT_IDLE: u32 = 0x2C;
-    /// 64-bit beats fetched by the Load Unit.
     pub const CNT_LOAD_BEATS: u32 = 0x30;
-    /// 64-bit beats written by the Store Unit.
     pub const CNT_STORE_BEATS: u32 = 0x34;
-    /// First per-stage drop counter; one 32-bit word per filtering stage.
     pub const CNT_STAGE_DROP_BASE: u32 = 0x38;
 }
+
+use agg_offsets::*;
+use offsets::*;
+use perf_offsets::*;
+
+/// The fixed window, at 0.
+pub const FIXED: &[Row] = &[
+    ("START", START, RW, "Write 1 to start processing the configured block"),
+    ("STATUS", STATUS, RO, "Bit 0: BUSY, bit 1: DONE"),
+    ("SRC_ADDR_LO", SRC_ADDR_LO, RW, "Source address in PS-DRAM, low 32 bit"),
+    ("SRC_ADDR_HI", SRC_ADDR_HI, RW, "Source address in PS-DRAM, high 32 bit"),
+    ("SRC_LEN", SRC_LEN, RW, "Bytes to load (partial blocks supported by this work)"),
+    ("DST_ADDR_LO", DST_ADDR_LO, RW, "Destination address in PS-DRAM, low 32 bit"),
+    ("DST_ADDR_HI", DST_ADDR_HI, RW, "Destination address in PS-DRAM, high 32 bit"),
+    ("DST_CAPACITY", DST_CAPACITY, RW, "Result buffer capacity in bytes"),
+    ("RESULT_BYTES", RESULT_BYTES, RO, "Bytes of result written back"),
+    ("TUPLES_IN", TUPLES_IN, RO, "Tuples parsed from the input stream"),
+    ("TUPLES_OUT", TUPLES_OUT, RO, "Tuples that passed all filter stages"),
+    ("VERSION", VERSION, RO, "Template generation version"),
+];
+
+/// One Filtering Unit's group, at [`offsets::stage`].
+pub const STAGE: &[Row] = &[
+    ("FILTER_FIELD_{s}", STAGE_FIELD, RW, "Stage {s}: comparator lane select"),
+    ("FILTER_OP_{s}", STAGE_OP, RW, "Stage {s}: operator code (0 = nop)"),
+    ("FILTER_VAL_LO_{s}", STAGE_VAL_LO, RW, "Stage {s}: reference value, low 32 bit"),
+    ("FILTER_VAL_HI_{s}", STAGE_VAL_HI, RW, "Stage {s}: reference value, high 32 bit"),
+];
+
+/// At `fc`.
+pub const COUNTER: &[Row] =
+    &[("FILTER_COUNTER", 0, RO, "Tuples that passed the final filtering stage")];
+
+/// The Aggregation Unit, relative to `fc`; `AGG_OP` takes an
+/// `ndp_ir::AggOp::code`.
+pub const AGG: &[Row] = &[
+    ("AGG_FIELD", AGG_FIELD, RW, "Aggregation Unit: lane select"),
+    ("AGG_OP", AGG_OP, RW, "Aggregation Unit: reduction select (0 = off)"),
+    ("AGG_RESULT_LO", AGG_RESULT_LO, RO, "Aggregation accumulator, low 32 bit"),
+    ("AGG_RESULT_HI", AGG_RESULT_HI, RO, "Aggregation accumulator, high 32 bit"),
+];
+
+/// The perf bank, relative to `fc`; the counters in [`PerfCounters`] order.
+pub const PERF: &[Row] = &[
+    ("CNT_CTRL", CNT_CTRL, RW, "Write 1 to clear all performance counters"),
+    ("CNT_TUPLES_IN", CNT_TUPLES_IN, RO, "Perf: tuples parsed since last clear"),
+    ("CNT_TUPLES_OUT", CNT_TUPLES_OUT, RO, "Perf: tuples that passed all stages"),
+    ("CNT_IN_STALL", CNT_IN_STALL, RO, "Perf: cycles the Load Unit stalled on a full buffer"),
+    ("CNT_OUT_STALL", CNT_OUT_STALL, RO, "Perf: cycles a tuple waited on the output buffer"),
+    ("CNT_ACTIVE", CNT_ACTIVE, RO, "Perf: cycles with pipeline progress"),
+    ("CNT_IDLE", CNT_IDLE, RO, "Perf: cycles without pipeline progress"),
+    ("CNT_LOAD_BEATS", CNT_LOAD_BEATS, RO, "Perf: 64-bit beats loaded from DRAM"),
+    ("CNT_STORE_BEATS", CNT_STORE_BEATS, RO, "Perf: 64-bit beats stored to DRAM"),
+];
+
+/// Stage 0's drop counter, relative to `fc`; stage `s`'s is `4 × s` on.
+pub const PERF_STAGE: &[Row] = &[("CNT_STAGE_DROP_{s}", CNT_STAGE_DROP_BASE, RO, DROP_DOC)];
+const DROP_DOC: &str = "Perf: tuples dropped by filtering stage {s}";
 
 /// Value reported by the `VERSION` register of this template generation
 /// (minor bump 1 → 2: the performance-counter bank joined the contract).
 pub(crate) const TEMPLATE_VERSION: u32 = 0x0002_0002;
 
+/// `STATUS`'s DONE bit.
+const DONE: u32 = 1 << 1;
+
+/// One register of a PE's map: a table row placed at its offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegDef {
+    /// Byte offset within the PE's register window.
+    pub offset: u32,
+    pub access: Access,
+    name: &'static str,
+    doc: &'static str,
+    /// The stage of a per-stage row.
+    stage: u32,
+}
+
+impl RegDef {
+    /// Macro-style name (`FILTER_OP_0`).
+    pub fn name(&self) -> String {
+        stage_text(self.name, self.stage)
+    }
+
+    /// One-line description rendered into the generated header.
+    pub fn doc(&self) -> String {
+        stage_text(self.doc, self.stage)
+    }
+}
+
+/// A row's `text` with `{s}` replaced by `stage`.
+pub fn stage_text(text: &str, stage: u32) -> String {
+    text.replace("{s}", &stage.to_string())
+}
+
+/// The register map of one PE.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegisterMap {
+    pub regs: Vec<RegDef>,
+    /// Number of filtering stages the map was generated for.
+    pub stages: u32,
+    /// Number of trailing perf-bank registers (0 for the PE of \[1\]).
+    pub(crate) perf_regs: usize,
+}
+
 impl RegisterMap {
-    /// Generate the register map for `cfg`.
+    /// The map of a generated PE for `cfg`.
     pub fn for_config(cfg: &PeConfig) -> Self {
-        let mut map = Self::for_stages(cfg.stages);
-        if !cfg.aggregates.is_empty() {
-            let fc = map.filter_counter_offset();
-            map.regs.push(RegDef {
-                name: "AGG_FIELD".into(),
-                offset: fc + agg_offsets::AGG_FIELD,
-                access: Access::ReadWrite,
-                doc: "Aggregation Unit: lane select".into(),
-            });
-            map.regs.push(RegDef {
-                name: "AGG_OP".into(),
-                offset: fc + agg_offsets::AGG_OP,
-                access: Access::ReadWrite,
-                doc: "Aggregation Unit: reduction select (0 = off)".into(),
-            });
-            map.regs.push(RegDef {
-                name: "AGG_RESULT_LO".into(),
-                offset: fc + agg_offsets::AGG_RESULT_LO,
-                access: Access::ReadOnly,
-                doc: "Aggregation accumulator, low 32 bit".into(),
-            });
-            map.regs.push(RegDef {
-                name: "AGG_RESULT_HI".into(),
-                offset: fc + agg_offsets::AGG_RESULT_HI,
-                access: Access::ReadOnly,
-                doc: "Aggregation accumulator, high 32 bit".into(),
-            });
-        }
-        map.push_perf_bank();
-        map
+        Self::of(cfg, PeVariant::Generated)
     }
 
-    /// Append the performance-counter bank (generated PEs only; the
-    /// hand-crafted PEs of \[1\] keep the bare [`Self::for_stages`] map).
-    fn push_perf_bank(&mut self) {
-        use perf_offsets::*;
-        let fc = self.filter_counter_offset();
-        let before = self.regs.len();
-        self.regs.push(RegDef {
-            name: "CNT_CTRL".into(),
-            offset: fc + CNT_CTRL,
-            access: Access::ReadWrite,
-            doc: "Write 1 to clear all performance counters".into(),
-        });
-        let counters: [(&str, u32, &str); 8] = [
-            ("CNT_TUPLES_IN", CNT_TUPLES_IN, "Perf: tuples parsed since last clear"),
-            ("CNT_TUPLES_OUT", CNT_TUPLES_OUT, "Perf: tuples that passed all stages"),
-            ("CNT_IN_STALL", CNT_IN_STALL, "Perf: cycles the Load Unit stalled on a full buffer"),
-            ("CNT_OUT_STALL", CNT_OUT_STALL, "Perf: cycles a tuple waited on the output buffer"),
-            ("CNT_ACTIVE", CNT_ACTIVE, "Perf: cycles with pipeline progress"),
-            ("CNT_IDLE", CNT_IDLE, "Perf: cycles without pipeline progress"),
-            ("CNT_LOAD_BEATS", CNT_LOAD_BEATS, "Perf: 64-bit beats loaded from DRAM"),
-            ("CNT_STORE_BEATS", CNT_STORE_BEATS, "Perf: 64-bit beats stored to DRAM"),
+    /// The map of `cfg`'s PE of `variant`: the one place the windows a PE
+    /// has follow from its variant.
+    pub(crate) fn of(cfg: &PeConfig, variant: PeVariant) -> Self {
+        let generated = variant == PeVariant::Generated;
+        let stages = if generated { cfg.stages } else { 1 };
+        let (fc, gen) = (filter_counter(stages), u32::from(generated));
+        // Each window: its rows, where, the stride between copies, copies.
+        let windows: [(&[Row], u32, u32, u32); 6] = [
+            (FIXED, 0, 0, 1),
+            (STAGE, STAGE_BASE, STAGE_STRIDE, stages),
+            (COUNTER, fc, 0, 1),
+            (AGG, fc, 0, gen * u32::from(!cfg.aggregates.is_empty())),
+            (PERF, fc, 0, gen),
+            (PERF_STAGE, fc, 4, gen * stages),
         ];
-        for (name, off, doc) in counters {
-            self.regs.push(RegDef {
-                name: name.into(),
-                offset: fc + off,
-                access: Access::ReadOnly,
-                doc: doc.into(),
-            });
-        }
-        for s in 0..self.stages {
-            self.regs.push(RegDef {
-                name: format!("CNT_STAGE_DROP_{s}"),
-                offset: fc + CNT_STAGE_DROP_BASE + 4 * s,
-                access: Access::ReadOnly,
-                doc: format!("Perf: tuples dropped by filtering stage {s}"),
-            });
-        }
-        self.perf_regs = self.regs.len() - before;
-    }
-
-    /// Generate a map for an explicit stage count.
-    pub(crate) fn for_stages(stages: u32) -> Self {
-        use offsets::*;
-        let mut regs = vec![
-            RegDef {
-                name: "START".into(),
-                offset: START,
-                access: Access::ReadWrite,
-                doc: "Write 1 to start processing the configured block".into(),
-            },
-            RegDef {
-                name: "STATUS".into(),
-                offset: STATUS,
-                access: Access::ReadOnly,
-                doc: "Bit 0: BUSY, bit 1: DONE".into(),
-            },
-            RegDef {
-                name: "SRC_ADDR_LO".into(),
-                offset: SRC_ADDR_LO,
-                access: Access::ReadWrite,
-                doc: "Source address in PS-DRAM, low 32 bit".into(),
-            },
-            RegDef {
-                name: "SRC_ADDR_HI".into(),
-                offset: SRC_ADDR_HI,
-                access: Access::ReadWrite,
-                doc: "Source address in PS-DRAM, high 32 bit".into(),
-            },
-            RegDef {
-                name: "SRC_LEN".into(),
-                offset: SRC_LEN,
-                access: Access::ReadWrite,
-                doc: "Bytes to load (partial blocks supported by this work)".into(),
-            },
-            RegDef {
-                name: "DST_ADDR_LO".into(),
-                offset: DST_ADDR_LO,
-                access: Access::ReadWrite,
-                doc: "Destination address in PS-DRAM, low 32 bit".into(),
-            },
-            RegDef {
-                name: "DST_ADDR_HI".into(),
-                offset: DST_ADDR_HI,
-                access: Access::ReadWrite,
-                doc: "Destination address in PS-DRAM, high 32 bit".into(),
-            },
-            RegDef {
-                name: "DST_CAPACITY".into(),
-                offset: DST_CAPACITY,
-                access: Access::ReadWrite,
-                doc: "Result buffer capacity in bytes".into(),
-            },
-            RegDef {
-                name: "RESULT_BYTES".into(),
-                offset: RESULT_BYTES,
-                access: Access::ReadOnly,
-                doc: "Bytes of result written back".into(),
-            },
-            RegDef {
-                name: "TUPLES_IN".into(),
-                offset: TUPLES_IN,
-                access: Access::ReadOnly,
-                doc: "Tuples parsed from the input stream".into(),
-            },
-            RegDef {
-                name: "TUPLES_OUT".into(),
-                offset: TUPLES_OUT,
-                access: Access::ReadOnly,
-                doc: "Tuples that passed all filter stages".into(),
-            },
-            RegDef {
-                name: "VERSION".into(),
-                offset: VERSION,
-                access: Access::ReadOnly,
-                doc: "Template generation version".into(),
-            },
-        ];
-        for s in 0..stages {
-            let base = STAGE_BASE + s * STAGE_STRIDE;
-            regs.push(RegDef {
-                name: format!("FILTER_FIELD_{s}"),
-                offset: base + STAGE_FIELD,
-                access: Access::ReadWrite,
-                doc: format!("Stage {s}: comparator lane select"),
-            });
-            regs.push(RegDef {
-                name: format!("FILTER_OP_{s}"),
-                offset: base + STAGE_OP,
-                access: Access::ReadWrite,
-                doc: format!("Stage {s}: operator code (0 = nop)"),
-            });
-            regs.push(RegDef {
-                name: format!("FILTER_VAL_LO_{s}"),
-                offset: base + STAGE_VAL_LO,
-                access: Access::ReadWrite,
-                doc: format!("Stage {s}: reference value, low 32 bit"),
-            });
-            regs.push(RegDef {
-                name: format!("FILTER_VAL_HI_{s}"),
-                offset: base + STAGE_VAL_HI,
-                access: Access::ReadWrite,
-                doc: format!("Stage {s}: reference value, high 32 bit"),
-            });
-        }
-        regs.push(RegDef {
-            name: "FILTER_COUNTER".into(),
-            offset: STAGE_BASE + stages * STAGE_STRIDE,
-            access: Access::ReadOnly,
-            doc: "Tuples that passed the final filtering stage".into(),
+        let regs = windows.into_iter().flat_map(|(rows, base, stride, copies)| {
+            (0..copies).flat_map(move |s| {
+                rows.iter().map(move |&(name, offset, access, doc)| RegDef {
+                    offset: base + stride * s + offset,
+                    access,
+                    name,
+                    doc,
+                    stage: s,
+                })
+            })
         });
-        RegisterMap { regs, stages, perf_regs: 0 }
+        let perf_regs = (gen * (PERF.len() as u32 + stages)) as usize;
+        Self { regs: regs.collect(), stages, perf_regs }
     }
 
     /// Number of registers (determines the generated RegFile size).
@@ -321,13 +259,7 @@ impl RegisterMap {
 
     /// Offset of the `FILTER_COUNTER` register.
     pub fn filter_counter_offset(&self) -> u32 {
-        offsets::STAGE_BASE + self.stages * offsets::STAGE_STRIDE
-    }
-
-    /// Look up a register by name.
-    #[cfg(test)]
-    pub(crate) fn by_name(&self, name: &str) -> Option<&RegDef> {
-        self.regs.iter().find(|r| r.name == name)
+        filter_counter(self.stages)
     }
 }
 
@@ -340,254 +272,127 @@ pub trait Mmio {
     fn mmio_write(&mut self, offset: u32, value: u32);
 }
 
-/// Cumulative hardware performance counters, cleared together through
-/// `CNT_CTRL`. Tracked as `u64` so the simulator never loses precision;
-/// the register interface exposes the low 32 bits (wrap semantics).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PerfCounters {
-    pub tuples_in: u64,
-    pub tuples_out: u64,
-    /// Cycles the Load Unit stalled on a full input buffer.
-    pub in_stall: u64,
-    /// Cycles a transformed tuple stalled on a full output buffer.
-    pub out_stall: u64,
-    /// Cycles with pipeline progress in at least one unit.
-    pub active: u64,
-    /// Cycles without any pipeline progress.
-    pub idle: u64,
-    /// 64-bit beats loaded from DRAM.
-    pub load_beats: u64,
-    /// 64-bit beats stored to DRAM.
-    pub store_beats: u64,
-    /// Tuples dropped per filtering stage.
-    pub stage_drops: Vec<u64>,
-}
-
-impl PerfCounters {
-    /// Zeroed counters for a PE with `stages` filtering stages.
-    pub(crate) fn new(stages: u32) -> Self {
-        Self { stage_drops: vec![0; stages as usize], ..Self::default() }
-    }
-
-    /// Clear every counter (the `CNT_CTRL` write-1 action).
-    pub(crate) fn reset(&mut self) {
-        let stages = self.stage_drops.len();
-        *self = Self { stage_drops: vec![0; stages], ..Self::default() };
-    }
-
-    /// Tuples dropped across all stages.
-    pub fn dropped_total(&self) -> u64 {
-        self.stage_drops.iter().sum()
-    }
-}
-
-/// Software-visible register state shared by the generated and the
-/// baseline PE models.
-#[derive(Debug, Clone)]
+/// The register file of one PE: a 32-bit word per word offset to the end
+/// of its map, with the access of the row mapped there. Every MMIO access
+/// is decoded through it by the module doc's rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RegState {
-    pub(crate) start_pending: bool,
-    pub(crate) busy: bool,
-    pub(crate) done: bool,
-    pub(crate) src_addr: u64,
-    pub(crate) src_len: u32,
-    pub(crate) dst_addr: u64,
-    pub(crate) dst_capacity: u32,
-    pub result_bytes: u32,
-    pub tuples_in: u32,
-    pub tuples_out: u32,
-    /// Per-stage (field, op, value) configuration.
-    pub(crate) filters: Vec<(u32, u32, u64)>,
-    pub(crate) filter_counter: u32,
-    /// Aggregation configuration (lane, reduction code) and accumulator.
-    pub(crate) agg_field: u32,
-    pub(crate) agg_op: u32,
-    pub(crate) agg_result: u64,
-    /// Whether the aggregation registers exist on this PE.
-    pub(crate) has_agg: bool,
-    /// Whether the performance-counter bank exists on this PE (generated
-    /// template only; the hand-crafted PEs of \[1\] have no counters).
-    pub(crate) has_perf: bool,
-    /// Cumulative performance counters behind the `CNT_*` registers.
-    pub(crate) perf: PerfCounters,
+    /// `(access, word)` per word offset; no access where no row is.
+    words: Vec<(Option<Access>, u32)>,
     stages: u32,
+    /// `fc`, and the offset of `CNT_CTRL`: every mapped offset past it is
+    /// a counter.
+    fc: u32,
+    cnt_ctrl: u32,
+    /// A `START` was written and the PE has not run the block yet.
+    pub(crate) start_pending: bool,
+    /// The counters behind the `CNT_*` rows.
+    pub(crate) perf: PerfCounters,
 }
 
 impl RegState {
-    /// Zero-initialized state for `stages` filtering stages. All filter
-    /// ops start as `nop` (code 0), matching the hardware reset value.
-    pub(crate) fn new(stages: u32) -> Self {
-        Self {
-            start_pending: false,
-            busy: false,
-            done: false,
-            src_addr: 0,
-            src_len: 0,
-            dst_addr: 0,
-            dst_capacity: 0,
-            result_bytes: 0,
-            tuples_in: 0,
-            tuples_out: 0,
-            filters: vec![(0, 0, 0); stages as usize],
-            filter_counter: 0,
-            agg_field: 0,
-            agg_op: 0,
-            agg_result: 0,
-            has_agg: false,
-            has_perf: false,
-            perf: PerfCounters::new(stages),
-            stages,
+    /// The reset state of `map`: every word 0 (every filter operator is
+    /// `nop`) but `VERSION`.
+    pub(crate) fn new(map: &RegisterMap) -> Self {
+        let end = map.regs.iter().map(|r| r.offset / 4 + 1).max().unwrap_or(0);
+        let mut words = vec![(None, 0); end as usize];
+        for r in &map.regs {
+            words[(r.offset / 4) as usize].0 = Some(r.access);
         }
+        let (stages, fc) = (map.stages, map.filter_counter_offset());
+        let perf = PerfCounters::new(stages);
+        let mut regs =
+            Self { words, stages, fc, cnt_ctrl: fc + CNT_CTRL, start_pending: false, perf };
+        regs.set(VERSION, TEMPLATE_VERSION);
+        regs
     }
 
-    /// Dispatch a read of the performance-counter bank (`None` if the
-    /// offset does not belong to it).
-    fn perf_read(&self, rel: u32) -> Option<u32> {
-        use perf_offsets::*;
-        let v = match rel {
-            CNT_CTRL => 0,
-            CNT_TUPLES_IN => self.perf.tuples_in,
-            CNT_TUPLES_OUT => self.perf.tuples_out,
-            CNT_IN_STALL => self.perf.in_stall,
-            CNT_OUT_STALL => self.perf.out_stall,
-            CNT_ACTIVE => self.perf.active,
-            CNT_IDLE => self.perf.idle,
-            CNT_LOAD_BEATS => self.perf.load_beats,
-            CNT_STORE_BEATS => self.perf.store_beats,
-            _ => {
-                if rel < CNT_STAGE_DROP_BASE || !rel.is_multiple_of(4) {
-                    return None;
-                }
-                let s = ((rel - CNT_STAGE_DROP_BASE) / 4) as usize;
-                *self.perf.stage_drops.get(s)?
+    /// The word index of a mapped, aligned `offset`.
+    fn slot(&self, offset: u32) -> Option<usize> {
+        let i = (offset / 4) as usize;
+        let mapped = self.words.get(i).is_some_and(|w| w.0.is_some());
+        (offset.is_multiple_of(4) && mapped).then_some(i)
+    }
+
+    /// MMIO read.
+    pub(crate) fn read(&self, offset: u32) -> u32 {
+        match self.slot(offset) {
+            Some(_) if offset > self.cnt_ctrl => {
+                self.perf.word(((offset - self.cnt_ctrl) / 4 - 1) as usize)
             }
-        };
-        Some(v as u32)
-    }
-
-    fn stage_reg(&mut self, offset: u32) -> Option<(&mut (u32, u32, u64), u32)> {
-        use offsets::*;
-        if offset < STAGE_BASE {
-            return None;
-        }
-        let rel = offset - STAGE_BASE;
-        let stage = rel / STAGE_STRIDE;
-        if stage >= self.stages {
-            return None;
-        }
-        Some((&mut self.filters[stage as usize], rel % STAGE_STRIDE))
-    }
-
-    /// MMIO read dispatch (shared by both PE models).
-    pub(crate) fn read(&mut self, offset: u32) -> u32 {
-        use offsets::*;
-        match offset {
-            START => 0,
-            STATUS => u32::from(self.busy) | (u32::from(self.done) << 1),
-            SRC_ADDR_LO => self.src_addr as u32,
-            SRC_ADDR_HI => (self.src_addr >> 32) as u32,
-            SRC_LEN => self.src_len,
-            DST_ADDR_LO => self.dst_addr as u32,
-            DST_ADDR_HI => (self.dst_addr >> 32) as u32,
-            DST_CAPACITY => self.dst_capacity,
-            RESULT_BYTES => self.result_bytes,
-            TUPLES_IN => self.tuples_in,
-            TUPLES_OUT => self.tuples_out,
-            VERSION => TEMPLATE_VERSION,
-            _ => {
-                let fc = STAGE_BASE + self.stages * STAGE_STRIDE;
-                if offset == fc {
-                    return self.filter_counter;
-                }
-                if self.has_agg {
-                    match offset.checked_sub(fc) {
-                        Some(crate::regs::agg_offsets::AGG_FIELD) => return self.agg_field,
-                        Some(crate::regs::agg_offsets::AGG_OP) => return self.agg_op,
-                        Some(crate::regs::agg_offsets::AGG_RESULT_LO) => {
-                            return self.agg_result as u32
-                        }
-                        Some(crate::regs::agg_offsets::AGG_RESULT_HI) => {
-                            return (self.agg_result >> 32) as u32
-                        }
-                        _ => {}
-                    }
-                }
-                if self.has_perf {
-                    if let Some(v) = offset.checked_sub(fc).and_then(|rel| self.perf_read(rel)) {
-                        return v;
-                    }
-                }
-                if let Some((f, field)) = self.stage_reg(offset) {
-                    return match field {
-                        STAGE_FIELD => f.0,
-                        STAGE_OP => f.1,
-                        STAGE_VAL_LO => f.2 as u32,
-                        STAGE_VAL_HI => (f.2 >> 32) as u32,
-                        _ => 0,
-                    };
-                }
-                0
-            }
+            Some(i) => self.words[i].1,
+            None => 0,
         }
     }
 
-    /// MMIO write dispatch (shared by both PE models).
+    /// MMIO write. A strobe stores nothing, so it reads 0.
     pub(crate) fn write(&mut self, offset: u32, value: u32) {
-        use offsets::*;
-        match offset {
-            START => {
-                if value & 1 != 0 {
-                    self.start_pending = true;
-                    self.done = false;
-                }
+        let Some(i) = self.slot(offset) else { return };
+        let strobe = value & 1 != 0;
+        if offset == START {
+            self.start_pending |= strobe;
+            if strobe {
+                self.words[(STATUS / 4) as usize].1 &= !DONE;
             }
-            SRC_ADDR_LO => {
-                self.src_addr = (self.src_addr & !0xFFFF_FFFF) | u64::from(value);
+        } else if offset == self.cnt_ctrl {
+            if strobe {
+                self.perf.reset();
             }
-            SRC_ADDR_HI => {
-                self.src_addr = (self.src_addr & 0xFFFF_FFFF) | (u64::from(value) << 32);
-            }
-            SRC_LEN => self.src_len = value,
-            DST_ADDR_LO => {
-                self.dst_addr = (self.dst_addr & !0xFFFF_FFFF) | u64::from(value);
-            }
-            DST_ADDR_HI => {
-                self.dst_addr = (self.dst_addr & 0xFFFF_FFFF) | (u64::from(value) << 32);
-            }
-            DST_CAPACITY => self.dst_capacity = value,
-            _ => {
-                let fc = STAGE_BASE + self.stages * STAGE_STRIDE;
-                if self.has_agg {
-                    match offset.checked_sub(fc) {
-                        Some(crate::regs::agg_offsets::AGG_FIELD) => {
-                            self.agg_field = value;
-                            return;
-                        }
-                        Some(crate::regs::agg_offsets::AGG_OP) => {
-                            self.agg_op = value;
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
-                if self.has_perf
-                    && offset.checked_sub(fc) == Some(perf_offsets::CNT_CTRL)
-                    && value & 1 != 0
-                {
-                    self.perf.reset();
-                    return;
-                }
-                if let Some((f, field)) = self.stage_reg(offset) {
-                    match field {
-                        STAGE_FIELD => f.0 = value,
-                        STAGE_OP => f.1 = value,
-                        STAGE_VAL_LO => f.2 = (f.2 & !0xFFFF_FFFF) | u64::from(value),
-                        STAGE_VAL_HI => f.2 = (f.2 & 0xFFFF_FFFF) | (u64::from(value) << 32),
-                        _ => {}
-                    }
-                }
-                // Writes to read-only or unmapped registers are ignored,
-                // matching AXI-Lite slaves that OKAY but discard.
-            }
+        } else if self.words[i].0 == Some(RW) {
+            self.words[i].1 = value;
+        }
+    }
+
+    /// The word at `offset` as the datapath sees it (0 where unmapped).
+    fn word(&self, offset: u32) -> u32 {
+        self.slot(offset).map_or(0, |i| self.words[i].1)
+    }
+
+    /// The 64-bit value of a low/high word pair.
+    fn wide(&self, lo: u32) -> u64 {
+        u64::from(self.word(lo)) | u64::from(self.word(lo + 4)) << 32
+    }
+
+    /// Store a result into a row, whatever its access; nothing where the
+    /// map has no row.
+    fn set(&mut self, offset: u32, value: u32) {
+        if let Some(i) = self.slot(offset) {
+            self.words[i].1 = value;
+        }
+    }
+
+    /// The job descriptor: `(SRC_ADDR, SRC_LEN, DST_ADDR, DST_CAPACITY)`.
+    pub(crate) fn job(&self) -> (u64, u32, u64, u32) {
+        let (src, dst) = (self.wide(SRC_ADDR_LO), self.wide(DST_ADDR_LO));
+        (src, self.word(SRC_LEN), dst, self.word(DST_CAPACITY))
+    }
+
+    /// Each Filtering Unit's rule, in stage order.
+    pub(crate) fn rules(&self) -> impl Iterator<Item = FilterRule> + '_ {
+        (0..self.stages).map(|s| FilterRule {
+            lane: self.word(stage(s) + STAGE_FIELD),
+            op_code: self.word(stage(s) + STAGE_OP),
+            value: self.wide(stage(s) + STAGE_VAL_LO),
+        })
+    }
+
+    /// `(AGG_OP, AGG_FIELD)` on a PE with an Aggregation Unit.
+    pub(crate) fn aggregate(&self) -> Option<(u32, u32)> {
+        let (op, field) = (self.fc + AGG_OP, self.fc + AGG_FIELD);
+        self.slot(op).map(|_| (self.word(op), self.word(field)))
+    }
+
+    /// The end of a block: DONE, the result rows and, when the Aggregation
+    /// Unit ran, its accumulator.
+    pub(crate) fn finish(&mut self, res: &BlockResult, aggregate: Option<u64>) {
+        self.set(STATUS, DONE);
+        self.set(RESULT_BYTES, res.result_bytes);
+        self.set(TUPLES_IN, res.tuples_in);
+        self.set(TUPLES_OUT, res.tuples_out);
+        self.set(self.fc, res.tuples_out);
+        if let Some(v) = aggregate {
+            self.set(self.fc + AGG_RESULT_LO, v as u32);
+            self.set(self.fc + AGG_RESULT_HI, (v >> 32) as u32);
         }
     }
 }
@@ -595,157 +400,176 @@ impl RegState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membus::{MemBus, VecMem};
+    use crate::{PeDevice, PeSim};
+    use ndp_workload::SplitMix64;
+
+    /// A PE of `stages` Filtering Units (0: hand-built, which the parser
+    /// refuses) over two `u32` lanes, with or without an Aggregation Unit.
+    fn cfg(stages: u32, agg: bool) -> PeConfig {
+        let src = format!(
+            "/* @autogen define parser P with input = T, output = T, stages = {}{} */
+             typedef struct {{ uint32_t v; uint32_t w; }} T;",
+            stages.max(1),
+            if agg { ", aggregate = { sum }" } else { "" }
+        );
+        let mut cfg = ndp_ir::elaborate(&ndp_spec::parse(&src).unwrap(), "P").unwrap();
+        cfg.stages = stages;
+        cfg
+    }
+
+    fn by_name<'a>(map: &'a RegisterMap, name: &str) -> Option<&'a RegDef> {
+        map.regs.iter().find(|r| r.name() == name)
+    }
+
+    /// The map of \[1\]'s PE and its reset register file.
+    fn baseline() -> (RegisterMap, RegState) {
+        let map = RegisterMap::of(&cfg(1, false), PeVariant::HandCrafted);
+        let state = RegState::new(&map);
+        (map, state)
+    }
+
+    fn state(stages: u32) -> RegState {
+        RegState::new(&RegisterMap::for_config(&cfg(stages, false)))
+    }
 
     #[test]
     fn map_has_fixed_plus_per_stage_registers() {
-        let m1 = RegisterMap::for_stages(1);
-        let m3 = RegisterMap::for_stages(3);
+        let (m1, _) = baseline();
+        let m3 = RegisterMap::for_config(&cfg(3, false));
         assert_eq!(m1.len(), 12 + 4 + 1);
-        assert_eq!(m3.len(), 12 + 12 + 1);
-        assert_eq!(m3.by_name("FILTER_VAL_HI_2").unwrap().offset, 0x30 + 2 * 0x10 + 0xC);
+        // ... and a generated PE's perf bank: CNT_CTRL, 8 counters and a
+        // drop counter per stage.
+        assert_eq!(m3.len(), 12 + 12 + 1 + 9 + 3);
+        assert_eq!(by_name(&m3, "FILTER_VAL_HI_2").unwrap().offset, 0x30 + 2 * 0x10 + 0xC);
     }
 
     #[test]
     fn filter_counter_sits_after_last_stage_group() {
-        let m = RegisterMap::for_stages(2);
+        let m = RegisterMap::for_config(&cfg(2, false));
         assert_eq!(m.filter_counter_offset(), 0x30 + 2 * 0x10);
-        assert_eq!(m.by_name("FILTER_COUNTER").unwrap().offset, m.filter_counter_offset());
+        assert_eq!(by_name(&m, "FILTER_COUNTER").unwrap().offset, m.filter_counter_offset());
     }
 
     #[test]
     fn offsets_are_unique_and_word_aligned() {
-        let m = RegisterMap::for_stages(5);
+        let m = RegisterMap::for_config(&cfg(5, false));
         let mut seen = std::collections::HashSet::new();
         for r in &m.regs {
-            assert_eq!(r.offset % 4, 0, "{} not word aligned", r.name);
+            assert_eq!(r.offset % 4, 0, "{} not word aligned", r.name());
             assert!(seen.insert(r.offset), "duplicate offset {:#x}", r.offset);
         }
     }
 
     #[test]
     fn state_addr_halves_combine() {
-        let mut s = RegState::new(1);
+        let mut s = state(1);
         s.write(offsets::SRC_ADDR_LO, 0xDEAD_BEEF);
         s.write(offsets::SRC_ADDR_HI, 0x1);
-        assert_eq!(s.src_addr, 0x1_DEAD_BEEF);
+        assert_eq!(s.job().0, 0x1_DEAD_BEEF);
         assert_eq!(s.read(offsets::SRC_ADDR_LO), 0xDEAD_BEEF);
         assert_eq!(s.read(offsets::SRC_ADDR_HI), 0x1);
     }
 
     #[test]
     fn filter_value_halves_combine() {
-        let mut s = RegState::new(2);
-        let base = offsets::STAGE_BASE + offsets::STAGE_STRIDE; // stage 1
+        let mut s = state(2);
+        let base = offsets::stage(1);
         s.write(base + offsets::STAGE_VAL_LO, 0x3333_2222);
         s.write(base + offsets::STAGE_VAL_HI, 0x0000_1111);
-        assert_eq!(s.filters[1].2, 0x0000_1111_3333_2222);
-        assert_eq!(s.filters[0].2, 0);
+        let values: Vec<u64> = s.rules().map(|r| r.value).collect();
+        assert_eq!(values, [0, 0x0000_1111_3333_2222]);
     }
 
     #[test]
     fn start_sets_pending_and_clears_done() {
-        let mut s = RegState::new(1);
-        s.done = true;
+        let mut s = state(1);
+        s.finish(&BlockResult::default(), None);
         s.write(offsets::START, 1);
         assert!(s.start_pending);
-        assert!(!s.done);
+        assert_eq!(s.read(offsets::STATUS), 0, "DONE cleared");
         // Writing 0 does nothing.
-        let mut s2 = RegState::new(1);
+        let mut s2 = state(1);
         s2.write(offsets::START, 0);
         assert!(!s2.start_pending);
     }
 
     #[test]
     fn status_encodes_busy_and_done() {
-        let mut s = RegState::new(1);
-        s.busy = true;
-        assert_eq!(s.read(offsets::STATUS), 1);
-        s.busy = false;
-        s.done = true;
+        // A block runs inside `PeDevice::execute`, so BUSY is never seen
+        // set: STATUS reads 0 until a block ends, then DONE.
+        let mut s = state(1);
+        assert_eq!(s.read(offsets::STATUS), 0);
+        s.finish(&BlockResult::default(), None);
         assert_eq!(s.read(offsets::STATUS), 2);
     }
 
     #[test]
     fn out_of_range_stage_registers_are_inert() {
-        let mut s = RegState::new(1);
-        let beyond = offsets::STAGE_BASE + 7 * offsets::STAGE_STRIDE;
+        let (_, mut s) = baseline();
+        let beyond = offsets::stage(7);
         s.write(beyond, 0xFFFF);
         assert_eq!(s.read(beyond), 0);
     }
 
     #[test]
     fn read_only_registers_ignore_writes() {
-        let mut s = RegState::new(1);
-        s.tuples_in = 42;
+        let mut s = state(1);
+        s.finish(&BlockResult { tuples_in: 42, ..BlockResult::default() }, None);
         s.write(offsets::TUPLES_IN, 7);
         assert_eq!(s.read(offsets::TUPLES_IN), 42);
     }
 
     #[test]
     fn version_register_reports_template_generation() {
-        let mut s = RegState::new(1);
+        let s = state(1);
         assert_eq!(s.read(offsets::VERSION), TEMPLATE_VERSION);
     }
 
     #[test]
     fn reset_filters_are_nop() {
-        let s = RegState::new(3);
-        assert!(s.filters.iter().all(|&(_, op, _)| op == 0));
+        let s = state(3);
+        assert!(s.rules().all(|r| r.op_code == 0));
     }
-
-    fn cfg(src: &str, name: &str) -> PeConfig {
-        ndp_ir::elaborate(&ndp_spec::parse(src).unwrap(), name).unwrap()
-    }
-
-    const TWO_STAGE: &str = "
-        /* @autogen define parser P with input = T, output = T, stages = 2 */
-        typedef struct { uint32_t v; uint32_t w; } T;
-    ";
 
     #[test]
     fn generated_map_appends_perf_bank_after_agg_window() {
-        let m = RegisterMap::for_config(&cfg(TWO_STAGE, "P"));
+        let m = RegisterMap::for_config(&cfg(2, false));
         // 12 fixed + 2 * 4 stage regs + FILTER_COUNTER + (CNT_CTRL + 8
         // counters + 2 stage-drop counters).
         assert_eq!(m.perf_regs, 11);
         assert_eq!(m.len(), 12 + 8 + 1 + 11);
         let fc = m.filter_counter_offset();
-        assert_eq!(m.by_name("CNT_CTRL").unwrap().offset, fc + perf_offsets::CNT_CTRL);
-        assert_eq!(m.by_name("CNT_ACTIVE").unwrap().offset, fc + perf_offsets::CNT_ACTIVE);
+        assert_eq!(by_name(&m, "CNT_CTRL").unwrap().offset, fc + perf_offsets::CNT_CTRL);
+        assert_eq!(by_name(&m, "CNT_ACTIVE").unwrap().offset, fc + perf_offsets::CNT_ACTIVE);
         assert_eq!(
-            m.by_name("CNT_STAGE_DROP_1").unwrap().offset,
+            by_name(&m, "CNT_STAGE_DROP_1").unwrap().offset,
             fc + perf_offsets::CNT_STAGE_DROP_BASE + 4
         );
-        assert!(m.by_name("CNT_CTRL").unwrap().access == Access::ReadWrite);
-        assert!(m.by_name("CNT_TUPLES_IN").unwrap().access == Access::ReadOnly);
+        assert!(by_name(&m, "CNT_CTRL").unwrap().access == Access::ReadWrite);
+        assert!(by_name(&m, "CNT_TUPLES_IN").unwrap().access == Access::ReadOnly);
     }
 
     #[test]
     fn baseline_map_has_no_perf_bank() {
-        let m = RegisterMap::for_stages(1);
+        let (m, _) = baseline();
         assert_eq!(m.perf_regs, 0);
-        assert!(m.by_name("CNT_CTRL").is_none());
+        assert!(by_name(&m, "CNT_CTRL").is_none());
     }
 
     #[test]
     fn generated_map_offsets_are_unique_and_word_aligned() {
         // Full map including aggregation *and* perf registers.
-        let src = "
-            /* @autogen define parser A with input = T, output = T, stages = 3,
-               aggregate = { sum } */
-            typedef struct { uint64_t k; uint32_t v; } T;
-        ";
-        let m = RegisterMap::for_config(&cfg(src, "A"));
+        let m = RegisterMap::for_config(&cfg(3, true));
         let mut seen = std::collections::HashSet::new();
         for r in &m.regs {
-            assert_eq!(r.offset % 4, 0, "{} not word aligned", r.name);
-            assert!(seen.insert(r.offset), "duplicate offset {:#x} ({})", r.offset, r.name);
+            assert_eq!(r.offset % 4, 0, "{} not word aligned", r.name());
+            assert!(seen.insert(r.offset), "duplicate offset {:#x} ({})", r.offset, r.name());
         }
     }
 
     fn perf_state() -> RegState {
-        let mut s = RegState::new(2);
-        s.has_perf = true;
+        let mut s = state(2);
         s.perf.tuples_in = 10;
         s.perf.tuples_out = 7;
         s.perf.stage_drops = vec![2, 1];
@@ -757,7 +581,7 @@ mod tests {
     #[test]
     fn perf_counters_read_back_and_clear_via_cnt_ctrl() {
         let mut s = perf_state();
-        let fc = offsets::STAGE_BASE + 2 * offsets::STAGE_STRIDE;
+        let fc = offsets::filter_counter(2);
         assert_eq!(s.read(fc + perf_offsets::CNT_TUPLES_IN), 10);
         assert_eq!(s.read(fc + perf_offsets::CNT_TUPLES_OUT), 7);
         assert_eq!(s.read(fc + perf_offsets::CNT_STAGE_DROP_BASE), 2);
@@ -779,17 +603,100 @@ mod tests {
     fn perf_counters_expose_low_32_bits() {
         let mut s = perf_state();
         s.perf.active = (1u64 << 32) + 5;
-        let fc = offsets::STAGE_BASE + 2 * offsets::STAGE_STRIDE;
+        let fc = offsets::filter_counter(2);
         assert_eq!(s.read(fc + perf_offsets::CNT_ACTIVE), 5, "wraps like a 32-bit counter");
     }
 
     #[test]
     fn perf_bank_is_inert_without_has_perf() {
-        let mut s = perf_state();
-        s.has_perf = false;
-        let fc = offsets::STAGE_BASE + 2 * offsets::STAGE_STRIDE;
+        // A map without the bank ([1]'s): its offsets are unmapped.
+        let (_, mut s) = baseline();
+        s.perf.tuples_in = 10;
+        let fc = offsets::filter_counter(1);
         assert_eq!(s.read(fc + perf_offsets::CNT_TUPLES_IN), 0);
         s.write(fc + perf_offsets::CNT_CTRL, 1);
         assert_eq!(s.perf.tuples_in, 10, "no perf bank, no clear");
+    }
+
+    /// Configure one seeded job through `map`'s rows and run it, so that
+    /// every read-only row holds a result.
+    fn run_one_block(pe: &mut PeSim, map: &RegisterMap, rng: &mut SplitMix64) {
+        let mut mem = VecMem::new(1 << 17);
+        let mut source = vec![0u8; 1 << 15];
+        rng.fill_bytes(&mut source);
+        mem.write_bytes(0, &source);
+        pe.mmio_write(offsets::SRC_LEN, 1 << 14);
+        pe.mmio_write(offsets::DST_ADDR_LO, 1 << 16);
+        pe.mmio_write(offsets::DST_CAPACITY, 1 << 16);
+        for s in 0..map.stages {
+            pe.mmio_write(stage(s) + STAGE_FIELD, s % 2);
+            pe.mmio_write(stage(s) + STAGE_OP, pe.config().op_code("lt").unwrap());
+            pe.mmio_write(stage(s) + STAGE_VAL_LO, 0xE000_0000);
+        }
+        let fc = map.filter_counter_offset();
+        pe.mmio_write(fc + AGG_OP, ndp_ir::AggOp::Sum.code());
+        pe.mmio_write(offsets::START, 1);
+        assert!(pe.execute(&mut mem).tuples_in > 0);
+    }
+
+    /// Every PE shape: generated with 0 (hand-built), 1, 3 and 8 stages,
+    /// each with and without an Aggregation Unit, and \[1\]'s. At every
+    /// byte offset to 64 bytes past the end of the map, a read-write row
+    /// reads back what was written (the `START` and `CNT_CTRL` strobes read
+    /// 0), a read-only row keeps its value, an unmapped or unaligned
+    /// offset reads 0, and no write reaches another word.
+    #[test]
+    fn every_offset_decodes_the_way_the_map_says() {
+        let mut rng = SplitMix64::new(0x7265_6773);
+        let mut pes = Vec::new();
+        for stages in [0, 1, 3, 8] {
+            for agg in [false, true] {
+                let map = RegisterMap::for_config(&cfg(stages, agg));
+                pes.push((
+                    format!("{stages} stages, aggregate {agg}"),
+                    map,
+                    PeSim::new(cfg(stages, agg)),
+                ));
+            }
+        }
+        let (map, _) = baseline();
+        pes.push(("[1]".into(), map, PeSim::baseline(cfg(1, false)).unwrap()));
+        for (what, map, mut pe) in pes {
+            run_one_block(&mut pe, &map, &mut rng);
+            let end = map.regs.iter().map(|r| r.offset + 4).max().unwrap() + 64;
+            let image = |pe: &mut PeSim| (0..end).step_by(4).map(|o| pe.mmio_read(o)).collect();
+            let (strobes, mut held) = ([START, map.filter_counter_offset() + CNT_CTRL], 0);
+            // Downward: each counter is checked before CNT_CTRL clears the
+            // bank, and STATUS before START clears DONE.
+            for off in (0..end).rev() {
+                let row = map.regs.iter().find(|r| r.offset == off);
+                let at = format!("{what}: {off:#x} {:?}", row.map(RegDef::name));
+                let before: Vec<u32> = image(&mut pe);
+                let v = rng.next_u64() as u32;
+                pe.mmio_write(off, v);
+                let after: Vec<u32> = image(&mut pe);
+                match row {
+                    Some(r) if strobes.contains(&r.offset) => {
+                        assert_eq!(pe.mmio_read(off), 0, "{at}");
+                    }
+                    Some(r) if r.access == Access::ReadWrite => {
+                        let mut want = before;
+                        want[(off / 4) as usize] = v;
+                        assert_eq!(after, want, "{at}");
+                    }
+                    Some(_) => {
+                        assert_eq!(after, before, "{at}");
+                        held += usize::from(after[(off / 4) as usize] != 0);
+                    }
+                    None => {
+                        assert_eq!(after, before, "{at}");
+                        assert_eq!(pe.mmio_read(off), 0, "{at}");
+                    }
+                }
+            }
+            // STATUS, VERSION, RESULT_BYTES and TUPLES_IN at least held
+            // a value to keep.
+            assert!(held >= 4, "{what}: {held} read-only rows held a value");
+        }
     }
 }

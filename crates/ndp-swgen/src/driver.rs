@@ -128,7 +128,7 @@ impl<'a> Port<'a> {
     /// Offset of `FILTER_COUNTER`, the base of the aggregation and
     /// performance-counter windows.
     fn filter_counter(&self) -> u32 {
-        offsets::STAGE_BASE + self.stages * offsets::STAGE_STRIDE
+        offsets::filter_counter(self.stages)
     }
 
     /// One launch of a job with `rules` rules, in protocol order: the
@@ -145,7 +145,7 @@ impl<'a> Port<'a> {
             PeInvoke::Warm => 0,
         };
         for s in 0..configured {
-            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
+            let group = offsets::stage(s as u32);
             if s >= rules {
                 // An unused stage passes everything (nop).
                 self.write(by, group + offsets::STAGE_OP, 0);
@@ -401,7 +401,7 @@ impl<P: PeDevice> PeDriver<P> {
 mod tests {
     use super::*;
     use ndp_ir::{elaborate, CmpOp};
-    use ndp_pe::{BaselinePe, PeSim, VecMem};
+    use ndp_pe::{PeSim, VecMem};
     use ndp_spec::parse;
 
     const REFS: &str = "
@@ -474,7 +474,7 @@ mod tests {
     fn baseline_profile_issues_fewer_register_accesses() {
         let cfg = elaborate(&parse(REFS).unwrap(), "RefPe").unwrap();
         let ge = cfg.op_code("ge").unwrap();
-        let base = BaselinePe::new(cfg).unwrap();
+        let base = PeSim::baseline(cfg).unwrap();
         let mut drv = PeDriver::new(base, DriverProfile::Baseline);
         let mut mem = VecMem::new(1 << 20);
         let data = ref_block(1638); // ~one 32 KiB block of 20 B tuples
@@ -492,7 +492,12 @@ mod tests {
         // 1 counter read.
         assert_eq!(res.io.reg_writes, 8);
         assert_eq!(res.io.reg_reads, 1);
-        assert!(res.tuples_out > 0);
+        // The protocol writes neither SRC_LEN nor DST_CAPACITY; the fixed
+        // units load the whole chunk, store the 800 passing 20-byte
+        // tuples (weight = i % 100 >= 50) and pad to a whole chunk.
+        assert_eq!(res.tuples_out, 800);
+        assert_eq!(res.result_bytes, 800 * 20);
+        assert_eq!(res.block.bytes_written, 32768);
     }
 
     #[test]
@@ -562,7 +567,7 @@ mod tests {
             let with_unit = PeSim::new(pe(stages, ", aggregate = { sum }"));
             devices.push((DriverProfile::Generated, Box::new(with_unit), true));
         }
-        let baseline = BaselinePe::new(pe(1, "")).unwrap();
+        let baseline = PeSim::baseline(pe(1, "")).unwrap();
         devices.push((DriverProfile::Baseline, Box::new(baseline), false));
         let mut mem = VecMem::new(1 << 16);
         let job = |rules: usize, aggregate: bool| FilterJob {

@@ -19,7 +19,7 @@ use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
 use ndp_pe::oracle::{BlockProcessor, FilterRule, OpTable};
 use ndp_pe::template::PeVariant;
-use ndp_pe::BaselinePe;
+use ndp_pe::PeSim;
 use ndp_swgen::DriverProfile;
 use std::collections::HashMap;
 use std::fmt;
@@ -396,7 +396,7 @@ impl NkvDb {
             PeVariant::HandCrafted => {
                 // [1]'s PEs have one stage, the standard operators and no
                 // aggregation unit: refuse what they cannot run.
-                BaselinePe::check(&cfg.pe)?;
+                PeSim::check_baseline(&cfg.pe)?;
                 (DriverProfile::Baseline, 1)
             }
         };

@@ -19,6 +19,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> a C compiler on the PATH"
+# `cargo test` only uses cc: without one the C-header tests print a note
+# and pass. This gate runs them for real, so it refuses to start without.
+if ! command -v cc > /dev/null; then
+    echo "check.sh: no \`cc\` on the PATH; the generated C headers and the C harness" \
+        "(crates/core/tests/c_headers.rs) cannot be compiled" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -184,7 +184,7 @@ fn hardware_aggregate_requires_generated_support() {
 fn baseline_pes_reject_aggregation_configs() {
     let m = ndp_spec::parse(SENSOR_SPEC).unwrap();
     let pe = elaborate(&m, "Agg").unwrap();
-    assert!(ndp_pe::BaselinePe::new(pe).is_err());
+    assert!(ndp_pe::PeSim::baseline(pe).is_err());
 }
 
 #[test]

@@ -123,9 +123,9 @@ fn header_and_verilog_are_consistent_with_the_config() {
     // Header advertises every register of the map at the right offset.
     for reg in &pe.register_map.regs {
         assert!(
-            pe.c_header.contains(&format!("CONSIS_{} {:#04x}", reg.name, reg.offset)),
+            pe.c_header.contains(&format!("CONSIS_{} {:#04x}", reg.name(), reg.offset)),
             "register {} missing from header",
-            reg.name
+            reg.name()
         );
     }
     // Verilog instantiates one filter unit per stage and a float-capable
