@@ -39,7 +39,8 @@ fn main() {
 enum Invocation {
     /// `repro explain <table> <query...> [--backend sw|hw|hybrid|adaptive]
     /// [--cache-mb M]` — no dataset, no simulation: lower the query and
-    /// print the plan (against a cache-equipped device when M > 0).
+    /// print the plan (against a cache-equipped device when M > 0). On
+    /// `adaptive` the tier rule picks the backend and names its reason.
     Explain { table: String, query: Vec<String>, backend: String, cache_mb: usize },
     /// Experiments in command-line order.
     Experiments {
@@ -223,7 +224,8 @@ fn die(msg: &str) -> ! {
          \x20            trace; profile --devices N adds the fleet ClusterStats fold;\n\
          \x20            loadgen --qos adds the mixed-priority FIFO-vs-QoS sweep\n\
          \x20      repro explain <table> <query...> [--backend sw|hw|hybrid|adaptive]\n\
-         \x20            [--cache-mb M]\n\
+         \x20            [--cache-mb M]  adaptive: the Fig. 7 tier rule (lookups on the\n\
+         \x20            ARM, other ops on the first of hw, hybrid, sw that lowers)\n\
          \x20            e.g. explain refs year>=2010 --backend adaptive; explain papers get 42"
     );
     std::process::exit(2)

@@ -117,8 +117,8 @@ pub fn explain(
         "sw" => Tier::Forced(Backend::Software),
         "hw" => Tier::Forced(Backend::Hardware),
         "hybrid" => Tier::Forced(Backend::Hybrid),
-        // Cost-based tier selection: the plan renders with the chosen
-        // tier plus the per-tier estimates that drove the choice.
+        // The tier rule: the plan renders on the tier it picks, plus a
+        // line that says why.
         "adaptive" => Tier::Adaptive,
         other => {
             return Err(format!("unknown backend `{other}` (want sw, hw, hybrid or adaptive)"))
@@ -209,21 +209,40 @@ mod tests {
 
     #[test]
     fn snapshot_adaptive_renders_tier_and_costs() {
-        // The explain device's tables are empty (capabilities only), so
-        // the cost model sees zero flash blocks and keeps the scan on
-        // the ARM path — rendered with the per-tier estimates.
-        let text = run("refs", &["year>=2010"], "adaptive");
-        assert!(text.starts_with("PLAN SCAN ON refs (backend: software)\n"), "{text}");
-        assert!(text.contains("  cost: software "), "{text}");
-        assert!(text.contains(", hardware "), "{text}");
-        assert!(text.contains(", hybrid "), "{text}");
-        assert!(
-            text.ends_with("  adaptive: chose software (scan cold after 0 sightings)\n"),
-            "{text}"
+        // The tier rule needs no data: the scan lowers on the PE, so it
+        // runs there, and the plan ends with the rule's reason.
+        assert_eq!(
+            run("refs", &["year>=2010"], "adaptive"),
+            run("refs", &["year>=2010"], "hw")
+                + "  tier: hardware (rule: the PE takes the whole op)\n"
         );
-        // A GET prices all three tiers too, and stays typed on errors.
-        let get = run("papers", &["get", "42"], "adaptive");
-        assert!(get.contains("adaptive: chose "), "{get}");
+        // A lookup runs on the ARM although the PE could take it.
+        assert_eq!(
+            run("papers", &["get", "42"], "adaptive"),
+            run("papers", &["get", "42"], "sw")
+                + "  tier: software (rule: lookups run on the ARM)\n"
+        );
+        // Two rules on the paper-PE's one stage: hardware does not lower.
+        let two = run("papers", &["year>=2010", "venue==3"], "adaptive");
+        assert!(two.starts_with("PLAN SCAN ON papers (backend: hybrid)\n"), "{two}");
+        assert!(
+            two.ends_with(
+                "  tier: hybrid (rule: the PE takes what its stages hold, the ARM the rest)\n"
+            ),
+            "{two}"
+        );
+    }
+
+    /// README's excerpt under `repro -- explain papers get 42 --backend
+    /// adaptive` is this function's output, so the doc cannot drift.
+    #[test]
+    fn readme_adaptive_excerpt_is_the_explain_output() {
+        let readme = include_str!("../../../README.md");
+        let command = "repro -- explain papers get 42 --backend adaptive";
+        let after = &readme[readme.find(command).expect("README runs the command")..];
+        let block = after.split("```text\n").nth(1).and_then(|b| b.split("```").next());
+        let query = ["get".to_string(), "42".to_string()];
+        assert_eq!(block, Some(explain("papers", &query, "adaptive", 0).unwrap().as_str()));
     }
 
     #[test]

@@ -1306,8 +1306,8 @@ mod tests {
     /// partial tuple ending on a whole and on a partial beat, under one
     /// tuple, nothing} x capacity {ample, 100 B, 4 KiB}. Every lane is a
     /// uniformly random `u32`, so `lt` against a fraction of 2^32 sets a
-    /// stage's pass rate; a fixed-block PE ignores SRC_LEN and gets one
-    /// length.
+    /// stage's pass rate; a fixed-block PE ignores SRC_LEN and
+    /// DST_CAPACITY and gets one length and one capacity.
     fn grid_jobs(cfg: &PeConfig, shape: &GridPe) -> Vec<GridJob> {
         let flexible = shape.flexible;
         let (nop, lt) = (cfg.nop_code(), cfg.op_code("lt").unwrap());
@@ -1325,10 +1325,12 @@ mod tests {
         let selectivities = [none, spread(0.01), spread(0.5), vec![(0, nop, 0); stages as usize]];
         let tuple = cfg.input.tuple_bytes() as u32;
         let lens = [GRID_CHUNK, 1000, 1003, tuple - 1, 0];
+        let capacities = [shape.ample(), 100, 4096];
+        let n = if flexible { usize::MAX } else { 1 };
         let mut jobs = Vec::new();
         for rules in &selectivities {
-            for &len in if flexible { &lens[..] } else { &lens[..1] } {
-                for capacity in [shape.ample(), 100, 4096] {
+            for &len in lens.iter().take(n) {
+                for &capacity in capacities.iter().take(n) {
                     jobs.push(GridJob { rules: rules.clone(), len, capacity });
                 }
             }
@@ -1382,7 +1384,7 @@ mod tests {
             in_stall += pe.perf().in_stall;
             out_stall += pe.perf().out_stall;
         }
-        assert_eq!(cells, 13_824 + 432, "configurations");
+        assert_eq!(cells, 12_672, "configurations");
         assert!(in_stall > 0 && out_stall > 0, "no back-pressure: {in_stall} / {out_stall}");
     }
 

@@ -14,7 +14,7 @@
 //! * [`PeDriver`] — the Rust twin of that header, which drives
 //!   the simulated PEs in tests, examples and the benchmark, and whose
 //!   register protocol [`job_io`] counts for the `nkv` firmware
-//!   layer and its cost model. Both render the same map; where the twin's
+//!   layer, which charges it. Both render the same map; where the twin's
 //!   readback differs from the header's, the `driver` module says so.
 //!
 //! The `pub use` list below is this crate's API. Every module and every

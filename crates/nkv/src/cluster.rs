@@ -907,11 +907,10 @@ impl NkvCluster {
     ///   wraparound, MIN/MAX compare; a shard without a match does not
     ///   contribute).
     ///
-    /// On [`Tier::Adaptive`] every shard prices `op` against its own
-    /// shape (shard data volumes and cache heat diverge under skew) and
-    /// runs its own pick, so one fan-out can mix tiers; the bytes do not
-    /// depend on the mix. The outcome's report carries only `sim_ns`:
-    /// the slowest participant's time, router backoff included.
+    /// On [`Tier::Adaptive`] every shard applies the tier rule to its
+    /// own table; the shards share one configuration, so they pick
+    /// alike. The outcome's report carries only `sim_ns`: the slowest
+    /// participant's time, router backoff included.
     pub fn execute(
         &mut self,
         table: &str,
@@ -946,7 +945,7 @@ impl NkvCluster {
         if participants.is_empty() {
             // Nothing runs, but `op` fails where one device would fail it.
             let db = &self.shards[0].db;
-            db.plan(table, op, db.resolve_tier(table, op, tier)?.0)?;
+            db.plan(table, op, db.resolve_tier(table, op, tier)?)?;
         }
         let mut parts = Vec::with_capacity(participants.len());
         let (missing, sim_ns) = self.fanout(

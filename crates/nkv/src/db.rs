@@ -6,14 +6,15 @@
 //! showcase of the multi-stage filtering extension). Every operation
 //! advances the device's simulated clock and returns a [`SimReport`].
 
-use crate::cost::{AdaptState, CostInputs, CostReport};
 use crate::engine::ParallelScanStats;
 use crate::error::{NkvError, NkvResult};
 use crate::exec::{HealthCounters, SimReport, TableExec};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
-use crate::plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier};
+use crate::plan::{
+    tier_rule, tier_rule_line, Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier,
+};
 use cosmos_sim::faults::{DramFaultStats, FlashFaultStats};
 use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
@@ -65,9 +66,6 @@ pub(crate) struct Table {
     pub(crate) lsm: LsmTree,
     pub(crate) exec: TableExec,
     pub(crate) unique_keys: bool,
-    /// Adaptive-planner feedback: per-op-class sighting counters and
-    /// observed-latency EWMAs (see [`crate::cost`]).
-    pub(crate) adapt: AdaptState,
 }
 
 /// Summary of a SCAN (results plus the simulation report).
@@ -414,7 +412,6 @@ impl NkvDb {
         let full_block_payload = (cfg.pe.chunk_bytes / record_bytes as u32) * record_bytes as u32;
         let table = Table {
             unique_keys: cfg.unique_keys,
-            adapt: AdaptState::default(),
             lsm: LsmTree::new(
                 name,
                 record_bytes,
@@ -632,11 +629,11 @@ impl NkvDb {
 
     /// `EXPLAIN`: render the physical plan a logical operation lowers to
     /// on `tier`, using the table's operator symbols. On the adaptive
-    /// tier the per-tier cost estimates and the promotion state that
-    /// drove the choice follow the plan.
+    /// tier a last line names the tier the rule picked and why.
     pub fn explain(&self, table: &str, op: &LogicalOp, tier: impl Into<Tier>) -> NkvResult<String> {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let (backend, cost) = self.resolve_tier(table, op, tier.into())?;
+        let tier = tier.into();
+        let backend = self.resolve_tier(table, op, tier)?;
         let plan = PhysicalPlan::lower(op, backend, &t.exec.caps(), table)?;
         let mut text = plan.explain(table, &t.exec.ops);
         // The cache line appears only when the cache is on, keeping the
@@ -647,27 +644,25 @@ impl NkvDb {
                 c.budget_bytes() / 1024
             ));
         }
-        if let Some(cost) = cost {
-            text.push_str(&cost.render());
+        if tier == Tier::Adaptive {
+            text.push_str(&tier_rule_line(op, backend));
         }
         Ok(text)
     }
 
     /// Plan and execute a logical operation on `tier`, advancing the
     /// device clock and recording the op. On [`Tier::Adaptive`] it runs
-    /// whichever backend [`choose_backend`](Self::choose_backend) picks,
-    /// then feeds the observed latency back into the table's adaptive
-    /// state so repeated shapes are re-costed (SW→HW promotion for hot
-    /// flash-heavy scans). Every query — the typed wrappers above, the
-    /// cluster router — enters here; the queue engine enters one level
-    /// down, at `execute_at`, with its own clock.
+    /// whichever backend [`choose_backend`](Self::choose_backend) picks.
+    /// Every query — the typed wrappers above, the cluster router —
+    /// enters here; the queue engine enters one level down, at
+    /// `execute_at`, with its own clock.
     pub fn execute(
         &mut self,
         table: &str,
         op: &LogicalOp,
         tier: impl Into<Tier>,
     ) -> NkvResult<PlanOutcome> {
-        let (backend, cost) = self.resolve_tier(table, op, tier.into())?;
+        let backend = self.resolve_tier(table, op, tier.into())?;
         self.advance_horizon(self.clock);
         let (outcome, _) = self.execute_at(table, op, backend, self.clock)?;
         let report = *outcome.report();
@@ -684,11 +679,6 @@ impl NkvDb {
         };
         self.clock += report.sim_ns;
         self.observe(kind, report.sim_ns, bytes);
-        if let Some(cost) = cost {
-            let t =
-                self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-            t.adapt.record(cost.class, backend, report.sim_ns);
-        }
         Ok(outcome)
     }
 
@@ -725,66 +715,26 @@ impl NkvDb {
         }
     }
 
-    /// Capture the table-shape inputs the adaptive cost model prices
-    /// against: flash-resident blocks/bytes, memtable occupancy and the
-    /// current DRAM-cache hit rate (0.0 while the cache is off).
-    fn cost_inputs(&self, table: &str, op: &LogicalOp) -> NkvResult<CostInputs> {
+    /// The backend [`Tier::Adaptive`] runs `op` on: the tier rule, a
+    /// pure function of the op and the table's capabilities. A GET or
+    /// MULTI-GET runs on Software, any other op on the first of
+    /// Hardware, Hybrid and Software that lowers; an op that lowers
+    /// nowhere returns Software's lowering error.
+    pub fn choose_backend(&self, table: &str, op: &LogicalOp) -> NkvResult<Backend> {
         let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let mut blocks = 0u64;
-        let mut bytes = 0u64;
-        for sst in t.lsm.all_ssts() {
-            blocks += sst.blocks.len() as u64;
-            bytes += sst.blocks.iter().map(|b| u64::from(b.bytes)).sum::<u64>();
-        }
-        let batch_keys = match op {
-            LogicalOp::MultiGet { keys } => keys.len() as u64,
-            _ => 1,
-        };
-        Ok(CostInputs {
-            flash_blocks: blocks,
-            flash_bytes: bytes,
-            memtable_records: t.lsm.memtable().len() as u64,
-            record_bytes: t.lsm.record_bytes() as u64,
-            cache_hit_rate: self.platform.cache_stats().map_or(0.0, |s| s.hit_rate()),
-            batch_keys,
-        })
+        tier_rule(op, &t.exec.caps(), table)
     }
 
-    /// Cost-based tier selection: price `op` on every tier that lowers
-    /// (Software → Hardware → Hybrid, strict-min cost, ties to the
-    /// earlier candidate) using the table's shape, the DRAM-cache hit
-    /// rate and the table's adaptive feedback state. Pure — executing
-    /// nothing, recording nothing — so `EXPLAIN` and tests can consult
-    /// it freely. Results are tier-invariant by construction, so the
-    /// choice only ever changes simulated time, never bytes.
-    pub fn choose_backend(&self, table: &str, op: &LogicalOp) -> NkvResult<(Backend, CostReport)> {
-        let t = self.tables.get(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let caps = t.exec.caps();
-        let inputs = self.cost_inputs(table, op)?;
-        let report = crate::cost::choose(&t.adapt, op, inputs, t.exec.profile, |b| {
-            PhysicalPlan::lower(op, b, &caps, table).is_ok()
-        });
-        if report.tiers.iter().all(|tc| tc.cost_ns.is_none()) {
-            // Nothing lowers: surface the software tier's lowering error
-            // (tier-independent validation, e.g. an unknown lane).
-            PhysicalPlan::lower(op, Backend::Software, &caps, table)?;
-        }
-        Ok((report.chosen, report))
-    }
-
-    /// The backend `tier` runs `op` on, with the cost report behind an
-    /// adaptive pick.
+    /// The backend `tier` runs `op` on.
     pub(crate) fn resolve_tier(
         &self,
         table: &str,
         op: &LogicalOp,
         tier: Tier,
-    ) -> NkvResult<(Backend, Option<CostReport>)> {
+    ) -> NkvResult<Backend> {
         match tier {
-            Tier::Forced(backend) => Ok((backend, None)),
-            Tier::Adaptive => {
-                self.choose_backend(table, op).map(|(backend, cost)| (backend, Some(cost)))
-            }
+            Tier::Forced(backend) => Ok(backend),
+            Tier::Adaptive => self.choose_backend(table, op),
         }
     }
 
@@ -1163,28 +1113,10 @@ mod tests {
         }
     }
 
-    /// The cost model prices a table's block jobs with the table's own
-    /// register protocol: a warm block of \[1\] writes 5 registers and
-    /// reads 1, a generated one writes 7 and reads 2 — 534 ns more.
-    #[test]
-    fn cost_prices_each_table_with_its_own_driver_profile() {
-        let cfg = PubGraphConfig { papers: 3000, refs: 3000, seed: 7 };
-        let rules = vec![FilterRule { lane: paper_lanes::VENUE, op_code: 5, value: 100 }];
-        let [ours, base] = [PeVariant::Generated, PeVariant::HandCrafted].map(|variant| {
-            let mut db = paper_db(1, variant);
-            db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-            db.choose_backend("papers", &LogicalOp::Scan { rules: rules.clone() }).unwrap().1
-        });
-        assert_eq!(ours.inputs, base.inputs, "two tables of one shape");
-        let hw = |r: &CostReport| r.tiers[1].cost_ns.expect("the hardware tier lowers");
-        assert_eq!(hw(&ours) - hw(&base), ours.inputs.flash_blocks as f64 * 534.0);
-    }
-
     /// The adaptive tier runs exactly what `choose_backend` picks: on
     /// two identical devices, `Tier::Adaptive` and that pick forced give
-    /// equal outcomes and reports, and only the adaptive run is recorded,
-    /// as one sighting of the op's class. Repeating the scan promotes it
-    /// off the ARM, so the picks are not all one backend.
+    /// equal outcomes and reports. The rule sends the scan to the PE from
+    /// its first run and the GET to the ARM.
     #[test]
     fn adaptive_tier_runs_the_backend_choose_backend_picks() {
         let cfg = PubGraphConfig { papers: 3000, refs: 0, seed: 7 };
@@ -1198,18 +1130,13 @@ mod tests {
         let get = LogicalOp::Get { key: PaperGen::paper_at(&cfg, 17).id };
         let mut picks = Vec::new();
         for op in [vec![scan; 6], vec![get]].concat() {
-            let class = crate::cost::OpClass::of(&op);
-            let seen = adaptive.tables["papers"].adapt.seen(class);
-            let (pick, _) = adaptive.choose_backend("papers", &op).unwrap();
+            let pick = adaptive.choose_backend("papers", &op).unwrap();
             let a = adaptive.execute("papers", &op, Tier::Adaptive).unwrap();
             let f = forced.execute("papers", &op, pick).unwrap();
             assert_eq!(a, f, "{op:?} on {pick:?}");
-            assert_eq!(adaptive.tables["papers"].adapt.seen(class), seen + 1, "{op:?}");
-            assert_eq!(forced.tables["papers"].adapt.seen(class), 0, "{op:?}");
             picks.push(pick);
         }
-        assert!(picks.contains(&Backend::Software), "{picks:?}");
-        assert!(picks.iter().any(|&b| b != Backend::Software), "{picks:?}");
+        assert_eq!(picks, [vec![Backend::Hardware; 6], vec![Backend::Software]].concat());
     }
 
     /// A hardware GET programs `lane0 == key`. On a table whose lane 0
@@ -1240,7 +1167,7 @@ mod tests {
             }
         }
         let get = LogicalOp::Get { key };
-        assert_eq!(db.choose_backend("split", &get).unwrap().0, Backend::Software);
+        assert_eq!(db.choose_backend("split", &get).unwrap(), Backend::Software);
         let adaptive = db.execute("split", &get, Tier::Adaptive).unwrap().into_point().unwrap();
         assert_eq!(adaptive.0, Some(record(1)));
     }

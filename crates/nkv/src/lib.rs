@@ -71,7 +71,6 @@
 #![deny(unsafe_code)]
 
 mod cluster;
-mod cost;
 mod db;
 mod engine;
 mod error;
@@ -90,7 +89,6 @@ pub use cluster::{
     ClusterConfig, ClusterGet, ClusterRunReport, ClusterStats, NkvCluster, ReadPolicy, ShardState,
     ShardStatsRow, ShardStrategy,
 };
-pub use cost::{CostReport, PROMOTE_AFTER};
 pub use db::{HealthReport, NkvDb, ScanSummary, TableConfig};
 pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};

@@ -68,7 +68,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable display name (EXPLAIN renderings and cost reports).
+    /// Stable display name (EXPLAIN's plan header and tier line).
     pub(crate) fn name(self) -> &'static str {
         match self {
             Backend::Software => "software",
@@ -78,17 +78,46 @@ impl Backend {
     }
 }
 
-/// Which tier runs an operation: one the caller forces, or the
-/// cost-based planner's pick (`NkvDb::choose_backend`), whose observed
-/// latency then feeds the table's adaptive state. A [`Backend`] converts
-/// into its forced tier, so `execute(table, &op, Backend::Hardware)`
-/// reads as before.
+/// Which tier runs an operation: one the caller forces, or the one the
+/// tier rule picks from the op and the table's capabilities
+/// (`NkvDb::choose_backend`). A [`Backend`] converts into its forced
+/// tier, so `execute(table, &op, Backend::Hardware)` reads as before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Run on this backend.
     Forced(Backend),
-    /// Run on the tier the cost model picks for the table as it is now.
+    /// Run on the tier rule's pick: a GET or MULTI-GET on Software, any
+    /// other op on the first of Hardware, Hybrid and Software that
+    /// lowers (DESIGN.md §16).
     Adaptive,
+}
+
+/// The tier rule [`Tier::Adaptive`] runs, from the paper's Fig. 7: a
+/// point lookup gains nothing from the PE (7a), so a GET or MULTI-GET
+/// runs on Software; a flash-bound scan gains on it (7b), so any other
+/// op runs on the first of Hardware, Hybrid and Software that lowers. An
+/// op that lowers nowhere returns Software's lowering error.
+pub(crate) fn tier_rule(op: &LogicalOp, caps: &PlanCaps, table: &str) -> NkvResult<Backend> {
+    let offload: &[Backend] = match op {
+        LogicalOp::Get { .. } | LogicalOp::MultiGet { .. } => &[],
+        _ => &[Backend::Hardware, Backend::Hybrid],
+    };
+    match offload.iter().find(|&&b| PhysicalPlan::lower(op, b, caps, table).is_ok()) {
+        Some(&backend) => Ok(backend),
+        None => PhysicalPlan::lower(op, Backend::Software, caps, table).map(|_| Backend::Software),
+    }
+}
+
+/// The line EXPLAIN appends on [`Tier::Adaptive`]: the tier
+/// [`tier_rule`] picked for `op` and why.
+pub(crate) fn tier_rule_line(op: &LogicalOp, backend: Backend) -> String {
+    let why = match (op, backend) {
+        (LogicalOp::Get { .. } | LogicalOp::MultiGet { .. }, _) => "lookups run on the ARM",
+        (_, Backend::Hardware) => "the PE takes the whole op",
+        (_, Backend::Hybrid) => "the PE takes what its stages hold, the ARM the rest",
+        (_, Backend::Software) => "no PE tier lowers this op",
+    };
+    format!("  tier: {} (rule: {why})\n", backend.name())
 }
 
 impl From<Backend> for Tier {
@@ -411,8 +440,7 @@ pub enum PlanOutcome {
 }
 
 impl PlanOutcome {
-    /// The simulation report, whatever shape the outcome took (the
-    /// adaptive planner reads `sim_ns` off it for latency feedback).
+    /// The simulation report, whatever shape the outcome took.
     pub fn report(&self) -> &SimReport {
         match self {
             PlanOutcome::Records { report, .. }
@@ -625,5 +653,69 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.pushed, [rule(0, 2, 100), rule(0, 1, 200)]);
+    }
+
+    /// The tier rule on every `LogicalOp` variant, under capabilities
+    /// where Hardware lowers, where only Hybrid lowers the longer chains,
+    /// and where the PE transforms its tuples and has no aggregation
+    /// unit, so only Software lowers the lookups, the longer chains and
+    /// the aggregate.
+    #[test]
+    fn tier_rule_runs_lookups_on_the_arm_and_the_rest_on_the_first_tier_that_lowers() {
+        use Backend::{Hardware as Hw, Hybrid as Hy, Software as Sw};
+        let count = |n| LogicalOp::ScanAggregate {
+            rules: vec![rule(1, 4, 1); n],
+            agg: ndp_ir::AggOp::Count,
+            lane: 1,
+        };
+        let ops = [
+            LogicalOp::Get { key: 5 },
+            LogicalOp::MultiGet { keys: vec![5, 9, 1] },
+            LogicalOp::Scan { rules: vec![rule(1, 4, 10)] },
+            LogicalOp::Scan { rules: vec![rule(1, 4, 10), rule(2, 5, 20)] },
+            LogicalOp::RangeScan { lo: 10, hi: 20 },
+            count(1),
+            count(2),
+        ];
+        let with_count = |mut c: PlanCaps| {
+            c.aggregates.push(ndp_ir::AggOp::Count);
+            c
+        };
+        let transforming = PlanCaps { aggregates: vec![], ..caps(1, false, 0) };
+        for (c, want) in [
+            (with_count(caps(2, true, 0)), [Sw, Sw, Hw, Hw, Hw, Hw, Hw]),
+            (with_count(caps(1, true, 0)), [Sw, Sw, Hw, Hy, Hy, Hw, Sw]),
+            (transforming, [Sw, Sw, Hw, Sw, Sw, Sw, Sw]),
+        ] {
+            let identity = c.identity_transform;
+            for (op, want) in ops.iter().zip(want) {
+                assert_eq!(tier_rule(op, &c, "t").unwrap(), want, "{op:?} under {c:?}");
+                let lowers = |b| PhysicalPlan::lower(op, b, &c, "t").is_ok();
+                assert!(lowers(want), "{op:?}");
+                if matches!(op, LogicalOp::Get { .. } | LogicalOp::MultiGet { .. }) {
+                    // The PE could take a lookup wherever the transform is
+                    // the identity; the rule keeps it on the ARM anyway.
+                    assert_eq!(lowers(Hw), identity, "{op:?}");
+                } else {
+                    // Every tier the rule passed over does not lower.
+                    let mut passed = [Hw, Hy].into_iter().take_while(|&b| b != want);
+                    assert!(passed.all(|b| !lowers(b)), "{op:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tier_rule_returns_softwares_lowering_error_when_nothing_lowers() {
+        let c = caps(2, true, 4);
+        let no_ge = PlanCaps { ge_code: None, ..caps(2, true, 4) };
+        for (op, c) in [
+            (LogicalOp::Scan { rules: vec![rule(7, 4, 10)] }, &c),
+            (LogicalOp::MultiGet { keys: vec![3, 4, 3] }, &c),
+            (LogicalOp::RangeScan { lo: 10, hi: 20 }, &no_ge),
+        ] {
+            let want = PhysicalPlan::lower(&op, Backend::Software, c, "t").unwrap_err();
+            assert_eq!(tier_rule(&op, c, "t").unwrap_err(), want, "{op:?}");
+        }
     }
 }

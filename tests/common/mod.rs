@@ -646,7 +646,7 @@ impl Weather {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     Forced(Backend),
-    /// The cost-based planner's choice.
+    /// The tier rule's choice (`nkv::Tier::Adaptive`).
     Adaptive,
     /// A seeded coin between Software and Hardware, per op.
     Coin,
