@@ -26,10 +26,18 @@
 //! buffer's writer recorded ([`SharedBytes::sealed`]); a buffer of the
 //! array's own carries none, so a block read through such a page
 //! recomputes the CRC — the integrity rule is `nkv::sst::read_block`'s.
-//! Memory follows what was programmed wherever it sits:
-//! full-volume datasets (~1.1 GB) cost 16 bytes of table per page, and a
-//! lone manifest page at the top of an otherwise empty LUN costs one
-//! chunk.
+//!
+//! Memory follows what something can still read. Like nKV's native
+//! storage, the array has no FTL: its user addresses physical pages and
+//! knows which ones are dead, and [`FlashArray::trim`]s them. A trimmed
+//! slot drops its view, so the buffer is freed once no cache entry or
+//! reader holds it, and reading the page is [`FlashError::Trimmed`]. The
+//! cells keep their charge until an erase, so a trimmed page still counts
+//! as programmed ([`FlashArray::stored_bytes`]); `nkv` trims a retired
+//! SST once no manifest slot can list it (see `nkv::recovery`). The table
+//! costs 16 bytes per page wherever it sits: full-volume datasets
+//! (~1.1 GB) pay that per page, and a lone manifest page at the top of an
+//! otherwise empty LUN costs one chunk.
 //!
 //! # Fault semantics
 //!
@@ -112,6 +120,8 @@ pub enum FlashError {
     OutOfRange(PhysAddr),
     /// Read of a page that was never programmed.
     Unwritten(PhysAddr),
+    /// Read of a page whose bytes were trimmed ([`FlashArray::trim`]).
+    Trimmed(PhysAddr),
     /// Uncorrectable ECC failure: the page is a (possibly grown) bad
     /// page. Persistent — retries do not help, relocation does.
     Uncorrectable(PhysAddr),
@@ -136,6 +146,7 @@ impl std::fmt::Display for FlashError {
         match self {
             FlashError::OutOfRange(a) => write!(f, "flash address out of range: {a:?}"),
             FlashError::Unwritten(a) => write!(f, "read of unwritten page: {a:?}"),
+            FlashError::Trimmed(a) => write!(f, "read of trimmed page: {a:?}"),
             FlashError::Uncorrectable(a) => write!(f, "uncorrectable ECC error at {a:?}"),
             FlashError::TransientRead(a) => write!(f, "transient read failure at {a:?}"),
             FlashError::PowerCut => write!(f, "flash operation after power cut"),
@@ -147,18 +158,35 @@ impl std::error::Error for FlashError {}
 
 /// Pages per page-table chunk: 64 slots of 16 bytes, one 1 KiB
 /// allocation — small enough that a device holding a few pages in each
-/// LUN pays almost nothing for its tables.
+/// LUN pays almost nothing for its tables — and one bit each in
+/// [`Chunk::trimmed`].
 const CHUNK_PAGES: usize = 64;
+
+/// `CHUNK_PAGES` page slots and which of them were trimmed.
+#[derive(Clone)]
+struct Chunk {
+    slots: Box<[Option<SharedBytes>]>,
+    /// Bit `i` is set while slot `i` is empty because it was trimmed.
+    trimmed: u64,
+}
 
 /// One LUN's page table: `table[page / CHUNK_PAGES]` is the chunk
 /// holding the page's slot, absent until a page in it is programmed
 /// (the directory itself grows to the highest chunk touched).
-type LunPages = Vec<Option<Box<[Option<SharedBytes>]>>>;
+type LunPages = Vec<Option<Chunk>>;
 
-/// Content of page `page` of one LUN, if it was ever programmed.
-fn stored_page(table: &LunPages, page: u32) -> Option<&SharedBytes> {
-    let page = page as usize;
-    table.get(page / CHUNK_PAGES)?.as_ref()?[page % CHUNK_PAGES].as_ref()
+/// Content of page `addr` of its LUN's `table`: an error if it was
+/// never programmed or was trimmed.
+fn stored_page(table: &LunPages, addr: PhysAddr) -> Result<&SharedBytes, FlashError> {
+    let page = addr.page as usize;
+    let chunk = table.get(page / CHUNK_PAGES).and_then(Option::as_ref);
+    let chunk = chunk.ok_or(FlashError::Unwritten(addr))?;
+    let slot = page % CHUNK_PAGES;
+    match &chunk.slots[slot] {
+        Some(bytes) => Ok(bytes),
+        None if chunk.trimmed >> slot & 1 == 1 => Err(FlashError::Trimmed(addr)),
+        None => Err(FlashError::Unwritten(addr)),
+    }
 }
 
 /// The simulated flash array: storage plus timing state.
@@ -167,7 +195,7 @@ pub struct FlashArray {
     cfg: FlashConfig,
     /// Per-LUN page tables, indexed like `luns`.
     pages: Vec<LunPages>,
-    /// Distinct addresses programmed so far.
+    /// Distinct addresses programmed so far, trimmed ones included.
     programmed: u64,
     /// Per-LUN array-read occupancy.
     luns: Vec<Server>,
@@ -250,10 +278,42 @@ impl FlashArray {
         if chunk >= table.len() {
             table.resize_with(chunk + 1, || None);
         }
-        let chunk = table[chunk].get_or_insert_with(|| vec![None; CHUNK_PAGES].into_boxed_slice());
-        if chunk[slot].replace(page).is_none() {
+        let chunk = table[chunk].get_or_insert_with(|| Chunk {
+            slots: vec![None; CHUNK_PAGES].into_boxed_slice(),
+            trimmed: 0,
+        });
+        let was_trimmed = chunk.trimmed >> slot & 1 == 1;
+        chunk.trimmed &= !(1 << slot);
+        if chunk.slots[slot].replace(page).is_none() && !was_trimmed {
             self.programmed += 1;
         }
+    }
+
+    /// Trim the page at `addr`: its slot drops its view, so the buffer is
+    /// freed once no cache entry or reader holds it, and a later read is
+    /// [`FlashError::Trimmed`]. The page still counts in
+    /// [`Self::stored_bytes`]: its cells hold charge until an erase.
+    /// Host-only — it takes no simulated time. An address that holds no
+    /// bytes is left as it is.
+    pub fn trim(&mut self, addr: PhysAddr) {
+        if self.check(addr).is_err() {
+            return;
+        }
+        let li = self.lun_index(addr);
+        let page = addr.page as usize;
+        let chunk = self.pages[li].get_mut(page / CHUNK_PAGES).and_then(Option::as_mut);
+        if let Some(chunk) = chunk {
+            let slot = page % CHUNK_PAGES;
+            if chunk.slots[slot].take().is_some() {
+                chunk.trimmed |= 1 << slot;
+            }
+        }
+    }
+
+    /// Pages whose bytes the array holds: programmed and not trimmed.
+    pub fn held_pages(&self) -> u64 {
+        let chunks = self.pages.iter().flatten().flatten();
+        chunks.map(|c| c.slots.iter().filter(|s| s.is_some()).count() as u64).sum()
     }
 
     /// Program one page at `addr` with a copy of `data`, zero-padded to a
@@ -351,9 +411,7 @@ impl FlashArray {
             return Err(FlashError::Uncorrectable(addr));
         }
         let li = self.lun_index(addr);
-        let Some(page) = stored_page(&self.pages[li], addr.page) else {
-            return Err(FlashError::Unwritten(addr));
-        };
+        let page = stored_page(&self.pages[li], addr)?;
         // Injected-fault processing (transient, grown-bad, correctable).
         let mut ecc_penalty_ns: SimNs = 0;
         if let Some(f) = &mut self.faults {
@@ -559,7 +617,9 @@ impl FlashArray {
         self.controllers.iter().map(BandwidthLink::busy_total).sum()
     }
 
-    /// Bytes of live page data currently stored.
+    /// Bytes of programmed pages, [trimmed](Self::trim) ones included:
+    /// their cells hold charge until an erase, which the model does not
+    /// yet have.
     pub fn stored_bytes(&self) -> u64 {
         self.programmed * u64::from(self.cfg.page_bytes)
     }
@@ -784,6 +844,46 @@ mod tests {
         assert_eq!(&f.read_page(addr(7, 3, 40_000), 0).unwrap().1[..6], b"sparse");
         let (_, rewritten) = f.read_page(addr(0, 0, 0), 0).unwrap();
         assert_eq!(&rewritten[..8], b"rewrite\0");
+    }
+
+    #[test]
+    fn a_trimmed_page_keeps_its_count_but_not_its_bytes() {
+        let mut f = FlashArray::new(FlashConfig::default());
+        let block = [addr(1, 0, 0), addr(1, 1, 0)];
+        program_block(&mut f, &block, &[0x5A; PAGE + 3], true).unwrap();
+        let lone = addr(1, 0, 1);
+        f.program_page(lone, b"lone", 0).unwrap();
+        let held = f.read_page(block[0], 0).unwrap().1.clone();
+        assert_eq!((f.held_pages(), f.stored_bytes()), (3, 3 * 8192));
+        let reads = f.op_counts().0;
+        for a in block {
+            f.trim(a);
+            assert_eq!(f.read_page(a, 0), Err(FlashError::Trimmed(a)));
+            assert_eq!(FlashError::Trimmed(a).to_string(), format!("read of trimmed page: {a:?}"));
+        }
+        // Trimming takes no simulated time and counts no read; the cells
+        // keep their charge, so the pages still count as programmed.
+        assert_eq!(f.op_counts().0, reads);
+        assert_eq!((f.held_pages(), f.stored_bytes()), (1, 3 * 8192));
+        assert!(held.iter().all(|&x| x == 0x5A), "a view handed out earlier keeps its bytes");
+        assert_eq!(&f.read_page(lone, 0).unwrap().1[..4], b"lone");
+        // Trimming twice, an unwritten page or one out of range changes
+        // nothing.
+        let unwritten = addr(1, 0, 2);
+        for a in [block[0], unwritten, addr(99, 0, 0)] {
+            f.trim(a);
+        }
+        assert_eq!(f.read_page(unwritten, 0), Err(FlashError::Unwritten(unwritten)));
+        assert_eq!((f.held_pages(), f.stored_bytes()), (1, 3 * 8192));
+        // Programming a trimmed address holds bytes again, counted once.
+        f.program_page(block[1], b"again", 0).unwrap();
+        assert_eq!(&f.read_page(block[1], 0).unwrap().1[..5], b"again");
+        assert_eq!((f.held_pages(), f.stored_bytes()), (2, 3 * 8192));
+        // A clone trims on its own.
+        let mut copy = f.clone();
+        copy.trim(lone);
+        assert_eq!(copy.read_page(lone, 0), Err(FlashError::Trimmed(lone)));
+        assert_eq!(&f.read_page(lone, 0).unwrap().1[..4], b"lone");
     }
 
     /// Cut the power with a torn program of `victim`.

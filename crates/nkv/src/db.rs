@@ -15,8 +15,9 @@ use crate::placement::PageAllocator;
 use crate::plan::{
     tier_rule, tier_rule_line, Backend, LogicalOp, PhysOp, PhysicalPlan, PlanOutcome, Tier,
 };
+use crate::sst::SstMeta;
 use cosmos_sim::faults::{DramFaultStats, FlashFaultStats};
-use cosmos_sim::{CosmosConfig, CosmosPlatform, Server, SimNs, TraceEvent};
+use cosmos_sim::{CosmosConfig, CosmosPlatform, PhysAddr, Server, SimNs, TraceEvent};
 use ndp_ir::PeConfig;
 use ndp_pe::oracle::{BlockProcessor, FilterRule, OpTable};
 use ndp_pe::template::PeVariant;
@@ -144,6 +145,12 @@ pub struct NkvDb {
     pub(crate) clock: SimNs,
     /// Epoch of the newest persisted manifest (0 = never persisted).
     manifest_epoch: u64,
+    /// The allocator's last SST id when the newest persist began (or the
+    /// recovered one): no manifest slot can list an SST above it.
+    persist_sst_id: u64,
+    /// Pages of retired SSTs that a manifest slot may still list, with
+    /// the epoch current when each retired (ascending).
+    untrimmed: Vec<(u64, Vec<PhysAddr>)>,
     /// Pages relocated by read-repair since creation/recovery.
     pages_repaired: u64,
     /// Op-level metrics; `None` (the default) costs one branch per
@@ -165,6 +172,8 @@ impl NkvDb {
             tables: HashMap::new(),
             clock: 0,
             manifest_epoch: 0,
+            persist_sst_id: 0,
+            untrimmed: Vec::new(),
             pages_repaired: 0,
             metrics: None,
             trace_log: Vec::new(),
@@ -506,17 +515,30 @@ impl NkvDb {
         }
         // Compaction retired its input SSTs: evict their blocks (data
         // and index) from the device cache before any read can see the
-        // stale copies. Flushes create fresh ids, so they need nothing.
+        // stale copies, and trim them. Flushes create fresh ids, so they
+        // need nothing.
         let retired = self
             .tables
             .get_mut(table)
             .ok_or_else(|| NkvError::UnknownTable(table.into()))?
             .lsm
             .take_retired();
-        for id in retired {
-            self.platform.cache_evict_sst(id);
+        for sst in retired {
+            self.platform.cache_evict_sst(sst.id);
+            self.retire(sst);
         }
         Ok(end)
+    }
+
+    /// Trim a retired SST's pages once neither manifest slot can list it:
+    /// at once if it was born after the newest persist began, otherwise
+    /// when [`Self::persist`] writes the epoch two past the current one.
+    fn retire(&mut self, sst: SstMeta) {
+        if sst.id > self.persist_sst_id {
+            sst.pages().for_each(|p| self.platform.flash.trim(p));
+        } else {
+            self.untrimmed.push((self.manifest_epoch, sst.pages().collect()));
+        }
     }
 
     /// Force-flush a table's memtable.
@@ -771,8 +793,15 @@ impl NkvDb {
     /// previous epoch's slot is untouched while the new one is written —
     /// a cut mid-persist leaves the old manifest valid (recovery picks
     /// the newest slot whose CRC verifies).
+    ///
+    /// Once epoch `e + 2` is written, both slots hold manifests written
+    /// after every SST retired while epoch `e` was current, so those
+    /// SSTs' pages are trimmed.
     pub fn persist(&mut self) -> NkvResult<()> {
         self.advance_horizon(self.clock);
+        // Taken before the write: a cut can leave this manifest durable
+        // although the persist fails.
+        self.persist_sst_id = self.alloc.last_sst_id();
         let manifest = crate::recovery::Manifest {
             epoch: self.manifest_epoch + 1,
             tables: self
@@ -792,6 +821,11 @@ impl NkvDb {
             crate::recovery::write_manifest(&mut self.platform.flash, &manifest, self.clock)?;
         self.manifest_epoch = manifest.epoch;
         self.clock = self.clock.max(done);
+        let due =
+            self.untrimmed.partition_point(|&(retired_at, _)| retired_at + 2 <= manifest.epoch);
+        for (_, pages) in self.untrimmed.drain(..due) {
+            pages.into_iter().for_each(|p| self.platform.flash.trim(p));
+        }
         Ok(())
     }
 
@@ -813,6 +847,8 @@ impl NkvDb {
             tables: HashMap::new(),
             clock: 0,
             manifest_epoch: 0,
+            persist_sst_id: 0,
+            untrimmed: Vec::new(),
             pages_repaired: 0,
             metrics: None,
             trace_log: Vec::new(),
@@ -858,6 +894,7 @@ impl NkvDb {
                 recovered,
             );
         }
+        db.persist_sst_id = db.alloc.last_sst_id();
         Ok(db)
     }
 
@@ -871,6 +908,7 @@ impl NkvDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosmos_sim::FlashError;
     use ndp_ir::elaborate;
     use ndp_spec::parse;
     use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
@@ -1387,6 +1425,52 @@ typedef struct {
         }
         let s = db.cache_stats().expect("cache enabled");
         assert!(s.invalidations > 0, "compaction churn must invalidate: {s:?}");
+    }
+
+    #[test]
+    fn without_a_persist_flash_holds_bytes_only_for_live_ssts() {
+        // No manifest was ever written, so a compaction trims its inputs
+        // at once: over ten compaction cycles the pages holding bytes stay
+        // within twice the live SSTs' plus one flushed run, while the
+        // programmed bytes (trimmed pages keep their charge) grow.
+        let m = parse(PAPER_REF_SPEC).unwrap();
+        let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
+        cfg.lsm.memtable_bytes = 8 * 1024;
+        cfg.lsm.c1_sst_limit = 2;
+        let mut db = NkvDb::default_db();
+        db.create_table("papers", cfg).unwrap();
+        db.enable_metrics();
+        let papers: Vec<Paper> =
+            PaperGen::new(PubGraphConfig { papers: 300, refs: 300, seed: 5 }).collect();
+        let compactions = |db: &NkvDb| db.device_stats().metrics.op(OpKind::Compaction).ops;
+        let (mut c1_run, mut stored, mut version) = (0, 0, 0);
+        let mut seen: Vec<(u64, PhysAddr)> = Vec::new();
+        while compactions(&db) < 10 {
+            for p in &papers {
+                let mut p = p.clone();
+                p.n_cits = version;
+                db.put("papers", encode(&p)).unwrap();
+            }
+            version += 1;
+            let ssts = db.tables["papers"].lsm.all_ssts();
+            let live: u64 = ssts.iter().map(|s| s.pages().count() as u64).sum();
+            for sst in ssts.iter().filter(|s| s.level == 1) {
+                c1_run = c1_run.max(sst.pages().count() as u64);
+            }
+            seen.extend(ssts.iter().filter_map(|s| Some((s.id, s.pages().next()?))));
+            let flash = &db.platform.flash;
+            let held = flash.held_pages();
+            assert!(held <= 2 * live + c1_run, "round {version}: {held} pages held, {live} live");
+            assert!(flash.stored_bytes() > stored, "round {version}: programmed bytes must grow");
+            stored = flash.stored_bytes();
+        }
+        let live: Vec<u64> = db.tables["papers"].lsm.all_ssts().iter().map(|s| s.id).collect();
+        let retired: Vec<PhysAddr> =
+            seen.iter().filter(|(id, _)| !live.contains(id)).map(|&(_, p)| p).collect();
+        assert!(!retired.is_empty());
+        for p in retired {
+            assert_eq!(db.platform.flash.read_page(p, db.clock), Err(FlashError::Trimmed(p)));
+        }
     }
 
     #[test]

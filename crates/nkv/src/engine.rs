@@ -629,12 +629,11 @@ pub(crate) fn run_scan(
     plan: &PhysicalPlan,
     now: SimNs,
 ) -> NkvResult<PlanOutcome> {
-    // Built before any simulated work so a bad lane fails first; folded
-    // once, after reconciliation.
+    // Folded once, after reconciliation.
     let mut fold = match plan.op {
         PhysOp::AggregateScan { agg, lane } => Some(
             AggAccumulator::new(&exec.processor, agg, lane)
-                .ok_or_else(|| NkvError::InvalidLane { table: "<aggregate>".into(), lane })?,
+                .expect("`PhysicalPlan::lower` checked the reduce lane against the table"),
         ),
         _ => None,
     };

@@ -53,11 +53,16 @@ pub struct LsmTree {
     /// non-overlapping runs sorted by key range.
     levels: Vec<Vec<SstMeta>>,
     seed: u64,
-    /// SST ids retired since the last [`Self::take_retired`] drain:
-    /// compaction inputs whose pages may still sit in the device block
-    /// cache. SSTs are immutable and the bump allocator never reuses
-    /// pages, so retirement is the only way block *content* goes stale.
-    retired: Vec<u64>,
+    /// SSTs retired since the last [`Self::take_retired`] drain:
+    /// compaction inputs, which no live tree references any more. SSTs
+    /// are immutable and the bump allocator never reuses pages, so
+    /// retirement is the only way block *content* goes stale: the drain
+    /// evicts them from the device block cache, and trims their pages
+    /// once neither manifest slot can list them — at once for an SST
+    /// born after the last persist began, otherwise once a persist two
+    /// epochs after the one current at retirement succeeds (`NkvDb`'s
+    /// `maintain_at` and `persist`).
+    retired: Vec<SstMeta>,
 }
 
 impl LsmTree {
@@ -266,9 +271,8 @@ impl LsmTree {
         drop(merge); // the last borrow of the input blocks and tombstones
 
         // Commit: the output run is on flash, swap it in for its inputs.
-        self.retired.extend(inputs.iter().map(|s| s.id));
-        self.levels[level].clear();
-        self.levels[level + 1] = out;
+        let replaced = std::mem::replace(&mut self.levels[level + 1], out);
+        self.retired.extend(self.levels[level].drain(..).chain(replaced));
         Ok(done)
     }
 
@@ -277,10 +281,10 @@ impl LsmTree {
         &self.levels
     }
 
-    /// Drain the SST ids retired by compactions since the last drain.
-    /// The caller (the DB maintenance loop) evicts them from the device
-    /// block cache; the list is empty when nothing was retired.
-    pub(crate) fn take_retired(&mut self) -> Vec<u64> {
+    /// Drain the SSTs retired by compactions since the last drain, for
+    /// the DB maintenance loop to evict and trim; empty when nothing was
+    /// retired.
+    pub(crate) fn take_retired(&mut self) -> Vec<SstMeta> {
         std::mem::take(&mut self.retired)
     }
 
@@ -349,9 +353,7 @@ impl LsmTree {
     /// page or as an index page. Used by read-repair to decide whether a
     /// degrading page still holds reachable data.
     pub(crate) fn references_page(&self, addr: PhysAddr) -> bool {
-        self.levels.iter().flatten().any(|sst| {
-            sst.index_pages.contains(&addr) || sst.blocks.iter().any(|b| b.pages.contains(&addr))
-        })
+        self.levels.iter().flatten().any(|sst| sst.pages().any(|p| p == addr))
     }
 
     /// Rewire every reference to page `old` so it points at `new`
@@ -716,7 +718,7 @@ mod tests {
         inputs.sort_unstable();
         assert!(fx.lsm.take_retired().is_empty(), "flush retires nothing");
         fx.lsm.compact(&mut fx.flash, &mut fx.alloc, 0, 0).unwrap();
-        let mut retired = fx.lsm.take_retired();
+        let mut retired: Vec<u64> = fx.lsm.take_retired().iter().map(|s| s.id).collect();
         retired.sort_unstable();
         assert_eq!(retired, inputs, "both compaction inputs are retired");
         assert!(fx.lsm.take_retired().is_empty(), "drain empties the list");

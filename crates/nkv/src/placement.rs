@@ -51,6 +51,12 @@ impl PageAllocator {
         self.last_sst_id
     }
 
+    /// The last SST id handed out (or recovered): every SST born later
+    /// has a higher one.
+    pub(crate) fn last_sst_id(&self) -> u64 {
+        self.last_sst_id
+    }
+
     fn class_of(level: usize) -> usize {
         usize::from(level > 1)
     }
@@ -121,8 +127,7 @@ impl PageAllocator {
     /// everything a recovered SST occupies.
     pub(crate) fn mark_sst(&mut self, sst: &SstMeta) {
         self.last_sst_id = self.last_sst_id.max(sst.id);
-        let data = sst.blocks.iter().flat_map(|b| &b.pages);
-        data.chain(&sst.index_pages).for_each(|&p| self.mark_used(p));
+        sst.pages().for_each(|p| self.mark_used(p));
     }
 
     fn slot(&self, channel: u16, lun: u16) -> usize {

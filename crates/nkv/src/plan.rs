@@ -250,6 +250,7 @@ impl PhysicalPlan {
                 Self::lower_scan(&rules, backend, caps, table)
             }
             LogicalOp::ScanAggregate { rules, agg, lane } => {
+                check_lanes(rules.iter().map(|r| r.lane).chain([*lane]), caps, table)?;
                 if backend != Backend::Software && !caps.aggregates.contains(agg) {
                     return Err(NkvError::Config(format!(
                         "table `{table}`'s PEs were not generated with the `{}` aggregate",
@@ -283,11 +284,7 @@ impl PhysicalPlan {
         caps: &PlanCaps,
         table: &str,
     ) -> NkvResult<PhysicalPlan> {
-        for r in rules {
-            if r.lane as usize >= caps.lanes {
-                return Err(NkvError::InvalidLane { table: table.to_string(), lane: r.lane });
-            }
-        }
+        check_lanes(rules.iter().map(|r| r.lane), caps, table)?;
         let stages = caps.stages as usize;
         let (pushed, residual) = match backend {
             Backend::Software => (rules.to_vec(), Vec::new()),
@@ -409,6 +406,19 @@ impl PhysicalPlan {
             }
         }
         s
+    }
+}
+
+/// Every lane in `lanes` exists in the table's input layout, or the
+/// first that does not is [`NkvError::InvalidLane`].
+fn check_lanes(
+    mut lanes: impl Iterator<Item = u32>,
+    caps: &PlanCaps,
+    table: &str,
+) -> NkvResult<()> {
+    match lanes.find(|&lane| lane as usize >= caps.lanes) {
+        Some(lane) => Err(NkvError::InvalidLane { table: table.to_string(), lane }),
+        None => Ok(()),
     }
 }
 

@@ -26,9 +26,14 @@
 //! overwrites the slot *not* holding the current manifest, so a power
 //! cut mid-write tears at most the new slot: its CRC fails and
 //! `read_manifest` falls back to the intact older slot. Because the
-//! page allocator is a bump allocator that never reuses pages, every
-//! SST the older manifest references is still readable — recovery
-//! always lands on a consistent (if slightly stale) state.
+//! page allocator is a bump allocator that never reuses pages, and no
+//! SST either slot can list is trimmed, every SST the older manifest
+//! references is still readable — recovery always lands on a consistent
+//! (if slightly stale) state. The trim rule: a compaction's retired
+//! inputs are trimmed at once when they were born after the newest
+//! persist began (no slot lists them), and otherwise once the persist of
+//! epoch `e + 2` succeeds, `e` being the epoch current at retirement
+//! (both slots then hold manifests written after they retired).
 
 use crate::error::{NkvError, NkvResult};
 use crate::sst::{deserialize_index, program_pages, SstMeta};

@@ -67,6 +67,12 @@ impl SstMeta {
         let idx = self.blocks.partition_point(|b| b.last_key < key);
         (idx < self.blocks.len() && self.blocks[idx].first_key <= key).then_some(idx)
     }
+
+    /// Every flash page the SST occupies: its data pages, then its index
+    /// pages.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        self.blocks.iter().flat_map(|b| &b.pages).chain(&self.index_pages).copied()
+    }
 }
 
 /// Shape of one run of SSTs: where it is placed and when it rolls over.

@@ -181,6 +181,29 @@ fn hardware_aggregate_requires_generated_support() {
 }
 
 #[test]
+fn an_aggregate_naming_a_lane_the_table_lacks_is_an_invalid_lane_error() {
+    // The refs table has 3 lanes: a rule on lane 9, or a reduction of
+    // lane 9, must fail like a SCAN with that rule does — at lowering,
+    // naming the table — on every tier.
+    let cfg = common::Cfg { table: common::Table::Refs { unique: false }, ..Default::default() };
+    let (mut store, _) = cfg.build(common::refs(2000), &[]);
+    let db = store.db();
+    let lane9 = [common::ge(9, 1)];
+    for backend in [Backend::Software, Backend::Hardware] {
+        for (rules, lane) in [(&lane9[..], 2), (&[][..], 9)] {
+            let got = db.scan_aggregate("refs", rules, AggOp::Sum, lane, backend);
+            assert_eq!(
+                got.map(|(value, any, _)| (value, any)),
+                Err(NkvError::InvalidLane { table: "refs".into(), lane: 9 }),
+                "{rules:?}, reduce lane {lane} on {backend:?}"
+            );
+        }
+        let scan = db.scan("refs", &lane9, backend).map(|s| s.count);
+        assert_eq!(scan, Err(NkvError::InvalidLane { table: "refs".into(), lane: 9 }));
+    }
+}
+
+#[test]
 fn baseline_pes_reject_aggregation_configs() {
     let m = ndp_spec::parse(SENSOR_SPEC).unwrap();
     let pe = elaborate(&m, "Agg").unwrap();
