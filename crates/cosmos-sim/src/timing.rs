@@ -50,7 +50,8 @@ pub const ARM_FILTER_PS_PER_BYTE: u64 = 8_150;
 /// ARM per-block dispatch overhead on the software path (function call,
 /// loop setup, result append bookkeeping).
 pub const ARM_SW_BLOCK_OVERHEAD_NS: SimNs = 200;
-/// ARM cost of one memtable/skip-list probe during GET.
+/// ARM cost of one memtable probe during GET: the modelled firmware's
+/// skip-list (paper, Sec. III-A), whatever structure the host keeps.
 pub const ARM_MEMTABLE_PROBE_NS: SimNs = 2_000;
 /// ARM cost of a binary search + record parse in one 32 KiB block
 /// (software GET path).

@@ -411,7 +411,7 @@ struct ScanFilters {
     residual: FilterProgram,
     collect: Collect,
     /// Key range of the memtable's entries, tombstones included (`None`
-    /// when it is empty); set by the memtable pass.
+    /// when it is empty).
     c0_keys: Option<(u64, u64)>,
     /// When the scan reconciles, every staged block of every SST but the
     /// oldest (it shadows nothing), indexed `[component][block]`, with
@@ -660,14 +660,13 @@ pub(crate) fn run_scan(
         rules: plan.pushed.len(),
         residual: exec.processor.compile(&plan.residual, &exec.ops),
         collect: if fold.is_some() { Collect::Fold } else { Collect::Records },
-        c0_keys: None,
+        c0_keys: lsm.memtable().key_range(),
         staged: ssts[..newer_ssts].iter().map(|s| vec![None; s.blocks.len()]).collect(),
     };
 
     // --- C0: the memtable participates in every scan (ARM-side); its
     // matches are collected like the PE path's.
-    for (key, entry) in lsm.memtable().iter() {
-        filters.c0_keys = Some((filters.c0_keys.map_or(key, |(lo, _)| lo), key));
+    for (_, entry) in lsm.memtable().iter() {
         if let Entry::Value(rec) = entry {
             report.tuples_in += 1;
             if filters.all.passes(rec) {
@@ -863,11 +862,11 @@ pub(crate) fn run_get(
     };
     let mut report = SimReport::default();
     let start = now + platform.firmware.op_overhead_ns();
-    let (rec, mut end) =
+    let (rec, mut end, from_c0) =
         key_walk(platform, lsm, exec, plan.backend, key, start, None, &mut report)?;
     // Modelled as the firmware does it: a serial GET answered from the
     // memtable completes at the probe and does not ride the NVMe link.
-    if let Some(r) = rec.as_ref().filter(|_| lsm.memtable_get(key).is_none()) {
+    if let Some(r) = rec.as_ref().filter(|_| !from_c0) {
         let (nv_start, host) = platform.nvme.transfer(end, r.len() as u64);
         platform.trace_nvme(nv_start, host - nv_start, r.len() as u64);
         end = host;
@@ -894,11 +893,12 @@ struct BatchShared {
 
 /// One key's lookup, starting at `start`: memtable probe, then the
 /// bloom-pruned index walk with one block search per candidate. Returns
-/// the record, if any, and when the walk ended; the NVMe result transfer
-/// is the caller's. A serial GET is a batch of one with nothing to share
-/// (`batch` is `None`): it reads every index page and block itself and
-/// — the firmware keeps no rule cache across GET block jobs —
-/// re-programs the PE cold for **every** block it searches.
+/// the record, if any, when the walk ended, and whether the memtable
+/// answered; the NVMe result transfer is the caller's. A serial GET is a
+/// batch of one with nothing to share (`batch` is `None`): it reads every
+/// index page and block itself and — the firmware keeps no rule cache
+/// across GET block jobs — re-programs the PE cold for **every** block it
+/// searches.
 #[allow(clippy::too_many_arguments)]
 fn key_walk(
     platform: &mut CosmosPlatform,
@@ -909,12 +909,12 @@ fn key_walk(
     start: SimNs,
     mut batch: Option<&mut BatchShared>,
     report: &mut SimReport,
-) -> NkvResult<(Option<Vec<u8>>, SimNs)> {
+) -> NkvResult<(Option<Vec<u8>>, SimNs, bool)> {
     // C0 probe.
     let (_, mut t) = platform.arm.schedule(start, timing::ARM_MEMTABLE_PROBE_NS);
     match lsm.memtable_get(key) {
-        Some(Entry::Value(v)) => return Ok((Some(v.clone()), t)),
-        Some(Entry::Tombstone) => return Ok((None, t)),
+        Some(Entry::Value(v)) => return Ok((Some(v.clone()), t, true)),
+        Some(Entry::Tombstone) => return Ok((None, t, true)),
         None => {}
     }
     // Persistent components: the index walk is sequential (the next
@@ -938,7 +938,7 @@ fn key_walk(
             };
         }
         if sst.is_tombstoned(key) {
-            return Ok((None, t));
+            return Ok((None, t, false));
         }
         if !sst.may_contain(key) {
             continue;
@@ -981,10 +981,10 @@ fn key_walk(
         )?;
         t = done;
         if found.is_some() {
-            return Ok((found, t));
+            return Ok((found, t, false));
         }
     }
-    Ok((None, t))
+    Ok((None, t, false))
 }
 
 /// Execute a lowered batched-GET plan: one key-list descriptor DMA, one
@@ -1032,7 +1032,7 @@ pub(crate) fn run_batched_get(
             Some(&mut shared),
             &mut report,
         ) {
-            Ok((rec, t_key)) => {
+            Ok((rec, t_key, _)) => {
                 // Results stream back in key order: this key's record
                 // rides the NVMe link no earlier than its predecessor's
                 // completion.

@@ -205,7 +205,7 @@ pub(crate) mod tests {
         alloc: &mut PageAllocator,
         n_refs: u64,
     ) -> (LsmTree, u64) {
-        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default(), 3);
+        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default());
         let cfg = PubGraphConfig { papers: n_refs / 10 + 1, refs: n_refs, seed: 11 };
         let mut buf = Vec::new();
         let mut done = 0u64;
@@ -362,7 +362,7 @@ pub(crate) mod tests {
     fn scan_reconciles_shadowed_versions() {
         let mut platform = CosmosPlatform::new(CosmosConfig::default());
         let mut alloc = PageAllocator::new(platform.flash.config());
-        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default(), 3);
+        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default());
         // Old version of key 100 matches the predicate... (the record's
         // first field IS the key, per the nKV record model)
         let old = Ref { src: 100, dst: 1, year: 2010 };
@@ -400,7 +400,7 @@ pub(crate) mod tests {
     fn scan_includes_memtable_and_respects_its_tombstones() {
         let mut platform = CosmosPlatform::new(CosmosConfig::default());
         let mut alloc = PageAllocator::new(platform.flash.config());
-        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default(), 3);
+        let mut lsm = LsmTree::new("refs", 20, LsmConfig::default());
         let mut buf = Vec::new();
         Ref { src: 1, dst: 9, year: 2005 }.encode_into(&mut buf);
         lsm.put(1, buf.clone());

@@ -12,7 +12,7 @@
 //!
 //! Structure:
 //!
-//! * [`memtable`] — the in-memory component `C0` (skip-list);
+//! * [`memtable`] — the in-memory component `C0` (a `BTreeMap`);
 //! * [`sst`] — Sorted String Tables: 32 KiB data blocks of fixed-size
 //!   records in key order, CRC-protected, plus index metadata and a
 //!   bloom filter per table;

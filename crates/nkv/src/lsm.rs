@@ -52,7 +52,6 @@ pub struct LsmTree {
     /// `levels[0]` = `C1` (newest SST first); deeper levels hold
     /// non-overlapping runs sorted by key range.
     levels: Vec<Vec<SstMeta>>,
-    seed: u64,
     /// SSTs retired since the last [`Self::take_retired`] drain:
     /// compaction inputs, which no live tree references any more. SSTs
     /// are immutable and the bump allocator never reuses pages, so
@@ -67,14 +66,13 @@ pub struct LsmTree {
 
 impl LsmTree {
     /// Create an empty tree.
-    pub fn new(table: &str, record_bytes: usize, cfg: LsmConfig, seed: u64) -> Self {
+    pub fn new(table: &str, record_bytes: usize, cfg: LsmConfig) -> Self {
         Self {
             table: table.to_string(),
             record_bytes,
             cfg,
-            memtable: MemTable::new(seed),
+            memtable: MemTable::default(),
             levels: vec![Vec::new(); MAX_LEVELS],
-            seed,
             retired: Vec::new(),
         }
     }
@@ -174,8 +172,8 @@ impl LsmTree {
             run.add(key, record)?;
         }
         let (ssts, done) = run.finish()?;
+        self.memtable = MemTable::default();
         for meta in ssts {
-            self.memtable = MemTable::new(self.seed ^ meta.id);
             self.levels[0].insert(0, meta); // newest first
         }
         Ok(done)
@@ -295,10 +293,9 @@ impl LsmTree {
         table: &str,
         record_bytes: usize,
         cfg: LsmConfig,
-        seed: u64,
         recovered: Vec<(u32, SstMeta)>,
     ) -> Self {
-        let mut tree = Self::new(table, record_bytes, cfg, seed);
+        let mut tree = Self::new(table, record_bytes, cfg);
         for (level, meta) in recovered {
             let level = (level as usize).min(tree.levels.len() - 1);
             tree.levels[level].push(meta);
@@ -490,7 +487,7 @@ mod tests {
         let flash = FlashArray::new(FlashConfig::default());
         let alloc = PageAllocator::new(flash.config());
         let cfg = LsmConfig { memtable_bytes: 16 * 1024, ..LsmConfig::default() };
-        let lsm = LsmTree::new("t", REC, cfg, 7);
+        let lsm = LsmTree::new("t", REC, cfg);
         Fixture { flash, alloc, lsm }
     }
 
@@ -577,6 +574,46 @@ mod tests {
         assert!(fx.lsm.should_flush());
     }
 
+    /// Pins the flush trigger's byte accounting: a new key costs its
+    /// payload + 48 bytes, a replacement swaps the old payload for the
+    /// new one. The expected op index and byte counts were copied from
+    /// the skip-list memtable this store used before `C0` became a
+    /// `BTreeMap`, so every flush still happens at the same PUT.
+    #[test]
+    fn flush_trigger_accounting_is_pinned() {
+        let mut fx = fixture();
+        fx.lsm = LsmTree::new("t", 80, LsmConfig { memtable_bytes: 16 * 1024, ..fx.lsm.cfg });
+        let mut rng = ndp_workload::SplitMix64::new(0xB17E);
+        let (mut first_flush, mut sampled) = (None, Vec::new());
+        for op in 1..=600u64 {
+            let key = rng.gen_range_u64(0, 200);
+            match rng.gen_u32(10) {
+                0..=4 => fx.lsm.put(key, vec![1; 80]),
+                5 => fx.lsm.put(key, vec![2; 40]), // shorter overwrite (when present)
+                6 => fx.lsm.put(key, vec![3; 120]), // longer overwrite (when present)
+                7 | 8 => fx.lsm.delete(key),       // mostly present keys
+                _ => fx.lsm.delete(1000 + op),     // an absent key
+            }
+            let m = fx.lsm.memtable();
+            let payload = |e: &Entry| match e {
+                Entry::Value(v) => v.len(),
+                Entry::Tombstone => 0,
+            };
+            let sum: usize = m.iter().map(|(_, e)| payload(e) + 48).sum();
+            assert_eq!(m.approximate_bytes(), sum, "op {op}");
+            if fx.lsm.should_flush() && first_flush.is_none() {
+                first_flush = Some(op);
+            }
+            if op % 50 == 0 {
+                sampled.push(m.approximate_bytes());
+            }
+        }
+        assert_eq!(first_flush, Some(235));
+        let want =
+            [4456, 8448, 11704, 15264, 16608, 17624, 19016, 20328, 21552, 22088, 22624, 23560];
+        assert_eq!(sampled, want);
+    }
+
     #[test]
     fn compaction_merges_newest_wins_and_purges() {
         let mut fx = fixture();
@@ -630,7 +667,7 @@ mod tests {
         // 64-byte blocks -> 3 records per block -> 192 records per
         // output SST, so 500 records split into three SSTs.
         let cfg = LsmConfig { memtable_bytes: 16 * 1024, block_bytes: 64, ..LsmConfig::default() };
-        fx.lsm = LsmTree::new("t", REC, cfg, 7);
+        fx.lsm = LsmTree::new("t", REC, cfg);
         for k in 1..=500u64 {
             fx.lsm.put(k, rec(k, 1));
         }
@@ -685,7 +722,7 @@ mod tests {
         let cfg = LsmConfig { block_bytes: 64, ..LsmConfig::default() };
         for bad in [rec(5, 9), vec![0u8; REC + 4]] {
             let mut fx = fixture();
-            fx.lsm = LsmTree::new("t", REC, cfg.clone(), 7);
+            fx.lsm = LsmTree::new("t", REC, cfg.clone());
             let load = |keys: std::ops::RangeInclusive<u64>| keys.map(|k| rec(k, 1));
             fx.lsm.bulk_load(&mut fx.flash, &mut fx.alloc, load(1..=10), false, 0).unwrap();
             let before = fx.lsm.level_sizes();

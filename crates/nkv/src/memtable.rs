@@ -1,10 +1,13 @@
-//! The in-memory component `C0`: a skip-list memtable.
+//! The in-memory component `C0`: a sorted map from key to entry.
 //!
 //! "The MemTables in C0 are typically implemented using a
 //! memory-efficient structure such as skip-lists" (paper, Sec. III-A).
-//! This is a classic single-writer skip-list over `u64` keys holding
-//! fixed-size record payloads or tombstones; tower heights come from a
-//! deterministic xorshift so tests are reproducible.
+//! The simulated firmware's `C0` is priced by constants (a probe costs
+//! `ARM_MEMTABLE_PROBE_NS`, the scan pass the per-byte filter rate, an
+//! insert nothing), so no simulated time depends on its structure: the
+//! host holds it in std's ordered map.
+
+use std::collections::BTreeMap;
 
 /// An entry: a full record or a deletion marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,68 +18,18 @@ pub enum Entry {
     Tombstone,
 }
 
-const MAX_HEIGHT: usize = 12;
-
-struct Node {
-    key: u64,
-    entry: Entry,
-    /// next[i] = index of the next node at level i (usize::MAX = none).
-    next: [usize; MAX_HEIGHT],
-}
-
-/// A skip-list memtable.
+/// Entries in key order, and the byte count that triggers a flush.
+#[derive(Default)]
 pub struct MemTable {
-    nodes: Vec<Node>,
-    /// head.next per level.
-    head: [usize; MAX_HEIGHT],
-    height: usize,
-    rng: u64,
-    /// Approximate payload bytes (records + per-entry overhead).
+    entries: BTreeMap<u64, Entry>,
+    /// Payload bytes plus 48 per entry.
     bytes: usize,
 }
 
-const NIL: usize = usize::MAX;
-
 impl MemTable {
-    /// An empty memtable with a deterministic tower-height seed.
-    pub fn new(seed: u64) -> Self {
-        Self { nodes: Vec::new(), head: [NIL; MAX_HEIGHT], height: 1, rng: seed | 1, bytes: 0 }
-    }
-
-    fn random_height(&mut self) -> usize {
-        // xorshift64*; each extra level with probability 1/4.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let mut h = 1;
-        let mut bits = r;
-        while h < MAX_HEIGHT && bits & 3 == 0 {
-            h += 1;
-            bits >>= 2;
-        }
-        h
-    }
-
-    /// Find the predecessor chain for `key`; returns per-level indices of
-    /// the last node with a key `< key` (or NIL for the head).
-    fn predecessors(&self, key: u64) -> [usize; MAX_HEIGHT] {
-        let mut preds = [NIL; MAX_HEIGHT];
-        let mut cur = NIL; // head
-        for level in (0..self.height).rev() {
-            loop {
-                let next = if cur == NIL { self.head[level] } else { self.nodes[cur].next[level] };
-                if next != NIL && self.nodes[next].key < key {
-                    cur = next;
-                } else {
-                    break;
-                }
-            }
-            preds[level] = cur;
-        }
-        preds
+    /// An empty memtable; `_seed` is ignored (the benchmark's kernels pass one).
+    pub fn new(_seed: u64) -> Self {
+        Self::default()
     }
 
     /// Insert or replace `key` with a record.
@@ -89,57 +42,30 @@ impl MemTable {
         self.insert_entry(key, Entry::Tombstone);
     }
 
+    /// A new key adds its payload + 48 bytes; a replacement (in place:
+    /// `C0` holds one version of a key) swaps the old payload for the new.
     fn insert_entry(&mut self, key: u64, entry: Entry) {
-        let preds = self.predecessors(key);
-        let at = if preds[0] == NIL { self.head[0] } else { self.nodes[preds[0]].next[0] };
-        if at != NIL && self.nodes[at].key == key {
-            // Replace in place (updates are out-of-place only across
-            // components, not inside C0).
-            let old = std::mem::replace(&mut self.nodes[at].entry, entry);
-            self.bytes -= entry_bytes(&old);
-            self.bytes += entry_bytes(&self.nodes[at].entry);
-            return;
+        let payload = |e: &Entry| if let Entry::Value(v) = e { v.len() } else { 0 };
+        self.bytes += payload(&entry);
+        match self.entries.insert(key, entry) {
+            Some(old) => self.bytes -= payload(&old),
+            None => self.bytes += 48,
         }
-
-        let h = self.random_height();
-        let idx = self.nodes.len();
-        self.bytes += entry_bytes(&entry) + 48; // payload + node overhead
-        let mut node = Node { key, entry, next: [NIL; MAX_HEIGHT] };
-        for (level, &pred) in preds.iter().enumerate().take(h) {
-            if level >= self.height {
-                node.next[level] = NIL;
-                self.head[level] = idx;
-            } else if pred == NIL {
-                node.next[level] = self.head[level];
-                self.head[level] = idx;
-            } else {
-                node.next[level] = self.nodes[pred].next[level];
-                // placed after push below
-            }
-        }
-        self.nodes.push(node);
-        for (level, &pred) in preds.iter().enumerate().take(h.min(self.height)) {
-            if pred != NIL {
-                self.nodes[pred].next[level] = idx;
-            }
-        }
-        self.height = self.height.max(h);
     }
 
     /// Look up `key`.
     pub(crate) fn get(&self, key: u64) -> Option<&Entry> {
-        let preds = self.predecessors(key);
-        let at = if preds[0] == NIL { self.head[0] } else { self.nodes[preds[0]].next[0] };
-        if at != NIL && self.nodes[at].key == key {
-            Some(&self.nodes[at].entry)
-        } else {
-            None
-        }
+        self.entries.get(&key)
     }
 
-    /// Iterate entries in ascending key order.
-    pub(crate) fn iter(&self) -> MemIter<'_> {
-        MemIter { table: self, cur: self.head[0] }
+    /// Entries in ascending key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Entry)> {
+        self.entries.iter().map(|(&k, e)| (k, e))
+    }
+
+    /// The smallest and largest key, tombstones included.
+    pub(crate) fn key_range(&self) -> Option<(u64, u64)> {
+        Some((*self.entries.first_key_value()?.0, *self.entries.last_key_value()?.0))
     }
 
     /// Approximate memory footprint in bytes (drives flush decisions).
@@ -149,38 +75,12 @@ impl MemTable {
 
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.entries.len()
     }
 
     /// True if the table holds no entries at all.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
-fn entry_bytes(e: &Entry) -> usize {
-    match e {
-        Entry::Value(v) => v.len(),
-        Entry::Tombstone => 0,
-    }
-}
-
-/// Sorted iterator over a memtable.
-pub struct MemIter<'a> {
-    table: &'a MemTable,
-    cur: usize,
-}
-
-impl<'a> Iterator for MemIter<'a> {
-    type Item = (u64, &'a Entry);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let n = &self.table.nodes[self.cur];
-        self.cur = n.next[0];
-        Some((n.key, &n.entry))
+        self.entries.is_empty()
     }
 }
 
@@ -200,7 +100,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trip() {
-        let mut m = MemTable::new(7);
+        let mut m = MemTable::default();
         m.put(5, rec(5));
         m.put(1, rec(1));
         m.put(9, rec(9));
@@ -212,7 +112,7 @@ mod tests {
 
     #[test]
     fn replace_updates_in_place() {
-        let mut m = MemTable::new(7);
+        let mut m = MemTable::default();
         m.put(5, rec(5));
         let mut newer = rec(5);
         newer[8] = 0xFF;
@@ -223,7 +123,7 @@ mod tests {
 
     #[test]
     fn tombstones_shadow_values() {
-        let mut m = MemTable::new(7);
+        let mut m = MemTable::default();
         m.put(5, rec(5));
         m.delete(5);
         assert_eq!(m.get(5), Some(&Entry::Tombstone));
@@ -236,7 +136,7 @@ mod tests {
 
     #[test]
     fn iteration_is_key_sorted() {
-        let mut m = MemTable::new(3);
+        let mut m = MemTable::default();
         let keys = [44u64, 2, 999, 17, 3, 500, 1, 88, 6];
         for &k in &keys {
             m.put(k, rec(k));
@@ -249,7 +149,7 @@ mod tests {
 
     #[test]
     fn large_insert_stays_sorted_and_complete() {
-        let mut m = MemTable::new(0xDEAD);
+        let mut m = MemTable::default();
         // Insert in an adversarial (descending) order.
         for k in (0..5000u64).rev() {
             m.put(k, rec(k));
@@ -265,23 +165,12 @@ mod tests {
 
     #[test]
     fn approximate_bytes_grows_and_tracks_replacement() {
-        let mut m = MemTable::new(1);
+        let mut m = MemTable::default();
         let before = m.approximate_bytes();
         m.put(1, vec![0u8; 100]);
         let after_one = m.approximate_bytes();
         assert!(after_one >= before + 100);
         m.put(1, vec![0u8; 10]);
         assert!(m.approximate_bytes() < after_one);
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let mut a = MemTable::new(42);
-        let mut b = MemTable::new(42);
-        for k in 0..100 {
-            a.put(k, rec(k));
-            b.put(k, rec(k));
-        }
-        assert_eq!(a.height, b.height);
     }
 }

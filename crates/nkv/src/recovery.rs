@@ -34,6 +34,10 @@
 //! persist began (no slot lists them), and otherwise once the persist of
 //! epoch `e + 2` succeeds, `e` being the epoch current at retirement
 //! (both slots then hold manifests written after they retired).
+//! Recovery protects every SST either slot lists: the allocator steps
+//! past all their pages, and an SST only the older slot lists waits to
+//! be trimmed as retired under that slot's epoch, so a later fallback to
+//! the older slot finds what it lists, even after post-recovery writes.
 
 use crate::error::{NkvError, NkvResult};
 use crate::sst::{deserialize_index, program_pages, SstMeta};
@@ -209,47 +213,43 @@ fn read_slot(flash: &mut FlashArray, slot: u32, now: SimNs) -> (Option<Manifest>
     (decode_manifest(&bytes).ok(), done)
 }
 
-/// Read the manifest back: both slots are scanned and the newest valid
-/// one (highest epoch with an intact CRC) wins. Errors only if neither
-/// slot holds a valid manifest.
-pub(crate) fn read_manifest(flash: &mut FlashArray, now: SimNs) -> NkvResult<(Manifest, SimNs)> {
+/// Read the manifests back: both slots are scanned, and the newest valid
+/// one (highest epoch with an intact CRC) wins; the other slot's comes
+/// beside it when it is valid too. Errors only if neither slot holds a
+/// valid manifest.
+pub(crate) fn read_manifest(
+    flash: &mut FlashArray,
+    now: SimNs,
+) -> NkvResult<(Manifest, Option<Manifest>, SimNs)> {
     let (m0, t0) = read_slot(flash, 0, now);
     let (m1, t1) = read_slot(flash, 1, now);
-    let done = t0.max(t1);
-    let best = match (m0, m1) {
-        (Some(a), Some(b)) => Some(if a.epoch >= b.epoch { a } else { b }),
-        (a, b) => a.or(b),
+    let (newest, older) = match (m0, m1) {
+        (Some(a), Some(b)) if a.epoch < b.epoch => (b, Some(a)),
+        (Some(a), b) | (b @ None, Some(a)) => (a, b),
+        (None, None) => return Err(NkvError::Config("no valid manifest in either slot".into())),
     };
-    match best {
-        Some(m) => Ok((m, done)),
-        None => Err(NkvError::Config("no valid manifest in either slot".into())),
-    }
+    Ok((newest, older, t0.max(t1)))
 }
 
-/// Rebuild every SST's metadata from its on-flash index block.
-pub(crate) fn recover_table_ssts(
+/// Rebuild one SST's metadata from its on-flash index block.
+pub(crate) fn read_index(
     flash: &mut FlashArray,
-    t: &TableManifest,
+    pages: &[PhysAddr],
     now: SimNs,
-) -> NkvResult<(Vec<(u32, SstMeta)>, SimNs)> {
-    let page_bytes = flash.config().page_bytes as usize;
-    let mut out = Vec::with_capacity(t.ssts.len());
+) -> NkvResult<(SstMeta, SimNs)> {
+    let mut bytes = Vec::with_capacity(pages.len() * flash.config().page_bytes as usize);
     let mut done = now;
-    for (level, pages) in &t.ssts {
-        let mut bytes = Vec::with_capacity(pages.len() * page_bytes);
-        for &p in pages {
-            let (tm, page) = flash.read_page(p, now)?;
-            done = done.max(tm);
-            bytes.extend_from_slice(page);
-        }
-        // Index blocks are CRC-delimited like the manifest; whatever the
-        // decoder trips over, recovery reports the index as the culprit.
-        let mut meta = deserialize_index(&bytes)
-            .map_err(|e| NkvError::Config(format!("corrupt index block: {e}")))?;
-        meta.index_pages = pages.clone();
-        out.push((*level, meta));
+    for &p in pages {
+        let (t, page) = flash.read_page(p, now)?;
+        done = done.max(t);
+        bytes.extend_from_slice(page);
     }
-    Ok((out, done))
+    // Index blocks are CRC-delimited like the manifest; whatever the
+    // decoder trips over, recovery reports the index as the culprit.
+    let mut meta = deserialize_index(&bytes)
+        .map_err(|e| NkvError::Config(format!("corrupt index block: {e}")))?;
+    meta.index_pages = pages.to_vec();
+    Ok((meta, done))
 }
 
 /// Build the manifest entry for one table from its live metadata.
@@ -346,7 +346,7 @@ mod tests {
         let mut flash = FlashArray::new(FlashConfig::default());
         let m = sample_manifest();
         write_manifest(&mut flash, &m, 0).unwrap();
-        let (back, t) = read_manifest(&mut flash, 1_000_000).unwrap();
+        let (back, _, t) = read_manifest(&mut flash, 1_000_000).unwrap();
         assert_eq!(back, m);
         assert!(t > 1_000_000);
     }
@@ -355,7 +355,7 @@ mod tests {
     fn empty_manifest_round_trips() {
         let mut flash = FlashArray::new(FlashConfig::default());
         write_manifest(&mut flash, &Manifest::default(), 0).unwrap();
-        let (back, _) = read_manifest(&mut flash, 0).unwrap();
+        let (back, _, _) = read_manifest(&mut flash, 0).unwrap();
         assert_eq!(back, Manifest::default());
     }
 
@@ -384,8 +384,9 @@ mod tests {
         for epoch in 1..=4u64 {
             m.epoch = epoch;
             write_manifest(&mut flash, &m, 0).unwrap();
-            let (back, _) = read_manifest(&mut flash, 0).unwrap();
+            let (back, older, _) = read_manifest(&mut flash, 0).unwrap();
             assert_eq!(back.epoch, epoch, "newest epoch must win");
+            assert_eq!(older.map(|m| m.epoch), epoch.checked_sub(1).filter(|&e| e > 0));
         }
         // Both slots are populated (epochs 3 and 4 live side by side).
         let cfg = FlashConfig::default();
@@ -408,8 +409,9 @@ mod tests {
         let mut torn = flash.read_page(addr, 0).unwrap().1.to_vec();
         torn[6] ^= 0xFF;
         flash.program_page(addr, &torn, 0).unwrap();
-        let (back, _) = read_manifest(&mut flash, 0).unwrap();
+        let (back, older, _) = read_manifest(&mut flash, 0).unwrap();
         assert_eq!(back.epoch, 1, "CRC failure must fall back to the intact slot");
+        assert_eq!(older, None, "a slot that does not decode is no older manifest");
     }
 
     #[test]

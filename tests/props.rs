@@ -415,7 +415,7 @@ fn lsm_matches_btreemap_model() {
         let mut flash = FlashArray::new(FlashConfig::default());
         let mut alloc = PageAllocator::new(flash.config());
         let cfg = LsmConfig { memtable_bytes: 1 << 14, c1_sst_limit: 2, ..LsmConfig::default() };
-        let mut lsm = LsmTree::new("t", 16, cfg, 5);
+        let mut lsm = LsmTree::new("t", 16, cfg);
         let mut model = std::collections::BTreeMap::new();
 
         let rec = |key: u64, tag: u8| {

@@ -377,3 +377,31 @@ fn a_bad_newest_manifest_slot_falls_back_to_a_slot_whose_ssts_all_read_back() {
         older = state(&model);
     }
 }
+
+#[test]
+fn a_recovered_device_keeps_the_older_slots_ssts_for_a_later_fallback() {
+    // Epoch 1 lists three C1 SSTs; key 1's rewrite compacts them away
+    // and epoch 2 lists what replaced them. The device recovers from
+    // epoch 2 and three more rounds flush and compact on it. Then epoch
+    // 2's slot grows a bad page: recovery falls back to epoch 1, whose
+    // three SSTs must still hold their records — the first recovery kept
+    // the allocator off every page either slot lists.
+    use common::{paper, run, Cfg, Op};
+    let cfg = Cfg { table: COMPACTING, ..Cfg::default() };
+    let (mut store, mut model) = cfg.build(vec![], &rounds(0..3));
+    let ops = [Op::Persist, Op::Put(paper(1, Some(1903))), Op::Flush, Op::Persist, Op::PowerCycle];
+    run(&cfg, &mut store, &mut model, &ops);
+    run(&cfg, &mut store, &mut model, &rounds(3..6));
+    let mut fresh = cosmos_sim::CosmosPlatform::default_platform();
+    fresh.flash = store.db().platform_mut().flash.clone();
+    fresh.flash.reboot();
+    // Epoch 2 sits in slot 0, the topmost page of channel 0 / LUN 0.
+    let top = fresh.flash.config().pages_per_lun - 1;
+    fresh.flash.inject_bad_page(cosmos_sim::PhysAddr { channel: 0, lun: 0, page: top });
+    let mut rec = NkvDb::recover(fresh, vec![("papers".into(), COMPACTING.config())]).unwrap();
+    for key in 1..=80 {
+        let year = if key <= 40 { 1902 } else { 1901 };
+        let (got, _) = rec.get("papers", key, Backend::Software).unwrap();
+        assert_eq!(got, Some(paper(key, Some(year))), "key {key} after the fallback to epoch 1");
+    }
+}
