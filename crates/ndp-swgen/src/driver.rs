@@ -608,6 +608,82 @@ mod tests {
         assert_eq!(warm, IoStats { reg_writes: 7, reg_reads: 4 });
     }
 
+    /// `job_io`'s every count, written out: the store charges these, so
+    /// a protocol change that moves one fails here. One line per
+    /// profile, launch, aggregate (`agg` or `-`) and stage count, then
+    /// `writes/reads` for 0..=stages rules.
+    #[test]
+    fn job_io_is_pinned() {
+        const PINNED: &str = "
+            Generated Cold - 1: 8/2 11/2
+            Generated Cold - 2: 9/2 12/2 15/2
+            Generated Cold - 3: 10/2 13/2 16/2 19/2
+            Generated Cold - 4: 11/2 14/2 17/2 20/2 23/2
+            Generated Cold agg 1: 10/4 13/4
+            Generated Cold agg 2: 11/4 14/4 17/4
+            Generated Cold agg 3: 12/4 15/4 18/4 21/4
+            Generated Cold agg 4: 13/4 16/4 19/4 22/4 25/4
+            Generated Warm - 1: 7/2 7/2
+            Generated Warm - 2: 7/2 7/2 7/2
+            Generated Warm - 3: 7/2 7/2 7/2 7/2
+            Generated Warm - 4: 7/2 7/2 7/2 7/2 7/2
+            Generated Warm agg 1: 7/4 7/4
+            Generated Warm agg 2: 7/4 7/4 7/4
+            Generated Warm agg 3: 7/4 7/4 7/4 7/4
+            Generated Warm agg 4: 7/4 7/4 7/4 7/4 7/4
+            Generated Keyed - 1: 1/0 1/0
+            Generated Keyed - 2: 1/0 1/0 1/0
+            Generated Keyed - 3: 1/0 1/0 1/0 1/0
+            Generated Keyed - 4: 1/0 1/0 1/0 1/0 1/0
+            Generated Keyed agg 1: 1/0 1/0
+            Generated Keyed agg 2: 1/0 1/0 1/0
+            Generated Keyed agg 3: 1/0 1/0 1/0 1/0
+            Generated Keyed agg 4: 1/0 1/0 1/0 1/0 1/0
+            Baseline Cold - 1: 6/1 8/1
+            Baseline Cold - 2: 7/1 9/1 11/1
+            Baseline Cold - 3: 8/1 10/1 12/1 14/1
+            Baseline Cold - 4: 9/1 11/1 13/1 15/1 17/1
+            Baseline Cold agg 1: 8/3 10/3
+            Baseline Cold agg 2: 9/3 11/3 13/3
+            Baseline Cold agg 3: 10/3 12/3 14/3 16/3
+            Baseline Cold agg 4: 11/3 13/3 15/3 17/3 19/3
+            Baseline Warm - 1: 5/1 5/1
+            Baseline Warm - 2: 5/1 5/1 5/1
+            Baseline Warm - 3: 5/1 5/1 5/1 5/1
+            Baseline Warm - 4: 5/1 5/1 5/1 5/1 5/1
+            Baseline Warm agg 1: 5/3 5/3
+            Baseline Warm agg 2: 5/3 5/3 5/3
+            Baseline Warm agg 3: 5/3 5/3 5/3 5/3
+            Baseline Warm agg 4: 5/3 5/3 5/3 5/3 5/3
+            Baseline Keyed - 1: 1/0 1/0
+            Baseline Keyed - 2: 1/0 1/0 1/0
+            Baseline Keyed - 3: 1/0 1/0 1/0 1/0
+            Baseline Keyed - 4: 1/0 1/0 1/0 1/0 1/0
+            Baseline Keyed agg 1: 1/0 1/0
+            Baseline Keyed agg 2: 1/0 1/0 1/0
+            Baseline Keyed agg 3: 1/0 1/0 1/0 1/0
+            Baseline Keyed agg 4: 1/0 1/0 1/0 1/0 1/0
+        ";
+        let mut got = String::new();
+        for profile in [DriverProfile::Generated, DriverProfile::Baseline] {
+            for invoke in [PeInvoke::Cold, PeInvoke::Warm, PeInvoke::Keyed] {
+                for agg in [false, true] {
+                    for stages in 1..=4u32 {
+                        let flag = if agg { "agg" } else { "-" };
+                        got += &format!("{profile:?} {invoke:?} {flag} {stages}:");
+                        for rules in 0..=stages as usize {
+                            let io = job_io(profile, stages, rules, invoke, agg);
+                            got += &format!(" {}/{}", io.reg_writes, io.reg_reads);
+                        }
+                        got += "\n";
+                    }
+                }
+            }
+        }
+        let want: Vec<&str> = PINNED.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+        assert_eq!(got.lines().collect::<Vec<_>>(), want);
+    }
+
     #[test]
     fn rule_cache_invalidation_rewrites_rules() {
         let (mut drv, mut mem, ge) = setup();
