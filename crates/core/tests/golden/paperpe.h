@@ -59,13 +59,17 @@ typedef struct __attribute__((packed)) {
     uint8_t title_postfix[48];
 } Paper;
 
-/** Register accessors (BASE is the PE's AXI-Lite window). */
+/** Register accessors (BASE is the PE's AXI-Lite window). Define
+ * PAPERPE_REG_ACCESSORS and supply both before including this header
+ * to route every access elsewhere (a bus model, a trace). */
+#ifndef PAPERPE_REG_ACCESSORS
 static inline uint32_t paperpe_reg_read(volatile uint32_t *base, uint32_t off) {
     return base[off / 4];
 }
 static inline void paperpe_reg_write(volatile uint32_t *base, uint32_t off, uint32_t v) {
     base[off / 4] = v;
 }
+#endif
 
 /** Configure one filtering stage. */
 static inline void paperpe_set_filter(volatile uint32_t *base, uint32_t stage,
@@ -75,6 +79,10 @@ static inline void paperpe_set_filter(volatile uint32_t *base, uint32_t stage,
     paperpe_reg_write(base, group + 0x4, op);
     paperpe_reg_write(base, group + 0x8, (uint32_t)value);
     paperpe_reg_write(base, group + 0xC, (uint32_t)(value >> 32));
+}
+/** Leave one filtering stage unused: the nop operator passes every tuple. */
+static inline void paperpe_set_nop(volatile uint32_t *base, uint32_t stage) {
+    paperpe_reg_write(base, PAPERPE_FILTER_OP_0 + stage * PAPERPE_STAGE_STRIDE, PAPERPE_OP_NOP);
 }
 
 /** Launch the configured block without waiting (asynchronous). */
@@ -93,13 +101,17 @@ static inline void paperpe_filter_async(volatile uint32_t *base,
 static inline void paperpe_wait_until_done(volatile uint32_t *base) {
     while (paperpe_reg_read(base, PAPERPE_STATUS) & 0x1) { /* spin */ }
 }
-/** Synchronous filtering: launch and wait; returns result bytes. */
+/** Synchronous filtering: launch and wait; returns result bytes and
+ * stores the count of tuples that passed in *TUPLES_OUT. */
 static inline uint32_t paperpe_filter_sync(volatile uint32_t *base,
                                         uint64_t src, uint32_t len,
-                                        uint64_t dst, uint32_t capacity) {
+                                        uint64_t dst, uint32_t capacity,
+                                        uint32_t *tuples_out) {
     paperpe_filter_async(base, src, len, dst, capacity);
     paperpe_wait_until_done(base);
-    return paperpe_reg_read(base, PAPERPE_RESULT_BYTES);
+    uint32_t bytes = paperpe_reg_read(base, PAPERPE_RESULT_BYTES);
+    *tuples_out = paperpe_reg_read(base, PAPERPE_TUPLES_OUT);
+    return bytes;
 }
 
 /** Hardware performance-counter snapshot (PAPERPE_CNT_* window). */

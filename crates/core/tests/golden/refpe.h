@@ -55,13 +55,17 @@ typedef struct __attribute__((packed)) {
     uint32_t year;
 } Ref;
 
-/** Register accessors (BASE is the PE's AXI-Lite window). */
+/** Register accessors (BASE is the PE's AXI-Lite window). Define
+ * REFPE_REG_ACCESSORS and supply both before including this header
+ * to route every access elsewhere (a bus model, a trace). */
+#ifndef REFPE_REG_ACCESSORS
 static inline uint32_t refpe_reg_read(volatile uint32_t *base, uint32_t off) {
     return base[off / 4];
 }
 static inline void refpe_reg_write(volatile uint32_t *base, uint32_t off, uint32_t v) {
     base[off / 4] = v;
 }
+#endif
 
 /** Configure one filtering stage. */
 static inline void refpe_set_filter(volatile uint32_t *base, uint32_t stage,
@@ -71,6 +75,10 @@ static inline void refpe_set_filter(volatile uint32_t *base, uint32_t stage,
     refpe_reg_write(base, group + 0x4, op);
     refpe_reg_write(base, group + 0x8, (uint32_t)value);
     refpe_reg_write(base, group + 0xC, (uint32_t)(value >> 32));
+}
+/** Leave one filtering stage unused: the nop operator passes every tuple. */
+static inline void refpe_set_nop(volatile uint32_t *base, uint32_t stage) {
+    refpe_reg_write(base, REFPE_FILTER_OP_0 + stage * REFPE_STAGE_STRIDE, REFPE_OP_NOP);
 }
 
 /** Launch the configured block without waiting (asynchronous). */
@@ -89,13 +97,17 @@ static inline void refpe_filter_async(volatile uint32_t *base,
 static inline void refpe_wait_until_done(volatile uint32_t *base) {
     while (refpe_reg_read(base, REFPE_STATUS) & 0x1) { /* spin */ }
 }
-/** Synchronous filtering: launch and wait; returns result bytes. */
+/** Synchronous filtering: launch and wait; returns result bytes and
+ * stores the count of tuples that passed in *TUPLES_OUT. */
 static inline uint32_t refpe_filter_sync(volatile uint32_t *base,
                                         uint64_t src, uint32_t len,
-                                        uint64_t dst, uint32_t capacity) {
+                                        uint64_t dst, uint32_t capacity,
+                                        uint32_t *tuples_out) {
     refpe_filter_async(base, src, len, dst, capacity);
     refpe_wait_until_done(base);
-    return refpe_reg_read(base, REFPE_RESULT_BYTES);
+    uint32_t bytes = refpe_reg_read(base, REFPE_RESULT_BYTES);
+    *tuples_out = refpe_reg_read(base, REFPE_TUPLES_OUT);
+    return bytes;
 }
 
 /** Hardware performance-counter snapshot (REFPE_CNT_* window). */

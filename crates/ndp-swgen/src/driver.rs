@@ -1,15 +1,21 @@
 //! The Rust twin of the generated C interface.
 //!
-//! [`PeDriver`] launches a job with the generated header's register
-//! writes (`set_filter` per rule and an unused stage's operator set to
-//! `nop`, `set_aggregate`, then `filter_async`) against any
-//! [`PeDevice`], and counts every access ([`IoStats`]) — the platform
+//! The generated header is the register protocol; this module replays
+//! it. [`PeDriver`] runs a job the way firmware built on the header does
+//! — `set_filter` per rule and `set_nop` per unused stage,
+//! `set_aggregate`, `filter_sync`, `read_aggregate` — against any
+//! [`PeDevice`], and counts every access ([`IoStats`]). The platform
 //! simulator turns those counts into PS↔PL configuration time, which is
 //! what makes the GET operation *not* profit from hardware in Fig. 7(a).
-//! [`job_io`] counts the same protocol without a device. Its readback is
-//! the twin's own: it reads `RESULT_BYTES` and `TUPLES_OUT` and polls
-//! nothing, where the header's `filter_sync` polls `STATUS` and reads
-//! `RESULT_BYTES` only.
+//! [`job_io`] counts the same protocol without a device.
+//!
+//! `crates/core/tests/c_headers.rs` runs the compiled header against the
+//! PE model and checks that each generated-profile launch, cold and warm,
+//! makes the twin's accesses in the twin's order, the header's `STATUS`
+//! polls aside: the model finishes a block at once, so the twin polls
+//! nothing, and the timing model does not price the polls. The
+//! [`DriverProfile::Baseline`] protocol and [`PeInvoke::Keyed`] launches
+//! have no C side; [`job_io`] alone counts them.
 //!
 //! The [`DriverProfile`] distinguishes the generated firmware protocol
 //! (flexible lengths, 64-bit reference values, result-size readback) from
@@ -17,8 +23,6 @@
 
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
-#[cfg(test)]
-use ndp_pe::regs::perf_offsets;
 use ndp_pe::regs::{agg_offsets, offsets};
 use ndp_pe::{BlockResult, MemBus, Mmio, PeDevice};
 
@@ -48,18 +52,6 @@ pub struct FilterJob {
     /// Optional aggregation `(op, lane)` computed over the passing
     /// tuples (requires a PE generated with `aggregate = {...}`).
     pub aggregate: Option<(AggOp, u32)>,
-}
-
-impl FilterJob {
-    /// Point an existing job descriptor at a new source block, keeping
-    /// rules/destination/capacity. Firmware reuses one descriptor per
-    /// stream this way instead of rebuilding it per block, which is what
-    /// keeps the driver's configuration cache warm across a scan.
-    #[cfg(test)]
-    pub(crate) fn retarget(&mut self, src: u64, len: u32) {
-        self.src = src;
-        self.len = len;
-    }
 }
 
 /// Register-access counters (inputs to the platform timing model).
@@ -131,11 +123,12 @@ impl<'a> Port<'a> {
         offsets::filter_counter(self.stages)
     }
 
-    /// One launch of a job with `rules` rules, in protocol order: the
+    /// One launch of a job with `rules` rules, in the header's order: the
     /// stages a `Cold` launch configures (all of them, then the
     /// Aggregation Unit when `agg`) or a `Keyed` one (stage 0); the
-    /// descriptor; `START`. The walker performs a keyed launch but for its
-    /// `START`. Values are `job`'s; a count has no job and writes zeros.
+    /// descriptor (`filter_async`'s writes); `START`. The walker performs
+    /// a keyed launch but for its `START`. Values are `job`'s; a count has
+    /// no job and writes zeros.
     fn launch(&mut self, rules: usize, agg: bool, job: Option<&FilterJob>, invoke: PeInvoke) {
         let by = if invoke == PeInvoke::Keyed { By::Walker } else { By::Arm };
         let generated = self.profile == DriverProfile::Generated;
@@ -169,34 +162,37 @@ impl<'a> Port<'a> {
         let (src, len, dst, cap) = job.map_or((0, 0, 0, 0), |j| (j.src, j.len, j.dst, j.capacity));
         self.write(by, offsets::SRC_ADDR_LO, src as u32);
         self.write(by, offsets::SRC_ADDR_HI, (src >> 32) as u32);
+        if generated {
+            self.write(by, offsets::SRC_LEN, len);
+        }
         self.write(by, offsets::DST_ADDR_LO, dst as u32);
         self.write(by, offsets::DST_ADDR_HI, (dst >> 32) as u32);
         if generated {
-            self.write(by, offsets::SRC_LEN, len);
             self.write(by, offsets::DST_CAPACITY, cap);
         }
         self.write(By::Arm, offsets::START, 1);
     }
 
     /// The readback after the PE has run, by the walker after a keyed
-    /// launch: the accumulator when `agg`, then the result size and the
-    /// pass count. Returns `(aggregate, result bytes, tuples out)`; the
-    /// protocol of \[1\] derives the result size from the pass counter
-    /// (fixed-size tuples) instead.
+    /// launch, in the header's order: `filter_sync`'s result size and
+    /// pass count, then `read_aggregate`'s accumulator when `agg`.
+    /// Returns `(aggregate, result bytes, tuples out)`; the protocol of
+    /// \[1\] derives the result size from the pass counter (fixed-size
+    /// tuples) instead.
     fn readback(&mut self, agg: bool, invoke: PeInvoke) -> (Option<u64>, Option<u32>, u32) {
         let by = if invoke == PeInvoke::Keyed { By::Walker } else { By::Arm };
         let fc = self.filter_counter();
+        let (bytes, tuples_out) = match self.profile {
+            DriverProfile::Generated => {
+                (Some(self.read(by, offsets::RESULT_BYTES)), self.read(by, offsets::TUPLES_OUT))
+            }
+            DriverProfile::Baseline => (None, self.read(by, fc)),
+        };
         let aggregate = agg.then(|| {
             let lo = u64::from(self.read(by, fc + agg_offsets::AGG_RESULT_LO));
             lo | u64::from(self.read(by, fc + agg_offsets::AGG_RESULT_HI)) << 32
         });
-        match self.profile {
-            DriverProfile::Generated => {
-                let bytes = self.read(by, offsets::RESULT_BYTES);
-                (aggregate, Some(bytes), self.read(by, offsets::TUPLES_OUT))
-            }
-            DriverProfile::Baseline => (aggregate, None, self.read(by, fc)),
-        }
+        (aggregate, bytes, tuples_out)
     }
 }
 
@@ -217,21 +213,6 @@ pub fn job_io(
     port.io[By::Arm as usize]
 }
 
-/// An in-flight job started with [`PeDriver::filter_async`]. Consumed by
-/// [`PeDriver::wait_until_done`]; carries the launch-time register-access
-/// cost, so the completed [`JobResult`] accounts for the whole job, and
-/// what the readback needs to know about the launch, so overlapping jobs
-/// cannot mix it up.
-#[derive(Debug)]
-#[must_use = "a launched job must be completed"]
-pub(crate) struct JobHandle {
-    launch_io: IoStats,
-    /// How the job was launched: the walker reads a keyed launch back.
-    invoke: PeInvoke,
-    /// The job requested an aggregate.
-    aggregated: bool,
-}
-
 /// Result of a completed job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobResult {
@@ -247,34 +228,12 @@ pub struct JobResult {
     pub io: IoStats,
 }
 
-/// Snapshot of the PE's hardware performance counters (the Rust twin of
-/// the header's `<pe>_perf_counters_t` + `<pe>_read_perf_counters`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg(test)]
-pub(crate) struct PerfReadout {
-    pub tuples_in: u32,
-    pub tuples_out: u32,
-    pub in_stall: u32,
-    pub out_stall: u32,
-    pub active: u32,
-    pub idle: u32,
-    pub load_beats: u32,
-    pub store_beats: u32,
-    /// Tuples dropped per filtering stage, index = stage.
-    pub stage_drops: Vec<u32>,
-}
-
 /// Driver for one PE instance.
 pub struct PeDriver<P: PeDevice> {
     pe: P,
     profile: DriverProfile,
     /// Lifetime register-access counters.
     pub(crate) total_io: IoStats,
-    /// Register accesses spent on perf-counter readback/reset, tracked
-    /// separately so observability never changes job-path configuration
-    /// costs (what [`job_io`] counts).
-    #[cfg(test)]
-    pub(crate) perf_io: IoStats,
     /// Register accesses performed by the PL-side key-list walker during
     /// batched (keyed) invocations. The walker re-points the descriptor
     /// registers itself, PL→PL at fabric speed, so this traffic never
@@ -294,8 +253,6 @@ impl<P: PeDevice> PeDriver<P> {
             pe,
             profile,
             total_io: IoStats::default(),
-            #[cfg(test)]
-            perf_io: IoStats::default(),
             walker_io: IoStats::default(),
             last: None,
         }
@@ -306,9 +263,18 @@ impl<P: PeDevice> PeDriver<P> {
         &mut self.pe
     }
 
-    /// Launch a job asynchronously (the header's `filter_async`):
-    /// configure the PE the way `invoke` says and write START.
-    pub(crate) fn filter_async(&mut self, job: &FilterJob, invoke: PeInvoke) -> JobHandle {
+    /// Synchronous filtering (the header's `filter_sync`): a warm launch
+    /// run to completion.
+    pub fn filter_sync(&mut self, mem: &mut dyn MemBus, job: &FilterJob) -> JobResult {
+        self.run(mem, job, PeInvoke::Warm)
+    }
+
+    /// Configure the PE the way `invoke` says, write START, run the block
+    /// and read the results back. In simulation the PE executes at once;
+    /// on the device the header's `wait_until_done` polls STATUS here.
+    /// The readback is billed to whoever performs it: the ARM job path,
+    /// or the walker for a [`PeInvoke::Keyed`] launch.
+    fn run(&mut self, mem: &mut dyn MemBus, job: &FilterJob, invoke: PeInvoke) -> JobResult {
         let (stages, rules) = (self.pe.stages(), job.rules.len());
         assert!(
             rules <= stages as usize,
@@ -332,68 +298,17 @@ impl<P: PeDevice> PeDriver<P> {
         let aggregated = job.aggregate.is_some();
         let mut port = Port::new(self.profile, stages, Some(&mut self.pe));
         port.launch(rules, aggregated, Some(job), invoke);
-        self.walker_io.reg_writes += port.io[By::Walker as usize].reg_writes;
-        JobHandle { launch_io: port.io[By::Arm as usize], invoke, aggregated }
-    }
-
-    /// Complete a previously launched job (the header's
-    /// `wait_until_done` plus result readback). In simulation the PE
-    /// executes here; on the device this would poll STATUS. The readback
-    /// is billed to whoever performs it: the ARM job path, or the walker
-    /// for a [`PeInvoke::Keyed`] launch.
-    pub(crate) fn wait_until_done(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
+        let launched = port.io;
         let block = self.pe.execute(mem);
-        let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
-        port.io[By::Arm as usize] = handle.launch_io;
-        let (aggregate, bytes, tuples_out) = port.readback(handle.aggregated, handle.invoke);
+        let mut port = Port { io: launched, ..Port::new(self.profile, stages, Some(&mut self.pe)) };
+        let (aggregate, bytes, tuples_out) = port.readback(aggregated, invoke);
         let [io, walker] = port.io;
+        self.walker_io.reg_writes += walker.reg_writes;
         self.walker_io.reg_reads += walker.reg_reads;
         self.total_io.reg_writes += io.reg_writes;
         self.total_io.reg_reads += io.reg_reads;
         let result_bytes = bytes.unwrap_or(block.result_bytes);
         JobResult { block, result_bytes, tuples_out, aggregate, io }
-    }
-
-    /// Synchronous filtering (the header's `filter_sync`): a warm launch
-    /// and its completion in sequence.
-    pub fn filter_sync(&mut self, mem: &mut dyn MemBus, job: &FilterJob) -> JobResult {
-        let handle = self.filter_async(job, PeInvoke::Warm);
-        self.wait_until_done(mem, handle)
-    }
-
-    /// Read the hardware performance counters (the header's
-    /// `read_perf_counters`). Register accesses are charged to
-    /// [`perf_io`](Self::perf_io), not the job path.
-    #[cfg(test)]
-    pub(crate) fn read_perf_counters(&mut self) -> PerfReadout {
-        let stages = self.pe.stages();
-        let mut port = Port::new(self.profile, stages, Some(&mut self.pe));
-        let fc = port.filter_counter();
-        let mut rd = |rel: u32| port.read(By::Arm, fc + rel);
-        let out = PerfReadout {
-            tuples_in: rd(perf_offsets::CNT_TUPLES_IN),
-            tuples_out: rd(perf_offsets::CNT_TUPLES_OUT),
-            in_stall: rd(perf_offsets::CNT_IN_STALL),
-            out_stall: rd(perf_offsets::CNT_OUT_STALL),
-            active: rd(perf_offsets::CNT_ACTIVE),
-            idle: rd(perf_offsets::CNT_IDLE),
-            load_beats: rd(perf_offsets::CNT_LOAD_BEATS),
-            store_beats: rd(perf_offsets::CNT_STORE_BEATS),
-            stage_drops: (0..stages)
-                .map(|s| rd(perf_offsets::CNT_STAGE_DROP_BASE + 4 * s))
-                .collect(),
-        };
-        self.perf_io.reg_reads += port.io[By::Arm as usize].reg_reads;
-        out
-    }
-
-    /// Clear the hardware performance counters (the header's
-    /// `reset_perf_counters`: write-1-to-clear on CNT_CTRL).
-    #[cfg(test)]
-    pub(crate) fn reset_perf_counters(&mut self) {
-        let mut port = Port::new(self.profile, self.pe.stages(), Some(&mut self.pe));
-        port.write(By::Arm, port.filter_counter() + perf_offsets::CNT_CTRL, 1);
-        self.perf_io.reg_writes += port.io[By::Arm as usize].reg_writes;
     }
 }
 
@@ -521,8 +436,7 @@ mod tests {
             ..cold.clone()
         };
         let (walker_before, total_before) = (drv.walker_io, drv.total_io);
-        let handle = drv.filter_async(&keyed, PeInvoke::Keyed);
-        let res = drv.wait_until_done(&mut mem, handle);
+        let res = drv.run(&mut mem, &keyed, PeInvoke::Keyed);
         assert_eq!(res.io, IoStats { reg_writes: 1, reg_reads: 0 });
         // Register for register: the ARM job path grows by the strobe
         // alone; the walker wrote the stage-0 rule (4), the src/dst
@@ -587,9 +501,8 @@ mod tests {
             for rules in 1..=stages as usize {
                 for &aggregate in aggregates {
                     for invoke in [PeInvoke::Cold, PeInvoke::Warm, PeInvoke::Keyed] {
-                        let handle = drv.filter_async(&job(rules, aggregate), invoke);
                         assert_eq!(
-                            drv.wait_until_done(&mut mem, handle).io,
+                            drv.run(&mut mem, &job(rules, aggregate), invoke).io,
                             job_io(profile, stages, rules, invoke, aggregate),
                             "{profile:?} stages={stages} rules={rules} aggregate={aggregate} \
                              {invoke:?}"
@@ -696,8 +609,7 @@ mod tests {
             aggregate: None,
         };
         let _ = drv.filter_sync(&mut mem, &job);
-        let handle = drv.filter_async(&job, PeInvoke::Cold);
-        let res = drv.wait_until_done(&mut mem, handle);
+        let res = drv.run(&mut mem, &job, PeInvoke::Cold);
         assert_eq!(res.io.reg_writes, 11, "invalidation forces full reconfiguration");
     }
 
@@ -754,33 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn perf_readback_matches_job_and_leaves_job_io_untouched() {
-        let (mut drv, mut mem, ge) = setup();
-        let job = FilterJob {
-            src: 0,
-            len: 500 * 20,
-            dst: 0x40000,
-            capacity: 1 << 18,
-            rules: vec![FilterRule { lane: 2, op_code: ge, value: 50 }],
-            aggregate: None,
-        };
-        let res = drv.filter_sync(&mut mem, &job);
-        let job_io = drv.total_io;
-        let perf = drv.read_perf_counters();
-        assert_eq!(perf.tuples_in, res.block.tuples_in);
-        assert_eq!(perf.tuples_out, res.tuples_out);
-        assert_eq!(perf.stage_drops, vec![res.block.tuples_in - res.tuples_out]);
-        assert_eq!(perf.active + perf.idle, res.block.cycles as u32);
-        // Observability cost is accounted separately from the job path.
-        assert_eq!(drv.total_io, job_io);
-        assert_eq!(drv.perf_io.reg_reads, 9);
-        drv.reset_perf_counters();
-        assert_eq!(drv.perf_io.reg_writes, 1);
-        let cleared = drv.read_perf_counters();
-        assert_eq!(cleared, PerfReadout { stage_drops: vec![0], ..PerfReadout::default() });
-    }
-
-    #[test]
     fn retargeted_job_reuses_the_descriptor_and_rule_cache() {
         let (mut drv, mut mem, ge) = setup();
         // Second block of refs further up in memory.
@@ -797,29 +682,12 @@ mod tests {
         let first = drv.filter_sync(&mut mem, &job);
         assert_eq!(first.block.tuples_in, 500);
         // Stream the next block through the same descriptor.
-        job.retarget(0x20000, 300 * 20);
+        (job.src, job.len) = (0x20000, 300 * 20);
         let next = drv.filter_sync(&mut mem, &job);
         assert_eq!(next.block.tuples_in, 300);
         assert_eq!(next.tuples_out, 150);
         // Rules were cached: only addresses/len/capacity/start rewritten.
         assert_eq!(next.io.reg_writes, 7);
-    }
-
-    #[test]
-    fn launch_complete_equals_filter_sync() {
-        let (mut drv, mut mem, ge) = setup();
-        let job = FilterJob {
-            src: 0,
-            len: 500 * 20,
-            dst: 0x40000,
-            capacity: 1 << 18,
-            rules: vec![FilterRule { lane: 2, op_code: ge, value: 50 }],
-            aggregate: None,
-        };
-        let handle = drv.filter_async(&job, PeInvoke::Warm);
-        let res = drv.wait_until_done(&mut mem, handle);
-        let (mut fresh, mut mem, _) = setup();
-        assert_eq!(res, fresh.filter_sync(&mut mem, &job));
     }
 
     #[test]

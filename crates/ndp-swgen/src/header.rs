@@ -53,16 +53,21 @@ pub fn generate_header(cfg: &PeConfig) -> String {
     emit_struct(w, cfg, true);
     emit_struct(w, cfg, false);
 
-    // --- Register accessors.
+    // --- Register accessors, behind the usual HAL override hook: every
+    // function below reaches the PE through these two alone.
     let _ = writeln!(
         w,
-        "/** Register accessors (BASE is the PE's AXI-Lite window). */\n\
+        "/** Register accessors (BASE is the PE's AXI-Lite window). Define\n\
+         \x20* {pe}_REG_ACCESSORS and supply both before including this header\n\
+         \x20* to route every access elsewhere (a bus model, a trace). */\n\
+         #ifndef {pe}_REG_ACCESSORS\n\
          static inline uint32_t {pe_lc}_reg_read(volatile uint32_t *base, uint32_t off) {{\n\
          \x20   return base[off / 4];\n\
          }}\n\
          static inline void {pe_lc}_reg_write(volatile uint32_t *base, uint32_t off, uint32_t v) {{\n\
          \x20   base[off / 4] = v;\n\
-         }}\n"
+         }}\n\
+         #endif\n"
     );
 
     // --- Filtering functions: `set_filter` writes the stage group's rows.
@@ -78,7 +83,15 @@ pub fn generate_header(cfg: &PeConfig) -> String {
     for ((_, off, ..), arg) in STAGE.iter().zip(args) {
         let _ = writeln!(w, "    {pe_lc}_reg_write(base, group + {off:#X}, {arg});");
     }
-    let _ = writeln!(w, "}}\n");
+    let _ = writeln!(
+        w,
+        "}}\n\
+         /** Leave one filtering stage unused: the nop operator passes every tuple. */\n\
+         static inline void {pe_lc}_set_nop(volatile uint32_t *base, uint32_t stage) {{\n\
+         \x20   {pe_lc}_reg_write(base, {pe}_{} + stage * {pe}_STAGE_STRIDE, {pe}_OP_NOP);\n\
+         }}\n",
+        stage_text(STAGE[1].0, 0)
+    );
     let _ = writeln!(
         w,
         "/** Launch the configured block without waiting (asynchronous). */\n\
@@ -97,13 +110,17 @@ pub fn generate_header(cfg: &PeConfig) -> String {
          static inline void {pe_lc}_wait_until_done(volatile uint32_t *base) {{\n\
          \x20   while ({pe_lc}_reg_read(base, {pe}_STATUS) & 0x1) {{ /* spin */ }}\n\
          }}\n\
-         /** Synchronous filtering: launch and wait; returns result bytes. */\n\
+         /** Synchronous filtering: launch and wait; returns result bytes and\n\
+         \x20* stores the count of tuples that passed in *TUPLES_OUT. */\n\
          static inline uint32_t {pe_lc}_filter_sync(volatile uint32_t *base,\n\
          \x20                                       uint64_t src, uint32_t len,\n\
-         \x20                                       uint64_t dst, uint32_t capacity) {{\n\
+         \x20                                       uint64_t dst, uint32_t capacity,\n\
+         \x20                                       uint32_t *tuples_out) {{\n\
          \x20   {pe_lc}_filter_async(base, src, len, dst, capacity);\n\
          \x20   {pe_lc}_wait_until_done(base);\n\
-         \x20   return {pe_lc}_reg_read(base, {pe}_RESULT_BYTES);\n\
+         \x20   uint32_t bytes = {pe_lc}_reg_read(base, {pe}_RESULT_BYTES);\n\
+         \x20   *tuples_out = {pe_lc}_reg_read(base, {pe}_TUPLES_OUT);\n\
+         \x20   return bytes;\n\
          }}\n"
     );
 
