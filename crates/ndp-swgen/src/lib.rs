@@ -14,8 +14,9 @@
 //! * [`PeDriver`] — the Rust twin of that header, which drives
 //!   the simulated PEs in tests, examples and the benchmark, and whose
 //!   register protocol [`job_io`] counts for the `nkv` firmware
-//!   layer, which charges it. Both render the same map; where the twin's
-//!   readback differs from the header's, the `driver` module says so.
+//!   layer, which charges it. The header is the protocol and the twin
+//!   replays it, access for access; the `driver` module says how that
+//!   is checked and what has no C side.
 //!
 //! The `pub use` list below is this crate's API. Every module and every
 //! other item is private to the crate, and `#![deny(unreachable_pub)]`

@@ -1176,6 +1176,46 @@ mod tests {
         }
     }
 
+    /// The PEs of [1] hold 32-bit reference values: a wider value a PE
+    /// plan would push is a typed error naming it, on Hardware and
+    /// Hybrid alike, and the tier rule runs the op on the ARM instead.
+    #[test]
+    fn baseline_tables_refuse_pushed_values_wider_than_32_bits() {
+        let mut db = paper_db(1, PeVariant::HandCrafted);
+        let cfg = PubGraphConfig { papers: 3000, refs: 3000, seed: 7 };
+        db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+        let wide = (1u64 << 32) + 1;
+        let ge = FilterRule { lane: paper_lanes::ID, op_code: 4, value: wide };
+        let scan = LogicalOp::Scan { rules: vec![ge] };
+        let both: &[Backend] = &[Backend::Hardware, Backend::Hybrid];
+        let refused: [(LogicalOp, &[Backend]); 4] = [
+            (scan.clone(), both),
+            (LogicalOp::Get { key: wide }, both),
+            (LogicalOp::MultiGet { keys: vec![1, wide] }, both),
+            // One stage: Hybrid pushes `lo` (Hardware refuses the chain).
+            (LogicalOp::RangeScan { lo: wide, hi: wide + 10 }, &[Backend::Hybrid]),
+        ];
+        for (op, backends) in refused {
+            for &backend in backends {
+                match db.execute("papers", &op, backend) {
+                    Err(NkvError::Config(msg)) => {
+                        assert!(msg.contains(&wide.to_string()), "{op:?} on {backend:?}: {msg}")
+                    }
+                    other => panic!("{op:?} on {backend:?}: expected a refusal, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(db.choose_backend("papers", &scan).unwrap(), Backend::Software);
+        let adaptive = db.execute("papers", &scan, Tier::Adaptive).unwrap().into_scan().unwrap();
+        assert_eq!(adaptive.count, 0);
+        // A generated PE holds the value, and a value that fits is pushed.
+        let mut ours = paper_db(1, PeVariant::Generated);
+        ours.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
+        assert_eq!(ours.choose_backend("papers", &scan).unwrap(), Backend::Hardware);
+        let narrow = LogicalOp::Scan { rules: vec![FilterRule { value: 2000, ..ge }] };
+        assert_eq!(db.choose_backend("papers", &narrow).unwrap(), Backend::Hardware);
+    }
+
     /// The adaptive tier runs exactly what `choose_backend` picks: on
     /// two identical devices, `Tier::Adaptive` and that pick forced give
     /// equal outcomes and reports. The rule sends the scan to the PE from

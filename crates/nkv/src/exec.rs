@@ -148,6 +148,7 @@ impl TableExec {
             eq_code: self.eq_code,
             ge_code: self.ge_code,
             lt_code: self.lt_code,
+            wide_values: self.profile == DriverProfile::Generated,
         }
     }
 }

@@ -21,6 +21,11 @@
 //!   it also needs lane 0 to be the record key (`PlanCaps::key_lane`),
 //!   and it answers with the tuple the PE stores, so it needs the PE's
 //!   transformation to be the identity (`PlanCaps::identity_transform`);
+//! * a PE of \[1\] holds 32-bit reference values (its driver never
+//!   writes `FILTER_VAL_HI`), so a hardware or hybrid plan on such a
+//!   table refuses any value it would push above `u32::MAX` — a rule's,
+//!   a GET or MULTI-GET key, a RANGE_SCAN bound — rather than compare it
+//!   truncated (`PlanCaps::wide_values`);
 //! * **software** plans evaluate the whole chain on the ARM;
 //! * **hardware** plans push the whole chain into the PE's filtering
 //!   stages and reject chains longer than the stage count;
@@ -151,6 +156,9 @@ pub(crate) struct PlanCaps {
     pub(crate) eq_code: Option<u32>,
     pub(crate) ge_code: Option<u32>,
     pub(crate) lt_code: Option<u32>,
+    /// Whether the PE holds 64-bit reference values (the generated
+    /// driver profile); the PEs of \[1\] hold 32 bits.
+    pub(crate) wide_values: bool,
 }
 
 /// The physical operator at the root of a plan.
@@ -223,8 +231,12 @@ impl PhysicalPlan {
             })
         };
         match op {
-            LogicalOp::Get { key } => key_lookup(PhysOp::PointLookup { key: *key }),
+            LogicalOp::Get { key } => {
+                check_values([*key], backend, caps, table)?;
+                key_lookup(PhysOp::PointLookup { key: *key })
+            }
             LogicalOp::MultiGet { keys } => {
+                check_values(keys.iter().copied(), backend, caps, table)?;
                 // A batch of one folds to the plain point lookup, so
                 // every serial timing/result stays byte-identical.
                 if let [key] = keys[..] {
@@ -267,6 +279,7 @@ impl PhysicalPlan {
                         caps.stages
                     )));
                 }
+                check_values(rules.iter().map(|r| r.value), backend, caps, table)?;
                 Ok(PhysicalPlan {
                     op: PhysOp::AggregateScan { agg: *agg, lane: *lane },
                     backend,
@@ -312,6 +325,7 @@ impl PhysicalPlan {
                 (push.to_vec(), rest.to_vec())
             }
         };
+        check_values(pushed.iter().map(|r| r.value), backend, caps, table)?;
         let parallel = if backend == Backend::Software { 0 } else { caps.parallel_pes };
         Ok(PhysicalPlan {
             op: PhysOp::FilterScan,
@@ -418,6 +432,28 @@ fn check_lanes(
 ) -> NkvResult<()> {
     match lanes.find(|&lane| lane as usize >= caps.lanes) {
         Some(lane) => Err(NkvError::InvalidLane { table: table.to_string(), lane }),
+        None => Ok(()),
+    }
+}
+
+/// Every value in `values`, pushed to the PE on `backend`, fits its
+/// reference registers, or the first that does not is a typed error
+/// naming it. The ARM compares 64 bits, and so does a generated PE.
+fn check_values(
+    values: impl IntoIterator<Item = u64>,
+    backend: Backend,
+    caps: &PlanCaps,
+    table: &str,
+) -> NkvResult<()> {
+    if backend == Backend::Software || caps.wide_values {
+        return Ok(());
+    }
+    match values.into_iter().find(|&v| v > u64::from(u32::MAX)) {
+        Some(v) => Err(NkvError::Config(format!(
+            "a {} plan on `{table}` pushes the reference value {v}, but the table's PEs \
+             of [1] hold 32-bit values",
+            backend.name()
+        ))),
         None => Ok(()),
     }
 }
@@ -529,6 +565,7 @@ mod tests {
             eq_code: Some(2),
             ge_code: Some(4),
             lt_code: Some(5),
+            wide_values: true,
         }
     }
 
