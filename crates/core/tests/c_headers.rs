@@ -209,7 +209,8 @@ fn cosim_jobs(cfg: &PeConfig) -> Vec<(FilterJob, Vec<u8>)> {
 /// The firmware: the header's accessors hooked to print `W off val` or
 /// `R off` and read each read's reply on stdin; `jobs` run through the
 /// header's own functions, each block's results printed as `E bytes
-/// tuples_out aggregate`; then the perf counters as `P` and every count.
+/// tuples_out aggregate`; then the perf counters as `P` and every count,
+/// before and after `reset_perf_counters`.
 fn firmware(pe: &ndp_core::GeneratedPe, jobs: &[(FilterJob, Vec<u8>)]) -> String {
     let (upper, lower) = (pe.config.name.to_uppercase(), pe.config.name.to_lowercase());
     let mut c = format!(
@@ -254,17 +255,17 @@ fn firmware(pe: &ndp_core::GeneratedPe, jobs: &[(FilterJob, Vec<u8>)]) -> String
             job.src, job.len, job.dst, job.capacity
         );
     }
-    let _ = write!(c, "    {lower}_perf_counters_t c;\n    {lower}_read_perf_counters(pe, &c);\n");
-    c += "    printf(\"P";
     let counters = PERF_FIELDS.iter().map(|f| format!("c.{f}"));
     let drops = (0..pe.config.stages).map(|s| format!("c.stage_drops[{s}]"));
     let fields: Vec<String> = counters.chain(drops).collect();
-    c += &" %u".repeat(fields.len());
-    c += "\\n\"";
+    let mut perf = format!("    {lower}_read_perf_counters(pe, &c);\n    printf(\"P");
+    perf += &" %u".repeat(fields.len());
+    perf += "\\n\"";
     for f in &fields {
-        let _ = write!(c, ", (unsigned){f}");
+        let _ = write!(perf, ", (unsigned){f}");
     }
-    c + ");\n    return 0;\n}\n"
+    let reset = format!("    {lower}_reset_perf_counters(pe);\n");
+    format!("{c}    {lower}_perf_counters_t c;\n{perf});\n{reset}{perf});\n    return 0;\n}}\n")
 }
 
 /// The header's perf-counter fields, in `PerfCounters` order.
@@ -472,14 +473,18 @@ fn cosimulate(dir: &Path, pe: &ndp_core::GeneratedPe) {
         println!("{stem}: {invoke:?} block: {polls} STATUS polls over {} PE cycles", ran.cycles);
     }
 
-    let perf = blocks.next().and_then(|b| b.last()).expect("a `P` line after the blocks");
-    let got: Vec<u64> = perf.split(' ').skip(1).map(|w| w.parse().expect("P")).collect();
-    let p = server.pe.perf();
+    // The server's model is cleared by now; the twin's ran the same
+    // blocks through the same accesses.
+    let tail = blocks.next().expect("the perf readback after the blocks");
+    let parse = |l: &String| l.split(' ').skip(1).map(|w| w.parse().expect("P")).collect();
+    let got: Vec<Vec<u64>> = tail.iter().filter(|l| l.starts_with("P ")).map(parse).collect();
+    let p = twin.device().pe.perf();
     let counters = [p.tuples_in, p.tuples_out, p.in_stall, p.out_stall, p.active, p.idle];
     let beats = [p.load_beats, p.store_beats];
     let want = counters.into_iter().chain(beats).chain(p.stage_drops.iter().copied());
     let want: Vec<u64> = want.map(|v| u64::from(v as u32)).collect();
-    assert_eq!(got, want, "{stem}: read_perf_counters against PeSim::perf");
+    let cleared = vec![0; want.len()];
+    assert_eq!(got, [want, cleared], "{stem}: read_perf_counters against PeSim::perf, then reset");
 }
 
 #[test]
